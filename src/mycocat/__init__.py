@@ -73,7 +73,6 @@ from .programs import (
     evolve,
     extract,
     flow_matrix,
-    induced_morphism,
     programs_equivalent_at,
 )
 

@@ -28,21 +28,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .envmyc import Constraints, DistanceWeights, EnvObject
-from .errors import ConfigError, MycocatError
+from .errors import ConfigError, ConstraintError, MycocatError
 from .experiments import (
     AsymmetryReport,
     ExposureExperiment,
-    PulseTemplate,
     WorkedExampleConfig,
-    initial_state,
-    reference_species,
+    random_pulses,
     run_order_asymmetry_scan,
     run_worked_example,
+    species_from_config,
+    wide_environment,
 )
 from .graphs import AttributedGraph, Cospan, GraphMorphism, pushout_along_monos
 from .laws import (
-    SpeciesFunctor,
     check_adjunction,
     check_compatibility,
     check_functor_laws,
@@ -58,14 +56,7 @@ from .laws import (
     scaled_environment_evolution,
     similarity_variant,
 )
-from .programs import (
-    Extraction,
-    InternalState,
-    Program,
-    ReferenceDynamics,
-    StateLayout,
-    evolve,
-)
+from .programs import InternalState, Program, ReferenceDynamics, evolve
 
 
 def write_atomic(path: Path, text: str) -> None:
@@ -104,58 +95,6 @@ def load_json(path: str):
         raise ConfigError(f"{path}: file not found")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})")
-
-
-def species_from_config(data: dict) -> SpeciesFunctor:
-    """Species from a config block: either explicit dynamics matrices or the
-    compact reference form (sites/channels/features/coupling)."""
-    if "dynamics" in data:
-        dyn = ReferenceDynamics.from_json(data["dynamics"])
-        layout = StateLayout(
-            AttributedGraph.from_json(data["graph"]), int(data["features"])
-        )
-        if layout.dim != dyn.dim:
-            raise ConfigError(
-                f"dynamics: dimension {dyn.dim} does not match layout {layout.dim}"
-            )
-        return SpeciesFunctor(
-            str(data.get("label", "configured")),
-            dyn,
-            Extraction(layout, data.get("sigma", 1.0)),
-        )
-    return reference_species(
-        n_sites=int(data.get("n_sites", 8)),
-        channels=int(data.get("channels", 2)),
-        features=int(data.get("features", 3)),
-        sigma=float(data.get("sigma", 1.0)),
-        coupling=str(data.get("coupling", "noncommuting")),
-        label=str(data.get("label", "reference")),
-    )
-
-
-def _pulse_from_json(data: dict, name: str) -> PulseTemplate:
-    try:
-        return PulseTemplate(
-            channel=int(data["channel"]),
-            amplitude=float(data.get("amplitude", 1.0)),
-            duration=float(data.get("duration", 1.0)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{name}: {exc}")
-
-
-def experiment_from_json(data: dict, seed_override: int | None) -> ExposureExperiment:
-    species = species_from_config(data.get("species", {}))
-    seed = seed_override if seed_override is not None else int(data.get("seed", 12345))
-    return ExposureExperiment(
-        species=species,
-        pulse_p=_pulse_from_json(data.get("pulse_p", {"channel": 0}), "pulse_p"),
-        pulse_q=_pulse_from_json(data.get("pulse_q", {"channel": 1}), "pulse_q"),
-        eps_grid=tuple(float(e) for e in data.get("eps_grid", (0.2, 0.1, 0.05, 0.02, 0.01))),
-        scaling=str(data.get("scaling", "amplitude")),
-        weights=DistanceWeights(*data.get("weights", (1.0, 1.0, 1.0))),
-        seed=seed,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +148,7 @@ def _print_scan(report: AsymmetryReport, label: str) -> None:
 
 
 def cmd_order_scan(args) -> int:
-    exp = experiment_from_json(load_json(args.experiment), args.seed)
+    exp = ExposureExperiment.from_json(load_json(args.experiment), args.seed)
     report = run_order_asymmetry_scan(exp)
     out_dir = Path(args.out_dir)
     write_json(out_dir / "order_scan.json", report.to_json())
@@ -241,47 +180,18 @@ def cmd_worked_example(args) -> int:
     return 1 if failures else 0
 
 
-def _suite_species(check: dict) -> SpeciesFunctor:
-    return species_from_config(check.get("species", {}))
-
-
-def _random_pulses(species, count, seed):
-    rng = np.random.default_rng(seed)
-    channels = species.dynamics.channels
-    pulses = []
-    for _ in range(count):
-        channel = int(rng.integers(0, channels)) if channels else 0
-        control = [0.0] * channels
-        if channels:
-            control[channel] = float(rng.uniform(0.05, 0.5))
-        pulses.append(Program(((float(rng.uniform(0.1, 1.0)), tuple(control)),)))
-    return pulses
-
-
-def _wide_environment(species, seed) -> EnvObject:
-    layout = species.extraction.layout
-    channels = layout.feature_count - 1
-    chi = Constraints(
-        phi_bounds=tuple((-100.0, 100.0) for _ in range(channels)),
-        budget=float("inf"),
-    )
-    template = EnvObject(
-        layout.graph,
-        {v: 1.0 for v in layout.graph.nodes},
-        {v: (0.0,) * channels for v in layout.graph.nodes},
-        chi,
-    )
-    return field_writeback(template, initial_state(layout, seed))
-
-
 def run_suite_check(check: dict, default_tol: float | None, seed: int | None):
     """Run one suite entry; returns the LawReport."""
     law = check.get("law")
     tol = check.get("tol", default_tol)
     the_seed = seed if seed is not None else int(check.get("seed", 0))
 
+    if law == "adjunction":
+        instance, bijection = identity_adjunction_instance()
+        return check_adjunction(instance, bijection)
+
+    species = species_from_config(check.get("species", {}))
     if law == "functor_laws":
-        species = _suite_species(check)
         if check.get("mutant") == "non_causal":
             species = non_causal_variant(species)
         return check_functor_laws(
@@ -292,7 +202,6 @@ def run_suite_check(check: dict, default_tol: float | None, seed: int | None):
         )
 
     if law == "naturality":
-        species = _suite_species(check)
         variant = check.get("variant", "similarity")
         if variant == "identity":
             other, eta = species, identity_transformation()
@@ -305,7 +214,7 @@ def run_suite_check(check: dict, default_tol: float | None, seed: int | None):
             eta = identity_transformation()
         else:
             raise ConfigError(f"naturality.variant: unknown {variant!r}")
-        programs = _random_pulses(
+        programs = random_pulses(
             species, int(check.get("programs", 10)), the_seed + 2
         )
         return check_naturality(
@@ -317,25 +226,25 @@ def run_suite_check(check: dict, default_tol: float | None, seed: int | None):
             seed=the_seed,
         )
 
-    if law == "adjunction":
-        instance, bijection = identity_adjunction_instance()
-        return check_adjunction(instance, bijection)
-
     if law == "lipschitz":
-        species = _suite_species(check)
         rng = np.random.default_rng(the_seed)
         layout = species.extraction.layout
         channels = layout.feature_count - 1
-        base = _wide_environment(species, the_seed)
-        pairs = []
-        for _ in range(int(check.get("pairs", 10))):
-            def jitter():
+        base = wide_environment(species, the_seed)
+
+        def jitter():
+            # Redraw until admissible (a resource value can come out
+            # negative); admissible draws are kept as drawn.
+            while True:
                 state = InternalState(
                     1.0 + 0.3 * rng.standard_normal(layout.dim), layout
                 )
-                return field_writeback(base, state)
+                try:
+                    return field_writeback(base, state)
+                except ConstraintError:
+                    pass
 
-            pairs.append((jitter(), jitter()))
+        pairs = [(jitter(), jitter()) for _ in range(int(check.get("pairs", 10)))]
         program = (
             Program.from_json(check["program"]) if "program" in check else None
         )
@@ -348,7 +257,6 @@ def run_suite_check(check: dict, default_tol: float | None, seed: int | None):
         )
 
     if law == "compatibility":
-        species = _suite_species(check)
         layout = species.extraction.layout
         channels = layout.feature_count - 1
         iota = direct_embedding(layout, channels)
@@ -357,8 +265,8 @@ def run_suite_check(check: dict, default_tol: float | None, seed: int | None):
             psi = matched_environment_evolution(species, iota)
         else:
             psi = scaled_environment_evolution(species, iota, scale)
-        env = _wide_environment(species, the_seed)
-        pulses = _random_pulses(species, int(check.get("pulses", 50)), the_seed + 3)
+        env = wide_environment(species, the_seed)
+        pulses = random_pulses(species, int(check.get("pulses", 50)), the_seed + 3)
         return check_compatibility(
             iota,
             psi,
@@ -413,14 +321,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mycocat",
         description="Compositional mycelial-network experiments",
     )
-    env_seed = os.environ.get("MYCOCAT_SEED")
     env_out = os.environ.get("MYCOCAT_OUT_DIR", ".")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--seed",
         type=int,
-        default=int(env_seed) if env_seed else None,
-        help="override the configured random seed",
+        default=None,
+        help="override the configured random seed (default: MYCOCAT_SEED)",
     )
     common.add_argument(
         "--out-dir",
@@ -472,6 +379,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        env_seed = os.environ.get("MYCOCAT_SEED")
+        if args.seed is None and env_seed:
+            try:
+                args.seed = int(env_seed)
+            except ValueError:
+                raise ConfigError(f"MYCOCAT_SEED: not an integer: {env_seed!r}")
         return args.func(args)
     except MycocatError as exc:
         print(f"error: {exc}", file=sys.stderr)

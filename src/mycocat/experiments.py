@@ -14,8 +14,9 @@ with the same inputs reproduces reports byte for byte.
 
 from __future__ import annotations
 
+import inspect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -160,6 +161,117 @@ class PulseTemplate:
             "duration": self.duration,
         }
 
+    @classmethod
+    def from_json(cls, data: Mapping, path: str) -> "PulseTemplate":
+        """Pulse from ``{"channel": c, "amplitude": a, "duration": d}``;
+        only the channel is required. ``path`` names the block in errors."""
+        try:
+            for key in data:
+                if key not in ("channel", "amplitude", "duration"):
+                    raise ConfigError(f"{path}.{key}: unknown configuration field")
+            return cls(
+                channel=int(data["channel"]),
+                amplitude=float(data.get("amplitude", cls.amplitude)),
+                duration=float(data.get("duration", cls.duration)),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _check_pulse_channels(config, channels: int) -> None:
+    """Reject pulse templates on a channel the species does not have."""
+    for name in ("pulse_p", "pulse_q"):
+        channel = getattr(config, name).channel
+        if not 0 <= channel < channels:
+            raise ConfigError(f"{name}.channel: {channel} is outside [0, {channels})")
+
+
+def _config_kwargs(data: Mapping, defaults: Mapping, where: str = "") -> dict:
+    """Keyword arguments read from a JSON config object.
+
+    Every key must name an entry of ``defaults``; an unknown key raises
+    :class:`ConfigError` with its field path. Each value is coerced to the
+    type of its default: pulses through :meth:`PulseTemplate.from_json`,
+    distance weights from a positional list, tuples element-wise, anything
+    else by calling the type. Absent keys are left out, so the callee's
+    own defaults apply.
+    """
+    kwargs = {}
+    for key, raw in data.items():
+        path = where + key
+        if key not in defaults:
+            raise ConfigError(f"{path}: unknown configuration field")
+        default = defaults[key]
+        try:
+            if isinstance(default, PulseTemplate):
+                kwargs[key] = PulseTemplate.from_json(raw, path)
+            elif isinstance(default, DistanceWeights):
+                kwargs[key] = DistanceWeights(*raw)
+            elif isinstance(default, tuple):
+                kwargs[key] = tuple(type(default[0])(x) for x in raw)
+            else:
+                kwargs[key] = type(default)(raw)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+    return kwargs
+
+
+def species_from_config(data: Mapping) -> SpeciesFunctor:
+    """Species from a config block: either explicit dynamics matrices or the
+    compact reference form, whose keys are the keyword arguments of
+    :func:`reference_species`."""
+    if "dynamics" in data:
+        dyn = ReferenceDynamics.from_json(data["dynamics"])
+        layout = StateLayout(
+            AttributedGraph.from_json(data["graph"]), int(data["features"])
+        )
+        if layout.dim != dyn.dim:
+            raise ConfigError(
+                f"dynamics: dimension {dyn.dim} does not match layout {layout.dim}"
+            )
+        return SpeciesFunctor(
+            str(data.get("label", "configured")),
+            dyn,
+            Extraction(layout, data.get("sigma", 1.0)),
+        )
+    defaults = {
+        name: param.default
+        for name, param in inspect.signature(reference_species).parameters.items()
+    }
+    return reference_species(**_config_kwargs(data, defaults, "species."))
+
+
+def random_pulses(species: SpeciesFunctor, count: int, seed: int) -> list[Program]:
+    """Seeded single-piece pulses: a random channel (drawn first) at an
+    amplitude in [0.05, 0.5), for a length in [0.1, 1.0)."""
+    rng = np.random.default_rng(seed)
+    channels = species.dynamics.channels
+    pulses = []
+    for _ in range(count):
+        control = [0.0] * channels
+        if channels:
+            channel = int(rng.integers(0, channels))
+            control[channel] = float(rng.uniform(0.05, 0.5))
+        pulses.append(Program(((float(rng.uniform(0.1, 1.0)), tuple(control)),)))
+    return pulses
+
+
+def wide_environment(species: SpeciesFunctor, seed: int) -> EnvObject:
+    """Environment holding the seeded initial state under loose constraints
+    (fields within +-100, unlimited budget)."""
+    layout = species.extraction.layout
+    channels = layout.feature_count - 1
+    template = EnvObject(
+        layout.graph,
+        {v: 1.0 for v in layout.graph.nodes},
+        {v: (0.0,) * channels for v in layout.graph.nodes},
+        Constraints(
+            phi_bounds=tuple((-100.0, 100.0) for _ in range(channels)),
+            budget=math.inf,
+        ),
+    )
+    return field_writeback(template, initial_state(layout, seed))
+
 
 # ---------------------------------------------------------------------------
 # Log-log slope fits
@@ -212,8 +324,8 @@ class ExposureExperiment:
     """A two-pulse order-asymmetry scan over a grid of exposure scales."""
 
     species: SpeciesFunctor
-    pulse_p: PulseTemplate
-    pulse_q: PulseTemplate
+    pulse_p: PulseTemplate = PulseTemplate(channel=0)
+    pulse_q: PulseTemplate = PulseTemplate(channel=1)
     eps_grid: tuple[float, ...] = (0.2, 0.1, 0.05, 0.02, 0.01)
     scaling: str = "amplitude"
     weights: DistanceWeights = DistanceWeights()
@@ -232,6 +344,21 @@ class ExposureExperiment:
             raise ConfigError("eps_grid: entries must be positive")
         if self.scaling not in ("amplitude", "duration"):
             raise ConfigError(f"scaling: unknown mode {self.scaling!r}")
+        _check_pulse_channels(self, self.species.dynamics.channels)
+
+    @classmethod
+    def from_json(
+        cls, data: Mapping, seed_override: int | None = None
+    ) -> "ExposureExperiment":
+        """Experiment from an ``order-scan`` config. Absent keys take the
+        dataclass defaults; ``seed_override``, when given, replaces the seed."""
+        data = dict(data)
+        species = species_from_config(data.pop("species", {}))
+        defaults = {f.name: f.default for f in fields(cls)}
+        kwargs = _config_kwargs(data, defaults)
+        if seed_override is not None:
+            kwargs["seed"] = seed_override
+        return cls(species=species, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -346,72 +473,26 @@ class WorkedExampleConfig:
     features: int = 3
     sigma: float = 1.0
     coupling: str = "noncommuting"
-    pulse_p: PulseTemplate = PulseTemplate(channel=0, amplitude=1.0, duration=1.0)
-    pulse_q: PulseTemplate = PulseTemplate(channel=1, amplitude=1.0, duration=1.0)
-    eps_grid: tuple[float, ...] = (0.2, 0.1, 0.05, 0.02, 0.01)
+    pulse_p: PulseTemplate = ExposureExperiment.pulse_p
+    pulse_q: PulseTemplate = ExposureExperiment.pulse_q
+    eps_grid: tuple[float, ...] = ExposureExperiment.eps_grid
     scaling_modes: tuple[str, ...] = ("amplitude", "duration")
     weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
-    seed: int = 12345
+    seed: int = ExposureExperiment.seed
     functor_samples: int = 100
     functor_tol: float = 1e-10
     compat_pulses: int = 50
     compat_tol: float = 1e-8
 
+    def __post_init__(self):
+        _check_pulse_channels(self, self.channels)
+
     @classmethod
     def from_json(cls, data: Mapping) -> "WorkedExampleConfig":
-        def pulse(path: str, default: PulseTemplate) -> PulseTemplate:
-            raw = data.get(path)
-            if raw is None:
-                return default
-            try:
-                return PulseTemplate(
-                    channel=int(raw["channel"]),
-                    amplitude=float(raw.get("amplitude", 1.0)),
-                    duration=float(raw.get("duration", 1.0)),
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"{path}: {exc}") from exc
-
-        known = {
-            "n_sites",
-            "channels",
-            "features",
-            "sigma",
-            "coupling",
-            "pulse_p",
-            "pulse_q",
-            "eps_grid",
-            "scaling_modes",
-            "weights",
-            "seed",
-            "functor_samples",
-            "functor_tol",
-            "compat_pulses",
-            "compat_tol",
-        }
-        for key in data:
-            if key not in known:
-                raise ConfigError(f"{key}: unknown configuration field")
-        try:
-            return cls(
-                n_sites=int(data.get("n_sites", 8)),
-                channels=int(data.get("channels", 2)),
-                features=int(data.get("features", 3)),
-                sigma=float(data.get("sigma", 1.0)),
-                coupling=str(data.get("coupling", "noncommuting")),
-                pulse_p=pulse("pulse_p", cls.pulse_p),
-                pulse_q=pulse("pulse_q", cls.pulse_q),
-                eps_grid=tuple(float(e) for e in data.get("eps_grid", cls.eps_grid)),
-                scaling_modes=tuple(data.get("scaling_modes", cls.scaling_modes)),
-                weights=tuple(float(w) for w in data.get("weights", cls.weights)),
-                seed=int(data.get("seed", 12345)),
-                functor_samples=int(data.get("functor_samples", 100)),
-                functor_tol=float(data.get("functor_tol", 1e-10)),
-                compat_pulses=int(data.get("compat_pulses", 50)),
-                compat_tol=float(data.get("compat_tol", 1e-8)),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
+        """Config from JSON: unknown keys are rejected, absent keys keep
+        the class defaults."""
+        defaults = {f.name: f.default for f in fields(cls)}
+        return cls(**_config_kwargs(data, defaults))
 
 
 @dataclass(frozen=True)
@@ -535,27 +616,10 @@ def run_worked_example(
         seed=config.seed,
     )
 
-    layout = species.extraction.layout
-    iota = direct_embedding(layout, config.channels)
+    iota = direct_embedding(species.extraction.layout, config.channels)
     psi = matched_environment_evolution(species, iota)
-    wide_chi = Constraints(
-        phi_bounds=tuple((-100.0, 100.0) for _ in range(config.channels)),
-        budget=math.inf,
-    )
-    template = EnvObject(
-        layout.graph,
-        {v: 1.0 for v in layout.graph.nodes},
-        {v: (0.0,) * config.channels for v in layout.graph.nodes},
-        wide_chi,
-    )
-    compat_env = field_writeback(template, initial_state(layout, config.seed))
-    rng = np.random.default_rng(config.seed + 1)
-    pulses = []
-    for _ in range(config.compat_pulses):
-        channel = int(rng.integers(0, config.channels))
-        control = [0.0] * config.channels
-        control[channel] = float(rng.uniform(0.05, 0.5))
-        pulses.append(Program(((float(rng.uniform(0.1, 1.0)), tuple(control)),)))
+    compat_env = wide_environment(species, config.seed)
+    pulses = random_pulses(species, config.compat_pulses, config.seed + 1)
     compat_report = check_compatibility(
         iota,
         psi,

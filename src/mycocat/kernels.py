@@ -6,8 +6,7 @@ logarithms. The implementations are written in plain numpy and compiled
 with numba's ``@njit`` when it is importable; set the environment variable
 ``MYCOCAT_DISABLE_NUMBA=1`` before import to force the pure-numpy path.
 The uncompiled functions stay available as ``expm_numpy`` / ``logm_numpy``
-so the two paths can be benchmarked against each other (see
-``benchmarks/bench_kernels.py``).
+so the two paths can be compared against each other.
 
 Algorithms:
 

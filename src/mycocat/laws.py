@@ -146,7 +146,7 @@ def perturbed_variant(
     bump = rng.normal(size=controls[channel].shape)
     bump *= magnitude / np.linalg.norm(bump, "fro")
     controls[channel] = controls[channel] + bump
-    dyn = ReferenceDynamics(f.dynamics.drift, tuple(controls), f.dynamics.step)
+    dyn = ReferenceDynamics(f.dynamics.drift, tuple(controls))
     return SpeciesFunctor(f.label + "-perturbed", dyn, f.extraction)
 
 
@@ -162,7 +162,6 @@ def similarity_variant(
     dyn = ReferenceDynamics(
         p @ f.dynamics.drift @ p_inv,
         tuple(p @ c @ p_inv for c in f.dynamics.controls),
-        f.dynamics.step,
     )
     species = SpeciesFunctor(f.label + "-conjugate", dyn, f.extraction)
     eta = NaturalTransformationData(state_map=lambda v: p @ v)
@@ -199,7 +198,6 @@ def functor_law_residual(
 ) -> float:
     """Distance between the one-shot and the composed network updates."""
     joint = f.on_program(state, concatenate(p, q))
-    first = f.on_program(state, p)
     second = f.on_program(f.transform(state, p), q)
     return myc_distance(joint.target, second.target)
 

@@ -9,9 +9,7 @@ multiplying piece flows and causality holds to machine precision.
 
 States carry a layout tying vector indices to (node, feature) slots of a
 fixed observation graph; ``extract`` reads the state out as a mycelial
-network object with configured constant edge conductivities, and
-``induced_morphism`` packages the before/after pair as a network update
-over the identity graph map.
+network object with configured constant edge conductivities.
 
 All values are immutable after construction; evolution is deterministic
 and side-effect free.
@@ -19,7 +17,7 @@ and side-effect free.
 JSON wire formats::
 
     program:  {"pieces": [[length, [u1, ..., uc]], ...]}
-    dynamics: {"drift": [[...], ...], "controls": [[[...], ...], ...], "step": h}
+    dynamics: {"drift": [[...], ...], "controls": [[[...], ...], ...]}
     state:    {"vector": [...], "graph": {...}, "features": m}
 """
 
@@ -31,9 +29,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import kernels
-from .envmyc import MycMorphism, MycObject, identity_myc_morphism
+from .envmyc import MycObject
 from .errors import NumericError, ShapeError
-from .graphs import AttributedGraph, identity_morphism
+from .graphs import AttributedGraph
 
 
 @dataclass(frozen=True)
@@ -81,13 +79,6 @@ class Program:
             tuple(
                 (length, tuple(factor * u for u in control))
                 for length, control in self.pieces
-            )
-        )
-
-    def scale_duration(self, factor: float) -> "Program":
-        return Program(
-            tuple(
-                (factor * length, control) for length, control in self.pieces
             )
         )
 
@@ -182,15 +173,11 @@ class InternalState:
 
 @dataclass(frozen=True)
 class ReferenceDynamics:
-    """Bilinear control system dS/dt = (drift + sum_i u_i controls_i) S.
-
-    ``step`` is the step size handed to time-stepping cross-checks; the
-    evolution itself is piece-exact and never discretizes.
-    """
+    """Bilinear control system dS/dt = (drift + sum_i u_i controls_i) S,
+    evolved piece-exactly (never discretized)."""
 
     drift: np.ndarray
     controls: tuple[np.ndarray, ...]
-    step: float = 0.01
 
     def __post_init__(self):
         drift = np.asarray(self.drift, dtype=np.float64)
@@ -204,8 +191,6 @@ class ReferenceDynamics:
             not np.isfinite(c).all() for c in controls
         ):
             raise NumericError("dynamics matrices must be finite")
-        if not self.step > 0:
-            raise ValueError("step must be positive")
         drift = drift.copy()
         drift.setflags(write=False)
         frozen = []
@@ -242,7 +227,6 @@ class ReferenceDynamics:
             "controls": [
                 [[float(x) for x in row] for row in c] for c in self.controls
             ],
-            "step": self.step,
         }
 
     @classmethod
@@ -252,7 +236,6 @@ class ReferenceDynamics:
             controls=tuple(
                 np.asarray(c, dtype=np.float64) for c in data["controls"]
             ),
-            step=float(data.get("step", 0.01)),
         )
 
 
@@ -335,27 +318,3 @@ def extract(state: InternalState, extraction: Extraction) -> MycObject:
         v: layout.node_features(state.vector, v) for v in layout.graph.nodes
     }
     return MycObject(layout.graph, extraction.edge_sigma(), omega)
-
-
-def induced_morphism(
-    state: InternalState,
-    p: Program,
-    dyn: ReferenceDynamics,
-    extraction: Extraction,
-) -> MycMorphism:
-    """The network update induced by running a program.
-
-    Tracks nodes by identity on the fixed observation graph, so the graph
-    map is the identity and the feature update carries the evolved state.
-    Null programs induce the identity morphism.
-    """
-    before = extract(state, extraction)
-    if not p.pieces:
-        return identity_myc_morphism(before)
-    after = extract(evolve(state, p, dyn), extraction)
-    return MycMorphism(
-        before,
-        after,
-        identity_morphism(before.graph),
-        kind="assign",
-    )

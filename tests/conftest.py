@@ -1,11 +1,20 @@
 """Shared fixtures and seeded random generators for the test suite."""
 
+import os
+import pathlib
 import random
 
 import numpy as np
 import pytest
 
 from mycocat.graphs import AttributedGraph, Cospan, GraphMorphism
+
+# Tests that start ``python -m mycocat.cli`` in a subprocess import the
+# package from this checkout, as the in-process tests do.
+_SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, (_SRC, os.environ.get("PYTHONPATH")))
+)
 
 
 def make_random_graph(rng: random.Random, max_nodes=4, min_nodes=1, edge_prob=0.6):

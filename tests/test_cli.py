@@ -249,3 +249,60 @@ class TestEnvironmentOverrides:
         assert (tmp_path / "a" / "worked_example.json").read_bytes() == (
             tmp_path / "b" / "worked_example.json"
         ).read_bytes()
+
+
+SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "sample_inputs"
+SMALL_SPECIES = {"species": {"n_sites": 2}}
+
+
+@pytest.mark.parametrize(
+    "argv, config, env, message",
+    [
+        pytest.param(
+            ["order-scan"], {**SMALL_SPECIES, "eps_gird": [0.2, 0.1, 0.05, 0.01]}, {},
+            "error: eps_gird: unknown configuration field", id="scan-unknown-key",
+        ),
+        pytest.param(
+            ["order-scan"], {**SMALL_SPECIES, "pulse_p": {"channel": 0, "amplitud": 2.0}}, {},
+            "error: pulse_p.amplitud: unknown configuration field", id="scan-unknown-pulse-key",
+        ),
+        pytest.param(
+            ["order-scan"], {"species": {"n_site": 2}}, {},
+            "error: species.n_site: unknown configuration field", id="scan-unknown-species-key",
+        ),
+        pytest.param(
+            ["order-scan"], {**SMALL_SPECIES, "pulse_q": {"channel": 5}}, {},
+            "error: pulse_q.channel: 5 is outside [0, 2)", id="scan-channel-too-high",
+        ),
+        pytest.param(
+            ["order-scan"], {**SMALL_SPECIES, "pulse_p": {"channel": -1}}, {},
+            "error: pulse_p.channel: -1 is outside [0, 2)", id="scan-channel-negative",
+        ),
+        pytest.param(
+            ["worked-example", "--config"], {"pulse_q": {"channel": 5}}, {},
+            "error: pulse_q.channel: 5 is outside [0, 2)", id="worked-example-channel-too-high",
+        ),
+        pytest.param(
+            ["pushout", str(SAMPLES / "cospan_star.json")], None, {"MYCOCAT_SEED": "abc"},
+            "error: MYCOCAT_SEED: not an integer: 'abc'", id="seed-env-not-an-integer",
+        ),
+        pytest.param(
+            ["check-laws", str(SAMPLES / "laws_suite.json"), "--seed", "301"], None, {},
+            None, id="lipschitz-sampler-seed-301",
+        ),
+    ],
+)
+def test_input_contract(tmp_path, monkeypatch, capsys, argv, config, env, message):
+    """Bad inputs exit 2 with one ``error:`` line; ``message=None`` expects exit 0."""
+    monkeypatch.delenv("MYCOCAT_SEED", raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    if config is not None:
+        argv = argv + [write(tmp_path / "config.json", config)]
+    code = run_cli(argv + ["--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    if message is None:
+        assert code == 0, err
+    else:
+        assert code == 2
+        assert err.splitlines() == [message]

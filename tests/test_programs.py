@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from mycocat.envmyc import myc_distance
 from mycocat.errors import ShapeError
 from mycocat.graphs import AttributedGraph
+from mycocat.laws import SpeciesFunctor
 from mycocat.programs import (
     Extraction,
     InternalState,
@@ -19,7 +20,6 @@ from mycocat.programs import (
     evolve,
     extract,
     flow_matrix,
-    induced_morphism,
     programs_equivalent_at,
 )
 
@@ -229,21 +229,19 @@ class TestExtraction:
 class TestInducedMorphism:
     def test_null_program_gives_identity(self, small_setup):
         layout, dyn, state = small_setup
-        g = induced_morphism(state, NULL_PROGRAM, dyn, Extraction(layout))
-        assert g.is_identity()
+        f = SpeciesFunctor("test", dyn, Extraction(layout))
+        assert f.on_program(state, NULL_PROGRAM).is_identity()
 
     def test_functoriality_under_concatenation(self, small_setup, nprng):
         layout, dyn, _ = small_setup
-        ext = Extraction(layout)
+        f = SpeciesFunctor("test", dyn, Extraction(layout))
         for _ in range(100):
             state = InternalState(nprng.normal(size=4), layout)
             p = Program(((float(nprng.uniform(0.1, 0.6)), tuple(nprng.normal(size=2))),))
             q = Program(((float(nprng.uniform(0.1, 0.6)), tuple(nprng.normal(size=2))),))
-            joint = induced_morphism(state, concatenate(p, q), dyn, ext)
-            first = induced_morphism(state, p, dyn, ext)
-            second = induced_morphism(
-                evolve(state, p, dyn), q, dyn, ext
-            )
+            joint = f.on_program(state, concatenate(p, q))
+            first = f.on_program(state, p)
+            second = f.on_program(evolve(state, p, dyn), q)
             assert first.target == second.source
             assert myc_distance(joint.target, second.target) < 1e-12
 
@@ -254,13 +252,13 @@ class TestInducedMorphism:
             (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
         )
         state = InternalState((1.0, 1.0), layout)
-        ext = Extraction(layout)
+        f = SpeciesFunctor("test", dyn, Extraction(layout))
         ab = concatenate(
             Program(((0.3, (1.0, 0.0)),)), Program(((0.3, (0.0, 1.0)),))
         )
         ba = concatenate(
             Program(((0.3, (0.0, 1.0)),)), Program(((0.3, (1.0, 0.0)),))
         )
-        g1 = induced_morphism(state, ab, dyn, ext)
-        g2 = induced_morphism(state, ba, dyn, ext)
+        g1 = f.on_program(state, ab)
+        g2 = f.on_program(state, ba)
         assert myc_distance(g1.target, g2.target) < 1e-10
