@@ -97,22 +97,36 @@ def load_json(path: str):
         raise ConfigError(f"{path}: invalid JSON ({exc})")
 
 
+def load_input(path: str, build):
+    """``build`` applied to the JSON in ``path``; a missing key or a bad
+    value becomes a :class:`ConfigError` that names the file."""
+    data = load_json(path)
+    try:
+        return build(data)
+    except KeyError as exc:
+        raise ConfigError(f"{path}: missing key {exc}")
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}")
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 
+def cospan_from_json(data) -> Cospan:
+    apex = AttributedGraph.from_json(data["apex"])
+    b = AttributedGraph.from_json(data["b"])
+    c = AttributedGraph.from_json(data["c"])
+    left = GraphMorphism.from_json(data["left"], apex, b)
+    right = GraphMorphism.from_json(data["right"], apex, c)
+    return Cospan(apex, left, right)
+
+
 def cmd_pushout(args) -> int:
-    data = load_json(args.cospan)
-    try:
-        apex = AttributedGraph.from_json(data["apex"])
-        b = AttributedGraph.from_json(data["b"])
-        c = AttributedGraph.from_json(data["c"])
-        left = GraphMorphism.from_json(data["left"], apex, b)
-        right = GraphMorphism.from_json(data["right"], apex, c)
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"{args.cospan}: {exc}")
-    obj, inj_b, inj_c = pushout_along_monos(Cospan(apex, left, right))
+    obj, inj_b, inj_c = pushout_along_monos(
+        load_input(args.cospan, cospan_from_json)
+    )
     payload = {
         "object": obj.to_json(),
         "injection_b": inj_b.to_json(),
@@ -125,9 +139,9 @@ def cmd_pushout(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    dyn = ReferenceDynamics.from_json(load_json(args.dynamics))
-    program = Program.from_json(load_json(args.program))
-    state = InternalState.from_json(load_json(args.state))
+    dyn = load_input(args.dynamics, ReferenceDynamics.from_json)
+    program = load_input(args.program, Program.from_json)
+    state = load_input(args.state, InternalState.from_json)
     final = evolve(state, program, dyn)
     out = Path(args.out_dir) / "final_state.json"
     write_json(out, final.to_json())
@@ -178,6 +192,20 @@ def cmd_worked_example(args) -> int:
         )
         failures += 0 if report.passed else 1
     return 1 if failures else 0
+
+
+# Keys each suite law reads; any other key in an entry is rejected.
+SUITE_KEYS = {
+    "adjunction": {"law", "expect"},
+    "functor_laws": {"law", "expect", "species", "seed", "tol", "samples", "mutant"},
+    "naturality": {
+        "law", "expect", "species", "seed", "tol", "variant", "programs", "magnitude"
+    },
+    "lipschitz": {"law", "expect", "species", "seed", "pairs", "bound", "program"},
+    "compatibility": {
+        "law", "expect", "species", "seed", "tol", "pulses", "psi_amplitude_scale"
+    },
+}
 
 
 def run_suite_check(check: dict, default_tol: float | None, seed: int | None):
@@ -287,10 +315,15 @@ def cmd_check_laws(args) -> int:
     reports = []
     mismatches = 0
     for index, check in enumerate(checks):
-        report = run_suite_check(check, args.tol, args.seed)
+        # an unknown law is reported by run_suite_check
+        known = SUITE_KEYS.get(check.get("law"), set(check))
+        for key in check:
+            if key not in known:
+                raise ConfigError(f"checks[{index}].{key}: unknown configuration field")
         expected = check.get("expect", "pass")
         if expected not in ("pass", "fail"):
             raise ConfigError(f"checks[{index}].expect: must be 'pass' or 'fail'")
+        report = run_suite_check(check, args.tol, args.seed)
         matched = report.verdict == expected
         mismatches += 0 if matched else 1
         reports.append(

@@ -221,10 +221,18 @@ def species_from_config(data: Mapping) -> SpeciesFunctor:
     compact reference form, whose keys are the keyword arguments of
     :func:`reference_species`."""
     if "dynamics" in data:
-        dyn = ReferenceDynamics.from_json(data["dynamics"])
-        layout = StateLayout(
-            AttributedGraph.from_json(data["graph"]), int(data["features"])
-        )
+        for key in data:
+            if key not in ("dynamics", "graph", "features", "label", "sigma"):
+                raise ConfigError(f"species.{key}: unknown configuration field")
+        try:
+            dyn = ReferenceDynamics.from_json(data["dynamics"])
+            layout = StateLayout(
+                AttributedGraph.from_json(data["graph"]), int(data["features"])
+            )
+        except KeyError as exc:
+            raise ConfigError(f"species: missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"species: {exc}") from exc
         if layout.dim != dyn.dim:
             raise ConfigError(
                 f"dynamics: dimension {dyn.dim} does not match layout {layout.dim}"

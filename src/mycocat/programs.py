@@ -174,7 +174,11 @@ class InternalState:
 @dataclass(frozen=True)
 class ReferenceDynamics:
     """Bilinear control system dS/dt = (drift + sum_i u_i controls_i) S,
-    evolved piece-exactly (never discretized)."""
+    evolved piece-exactly (never discretized).
+
+    Every generator lies inside the union sparsity pattern of drift and
+    controls, so flows are computed blockwise on that pattern's connected
+    components (see :func:`mycocat.kernels.blocks`)."""
 
     drift: np.ndarray
     controls: tuple[np.ndarray, ...]
@@ -200,6 +204,16 @@ class ReferenceDynamics:
             frozen.append(c)
         object.__setattr__(self, "drift", drift)
         object.__setattr__(self, "controls", tuple(frozen))
+        # Derived once per dynamics for flow_matrix; plain attributes, not
+        # fields, so equality, repr and the JSON form see only the matrices.
+        stacked = np.stack(frozen) if frozen else np.zeros((0,) + drift.shape)
+        stacked.setflags(write=False)
+        object.__setattr__(self, "_stacked_controls", stacked)
+        object.__setattr__(
+            self,
+            "_blocks",
+            kernels.blocks((drift != 0) | (stacked != 0).any(axis=0)),
+        )
 
     @property
     def dim(self) -> int:
@@ -249,12 +263,9 @@ def flow_matrix(dyn: ReferenceDynamics, p: Program) -> np.ndarray:
         )
     lengths = np.array([length for length, _ in p.pieces], dtype=np.float64)
     inputs = np.array([control for _, control in p.pieces], dtype=np.float64)
-    controls = (
-        np.stack(dyn.controls)
-        if dyn.controls
-        else np.zeros((0, dyn.dim, dyn.dim))
+    return kernels.piecewise_flow(
+        dyn.drift, dyn._stacked_controls, lengths, inputs, dyn._blocks
     )
-    return kernels.piecewise_flow(dyn.drift, controls, lengths, inputs)
 
 
 def evolve(state: InternalState, p: Program, dyn: ReferenceDynamics) -> InternalState:

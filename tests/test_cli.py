@@ -253,33 +253,38 @@ class TestEnvironmentOverrides:
 
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "sample_inputs"
 SMALL_SPECIES = {"species": {"n_sites": 2}}
+# Stands for the path of the written config, in argv and in the message.
+CONFIG = "<config>"
+DYNAMICS = str(SAMPLES / "dynamics_shear.json")
+PROGRAM = str(SAMPLES / "program_pulse.json")
+STATE = str(SAMPLES / "state_pair.json")
 
 
 @pytest.mark.parametrize(
     "argv, config, env, message",
     [
         pytest.param(
-            ["order-scan"], {**SMALL_SPECIES, "eps_gird": [0.2, 0.1, 0.05, 0.01]}, {},
+            ["order-scan", CONFIG], {**SMALL_SPECIES, "eps_gird": [0.2, 0.1, 0.05, 0.01]}, {},
             "error: eps_gird: unknown configuration field", id="scan-unknown-key",
         ),
         pytest.param(
-            ["order-scan"], {**SMALL_SPECIES, "pulse_p": {"channel": 0, "amplitud": 2.0}}, {},
+            ["order-scan", CONFIG], {**SMALL_SPECIES, "pulse_p": {"channel": 0, "amplitud": 2.0}}, {},
             "error: pulse_p.amplitud: unknown configuration field", id="scan-unknown-pulse-key",
         ),
         pytest.param(
-            ["order-scan"], {"species": {"n_site": 2}}, {},
+            ["order-scan", CONFIG], {"species": {"n_site": 2}}, {},
             "error: species.n_site: unknown configuration field", id="scan-unknown-species-key",
         ),
         pytest.param(
-            ["order-scan"], {**SMALL_SPECIES, "pulse_q": {"channel": 5}}, {},
+            ["order-scan", CONFIG], {**SMALL_SPECIES, "pulse_q": {"channel": 5}}, {},
             "error: pulse_q.channel: 5 is outside [0, 2)", id="scan-channel-too-high",
         ),
         pytest.param(
-            ["order-scan"], {**SMALL_SPECIES, "pulse_p": {"channel": -1}}, {},
+            ["order-scan", CONFIG], {**SMALL_SPECIES, "pulse_p": {"channel": -1}}, {},
             "error: pulse_p.channel: -1 is outside [0, 2)", id="scan-channel-negative",
         ),
         pytest.param(
-            ["worked-example", "--config"], {"pulse_q": {"channel": 5}}, {},
+            ["worked-example", "--config", CONFIG], {"pulse_q": {"channel": 5}}, {},
             "error: pulse_q.channel: 5 is outside [0, 2)", id="worked-example-channel-too-high",
         ),
         pytest.param(
@@ -290,6 +295,45 @@ SMALL_SPECIES = {"species": {"n_sites": 2}}
             ["check-laws", str(SAMPLES / "laws_suite.json"), "--seed", "301"], None, {},
             None, id="lipschitz-sampler-seed-301",
         ),
+        pytest.param(
+            ["simulate", DYNAMICS, CONFIG, STATE], {"pieces": [[-0.5, [0.3]]]}, {},
+            f"error: {CONFIG}: piece lengths must be strictly positive",
+            id="simulate-negative-length",
+        ),
+        pytest.param(
+            ["simulate", DYNAMICS, CONFIG, STATE], {"length": 1.0}, {},
+            f"error: {CONFIG}: missing key 'pieces'", id="simulate-program-without-pieces",
+        ),
+        pytest.param(
+            ["simulate", DYNAMICS, PROGRAM, CONFIG], {"vector": [1.0, 0.5], "features": 1},
+            {}, f"error: {CONFIG}: missing key 'graph'", id="simulate-state-without-graph",
+        ),
+        pytest.param(
+            ["simulate", CONFIG, PROGRAM, STATE], {"drift": [[0.0, 1.0], [0.0, 0.0]]}, {},
+            f"error: {CONFIG}: missing key 'controls'", id="simulate-dynamics-without-controls",
+        ),
+        pytest.param(
+            ["check-laws", CONFIG],
+            {"checks": [{"law": "functor_laws", "samplez": 5, **SMALL_SPECIES}]}, {},
+            "error: checks[0].samplez: unknown configuration field",
+            id="laws-unknown-entry-key",
+        ),
+        pytest.param(
+            ["check-laws", CONFIG],
+            {"checks": [{"law": "functor_laws", "samples": 5, "species": {
+                "dynamics": {"drift": [[0.0]], "controls": [[[1.0]]]}, "features": 1,
+            }}]}, {},
+            "error: species: missing key 'graph'", id="laws-explicit-species-without-graph",
+        ),
+        pytest.param(
+            ["check-laws", CONFIG],
+            {"checks": [{"law": "functor_laws", "samples": 5, "species": {
+                "dynamics": {"drift": [[0.0]], "controls": [[[1.0]]]}, "features": 1,
+                "graph": {"nodes": ["site0"], "edges": []}, "sigmma": 1.0,
+            }}]}, {},
+            "error: species.sigmma: unknown configuration field",
+            id="laws-explicit-species-unknown-key",
+        ),
     ],
 )
 def test_input_contract(tmp_path, monkeypatch, capsys, argv, config, env, message):
@@ -298,7 +342,9 @@ def test_input_contract(tmp_path, monkeypatch, capsys, argv, config, env, messag
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     if config is not None:
-        argv = argv + [write(tmp_path / "config.json", config)]
+        path = write(tmp_path / "config.json", config)
+        argv = [path if arg == CONFIG else arg for arg in argv]
+        message = message and message.replace(CONFIG, path)
     code = run_cli(argv + ["--out-dir", str(tmp_path)])
     err = capsys.readouterr().err
     if message is None:

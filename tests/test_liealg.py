@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -16,7 +16,8 @@ from mycocat.liealg import (
     matrix_exp,
     matrix_log,
 )
-from mycocat.programs import Program, ReferenceDynamics
+from mycocat.experiments import reference_species
+from mycocat.programs import Program, ReferenceDynamics, flow_matrix
 
 UP = np.array([[0.0, 1.0], [0.0, 0.0]])
 DOWN = np.array([[0.0, 0.0], [1.0, 0.0]])
@@ -86,6 +87,48 @@ class TestMatrixLog:
     def test_singular_rejected(self):
         with pytest.raises(DomainError):
             matrix_log(np.diag([0.0, 1.0]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        coupling=st.sampled_from(["noncommuting", "commuting"]),
+        n_sites=st.integers(1, 4),
+        log_eps=st.floats(-3.0, 0.0),
+        amp_p=st.floats(-1.9, 1.9),
+        amp_q=st.floats(-1.9, 1.9),
+        both=st.booleans(),
+    )
+    @example("noncommuting", 8, 0.0, 1.9, 1.9, True)
+    @example("noncommuting", 8, -3.0, 1.0, -1.0, False)
+    def test_blockwise_log_matches_scipy(
+        self, coupling, n_sites, log_eps, amp_p, amp_q, both
+    ):
+        """Flows of one or two reference pulses, block diagonal by
+        construction, over eps in [1e-3, 1] and amplitudes within +-1.9
+        (the noncommuting composite leaves the principal domain only at
+        |amp_p * amp_q| * eps^2 >= 4). Near the identity scipy's logm errs
+        by ~1e-16 absolute, up to 2e-12 relative to a log of norm 1e-4
+        (checked against a 40-digit log), hence the absolute term."""
+        species = reference_species(n_sites=n_sites, coupling=coupling)
+        eps = 10.0**log_eps
+        pieces = [(1.0, (amp_p * eps, 0.0))]
+        if both:
+            pieces.append((1.0, (0.0, amp_q * eps)))
+        m = flow_matrix(species.dynamics, Program(tuple(pieces)))
+        ours = matrix_log(m)
+        ref = np.real(scipy.linalg.logm(m))
+        err = np.linalg.norm(ours - ref)
+        assert err < 1e-12 * np.linalg.norm(ref) + 1e-15 * np.linalg.norm(m)
+
+    def test_one_block_on_the_negative_axis_is_rejected(self, nprng):
+        good = matrix_exp(0.3 * nprng.normal(size=(3, 3)))
+        bad = np.array([[-1.0, 0.5], [0.0, 2.0]])
+        m = scipy.linalg.block_diag(good, np.eye(2), bad)
+        perm = nprng.permutation(7)
+        m = m[perm][:, perm]
+        with pytest.raises(DomainError):
+            matrix_log(m)
+        with pytest.raises(DomainError):
+            matrix_log(scipy.linalg.block_diag(good, np.diag([-1.0, 1.0])))
 
 
 class TestCommutator:
