@@ -323,6 +323,9 @@ def cmd_check_laws(args) -> int:
         expected = check.get("expect", "pass")
         if expected not in ("pass", "fail"):
             raise ConfigError(f"checks[{index}].expect: must be 'pass' or 'fail'")
+        mutant = check.get("mutant", "non_causal")
+        if mutant != "non_causal":
+            raise ConfigError(f"checks[{index}].mutant: unknown mutant {mutant!r}")
         report = run_suite_check(check, args.tol, args.seed)
         matched = report.verdict == expected
         mismatches += 0 if matched else 1

@@ -19,6 +19,7 @@ JSON wire formats extend the graph schema of :mod:`mycocat.graphs` with
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -33,7 +34,6 @@ from .graphs import (
     AttributedGraph,
     Cospan,
     GraphMorphism,
-    _id_key,
     compose_graph_morphisms,
     identity_morphism,
     is_monomorphism,
@@ -326,6 +326,21 @@ def compose_env_morphisms(f: EnvMorphism, g: EnvMorphism) -> EnvMorphism:
     )
 
 
+def _ordered_l1(first: Mapping, second: Mapping) -> float:
+    """L1 distance between two maps of vectors; a missing vector counts as
+    zeros. Sums over the ids of ``first`` in insertion order, then the ids
+    only ``second`` has, so the float sum never follows hash order."""
+    total = 0.0
+    for key, x in first.items():
+        y = second.get(key)
+        diffs = x if y is None else map(operator.sub, x, y)
+        total += sum(map(abs, diffs))
+    for key, y in second.items():
+        if key not in first:
+            total += sum(map(abs, y))
+    return total
+
+
 def env_distance(
     e1: EnvObject, e2: EnvObject, weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
 ) -> float:
@@ -338,21 +353,12 @@ def env_distance(
     w_rho, w_phi, w_struct = weights
     if min(weights) < 0:
         raise ParameterError("weights must be nonnegative")
-    d_rho = 0.0
-    d_phi = 0.0
-    nodes1, nodes2 = e1.graph.node_set, e2.graph.node_set
-    for v in nodes1 | nodes2:
-        if v in nodes1 and v in nodes2:
-            d_rho += abs(e1.rho[v] - e2.rho[v])
-            d_phi += sum(abs(a - b) for a, b in zip(e1.phi[v], e2.phi[v]))
-        elif v in nodes1:
-            d_rho += abs(e1.rho[v])
-            d_phi += sum(abs(a) for a in e1.phi[v])
-        else:
-            d_rho += abs(e2.rho[v])
-            d_phi += sum(abs(a) for a in e2.phi[v])
-    struct = len(nodes1 ^ nodes2) + len(
-        set(_edge_keys(e1.graph)) ^ set(_edge_keys(e2.graph))
+    d_rho = _ordered_l1(
+        {v: (x,) for v, x in e1.rho.items()}, {v: (x,) for v, x in e2.rho.items()}
+    )
+    d_phi = _ordered_l1(e1.phi, e2.phi)
+    struct = len(e1.graph.node_set ^ e2.graph.node_set) + len(
+        set(e1.graph.edge_keys) ^ set(e2.graph.edge_keys)
     )
     return w_rho * d_rho + w_phi * d_phi + w_struct * struct
 
@@ -415,16 +421,6 @@ class MycObject:
         )
 
 
-def _edge_keys(graph: AttributedGraph):
-    """Edge identity for matching across graphs: id plus canonical endpoints."""
-    for eid, (u, v) in graph.edges:
-        if graph.directed:
-            yield (eid, (u, v))
-        else:
-            a, b = sorted((u, v), key=_id_key)
-            yield (eid, (a, b))
-
-
 @dataclass(frozen=True)
 class DistanceWeights:
     omega: float = 1.0
@@ -448,23 +444,13 @@ def myc_distance(
     """
     if not isinstance(weights, DistanceWeights):
         weights = DistanceWeights(*weights)
-    d_omega = 0.0
-    nodes1, nodes2 = m1.graph.node_set, m2.graph.node_set
-    for v in nodes1 | nodes2:
-        if v in nodes1 and v in nodes2:
-            d_omega += sum(abs(a - b) for a, b in zip(m1.omega[v], m2.omega[v]))
-        elif v in nodes1:
-            d_omega += sum(abs(a) for a in m1.omega[v])
-        else:
-            d_omega += sum(abs(a) for a in m2.omega[v])
-    keys1 = {k: k[0] for k in _edge_keys(m1.graph)}
-    keys2 = {k: k[0] for k in _edge_keys(m2.graph)}
-    d_sigma = 0.0
-    for k in keys1.keys() | keys2.keys():
-        a = m1.sigma[keys1[k]] if k in keys1 else 0.0
-        b = m2.sigma[keys2[k]] if k in keys2 else 0.0
-        d_sigma += abs(a - b)
-    struct = len(nodes1 ^ nodes2) + len(keys1.keys() ^ keys2.keys())
+    sigma1 = {k: (m1.sigma[k[0]],) for k in m1.graph.edge_keys}
+    sigma2 = {k: (m2.sigma[k[0]],) for k in m2.graph.edge_keys}
+    d_omega = _ordered_l1(m1.omega, m2.omega)
+    d_sigma = _ordered_l1(sigma1, sigma2)
+    struct = len(m1.graph.node_set ^ m2.graph.node_set) + len(
+        sigma1.keys() ^ sigma2.keys()
+    )
     return weights.omega * d_omega + weights.sigma * d_sigma + weights.structure * struct
 
 

@@ -121,6 +121,14 @@ def reference_species(
     return SpeciesFunctor(label, dyn, Extraction(layout, sigma))
 
 
+# The compact species form of a config and the species fields of
+# WorkedExampleConfig both default to these keyword defaults.
+_SPECIES_DEFAULTS = {
+    name: param.default
+    for name, param in inspect.signature(reference_species).parameters.items()
+}
+
+
 def initial_state(
     layout: StateLayout, seed: int, base: float = 1.0, jitter: float = 0.01
 ) -> InternalState:
@@ -242,11 +250,7 @@ def species_from_config(data: Mapping) -> SpeciesFunctor:
             dyn,
             Extraction(layout, data.get("sigma", 1.0)),
         )
-    defaults = {
-        name: param.default
-        for name, param in inspect.signature(reference_species).parameters.items()
-    }
-    return reference_species(**_config_kwargs(data, defaults, "species."))
+    return reference_species(**_config_kwargs(data, _SPECIES_DEFAULTS, "species."))
 
 
 def random_pulses(species: SpeciesFunctor, count: int, seed: int) -> list[Program]:
@@ -476,11 +480,11 @@ def run_order_asymmetry_scan(exp: ExposureExperiment) -> AsymmetryReport:
 class WorkedExampleConfig:
     """Configuration of the two-pulse protocol on a linear electrode array."""
 
-    n_sites: int = 8
-    channels: int = 2
-    features: int = 3
-    sigma: float = 1.0
-    coupling: str = "noncommuting"
+    n_sites: int = _SPECIES_DEFAULTS["n_sites"]
+    channels: int = _SPECIES_DEFAULTS["channels"]
+    features: int = _SPECIES_DEFAULTS["features"]
+    sigma: float = _SPECIES_DEFAULTS["sigma"]
+    coupling: str = _SPECIES_DEFAULTS["coupling"]
     pulse_p: PulseTemplate = ExposureExperiment.pulse_p
     pulse_q: PulseTemplate = ExposureExperiment.pulse_q
     eps_grid: tuple[float, ...] = ExposureExperiment.eps_grid

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Iterator, Mapping
 
 from .errors import CompositionError, PreconditionError, ResourceError
@@ -72,13 +73,21 @@ class AttributedGraph:
 
     # -- lookups ---------------------------------------------------------
 
-    @property
+    @cached_property
     def node_set(self) -> frozenset:
         return frozenset(self.nodes)
 
-    @property
+    @cached_property
     def edge_ids(self) -> tuple:
         return tuple(eid for eid, _ in self.edges)
+
+    @cached_property
+    def edge_keys(self) -> tuple:
+        """Edge identity for matching across graphs: id plus endpoints, the
+        endpoints of an undirected edge in canonical order."""
+        if self.directed:
+            return self.edges
+        return tuple((eid, tuple(sorted(pair, key=_id_key))) for eid, pair in self.edges)
 
     def endpoints(self, eid: EdgeId) -> tuple:
         for e, pair in self.edges:

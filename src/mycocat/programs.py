@@ -24,7 +24,7 @@ JSON wire formats::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -121,9 +121,6 @@ class StateLayout:
     def dim(self) -> int:
         return len(self.graph.nodes) * self.feature_count
 
-    def index(self, node, feature: int) -> int:
-        return self.graph.nodes.index(node) * self.feature_count + feature
-
     def slots(self) -> list[tuple]:
         """The (node, feature) pair for every vector index, in order."""
         return [
@@ -132,9 +129,9 @@ class StateLayout:
             for f in range(self.feature_count)
         ]
 
-    def node_features(self, vector: np.ndarray, node) -> tuple[float, ...]:
-        start = self.graph.nodes.index(node) * self.feature_count
-        return tuple(float(x) for x in vector[start : start + self.feature_count])
+    def node_rows(self, vector: np.ndarray) -> list[tuple[float, ...]]:
+        """The feature tuple of every node, in declaration order."""
+        return [tuple(row) for row in vector.reshape(-1, self.feature_count).tolist()]
 
 
 @dataclass(frozen=True)
@@ -222,18 +219,6 @@ class ReferenceDynamics:
     @property
     def channels(self) -> int:
         return len(self.controls)
-
-    def generator(self, control: Sequence[float]) -> np.ndarray:
-        """drift + sum_i u_i controls_i for one constant control vector."""
-        if len(control) != self.channels:
-            raise ShapeError(
-                f"control has {len(control)} entries, dynamics has {self.channels} channels"
-            )
-        gen = self.drift.copy()
-        for u, mat in zip(control, self.controls):
-            if u != 0.0:
-                gen = gen + u * mat
-        return gen
 
     def to_json(self) -> dict:
         return {
@@ -325,7 +310,5 @@ def extract(state: InternalState, extraction: Extraction) -> MycObject:
     if state.layout != extraction.layout:
         raise ShapeError("state layout does not match the extraction layout")
     layout = state.layout
-    omega = {
-        v: layout.node_features(state.vector, v) for v in layout.graph.nodes
-    }
+    omega = dict(zip(layout.graph.nodes, layout.node_rows(state.vector)))
     return MycObject(layout.graph, extraction.edge_sigma(), omega)

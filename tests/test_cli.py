@@ -250,6 +250,26 @@ class TestEnvironmentOverrides:
             tmp_path / "b" / "worked_example.json"
         ).read_bytes()
 
+    def test_artifacts_do_not_depend_on_hash_seed(self, tmp_path):
+        suite = str(SAMPLES / "laws_suite.json")
+        outputs = []
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env.pop("MYCOCAT_SEED", None)
+            out = tmp_path / hash_seed
+            for argv in (["check-laws", suite], ["worked-example"]):
+                proc = subprocess.run(
+                    [sys.executable, "-m", "mycocat.cli", *argv, "--out-dir", str(out)],
+                    env=env,
+                    capture_output=True,
+                    text=True,
+                )
+                assert proc.returncode == 0, proc.stderr
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        first, second = outputs
+        assert set(first) >= {"law_reports.json", "worked_example.json"}
+        assert [name for name in first if first[name] != second[name]] == []
+
 
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "sample_inputs"
 SMALL_SPECIES = {"species": {"n_sites": 2}}
@@ -333,6 +353,13 @@ STATE = str(SAMPLES / "state_pair.json")
             }}]}, {},
             "error: species.sigmma: unknown configuration field",
             id="laws-explicit-species-unknown-key",
+        ),
+        pytest.param(
+            ["check-laws", CONFIG],
+            {"checks": [{"law": "functor_laws", "samples": 5, "mutant": "noncausal",
+                         "expect": "fail", **SMALL_SPECIES}]}, {},
+            "error: checks[0].mutant: unknown mutant 'noncausal'",
+            id="laws-unknown-mutant",
         ),
     ],
 )

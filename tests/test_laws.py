@@ -11,6 +11,7 @@ from mycocat.experiments import reference_species
 from mycocat.laws import (
     FiniteInstance,
     NaturalTransformationData,
+    SpeciesFunctor,
     check_adjunction,
     check_compatibility,
     check_functor_laws,
@@ -81,6 +82,19 @@ class TestFunctorLaws:
         report = check_functor_laws(mutant, sample_count=50, tol=1e-10, seed=42)
         assert not report.passed
         assert report.max_residual > 1e-6
+
+    def test_null_program_that_moves_the_state_fails_identity_law(self, species):
+        class Drifting(SpeciesFunctor):
+            # Composes exactly, but the null program shifts the state.
+            def transform(self, state, program):
+                if program.pieces:
+                    return super().transform(state, program)
+                return InternalState(state.vector + 1e-3, state.layout)
+
+        mutant = Drifting("drifting", species.dynamics, species.extraction)
+        report = check_functor_laws(mutant, sample_count=20, tol=1e-10, seed=42)
+        assert not report.passed
+        assert report.witness == {"kind": "identity-law", "sample": 0}
 
     def test_witness_replays_bit_for_bit(self, species):
         report = check_functor_laws(species, sample_count=50, tol=1e-10, seed=7)
