@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ConstraintError, MycocatError
+from .errors import ConfigError, ConstraintError, MycocatError, ShapeError
 from .experiments import (
     AsymmetryReport,
     ExposureExperiment,
@@ -105,7 +105,7 @@ def load_input(path: str, build):
         return build(data)
     except KeyError as exc:
         raise ConfigError(f"{path}: missing key {exc}")
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ShapeError) as exc:
         raise ConfigError(f"{path}: {exc}")
 
 

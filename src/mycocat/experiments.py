@@ -32,7 +32,7 @@ from .envmyc import (
     identity_rule,
     myc_distance,
 )
-from .errors import ConfigError, InsufficientDataError
+from .errors import ConfigError, InsufficientDataError, ShapeError
 from .graphs import AttributedGraph, identity_morphism
 from .laws import (
     LawReport,
@@ -239,7 +239,7 @@ def species_from_config(data: Mapping) -> SpeciesFunctor:
             )
         except KeyError as exc:
             raise ConfigError(f"species: missing key {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, ShapeError) as exc:
             raise ConfigError(f"species: {exc}") from exc
         if layout.dim != dyn.dim:
             raise ConfigError(

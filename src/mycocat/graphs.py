@@ -20,11 +20,12 @@ Morphism maps may equivalently be JSON objects when all ids are strings.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Any, Iterator, Mapping
 
-from .errors import CompositionError, PreconditionError, ResourceError
+from .errors import CompositionError, PreconditionError, ResourceError, ShapeError
 
 NodeId = Any
 EdgeId = Any
@@ -33,13 +34,6 @@ EdgeId = Any
 def _id_key(x: Any) -> tuple[str, str]:
     """Deterministic sort key for opaque ids of mixed types."""
     return (type(x).__name__, repr(x))
-
-
-def _pair_matches(pair: tuple, u: Any, v: Any, directed: bool) -> bool:
-    a, b = pair
-    if directed:
-        return a == u and b == v
-    return (a == u and b == v) or (a == v and b == u)
 
 
 @dataclass(frozen=True)
@@ -63,13 +57,13 @@ class AttributedGraph:
         )
         node_set = set(self.nodes)
         if len(node_set) != len(self.nodes):
-            raise ValueError("duplicate node ids")
+            raise ShapeError("duplicate node ids")
         eids = [eid for eid, _ in self.edges]
         if len(set(eids)) != len(eids):
-            raise ValueError("duplicate edge ids")
+            raise ShapeError("duplicate edge ids")
         for eid, (u, v) in self.edges:
             if u not in node_set or v not in node_set:
-                raise ValueError(f"edge {eid!r} has undeclared endpoint")
+                raise ShapeError(f"edge {eid!r} has undeclared endpoint")
 
     # -- lookups ---------------------------------------------------------
 
@@ -95,13 +89,20 @@ class AttributedGraph:
                 return pair
         raise KeyError(eid)
 
+    @cached_property
+    def adjacency(self) -> dict:
+        """(u, v) -> ids of the edges joining u and v, in declaration order;
+        an undirected edge is listed under both orientations."""
+        adj: dict = {}
+        for eid, (u, v) in self.edges:
+            adj.setdefault((u, v), []).append(eid)
+            if not self.directed and u != v:
+                adj.setdefault((v, u), []).append(eid)
+        return {pair: tuple(eids) for pair, eids in adj.items()}
+
     def edges_between(self, u: NodeId, v: NodeId) -> list:
         """Edge ids joining u and v (unordered for undirected graphs)."""
-        return [
-            eid
-            for eid, pair in self.edges
-            if _pair_matches(pair, u, v, self.directed)
-        ]
+        return list(self.adjacency.get((u, v), ()))
 
     def incident_edges(self, v: NodeId) -> list:
         return [eid for eid, (a, b) in self.edges if a == v or b == v]
@@ -109,6 +110,10 @@ class AttributedGraph:
     def is_connected(self) -> bool:
         """Connectivity of the underlying undirected graph; empty graph counts
         as connected only if it has no nodes."""
+        return self._connected
+
+    @cached_property
+    def _connected(self) -> bool:
         if not self.nodes:
             return True
         adj: dict[Any, list] = {v: [] for v in self.nodes}
@@ -145,7 +150,8 @@ class AttributedGraph:
 
 @dataclass(frozen=True)
 class GraphMorphism:
-    """A total, incidence-preserving map between attributed graphs."""
+    """A total, incidence-preserving map between attributed graphs; any
+    other map raises :class:`ShapeError`."""
 
     source: AttributedGraph
     target: AttributedGraph
@@ -156,28 +162,23 @@ class GraphMorphism:
         object.__setattr__(self, "node_map", dict(self.node_map))
         object.__setattr__(self, "edge_map", dict(self.edge_map))
         if self.source.directed != self.target.directed:
-            raise ValueError("source and target disagree on directedness")
+            raise ShapeError("source and target disagree on directedness")
         src_nodes = self.source.node_set
         if set(self.node_map) != src_nodes:
-            raise ValueError("node map is not total on source nodes")
+            raise ShapeError("node map is not total on source nodes")
         tgt_nodes = self.target.node_set
         for v, w in self.node_map.items():
             if w not in tgt_nodes:
-                raise ValueError(f"node {v!r} maps outside the target")
+                raise ShapeError(f"node {v!r} maps outside the target")
         if set(self.edge_map) != set(self.source.edge_ids):
-            raise ValueError("edge map is not total on source edges")
-        tgt_pairs = dict(self.target.edges)
+            raise ShapeError("edge map is not total on source edges")
+        tgt_edges = set(self.target.edge_ids)
         for eid, (u, v) in self.source.edges:
             img = self.edge_map[eid]
-            if img not in tgt_pairs:
-                raise ValueError(f"edge {eid!r} maps outside the target")
-            if not _pair_matches(
-                tgt_pairs[img],
-                self.node_map[u],
-                self.node_map[v],
-                self.target.directed,
-            ):
-                raise ValueError(f"edge {eid!r} does not preserve incidence")
+            if img not in tgt_edges:
+                raise ShapeError(f"edge {eid!r} maps outside the target")
+            if img not in self.target.edges_between(self.node_map[u], self.node_map[v]):
+                raise ShapeError(f"edge {eid!r} does not preserve incidence")
 
     def same_maps(self, other: "GraphMorphism") -> bool:
         return self.node_map == other.node_map and self.edge_map == other.edge_map
@@ -202,7 +203,8 @@ class GraphMorphism:
 
 @dataclass(frozen=True)
 class Cospan:
-    """Two morphisms out of a shared apex: left: A -> B, right: A -> C."""
+    """Two morphisms out of a shared apex: left: A -> B, right: A -> C.
+    Legs that do not start at the apex raise :class:`ShapeError`."""
 
     apex: AttributedGraph
     left: GraphMorphism
@@ -210,7 +212,7 @@ class Cospan:
 
     def __post_init__(self):
         if self.left.source != self.apex or self.right.source != self.apex:
-            raise ValueError("cospan legs must start at the apex")
+            raise ShapeError("cospan legs must start at the apex")
 
 
 def identity_morphism(g: AttributedGraph) -> GraphMorphism:
@@ -357,65 +359,60 @@ def pushout_along_monos(
 # ---------------------------------------------------------------------------
 
 
+def _homs(g: AttributedGraph, h: AttributedGraph) -> list[tuple[tuple, tuple]]:
+    """Every morphism g -> h as (node images, edge images), each a tuple in
+    g's declaration order, listed in :func:`enumerate_morphisms` order.
+
+    Node maps grow breadth-first, one node of g at a time; a partial map is
+    dropped as soon as an edge with both endpoints assigned has no image.
+    """
+    if g.directed != h.directed:
+        return []
+    pos = {v: i for i, v in enumerate(g.nodes)}
+    ends = [(pos[u], pos[v]) for _, (u, v) in g.edges]
+    adj = h.adjacency
+    maps = [()]
+    for i in range(len(g.nodes)):
+        maps = [m + (w,) for m in maps for w in h.nodes]
+        # edges whose later endpoint is node i are fully assigned now
+        checks = [(a, b) for a, b in ends if max(a, b) == i]
+        if checks:
+            maps = [m for m in maps if all((m[a], m[b]) in adj for a, b in checks)]
+    homs = [(m, ()) for m in maps]
+    for a, b in ends:
+        homs = [(m, es + (t,)) for m, es in homs for t in adj[m[a], m[b]]]
+    return homs
+
+
 def enumerate_morphisms(
     g: AttributedGraph, h: AttributedGraph
 ) -> Iterator[GraphMorphism]:
-    """Yield every morphism g -> h, by backtracking over node images.
+    """Yield every morphism g -> h: node maps in lexicographic order (g's
+    nodes in declaration order, each taking h's nodes in order), and for
+    each node map its edge maps in the same lexicographic order.
 
-    Intended for the small instances used in verification; the search
-    prunes as soon as an edge has both endpoints assigned but no
-    compatible target edge.
+    Intended for the small instances used in verification.
     """
-    if g.directed != h.directed:
-        return
-    gnodes = list(g.nodes)
-    # Edges indexed by the position of their later endpoint in gnodes, so
-    # each edge is checked as soon as it is fully assigned.
-    pos = {v: i for i, v in enumerate(gnodes)}
-    edges_at: dict[int, list] = {i: [] for i in range(len(gnodes))}
-    for eid, (u, v) in g.edges:
-        edges_at[max(pos[u], pos[v])].append((eid, u, v))
-
-    hnodes = list(h.nodes)
-    assignment: dict = {}
-
-    def candidates(eid, u, v):
-        return h.edges_between(assignment[u], assignment[v])
-
-    def extend(i: int) -> Iterator[dict]:
-        if i == len(gnodes):
-            yield dict(assignment)
-            return
-        v = gnodes[i]
-        for w in hnodes:
-            assignment[v] = w
-            if all(candidates(*e) for e in edges_at[i]):
-                yield from extend(i + 1)
-        assignment.pop(v, None)
-
-    for node_map in extend(0):
-        choice_lists = []
-        for eid, (u, v) in g.edges:
-            choice_lists.append(
-                [(eid, t) for t in h.edges_between(node_map[u], node_map[v])]
-            )
-        for combo in itertools.product(*choice_lists):
-            yield GraphMorphism(g, h, node_map, dict(combo))
+    for nodes, edges in _homs(g, h):
+        yield GraphMorphism(g, h, dict(zip(g.nodes, nodes)), dict(zip(g.edge_ids, edges)))
 
 
 def are_isomorphic(g: AttributedGraph, h: AttributedGraph) -> bool:
-    """Small-instance isomorphism check by exhaustive search."""
-    if len(g.nodes) != len(h.nodes) or len(g.edges) != len(h.edges):
+    """Small-instance isomorphism check by exhaustive search: some bijection
+    of the nodes carries g's endpoint pairs onto h's, with multiplicity."""
+    if (len(g.nodes), len(g.edges), g.directed) != (len(h.nodes), len(h.edges), h.directed):
         return False
-    for m in enumerate_morphisms(g, h):
-        if is_monomorphism(m) and len(set(m.node_map.values())) == len(h.nodes):
+    pair = tuple if g.directed else frozenset
+    target = Counter(pair(ends) for _, ends in h.edges)
+    for images in itertools.permutations(h.nodes):
+        f = dict(zip(g.nodes, images))
+        if Counter(pair((f[u], f[v])) for _, (u, v) in g.edges) == target:
             return True
     return False
 
 
-def probe_family(max_nodes: int) -> list[AttributedGraph]:
-    """The fixed probe family: all simple undirected graphs on 0..n-1 nodes
-    for every n up to ``max_nodes``. Deterministic order."""
+@cache
+def _probes(max_nodes: int) -> tuple[AttributedGraph, ...]:
     family = []
     for n in range(max_nodes + 1):
         pairs = list(itertools.combinations(range(n), 2))
@@ -424,20 +421,30 @@ def probe_family(max_nodes: int) -> list[AttributedGraph]:
                 (i, pairs[i]) for i in range(len(pairs)) if bits >> i & 1
             )
             family.append(AttributedGraph(tuple(range(n)), edges))
-    return family
+    return tuple(family)
 
 
-def _restriction_key(m: GraphMorphism, through: GraphMorphism) -> tuple:
-    """Hashable record of m∘through, used to match cospan-compatible pairs."""
-    nodes = tuple(m.node_map[through.node_map[a]] for a in through.source.nodes)
-    edges = tuple(m.edge_map[through.edge_map[e]] for e in through.source.edge_ids)
-    return nodes, edges
+def probe_family(max_nodes: int) -> list[AttributedGraph]:
+    """The fixed probe family: all simple undirected graphs on 0..n-1 nodes
+    for every n up to ``max_nodes``. Deterministic order."""
+    return list(_probes(max_nodes))
 
 
-def _full_key(m: GraphMorphism) -> tuple:
-    nodes = tuple(m.node_map[v] for v in m.source.nodes)
-    edges = tuple(m.edge_map[e] for e in m.source.edge_ids)
-    return nodes, edges
+def _positions(f: GraphMorphism) -> tuple[tuple, tuple]:
+    """``f`` as index tuples: for each source node and edge, in declaration
+    order, the position of its image among the target's."""
+    node_at = {v: i for i, v in enumerate(f.target.nodes)}
+    edge_at = {e: i for i, e in enumerate(f.target.edge_ids)}
+    return (
+        tuple(node_at[f.node_map[v]] for v in f.source.nodes),
+        tuple(edge_at[f.edge_map[e]] for e in f.source.edge_ids),
+    )
+
+
+def _after(hom: tuple[tuple, tuple], f: tuple[tuple, tuple]) -> tuple:
+    """The image tuples of hom∘f, for ``f`` given by :func:`_positions`."""
+    (nodes, edges), (node_pos, edge_pos) = hom, f
+    return tuple([nodes[i] for i in node_pos]), tuple([edges[i] for i in edge_pos])
 
 
 def verify_pushout_universal_property(
@@ -445,7 +452,8 @@ def verify_pushout_universal_property(
     candidate: tuple[AttributedGraph, GraphMorphism, GraphMorphism],
     probe_bound: int,
 ) -> bool:
-    """Exhaustively test the universal property of a candidate pushout.
+    """Exhaustively test the universal property of a candidate pushout of
+    undirected graphs.
 
     For every probe graph Z in the fixed family up to ``probe_bound`` nodes
     and every pair (B -> Z, C -> Z) agreeing on the apex, there must exist
@@ -455,10 +463,14 @@ def verify_pushout_universal_property(
     bijection from hom(P, Z) onto the agreeing pairs.
 
     Raises :class:`ResourceError` for ``probe_bound > 6`` and
-    :class:`PreconditionError` if the candidate square does not commute.
+    :class:`PreconditionError` if the cospan is directed (the probe graphs
+    are undirected, so every hom-set would be empty) or the candidate
+    square does not commute.
     """
     if probe_bound > 6:
         raise ResourceError("probe_bound above 6 is not supported")
+    if c.apex.directed:
+        raise PreconditionError("the pushout verifier takes undirected graphs only")
     obj, inj_b, inj_c = candidate
     if inj_b.target != obj or inj_c.target != obj:
         raise PreconditionError("candidate injections must land in the candidate object")
@@ -467,32 +479,15 @@ def verify_pushout_universal_property(
     if not via_b.same_maps(via_c):
         raise PreconditionError("candidate square does not commute")
 
-    b, cg = c.left.target, c.right.target
-    for z in probe_family(probe_bound):
-        groups_b: dict[tuple, int] = {}
-        for zb in enumerate_morphisms(b, z):
-            key = _restriction_key(zb, c.left)
-            groups_b[key] = groups_b.get(key, 0) + 1
-        groups_c: dict[tuple, int] = {}
-        for zc in enumerate_morphisms(cg, z):
-            key = _restriction_key(zc, c.right)
-            groups_c[key] = groups_c.get(key, 0) + 1
-        n_pairs = sum(
-            count * groups_c.get(key, 0) for key, count in groups_b.items()
-        )
-
-        seen: set[tuple] = set()
-        n_mediators = 0
-        for u in enumerate_morphisms(obj, z):
-            n_mediators += 1
-            seen.add(
-                (
-                    _full_key(compose_graph_morphisms(inj_b, u)),
-                    _full_key(compose_graph_morphisms(inj_c, u)),
-                )
-            )
-        if len(seen) != n_mediators:  # two mediators induce the same pair
+    left, right = _positions(c.left), _positions(c.right)
+    in_b, in_c = _positions(inj_b), _positions(inj_c)
+    for z in _probes(probe_bound):
+        groups_b = Counter(_after(zb, left) for zb in _homs(c.left.target, z))
+        groups_c = Counter(_after(zc, right) for zc in _homs(c.right.target, z))
+        n_pairs = sum(count * groups_c[key] for key, count in groups_b.items())
+        mediated = [(_after(u, in_b), _after(u, in_c)) for u in _homs(obj, z)]
+        if len(set(mediated)) != len(mediated):  # two mediators induce the same pair
             return False
-        if n_mediators != n_pairs:  # some pair has no (or extra) mediator
+        if len(mediated) != n_pairs:  # some pair has no (or extra) mediator
             return False
     return True

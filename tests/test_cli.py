@@ -278,6 +278,7 @@ CONFIG = "<config>"
 DYNAMICS = str(SAMPLES / "dynamics_shear.json")
 PROGRAM = str(SAMPLES / "program_pulse.json")
 STATE = str(SAMPLES / "state_pair.json")
+STAR_COSPAN = json.loads((SAMPLES / "cospan_star.json").read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize(
@@ -310,6 +311,20 @@ STATE = str(SAMPLES / "state_pair.json")
         pytest.param(
             ["pushout", str(SAMPLES / "cospan_star.json")], None, {"MYCOCAT_SEED": "abc"},
             "error: MYCOCAT_SEED: not an integer: 'abc'", id="seed-env-not-an-integer",
+        ),
+        pytest.param(
+            ["pushout", CONFIG], {**STAR_COSPAN, "b": {"nodes": ["a", "a"], "edges": []}}, {},
+            f"error: {CONFIG}: duplicate node ids", id="pushout-duplicate-node",
+        ),
+        pytest.param(
+            ["pushout", CONFIG], {
+                **STAR_COSPAN,
+                "apex": {"nodes": ["a", "b"], "edges": [["ae", ["a", "b"]]]},
+                "b": {"nodes": ["a", "b", "x"], "edges": [["eb", ["a", "x"]]]},
+                "left": {"nodes": [["a", "a"], ["b", "b"]], "edges": [["ae", "eb"]]},
+            }, {},
+            f"error: {CONFIG}: edge 'ae' does not preserve incidence",
+            id="pushout-leg-breaks-incidence",
         ),
         pytest.param(
             ["check-laws", str(SAMPLES / "laws_suite.json"), "--seed", "301"], None, {},

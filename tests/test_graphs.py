@@ -1,10 +1,19 @@
 """Graph category: composition laws, mono detection, pushouts, universal property."""
 
+import itertools
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mycocat.errors import CompositionError, PreconditionError, ResourceError
+from mycocat.errors import (
+    CompositionError,
+    PreconditionError,
+    ResourceError,
+    ShapeError,
+)
 from mycocat.graphs import (
     AttributedGraph,
     Cospan,
@@ -42,15 +51,15 @@ def triangle():
 
 class TestGraphConstruction:
     def test_duplicate_node_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeError):
             AttributedGraph(("a", "a"), ())
 
     def test_duplicate_edge_id_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeError):
             AttributedGraph(("a", "b"), (("e", ("a", "b")), ("e", ("b", "a"))))
 
     def test_undeclared_endpoint_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeError):
             AttributedGraph(("a",), (("e", ("a", "b")),))
 
     def test_json_roundtrip(self):
@@ -61,6 +70,61 @@ class TestGraphConstruction:
         assert path_graph(4).is_connected()
         two = AttributedGraph(("a", "b"), ())
         assert not two.is_connected()
+
+
+@st.composite
+def small_graphs(draw, directed, prefix, max_edges):
+    """Up to 4 nodes; edges may be self-loops or parallel."""
+    nodes = tuple(f"{prefix}{i}" for i in range(draw(st.integers(0, 4))))
+    pairs = draw(
+        st.lists(st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)), max_size=max_edges)
+        if nodes
+        else st.just([])
+    )
+    edges = tuple((f"{prefix}e{i}", pair) for i, pair in enumerate(pairs))
+    return AttributedGraph(nodes, edges, directed)
+
+
+def brute_force_homs(g, h):
+    """Every incidence-preserving (node map, edge map) g -> h: all node maps,
+    then for each all edge images taken in ``h.edges`` order."""
+    found = []
+    for images in itertools.product(h.nodes, repeat=len(g.nodes)):
+        node_map = dict(zip(g.nodes, images))
+        for chosen in itertools.product(h.edges, repeat=len(g.edges)):
+            if all(
+                pair == (node_map[u], node_map[v])
+                or (not g.directed and pair == (node_map[v], node_map[u]))
+                for (_, (u, v)), (_, pair) in zip(g.edges, chosen)
+            ):
+                found.append((node_map, {e: t for (e, _), (t, _) in zip(g.edges, chosen)}))
+    return found
+
+
+class TestEnumeration:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.booleans().flatmap(
+            lambda directed: st.tuples(
+                small_graphs(directed, "g", 3), small_graphs(directed, "h", 4)
+            )
+        )
+    )
+    def test_matches_brute_force_oracle(self, pair):
+        g, h = pair
+        listed = [(m.node_map, m.edge_map) for m in enumerate_morphisms(g, h)]
+        assert listed == brute_force_homs(g, h)
+        isomorphisms = [
+            (nodes, edges)
+            for nodes, edges in listed
+            if len(g.nodes) == len(set(nodes.values())) == len(h.nodes)
+            and len(g.edges) == len(set(edges.values())) == len(h.edges)
+        ]
+        assert are_isomorphic(g, h) == bool(isomorphisms)
+
+    def test_directedness_mismatch_has_no_morphisms(self):
+        g = AttributedGraph(("a",), ())
+        assert list(enumerate_morphisms(g, AttributedGraph(("b",), (), True))) == []
 
 
 class TestComposition:
@@ -195,11 +259,11 @@ class TestMonomorphism:
             checked += 1
 
 
-def star_cospan():
+def star_cospan(directed=False):
     """Shared node a, B = edge a-b, C = edge a-c."""
-    apex = AttributedGraph(("a",), ())
-    b = AttributedGraph(("a", "b"), (("eb", ("a", "b")),))
-    c = AttributedGraph(("a", "c"), (("ec", ("a", "c")),))
+    apex = AttributedGraph(("a",), (), directed)
+    b = AttributedGraph(("a", "b"), (("eb", ("a", "b")),), directed)
+    c = AttributedGraph(("a", "c"), (("ec", ("a", "c")),), directed)
     left = GraphMorphism(apex, b, {"a": "a"}, {})
     right = GraphMorphism(apex, c, {"a": "a"}, {})
     return Cospan(apex, left, right)
@@ -320,7 +384,73 @@ def _union_find_pushout(cospan):
     return AttributedGraph(tuple(range(len(node_reps))), tuple(edges))
 
 
+def extended(candidate, nodes=(), edges=()):
+    """The candidate pushout object with extra nodes and edges, and its
+    injections lifted into it unchanged."""
+    obj, inj_b, inj_c = candidate
+    bigger = AttributedGraph(obj.nodes + nodes, obj.edges + edges, obj.directed)
+    return (
+        bigger,
+        GraphMorphism(inj_b.source, bigger, inj_b.node_map, inj_b.edge_map),
+        GraphMorphism(inj_c.source, bigger, inj_c.node_map, inj_c.edge_map),
+    )
+
+
+def _images(m):
+    return (
+        tuple(m.node_map[v] for v in m.source.nodes),
+        tuple(m.edge_map[e] for e in m.source.edge_ids),
+    )
+
+
+def reference_verifier(cospan, candidate, probe_bound):
+    """The universal-property check over public morphism objects: for each
+    probe Z, the pairs (B -> Z, C -> Z) agreeing on the apex must be the
+    composites (u∘inB, u∘inC) of exactly one mediator u each."""
+    obj, inj_b, inj_c = candidate
+    for z in probe_family(probe_bound):
+        groups = [
+            Counter(
+                _images(compose_graph_morphisms(leg, m))
+                for m in enumerate_morphisms(leg.target, z)
+            )
+            for leg in (cospan.left, cospan.right)
+        ]
+        n_pairs = sum(count * groups[1][key] for key, count in groups[0].items())
+        mediated = [
+            (
+                _images(compose_graph_morphisms(inj_b, u)),
+                _images(compose_graph_morphisms(inj_c, u)),
+            )
+            for u in enumerate_morphisms(obj, z)
+        ]
+        if len(set(mediated)) != len(mediated) or len(mediated) != n_pairs:
+            return False
+    return True
+
+
 class TestUniversalProperty:
+    def test_matches_reference_verifier(self):
+        rng = random.Random(8080)
+        verdicts = Counter()
+        for _ in range(30):
+            cospan = make_random_mono_cospan(rng, max_nodes=4)
+            candidate = pushout_along_monos(cospan)
+            obj = candidate[0]
+            first, last = obj.nodes[0], obj.nodes[-1]
+            broken = [
+                extended(candidate, nodes=("ghost",)),
+                extended(candidate, edges=(("extra", (first, last)),)),
+            ]
+            if obj.edges:
+                broken.append(extended(candidate, edges=(("twin", obj.edges[0][1]),)))
+            for cand in [candidate] + broken:
+                verdict = verify_pushout_universal_property(cospan, cand, 3)
+                assert verdict == reference_verifier(cospan, cand, 3)
+                verdicts[verdict] += 1
+            assert verify_pushout_universal_property(cospan, candidate, 3)
+        assert verdicts[True] >= 30 and verdicts[False] >= 30
+
     def test_star_pushout_passes(self):
         cospan = star_cospan()
         candidate = pushout_along_monos(cospan)
@@ -328,13 +458,16 @@ class TestUniversalProperty:
 
     def test_spurious_node_fails(self):
         cospan = star_cospan()
-        obj, inj_b, inj_c = pushout_along_monos(cospan)
-        padded = AttributedGraph(obj.nodes + ("ghost",), obj.edges)
-        lifted_b = GraphMorphism(inj_b.source, padded, inj_b.node_map, inj_b.edge_map)
-        lifted_c = GraphMorphism(inj_c.source, padded, inj_c.node_map, inj_c.edge_map)
-        assert not verify_pushout_universal_property(
-            cospan, (padded, lifted_b, lifted_c), 3
-        )
+        padded = extended(pushout_along_monos(cospan), nodes=("ghost",))
+        assert not verify_pushout_universal_property(cospan, padded, 3)
+
+    def test_directed_cospan_rejected(self):
+        # The probe graphs are undirected, so every hom-set out of a directed
+        # graph is empty and the counts would agree for any candidate.
+        cospan = star_cospan(directed=True)
+        padded = extended(pushout_along_monos(cospan), nodes=("ghost",))
+        with pytest.raises(PreconditionError):
+            verify_pushout_universal_property(cospan, padded, 3)
 
     def test_under_identified_candidate_fails(self):
         # Disjoint union without gluing the shared node: mediators are missing
