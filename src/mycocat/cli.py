@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ConstraintError, MycocatError, ShapeError
+from .errors import ConfigError, ConstraintError, MycocatError, NumericError, ShapeError
 from .experiments import (
     AsymmetryReport,
     ExposureExperiment,
@@ -98,14 +98,14 @@ def load_json(path: str):
 
 
 def load_input(path: str, build):
-    """``build`` applied to the JSON in ``path``; a missing key or a bad
-    value becomes a :class:`ConfigError` that names the file."""
+    """``build`` applied to the JSON in ``path``; a missing key, a bad or a
+    non-finite value becomes a :class:`ConfigError` that names the file."""
     data = load_json(path)
     try:
         return build(data)
     except KeyError as exc:
         raise ConfigError(f"{path}: missing key {exc}")
-    except (TypeError, ValueError, ShapeError) as exc:
+    except (TypeError, ValueError, ShapeError, NumericError) as exc:
         raise ConfigError(f"{path}: {exc}")
 
 
@@ -206,12 +206,33 @@ SUITE_KEYS = {
         "law", "expect", "species", "seed", "tol", "pulses", "psi_amplitude_scale"
     },
 }
+# Entry keys that count samples, and keys that hold a tolerance or a bound.
+COUNT_KEYS = ("samples", "programs", "pairs", "pulses")
+LIMIT_KEYS = ("tol", "bound")
+
+
+def check_entry_values(check: dict, index: int) -> None:
+    """Reject a count below 1 and a negative or NaN tolerance or bound: a
+    law checked on no samples, or against no meaningful limit, would report
+    a verdict that says nothing."""
+    for key in COUNT_KEYS + LIMIT_KEYS:
+        if key not in check:
+            continue
+        path = f"checks[{index}].{key}"
+        try:
+            value = int(check[key]) if key in COUNT_KEYS else float(check[key])
+        except (TypeError, ValueError):
+            raise ConfigError(f"{path}: not a number: {check[key]!r}")
+        if key in COUNT_KEYS and value < 1:
+            raise ConfigError(f"{path}: must be positive, got {value}")
+        if key in LIMIT_KEYS and not value >= 0:
+            raise ConfigError(f"{path}: must be a nonnegative number, got {value}")
 
 
 def run_suite_check(check: dict, default_tol: float | None, seed: int | None):
     """Run one suite entry; returns the LawReport."""
     law = check.get("law")
-    tol = check.get("tol", default_tol)
+    tol = float(check["tol"]) if "tol" in check else default_tol
     the_seed = seed if seed is not None else int(check.get("seed", 0))
 
     if law == "adjunction":
@@ -326,6 +347,7 @@ def cmd_check_laws(args) -> int:
         mutant = check.get("mutant", "non_causal")
         if mutant != "non_causal":
             raise ConfigError(f"checks[{index}].mutant: unknown mutant {mutant!r}")
+        check_entry_values(check, index)
         report = run_suite_check(check, args.tol, args.seed)
         matched = report.verdict == expected
         mismatches += 0 if matched else 1
@@ -421,6 +443,8 @@ def main(argv=None) -> int:
                 args.seed = int(env_seed)
             except ValueError:
                 raise ConfigError(f"MYCOCAT_SEED: not an integer: {env_seed!r}")
+        if args.tol is not None and not args.tol >= 0:
+            raise ConfigError(f"--tol: must be a nonnegative number, got {args.tol}")
         return args.func(args)
     except MycocatError as exc:
         print(f"error: {exc}", file=sys.stderr)

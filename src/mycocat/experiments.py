@@ -421,7 +421,8 @@ def run_order_asymmetry_scan(exp: ExposureExperiment) -> AsymmetryReport:
     """Measure the order asymmetry of the pulse pair across the eps grid.
 
     For each eps, both orderings of the scaled pulses are run from the
-    same seeded initial state and the extracted networks are compared.
+    same seeded initial state and the extracted networks are compared;
+    both orderings at every eps run in one ``transform_many`` call.
     Rows at the delta floor are flagged and excluded from the fit. The
     report also carries the norm of the commutator of the two estimated
     pulse generators, the generator-level diagnostic of the same effect.
@@ -431,14 +432,20 @@ def run_order_asymmetry_scan(exp: ExposureExperiment) -> AsymmetryReport:
     channels = dyn.channels
     state = initial_state(species.extraction.layout, exp.seed)
 
-    rows = []
-    for eps in exp.eps_grid:
-        p = exp.pulse_p.program(eps, exp.scaling, channels)
-        q = exp.pulse_q.program(eps, exp.scaling, channels)
-        p_then_q = species.on_object(species.transform(state, concatenate(p, q)))
-        q_then_p = species.on_object(species.transform(state, concatenate(q, p)))
-        delta = myc_distance(p_then_q, q_then_p, exp.weights)
-        rows.append((eps, float(delta)))
+    ps = [exp.pulse_p.program(eps, exp.scaling, channels) for eps in exp.eps_grid]
+    qs = [exp.pulse_q.program(eps, exp.scaling, channels) for eps in exp.eps_grid]
+    orderings = [concatenate(p, q) for p, q in zip(ps, qs)] + [
+        concatenate(q, p) for p, q in zip(ps, qs)
+    ]
+    finals = [
+        species.on_object(final)
+        for final in species.transform_many([state] * len(orderings), orderings)
+    ]
+    grid = len(exp.eps_grid)
+    rows = [
+        (eps, float(myc_distance(finals[i], finals[grid + i], exp.weights)))
+        for i, eps in enumerate(exp.eps_grid)
+    ]
 
     excluded = tuple(eps for eps, delta in rows if delta <= DELTA_FLOOR)
     usable = [(eps, delta) for eps, delta in rows if delta > DELTA_FLOOR]
@@ -498,6 +505,14 @@ class WorkedExampleConfig:
 
     def __post_init__(self):
         _check_pulse_channels(self, self.channels)
+        for name in ("functor_samples", "compat_pulses"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ConfigError(f"{name}: must be positive, got {value}")
+        for name in ("functor_tol", "compat_tol"):
+            value = getattr(self, name)
+            if not value >= 0:
+                raise ConfigError(f"{name}: must be a nonnegative number, got {value}")
 
     @classmethod
     def from_json(cls, data: Mapping) -> "WorkedExampleConfig":

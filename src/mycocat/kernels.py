@@ -17,17 +17,21 @@ matrix is a single block.
 
 Algorithms:
 
-- ``expm``: Pade approximant of degree m in {3, 5, 7, 9, 13}, the lowest
-  degree whose threshold theta_m bounds the largest Frobenius norm in the
-  stack (Higham 2005, "The scaling and squaring method for the matrix
-  exponential revisited"). Only above theta_13 is the stack halved, until
-  that norm is below theta_13, and squared back.
+- ``expm``: Pade approximant of degree 13 for every member, which is
+  halved until its Frobenius norm is below theta_13 and squared back, with
+  its own squaring count (Higham 2005, "The scaling and squaring method
+  for the matrix exponential revisited"). No member's choice depends on
+  another's, so every member of a stack equals its single-matrix call bit
+  for bit, and a flow's bits do not depend on what shares its call.
 - ``logm``: inverse scaling and squaring; Denman-Beavers square roots
   bring each matrix within 0.25 of the identity, then an alternating
   Taylor series of log(I + E) is summed and scaled back. Each member of a
   stack takes its own number of square roots and series terms.
 - ``piecewise_flow``: every piece and every block of one flow goes through
   a single ``expm`` call; the pieces are then multiplied in time order.
+- ``apply_flows``: the batched form for many programs at once. The pieces
+  of up to ``FLOW_CHUNK`` programs share one ``expm`` call, and each
+  program's block flow acts directly on its vector's block sub-vectors.
 
 Domain validation (finiteness, principal-branch eigenvalue checks) lives
 in :mod:`mycocat.liealg`; the kernels assume well-formed input.
@@ -37,30 +41,26 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import DomainError
+
 # The kernels are numpy only; reports record this flag as the kernel path.
 NUMBA_ENABLED = False
 
-# Frobenius-norm thresholds theta_m of the degree-m Pade approximants.
-_THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
-          (7, 9.504178996162932e-1), (9, 2.097847961257068e0))
+# Frobenius-norm threshold of the degree-13 Pade approximant; a member
+# above it is halved until it is below, and squared back.
 _THETA_13 = 5.371920351148152
 
-# Pade numerator coefficients b_0..b_m by degree.
-_PADE = {
-    3: (120.0, 60.0, 12.0, 1.0),
-    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
-    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
-    9: (
-        17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
-        2162160.0, 110880.0, 3960.0, 90.0, 1.0,
-    ),
-    13: (
-        64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-        1187353796428800.0, 129060195264000.0, 10559470521600.0,
-        670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
-        16380.0, 182.0, 1.0,
-    ),
-}
+# Pade numerator coefficients b_0..b_13.
+_PADE_13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0,
+    670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+    16380.0, 182.0, 1.0,
+)
+
+# Programs per expm call of :func:`apply_flows`; bounds the piece stack
+# that one call of a large batch allocates.
+FLOW_CHUNK = 64
 
 
 def _fro(a):
@@ -71,73 +71,61 @@ def _fro(a):
 def expm(a):
     """exp of a square float64 matrix or of each matrix of a (..., s, s) stack.
 
-    The Pade degree and the squaring count follow the largest Frobenius
-    norm in the stack, so one call runs one sequence of broadcast products
-    and one batched solve.
+    Every member takes the degree-13 Pade approximant and its own squaring
+    count, so it equals the single-matrix call bit for bit whatever else
+    shares the stack. One call runs one sequence of broadcast products, one
+    batched solve, and a squaring loop masked to the members still squaring.
     """
-    ident = np.eye(a.shape[-1])
-    norm = float(_fro(a).max(initial=0.0))
-    squarings = 0
-    degree = 13
-    for m, theta in _THETA:
-        if norm <= theta:
-            degree = m
-            break
-    else:
-        if norm > _THETA_13:
-            squarings = int(np.ceil(np.log2(norm / _THETA_13)))
-    scaled = a / (2.0 ** squarings) if squarings else a
+    shape = a.shape
+    s = shape[-1]
+    ident = np.eye(s)
+    a = a.reshape(-1, s, s)
+    norms = _fro(a)
+    squarings = np.ceil(np.log2(np.maximum(norms, _THETA_13) / _THETA_13)).astype(int)
+    scaled = a * np.ldexp(1.0, -squarings)[:, None, None]
 
-    b = _PADE[degree]
+    b = _PADE_13
     a2 = scaled @ scaled
-    if degree == 13:
-        a4 = a2 @ a2
-        a6 = a4 @ a2
-        u = scaled @ (
-            a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-            + b[7] * a6
-            + b[5] * a4
-            + b[3] * a2
-            + b[1] * ident
-        )
-        v = (
-            a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-            + b[6] * a6
-            + b[4] * a4
-            + b[2] * a2
-            + b[0] * ident
-        )
-    else:
-        # even powers I, A^2, ..., A^(m-1); u = A * odd part, v = even part
-        powers = [ident, a2]
-        while len(powers) < (degree + 1) // 2:
-            powers.append(powers[-1] @ a2)
-        odd = b[degree] * powers[-1]
-        even = b[degree - 1] * powers[-1]
-        for j in range(len(powers) - 2, -1, -1):
-            odd = odd + b[2 * j + 1] * powers[j]
-            even = even + b[2 * j] * powers[j]
-        u = scaled @ odd
-        v = even
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = scaled @ (
+        a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+        + b[7] * a6
+        + b[5] * a4
+        + b[3] * a2
+        + b[1] * ident
+    )
+    v = (
+        a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+        + b[6] * a6
+        + b[4] * a4
+        + b[2] * a2
+        + b[0] * ident
+    )
     r = np.linalg.solve(v - u, v + u)
-    for _ in range(squarings):
-        r = r @ r
-    return r
+    for k in range(squarings.max(initial=0)):
+        live = squarings > k
+        r[live] = r[live] @ r[live]
+    return r.reshape(shape)
 
 
 def _sqrt_db(r):
     """Principal square root of each matrix of a stack (Denman-Beavers).
 
     A member stops iterating once its step falls below 1e-15 of its norm.
-    Raises ValueError if any member has not converged after 60 steps.
+    Raises DomainError if an iterate of any member is singular or any member
+    has not converged after 60 steps.
     """
     out = np.empty_like(r)
     live = np.arange(len(r))  # members of out still iterating, in y and z
     y = r
     z = np.broadcast_to(np.eye(r.shape[-1]), r.shape)
     for _ in range(60):
-        y_next = 0.5 * (y + np.linalg.inv(z))
-        z_next = 0.5 * (z + np.linalg.inv(y))
+        try:
+            y_next = 0.5 * (y + np.linalg.inv(z))
+            z_next = 0.5 * (z + np.linalg.inv(y))
+        except np.linalg.LinAlgError as exc:
+            raise DomainError("matrix log: Denman-Beavers iterate is singular") from exc
         going = _fro(y_next - y) > 1e-15 * _fro(y_next)
         if not going.all():
             out[live[~going]] = y_next[~going]
@@ -145,7 +133,7 @@ def _sqrt_db(r):
             if not live.size:
                 return out
         y, z = y_next, z_next
-    raise ValueError("matrix log: Denman-Beavers iteration did not converge")
+    raise DomainError("matrix log: Denman-Beavers iteration did not converge")
 
 
 def logm(m):
@@ -155,7 +143,7 @@ def logm(m):
     Repeated Denman-Beavers square roots pull each argument into the
     convergence ball ||M - I|| <= 0.25, where the alternating series of
     log(I + E) is summed; each result is scaled back by the number of
-    square roots its own matrix took. Raises ValueError if either
+    square roots its own matrix took. Raises DomainError if either
     iteration stalls for any member (callers pre-validate the spectrum,
     so this indicates inputs far outside the supported domain).
     """
@@ -167,7 +155,7 @@ def logm(m):
     todo = np.flatnonzero(_fro(r - ident) > 0.25)
     while todo.size:
         if scalings[todo].max() >= 60:
-            raise ValueError("matrix log: square-root scaling did not converge")
+            raise DomainError("matrix log: square-root scaling did not converge")
         r[todo] = _sqrt_db(r[todo])
         scalings[todo] += 1
         todo = todo[_fro(r[todo] - ident) > 0.25]
@@ -270,6 +258,18 @@ def scatter(stack, parts):
     return out.reshape(parts.n, parts.n)
 
 
+def _generators(system, lengths, inputs):
+    """(k, blocks, size, size) piece generators
+    length_j * (drift + sum_i u_ji * controls_i) from the (1 + c, blocks,
+    size, size) stack of drift and controls. The sum runs elementwise in
+    channel order, so each piece's bits do not depend on the other pieces."""
+    scale = lengths[:, None, None, None]
+    gens = scale * system[0]
+    for i, control in enumerate(system[1:]):
+        gens = gens + (scale * inputs[:, i, None, None, None]) * control
+    return gens
+
+
 def piecewise_flow(drift, controls, lengths, inputs, parts=None):
     """Flow matrix of a piecewise-constant bilinear control system.
 
@@ -279,18 +279,50 @@ def piecewise_flow(drift, controls, lengths, inputs, parts=None):
     of drift and controls (see :func:`blocks`); it is computed here when not
     given. All k pieces on all blocks go through one ``expm`` call.
     """
-    k = len(lengths)
-    if not k:
+    if not len(lengths):
         return np.eye(drift.shape[0])
     system = np.concatenate((drift[None], controls))
     if parts is None:
         parts = blocks((system != 0).any(axis=0))
-    stack = gather(system, parts)
-    # piece j: length_j * (1 * drift + sum_i u_ji * controls_i)
-    coeffs = lengths[:, None] * np.concatenate((np.ones((k, 1)), inputs), axis=1)
-    gens = (coeffs @ stack.reshape(len(stack), -1)).reshape((k,) + stack.shape[1:])
-    pieces = expm(gens)
+    pieces = expm(_generators(gather(system, parts), lengths, inputs))
     flow = pieces[0]
     for piece in pieces[1:]:
         flow = piece @ flow
     return scatter(flow, parts)
+
+
+def apply_flows(system, parts, lengths, inputs, counts, vectors):
+    """Evolve each of P vectors by the piecewise flow of its own program.
+
+    ``system`` is the (1 + c, blocks, size, size) gather of drift and
+    controls on ``parts``. The programs' pieces are listed back to back:
+    ``lengths`` has shape (K,), ``inputs`` (K, c), and ``counts`` (P,) says
+    how many consecutive pieces belong to each program; ``vectors`` is
+    (P, n). Returns the (P, n) evolved vectors; a program without pieces
+    leaves its vector as it is.
+
+    Every piece of up to :data:`FLOW_CHUNK` programs goes through one
+    ``expm`` call. Each program's block flow is the time-ordered product of
+    its pieces, applied to the vector's block sub-vectors; nothing is
+    scattered to n x n. Each row depends on its own program and vector
+    only, so a batch of one gives the same bits as any batch holding it.
+    """
+    out = np.array(vectors, dtype=np.float64)
+    valid = parts.index >= 0
+    cols = parts.index[valid]
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    for lo in range(0, len(counts), FLOW_CHUNK):
+        rows = lo + np.flatnonzero(counts[lo:lo + FLOW_CHUNK])
+        if not rows.size:
+            continue
+        own = slice(starts[rows[0]], ends[rows[-1]])
+        pieces = expm(_generators(system, lengths[own], inputs[own]))
+        offset = starts[rows] - own.start
+        flows = pieces[offset]
+        for t in range(1, counts[rows].max()):
+            more = np.flatnonzero(counts[rows] > t)
+            flows[more] = pieces[offset[more] + t] @ flows[more]
+        sub = np.where(valid, out[rows[:, None, None], parts.index], 0.0)
+        out[rows[:, None], cols] = (flows @ sub[..., None])[..., 0][:, valid]
+    return out

@@ -38,7 +38,7 @@ from .envmyc import (
     env_distance,
     myc_distance,
 )
-from .errors import InputError, ResourceError
+from .errors import InputError, ParameterError, ResourceError
 from .graphs import identity_morphism
 from .programs import (
     Extraction,
@@ -47,6 +47,7 @@ from .programs import (
     ReferenceDynamics,
     concatenate,
     evolve,
+    evolve_many,
     extract,
 )
 
@@ -91,9 +92,10 @@ class LawReport:
 class SpeciesFunctor:
     """One species: reference dynamics plus a measurement pipeline.
 
-    ``transform`` realizes the induced state transition of a program;
-    subclasses may override it (the test mutants do) while the checkers
-    only ever go through this surface.
+    ``transform`` realizes the induced state transition of a program and
+    ``transform_many`` that of many (state, program) pairs; subclasses may
+    override ``transform`` (the test mutants do) while the checkers only
+    ever go through this surface.
     """
 
     label: str
@@ -102,6 +104,18 @@ class SpeciesFunctor:
 
     def transform(self, state: InternalState, program: Program) -> InternalState:
         return evolve(state, program, self.dynamics)
+
+    def transform_many(
+        self, states: Sequence[InternalState], programs: Sequence[Program]
+    ) -> list[InternalState]:
+        """``transform`` of each (state, program) pair, with the same bits.
+
+        The reference transform evolves all pairs in batched kernel calls;
+        a subclass that overrides ``transform`` alone is called once per
+        pair, so its override is honoured."""
+        if type(self).transform is not SpeciesFunctor.transform:
+            return [self.transform(s, p) for s, p in zip(states, programs)]
+        return evolve_many(states, programs, self.dynamics)
 
     def on_object(self, state: InternalState) -> MycObject:
         return extract(state, self.extraction)
@@ -209,29 +223,38 @@ def check_functor_laws(
 
     Also asserts that the null program leaves the read-out network
     exactly unchanged; a violation is reported with an ``identity-law``
-    witness.
+    witness naming the first failing sample. Every sample is drawn before
+    any flow runs; the joint leg, the two sequential legs and the null
+    program each take one batched ``transform_many`` call. Raises
+    :class:`ParameterError` when ``sample_count`` is not positive.
     """
+    if sample_count < 1:
+        raise ParameterError(f"functor laws need at least one sample, got {sample_count}")
     rng = np.random.default_rng(seed)
     channels = f.dynamics.channels
+    states, ps, qs = [], [], []
+    for _ in range(sample_count):
+        states.append(_random_state(rng, f))
+        ps.append(_random_program(rng, channels))
+        qs.append(_random_program(rng, channels))
+    joint = f.transform_many(states, [concatenate(p, q) for p, q in zip(ps, qs)])
+    second = f.transform_many(f.transform_many(states, ps), qs)
+    unmoved = f.transform_many(states, [Program()] * sample_count)
     worst = 0.0
     witness: dict | None = None
-    for i in range(sample_count):
-        state = _random_state(rng, f)
-        p = _random_program(rng, channels)
-        q = _random_program(rng, channels)
-        residual = functor_law_residual(f, state, p, q)
+    for i, state in enumerate(states):
+        residual = myc_distance(f.on_object(joint[i]), f.on_object(second[i]))
         if residual >= worst:
             worst = residual
             witness = {
                 "kind": "composition",
                 "sample": i,
                 "state": [float(x) for x in state.vector],
-                "p": p.to_json(),
-                "q": q.to_json(),
+                "p": ps[i].to_json(),
+                "q": qs[i].to_json(),
                 "residual": residual,
             }
-        unmoved = f.on_object(f.transform(state, Program()))
-        if myc_distance(f.on_object(state), unmoved) != 0.0:
+        if myc_distance(f.on_object(state), f.on_object(unmoved[i])) != 0.0:
             return LawReport(
                 law="functor-laws",
                 samples=i + 1,
@@ -308,38 +331,44 @@ def check_naturality(
     translate-then-transform against transform-then-translate (both read
     out through the second species' pipeline). The max residual is the
     empirical sensitivity of the species pair to that program family.
+    Every state is drawn first and each species runs all pairs in one
+    ``transform_many`` call. Raises :class:`ParameterError` when there is
+    no program or ``states_per_program`` is not positive.
     """
+    programs = list(programs)
+    if not programs or states_per_program < 1:
+        raise ParameterError(
+            f"naturality needs at least one program and one state per program, got "
+            f"{len(programs)} and {states_per_program}"
+        )
     rng = np.random.default_rng(seed)
+    states = [_random_state(rng, f1) for _ in programs for _ in range(states_per_program)]
+    repeated = [program for program in programs for _ in range(states_per_program)]
+    moved1 = f1.transform_many(states, repeated)
+    moved2 = f2.transform_many(
+        [InternalState(eta.map_state(s.vector), f2.extraction.layout) for s in states],
+        repeated,
+    )
     worst = 0.0
     witness: dict | None = None
-    samples = 0
-    for pi, program in enumerate(programs):
-        for si in range(states_per_program):
-            state = _random_state(rng, f1)
-            translated = InternalState(
-                eta.map_state(state.vector), f2.extraction.layout
-            )
-            path1 = f2.on_object(
-                InternalState(
-                    eta.map_state(f1.transform(state, program).vector),
-                    f2.extraction.layout,
-                )
-            )
-            path2 = f2.on_object(f2.transform(translated, program))
-            residual = myc_distance(path1, path2, weights)
-            samples += 1
-            if residual >= worst:
-                worst = residual
-                witness = {
-                    "program_index": pi,
-                    "state_index": si,
-                    "state": [float(x) for x in state.vector],
-                    "program": program.to_json(),
-                    "residual": residual,
-                }
+    for i, state in enumerate(states):
+        path1 = f2.on_object(
+            InternalState(eta.map_state(moved1[i].vector), f2.extraction.layout)
+        )
+        residual = myc_distance(path1, f2.on_object(moved2[i]), weights)
+        if residual >= worst:
+            worst = residual
+            pi, si = divmod(i, states_per_program)
+            witness = {
+                "program_index": pi,
+                "state_index": si,
+                "state": [float(x) for x in state.vector],
+                "program": programs[pi].to_json(),
+                "residual": residual,
+            }
     return LawReport(
         law="naturality",
-        samples=samples,
+        samples=len(states),
         max_residual=worst,
         tolerance=tol,
         seed=seed,
@@ -574,19 +603,26 @@ def check_lipschitz(
     skipping pairs at zero environment distance unless their images
     differ (which scores infinity). ``iota`` defaults to the direct
     field embedding; ``program`` optionally runs a flow between embedding
-    and extraction.
+    and extraction, for every embedded environment in one
+    ``transform_many`` call. Raises :class:`ParameterError` when there is
+    no pair.
     """
+    object_pairs = list(object_pairs)
+    if not object_pairs:
+        raise ParameterError("Lipschitz check needs at least one environment pair")
     if iota is None:
         iota = direct_embedding(
             f.extraction.layout, f.extraction.layout.feature_count - 1
         )
     program = program if program is not None else Program()
+    starts = [iota(env) for pair in object_pairs for env in pair]
+    images = f.transform_many(starts, [program] * len(starts))
     worst = 0.0
     witness: dict | None = None
     used = 0
     for idx, (e1, e2) in enumerate(object_pairs):
-        m1 = f.on_object(f.transform(iota(e1), program))
-        m2 = f.on_object(f.transform(iota(e2), program))
+        m1 = f.on_object(images[2 * idx])
+        m2 = f.on_object(images[2 * idx + 1])
         d_env = env_distance(e1, e2, d_env_weights)
         d_myc = myc_distance(m1, m2, d_myc_weights)
         if d_env == 0.0:
@@ -673,33 +709,43 @@ def check_compatibility(
     Leg one evolves the environment with ``psi`` and reads the result out
     through the species pipeline; leg two embeds with ``iota`` and evolves
     internally. The report's residual is the max network distance between
-    the legs over all (environment, program) pairs.
+    the legs over all (environment, program) pairs. The operational leg
+    runs every pair in one ``transform_many`` call; ``psi`` is called once
+    per pair. Raises :class:`ParameterError` when there is no environment
+    or no program.
     """
-    worst = 0.0
-    witness: dict | None = None
-    samples = 0
+    environments, programs = list(environments), list(programs)
+    if not environments or not programs:
+        raise ParameterError(
+            f"compatibility needs at least one environment and one program, got "
+            f"{len(environments)} and {len(programs)}"
+        )
+    starts = []
     for ei, env in enumerate(environments):
         try:
-            start = iota(env)
+            starts.append(iota(env))
         except (KeyError, InputError) as exc:
             raise InputError(f"iota undefined on sampled environment {ei}") from exc
-        for pi, program in enumerate(programs):
-            evolved_env = psi(env, program)
-            static_leg = f.on_object(iota(evolved_env))
-            operational_leg = f.on_object(f.transform(start, program))
-            residual = myc_distance(static_leg, operational_leg, weights)
-            samples += 1
-            if residual >= worst:
-                worst = residual
-                witness = {
-                    "environment_index": ei,
-                    "program_index": pi,
-                    "program": program.to_json(),
-                    "residual": residual,
-                }
+    pairs = [(ei, pi) for ei in range(len(environments)) for pi in range(len(programs))]
+    operational = f.transform_many(
+        [starts[ei] for ei, _ in pairs], [programs[pi] for _, pi in pairs]
+    )
+    worst = 0.0
+    witness: dict | None = None
+    for (ei, pi), evolved in zip(pairs, operational):
+        static_leg = f.on_object(iota(psi(environments[ei], programs[pi])))
+        residual = myc_distance(static_leg, f.on_object(evolved), weights)
+        if residual >= worst:
+            worst = residual
+            witness = {
+                "environment_index": ei,
+                "program_index": pi,
+                "program": programs[pi].to_json(),
+                "residual": residual,
+            }
     return LawReport(
         law="compatibility",
-        samples=samples,
+        samples=len(pairs),
         max_residual=worst,
         tolerance=tol,
         witness=witness,

@@ -65,11 +65,7 @@ def matrix_log(m: np.ndarray) -> np.ndarray:
         raise DomainError(
             "matrix log undefined: eigenvalue on the nonpositive real axis"
         )
-    try:
-        logs = kernels.logm(stack)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from exc
-    return kernels.scatter(logs, parts)
+    return kernels.scatter(kernels.logm(stack), parts)
 
 
 def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ JSON wire formats::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -201,16 +201,17 @@ class ReferenceDynamics:
             frozen.append(c)
         object.__setattr__(self, "drift", drift)
         object.__setattr__(self, "controls", tuple(frozen))
-        # Derived once per dynamics for flow_matrix; plain attributes, not
-        # fields, so equality, repr and the JSON form see only the matrices.
+        # Derived once per dynamics for flow_matrix and evolve_many: plain
+        # attributes, not fields, so equality, repr and the JSON form see
+        # only the matrices.
         stacked = np.stack(frozen) if frozen else np.zeros((0,) + drift.shape)
         stacked.setflags(write=False)
         object.__setattr__(self, "_stacked_controls", stacked)
-        object.__setattr__(
-            self,
-            "_blocks",
-            kernels.blocks((drift != 0) | (stacked != 0).any(axis=0)),
-        )
+        parts = kernels.blocks((drift != 0) | (stacked != 0).any(axis=0))
+        system = kernels.gather(np.concatenate((drift[None], stacked)), parts)
+        system.setflags(write=False)
+        object.__setattr__(self, "_blocks", parts)
+        object.__setattr__(self, "_system", system)
 
     @property
     def dim(self) -> int:
@@ -253,20 +254,56 @@ def flow_matrix(dyn: ReferenceDynamics, p: Program) -> np.ndarray:
     )
 
 
+def evolve_many(
+    states: Sequence[InternalState],
+    programs: Sequence[Program],
+    dyn: ReferenceDynamics,
+) -> list[InternalState]:
+    """Run ``programs[i]`` from ``states[i]`` for every i, piece-exactly.
+
+    The pieces of up to :data:`mycocat.kernels.FLOW_CHUNK` programs share
+    one matrix-exponential call (see :func:`mycocat.kernels.apply_flows`).
+    Each result depends on its own state and program only: it has the same
+    bits as :func:`evolve` of that pair.
+    """
+    if len(states) != len(programs):
+        raise ShapeError(f"{len(states)} states for {len(programs)} programs")
+    for state in states:
+        if dyn.dim != state.layout.dim:
+            raise ShapeError(
+                f"dynamics dimension {dyn.dim} does not match state dimension {state.layout.dim}"
+            )
+    for p in programs:
+        if p.pieces and p.channels != dyn.channels:
+            raise ShapeError(
+                f"program has {p.channels} control channels, dynamics has {dyn.channels}"
+            )
+    if not states:
+        return []
+    pieces = [piece for p in programs for piece in p.pieces]
+    out = kernels.apply_flows(
+        dyn._system,
+        dyn._blocks,
+        np.array([length for length, _ in pieces], dtype=np.float64),
+        np.array([control for _, control in pieces], dtype=np.float64).reshape(
+            len(pieces), dyn.channels
+        ),
+        np.array([len(p.pieces) for p in programs]),
+        np.stack([state.vector for state in states]),
+    )
+    if not np.isfinite(out).all():
+        raise NumericError("evolution produced non-finite state entries")
+    return [InternalState(vector, state.layout) for vector, state in zip(out, states)]
+
+
 def evolve(state: InternalState, p: Program, dyn: ReferenceDynamics) -> InternalState:
-    """Run a program from a state, piece-exactly.
+    """Run a program from a state, piece-exactly: :func:`evolve_many` of one
+    pair.
 
     Satisfies causality by construction: evolving the concatenation of two
     programs equals evolving them in sequence, up to float associativity.
     """
-    if dyn.dim != state.layout.dim:
-        raise ShapeError(
-            f"dynamics dimension {dyn.dim} does not match state dimension {state.layout.dim}"
-        )
-    out = flow_matrix(dyn, p) @ state.vector
-    if not np.isfinite(out).all():
-        raise NumericError("evolution produced non-finite state entries")
-    return InternalState(out, state.layout)
+    return evolve_many([state], [p], dyn)[0]
 
 
 def programs_equivalent_at(

@@ -1,6 +1,7 @@
 """End-to-end CLI runs against temp directories and JSON fixtures."""
 
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -375,6 +376,39 @@ STAR_COSPAN = json.loads((SAMPLES / "cospan_star.json").read_text(encoding="utf-
                          "expect": "fail", **SMALL_SPECIES}]}, {},
             "error: checks[0].mutant: unknown mutant 'noncausal'",
             id="laws-unknown-mutant",
+        ),
+        pytest.param(
+            ["check-laws", CONFIG],
+            {"checks": [{"law": "functor_laws", "samples": 0, **SMALL_SPECIES}]}, {},
+            "error: checks[0].samples: must be positive, got 0", id="laws-zero-samples",
+        ),
+        pytest.param(
+            ["check-laws", CONFIG],
+            {"checks": [{"law": "compatibility", "pulses": -2, **SMALL_SPECIES}]}, {},
+            "error: checks[0].pulses: must be positive, got -2", id="laws-negative-pulses",
+        ),
+        pytest.param(
+            ["worked-example", "--config", CONFIG], {"functor_samples": 0}, {},
+            "error: functor_samples: must be positive, got 0",
+            id="worked-example-zero-functor-samples",
+        ),
+        pytest.param(
+            ["check-laws", CONFIG],
+            {"checks": [{"law": "functor_laws", "samples": 3, "tol": -1, **SMALL_SPECIES}]}, {},
+            "error: checks[0].tol: must be a nonnegative number, got -1.0",
+            id="laws-negative-tol",
+        ),
+        pytest.param(
+            ["check-laws", CONFIG],
+            {"checks": [{"law": "lipschitz", "pairs": 2, "bound": "nan", **SMALL_SPECIES}]}, {},
+            "error: checks[0].bound: must be a nonnegative number, got nan",
+            id="lipschitz-nan-bound",
+        ),
+        pytest.param(
+            ["simulate", CONFIG, PROGRAM, STATE],
+            {"drift": [[math.nan, 1.0], [0.0, 0.0]], "controls": [[[0.0, 1.0], [0.0, 0.0]]]},
+            {}, f"error: {CONFIG}: dynamics matrices must be finite",
+            id="simulate-nan-drift",
         ),
     ],
 )

@@ -1,5 +1,6 @@
 """Order-asymmetry scans, log-log fits, and the two-pulse worked example."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,10 +14,14 @@ from mycocat.experiments import (
     WorkedExampleConfig,
     electrode_array,
     fit_loglog_slope,
+    initial_state,
     reference_species,
     run_order_asymmetry_scan,
     run_worked_example,
 )
+from mycocat.envmyc import myc_distance
+from mycocat.laws import SpeciesFunctor
+from mycocat.programs import InternalState, concatenate, evolve
 
 
 class TestFitLoglogSlope:
@@ -122,6 +127,44 @@ class TestOrderAsymmetryScan:
         a = run_order_asymmetry_scan(experiment())
         b = run_order_asymmetry_scan(experiment())
         assert a == b
+
+    @pytest.mark.parametrize("scaling", ["amplitude", "duration"])
+    def test_rows_match_per_eps_evolve_loop(self, scaling):
+        # the scan runs both orderings over the grid in one batch; each row
+        # has the bits of its own two evolve calls
+        exp = experiment(scaling=scaling, eps_grid=tuple(np.geomspace(0.3, 0.003, 70)))
+        assert scan_rows_oracle(exp, lambda f, s, p: evolve(s, p, f.dynamics)) == list(
+            run_order_asymmetry_scan(exp).rows
+        )
+
+    def test_overridden_transform_is_honoured(self):
+        class Doubling(SpeciesFunctor):
+            def transform(self, state, program):
+                moved = super().transform(state, program)
+                return InternalState(2.0 * moved.vector, moved.layout)
+
+        base = experiment()
+        mutant = Doubling("doubling", base.species.dynamics, base.species.extraction)
+        exp = dataclasses.replace(base, species=mutant)
+        rows = list(run_order_asymmetry_scan(exp).rows)
+        assert rows == scan_rows_oracle(exp, lambda f, s, p: f.transform(s, p))
+        # doubling both final states doubles every distance exactly
+        assert rows == [(eps, 2.0 * d) for eps, d in run_order_asymmetry_scan(base).rows]
+
+
+def scan_rows_oracle(exp, run):
+    """(eps, delta) rows of the scan from one ``run`` per ordering and eps."""
+    species = exp.species
+    channels = species.dynamics.channels
+    state = initial_state(species.extraction.layout, exp.seed)
+    rows = []
+    for eps in exp.eps_grid:
+        p = exp.pulse_p.program(eps, exp.scaling, channels)
+        q = exp.pulse_q.program(eps, exp.scaling, channels)
+        pq = species.on_object(run(species, state, concatenate(p, q)))
+        qp = species.on_object(run(species, state, concatenate(q, p)))
+        rows.append((eps, float(myc_distance(pq, qp, exp.weights))))
+    return rows
 
 
 class TestWorkedExample:

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mycocat import kernels
+from mycocat.errors import DomainError
 
 
 @pytest.fixture(scope="module")
@@ -22,15 +23,30 @@ def rel_fro(a, ref):
 
 
 def test_expm_stack_matches_per_matrix_calls():
-    # norms from below theta_3 to above theta_13, so the stack's degree and
-    # squaring count differ from most members' own
+    # norms from 1e-3 to above theta_13, so the members' squaring counts differ
     rng = np.random.default_rng(321)
     for n in (2, 5, 24):
         stack = np.stack([rng.normal(size=(n, n)) * s / n for s in (1e-3, 0.05, 0.5, 2.0, 20.0)])
         stacked = kernels.expm(stack)
         for a, got in zip(stack, stacked):
-            assert rel_fro(got, kernels.expm(a)) < 1e-13
+            assert np.array_equal(got, kernels.expm(a))
         assert kernels.expm(stack.reshape(5, 1, n, n)).shape == (5, 1, n, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    log_norms=st.lists(st.floats(-8.0, np.log10(50.0)), min_size=1, max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_expm_is_batch_invariant(n, log_norms, seed):
+    # every member equals its single-matrix call bit for bit, whatever
+    # norms share its stack
+    rng = np.random.default_rng(seed)
+    stack = rng.normal(size=(len(log_norms), n, n))
+    stack *= (10.0 ** np.array(log_norms) / np.linalg.norm(stack, axis=(1, 2)))[:, None, None]
+    for a, got in zip(stack, kernels.expm(stack)):
+        assert np.array_equal(got, kernels.expm(a))
 
 
 def test_expm_against_scipy(samples):
@@ -56,7 +72,7 @@ def test_logm_stack_matches_per_matrix_calls():
 
 def test_logm_stack_raises_when_one_member_stalls():
     stalled = np.diag([-1.0, 1.0])  # no real principal square root
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         kernels.logm(np.stack([np.eye(2), stalled]))
 
 
@@ -188,3 +204,28 @@ def test_piecewise_flow_matches_unblocked_product(sizes, pieces, channels, kind,
     assert rel_fro(flow, ref) < 1e-13
     if kind == "zero":
         assert np.array_equal(flow, np.eye(n))
+
+
+def test_apply_flows_matches_flow_matrices_and_single_programs():
+    # 130 programs of 0-3 pieces: more than two chunks, null programs included
+    rng = np.random.default_rng(14)
+    mats = block_structured(rng, [2, 1, 3], 3, "blocks")
+    drift, controls = mats[0], mats[1:]
+    parts = kernels.blocks((mats != 0).any(axis=0))
+    system = kernels.gather(mats, parts)
+    counts = rng.integers(0, 4, size=130)
+    lengths = rng.uniform(0.1, 1.0, size=counts.sum())
+    inputs = rng.uniform(-1.0, 1.0, size=(counts.sum(), 2))
+    vectors = rng.normal(size=(130, 6))
+    out = kernels.apply_flows(system, parts, lengths, inputs, counts, vectors)
+    starts = np.cumsum(counts) - counts
+    for j, (start, count) in enumerate(zip(starts, counts)):
+        own = slice(start, start + count)
+        single = kernels.apply_flows(
+            system, parts, lengths[own], inputs[own], counts[j:j + 1], vectors[j:j + 1]
+        )
+        assert np.array_equal(out[j], single[0])
+        flow = kernels.piecewise_flow(drift, controls, lengths[own], inputs[own])
+        assert np.max(np.abs(out[j] - flow @ vectors[j])) < 1e-13 * np.abs(vectors[j]).max()
+        if not count:
+            assert np.array_equal(out[j], vectors[j])

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from mycocat.envmyc import Constraints, EnvObject
-from mycocat.errors import InputError
+from mycocat.errors import InputError, ParameterError
 from mycocat.experiments import reference_species
+from mycocat.envmyc import env_distance, myc_distance
 from mycocat.laws import (
     FiniteInstance,
+    LawReport,
     NaturalTransformationData,
     SpeciesFunctor,
     check_adjunction,
@@ -28,7 +30,8 @@ from mycocat.laws import (
     scaled_environment_evolution,
     similarity_variant,
 )
-from mycocat.programs import InternalState, Program
+from mycocat.laws import _random_program, _random_state
+from mycocat.programs import InternalState, Program, concatenate, evolve
 
 
 @pytest.fixture(scope="module")
@@ -253,3 +256,227 @@ class TestCompatibility:
         report = check_compatibility(iota, psi, species, [env], pulses, tol=1e-8)
         assert not report.passed
         assert report.max_residual > 1e-4
+
+
+# ---------------------------------------------------------------------------
+# Batched checkers against per-sample loops
+# ---------------------------------------------------------------------------
+#
+# Each oracle is the per-sample loop the checker replaces: one flow per
+# (state, program) pair through ``run``, in sample order, with the checker's
+# RNG stream, witness rule and report fields. ``evolve_run`` builds it from
+# ``evolve``; ``transform_run`` from a species' own ``transform``.
+
+
+def evolve_run(f, state, program):
+    return evolve(state, program, f.dynamics)
+
+
+def transform_run(f, state, program):
+    return f.transform(state, program)
+
+
+def oracle_functor_laws(f, run, sample_count, tol, seed):
+    rng = np.random.default_rng(seed)
+    channels = f.dynamics.channels
+    worst, witness = 0.0, None
+    for i in range(sample_count):
+        state = _random_state(rng, f)
+        p = _random_program(rng, channels)
+        q = _random_program(rng, channels)
+        joint = f.on_object(run(f, state, concatenate(p, q)))
+        second = f.on_object(run(f, run(f, state, p), q))
+        residual = myc_distance(joint, second)
+        if residual >= worst:
+            worst = residual
+            witness = {
+                "kind": "composition", "sample": i,
+                "state": [float(x) for x in state.vector],
+                "p": p.to_json(), "q": q.to_json(), "residual": residual,
+            }
+        unmoved = f.on_object(run(f, state, Program()))
+        if myc_distance(f.on_object(state), unmoved) != 0.0:
+            return LawReport("functor-laws", i + 1, math.inf, tol, seed,
+                             {"kind": "identity-law", "sample": i})
+    return LawReport("functor-laws", sample_count, worst, tol, seed, witness)
+
+
+def oracle_naturality(f1, f2, eta, programs, run, tol, seed, states_per_program=5):
+    rng = np.random.default_rng(seed)
+    layout = f2.extraction.layout
+    worst, witness, samples = 0.0, None, 0
+    for pi, program in enumerate(programs):
+        for si in range(states_per_program):
+            state = _random_state(rng, f1)
+            translated = InternalState(eta.map_state(state.vector), layout)
+            moved = run(f1, state, program)
+            path1 = f2.on_object(InternalState(eta.map_state(moved.vector), layout))
+            path2 = f2.on_object(run(f2, translated, program))
+            residual = myc_distance(path1, path2)
+            samples += 1
+            if residual >= worst:
+                worst = residual
+                witness = {
+                    "program_index": pi, "state_index": si,
+                    "state": [float(x) for x in state.vector],
+                    "program": program.to_json(), "residual": residual,
+                }
+    return LawReport("naturality", samples, worst, tol, seed, witness)
+
+
+def oracle_lipschitz(f, pairs, iota, program, run, bound):
+    worst, witness, used = 0.0, None, 0
+    for idx, (e1, e2) in enumerate(pairs):
+        m1 = f.on_object(run(f, iota(e1), program))
+        m2 = f.on_object(run(f, iota(e2), program))
+        d_env = env_distance(e1, e2, (1.0, 1.0, 1.0))
+        d_myc = myc_distance(m1, m2)
+        if d_env == 0.0:
+            continue
+        used += 1
+        ratio = d_myc / d_env
+        if ratio >= worst:
+            worst = ratio
+            witness = {"pair_index": idx, "ratio": ratio, "d_env": d_env, "d_myc": d_myc}
+    return LawReport("lipschitz", used, worst, bound, None, witness)
+
+
+def oracle_compatibility(iota, psi, f, environments, programs, run, tol):
+    worst, witness, samples = 0.0, None, 0
+    for ei, env in enumerate(environments):
+        start = iota(env)
+        for pi, program in enumerate(programs):
+            static_leg = f.on_object(iota(psi(env, program)))
+            operational_leg = f.on_object(run(f, start, program))
+            residual = myc_distance(static_leg, operational_leg)
+            samples += 1
+            if residual >= worst:
+                worst = residual
+                witness = {
+                    "environment_index": ei, "program_index": pi,
+                    "program": program.to_json(), "residual": residual,
+                }
+    return LawReport("compatibility", samples, worst, tol, None, witness)
+
+
+def lipschitz_pairs(species, count, seed):
+    return [(wide_env(species, seed + 2 * k), wide_env(species, seed + 2 * k + 1))
+            for k in range(count)]
+
+
+TWO_PIECES = Program(((0.4, (0.3, -0.2)), (0.25, (0.1, 0.5))))
+
+
+class Doubling(SpeciesFunctor):
+    # Overrides transform alone: every result, the null program's included,
+    # is twice the evolved state.
+    def transform(self, state, program):
+        moved = super().transform(state, program)
+        return InternalState(2.0 * moved.vector, moved.layout)
+
+
+class TestBatchedCheckersMatchPerSampleLoops:
+    """130 samples: more than two batches of kernels.FLOW_CHUNK programs."""
+
+    def test_functor_laws(self, species):
+        report = check_functor_laws(species, sample_count=130, tol=1e-10, seed=4)
+        assert report == oracle_functor_laws(species, evolve_run, 130, 1e-10, 4)
+
+    def test_naturality(self, species):
+        other, eta = similarity_variant(species, seed=3)
+        programs = random_pulses(2, 26, seed=5)
+        report = check_naturality(species, other, eta, programs, tol=1e-9, seed=6)
+        assert report.samples == 130
+        assert report == oracle_naturality(species, other, eta, programs, evolve_run, 1e-9, 6)
+
+    def test_lipschitz(self, species):
+        pairs = lipschitz_pairs(species, 65, seed=100)
+        iota = direct_embedding(species.extraction.layout, 2)
+        report = check_lipschitz(species, pairs, bound=10.0, iota=iota, program=TWO_PIECES)
+        assert report.samples == 65
+        assert report == oracle_lipschitz(species, pairs, iota, TWO_PIECES, evolve_run, 10.0)
+
+    def test_compatibility(self, species):
+        iota = direct_embedding(species.extraction.layout, 2)
+        psi = scaled_environment_evolution(species, iota, 1.1)
+        envs = [wide_env(species, seed=2), wide_env(species, seed=3)]
+        pulses = random_pulses(2, 65, seed=12)
+        report = check_compatibility(iota, psi, species, envs, pulses, tol=1e-8)
+        assert report.samples == 130
+        assert report == oracle_compatibility(iota, psi, species, envs, pulses, evolve_run, 1e-8)
+
+    def test_matched_compatibility_is_exactly_zero(self, species):
+        # psi evolves one program at a time, the operational leg in batches;
+        # both legs give the same bits
+        iota = direct_embedding(species.extraction.layout, 2)
+        psi = matched_environment_evolution(species, iota)
+        pulses = random_pulses(2, 130, seed=13)
+        report = check_compatibility(iota, psi, species, [wide_env(species, 2)], pulses)
+        assert report.max_residual == 0.0
+
+
+class TestOverriddenTransformIsHonoured:
+    """A subclass that overrides only ``transform`` reaches every checker."""
+
+    @pytest.fixture()
+    def doubling(self, species):
+        return Doubling("doubling", species.dynamics, species.extraction)
+
+    def test_functor_laws(self, doubling):
+        report = check_functor_laws(doubling, sample_count=20, tol=1e-10, seed=42)
+        assert report == oracle_functor_laws(doubling, transform_run, 20, 1e-10, 42)
+        assert report.witness == {"kind": "identity-law", "sample": 0}
+
+    def test_naturality(self, species, doubling):
+        programs = random_pulses(2, 4, seed=3)
+        eta = identity_transformation()
+        report = check_naturality(species, doubling, eta, programs, tol=1e-9, seed=5)
+        assert report == oracle_naturality(
+            species, doubling, eta, programs, transform_run, 1e-9, 5
+        )
+        assert not report.passed
+
+    def test_lipschitz(self, species, doubling):
+        pairs = lipschitz_pairs(species, 6, seed=50)
+        iota = direct_embedding(species.extraction.layout, 2)
+        base = check_lipschitz(species, pairs, iota=iota, program=TWO_PIECES)
+        report = check_lipschitz(doubling, pairs, iota=iota, program=TWO_PIECES)
+        assert report == oracle_lipschitz(doubling, pairs, iota, TWO_PIECES, transform_run, math.inf)
+        # doubling both images doubles every distance exactly
+        assert report.max_residual == 2.0 * base.max_residual
+
+    def test_compatibility(self, species, doubling):
+        iota = direct_embedding(species.extraction.layout, 2)
+        psi = matched_environment_evolution(species, iota)
+        envs = [wide_env(species, seed=2)]
+        pulses = random_pulses(2, 8, seed=11)
+        report = check_compatibility(iota, psi, doubling, envs, pulses, tol=1e-8)
+        assert report == oracle_compatibility(iota, psi, doubling, envs, pulses, transform_run, 1e-8)
+        assert not report.passed
+
+
+class TestEmptySampleSets:
+    def test_functor_laws(self, species):
+        for count in (0, -3):
+            with pytest.raises(ParameterError):
+                check_functor_laws(species, sample_count=count)
+
+    def test_naturality(self, species):
+        eta = identity_transformation()
+        with pytest.raises(ParameterError):
+            check_naturality(species, species, eta, [])
+        with pytest.raises(ParameterError):
+            check_naturality(species, species, eta, random_pulses(2, 2, 1), states_per_program=0)
+
+    def test_lipschitz(self, species):
+        with pytest.raises(ParameterError):
+            check_lipschitz(species, [])
+
+    def test_compatibility(self, species):
+        iota = direct_embedding(species.extraction.layout, 2)
+        psi = matched_environment_evolution(species, iota)
+        env = wide_env(species, seed=2)
+        with pytest.raises(ParameterError):
+            check_compatibility(iota, psi, species, [env], [])
+        with pytest.raises(ParameterError):
+            check_compatibility(iota, psi, species, [], [Program()])
