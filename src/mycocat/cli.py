@@ -28,7 +28,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ConstraintError, MycocatError, NumericError, ShapeError
+from .errors import (
+    ConfigError, ConstraintError, MycocatError, NumericError, ParameterError, ShapeError
+)
 from .experiments import (
     AsymmetryReport,
     ExposureExperiment,
@@ -105,7 +107,7 @@ def load_input(path: str, build):
         return build(data)
     except KeyError as exc:
         raise ConfigError(f"{path}: missing key {exc}")
-    except (TypeError, ValueError, ShapeError, NumericError) as exc:
+    except (TypeError, ValueError, ShapeError, ParameterError, NumericError) as exc:
         raise ConfigError(f"{path}: {exc}")
 
 
@@ -212,21 +214,24 @@ LIMIT_KEYS = ("tol", "bound")
 
 
 def check_entry_values(check: dict, index: int) -> None:
-    """Reject a count below 1 and a negative or NaN tolerance or bound: a
-    law checked on no samples, or against no meaningful limit, would report
-    a verdict that says nothing."""
-    for key in COUNT_KEYS + LIMIT_KEYS:
+    """Reject a count below 1, a negative or NaN tolerance or bound, and a
+    negative seed: a law checked on no samples, or against no meaningful
+    limit, would report a verdict that says nothing, and numpy takes no
+    negative seed."""
+    for key in COUNT_KEYS + LIMIT_KEYS + ("seed",):
         if key not in check:
             continue
         path = f"checks[{index}].{key}"
         try:
-            value = int(check[key]) if key in COUNT_KEYS else float(check[key])
+            value = float(check[key]) if key in LIMIT_KEYS else int(check[key])
         except (TypeError, ValueError):
             raise ConfigError(f"{path}: not a number: {check[key]!r}")
         if key in COUNT_KEYS and value < 1:
             raise ConfigError(f"{path}: must be positive, got {value}")
         if key in LIMIT_KEYS and not value >= 0:
             raise ConfigError(f"{path}: must be a nonnegative number, got {value}")
+        if key == "seed" and value < 0:
+            raise ConfigError(f"{path}: must be nonnegative, got {value}")
 
 
 def run_suite_check(check: dict, default_tol: float | None, seed: int | None):
@@ -438,11 +443,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         env_seed = os.environ.get("MYCOCAT_SEED")
+        seed_source = "--seed"
         if args.seed is None and env_seed:
+            seed_source = "MYCOCAT_SEED"
             try:
                 args.seed = int(env_seed)
             except ValueError:
                 raise ConfigError(f"MYCOCAT_SEED: not an integer: {env_seed!r}")
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"{seed_source}: must be nonnegative, got {args.seed}")
         if args.tol is not None and not args.tol >= 0:
             raise ConfigError(f"--tol: must be a nonnegative number, got {args.tol}")
         return args.func(args)

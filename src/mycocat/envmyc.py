@@ -29,6 +29,7 @@ from .errors import (
     NumericError,
     ParameterError,
     PreconditionError,
+    ShapeError,
 )
 from .graphs import (
     AttributedGraph,
@@ -61,9 +62,9 @@ class Constraints:
         object.__setattr__(self, "phi_bounds", tuple(tuple(b) for b in self.phi_bounds))
         for lo, hi in (self.humidity, self.temperature, *self.phi_bounds):
             if lo > hi:
-                raise ValueError(f"empty interval [{lo}, {hi}]")
+                raise ParameterError(f"empty interval [{lo}, {hi}]")
         if self.budget < 0:
-            raise ValueError("budget must be nonnegative")
+            raise ParameterError("budget must be nonnegative")
 
     @property
     def channels(self) -> int:
@@ -116,11 +117,11 @@ class EnvObject:
         )
         nodes = self.graph.node_set
         if set(self.rho) != nodes or set(self.phi) != nodes:
-            raise ValueError("rho and phi must be defined on exactly the graph nodes")
+            raise ShapeError("rho and phi must be defined on exactly the graph nodes")
         k = self.chi.channels
         for v, vec in self.phi.items():
             if len(vec) != k:
-                raise ValueError(f"phi at {v!r} has {len(vec)} channels, expected {k}")
+                raise ShapeError(f"phi at {v!r} has {len(vec)} channels, expected {k}")
         violation = check_admissibility(self.rho, self.phi, self.chi)
         if violation:
             raise ConstraintError(violation)
@@ -351,8 +352,8 @@ def env_distance(
     their full field norms. Constraint records are not compared.
     """
     w_rho, w_phi, w_struct = weights
-    if min(weights) < 0:
-        raise ParameterError("weights must be nonnegative")
+    if not all(w >= 0 for w in weights):
+        raise ParameterError(f"weights must be nonnegative numbers, got {tuple(weights)}")
     d_rho = _ordered_l1(
         {v: (x,) for v, x in e1.rho.items()}, {v: (x,) for v, x in e2.rho.items()}
     )
@@ -382,17 +383,17 @@ class MycObject:
             self, "omega", {v: tuple(float(x) for x in vec) for v, vec in self.omega.items()}
         )
         if not self.graph.is_connected():
-            raise ValueError("mycelial network must be connected")
+            raise ShapeError("mycelial network must be connected")
         if set(self.sigma) != set(self.graph.edge_ids):
-            raise ValueError("sigma must be defined on exactly the graph edges")
+            raise ShapeError("sigma must be defined on exactly the graph edges")
         if set(self.omega) != self.graph.node_set:
-            raise ValueError("omega must be defined on exactly the graph nodes")
+            raise ShapeError("omega must be defined on exactly the graph nodes")
         for e, x in self.sigma.items():
             if x < 0:
-                raise ValueError(f"sigma at edge {e!r} is negative")
+                raise ParameterError(f"sigma at edge {e!r} is negative")
         lengths = {len(v) for v in self.omega.values()}
         if len(lengths) > 1:
-            raise ValueError("omega feature vectors must share one length")
+            raise ShapeError("omega feature vectors must share one length")
 
     @property
     def feature_count(self) -> int:
@@ -428,8 +429,9 @@ class DistanceWeights:
     structure: float = 1.0
 
     def __post_init__(self):
-        if min(self.omega, self.sigma, self.structure) < 0:
-            raise ParameterError("distance weights must be nonnegative")
+        weights = (self.omega, self.sigma, self.structure)
+        if not all(w >= 0 for w in weights):
+            raise ParameterError(f"distance weights must be nonnegative numbers, got {weights}")
 
 
 def myc_distance(
@@ -496,9 +498,9 @@ class MycMorphism:
 
     def __post_init__(self):
         if self.graph_map.source != self.source.graph:
-            raise ValueError("graph map must start at the source network")
+            raise ShapeError("graph map must start at the source network")
         if self.graph_map.target != self.target.graph:
-            raise ValueError("graph map must end at the target network")
+            raise ShapeError("graph map must end at the target network")
         if self.kind not in ("embed", "assign", "transport"):
             raise ParameterError(f"unknown morphism kind {self.kind!r}")
         if self.kind == "transport":
@@ -506,7 +508,7 @@ class MycMorphism:
                 self.source, self.graph_map, self.sigma_rule, self.omega_rule
             )
             if recomputed.sigma != self.target.sigma or recomputed.omega != self.target.omega:
-                raise ValueError("target fields do not match the transported source")
+                raise ShapeError("target fields do not match the transported source")
 
     def is_identity(self, tol: float = 0.0) -> bool:
         if self.source.graph != self.target.graph:

@@ -32,7 +32,7 @@ from .envmyc import (
     identity_rule,
     myc_distance,
 )
-from .errors import ConfigError, InsufficientDataError, ShapeError
+from .errors import ConfigError, InsufficientDataError, ParameterError, ShapeError
 from .graphs import AttributedGraph, identity_morphism
 from .laws import (
     LawReport,
@@ -194,15 +194,36 @@ def _check_pulse_channels(config, channels: int) -> None:
             raise ConfigError(f"{name}.channel: {channel} is outside [0, {channels})")
 
 
+def _require_positive(values: Mapping, names: Sequence[str], where: str = "") -> None:
+    """Reject a size or count below 1; ``where`` prefixes the key in errors."""
+    for name in names:
+        if values[name] < 1:
+            raise ConfigError(f"{where}{name}: must be positive, got {values[name]}")
+
+
+def _distance_weights(raw) -> DistanceWeights:
+    """Distance weights from a list of exactly three nonnegative numbers,
+    (omega, sigma, structure)."""
+    values = tuple(raw)
+    if len(values) != 3:
+        raise ConfigError(
+            f"weights: need 3 numbers (omega, sigma, structure), got {len(values)}"
+        )
+    try:
+        return DistanceWeights(*values)
+    except ParameterError as exc:
+        raise ConfigError(f"weights: {exc}") from exc
+
+
 def _config_kwargs(data: Mapping, defaults: Mapping, where: str = "") -> dict:
     """Keyword arguments read from a JSON config object.
 
     Every key must name an entry of ``defaults``; an unknown key raises
     :class:`ConfigError` with its field path. Each value is coerced to the
     type of its default: pulses through :meth:`PulseTemplate.from_json`,
-    distance weights from a positional list, tuples element-wise, anything
-    else by calling the type. Absent keys are left out, so the callee's
-    own defaults apply.
+    distance weights through :func:`_distance_weights`, tuples
+    element-wise, anything else by calling the type. Absent keys are left
+    out, so the callee's own defaults apply.
     """
     kwargs = {}
     for key, raw in data.items():
@@ -214,7 +235,7 @@ def _config_kwargs(data: Mapping, defaults: Mapping, where: str = "") -> dict:
             if isinstance(default, PulseTemplate):
                 kwargs[key] = PulseTemplate.from_json(raw, path)
             elif isinstance(default, DistanceWeights):
-                kwargs[key] = DistanceWeights(*raw)
+                kwargs[key] = _distance_weights(raw)
             elif isinstance(default, tuple):
                 kwargs[key] = tuple(type(default[0])(x) for x in raw)
             else:
@@ -239,7 +260,7 @@ def species_from_config(data: Mapping) -> SpeciesFunctor:
             )
         except KeyError as exc:
             raise ConfigError(f"species: missing key {exc}") from exc
-        except (TypeError, ValueError, ShapeError) as exc:
+        except (TypeError, ValueError, ShapeError, ParameterError) as exc:
             raise ConfigError(f"species: {exc}") from exc
         if layout.dim != dyn.dim:
             raise ConfigError(
@@ -250,7 +271,9 @@ def species_from_config(data: Mapping) -> SpeciesFunctor:
             dyn,
             Extraction(layout, data.get("sigma", 1.0)),
         )
-    return reference_species(**_config_kwargs(data, _SPECIES_DEFAULTS, "species."))
+    kwargs = _config_kwargs(data, _SPECIES_DEFAULTS, "species.")
+    _require_positive({**_SPECIES_DEFAULTS, **kwargs}, ("n_sites", "features"), "species.")
+    return reference_species(**kwargs)
 
 
 def random_pulses(species: SpeciesFunctor, count: int, seed: int) -> list[Program]:
@@ -356,6 +379,8 @@ class ExposureExperiment:
             raise ConfigError("eps_grid: entries must be positive")
         if self.scaling not in ("amplitude", "duration"):
             raise ConfigError(f"scaling: unknown mode {self.scaling!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be nonnegative, got {self.seed}")
         _check_pulse_channels(self, self.species.dynamics.channels)
 
     @classmethod
@@ -505,10 +530,12 @@ class WorkedExampleConfig:
 
     def __post_init__(self):
         _check_pulse_channels(self, self.channels)
-        for name in ("functor_samples", "compat_pulses"):
-            value = getattr(self, name)
-            if value < 1:
-                raise ConfigError(f"{name}: must be positive, got {value}")
+        _require_positive(
+            vars(self), ("n_sites", "features", "functor_samples", "compat_pulses")
+        )
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be nonnegative, got {self.seed}")
+        _distance_weights(self.weights)
         for name in ("functor_tol", "compat_tol"):
             value = getattr(self, name)
             if not value >= 0:
@@ -617,6 +644,7 @@ def run_worked_example(
         coupling=config.coupling,
     )
 
+    weights = DistanceWeights(*config.weights)
     env, f_a, f_b = _demo_environment(config)
     env_a = apply_env_morphism(env, f_a)
     env_b = apply_env_morphism(env, f_b)
@@ -631,7 +659,7 @@ def run_worked_example(
                 pulse_q=config.pulse_q,
                 eps_grid=config.eps_grid,
                 scaling=mode,
-                weights=DistanceWeights(*config.weights),
+                weights=weights,
                 seed=config.seed,
             )
         )
@@ -654,7 +682,7 @@ def run_worked_example(
         [compat_env],
         pulses,
         tol=config.compat_tol,
-        weights=DistanceWeights(*config.weights),
+        weights=weights,
     )
 
     return WorkedExampleResult(

@@ -28,7 +28,6 @@ from typing import Any, Iterator, Mapping
 from .errors import CompositionError, PreconditionError, ResourceError, ShapeError
 
 NodeId = Any
-EdgeId = Any
 
 
 def _id_key(x: Any) -> tuple[str, str]:
@@ -82,12 +81,6 @@ class AttributedGraph:
         if self.directed:
             return self.edges
         return tuple((eid, tuple(sorted(pair, key=_id_key))) for eid, pair in self.edges)
-
-    def endpoints(self, eid: EdgeId) -> tuple:
-        for e, pair in self.edges:
-            if e == eid:
-                return pair
-        raise KeyError(eid)
 
     @cached_property
     def adjacency(self) -> dict:
@@ -253,27 +246,19 @@ def is_monomorphism(f: GraphMorphism) -> bool:
 # ---------------------------------------------------------------------------
 
 
-class _UnionFind:
-    """Minimal union-find over hashable keys with path compression."""
-
-    def __init__(self):
-        self.parent: dict = {}
-
-    def add(self, k):
-        self.parent.setdefault(k, k)
-
-    def find(self, k):
-        root = k
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[k] != root:
-            self.parent[k], k = root, self.parent[k]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
+def _glue(b_ids, c_ids, left: Mapping, right: Mapping) -> tuple[dict, dict]:
+    """Class numbers of B's and C's ids in the pushout, each dict in its
+    graph's declaration order: B's ids take 0, 1, ... in :func:`_id_key`
+    order, C's ids outside ``right``'s image the next numbers in the same
+    order, and ``right[a]`` the number of its partner ``left[a]``."""
+    number = {x: i for i, x in enumerate(sorted(b_ids, key=_id_key))}
+    partner = {right[a]: left[a] for a in left}
+    fresh = sorted((x for x in c_ids if x not in partner), key=_id_key)
+    number_c = {x: i for i, x in enumerate(fresh, len(number))}
+    return (
+        {x: number[x] for x in b_ids},
+        {x: number[partner[x]] if x in partner else number_c[x] for x in c_ids},
+    )
 
 
 def pushout_along_monos(
@@ -284,9 +269,12 @@ def pushout_along_monos(
     Computes the quotient of the tagged disjoint union of ``c.left.target``
     and ``c.right.target`` that identifies the two images of the apex, and
     returns the quotient graph together with the injections of B and C.
-    Output ids are deterministic: equivalence classes are renumbered
-    0, 1, ... following the sorted order of their tagged members, so
-    repeated runs produce identical graphs.
+    Both legs are injective, so a class holds at most one member of B and
+    one of C. Classes are numbered 0, 1, ... by their least tagged member
+    ``(tag, _id_key(id))`` with ``"b" < "c"``: B's nodes first in sorted
+    order, then C's nodes outside the apex image in sorted order, and the
+    same for edges. A glued edge keeps B's endpoints. Repeated runs produce
+    identical graphs.
 
     Raises :class:`PreconditionError` if either leg is not a monomorphism.
     """
@@ -294,64 +282,22 @@ def pushout_along_monos(
         raise PreconditionError("pushout requires both cospan legs to be mono")
 
     b, cg = c.left.target, c.right.target
+    nodes_b, nodes_c = _glue(b.nodes, cg.nodes, c.left.node_map, c.right.node_map)
+    edges_b, edges_c = _glue(b.edge_ids, cg.edge_ids, c.left.edge_map, c.right.edge_map)
+    pairs = {edges_b[e]: (nodes_b[u], nodes_b[v]) for e, (u, v) in b.edges}
+    for e, (u, v) in cg.edges:
+        pairs.setdefault(edges_c[e], (nodes_c[u], nodes_c[v]))
 
-    nodes_uf = _UnionFind()
-    for v in b.nodes:
-        nodes_uf.add(("b", v))
-    for v in cg.nodes:
-        nodes_uf.add(("c", v))
-    for a in c.apex.nodes:
-        nodes_uf.union(("b", c.left.node_map[a]), ("c", c.right.node_map[a]))
-
-    edges_uf = _UnionFind()
-    for e in b.edge_ids:
-        edges_uf.add(("b", e))
-    for e in cg.edge_ids:
-        edges_uf.add(("c", e))
-    for ae in c.apex.edge_ids:
-        edges_uf.union(("b", c.left.edge_map[ae]), ("c", c.right.edge_map[ae]))
-
-    def classes(uf: _UnionFind) -> dict:
-        """root -> new integer id, numbered by sorted least member."""
-        members: dict[Any, list] = {}
-        for k in uf.parent:
-            members.setdefault(uf.find(k), []).append(k)
-        def class_key(ms):
-            return min((tag, _id_key(i)) for tag, i in ms)
-        ordered = sorted(members.values(), key=class_key)
-        out = {}
-        for new_id, ms in enumerate(ordered):
-            for m in ms:
-                out[m] = new_id
-        return out
-
-    node_cls = classes(nodes_uf)
-    edge_cls = classes(edges_uf)
-
-    new_nodes = tuple(sorted(set(node_cls.values())))
-    pair_by_class: dict[int, tuple] = {}
-    for tag, graph in (("b", b), ("c", cg)):
-        for eid, (u, v) in graph.edges:
-            pair_by_class.setdefault(
-                edge_cls[(tag, eid)],
-                (node_cls[(tag, u)], node_cls[(tag, v)]),
-            )
-    new_edges = tuple((k, pair_by_class[k]) for k in sorted(pair_by_class))
-
-    result = AttributedGraph(new_nodes, new_edges, directed=b.directed)
-    inj_b = GraphMorphism(
-        b,
-        result,
-        {v: node_cls[("b", v)] for v in b.nodes},
-        {e: edge_cls[("b", e)] for e in b.edge_ids},
+    result = AttributedGraph(
+        tuple(range(len(nodes_b) + len(cg.nodes) - len(c.apex.nodes))),
+        tuple((k, pairs[k]) for k in range(len(pairs))),
+        directed=b.directed,
     )
-    inj_c = GraphMorphism(
-        cg,
+    return (
         result,
-        {v: node_cls[("c", v)] for v in cg.nodes},
-        {e: edge_cls[("c", e)] for e in cg.edge_ids},
+        GraphMorphism(b, result, nodes_b, edges_b),
+        GraphMorphism(cg, result, nodes_c, edges_c),
     )
-    return result, inj_b, inj_c
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import kernels
 from .envmyc import MycObject
-from .errors import NumericError, ShapeError
+from .errors import NumericError, ParameterError, ShapeError
 from .graphs import AttributedGraph
 
 
@@ -48,10 +48,10 @@ class Program:
         object.__setattr__(self, "pieces", pieces)
         widths = {len(control) for _, control in pieces}
         if len(widths) > 1:
-            raise ValueError("all pieces must share one control width")
+            raise ShapeError("all pieces must share one control width")
         for length, _ in pieces:
             if not length > 0:
-                raise ValueError("piece lengths must be strictly positive")
+                raise ParameterError("piece lengths must be strictly positive")
 
     @property
     def duration(self) -> float:
@@ -64,9 +64,9 @@ class Program:
     def control_at(self, tau: float) -> tuple[float, ...]:
         """Control in effect at time tau; boundaries belong to the earlier piece."""
         if not self.pieces:
-            raise ValueError("the null program has no controls")
+            raise ParameterError("the null program has no controls")
         if tau < 0 or tau > self.duration + 1e-12:
-            raise ValueError(f"time {tau} outside [0, {self.duration}]")
+            raise ParameterError(f"time {tau} outside [0, {self.duration}]")
         upto = 0.0
         for length, control in self.pieces:
             upto += length
@@ -115,7 +115,7 @@ class StateLayout:
 
     def __post_init__(self):
         if self.feature_count < 1:
-            raise ValueError("feature_count must be positive")
+            raise ParameterError("feature_count must be positive")
 
     @property
     def dim(self) -> int:
@@ -315,7 +315,7 @@ def programs_equivalent_at(
 ) -> bool:
     """Sup-norm comparison of the two evolved states at one start state."""
     if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
+        raise ParameterError("tolerance must be nonnegative")
     sp = evolve(state, p, dyn)
     sq = evolve(state, q, dyn)
     return float(np.max(np.abs(sp.vector - sq.vector))) <= tol

@@ -410,6 +410,68 @@ STAR_COSPAN = json.loads((SAMPLES / "cospan_star.json").read_text(encoding="utf-
             {}, f"error: {CONFIG}: dynamics matrices must be finite",
             id="simulate-nan-drift",
         ),
+        pytest.param(
+            ["order-scan", CONFIG], {**SMALL_SPECIES, "weights": [1, 1]}, {},
+            "error: weights: need 3 numbers (omega, sigma, structure), got 2",
+            id="scan-two-weights",
+        ),
+        pytest.param(
+            ["worked-example", "--config", CONFIG], {"weights": [1, 1, 1, 1]}, {},
+            "error: weights: need 3 numbers (omega, sigma, structure), got 4",
+            id="worked-example-four-weights",
+        ),
+        pytest.param(
+            ["order-scan", CONFIG], {**SMALL_SPECIES, "weights": [math.nan, 1, 1]}, {},
+            "error: weights: distance weights must be nonnegative numbers, got (nan, 1, 1)",
+            id="scan-nan-weight",
+        ),
+        pytest.param(
+            ["worked-example", "--config", CONFIG], {"weights": [math.nan, 1, 1]}, {},
+            "error: weights: distance weights must be nonnegative numbers, got (nan, 1.0, 1.0)",
+            id="worked-example-nan-weight",
+        ),
+        pytest.param(
+            ["order-scan", CONFIG], {"species": {"n_sites": 0}}, {},
+            "error: species.n_sites: must be positive, got 0", id="scan-zero-sites",
+        ),
+        pytest.param(
+            ["check-laws", CONFIG],
+            {"checks": [{"law": "functor_laws", "samples": 3, "species": {"n_sites": 0}}]}, {},
+            "error: species.n_sites: must be positive, got 0", id="laws-zero-sites",
+        ),
+        pytest.param(
+            ["worked-example", "--config", CONFIG], {"n_sites": 0}, {},
+            "error: n_sites: must be positive, got 0", id="worked-example-zero-sites",
+        ),
+        pytest.param(
+            ["order-scan", CONFIG], {"species": {"n_sites": 2, "features": 0}}, {},
+            "error: species.features: must be positive, got 0", id="scan-zero-features",
+        ),
+        pytest.param(
+            ["worked-example", "--config", CONFIG], {"features": 0}, {},
+            "error: features: must be positive, got 0", id="worked-example-zero-features",
+        ),
+        pytest.param(
+            ["worked-example", "--seed", "-1"], None, {},
+            "error: --seed: must be nonnegative, got -1", id="worked-example-negative-seed",
+        ),
+        pytest.param(
+            ["order-scan", CONFIG], SMALL_SPECIES, {"MYCOCAT_SEED": "-2"},
+            "error: MYCOCAT_SEED: must be nonnegative, got -2", id="seed-env-negative",
+        ),
+        pytest.param(
+            ["order-scan", CONFIG], {**SMALL_SPECIES, "seed": -1}, {},
+            "error: seed: must be nonnegative, got -1", id="scan-negative-seed",
+        ),
+        pytest.param(
+            ["check-laws", CONFIG],
+            {"checks": [{"law": "functor_laws", "samples": 3, "seed": -1, **SMALL_SPECIES}]}, {},
+            "error: checks[0].seed: must be nonnegative, got -1", id="laws-negative-seed",
+        ),
+        pytest.param(
+            ["order-scan", CONFIG], {"species": {"n_sites": 2, "sigma": -1}}, {},
+            "error: sigma at edge 'link0' is negative", id="scan-negative-sigma",
+        ),
     ],
 )
 def test_input_contract(tmp_path, monkeypatch, capsys, argv, config, env, message):

@@ -31,6 +31,7 @@ from mycocat.errors import (
     ConstraintError,
     ParameterError,
     PreconditionError,
+    ShapeError,
 )
 from mycocat.graphs import (
     AttributedGraph,
@@ -62,7 +63,7 @@ def square_env(k=2, phi_hi=1.0, budget=10.0):
 class TestEnvObjects:
     def test_fields_must_cover_nodes(self):
         g = AttributedGraph(("a", "b"), (("e", ("a", "b")),))
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeError):
             EnvObject(g, {"a": 1.0}, {"a": (0.0,), "b": (0.0,)}, Constraints())
 
     def test_budget_enforced_at_construction(self):
@@ -283,6 +284,13 @@ class TestMycDistance:
         m = single_node_myc((1.0,))
         with pytest.raises(ParameterError):
             myc_distance(m, m, DistanceWeights(-1.0, 1.0, 1.0))
+
+    def test_nan_weight_rejected(self):
+        with pytest.raises(ParameterError):
+            DistanceWeights(1.0, float("nan"), 1.0)
+        e = square_env()
+        with pytest.raises(ParameterError):
+            env_distance(e, e, (1.0, 1.0, float("nan")))
 
     def test_symmetry_random(self, nprng):
         for _ in range(50):

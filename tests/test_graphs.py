@@ -303,13 +303,23 @@ class TestPushout:
 
     def test_matches_union_find_oracle(self):
         # Independent oracle: quotient the tagged disjoint union with a
-        # from-scratch union-find, then compare up to isomorphism.
+        # from-scratch union-find and number the classes by the documented
+        # rule; the object and both injections must match exactly, in
+        # declaration order as well.
         rng = random.Random(1234)
-        for _ in range(20):
-            cospan = make_random_mono_cospan(rng, max_nodes=4)
-            obj, inj_b, inj_c = pushout_along_monos(cospan)
+        cospans = [_mixed_mono_cospan(rng) for _ in range(400)]
+        cospans += [make_random_mono_cospan(rng) for _ in range(100)]
+        for cospan in cospans:
+            got = pushout_along_monos(cospan)
             oracle = _union_find_pushout(cospan)
-            assert are_isomorphic(obj, oracle)
+            assert got == oracle
+            assert [m.to_json() for m in got] == [m.to_json() for m in oracle]
+        b_graphs = [c.left.target for c in cospans]
+        assert sum(g.directed for g in b_graphs) >= 50
+        assert any(u == v for g in b_graphs for _, (u, v) in g.edges)
+        assert any(isinstance(v, int) for g in b_graphs for v in g.nodes)
+        assert any(not c.apex.nodes for c in cospans)
+        assert sum(bool(c.apex.edges) for c in cospans) >= 50
 
     def test_symmetry_up_to_isomorphism(self):
         rng = random.Random(555)
@@ -328,60 +338,110 @@ class TestPushout:
         assert pushout_along_monos(c1)[0] == pushout_along_monos(c2)[0]
 
 
+def _mixed_mono_cospan(rng):
+    """Random mono cospan over mixed int and str ids, with self-loops and
+    parallel edges, directed about 30% of the time and with an apex that
+    may be empty. B and C draw their ids independently, so they often share
+    some."""
+    directed = rng.random() < 0.3
+
+    def fresh(n):
+        taken = []
+        while len(taken) < n:
+            x = rng.randrange(20)
+            if rng.random() < 0.5:
+                x = f"{rng.choice('abxy')}{x}"
+            if x not in taken:
+                taken.append(x)
+        return taken
+
+    b_nodes = fresh(rng.randint(0, 4))
+    b_edges = [
+        (e, (rng.choice(b_nodes), rng.choice(b_nodes)))
+        for e in fresh(rng.randint(0, 5) if b_nodes else 0)
+    ]
+    picked = rng.sample(b_nodes, rng.randint(0, len(b_nodes)))
+    inside = [(e, (u, v)) for e, (u, v) in b_edges if u in picked and v in picked]
+    glued = rng.sample(inside, rng.randint(0, len(inside)))
+    apex_of = dict(zip(picked, fresh(len(picked))))
+    apex_edge_of = dict(zip([e for e, _ in glued], fresh(len(glued))))
+    apex = AttributedGraph(
+        tuple(apex_of.values()),
+        tuple((apex_edge_of[e], (apex_of[u], apex_of[v])) for e, (u, v) in glued),
+        directed,
+    )
+    # C holds a relabelled copy of the apex plus extras, in shuffled order;
+    # an undirected copied edge may list its endpoints the other way round
+    c_nodes = fresh(len(picked) + rng.randint(0, 3))
+    c_of = dict(zip(apex.nodes, c_nodes))
+    c_eids = fresh(len(glued) + (rng.randint(0, 3) if c_nodes else 0))
+    c_edges = [
+        (ce, (c_of[v], c_of[u]) if not directed and rng.random() < 0.5 else (c_of[u], c_of[v]))
+        for ce, (_, (u, v)) in zip(c_eids, apex.edges)
+    ]
+    c_edges += [
+        (ce, (rng.choice(c_nodes), rng.choice(c_nodes))) for ce in c_eids[len(glued):]
+    ]
+    rng.shuffle(c_nodes)
+    rng.shuffle(c_edges)
+    b = AttributedGraph(tuple(b_nodes), tuple(b_edges), directed)
+    c = AttributedGraph(tuple(c_nodes), tuple(c_edges), directed)
+    return Cospan(
+        apex,
+        GraphMorphism(
+            apex, b, {a: v for v, a in apex_of.items()}, {a: e for e, a in apex_edge_of.items()}
+        ),
+        GraphMorphism(apex, c, c_of, dict(zip(apex.edge_ids, c_eids))),
+    )
+
+
 def _union_find_pushout(cospan):
-    """Plain union-find quotient of the disjoint union; test-side oracle."""
-    parent = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
+    """Test-side oracle: a plain union-find quotient of the tagged disjoint
+    union. Classes are numbered by their least tagged member, compared as
+    (tag, type name, repr) with "b" < "c"; an edge takes the endpoints of
+    the first member met, B before C, each graph in declaration order."""
     b, c = cospan.left.target, cospan.right.target
-    for v in b.nodes:
-        parent[("b", v)] = ("b", v)
-    for v in c.nodes:
-        parent[("c", v)] = ("c", v)
-    eparent = {}
-    for e in b.edge_ids:
-        eparent[("b", e)] = ("b", e)
-    for e in c.edge_ids:
-        eparent[("c", e)] = ("c", e)
 
-    def efind(x):
-        while eparent[x] != x:
-            eparent[x] = eparent[eparent[x]]
-            x = eparent[x]
-        return x
+    def classes(b_ids, c_ids, left, right):
+        parent = {m: m for m in [("b", x) for x in b_ids] + [("c", x) for x in c_ids]}
 
-    for a in cospan.apex.nodes:
-        union(("b", cospan.left.node_map[a]), ("c", cospan.right.node_map[a]))
-    for ae in cospan.apex.edge_ids:
-        x = efind(("b", cospan.left.edge_map[ae]))
-        y = efind(("c", cospan.right.edge_map[ae]))
-        if x != y:
-            eparent[y] = x
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
 
-    node_reps = sorted({find(k) for k in parent}, key=repr)
-    node_id = {rep: i for i, rep in enumerate(node_reps)}
-    edges = []
+        for a in left:
+            rx, ry = find(("b", left[a])), find(("c", right[a]))
+            if rx != ry:
+                parent[ry] = rx
+        members = {}
+        for m in parent:
+            members.setdefault(find(m), []).append(m)
+
+        def least(ms):
+            return min((tag, type(x).__name__, repr(x)) for tag, x in ms)
+
+        ordered = sorted(members.values(), key=least)
+        return {m: i for i, ms in enumerate(ordered) for m in ms}, len(ordered)
+
+    node_id, n_nodes = classes(b.nodes, c.nodes, cospan.left.node_map, cospan.right.node_map)
+    edge_id, _ = classes(b.edge_ids, c.edge_ids, cospan.left.edge_map, cospan.right.edge_map)
+    pairs = {}
     for tag, graph in (("b", b), ("c", c)):
         for eid, (u, v) in graph.edges:
-            rep = efind((tag, eid))
-            if rep == (tag, eid):
-                edges.append(
-                    (
-                        repr(rep),
-                        (node_id[find((tag, u))], node_id[find((tag, v))]),
-                    )
-                )
-    return AttributedGraph(tuple(range(len(node_reps))), tuple(edges))
+            pairs.setdefault(edge_id[tag, eid], (node_id[tag, u], node_id[tag, v]))
+    obj = AttributedGraph(tuple(range(n_nodes)), tuple(sorted(pairs.items())), b.directed)
+
+    def injection(tag, graph):
+        return GraphMorphism(
+            graph,
+            obj,
+            {v: node_id[tag, v] for v in graph.nodes},
+            {e: edge_id[tag, e] for e in graph.edge_ids},
+        )
+
+    return obj, injection("b", b), injection("c", c)
 
 
 def extended(candidate, nodes=(), edges=()):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mycocat.envmyc import myc_distance
-from mycocat.errors import ShapeError
+from mycocat.errors import ParameterError, ShapeError
 from mycocat.graphs import AttributedGraph
 from mycocat.laws import SpeciesFunctor
 from mycocat.programs import (
@@ -85,7 +85,7 @@ class TestProgram:
         assert concatenate(concatenate(p, q), r) == concatenate(p, concatenate(q, r))
 
     def test_nonpositive_length_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError):
             Program(((0.0, (1.0,)),))
 
     def test_json_roundtrip(self):
