@@ -35,10 +35,13 @@ from .experiments import (
     AsymmetryReport,
     ExposureExperiment,
     WorkedExampleConfig,
+    _config_kwargs,
+    _require_nonnegative,
+    _require_positive,
     random_pulses,
+    reference_species,
     run_order_asymmetry_scan,
     run_worked_example,
-    species_from_config,
     wide_environment,
 )
 from .graphs import AttributedGraph, Cospan, GraphMorphism, pushout_along_monos
@@ -89,14 +92,18 @@ def write_rows_csv(path: Path, rows) -> None:
     write_atomic(path, buffer.getvalue())
 
 
-def load_json(path: str):
+def load_json(path: str) -> dict:
+    """The JSON object in ``path``; every input file holds one."""
     try:
         with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
+            data = json.load(handle)
     except FileNotFoundError:
         raise ConfigError(f"{path}: file not found")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})")
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: must be a JSON object, got {type(data).__name__}")
+    return data
 
 
 def load_input(path: str, build):
@@ -196,95 +203,87 @@ def cmd_worked_example(args) -> int:
     return 1 if failures else 0
 
 
-# Keys each suite law reads; any other key in an entry is rejected.
-SUITE_KEYS = {
-    "adjunction": {"law", "expect"},
-    "functor_laws": {"law", "expect", "species", "seed", "tol", "samples", "mutant"},
+# Every key a suite entry may carry, per law, with the value it takes when
+# absent; each value read is coerced to its default's type. A law's `tol`
+# falls back to --tol before its default here.
+_COMMON = {"law": "", "expect": "pass"}
+_SPECIES = {"species": reference_species(), "seed": 0}
+SUITE_DEFAULTS = {
+    "adjunction": _COMMON,
+    "functor_laws": {**_COMMON, **_SPECIES, "tol": 1e-10, "samples": 100, "mutant": ""},
     "naturality": {
-        "law", "expect", "species", "seed", "tol", "variant", "programs", "magnitude"
+        **_COMMON, **_SPECIES, "tol": 1e-9, "variant": "similarity", "programs": 10,
+        "magnitude": 0.1,
     },
-    "lipschitz": {"law", "expect", "species", "seed", "pairs", "bound", "program"},
+    "lipschitz": {**_COMMON, **_SPECIES, "pairs": 10, "bound": 10.0, "program": Program()},
     "compatibility": {
-        "law", "expect", "species", "seed", "tol", "pulses", "psi_amplitude_scale"
+        **_COMMON, **_SPECIES, "tol": 1e-8, "pulses": 50, "psi_amplitude_scale": 1.0
     },
 }
-# Entry keys that count samples, and keys that hold a tolerance or a bound.
-COUNT_KEYS = ("samples", "programs", "pairs", "pulses")
-LIMIT_KEYS = ("tol", "bound")
 
 
-def check_entry_values(check: dict, index: int) -> None:
-    """Reject a count below 1, a negative or NaN tolerance or bound, and a
-    negative seed: a law checked on no samples, or against no meaningful
-    limit, would report a verdict that says nothing, and numpy takes no
-    negative seed."""
-    for key in COUNT_KEYS + LIMIT_KEYS + ("seed",):
-        if key not in check:
-            continue
-        path = f"checks[{index}].{key}"
-        try:
-            value = float(check[key]) if key in LIMIT_KEYS else int(check[key])
-        except (TypeError, ValueError):
-            raise ConfigError(f"{path}: not a number: {check[key]!r}")
-        if key in COUNT_KEYS and value < 1:
-            raise ConfigError(f"{path}: must be positive, got {value}")
-        if key in LIMIT_KEYS and not value >= 0:
-            raise ConfigError(f"{path}: must be a nonnegative number, got {value}")
-        if key == "seed" and value < 0:
-            raise ConfigError(f"{path}: must be nonnegative, got {value}")
+def read_suite_entry(check, where: str, tol: float | None, seed: int | None) -> dict:
+    """A suite entry with every key of its law filled in. A count below 1
+    or a negative or NaN limit is refused: the verdict would say nothing.
+    ``tol`` and ``seed`` are the flags, or None."""
+    defaults = {}  # a non-object entry is refused by _config_kwargs
+    if isinstance(check, dict):
+        law = check.get("law")
+        defaults = SUITE_DEFAULTS.get(law) if isinstance(law, str) else None
+        if defaults is None:
+            raise ConfigError(f"{where}law: unknown check {law!r}")
+    if tol is not None and "tol" in defaults:
+        defaults = {**defaults, "tol": tol}
+    entry = {**defaults, **_config_kwargs(check, defaults, where)}
+    if entry["expect"] not in ("pass", "fail"):
+        raise ConfigError(f"{where}expect: must be 'pass' or 'fail'")
+    if entry.get("mutant", "") not in ("", "non_causal"):
+        raise ConfigError(f"{where}mutant: unknown mutant {entry['mutant']!r}")
+    if entry.get("variant", "identity") not in ("identity", "similarity", "perturbed"):
+        raise ConfigError(f"{where}variant: unknown variant {entry['variant']!r}")
+    counts = ("samples", "programs", "pairs", "pulses")
+    _require_positive(entry, [key for key in counts if key in entry], where)
+    limits = ("tol", "bound", "seed")
+    _require_nonnegative(entry, [key for key in limits if key in entry], where)
+    if seed is not None:
+        entry["seed"] = seed
+    return entry
 
 
-def run_suite_check(check: dict, default_tol: float | None, seed: int | None):
-    """Run one suite entry; returns the LawReport."""
-    law = check.get("law")
-    tol = float(check["tol"]) if "tol" in check else default_tol
-    the_seed = seed if seed is not None else int(check.get("seed", 0))
-
+def run_suite_check(entry: dict):
+    """Run one entry read by :func:`read_suite_entry`; returns the LawReport."""
+    law = entry["law"]
     if law == "adjunction":
         instance, bijection = identity_adjunction_instance()
         return check_adjunction(instance, bijection)
 
-    species = species_from_config(check.get("species", {}))
+    species, seed = entry["species"], entry["seed"]
     if law == "functor_laws":
-        if check.get("mutant") == "non_causal":
+        if entry["mutant"] == "non_causal":
             species = non_causal_variant(species)
         return check_functor_laws(
-            species,
-            sample_count=int(check.get("samples", 100)),
-            tol=tol if tol is not None else 1e-10,
-            seed=the_seed,
+            species, sample_count=entry["samples"], tol=entry["tol"], seed=seed
         )
 
     if law == "naturality":
-        variant = check.get("variant", "similarity")
+        variant = entry["variant"]
         if variant == "identity":
             other, eta = species, identity_transformation()
         elif variant == "similarity":
-            other, eta = similarity_variant(species, seed=the_seed + 1)
-        elif variant == "perturbed":
-            other = perturbed_variant(
-                species, magnitude=float(check.get("magnitude", 0.1))
-            )
-            eta = identity_transformation()
+            other, eta = similarity_variant(species, seed=seed + 1)
         else:
-            raise ConfigError(f"naturality.variant: unknown {variant!r}")
-        programs = random_pulses(
-            species, int(check.get("programs", 10)), the_seed + 2
-        )
+            other = perturbed_variant(species, magnitude=entry["magnitude"])
+            eta = identity_transformation()
+        programs = random_pulses(species, entry["programs"], seed + 2)
         return check_naturality(
-            species,
-            other,
-            eta,
-            programs,
-            tol=tol if tol is not None else 1e-9,
-            seed=the_seed,
+            species, other, eta, programs, tol=entry["tol"], seed=seed
         )
 
+    layout = species.extraction.layout
+    iota = direct_embedding(layout, layout.feature_count - 1)
     if law == "lipschitz":
-        rng = np.random.default_rng(the_seed)
-        layout = species.extraction.layout
-        channels = layout.feature_count - 1
-        base = wide_environment(species, the_seed)
+        rng = np.random.default_rng(seed)
+        base = wide_environment(species, seed)
 
         def jitter():
             # Redraw until admissible (a resource value can come out
@@ -298,39 +297,19 @@ def run_suite_check(check: dict, default_tol: float | None, seed: int | None):
                 except ConstraintError:
                     pass
 
-        pairs = [(jitter(), jitter()) for _ in range(int(check.get("pairs", 10)))]
-        program = (
-            Program.from_json(check["program"]) if "program" in check else None
-        )
+        pairs = [(jitter(), jitter()) for _ in range(entry["pairs"])]
         return check_lipschitz(
-            species,
-            pairs,
-            bound=float(check.get("bound", 10.0)),
-            iota=direct_embedding(layout, channels),
-            program=program,
+            species, pairs, bound=entry["bound"], iota=iota, program=entry["program"]
         )
 
-    if law == "compatibility":
-        layout = species.extraction.layout
-        channels = layout.feature_count - 1
-        iota = direct_embedding(layout, channels)
-        scale = float(check.get("psi_amplitude_scale", 1.0))
-        if scale == 1.0:
-            psi = matched_environment_evolution(species, iota)
-        else:
-            psi = scaled_environment_evolution(species, iota, scale)
-        env = wide_environment(species, the_seed)
-        pulses = random_pulses(species, int(check.get("pulses", 50)), the_seed + 3)
-        return check_compatibility(
-            iota,
-            psi,
-            species,
-            [env],
-            pulses,
-            tol=tol if tol is not None else 1e-8,
-        )
-
-    raise ConfigError(f"law: unknown check {law!r}")
+    scale = entry["psi_amplitude_scale"]
+    if scale == 1.0:
+        psi = matched_environment_evolution(species, iota)
+    else:
+        psi = scaled_environment_evolution(species, iota, scale)
+    env = wide_environment(species, seed)
+    pulses = random_pulses(species, entry["pulses"], seed + 3)
+    return check_compatibility(iota, psi, species, [env], pulses, tol=entry["tol"])
 
 
 def cmd_check_laws(args) -> int:
@@ -338,22 +317,15 @@ def cmd_check_laws(args) -> int:
     checks = suite.get("checks")
     if not isinstance(checks, list) or not checks:
         raise ConfigError(f"{args.suite}: checks: must be a non-empty list")
+    entries = [
+        read_suite_entry(check, f"checks[{index}].", args.tol, args.seed)
+        for index, check in enumerate(checks)
+    ]
     reports = []
     mismatches = 0
-    for index, check in enumerate(checks):
-        # an unknown law is reported by run_suite_check
-        known = SUITE_KEYS.get(check.get("law"), set(check))
-        for key in check:
-            if key not in known:
-                raise ConfigError(f"checks[{index}].{key}: unknown configuration field")
-        expected = check.get("expect", "pass")
-        if expected not in ("pass", "fail"):
-            raise ConfigError(f"checks[{index}].expect: must be 'pass' or 'fail'")
-        mutant = check.get("mutant", "non_causal")
-        if mutant != "non_causal":
-            raise ConfigError(f"checks[{index}].mutant: unknown mutant {mutant!r}")
-        check_entry_values(check, index)
-        report = run_suite_check(check, args.tol, args.seed)
+    for check, entry in zip(checks, entries):
+        report = run_suite_check(entry)
+        expected = entry["expect"]
         matched = report.verdict == expected
         mismatches += 0 if matched else 1
         reports.append(
@@ -450,10 +422,8 @@ def main(argv=None) -> int:
                 args.seed = int(env_seed)
             except ValueError:
                 raise ConfigError(f"MYCOCAT_SEED: not an integer: {env_seed!r}")
-        if args.seed is not None and args.seed < 0:
-            raise ConfigError(f"{seed_source}: must be nonnegative, got {args.seed}")
-        if args.tol is not None and not args.tol >= 0:
-            raise ConfigError(f"--tol: must be a nonnegative number, got {args.tol}")
+        flags = {seed_source: args.seed, "--tol": args.tol}
+        _require_nonnegative(flags, [flag for flag, v in flags.items() if v is not None])
         return args.func(args)
     except MycocatError as exc:
         print(f"error: {exc}", file=sys.stderr)

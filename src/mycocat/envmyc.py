@@ -127,10 +127,11 @@ class EnvObject:
             raise ConstraintError(violation)
 
     def to_json(self) -> dict:
+        nodes = _json_keys(self.graph.nodes, "node")
         return {
             **self.graph.to_json(),
-            "rho": {str(v): self.rho[v] for v in self.graph.nodes},
-            "phi": {str(v): list(self.phi[v]) for v in self.graph.nodes},
+            "rho": {key: self.rho[v] for key, v in nodes.items()},
+            "phi": {key: list(self.phi[v]) for key, v in nodes.items()},
             "chi": self.chi.to_json(),
         }
 
@@ -144,6 +145,18 @@ class EnvObject:
             phi={by_str[k]: tuple(map(float, vec)) for k, vec in data["phi"].items()},
             chi=Constraints.from_json(data.get("chi", {})),
         )
+
+
+def _json_keys(ids: Sequence, kind: str) -> dict:
+    """JSON object key -> id, in declaration order. The key is ``str(id)``,
+    so two ids that print alike (``1`` and ``"1"``) raise :class:`ShapeError`
+    rather than share a key."""
+    keys: dict = {}
+    for i in ids:
+        first = keys.setdefault(str(i), i)
+        if first is not i:
+            raise ShapeError(f"{kind} ids {first!r} and {i!r} share the JSON key {str(i)!r}")
+    return keys
 
 
 def check_admissibility(rho: Mapping, phi: Mapping, chi: Constraints) -> str | None:
@@ -404,10 +417,12 @@ class MycObject:
         return sum(self.sigma[e] for e in self.graph.incident_edges(v))
 
     def to_json(self) -> dict:
+        edges = _json_keys(self.graph.edge_ids, "edge")
+        nodes = _json_keys(self.graph.nodes, "node")
         return {
             **self.graph.to_json(),
-            "sigma": {str(e): self.sigma[e] for e in self.graph.edge_ids},
-            "omega": {str(v): list(self.omega[v]) for v in self.graph.nodes},
+            "sigma": {key: self.sigma[e] for key, e in edges.items()},
+            "omega": {key: list(self.omega[v]) for key, v in nodes.items()},
         }
 
     @classmethod

@@ -173,17 +173,11 @@ class PulseTemplate:
     def from_json(cls, data: Mapping, path: str) -> "PulseTemplate":
         """Pulse from ``{"channel": c, "amplitude": a, "duration": d}``;
         only the channel is required. ``path`` names the block in errors."""
-        try:
-            for key in data:
-                if key not in ("channel", "amplitude", "duration"):
-                    raise ConfigError(f"{path}.{key}: unknown configuration field")
-            return cls(
-                channel=int(data["channel"]),
-                amplitude=float(data.get("amplitude", cls.amplitude)),
-                duration=float(data.get("duration", cls.duration)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+        defaults = {"channel": 0, "amplitude": cls.amplitude, "duration": cls.duration}
+        kwargs = _config_kwargs(data, defaults, path + ".")
+        if "channel" not in kwargs:
+            raise ConfigError(f"{path}: missing key 'channel'")
+        return cls(**kwargs)
 
 
 def _check_pulse_channels(config, channels: int) -> None:
@@ -199,6 +193,16 @@ def _require_positive(values: Mapping, names: Sequence[str], where: str = "") ->
     for name in names:
         if values[name] < 1:
             raise ConfigError(f"{where}{name}: must be positive, got {values[name]}")
+
+
+def _require_nonnegative(values: Mapping, names: Sequence[str], where: str = "") -> None:
+    """Reject a negative seed, and a negative or NaN tolerance, bound or
+    conductivity; ``where`` prefixes the key in errors."""
+    for name in names:
+        value = values[name]
+        if not value >= 0:
+            kind = "a nonnegative number" if isinstance(value, float) else "nonnegative"
+            raise ConfigError(f"{where}{name}: must be {kind}, got {value}")
 
 
 def _distance_weights(raw) -> DistanceWeights:
@@ -218,13 +222,18 @@ def _distance_weights(raw) -> DistanceWeights:
 def _config_kwargs(data: Mapping, defaults: Mapping, where: str = "") -> dict:
     """Keyword arguments read from a JSON config object.
 
-    Every key must name an entry of ``defaults``; an unknown key raises
-    :class:`ConfigError` with its field path. Each value is coerced to the
-    type of its default: pulses through :meth:`PulseTemplate.from_json`,
-    distance weights through :func:`_distance_weights`, tuples
-    element-wise, anything else by calling the type. Absent keys are left
-    out, so the callee's own defaults apply.
+    ``data`` must be a JSON object and every key must name an entry of
+    ``defaults``; anything else raises :class:`ConfigError` with its field
+    path. Each value is coerced to the type of its default: pulses through
+    :meth:`PulseTemplate.from_json`, distance weights through
+    :func:`_distance_weights`, programs through :meth:`Program.from_json`,
+    species through :func:`species_from_config`, tuples element-wise,
+    anything else by calling the type. Absent keys are left out, so the
+    callee's own defaults apply.
     """
+    if not isinstance(data, Mapping):
+        name = where[:-1] or "config"
+        raise ConfigError(f"{name}: must be a JSON object, got {type(data).__name__}")
     kwargs = {}
     for key, raw in data.items():
         path = where + key
@@ -236,11 +245,17 @@ def _config_kwargs(data: Mapping, defaults: Mapping, where: str = "") -> dict:
                 kwargs[key] = PulseTemplate.from_json(raw, path)
             elif isinstance(default, DistanceWeights):
                 kwargs[key] = _distance_weights(raw)
+            elif isinstance(default, Program):
+                kwargs[key] = Program.from_json(raw)
+            elif isinstance(default, SpeciesFunctor):
+                kwargs[key] = species_from_config(raw)
             elif isinstance(default, tuple):
                 kwargs[key] = tuple(type(default[0])(x) for x in raw)
             else:
                 kwargs[key] = type(default)(raw)
-        except (TypeError, ValueError) as exc:
+        except KeyError as exc:
+            raise ConfigError(f"{path}: missing key {exc}") from exc
+        except (TypeError, ValueError, ShapeError, ParameterError) as exc:
             raise ConfigError(f"{path}: {exc}") from exc
     return kwargs
 
@@ -249,7 +264,7 @@ def species_from_config(data: Mapping) -> SpeciesFunctor:
     """Species from a config block: either explicit dynamics matrices or the
     compact reference form, whose keys are the keyword arguments of
     :func:`reference_species`."""
-    if "dynamics" in data:
+    if isinstance(data, Mapping) and "dynamics" in data:
         for key in data:
             if key not in ("dynamics", "graph", "features", "label", "sigma"):
                 raise ConfigError(f"species.{key}: unknown configuration field")
@@ -272,7 +287,9 @@ def species_from_config(data: Mapping) -> SpeciesFunctor:
             Extraction(layout, data.get("sigma", 1.0)),
         )
     kwargs = _config_kwargs(data, _SPECIES_DEFAULTS, "species.")
-    _require_positive({**_SPECIES_DEFAULTS, **kwargs}, ("n_sites", "features"), "species.")
+    values = {**_SPECIES_DEFAULTS, **kwargs}
+    _require_positive(values, ("n_sites", "channels", "features"), "species.")
+    _require_nonnegative(values, ("sigma",), "species.")
     return reference_species(**kwargs)
 
 
@@ -379,8 +396,7 @@ class ExposureExperiment:
             raise ConfigError("eps_grid: entries must be positive")
         if self.scaling not in ("amplitude", "duration"):
             raise ConfigError(f"scaling: unknown mode {self.scaling!r}")
-        if self.seed < 0:
-            raise ConfigError(f"seed: must be nonnegative, got {self.seed}")
+        _require_nonnegative(vars(self), ("seed",))
         _check_pulse_channels(self, self.species.dynamics.channels)
 
     @classmethod
@@ -389,13 +405,12 @@ class ExposureExperiment:
     ) -> "ExposureExperiment":
         """Experiment from an ``order-scan`` config. Absent keys take the
         dataclass defaults; ``seed_override``, when given, replaces the seed."""
-        data = dict(data)
-        species = species_from_config(data.pop("species", {}))
         defaults = {f.name: f.default for f in fields(cls)}
-        kwargs = _config_kwargs(data, defaults)
+        defaults["species"] = reference_species()
+        kwargs = {**defaults, **_config_kwargs(data, defaults)}
         if seed_override is not None:
             kwargs["seed"] = seed_override
-        return cls(species=species, **kwargs)
+        return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -529,17 +544,16 @@ class WorkedExampleConfig:
     compat_tol: float = 1e-8
 
     def __post_init__(self):
-        _check_pulse_channels(self, self.channels)
         _require_positive(
-            vars(self), ("n_sites", "features", "functor_samples", "compat_pulses")
+            vars(self),
+            ("n_sites", "channels", "features", "functor_samples", "compat_pulses"),
         )
-        if self.seed < 0:
-            raise ConfigError(f"seed: must be nonnegative, got {self.seed}")
+        _check_pulse_channels(self, self.channels)
+        _require_nonnegative(vars(self), ("sigma", "seed", "functor_tol", "compat_tol"))
         _distance_weights(self.weights)
-        for name in ("functor_tol", "compat_tol"):
-            value = getattr(self, name)
-            if not value >= 0:
-                raise ConfigError(f"{name}: must be a nonnegative number, got {value}")
+        for mode in self.scaling_modes:
+            if mode not in ("amplitude", "duration"):
+                raise ConfigError(f"scaling_modes: unknown mode {mode!r}")
 
     @classmethod
     def from_json(cls, data: Mapping) -> "WorkedExampleConfig":
@@ -632,9 +646,6 @@ def run_worked_example(
     """
     config = config or WorkedExampleConfig()
     modes = (scaling,) if scaling else config.scaling_modes
-    for mode in modes:
-        if mode not in ("amplitude", "duration"):
-            raise ConfigError(f"scaling_modes: unknown mode {mode!r}")
 
     species = reference_species(
         n_sites=config.n_sites,

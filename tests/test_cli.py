@@ -174,6 +174,21 @@ class TestCheckLawsCommand:
         code = run_cli(["check-laws", path, "--out-dir", str(tmp_path)])
         assert code == 1
 
+    def test_every_entry_is_read_before_any_law_runs(self, tmp_path, capsys):
+        suite = {
+            "checks": [
+                {"law": "functor_laws", "samples": 3, **SMALL_SPECIES},
+                {"law": "functor_laws", "samples": 0, **SMALL_SPECIES},
+            ]
+        }
+        path = write(tmp_path / "suite.json", suite)
+        code = run_cli(["check-laws", path, "--out-dir", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: checks[1].samples: must be positive, got 0"]
+        assert not (tmp_path / "law_reports.json").exists()
+
     def test_unknown_law_is_config_error(self, tmp_path, capsys):
         path = write(tmp_path / "suite.json", {"checks": [{"law": "nonsense"}]})
         code = run_cli(["check-laws", path, "--out-dir", str(tmp_path)])
@@ -470,7 +485,89 @@ STAR_COSPAN = json.loads((SAMPLES / "cospan_star.json").read_text(encoding="utf-
         ),
         pytest.param(
             ["order-scan", CONFIG], {"species": {"n_sites": 2, "sigma": -1}}, {},
-            "error: sigma at edge 'link0' is negative", id="scan-negative-sigma",
+            "error: species.sigma: must be a nonnegative number, got -1.0",
+            id="scan-negative-sigma",
+        ),
+        pytest.param(
+            ["order-scan", CONFIG], {"species": {"n_sites": 1, "sigma": -1}}, {},
+            "error: species.sigma: must be a nonnegative number, got -1.0",
+            id="scan-negative-sigma-one-site",
+        ),
+        pytest.param(
+            ["order-scan", CONFIG], {"species": {"n_sites": 2, "sigma": "nan"}}, {},
+            "error: species.sigma: must be a nonnegative number, got nan",
+            id="scan-nan-sigma",
+        ),
+        pytest.param(
+            ["worked-example", "--config", CONFIG], {"sigma": -1}, {},
+            "error: sigma: must be a nonnegative number, got -1.0",
+            id="worked-example-negative-sigma",
+        ),
+        pytest.param(
+            ["check-laws", CONFIG],
+            {"checks": [{"law": "compatibility", "pulses": 3,
+                         "species": {"n_sites": 2, "channels": -1}}]}, {},
+            "error: species.channels: must be positive, got -1",
+            id="laws-negative-channels",
+        ),
+        pytest.param(
+            ["check-laws", CONFIG],
+            {"checks": [{"law": "functor_laws", "samples": 3,
+                         "species": {"n_sites": 2, "channels": 0}}]}, {},
+            "error: species.channels: must be positive, got 0",
+            id="laws-zero-channels",
+        ),
+        pytest.param(
+            ["worked-example", "--config", CONFIG], {"channels": 0}, {},
+            "error: channels: must be positive, got 0", id="worked-example-zero-channels",
+        ),
+        pytest.param(
+            ["worked-example", "--config", CONFIG], {"channels": -1}, {},
+            "error: channels: must be positive, got -1",
+            id="worked-example-negative-channels",
+        ),
+        pytest.param(
+            ["check-laws", CONFIG], {"checks": ["x"]}, {},
+            "error: checks[0]: must be a JSON object, got str", id="laws-entry-not-object",
+        ),
+        pytest.param(
+            ["check-laws", CONFIG], [1], {},
+            f"error: {CONFIG}: must be a JSON object, got list", id="laws-suite-not-object",
+        ),
+        pytest.param(
+            ["order-scan", CONFIG], [1], {},
+            f"error: {CONFIG}: must be a JSON object, got list", id="scan-config-not-object",
+        ),
+        pytest.param(
+            ["worked-example", "--config", CONFIG], [1], {},
+            f"error: {CONFIG}: must be a JSON object, got list",
+            id="worked-example-config-not-object",
+        ),
+        pytest.param(
+            ["order-scan", CONFIG], {"species": [1]}, {},
+            "error: species: must be a JSON object, got list", id="scan-species-not-object",
+        ),
+        pytest.param(
+            ["check-laws", CONFIG],
+            {"checks": [{"law": "functor_laws", "samples": 3, "species": 5}]}, {},
+            "error: species: must be a JSON object, got int", id="laws-species-not-object",
+        ),
+        pytest.param(
+            ["check-laws", CONFIG], {"checks": [{"law": ["adjunction"]}]}, {},
+            "error: checks[0].law: unknown check ['adjunction']", id="laws-law-not-a-string",
+        ),
+        pytest.param(
+            ["check-laws", CONFIG],
+            {"checks": [{"law": "naturality", "variant": "rotated", **SMALL_SPECIES}]}, {},
+            "error: checks[0].variant: unknown variant 'rotated'",
+            id="laws-unknown-variant",
+        ),
+        pytest.param(
+            ["check-laws", CONFIG],
+            {"checks": [{"law": "lipschitz", "pairs": 2, "program": {"length": 1.0},
+                         **SMALL_SPECIES}]}, {},
+            "error: checks[0].program: missing key 'pieces'",
+            id="laws-program-without-pieces",
         ),
     ],
 )

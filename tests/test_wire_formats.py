@@ -1,0 +1,199 @@
+"""JSON round trips of every wire format.
+
+Each test writes an object with ``to_json``, passes it through
+``json.dumps``/``json.loads``, reads it back with ``from_json`` and checks
+that both the object and its JSON form come back equal. Ids mix ints and
+strings, so some draws hold two ids that print alike (``1`` and ``"1"``);
+the formats that key a JSON object by ``str(id)`` must refuse those with
+:class:`ShapeError` instead of dropping an entry.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mycocat.envmyc import Constraints, EnvObject, MycObject
+from mycocat.errors import ShapeError
+from mycocat.experiments import PulseTemplate
+from mycocat.graphs import AttributedGraph, GraphMorphism
+from mycocat.programs import InternalState, Program, ReferenceDynamics, StateLayout
+
+IDS = st.one_of(st.integers(0, 3), st.sampled_from(["0", "1", "2", "3", "a"]))
+FINITE = st.floats(-1e3, 1e3, allow_nan=False)
+UNIT = st.floats(0.0, 1.0)
+
+
+def wire(obj) -> dict:
+    """``obj.to_json()`` after a trip through JSON text."""
+    return json.loads(json.dumps(obj.to_json()))
+
+
+def collide(ids) -> bool:
+    return len({str(i) for i in ids}) < len(ids)
+
+
+@st.composite
+def graphs(draw, connected=False):
+    """Graphs on mixed int/str ids; ``connected`` lays a path through the
+    nodes first, then adds edges between random endpoints."""
+    nodes = draw(st.lists(IDS, min_size=1, max_size=5, unique=True))
+    path = len(nodes) - 1 if connected else 0
+    eids = draw(st.lists(IDS, min_size=path, max_size=path + 3, unique=True))
+    endpoint = st.sampled_from(nodes)
+    edges = [
+        (eid, (nodes[k], nodes[k + 1]) if k < path else (draw(endpoint), draw(endpoint)))
+        for k, eid in enumerate(eids)
+    ]
+    return AttributedGraph(tuple(nodes), tuple(edges), directed=draw(st.booleans()))
+
+
+@st.composite
+def programs(draw):
+    width = draw(st.integers(0, 3))
+    piece = st.tuples(st.floats(1e-3, 10.0), st.tuples(*[FINITE] * width))
+    return Program(tuple(draw(st.lists(piece, max_size=4))))
+
+
+@st.composite
+def dynamics(draw):
+    n = draw(st.integers(1, 4))
+    matrix = st.lists(FINITE, min_size=n * n, max_size=n * n).map(
+        lambda xs: np.array(xs).reshape(n, n)
+    )
+    return ReferenceDynamics(draw(matrix), tuple(draw(st.lists(matrix, max_size=2))))
+
+
+@st.composite
+def states(draw):
+    layout = StateLayout(draw(graphs()), draw(st.integers(1, 3)))
+    vector = draw(st.lists(FINITE, min_size=layout.dim, max_size=layout.dim))
+    return InternalState(np.array(vector), layout)
+
+
+@st.composite
+def env_objects(draw):
+    graph = draw(graphs())
+    channels = draw(st.integers(1, 2))
+    rho = {v: draw(st.floats(0.0, 5.0)) for v in graph.nodes}
+    phi = {v: tuple(draw(UNIT) for _ in range(channels)) for v in graph.nodes}
+    budget = draw(st.sampled_from([math.inf, sum(rho.values()) + 1.0]))
+    chi = Constraints(phi_bounds=((0.0, 1.0),) * channels, budget=budget)
+    return EnvObject(graph, rho, phi, chi)
+
+
+@st.composite
+def myc_objects(draw):
+    graph = draw(graphs(connected=True))
+    features = draw(st.integers(1, 3))
+    sigma = {e: draw(st.floats(0.0, 5.0)) for e in graph.edge_ids}
+    omega = {v: tuple(draw(FINITE) for _ in range(features)) for v in graph.nodes}
+    return MycObject(graph, sigma, omega)
+
+
+@st.composite
+def morphisms(draw):
+    """Inclusion of a full subgraph: a subset of the nodes and every edge
+    between them."""
+    target = draw(graphs())
+    kept = draw(st.lists(st.sampled_from(target.nodes), unique=True))
+    edges = tuple(
+        (eid, (u, v)) for eid, (u, v) in target.edges if u in kept and v in kept
+    )
+    source = AttributedGraph(tuple(kept), edges, directed=target.directed)
+    return GraphMorphism(
+        source, target, {v: v for v in kept}, {eid: eid for eid, _ in edges}
+    )
+
+
+@settings(max_examples=60)
+@given(programs())
+def test_program_round_trip(p):
+    back = Program.from_json(wire(p))
+    assert back == p
+    assert back.to_json() == p.to_json()
+
+
+@settings(max_examples=60)
+@given(dynamics())
+def test_dynamics_round_trip(dyn):
+    back = ReferenceDynamics.from_json(wire(dyn))
+    assert np.array_equal(back.drift, dyn.drift)
+    assert len(back.controls) == len(dyn.controls)
+    assert all(np.array_equal(a, b) for a, b in zip(back.controls, dyn.controls))
+    assert back.to_json() == dyn.to_json()
+
+
+@settings(max_examples=60)
+@given(states())
+def test_state_round_trip(state):
+    back = InternalState.from_json(wire(state))
+    assert back.layout == state.layout
+    assert np.array_equal(back.vector, state.vector)
+    assert back.to_json() == state.to_json()
+
+
+@settings(max_examples=60)
+@given(graphs())
+def test_graph_round_trip(graph):
+    back = AttributedGraph.from_json(wire(graph))
+    assert back == graph
+    assert back.to_json() == graph.to_json()
+
+
+@settings(max_examples=60)
+@given(morphisms())
+def test_morphism_round_trip(m):
+    back = GraphMorphism.from_json(wire(m), m.source, m.target)
+    assert back == m
+    assert back.to_json() == m.to_json()
+
+
+@settings(max_examples=60)
+@given(env_objects())
+def test_env_object_round_trip(env):
+    if collide(env.graph.nodes):
+        with pytest.raises(ShapeError, match="share the JSON key"):
+            env.to_json()
+        return
+    back = EnvObject.from_json(wire(env))
+    assert back == env
+    assert back.to_json() == env.to_json()
+
+
+@settings(max_examples=60)
+@given(myc_objects())
+def test_myc_object_round_trip(m):
+    if collide(m.graph.nodes) or collide(m.graph.edge_ids):
+        with pytest.raises(ShapeError, match="share the JSON key"):
+            m.to_json()
+        return
+    back = MycObject.from_json(wire(m))
+    assert back == m
+    assert back.to_json() == m.to_json()
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 5), FINITE, FINITE)
+def test_pulse_round_trip(channel, amplitude, duration):
+    pulse = PulseTemplate(channel, amplitude, duration)
+    back = PulseTemplate.from_json(wire(pulse), "pulse")
+    assert back == pulse
+    assert back.to_json() == pulse.to_json()
+
+
+def test_ids_that_print_alike_are_refused():
+    graph = AttributedGraph((1, "1"), ((0, (1, "1")), ("0", ("1", 1))))
+    env = EnvObject(graph, {1: 0.0, "1": 0.0}, {1: (0.0,), "1": (0.0,)}, Constraints())
+    with pytest.raises(ShapeError, match="node ids 1 and '1' share the JSON key '1'"):
+        env.to_json()
+    myc = MycObject(
+        AttributedGraph(("a", "b"), ((0, ("a", "b")), ("0", ("a", "b")))),
+        {0: 1.0, "0": 2.0},
+        {"a": (0.0,), "b": (0.0,)},
+    )
+    with pytest.raises(ShapeError, match="edge ids 0 and '0' share the JSON key '0'"):
+        myc.to_json()
