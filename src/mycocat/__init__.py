@@ -74,6 +74,7 @@ from .programs import (
     extract,
     flow_matrix,
     programs_equivalent_at,
+    state_distances,
 )
 
 __version__ = "0.1.0"

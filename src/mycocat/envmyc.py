@@ -340,18 +340,28 @@ def compose_env_morphisms(f: EnvMorphism, g: EnvMorphism) -> EnvMorphism:
     )
 
 
+def _abs_sum(values) -> float:
+    """Sum of absolute values, left to right. Builtin ``sum`` of floats is
+    compensated from Python 3.12 on, so it would give other last bits on
+    other interpreters."""
+    total = 0.0
+    for x in values:
+        total += abs(x)
+    return total
+
+
 def _ordered_l1(first: Mapping, second: Mapping) -> float:
     """L1 distance between two maps of vectors; a missing vector counts as
     zeros. Sums over the ids of ``first`` in insertion order, then the ids
-    only ``second`` has, so the float sum never follows hash order."""
+    only ``second`` has, so the float sum never follows hash order; each
+    vector's entries add left to right before joining the total."""
     total = 0.0
     for key, x in first.items():
         y = second.get(key)
-        diffs = x if y is None else map(operator.sub, x, y)
-        total += sum(map(abs, diffs))
+        total += _abs_sum(x if y is None else map(operator.sub, x, y))
     for key, y in second.items():
         if key not in first:
-            total += sum(map(abs, y))
+            total += _abs_sum(y)
     return total
 
 

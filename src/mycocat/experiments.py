@@ -30,7 +30,6 @@ from .envmyc import (
     POINTWISE_ADD,
     apply_env_morphism,
     identity_rule,
-    myc_distance,
 )
 from .errors import ConfigError, InsufficientDataError, ParameterError, ShapeError
 from .graphs import AttributedGraph, identity_morphism
@@ -51,6 +50,7 @@ from .programs import (
     ReferenceDynamics,
     StateLayout,
     concatenate,
+    state_distances,
 )
 
 # Rows at or below this delta are treated as exact commutation and are
@@ -196,13 +196,17 @@ def _require_positive(values: Mapping, names: Sequence[str], where: str = "") ->
 
 
 def _require_nonnegative(values: Mapping, names: Sequence[str], where: str = "") -> None:
-    """Reject a negative seed, and a negative or NaN tolerance, bound or
-    conductivity; ``where`` prefixes the key in errors."""
+    """Reject a negative seed, a negative or NaN tolerance or bound, and a
+    negative, NaN or infinite conductivity (``sigma``): an infinite
+    conductivity makes every network distance NaN. ``where`` prefixes the
+    key in errors."""
     for name in names:
         value = values[name]
         if not value >= 0:
             kind = "a nonnegative number" if isinstance(value, float) else "nonnegative"
             raise ConfigError(f"{where}{name}: must be {kind}, got {value}")
+        if name == "sigma" and value == math.inf:
+            raise ConfigError(f"{where}{name}: must be finite, got {value}")
 
 
 def _distance_weights(raw) -> DistanceWeights:
@@ -228,8 +232,10 @@ def _config_kwargs(data: Mapping, defaults: Mapping, where: str = "") -> dict:
     :meth:`PulseTemplate.from_json`, distance weights through
     :func:`_distance_weights`, programs through :meth:`Program.from_json`,
     species through :func:`species_from_config`, tuples element-wise,
-    anything else by calling the type. Absent keys are left out, so the
-    callee's own defaults apply.
+    anything else by calling the type; a number with a fractional part (or
+    an infinite one) is refused where an integer is due, rather than
+    truncated. Absent keys are left out, so the callee's own defaults
+    apply.
     """
     if not isinstance(data, Mapping):
         name = where[:-1] or "config"
@@ -250,14 +256,21 @@ def _config_kwargs(data: Mapping, defaults: Mapping, where: str = "") -> dict:
             elif isinstance(default, SpeciesFunctor):
                 kwargs[key] = species_from_config(raw)
             elif isinstance(default, tuple):
-                kwargs[key] = tuple(type(default[0])(x) for x in raw)
+                kwargs[key] = tuple(_coerce(type(default[0]), x) for x in raw)
             else:
-                kwargs[key] = type(default)(raw)
+                kwargs[key] = _coerce(type(default), raw)
         except KeyError as exc:
             raise ConfigError(f"{path}: missing key {exc}") from exc
         except (TypeError, ValueError, ShapeError, ParameterError) as exc:
             raise ConfigError(f"{path}: {exc}") from exc
     return kwargs
+
+
+def _coerce(kind: type, raw):
+    """``kind(raw)``, refusing to truncate a non-integral float to an int."""
+    if kind is int and isinstance(raw, float) and not raw.is_integer():
+        raise ValueError(f"must be an integer, got {raw}")
+    return kind(raw)
 
 
 def species_from_config(data: Mapping) -> SpeciesFunctor:
@@ -270,9 +283,12 @@ def species_from_config(data: Mapping) -> SpeciesFunctor:
                 raise ConfigError(f"species.{key}: unknown configuration field")
         try:
             dyn = ReferenceDynamics.from_json(data["dynamics"])
-            layout = StateLayout(
-                AttributedGraph.from_json(data["graph"]), int(data["features"])
-            )
+            graph = AttributedGraph.from_json(data["graph"])
+            features = _config_kwargs(
+                {"features": data["features"]}, {"features": 1}, "species."
+            )["features"]
+            layout = StateLayout(graph, features)
+            extraction = Extraction(layout, data.get("sigma", 1.0))
         except KeyError as exc:
             raise ConfigError(f"species: missing key {exc}") from exc
         except (TypeError, ValueError, ShapeError, ParameterError) as exc:
@@ -281,11 +297,7 @@ def species_from_config(data: Mapping) -> SpeciesFunctor:
             raise ConfigError(
                 f"dynamics: dimension {dyn.dim} does not match layout {layout.dim}"
             )
-        return SpeciesFunctor(
-            str(data.get("label", "configured")),
-            dyn,
-            Extraction(layout, data.get("sigma", 1.0)),
-        )
+        return SpeciesFunctor(str(data.get("label", "configured")), dyn, extraction)
     kwargs = _config_kwargs(data, _SPECIES_DEFAULTS, "species.")
     values = {**_SPECIES_DEFAULTS, **kwargs}
     _require_positive(values, ("n_sites", "channels", "features"), "species.")
@@ -477,15 +489,12 @@ def run_order_asymmetry_scan(exp: ExposureExperiment) -> AsymmetryReport:
     orderings = [concatenate(p, q) for p, q in zip(ps, qs)] + [
         concatenate(q, p) for p, q in zip(ps, qs)
     ]
-    finals = [
-        species.on_object(final)
-        for final in species.transform_many([state] * len(orderings), orderings)
-    ]
+    finals = species.transform_many([state] * len(orderings), orderings)
     grid = len(exp.eps_grid)
-    rows = [
-        (eps, float(myc_distance(finals[i], finals[grid + i], exp.weights)))
-        for i, eps in enumerate(exp.eps_grid)
-    ]
+    deltas = state_distances(
+        finals[:grid], finals[grid:], species.extraction, exp.weights
+    )
+    rows = list(zip(exp.eps_grid, deltas))
 
     excluded = tuple(eps for eps, delta in rows if delta <= DELTA_FLOOR)
     usable = [(eps, delta) for eps, delta in rows if delta > DELTA_FLOOR]
@@ -551,6 +560,8 @@ class WorkedExampleConfig:
         _check_pulse_channels(self, self.channels)
         _require_nonnegative(vars(self), ("sigma", "seed", "functor_tol", "compat_tol"))
         _distance_weights(self.weights)
+        if not self.scaling_modes:
+            raise ConfigError("scaling_modes: must name at least one mode")
         for mode in self.scaling_modes:
             if mode not in ("amplitude", "duration"):
                 raise ConfigError(f"scaling_modes: unknown mode {mode!r}")

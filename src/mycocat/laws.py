@@ -36,7 +36,6 @@ from .envmyc import (
     MycMorphism,
     MycObject,
     env_distance,
-    myc_distance,
 )
 from .errors import InputError, ParameterError, ResourceError
 from .graphs import identity_morphism
@@ -49,6 +48,7 @@ from .programs import (
     evolve,
     evolve_many,
     extract,
+    state_distances,
 )
 
 
@@ -95,7 +95,10 @@ class SpeciesFunctor:
     ``transform`` realizes the induced state transition of a program and
     ``transform_many`` that of many (state, program) pairs; subclasses may
     override ``transform`` (the test mutants do) while the checkers only
-    ever go through this surface.
+    ever go through this surface. The read-out is fixed by ``extraction``:
+    the checkers measure distances between evolved states with
+    :func:`mycocat.programs.state_distances`, which equals
+    ``myc_distance`` of the ``on_object`` networks bit for bit.
     """
 
     label: str
@@ -208,9 +211,9 @@ def functor_law_residual(
     f: SpeciesFunctor, state: InternalState, p: Program, q: Program
 ) -> float:
     """Distance between the one-shot and the composed network updates."""
-    joint = f.on_object(f.transform(state, concatenate(p, q)))
-    second = f.on_object(f.transform(f.transform(state, p), q))
-    return myc_distance(joint, second)
+    joint = f.transform(state, concatenate(p, q))
+    second = f.transform(f.transform(state, p), q)
+    return state_distances([joint], [second], f.extraction)[0]
 
 
 def check_functor_laws(
@@ -240,21 +243,8 @@ def check_functor_laws(
     joint = f.transform_many(states, [concatenate(p, q) for p, q in zip(ps, qs)])
     second = f.transform_many(f.transform_many(states, ps), qs)
     unmoved = f.transform_many(states, [Program()] * sample_count)
-    worst = 0.0
-    witness: dict | None = None
-    for i, state in enumerate(states):
-        residual = myc_distance(f.on_object(joint[i]), f.on_object(second[i]))
-        if residual >= worst:
-            worst = residual
-            witness = {
-                "kind": "composition",
-                "sample": i,
-                "state": [float(x) for x in state.vector],
-                "p": ps[i].to_json(),
-                "q": qs[i].to_json(),
-                "residual": residual,
-            }
-        if myc_distance(f.on_object(state), f.on_object(unmoved[i])) != 0.0:
+    for i, moved in enumerate(state_distances(states, unmoved, f.extraction)):
+        if moved != 0.0:
             return LawReport(
                 law="functor-laws",
                 samples=i + 1,
@@ -263,6 +253,19 @@ def check_functor_laws(
                 seed=seed,
                 witness={"kind": "identity-law", "sample": i},
             )
+    worst = 0.0
+    witness: dict | None = None
+    for i, residual in enumerate(state_distances(joint, second, f.extraction)):
+        if residual >= worst:
+            worst = residual
+            witness = {
+                "kind": "composition",
+                "sample": i,
+                "state": [float(x) for x in states[i].vector],
+                "p": ps[i].to_json(),
+                "q": qs[i].to_json(),
+                "residual": residual,
+            }
     return LawReport(
         law="functor-laws",
         samples=sample_count,
@@ -349,20 +352,20 @@ def check_naturality(
         [InternalState(eta.map_state(s.vector), f2.extraction.layout) for s in states],
         repeated,
     )
+    translated = [
+        InternalState(eta.map_state(s.vector), f2.extraction.layout) for s in moved1
+    ]
     worst = 0.0
     witness: dict | None = None
-    for i, state in enumerate(states):
-        path1 = f2.on_object(
-            InternalState(eta.map_state(moved1[i].vector), f2.extraction.layout)
-        )
-        residual = myc_distance(path1, f2.on_object(moved2[i]), weights)
+    residuals = state_distances(translated, moved2, f2.extraction, weights)
+    for i, residual in enumerate(residuals):
         if residual >= worst:
             worst = residual
             pi, si = divmod(i, states_per_program)
             witness = {
                 "program_index": pi,
                 "state_index": si,
-                "state": [float(x) for x in state.vector],
+                "state": [float(x) for x in states[i].vector],
                 "program": programs[pi].to_json(),
                 "residual": residual,
             }
@@ -617,14 +620,12 @@ def check_lipschitz(
     program = program if program is not None else Program()
     starts = [iota(env) for pair in object_pairs for env in pair]
     images = f.transform_many(starts, [program] * len(starts))
+    d_mycs = state_distances(images[0::2], images[1::2], f.extraction, d_myc_weights)
     worst = 0.0
     witness: dict | None = None
     used = 0
-    for idx, (e1, e2) in enumerate(object_pairs):
-        m1 = f.on_object(images[2 * idx])
-        m2 = f.on_object(images[2 * idx + 1])
+    for idx, ((e1, e2), d_myc) in enumerate(zip(object_pairs, d_mycs)):
         d_env = env_distance(e1, e2, d_env_weights)
-        d_myc = myc_distance(m1, m2, d_myc_weights)
         if d_env == 0.0:
             if d_myc > 0.0:
                 return LawReport(
@@ -730,11 +731,11 @@ def check_compatibility(
     operational = f.transform_many(
         [starts[ei] for ei, _ in pairs], [programs[pi] for _, pi in pairs]
     )
+    static = [iota(psi(environments[ei], programs[pi])) for ei, pi in pairs]
+    residuals = state_distances(static, operational, f.extraction, weights)
     worst = 0.0
     witness: dict | None = None
-    for (ei, pi), evolved in zip(pairs, operational):
-        static_leg = f.on_object(iota(psi(environments[ei], programs[pi])))
-        residual = myc_distance(static_leg, f.on_object(evolved), weights)
+    for (ei, pi), residual in zip(pairs, residuals):
         if residual >= worst:
             worst = residual
             witness = {

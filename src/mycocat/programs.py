@@ -23,13 +23,14 @@ JSON wire formats::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import kernels
-from .envmyc import MycObject
+from .envmyc import DistanceWeights, MycObject
 from .errors import NumericError, ParameterError, ShapeError
 from .graphs import AttributedGraph
 
@@ -326,16 +327,32 @@ class Extraction:
     """Measurement pipeline: read node features off the observation graph.
 
     ``sigma`` gives the constant edge conductivities of the extracted
-    network, either one shared float or a per-edge mapping.
+    network, either one shared float or a per-edge mapping. The network
+    invariants are checked once, here: a connected graph and a finite,
+    nonnegative conductivity on exactly its edges.
     """
 
     layout: StateLayout
     sigma: float | Mapping = 1.0
 
-    def edge_sigma(self) -> dict:
+    def __post_init__(self):
+        graph = self.layout.graph
         if isinstance(self.sigma, Mapping):
-            return dict(self.sigma)
-        return {e: float(self.sigma) for e in self.layout.graph.edge_ids}
+            per_edge = {e: float(x) for e, x in self.sigma.items()}
+            named = {f"sigma at edge {e!r}": x for e, x in per_edge.items()}
+        else:
+            shared = float(self.sigma)
+            per_edge = dict.fromkeys(graph.edge_ids, shared)
+            named = {"sigma": shared}
+        if not graph.is_connected():
+            raise ShapeError("mycelial network must be connected")
+        if set(per_edge) != set(graph.edge_ids):
+            raise ShapeError("sigma must be defined on exactly the graph edges")
+        for name, x in named.items():
+            if not 0.0 <= x < math.inf:
+                raise ParameterError(f"{name} must be a finite nonnegative number, got {x}")
+        # A plain attribute, not a field: equality and repr see only sigma.
+        object.__setattr__(self, "_edge_sigma", per_edge)
 
 
 def extract(state: InternalState, extraction: Extraction) -> MycObject:
@@ -348,4 +365,40 @@ def extract(state: InternalState, extraction: Extraction) -> MycObject:
         raise ShapeError("state layout does not match the extraction layout")
     layout = state.layout
     omega = dict(zip(layout.graph.nodes, layout.node_rows(state.vector)))
-    return MycObject(layout.graph, extraction.edge_sigma(), omega)
+    return MycObject(layout.graph, extraction._edge_sigma, omega)
+
+
+def state_distances(
+    firsts: Sequence[InternalState],
+    seconds: Sequence[InternalState],
+    extraction: Extraction,
+    weights: DistanceWeights = DistanceWeights(),
+) -> list[float]:
+    """``myc_distance(extract(a), extract(b), weights)`` of every pair
+    ``(firsts[i], seconds[i])``, bit for bit, without building networks.
+
+    Both read-outs share the graph and conductivities of ``extraction``, so
+    only ``weights.omega`` times the feature L1 distance is left. It sums in
+    ``myc_distance``'s order: each node's features left to right, then the
+    nodes by a running total (``np.cumsum``; ``np.sum`` is pairwise). Rows
+    are independent, so the batch does not change a result. Raises
+    :class:`ShapeError` on unequal lengths or a layout not the extraction's.
+    """
+    if len(firsts) != len(seconds):
+        raise ShapeError(f"{len(firsts)} first states for {len(seconds)} second states")
+    if any(s.layout != extraction.layout for s in (*firsts, *seconds)):
+        raise ShapeError("state layout does not match the extraction layout")
+    if not firsts:
+        return []
+    layout = extraction.layout
+    gaps = np.abs(
+        np.stack([s.vector for s in firsts]) - np.stack([s.vector for s in seconds])
+    ).reshape(len(firsts), len(layout.graph.nodes), layout.feature_count)
+    per_node = gaps[:, :, 0]
+    for feature in range(1, layout.feature_count):
+        per_node = per_node + gaps[:, :, feature]
+    totals = np.zeros(len(firsts))
+    if per_node.shape[1]:
+        totals = np.cumsum(per_node, axis=1)[:, -1]
+    w = weights
+    return [w.omega * d + w.sigma * 0.0 + w.structure * 0 for d in totals.tolist()]

@@ -295,6 +295,12 @@ DYNAMICS = str(SAMPLES / "dynamics_shear.json")
 PROGRAM = str(SAMPLES / "program_pulse.json")
 STATE = str(SAMPLES / "state_pair.json")
 STAR_COSPAN = json.loads((SAMPLES / "cospan_star.json").read_text(encoding="utf-8"))
+# A two-site explicit species block: one channel that decays each site.
+EXPLICIT_SPECIES = {
+    "dynamics": {"drift": [[0.0, 0.0], [0.0, 0.0]], "controls": [[[-1.0, 0.0], [0.0, -1.0]]]},
+    "graph": {"nodes": ["site0", "site1"], "edges": [["link0", ["site0", "site1"]]]},
+    "features": 1,
+}
 
 
 @pytest.mark.parametrize(
@@ -568,6 +574,94 @@ STAR_COSPAN = json.loads((SAMPLES / "cospan_star.json").read_text(encoding="utf-
                          **SMALL_SPECIES}]}, {},
             "error: checks[0].program: missing key 'pieces'",
             id="laws-program-without-pieces",
+        ),
+        pytest.param(
+            ["check-laws", CONFIG],
+            {"checks": [{"law": "compatibility", "pulses": 3, "psi_amplitude_scale": 2.0,
+                         "expect": "fail", "species": {"n_sites": 2, "sigma": math.inf}}]},
+            {}, "error: species.sigma: must be finite, got inf", id="laws-infinite-sigma",
+        ),
+        pytest.param(
+            ["worked-example", "--config", CONFIG], {"sigma": math.inf}, {},
+            "error: sigma: must be finite, got inf", id="worked-example-infinite-sigma",
+        ),
+        pytest.param(
+            ["check-laws", CONFIG],
+            {"checks": [{"law": "functor_laws", "samples": 3, "species": {
+                **EXPLICIT_SPECIES, "sigma": "abc",
+            }}]}, {},
+            "error: species: could not convert string to float: 'abc'",
+            id="laws-explicit-species-sigma-not-a-number",
+        ),
+        pytest.param(
+            ["check-laws", CONFIG],
+            {"checks": [{"law": "functor_laws", "samples": 3, "species": {
+                **EXPLICIT_SPECIES, "sigma": -1.0,
+            }}]}, {},
+            "error: species: sigma must be a finite nonnegative number, got -1.0",
+            id="laws-explicit-species-negative-sigma",
+        ),
+        pytest.param(
+            ["check-laws", CONFIG],
+            {"checks": [{"law": "functor_laws", "samples": 3, "species": {
+                **EXPLICIT_SPECIES, "graph": {"nodes": ["site0"], "edges": []},
+                "dynamics": {"drift": [[0.0]], "controls": [[[1.0]]]}, "sigma": -1.0,
+            }}]}, {},
+            "error: species: sigma must be a finite nonnegative number, got -1.0",
+            id="laws-explicit-species-negative-sigma-one-node",
+        ),
+        pytest.param(
+            ["check-laws", CONFIG],
+            {"checks": [{"law": "functor_laws", "samples": 3, "species": {
+                **EXPLICIT_SPECIES, "graph": {"nodes": ["site0", "site1"], "edges": []},
+            }}]}, {},
+            "error: species: mycelial network must be connected",
+            id="laws-explicit-species-disconnected",
+        ),
+        pytest.param(
+            ["check-laws", CONFIG],
+            {"checks": [{"law": "functor_laws", "samples": 3, "species": {
+                **EXPLICIT_SPECIES, "features": 1.5,
+            }}]}, {},
+            "error: species.features: must be an integer, got 1.5",
+            id="laws-explicit-species-fractional-features",
+        ),
+        pytest.param(
+            ["check-laws", CONFIG],
+            {"checks": [{"law": "functor_laws", "samples": 2.7, "seed": 1.9,
+                         "species": {"n_sites": 2.5}}]}, {},
+            "error: checks[0].samples: must be an integer, got 2.7",
+            id="laws-fractional-samples",
+        ),
+        pytest.param(
+            ["check-laws", CONFIG],
+            {"checks": [{"law": "functor_laws", "samples": 3, "species": {"n_sites": 2.5}}]},
+            {}, "error: species.n_sites: must be an integer, got 2.5",
+            id="laws-fractional-sites",
+        ),
+        pytest.param(
+            ["check-laws", CONFIG],
+            {"checks": [{"law": "lipschitz", "pairs": math.inf, **SMALL_SPECIES}]}, {},
+            "error: checks[0].pairs: must be an integer, got inf", id="laws-infinite-pairs",
+        ),
+        pytest.param(
+            ["order-scan", CONFIG], {**SMALL_SPECIES, "seed": 1.9}, {},
+            "error: seed: must be an integer, got 1.9", id="scan-fractional-seed",
+        ),
+        pytest.param(
+            ["order-scan", CONFIG], {"species": {"n_sites": 2, "channels": 2.5}}, {},
+            "error: species.channels: must be an integer, got 2.5",
+            id="scan-fractional-channels",
+        ),
+        pytest.param(
+            ["worked-example", "--config", CONFIG], {"functor_samples": 2.5}, {},
+            "error: functor_samples: must be an integer, got 2.5",
+            id="worked-example-fractional-samples",
+        ),
+        pytest.param(
+            ["worked-example", "--config", CONFIG], {"scaling_modes": []}, {},
+            "error: scaling_modes: must name at least one mode",
+            id="worked-example-no-scaling-modes",
         ),
     ],
 )

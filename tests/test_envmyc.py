@@ -314,6 +314,14 @@ class TestMycDistance:
             assert min(d01, d12, d02) >= 0.0
             assert d02 <= d01 + d12 + 1e-9
 
+    def test_features_add_left_to_right(self):
+        # Compensated summation (builtin sum from Python 3.12 on) would give
+        # 1e16 + 2 here; every supported interpreter must give 1e16.
+        m1 = single_node_myc((1e16, 1.0, 1.0))
+        m2 = single_node_myc((0.0, 0.0, 0.0))
+        assert myc_distance(m1, m2) == 1e16
+        assert myc_distance(m2, m1) == 1e16
+
     def test_structural_mismatch_counts(self):
         m1 = path_myc([(0.0,), (0.0,)])
         m2 = single_node_myc((0.0,), name="v0")

@@ -1,11 +1,14 @@
 """Programs, piece-exact evolution, extraction, and induced network updates."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mycocat.envmyc import myc_distance
+from mycocat.envmyc import DistanceWeights, myc_distance
 from mycocat.errors import ParameterError, ShapeError
 from mycocat.graphs import AttributedGraph
 from mycocat.laws import SpeciesFunctor
@@ -21,6 +24,7 @@ from mycocat.programs import (
     extract,
     flow_matrix,
     programs_equivalent_at,
+    state_distances,
 )
 
 
@@ -224,6 +228,115 @@ class TestExtraction:
         slots = layout.slots()
         for i, (node, feat) in enumerate(slots):
             assert m.omega[node][feat] == evolved.vector[i]
+
+
+class TestExtractionInvariants:
+    """Every network ``extract`` builds must be a valid ``MycObject``; an
+    ``Extraction`` checks that once, and refuses a conductivity that is not
+    finite, which would make every distance NaN."""
+
+    @pytest.mark.parametrize(
+        "graph, sigma, error",
+        [
+            (AttributedGraph(("a", "b"), ()), 1.0, ShapeError),
+            (path_graph(2), {"e0": 1.0, "e9": 1.0}, ShapeError),
+            (path_graph(2), {}, ShapeError),
+            (path_graph(3), {"e0": 1.0, "e1": -0.5}, ParameterError),
+            (path_graph(2), {"e0": math.inf}, ParameterError),
+            (path_graph(2), -1.0, ParameterError),
+            (path_graph(2), math.nan, ParameterError),
+            (path_graph(2), math.inf, ParameterError),
+            (path_graph(1), -1.0, ParameterError),
+            (path_graph(1), math.inf, ParameterError),
+        ],
+    )
+    def test_refused(self, graph, sigma, error):
+        with pytest.raises(error):
+            Extraction(StateLayout(graph, 1), sigma)
+
+    def test_fields_alone_define_equality_and_repr(self):
+        layout = StateLayout(path_graph(2), 1)
+        assert Extraction(layout, 2.0) == Extraction(layout, 2.0)
+        assert Extraction(layout, 2.0) != Extraction(layout, {"e0": 2.0})
+        assert repr(Extraction(layout, 2.0)) == f"Extraction(layout={layout!r}, sigma=2.0)"
+
+    def test_extract_reads_the_per_edge_sigma(self):
+        layout = StateLayout(path_graph(3), 1)
+        state = InternalState((0.0, 1.0, 2.0), layout)
+        assert extract(state, Extraction(layout, {"e1": 3, "e0": 0.5})).sigma == {
+            "e0": 0.5, "e1": 3.0
+        }
+        assert extract(state, Extraction(layout, 2)).sigma == {"e0": 2.0, "e1": 2.0}
+
+
+def bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+WEIGHT = st.sampled_from([0.0, 1.0, 0.5, 3.0, math.inf]) | st.floats(0.0, 1e6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    nodes=st.integers(1, 12),
+    features=st.integers(1, 10),
+    batch=st.integers(1, 70),
+    weights=st.builds(DistanceWeights, WEIGHT, WEIGHT, WEIGHT),
+    sigma=st.floats(0.0, 1e3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_state_distances_equal_myc_distance_bit_for_bit(
+    nodes, features, batch, weights, sigma, seed
+):
+    # Entries span 25 decades, so a different summation order shows in the
+    # last bits; a quarter of the pairs share some entries exactly.
+    rng = np.random.default_rng(seed)
+    layout = StateLayout(path_graph(nodes), features)
+    extraction = Extraction(layout, sigma)
+    shape = (batch, layout.dim)
+    a = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 17, size=shape)
+    b = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 17, size=shape)
+    b = np.where(rng.random(shape) < 0.25, a, b)
+    firsts = [InternalState(v, layout) for v in a]
+    seconds = [InternalState(v, layout) for v in b]
+    got = state_distances(firsts, seconds, extraction, weights)
+    want = [
+        myc_distance(extract(x, extraction), extract(y, extraction), weights)
+        for x, y in zip(firsts, seconds)
+    ]
+    assert [bits(d) for d in got] == [bits(d) for d in want]
+    for x, y, d in zip(firsts, seconds, got):
+        assert bits(state_distances([x], [y], extraction, weights)[0]) == bits(d)
+
+
+class TestStateDistances:
+    def test_default_weights_and_empty_batch(self):
+        layout = StateLayout(path_graph(2), 2)
+        extraction = Extraction(layout)
+        s = InternalState((1.0, -2.0, 0.5, 0.0), layout)
+        t = InternalState((0.0, 0.0, 0.0, 0.25), layout)
+        assert state_distances([s, s], [t, s], extraction) == [3.75, 0.0]
+        assert state_distances([], [], extraction) == []
+
+    def test_graph_without_nodes(self):
+        layout = StateLayout(path_graph(0), 1)
+        empty = InternalState(np.zeros(0), layout)
+        extraction = Extraction(layout)
+        network = extract(empty, extraction)
+        assert state_distances([empty], [empty], extraction) == [
+            myc_distance(network, network)
+        ]
+
+    def test_mismatches_raise(self, small_setup):
+        layout, _, state = small_setup
+        other = InternalState(np.zeros(6), StateLayout(path_graph(3), 2))
+        extraction = Extraction(layout)
+        with pytest.raises(ShapeError):
+            state_distances([state], [state, state], extraction)
+        with pytest.raises(ShapeError):
+            state_distances([state], [other], extraction)
+        with pytest.raises(ShapeError):
+            state_distances([state], [state], Extraction(other.layout))
 
 
 class TestInducedMorphism:
