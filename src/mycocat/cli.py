@@ -77,6 +77,22 @@ def write_atomic(path: Path, text: str) -> None:
         raise
 
 
+def say(line: str) -> None:
+    """Print one line of the run's report to stdout. Once the reader has
+    closed stdout, this line and every later one are dropped, so the run
+    still writes its artifacts and exits with its own code."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        # Point stdout at devnull: later lines and the flush at exit then
+        # go nowhere instead of raising again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
+
+
 def write_json(path: Path, payload) -> None:
     write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -143,7 +159,7 @@ def cmd_pushout(args) -> int:
     }
     out = Path(args.out_dir) / "pushout.json"
     write_json(out, payload)
-    print(f"pushout: {len(obj.nodes)} nodes, {len(obj.edges)} edges -> {out}")
+    say(f"pushout: {len(obj.nodes)} nodes, {len(obj.edges)} edges -> {out}")
     return 0
 
 
@@ -154,7 +170,7 @@ def cmd_simulate(args) -> int:
     final = evolve(state, program, dyn)
     out = Path(args.out_dir) / "final_state.json"
     write_json(out, final.to_json())
-    print(
+    say(
         f"simulate: duration {program.duration}, "
         f"|S|_inf {float(np.max(np.abs(final.vector)))!r} -> {out}"
     )
@@ -164,7 +180,7 @@ def cmd_simulate(args) -> int:
 def _print_scan(report: AsymmetryReport, label: str) -> None:
     slope = "n/a" if report.slope is None else f"{report.slope:.4f}"
     r2 = "n/a" if report.r_squared is None else f"{report.r_squared:.6f}"
-    print(
+    say(
         f"{label}: slope {slope}, R^2 {r2}, "
         f"commutator norm {report.commutator_norm:.3g}, verdict: {report.verdict}"
     )
@@ -187,7 +203,9 @@ def cmd_worked_example(args) -> int:
         config = WorkedExampleConfig()
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
-    result = run_worked_example(config, scaling=args.scaling)
+    if args.scaling is not None:
+        config = dataclasses.replace(config, scaling_modes=(args.scaling,))
+    result = run_worked_example(config)
     out_dir = Path(args.out_dir)
     write_json(out_dir / "worked_example.json", result.summary_json())
     for mode, report in result.scans.items():
@@ -195,7 +213,7 @@ def cmd_worked_example(args) -> int:
         _print_scan(report, f"worked-example[{mode}]")
     failures = 0
     for report in result.law_reports:
-        print(
+        say(
             f"worked-example[{report.law}]: residual {report.max_residual:.3g} "
             f"(tol {report.tolerance:.3g}) verdict: {report.verdict}"
         )
@@ -337,7 +355,7 @@ def cmd_check_laws(args) -> int:
             }
         )
         marker = "ok" if matched else "MISMATCH"
-        print(
+        say(
             f"check-laws[{report.law}]: residual {report.max_residual:.3g} "
             f"(tol {report.tolerance:.3g}) verdict: {report.verdict} "
             f"expected: {expected} [{marker}]"
@@ -400,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--scaling",
         choices=("amplitude", "duration"),
         default=None,
-        help="restrict the scan to one scaling mode",
+        help="run the scan in this scaling mode only (replaces scaling_modes)",
     )
     p.set_defaults(func=cmd_worked_example)
 

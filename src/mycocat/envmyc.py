@@ -164,7 +164,7 @@ def check_admissibility(rho: Mapping, phi: Mapping, chi: Constraints) -> str | N
     for v, r in rho.items():
         if r < -_BOUND_SLACK:
             return f"rho at node {v!r} is negative ({r})"
-    total = sum(rho.values())
+    total = ordered_sum(rho.values())
     if total > chi.budget + _BOUND_SLACK:
         return f"total resource {total} exceeds budget {chi.budget}"
     for v, vec in phi.items():
@@ -340,14 +340,18 @@ def compose_env_morphisms(f: EnvMorphism, g: EnvMorphism) -> EnvMorphism:
     )
 
 
-def _abs_sum(values) -> float:
-    """Sum of absolute values, left to right. Builtin ``sum`` of floats is
+def ordered_sum(values) -> float:
+    """Sum of floats, left to right. Builtin ``sum`` of floats is
     compensated from Python 3.12 on, so it would give other last bits on
     other interpreters."""
     total = 0.0
     for x in values:
-        total += abs(x)
+        total += x
     return total
+
+
+def _abs_sum(values) -> float:
+    return ordered_sum(map(abs, values))
 
 
 def _ordered_l1(first: Mapping, second: Mapping) -> float:
@@ -424,7 +428,7 @@ class MycObject:
 
     def node_strength(self, v) -> float:
         """Total conductivity of edges incident to v (loops counted once)."""
-        return sum(self.sigma[e] for e in self.graph.incident_edges(v))
+        return ordered_sum(self.sigma[e] for e in self.graph.incident_edges(v))
 
     def to_json(self) -> dict:
         edges = _json_keys(self.graph.edge_ids, "edge")

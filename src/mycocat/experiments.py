@@ -196,16 +196,16 @@ def _require_positive(values: Mapping, names: Sequence[str], where: str = "") ->
 
 
 def _require_nonnegative(values: Mapping, names: Sequence[str], where: str = "") -> None:
-    """Reject a negative seed, a negative or NaN tolerance or bound, and a
-    negative, NaN or infinite conductivity (``sigma``): an infinite
-    conductivity makes every network distance NaN. ``where`` prefixes the
-    key in errors."""
+    """Reject a negative, NaN or infinite seed, tolerance, bound or
+    conductivity (``sigma``): every residual passes an infinite tolerance
+    or bound, and an infinite conductivity makes every network distance
+    NaN. ``where`` prefixes the key in errors."""
     for name in names:
         value = values[name]
         if not value >= 0:
             kind = "a nonnegative number" if isinstance(value, float) else "nonnegative"
             raise ConfigError(f"{where}{name}: must be {kind}, got {value}")
-        if name == "sigma" and value == math.inf:
+        if value == math.inf:
             raise ConfigError(f"{where}{name}: must be finite, got {value}")
 
 
@@ -644,19 +644,15 @@ def _demo_environment(config: WorkedExampleConfig) -> tuple[EnvObject, EnvMorphi
     return env, f_a, f_b
 
 
-def run_worked_example(
-    config: WorkedExampleConfig | None = None,
-    scaling: str | None = None,
-) -> WorkedExampleResult:
+def run_worked_example(config: WorkedExampleConfig | None = None) -> WorkedExampleResult:
     """Run the full two-pulse protocol.
 
     Builds the substrate environment and its two exposure morphisms, runs
-    the order-asymmetry scan in the configured scaling modes (or just the
-    one requested), and runs the functor-law and compatibility checks on
-    the same species. Deterministic given (config, seed).
+    the order-asymmetry scan in the configured scaling modes, and runs the
+    functor-law and compatibility checks on the same species.
+    Deterministic given (config, seed).
     """
     config = config or WorkedExampleConfig()
-    modes = (scaling,) if scaling else config.scaling_modes
 
     species = reference_species(
         n_sites=config.n_sites,
@@ -673,7 +669,7 @@ def run_worked_example(
     env_ab = apply_env_morphism(env_a, f_b)
 
     scans = {}
-    for mode in modes:
+    for mode in config.scaling_modes:
         scans[mode] = run_order_asymmetry_scan(
             ExposureExperiment(
                 species=species,

@@ -45,7 +45,6 @@ from .programs import (
     Program,
     ReferenceDynamics,
     concatenate,
-    evolve,
     evolve_many,
     extract,
     state_distances,
@@ -65,7 +64,8 @@ class LawReport:
 
     @property
     def passed(self) -> bool:
-        return self.max_residual <= self.tolerance
+        """Residual within tolerance; an infinite residual fails any tolerance."""
+        return self.max_residual <= self.tolerance and self.max_residual != math.inf
 
     @property
     def verdict(self) -> str:
@@ -92,10 +92,10 @@ class LawReport:
 class SpeciesFunctor:
     """One species: reference dynamics plus a measurement pipeline.
 
-    ``transform`` realizes the induced state transition of a program and
-    ``transform_many`` that of many (state, program) pairs; subclasses may
-    override ``transform`` (the test mutants do) while the checkers only
-    ever go through this surface. The read-out is fixed by ``extraction``:
+    ``transform_many`` realizes the induced state transitions of many
+    (state, program) pairs and is the one override point: a subclass (the
+    mutants do) overrides it, and ``transform`` of one pair goes through
+    it too. The read-out is fixed by ``extraction``:
     the checkers measure distances between evolved states with
     :func:`mycocat.programs.state_distances`, which equals
     ``myc_distance`` of the ``on_object`` networks bit for bit.
@@ -106,18 +106,13 @@ class SpeciesFunctor:
     extraction: Extraction
 
     def transform(self, state: InternalState, program: Program) -> InternalState:
-        return evolve(state, program, self.dynamics)
+        return self.transform_many([state], [program])[0]
 
     def transform_many(
         self, states: Sequence[InternalState], programs: Sequence[Program]
     ) -> list[InternalState]:
-        """``transform`` of each (state, program) pair, with the same bits.
-
-        The reference transform evolves all pairs in batched kernel calls;
-        a subclass that overrides ``transform`` alone is called once per
-        pair, so its override is honoured."""
-        if type(self).transform is not SpeciesFunctor.transform:
-            return [self.transform(s, p) for s, p in zip(states, programs)]
+        """Run ``programs[i]`` from ``states[i]`` for every i, in batched
+        kernel calls; each result has the bits of its pair run alone."""
         return evolve_many(states, programs, self.dynamics)
 
     def on_object(self, state: InternalState) -> MycObject:
@@ -135,16 +130,16 @@ class NonCausalSpecies(SpeciesFunctor):
     """Mutant that resets to the initial state at internal piece boundaries.
 
     Each piece of a multi-piece program acts on the program's start state
-    instead of the running state, so concatenation no longer matches
-    sequential execution. Single-piece and null programs behave normally,
-    which keeps the identity law intact while breaking composition.
+    instead of the running state, so only the last piece's flow survives
+    and concatenation no longer matches sequential execution. Single-piece
+    and null programs behave normally, which keeps the identity law intact
+    while breaking composition.
     """
 
-    def transform(self, state: InternalState, program: Program) -> InternalState:
-        out = state
-        for piece in program.pieces:
-            out = evolve(state, Program((piece,)), self.dynamics)
-        return out
+    def transform_many(
+        self, states: Sequence[InternalState], programs: Sequence[Program]
+    ) -> list[InternalState]:
+        return super().transform_many(states, [Program(p.pieces[-1:]) for p in programs])
 
 
 def non_causal_variant(f: SpeciesFunctor) -> NonCausalSpecies:
@@ -671,12 +666,14 @@ def field_writeback(template: EnvObject, state: InternalState) -> EnvObject:
 def matched_environment_evolution(
     f: SpeciesFunctor,
     iota: Callable[[EnvObject], InternalState],
-) -> Callable[[EnvObject, Program], EnvObject]:
+) -> Callable[[Sequence[EnvObject], Sequence[Program]], list[EnvObject]]:
     """Environment evolution that mirrors the internal dynamics exactly:
-    embed, evolve, write the fields back."""
+    embed each environment, run its program in one ``transform_many``
+    call, write the fields back."""
 
-    def psi(env: EnvObject, program: Program) -> EnvObject:
-        return field_writeback(env, f.transform(iota(env), program))
+    def psi(environments: Sequence[EnvObject], programs: Sequence[Program]) -> list[EnvObject]:
+        moved = f.transform_many([iota(env) for env in environments], programs)
+        return [field_writeback(env, state) for env, state in zip(environments, moved)]
 
     return psi
 
@@ -685,20 +682,19 @@ def scaled_environment_evolution(
     f: SpeciesFunctor,
     iota: Callable[[EnvObject], InternalState],
     amplitude_scale: float,
-) -> Callable[[EnvObject, Program], EnvObject]:
+) -> Callable[[Sequence[EnvObject], Sequence[Program]], list[EnvObject]]:
     """Mutant environment evolution that mis-scales every pulse amplitude."""
+    matched = matched_environment_evolution(f, iota)
 
-    def psi(env: EnvObject, program: Program) -> EnvObject:
-        return field_writeback(
-            env, f.transform(iota(env), program.scale_amplitude(amplitude_scale))
-        )
+    def psi(environments: Sequence[EnvObject], programs: Sequence[Program]) -> list[EnvObject]:
+        return matched(environments, [p.scale_amplitude(amplitude_scale) for p in programs])
 
     return psi
 
 
 def check_compatibility(
     iota: Callable[[EnvObject], InternalState],
-    psi: Callable[[EnvObject, Program], EnvObject],
+    psi: Callable[[Sequence[EnvObject], Sequence[Program]], list[EnvObject]],
     f: SpeciesFunctor,
     environments: Sequence[EnvObject],
     programs: Sequence[Program],
@@ -710,10 +706,10 @@ def check_compatibility(
     Leg one evolves the environment with ``psi`` and reads the result out
     through the species pipeline; leg two embeds with ``iota`` and evolves
     internally. The report's residual is the max network distance between
-    the legs over all (environment, program) pairs. The operational leg
-    runs every pair in one ``transform_many`` call; ``psi`` is called once
-    per pair. Raises :class:`ParameterError` when there is no environment
-    or no program.
+    the legs over all (environment, program) pairs. ``psi`` maps lists of
+    environments and programs to the evolved environments; it and the
+    operational leg's ``transform_many`` each run on all pairs in one call.
+    Raises :class:`ParameterError` when there is no environment or program.
     """
     environments, programs = list(environments), list(programs)
     if not environments or not programs:
@@ -728,10 +724,9 @@ def check_compatibility(
         except (KeyError, InputError) as exc:
             raise InputError(f"iota undefined on sampled environment {ei}") from exc
     pairs = [(ei, pi) for ei in range(len(environments)) for pi in range(len(programs))]
-    operational = f.transform_many(
-        [starts[ei] for ei, _ in pairs], [programs[pi] for _, pi in pairs]
-    )
-    static = [iota(psi(environments[ei], programs[pi])) for ei, pi in pairs]
+    paired = [programs[pi] for _, pi in pairs]
+    operational = f.transform_many([starts[ei] for ei, _ in pairs], paired)
+    static = [iota(env) for env in psi([environments[ei] for ei, _ in pairs], paired)]
     residuals = state_distances(static, operational, f.extraction, weights)
     worst = 0.0
     witness: dict | None = None

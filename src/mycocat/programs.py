@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import kernels
-from .envmyc import DistanceWeights, MycObject
+from .envmyc import DistanceWeights, MycObject, ordered_sum
 from .errors import NumericError, ParameterError, ShapeError
 from .graphs import AttributedGraph
 
@@ -56,7 +56,7 @@ class Program:
 
     @property
     def duration(self) -> float:
-        return sum(length for length, _ in self.pieces)
+        return ordered_sum(length for length, _ in self.pieces)
 
     @property
     def channels(self) -> int:

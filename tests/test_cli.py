@@ -124,6 +124,10 @@ class TestWorkedExampleCommand:
         assert code == 0
         assert (tmp_path / "order_scan_duration.csv").exists()
         assert not (tmp_path / "order_scan_amplitude.csv").exists()
+        # the summary records the one mode that ran
+        summary = json.loads((tmp_path / "worked_example.json").read_text())
+        assert summary["config"]["scaling_modes"] == ["duration"]
+        assert list(summary["scans"]) == ["duration"]
 
     def test_config_file_commuting_variant(self, tmp_path):
         cfg = write(tmp_path / "cfg.json", {"coupling": "commuting"})
@@ -285,6 +289,35 @@ class TestEnvironmentOverrides:
         first, second = outputs
         assert set(first) >= {"law_reports.json", "worked_example.json"}
         assert [name for name in first if first[name] != second[name]] == []
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("expect, code", [("fail", 0), ("pass", 1)])
+    def test_run_finishes_after_reader_closes_stdout(self, tmp_path, expect, code):
+        # like `mycocat check-laws ... | head -1`, with the reader gone first
+        suite = write(tmp_path / "suite.json", {"checks": [
+            {"law": "functor_laws", "samples": 3, **SMALL_SPECIES},
+            {"law": "functor_laws", "samples": 3, "mutant": "non_causal",
+             "expect": expect, **SMALL_SPECIES},
+        ]})
+        env = dict(os.environ)
+        env.pop("MYCOCAT_SEED", None)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "mycocat.cli", "check-laws", suite,
+                 "--out-dir", str(tmp_path)],
+                env=env,
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (code, "")
+        results = json.loads((tmp_path / "law_reports.json").read_text())["results"]
+        assert [r["report"]["verdict"] for r in results] == ["pass", "fail"]
 
 
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "sample_inputs"
@@ -584,6 +617,34 @@ EXPLICIT_SPECIES = {
         pytest.param(
             ["worked-example", "--config", CONFIG], {"sigma": math.inf}, {},
             "error: sigma: must be finite, got inf", id="worked-example-infinite-sigma",
+        ),
+        pytest.param(
+            ["check-laws", CONFIG],
+            {"checks": [{"law": "functor_laws", "mutant": "non_causal", "tol": math.inf,
+                         "samples": 5, **SMALL_SPECIES}]}, {},
+            "error: checks[0].tol: must be finite, got inf", id="laws-infinite-tol",
+        ),
+        pytest.param(
+            ["check-laws", CONFIG],
+            {"checks": [{"law": "lipschitz", "pairs": 2, "bound": math.inf,
+                         **SMALL_SPECIES}]}, {},
+            "error: checks[0].bound: must be finite, got inf", id="lipschitz-infinite-bound",
+        ),
+        pytest.param(
+            ["check-laws", CONFIG, "--tol", "inf"],
+            {"checks": [{"law": "functor_laws", "mutant": "non_causal", "samples": 5,
+                         **SMALL_SPECIES}]}, {},
+            "error: --tol: must be finite, got inf", id="laws-infinite-tol-flag",
+        ),
+        pytest.param(
+            ["worked-example", "--config", CONFIG], {"functor_tol": math.inf}, {},
+            "error: functor_tol: must be finite, got inf",
+            id="worked-example-infinite-functor-tol",
+        ),
+        pytest.param(
+            ["worked-example", "--config", CONFIG], {"compat_tol": math.inf}, {},
+            "error: compat_tol: must be finite, got inf",
+            id="worked-example-infinite-compat-tol",
         ),
         pytest.param(
             ["check-laws", CONFIG],

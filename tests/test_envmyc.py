@@ -19,6 +19,7 @@ from mycocat.envmyc import (
     anastomosis,
     anastomosis_with_injections,
     apply_env_morphism,
+    check_admissibility,
     compose_env_morphisms,
     env_distance,
     identity_env_morphism,
@@ -70,6 +71,12 @@ class TestEnvObjects:
         g = AttributedGraph(("a",), ())
         with pytest.raises(ConstraintError):
             EnvObject(g, {"a": 5.0}, {"a": (0.0,)}, Constraints(budget=1.0))
+
+    def test_admissibility_total_adds_left_to_right(self):
+        # 1e16 + 2 would exceed the budget of 1e16
+        rho = {"a": 1e16, "b": 1.0, "c": 1.0}
+        phi = {v: (0.0,) for v in rho}
+        assert check_admissibility(rho, phi, Constraints(budget=1e16)) is None
 
     def test_json_roundtrip(self):
         e = square_env()
@@ -321,6 +328,14 @@ class TestMycDistance:
         m2 = single_node_myc((0.0, 0.0, 0.0))
         assert myc_distance(m1, m2) == 1e16
         assert myc_distance(m2, m1) == 1e16
+
+    def test_node_strength_adds_left_to_right(self):
+        g = AttributedGraph(
+            ("c", "a", "b", "d"),
+            (("e0", ("c", "a")), ("e1", ("c", "b")), ("e2", ("c", "d"))),
+        )
+        m = MycObject(g, {"e0": 1e16, "e1": 1.0, "e2": 1.0}, {v: (0.0,) for v in g.nodes})
+        assert m.node_strength("c") == 1e16
 
     def test_structural_mismatch_counts(self):
         m1 = path_myc([(0.0,), (0.0,)])

@@ -139,9 +139,9 @@ class TestOrderAsymmetryScan:
 
     def test_overridden_transform_is_honoured(self):
         class Doubling(SpeciesFunctor):
-            def transform(self, state, program):
-                moved = super().transform(state, program)
-                return InternalState(2.0 * moved.vector, moved.layout)
+            def transform_many(self, states, programs):
+                moved = super().transform_many(states, programs)
+                return [InternalState(2.0 * m.vector, m.layout) for m in moved]
 
         base = experiment()
         mutant = Doubling("doubling", base.species.dynamics, base.species.extraction)
@@ -199,8 +199,9 @@ class TestWorkedExample:
             assert below_floor or scan.slope >= 2.8
 
     def test_single_scaling_mode_restriction(self):
-        result = run_worked_example(scaling="duration")
+        result = run_worked_example(WorkedExampleConfig(scaling_modes=("duration",)))
         assert set(result.scans) == {"duration"}
+        assert result.summary_json()["config"]["scaling_modes"] == ["duration"]
 
     def test_summary_json_is_deterministic(self):
         import json

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from mycocat import kernels
 from mycocat.envmyc import Constraints, EnvObject
 from mycocat.errors import InputError, ParameterError
 from mycocat.experiments import reference_species
@@ -67,6 +68,14 @@ def random_pulses(channels, count, seed):
     return out
 
 
+def test_infinite_residual_fails_an_infinite_tolerance():
+    witness = {"pair_index": 0, "kind": "zero-distance-expansion"}
+    report = LawReport("lipschitz", 1, math.inf, math.inf, witness=witness)
+    assert not report.passed
+    assert report.to_json()["verdict"] == "fail"
+    assert LawReport("lipschitz", 1, 1e308, math.inf).passed
+
+
 class TestFunctorLaws:
     def test_reference_dynamics_pass(self, species):
         report = check_functor_laws(species, sample_count=100, tol=1e-10, seed=42)
@@ -89,10 +98,12 @@ class TestFunctorLaws:
     def test_null_program_that_moves_the_state_fails_identity_law(self, species):
         class Drifting(SpeciesFunctor):
             # Composes exactly, but the null program shifts the state.
-            def transform(self, state, program):
-                if program.pieces:
-                    return super().transform(state, program)
-                return InternalState(state.vector + 1e-3, state.layout)
+            def transform_many(self, states, programs):
+                moved = super().transform_many(states, programs)
+                return [
+                    m if p.pieces else InternalState(s.vector + 1e-3, s.layout)
+                    for s, p, m in zip(states, programs, moved)
+                ]
 
         mutant = Drifting("drifting", species.dynamics, species.extraction)
         report = check_functor_laws(mutant, sample_count=20, tol=1e-10, seed=42)
@@ -265,7 +276,8 @@ class TestCompatibility:
 # Each oracle is the per-sample loop the checker replaces: one flow per
 # (state, program) pair through ``run``, in sample order, with the checker's
 # RNG stream, witness rule and report fields. ``evolve_run`` builds it from
-# ``evolve``; ``transform_run`` from a species' own ``transform``.
+# ``evolve``; ``transform_run`` from a species' own ``transform``, which is
+# its ``transform_many`` of one pair.
 
 
 def evolve_run(f, state, program):
@@ -346,7 +358,7 @@ def oracle_compatibility(iota, psi, f, environments, programs, run, tol):
     for ei, env in enumerate(environments):
         start = iota(env)
         for pi, program in enumerate(programs):
-            static_leg = f.on_object(iota(psi(env, program)))
+            static_leg = f.on_object(iota(psi([env], [program])[0]))
             operational_leg = f.on_object(run(f, start, program))
             residual = myc_distance(static_leg, operational_leg)
             samples += 1
@@ -368,11 +380,10 @@ TWO_PIECES = Program(((0.4, (0.3, -0.2)), (0.25, (0.1, 0.5))))
 
 
 class Doubling(SpeciesFunctor):
-    # Overrides transform alone: every result, the null program's included,
-    # is twice the evolved state.
-    def transform(self, state, program):
-        moved = super().transform(state, program)
-        return InternalState(2.0 * moved.vector, moved.layout)
+    # Every result, the null program's included, is twice the evolved state.
+    def transform_many(self, states, programs):
+        moved = super().transform_many(states, programs)
+        return [InternalState(2.0 * m.vector, m.layout) for m in moved]
 
 
 class TestBatchedCheckersMatchPerSampleLoops:
@@ -416,7 +427,7 @@ class TestBatchedCheckersMatchPerSampleLoops:
 
 
 class TestOverriddenTransformIsHonoured:
-    """A subclass that overrides only ``transform`` reaches every checker."""
+    """A subclass that overrides ``transform_many`` reaches every checker."""
 
     @pytest.fixture()
     def doubling(self, species):
@@ -453,6 +464,82 @@ class TestOverriddenTransformIsHonoured:
         report = check_compatibility(iota, psi, doubling, envs, pulses, tol=1e-8)
         assert report == oracle_compatibility(iota, psi, doubling, envs, pulses, transform_run, 1e-8)
         assert not report.passed
+
+
+def non_causal_loop(f, state, program):
+    # The mutant's rule one piece at a time: each piece runs from the start
+    # state and the last result is kept.
+    out = state
+    for piece in program.pieces:
+        out = evolve(state, Program((piece,)), f.dynamics)
+    return out
+
+
+class TestSingleFlowPath:
+    """Every species flow, the mutant's and psi's included, is batched."""
+
+    def test_batched_non_causal_mutant_matches_piece_loop(self, species):
+        mutant = non_causal_variant(species)
+        rng = np.random.default_rng(21)
+        states = [_random_state(rng, species) for _ in range(130)]
+        programs = [
+            _random_program(rng, 2, max_pieces=3) if i % 5 else Program() for i in range(130)
+        ]
+        assert {len(p.pieces) for p in programs} == {0, 1, 2, 3}
+        moved = mutant.transform_many(states, programs)
+        assert [m.vector.tobytes() for m in moved] == [
+            non_causal_loop(mutant, s, p).vector.tobytes() for s, p in zip(states, programs)
+        ]
+
+    def test_non_causal_functor_laws_match_piece_loop(self, species):
+        mutant = non_causal_variant(species)
+        report = check_functor_laws(mutant, sample_count=130, tol=1e-10, seed=4)
+        assert not report.passed
+        assert report == oracle_functor_laws(mutant, non_causal_loop, 130, 1e-10, 4)
+
+    @pytest.mark.parametrize("scale", [1.0, 1.1])
+    def test_psi_on_many_pairs_matches_psi_on_each(self, species, scale):
+        iota = direct_embedding(species.extraction.layout, 2)
+        if scale == 1.0:
+            psi = matched_environment_evolution(species, iota)
+        else:
+            psi = scaled_environment_evolution(species, iota, scale)
+        envs = [wide_env(species, seed=k % 3) for k in range(130)]
+        pulses = random_pulses(2, 130, seed=14)
+        together = psi(envs, pulses)
+        alone = [psi([env], [pulse])[0] for env, pulse in zip(envs, pulses)]
+        assert together == alone
+        assert [iota(e).vector.tobytes() for e in together] == [
+            iota(e).vector.tobytes() for e in alone
+        ]
+
+    @pytest.fixture()
+    def expm_calls(self, monkeypatch):
+        calls = []
+        expm = kernels.expm
+
+        def counted(a):
+            calls.append(len(a))
+            return expm(a)
+
+        monkeypatch.setattr(kernels, "expm", counted)
+        return calls
+
+    def test_compatibility_takes_one_expm_per_leg_per_64_programs(self, species, expm_calls):
+        iota = direct_embedding(species.extraction.layout, 2)
+        psi = scaled_environment_evolution(species, iota, 1.1)
+        pulses = random_pulses(2, 130, seed=12)
+        report = check_compatibility(iota, psi, species, [wide_env(species, 2)], pulses)
+        assert report.samples == 130
+        # static and operational legs, 64 + 64 + 2 programs each
+        assert len(expm_calls) == 2 * 3
+
+    def test_mutant_functor_laws_take_one_expm_per_leg_per_64_programs(
+        self, species, expm_calls
+    ):
+        check_functor_laws(non_causal_variant(species), sample_count=130, seed=4)
+        # joint leg and both sequential legs; the null programs take none
+        assert len(expm_calls) == 3 * 3
 
 
 class TestEmptySampleSets:

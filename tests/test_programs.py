@@ -74,6 +74,12 @@ class TestProgram:
         q = Program(((3.0, (0.5,)),))
         assert concatenate(p, q).duration == pytest.approx(5.0)
 
+    def test_duration_adds_left_to_right(self):
+        # Compensated summation (builtin sum from Python 3.12 on) would give
+        # 1e16 + 2 here; every supported interpreter must give 1e16.
+        p = Program(((1e16, (0.0,)), (1.0, (0.0,)), (1.0, (0.0,))))
+        assert p.duration == 1e16
+
     def test_signal_lookup_inside_second_block(self):
         p = Program(((2.0, (1.0,)),))
         q = Program(((1.5, (0.25,)), (1.5, (0.75,))))
