@@ -36,6 +36,7 @@ from .experiments import (
     ExposureExperiment,
     WorkedExampleConfig,
     _config_kwargs,
+    _require_finite,
     _require_nonnegative,
     _require_positive,
     random_pulses,
@@ -241,9 +242,10 @@ SUITE_DEFAULTS = {
 
 
 def read_suite_entry(check, where: str, tol: float | None, seed: int | None) -> dict:
-    """A suite entry with every key of its law filled in. A count below 1
-    or a negative or NaN limit is refused: the verdict would say nothing.
-    ``tol`` and ``seed`` are the flags, or None."""
+    """A suite entry with every key of its law filled in. A count below 1,
+    a negative, NaN or infinite limit and a non-finite scale are refused:
+    the verdict would say nothing. ``tol`` and ``seed`` are the flags, or
+    None."""
     defaults = {}  # a non-object entry is refused by _config_kwargs
     if isinstance(check, dict):
         law = check.get("law")
@@ -263,6 +265,8 @@ def read_suite_entry(check, where: str, tol: float | None, seed: int | None) -> 
     _require_positive(entry, [key for key in counts if key in entry], where)
     limits = ("tol", "bound", "seed")
     _require_nonnegative(entry, [key for key in limits if key in entry], where)
+    scales = ("psi_amplitude_scale", "magnitude")
+    _require_finite(entry, [key for key in scales if key in entry], where)
     if seed is not None:
         entry["seed"] = seed
     return entry

@@ -381,6 +381,8 @@ def env_distance(
     w_rho, w_phi, w_struct = weights
     if not all(w >= 0 for w in weights):
         raise ParameterError(f"weights must be nonnegative numbers, got {tuple(weights)}")
+    if math.inf in weights:
+        raise ParameterError(f"weights must be finite, got {tuple(weights)}")
     d_rho = _ordered_l1(
         {v: (x,) for v, x in e1.rho.items()}, {v: (x,) for v, x in e2.rho.items()}
     )
@@ -461,6 +463,10 @@ class DistanceWeights:
         weights = (self.omega, self.sigma, self.structure)
         if not all(w >= 0 for w in weights):
             raise ParameterError(f"distance weights must be nonnegative numbers, got {weights}")
+        # an infinite weight times a zero component is NaN: every distance
+        # that weight touches would read NaN
+        if math.inf in weights:
+            raise ParameterError(f"distance weights must be finite, got {weights}")
 
 
 def myc_distance(

@@ -177,6 +177,7 @@ class PulseTemplate:
         kwargs = _config_kwargs(data, defaults, path + ".")
         if "channel" not in kwargs:
             raise ConfigError(f"{path}: missing key 'channel'")
+        _require_finite({**defaults, **kwargs}, ("amplitude", "duration"), path + ".")
         return cls(**kwargs)
 
 
@@ -207,6 +208,14 @@ def _require_nonnegative(values: Mapping, names: Sequence[str], where: str = "")
             raise ConfigError(f"{where}{name}: must be {kind}, got {value}")
         if value == math.inf:
             raise ConfigError(f"{where}{name}: must be finite, got {value}")
+
+
+def _require_finite(values: Mapping, names: Sequence[str], where: str = "") -> None:
+    """Reject a NaN or infinite scale, amplitude or duration, which would
+    only surface as a non-finite flow. ``where`` prefixes the key in errors."""
+    for name in names:
+        if not math.isfinite(values[name]):
+            raise ConfigError(f"{where}{name}: must be finite, got {values[name]}")
 
 
 def _distance_weights(raw) -> DistanceWeights:
@@ -400,6 +409,9 @@ class ExposureExperiment:
         object.__setattr__(self, "eps_grid", grid)
         if len(grid) < 4:
             raise ConfigError("eps_grid: need at least 4 points")
+        for eps in grid:
+            if not math.isfinite(eps):
+                raise ConfigError(f"eps_grid: entries must be finite, got {eps}")
         if any(b >= a for a, b in zip(grid, grid[1:])):
             raise ConfigError("eps_grid: must be strictly decreasing")
         if grid[0] / grid[-1] < 10.0:
@@ -557,6 +569,11 @@ class WorkedExampleConfig:
             vars(self),
             ("n_sites", "channels", "features", "functor_samples", "compat_pulses"),
         )
+        if self.features != self.channels + 1:
+            # the direct embedding reads the resource and one field per channel
+            raise ConfigError(
+                f"features: must be channels + 1 = {self.channels + 1}, got {self.features}"
+            )
         _check_pulse_channels(self, self.channels)
         _require_nonnegative(vars(self), ("sigma", "seed", "functor_tol", "compat_tol"))
         _distance_weights(self.weights)

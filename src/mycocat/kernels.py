@@ -20,21 +20,28 @@ Algorithms:
 - ``expm``: Pade approximant of degree 13 for every member, which is
   halved until its Frobenius norm is below theta_13 and squared back, with
   its own squaring count (Higham 2005, "The scaling and squaring method
-  for the matrix exponential revisited"). No member's choice depends on
-  another's, so every member of a stack equals its single-matrix call bit
-  for bit, and a flow's bits do not depend on what shares its call.
+  for the matrix exponential revisited"). Above theta_13 a member is
+  halved by max(||A^2||^(1/2), ||A^3||^(1/3)) instead (Al-Mohy and Higham
+  2009), so a nilpotent member is not squared hundreds of times. No
+  member's choice depends on another's, so every member of a stack equals
+  its single-matrix call bit for bit, and a flow's bits do not depend on
+  what shares its call.
 - ``logm``: inverse scaling and squaring; Denman-Beavers square roots
   bring each matrix within 0.25 of the identity, then an alternating
   Taylor series of log(I + E) is summed and scaled back. Each member of a
   stack takes its own number of square roots and series terms.
-- ``piecewise_flow``: every piece and every block of one flow goes through
-  a single ``expm`` call; the pieces are then multiplied in time order.
-- ``apply_flows``: the batched form for many programs at once. The pieces
-  of up to ``FLOW_CHUNK`` programs share one ``expm`` call, and each
-  program's block flow acts directly on its vector's block sub-vectors.
+- Flows: one routine, ``_block_flows``, computes the block flows of P
+  programs whose pieces are listed back to back: every piece of every
+  block goes through a single ``expm`` call, then each program's pieces
+  are multiplied in time order. It has two callers. ``apply_flows`` runs
+  it once per ``FLOW_CHUNK`` programs and applies each program's block
+  flow directly to its vector's block sub-vectors (the law checks and the
+  scans); ``piecewise_flow`` runs it on one program and scatters the flow
+  to n x n (``programs.flow_matrix``, for generator estimation).
 
 Domain validation (finiteness, principal-branch eigenvalue checks) lives
-in :mod:`mycocat.liealg`; the kernels assume well-formed input.
+in :mod:`mycocat.liealg`; beyond ``expm``'s refusal of a non-finite
+member, the kernels assume well-formed input.
 """
 
 from typing import NamedTuple
@@ -47,7 +54,7 @@ from .errors import DomainError
 NUMBA_ENABLED = False
 
 # Frobenius-norm threshold of the degree-13 Pade approximant; a member
-# above it is halved until it is below, and squared back.
+# above it is halved until its power bound is below it, and squared back.
 _THETA_13 = 5.371920351148152
 
 # Pade numerator coefficients b_0..b_13.
@@ -64,8 +71,35 @@ FLOW_CHUNK = 64
 
 
 def _fro(a):
-    """Frobenius norm of each matrix of a stack."""
-    return np.sqrt(np.sum(a * a, axis=(-2, -1)))
+    """Frobenius norm of each matrix of a stack.
+
+    Where the sum of squares overflows, a member with finite entries takes
+    max|a| * ||a / max|a|||, finite up to the float64 range; every other
+    member keeps the plain norm's bits.
+    """
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.sum(a * a, axis=(-2, -1)))
+    over = np.isinf(norms)
+    if over.any():
+        big = a[over]
+        peak = np.abs(big).max(axis=(-2, -1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            rescaled = peak * np.sqrt(np.sum((big / peak[:, None, None]) ** 2, axis=(-2, -1)))
+        norms[over] = np.where(np.isfinite(peak), rescaled, np.inf)
+    return norms
+
+
+def _power_bound(a, norms):
+    """max(||a^2||^(1/2), ||a^3||^(1/3)) of each member, from its Frobenius
+    norm ``norms``. It is at most the norm, zero when a^2 = 0, and bounds
+    the Pade error as well (Al-Mohy and Higham 2009, "A new scaling and
+    squaring algorithm for the matrix exponential", Theorem 4.2). The
+    powers are taken of a scaled by a power of two to norm below 1, so none
+    overflows."""
+    exps = np.frexp(norms)[1]
+    b = np.ldexp(a, -exps[:, None, None])
+    b2 = b @ b
+    return np.ldexp(np.maximum(np.sqrt(_fro(b2)), np.cbrt(_fro(b2 @ b))), exps)
 
 
 def expm(a):
@@ -75,12 +109,23 @@ def expm(a):
     count, so it equals the single-matrix call bit for bit whatever else
     shares the stack. One call runs one sequence of broadcast products, one
     batched solve, and a squaring loop masked to the members still squaring.
+
+    A member whose Frobenius norm exceeds theta_13 is halved until its
+    :func:`_power_bound` is below theta_13 instead: each squaring doubles the
+    approximant's roundoff, and the norm of a nilpotent member can ask for
+    hundreds of squarings that its powers do not need. Raises DomainError
+    for a member with a non-finite entry or norm.
     """
     shape = a.shape
     s = shape[-1]
     ident = np.eye(s)
     a = a.reshape(-1, s, s)
     norms = _fro(a)
+    far = ~(norms <= _THETA_13)  # NaN included
+    if far.any():
+        if not np.isfinite(norms[far]).all():
+            raise DomainError("matrix exponential needs finite entries and a finite norm")
+        norms[far] = _power_bound(a[far], norms[far])
     squarings = np.ceil(np.log2(np.maximum(norms, _THETA_13) / _THETA_13)).astype(int)
     scaled = a * np.ldexp(1.0, -squarings)[:, None, None]
 
@@ -270,25 +315,28 @@ def _generators(system, lengths, inputs):
     return gens
 
 
-def piecewise_flow(drift, controls, lengths, inputs, parts=None):
-    """Flow matrix of a piecewise-constant bilinear control system.
+def _block_flows(system, lengths, inputs, counts):
+    """(P, blocks, size, size) flows of P programs of at least one piece,
+    listed back to back as in :func:`apply_flows`: one ``expm`` call over
+    every piece, then each program's pieces multiplied in time order."""
+    pieces = expm(_generators(system, lengths, inputs))
+    offset = np.cumsum(counts) - counts
+    flows = pieces[offset]
+    for t in range(1, counts.max()):
+        more = np.flatnonzero(counts > t)
+        flows[more] = pieces[offset[more] + t] @ flows[more]
+    return flows
 
-    Multiplies, in time order, exp(length_j * (drift + sum_i u_ji * controls_i)).
-    ``controls`` has shape (c, n, n); ``inputs`` has shape (k, c); ``lengths``
-    has shape (k,). ``parts`` holds the blocks of the union sparsity pattern
-    of drift and controls (see :func:`blocks`); it is computed here when not
-    given. All k pieces on all blocks go through one ``expm`` call.
+
+def piecewise_flow(system, parts, lengths, inputs):
+    """n x n flow of one program, the time-ordered product of
+    exp(length_j * (drift + sum_i u_ji * controls_i)): :func:`apply_flows`'s
+    arguments for a single program, scattered to n x n. A program without
+    pieces has the identity flow.
     """
     if not len(lengths):
-        return np.eye(drift.shape[0])
-    system = np.concatenate((drift[None], controls))
-    if parts is None:
-        parts = blocks((system != 0).any(axis=0))
-    pieces = expm(_generators(gather(system, parts), lengths, inputs))
-    flow = pieces[0]
-    for piece in pieces[1:]:
-        flow = piece @ flow
-    return scatter(flow, parts)
+        return np.eye(parts.n)
+    return scatter(_block_flows(system, lengths, inputs, np.array([len(lengths)]))[0], parts)
 
 
 def apply_flows(system, parts, lengths, inputs, counts, vectors):
@@ -301,11 +349,11 @@ def apply_flows(system, parts, lengths, inputs, counts, vectors):
     (P, n). Returns the (P, n) evolved vectors; a program without pieces
     leaves its vector as it is.
 
-    Every piece of up to :data:`FLOW_CHUNK` programs goes through one
-    ``expm`` call. Each program's block flow is the time-ordered product of
-    its pieces, applied to the vector's block sub-vectors; nothing is
-    scattered to n x n. Each row depends on its own program and vector
-    only, so a batch of one gives the same bits as any batch holding it.
+    The pieces of up to :data:`FLOW_CHUNK` programs share one
+    :func:`_block_flows` call. Each program's block flow acts on the
+    vector's block sub-vectors; nothing is scattered to n x n. Each row
+    depends on its own program and vector only, so a batch of one gives the
+    same bits as any batch holding it.
     """
     out = np.array(vectors, dtype=np.float64)
     valid = parts.index >= 0
@@ -317,12 +365,7 @@ def apply_flows(system, parts, lengths, inputs, counts, vectors):
         if not rows.size:
             continue
         own = slice(starts[rows[0]], ends[rows[-1]])
-        pieces = expm(_generators(system, lengths[own], inputs[own]))
-        offset = starts[rows] - own.start
-        flows = pieces[offset]
-        for t in range(1, counts[rows].max()):
-            more = np.flatnonzero(counts[rows] > t)
-            flows[more] = pieces[offset[more] + t] @ flows[more]
+        flows = _block_flows(system, lengths[own], inputs[own], counts[rows])
         sub = np.where(valid, out[rows[:, None, None], parts.index], 0.0)
         out[rows[:, None], cols] = (flows @ sub[..., None])[..., 0][:, valid]
     return out

@@ -206,8 +206,6 @@ class ReferenceDynamics:
         # attributes, not fields, so equality, repr and the JSON form see
         # only the matrices.
         stacked = np.stack(frozen) if frozen else np.zeros((0,) + drift.shape)
-        stacked.setflags(write=False)
-        object.__setattr__(self, "_stacked_controls", stacked)
         parts = kernels.blocks((drift != 0) | (stacked != 0).any(axis=0))
         system = kernels.gather(np.concatenate((drift[None], stacked)), parts)
         system.setflags(write=False)
@@ -240,19 +238,28 @@ class ReferenceDynamics:
         )
 
 
+def _piece_table(programs: Sequence[Program], dyn: ReferenceDynamics):
+    """``(lengths, inputs, counts)`` of :func:`mycocat.kernels.apply_flows`
+    for ``programs``; a control width other than ``dyn``'s is a ShapeError."""
+    for p in programs:
+        if p.pieces and p.channels != dyn.channels:
+            raise ShapeError(
+                f"program has {p.channels} control channels, dynamics has {dyn.channels}"
+            )
+    pieces = [piece for p in programs for piece in p.pieces]
+    return (
+        np.array([length for length, _ in pieces], dtype=np.float64),
+        np.array([control for _, control in pieces], dtype=np.float64).reshape(
+            len(pieces), dyn.channels
+        ),
+        np.array([len(p.pieces) for p in programs]),
+    )
+
+
 def flow_matrix(dyn: ReferenceDynamics, p: Program) -> np.ndarray:
     """Total flow of a program: the ordered product of piece exponentials."""
-    if not p.pieces:
-        return np.eye(dyn.dim)
-    if p.channels != dyn.channels:
-        raise ShapeError(
-            f"program has {p.channels} control channels, dynamics has {dyn.channels}"
-        )
-    lengths = np.array([length for length, _ in p.pieces], dtype=np.float64)
-    inputs = np.array([control for _, control in p.pieces], dtype=np.float64)
-    return kernels.piecewise_flow(
-        dyn.drift, dyn._stacked_controls, lengths, inputs, dyn._blocks
-    )
+    lengths, inputs, _ = _piece_table([p], dyn)
+    return kernels.piecewise_flow(dyn._system, dyn._blocks, lengths, inputs)
 
 
 def evolve_many(
@@ -274,23 +281,11 @@ def evolve_many(
             raise ShapeError(
                 f"dynamics dimension {dyn.dim} does not match state dimension {state.layout.dim}"
             )
-    for p in programs:
-        if p.pieces and p.channels != dyn.channels:
-            raise ShapeError(
-                f"program has {p.channels} control channels, dynamics has {dyn.channels}"
-            )
+    table = _piece_table(programs, dyn)
     if not states:
         return []
-    pieces = [piece for p in programs for piece in p.pieces]
     out = kernels.apply_flows(
-        dyn._system,
-        dyn._blocks,
-        np.array([length for length, _ in pieces], dtype=np.float64),
-        np.array([control for _, control in pieces], dtype=np.float64).reshape(
-            len(pieces), dyn.channels
-        ),
-        np.array([len(p.pieces) for p in programs]),
-        np.stack([state.vector for state in states]),
+        dyn._system, dyn._blocks, *table, np.stack([state.vector for state in states])
     )
     if not np.isfinite(out).all():
         raise NumericError("evolution produced non-finite state entries")
@@ -317,8 +312,7 @@ def programs_equivalent_at(
     """Sup-norm comparison of the two evolved states at one start state."""
     if tol < 0:
         raise ParameterError("tolerance must be nonnegative")
-    sp = evolve(state, p, dyn)
-    sq = evolve(state, q, dyn)
+    sp, sq = evolve_many([state, state], [p, q], dyn)
     return float(np.max(np.abs(sp.vector - sq.vector))) <= tol
 
 

@@ -724,6 +724,66 @@ EXPLICIT_SPECIES = {
             "error: scaling_modes: must name at least one mode",
             id="worked-example-no-scaling-modes",
         ),
+        pytest.param(
+            ["order-scan", CONFIG], {**SMALL_SPECIES, "weights": [1, math.inf, 1]}, {},
+            "error: weights: distance weights must be finite, got (1, inf, 1)",
+            id="scan-infinite-weight",
+        ),
+        pytest.param(
+            ["worked-example", "--config", CONFIG], {"weights": [1, math.inf, 1]}, {},
+            "error: weights: distance weights must be finite, got (1.0, inf, 1.0)",
+            id="worked-example-infinite-weight",
+        ),
+        pytest.param(
+            ["order-scan", CONFIG],
+            {**SMALL_SPECIES, "eps_grid": [0.2, math.nan, 0.05, 0.02, 0.01]}, {},
+            "error: eps_grid: entries must be finite, got nan", id="scan-nan-eps",
+        ),
+        pytest.param(
+            ["order-scan", CONFIG], {**SMALL_SPECIES, "eps_grid": [math.inf, 0.1, 0.05, 0.01]},
+            {}, "error: eps_grid: entries must be finite, got inf", id="scan-infinite-eps",
+        ),
+        pytest.param(
+            ["worked-example", "--config", CONFIG],
+            {"n_sites": 2, "eps_grid": [0.2, 0.1, math.nan, 0.02, 0.01]}, {},
+            "error: eps_grid: entries must be finite, got nan", id="worked-example-nan-eps",
+        ),
+        pytest.param(
+            ["order-scan", CONFIG],
+            {**SMALL_SPECIES, "pulse_p": {"channel": 0, "amplitude": math.nan}}, {},
+            "error: pulse_p.amplitude: must be finite, got nan", id="scan-nan-amplitude",
+        ),
+        pytest.param(
+            ["order-scan", CONFIG],
+            {**SMALL_SPECIES, "pulse_q": {"channel": 1, "duration": math.inf}}, {},
+            "error: pulse_q.duration: must be finite, got inf", id="scan-infinite-duration",
+        ),
+        pytest.param(
+            ["check-laws", CONFIG],
+            {"checks": [{"law": "compatibility", "pulses": 3, "psi_amplitude_scale": math.nan,
+                         "expect": "fail", **SMALL_SPECIES}]}, {},
+            "error: checks[0].psi_amplitude_scale: must be finite, got nan",
+            id="laws-nan-psi-scale",
+        ),
+        pytest.param(
+            ["check-laws", CONFIG],
+            {"checks": [{"law": "naturality", "variant": "perturbed", "programs": 3,
+                         "magnitude": math.nan, "expect": "fail", **SMALL_SPECIES}]}, {},
+            "error: checks[0].magnitude: must be finite, got nan", id="laws-nan-magnitude",
+        ),
+        pytest.param(
+            ["worked-example", "--config", CONFIG], {"n_sites": 2, "features": 4}, {},
+            "error: features: must be channels + 1 = 3, got 4",
+            id="worked-example-features-not-channels-plus-one",
+        ),
+        pytest.param(
+            # the pulse flow is exact (the pulse is nilpotent); the generator
+            # estimate cannot take the log of a flow this far from I
+            ["order-scan", CONFIG],
+            {**SMALL_SPECIES, "pulse_p": {"channel": 0, "amplitude": 1e200}}, {},
+            "error: matrix log: square-root scaling did not converge",
+            id="scan-huge-amplitude-is-not-commuting",
+        ),
     ],
 )
 def test_input_contract(tmp_path, monkeypatch, capsys, argv, config, env, message):

@@ -1,5 +1,6 @@
 """Environment/mycelium states: admissibility, composition, distance, fusion."""
 
+import math
 import random
 
 import pytest
@@ -298,6 +299,14 @@ class TestMycDistance:
         e = square_env()
         with pytest.raises(ParameterError):
             env_distance(e, e, (1.0, 1.0, float("nan")))
+
+    def test_infinite_weight_rejected(self):
+        # inf * 0.0 is NaN: an infinite weight makes even a self-distance NaN
+        with pytest.raises(ParameterError, match="distance weights must be finite"):
+            DistanceWeights(1.0, math.inf, 1.0)
+        e = square_env()
+        with pytest.raises(ParameterError, match="weights must be finite"):
+            env_distance(e, e, (math.inf, 1.0, 1.0))
 
     def test_symmetry_random(self, nprng):
         for _ in range(50):

@@ -1,5 +1,7 @@
 """Matrix kernels: stacked calls, blockwise flows, and scipy oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -57,6 +59,56 @@ def test_expm_against_scipy(samples):
         assert np.max(np.abs(ours - ref)) < 1e-12 * max(1.0, scale)
 
 
+@pytest.mark.parametrize("x", [1e20, 1e100, 1e200])
+def test_expm_of_a_huge_nilpotent_against_scipy(x):
+    # 2**s squarings from the Frobenius norm would amplify the Pade
+    # roundoff past 1; at 1e200 the sum of squares also overflows
+    a = np.array([[0.0, x], [0.0, 0.0]])
+    ref = scipy.linalg.expm(a)
+    assert np.max(np.abs(kernels.expm(a) - ref)) <= 1e-15 * x
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_expm_refuses_a_non_finite_member(bad):
+    stack = np.zeros((3, 2, 2))
+    stack[1, 0, 1] = bad
+    with pytest.raises(DomainError, match="finite"):
+        kernels.expm(stack)
+
+
+def test_frobenius_norm_does_not_overflow():
+    stack = np.array([[[3e200, 4e200], [0.0, 0.0]], [[3.0, 4.0], [0.0, 0.0]]])
+    norms = kernels._fro(stack)
+    assert abs(norms[0] - 5e200) <= 1e-15 * 5e200
+    assert norms[1] == 5.0
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    log_norms=st.lists(st.floats(-3.0, 280.0), min_size=1, max_size=10),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_expm_of_huge_square_zero_members(n, log_norms, seed):
+    # members above norm 30 are a = e_0 w^T with w_0 = 0, so a @ a = 0 and
+    # exp(a) = I + a at any norm; the others are dense and random
+    rng = np.random.default_rng(seed)
+    stack = rng.normal(size=(len(log_norms), n, n))
+    for a, log_norm in zip(stack, log_norms):
+        if log_norm > 1.5:
+            a[1:] = 0.0
+            a[0, 0] = 0.0
+        a *= 10.0**log_norm / np.linalg.norm(a)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        stacked = kernels.expm(stack)
+        for a, log_norm, got in zip(stack, log_norms, stacked):
+            assert np.array_equal(got, kernels.expm(a))
+            if log_norm > 1.5:
+                exact = np.eye(n) + a
+                assert np.max(np.abs(got - exact)) <= 1e-15 * 10.0**log_norm
+
+
 def test_logm_stack_matches_per_matrix_calls():
     # members need different square-root counts (norm 0.05 to 2.5)
     rng = np.random.default_rng(11)
@@ -87,13 +139,21 @@ def test_logm_against_scipy():
         assert np.max(np.abs(ours - np.real(ref))) < 1e-10
 
 
+def stacked_system(drift, controls):
+    """(system, parts) for the flow kernels: the gather of drift and controls
+    on the blocks of their union sparsity pattern."""
+    mats = np.concatenate((drift[None], controls))
+    parts = kernels.blocks((mats != 0).any(axis=0))
+    return kernels.gather(mats, parts), parts
+
+
 def test_piecewise_flow_is_ordered_product():
     rng = np.random.default_rng(13)
     drift = 0.2 * rng.normal(size=(4, 4))
     controls = np.stack([0.3 * rng.normal(size=(4, 4)) for _ in range(2)])
     lengths = np.array([0.5, 0.25])
     inputs = np.array([[1.0, 0.0], [0.0, -1.0]])
-    flow = kernels.piecewise_flow(drift, controls, lengths, inputs)
+    flow = kernels.piecewise_flow(*stacked_system(drift, controls), lengths, inputs)
     first = scipy.linalg.expm(lengths[0] * (drift + controls[0]))
     second = scipy.linalg.expm(lengths[1] * (drift - controls[1]))
     assert np.allclose(flow, second @ first, atol=1e-12)
@@ -193,7 +253,7 @@ def test_piecewise_flow_matches_unblocked_product(sizes, pieces, channels, kind,
     inputs = rng.uniform(-1.0, 1.0, size=(pieces, channels))
     inputs[rng.random((pieces, channels)) < 0.3] = 0.0
 
-    flow = kernels.piecewise_flow(drift, controls, lengths, inputs)
+    flow = kernels.piecewise_flow(*stacked_system(drift, controls), lengths, inputs)
     n = drift.shape[0]
     ours = ref = np.eye(n)
     for length, u in zip(lengths, inputs):
@@ -210,7 +270,6 @@ def test_apply_flows_matches_flow_matrices_and_single_programs():
     # 130 programs of 0-3 pieces: more than two chunks, null programs included
     rng = np.random.default_rng(14)
     mats = block_structured(rng, [2, 1, 3], 3, "blocks")
-    drift, controls = mats[0], mats[1:]
     parts = kernels.blocks((mats != 0).any(axis=0))
     system = kernels.gather(mats, parts)
     counts = rng.integers(0, 4, size=130)
@@ -225,7 +284,7 @@ def test_apply_flows_matches_flow_matrices_and_single_programs():
             system, parts, lengths[own], inputs[own], counts[j:j + 1], vectors[j:j + 1]
         )
         assert np.array_equal(out[j], single[0])
-        flow = kernels.piecewise_flow(drift, controls, lengths[own], inputs[own])
+        flow = kernels.piecewise_flow(system, parts, lengths[own], inputs[own])
         assert np.max(np.abs(out[j] - flow @ vectors[j])) < 1e-13 * np.abs(vectors[j]).max()
         if not count:
             assert np.array_equal(out[j], vectors[j])

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from mycocat.envmyc import DistanceWeights, myc_distance
 from mycocat.errors import ParameterError, ShapeError
+from mycocat.experiments import reference_species
 from mycocat.graphs import AttributedGraph
-from mycocat.laws import SpeciesFunctor
+from mycocat.laws import SpeciesFunctor, similarity_variant
 from mycocat.programs import (
     Extraction,
     InternalState,
@@ -21,6 +22,7 @@ from mycocat.programs import (
     StateLayout,
     concatenate,
     evolve,
+    evolve_many,
     extract,
     flow_matrix,
     programs_equivalent_at,
@@ -167,6 +169,26 @@ class TestEvolve:
         assert np.array_equal(flow_matrix(dyn, NULL_PROGRAM), np.eye(4))
 
 
+FLOW_SPECIES = {
+    "reference": reference_species(n_sites=3),
+    "commuting": reference_species(n_sites=3, coupling="commuting"),
+}
+FLOW_SPECIES["similarity"] = similarity_variant(FLOW_SPECIES["reference"], seed=3)[0]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(FLOW_SPECIES)), pieces_strategy)
+def test_flow_matrix_is_the_evolved_identity_basis(name, pieces):
+    # flow_matrix and evolve_many run one flow kernel: column i of the flow
+    # is the i-th basis vector evolved, bit for bit (zeros compare by value)
+    species = FLOW_SPECIES[name]
+    dyn, layout = species.dynamics, species.extraction.layout
+    p = Program(pieces)
+    basis = [InternalState(e, layout) for e in np.eye(dyn.dim)]
+    evolved = np.stack([s.vector for s in evolve_many(basis, [p] * dyn.dim, dyn)])
+    assert np.array_equal(flow_matrix(dyn, p), evolved.T)
+
+
 class TestEquivalence:
     def test_program_equivalent_to_itself_at_zero_tol(self, small_setup):
         _, dyn, state = small_setup
@@ -279,7 +301,8 @@ def bits(x: float) -> bytes:
     return struct.pack("<d", x)
 
 
-WEIGHT = st.sampled_from([0.0, 1.0, 0.5, 3.0, math.inf]) | st.floats(0.0, 1e6)
+# An infinite weight is refused by DistanceWeights; 1e300 is the far end.
+WEIGHT = st.sampled_from([0.0, 1.0, 0.5, 3.0, 1e300]) | st.floats(0.0, 1e6)
 
 
 @settings(max_examples=60, deadline=None)
