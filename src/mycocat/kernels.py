@@ -17,15 +17,15 @@ matrix is a single block.
 
 Algorithms:
 
-- ``expm``: Pade approximant of degree 13 for every member, which is
-  halved until its Frobenius norm is below theta_13 and squared back, with
-  its own squaring count (Higham 2005, "The scaling and squaring method
-  for the matrix exponential revisited"). Above theta_13 a member is
-  halved by max(||A^2||^(1/2), ||A^3||^(1/3)) instead (Al-Mohy and Higham
-  2009), so a nilpotent member is not squared hundreds of times. No
-  member's choice depends on another's, so every member of a stack equals
-  its single-matrix call bit for bit, and a flow's bits do not depend on
-  what shares its call.
+- ``expm``: Pade approximant of degree 13 for every member (Higham 2005,
+  "The scaling and squaring method for the matrix exponential
+  revisited"), with its own squaring count: none at Frobenius norm up to
+  theta_13, and above it the count of Al-Mohy and Higham 2009, which
+  halves by the member's powers rather than its norm, so a triangular
+  nilpotent member is not squared hundreds of times. No member's choice
+  depends on another's, so every member of a stack equals its
+  single-matrix call bit for bit, and a flow's bits do not depend on what
+  shares its call.
 - ``logm``: inverse scaling and squaring; Denman-Beavers square roots
   bring each matrix within 0.25 of the identity, then an alternating
   Taylor series of log(I + E) is summed and scaled back. Each member of a
@@ -44,6 +44,7 @@ in :mod:`mycocat.liealg`; beyond ``expm``'s refusal of a non-finite
 member, the kernels assume well-formed input.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -54,8 +55,14 @@ from .errors import DomainError
 NUMBA_ENABLED = False
 
 # Frobenius-norm threshold of the degree-13 Pade approximant; a member
-# above it is halved until its power bound is below it, and squared back.
+# above it is halved by :func:`_far_squarings` and squared back.
 _THETA_13 = 5.371920351148152
+
+# log2 |c_27|, the leading coefficient of the degree-13 Pade approximant's
+# error series exp(x) - r_13(x) = c_27 x^27 + ...
+_LOG2_PADE_13_ERROR = math.log2(
+    math.factorial(13) ** 2 / (math.factorial(26) * math.factorial(27))
+)
 
 # Pade numerator coefficients b_0..b_13.
 _PADE_13 = (
@@ -71,35 +78,42 @@ FLOW_CHUNK = 64
 
 
 def _fro(a):
-    """Frobenius norm of each matrix of a stack.
+    """Frobenius norm of each matrix of a stack."""
+    return np.sqrt(np.sum(a * a, axis=(-2, -1)))
 
-    Where the sum of squares overflows, a member with finite entries takes
-    max|a| * ||a / max|a|||, finite up to the float64 range; every other
-    member keeps the plain norm's bits.
+
+def _far_squarings(a):
+    """Squaring count of each member of a stack of finite matrices above
+    theta_13 (Al-Mohy and Higham 2009, "A new scaling and squaring algorithm
+    for the matrix exponential", Algorithm 5.1).
+
+    The count first brings max(||a^2||^(1/2), ||a^3||^(1/3)) below theta_13;
+    that bound is at most the norm, zero when a^2 = 0, and bounds the Pade
+    error as well (Theorem 4.2). It then halves further until
+    |c_27| * || |a_s|^27 ||_1 / ||a_s||_1 is below the unit roundoff 2^-53,
+    a_s being the halved member (the paper's ell term): where |a|^27 is far
+    above |a^27|, as for a dense nilpotent, few halvings would leave the
+    Pade denominator ill-conditioned. Everything is computed from a scaled
+    by a power of two to entries of at most 1, and || |a|^27 ||_1 is carried
+    as a base-2 logarithm, so nothing overflows.
     """
-    with np.errstate(over="ignore"):
-        norms = np.sqrt(np.sum(a * a, axis=(-2, -1)))
-    over = np.isinf(norms)
-    if over.any():
-        big = a[over]
-        peak = np.abs(big).max(axis=(-2, -1))
-        with np.errstate(over="ignore", invalid="ignore"):
-            rescaled = peak * np.sqrt(np.sum((big / peak[:, None, None]) ** 2, axis=(-2, -1)))
-        norms[over] = np.where(np.isfinite(peak), rescaled, np.inf)
-    return norms
-
-
-def _power_bound(a, norms):
-    """max(||a^2||^(1/2), ||a^3||^(1/3)) of each member, from its Frobenius
-    norm ``norms``. It is at most the norm, zero when a^2 = 0, and bounds
-    the Pade error as well (Al-Mohy and Higham 2009, "A new scaling and
-    squaring algorithm for the matrix exponential", Theorem 4.2). The
-    powers are taken of a scaled by a power of two to norm below 1, so none
-    overflows."""
-    exps = np.frexp(norms)[1]
-    b = np.ldexp(a, -exps[:, None, None])
+    e = np.frexp(np.abs(a).max(axis=(-2, -1)))[1]
+    b = np.ldexp(a, -e[:, None, None])
     b2 = b @ b
-    return np.ldexp(np.maximum(np.sqrt(_fro(b2)), np.cbrt(_fro(b2 @ b))), exps)
+    bound = np.maximum(np.sqrt(_fro(b2)), np.cbrt(_fro(b2 @ b)))
+    mag = np.abs(b)
+    row = mag.sum(axis=-2, keepdims=True)  # 1^T |b|, renormalised each step
+    log_one = np.log2(row.max(axis=(-2, -1)))
+    log_27 = np.zeros(len(b))
+    for _ in range(26):
+        k = np.frexp(row.max(axis=(-2, -1)))[1]
+        row = np.ldexp(row, -k[:, None, None]) @ mag
+        log_27 += k
+    with np.errstate(divide="ignore"):  # log 0 where |b|^27 = 0 or a^2 = 0
+        log_27 += np.log2(row.max(axis=(-2, -1)))
+        s = np.ceil(np.log2(bound / _THETA_13) + e)
+    ell = np.ceil((_LOG2_PADE_13_ERROR + 53 + log_27 - log_one) / 26 + e)
+    return np.maximum(np.maximum(s, ell), 0).astype(int)
 
 
 def expm(a):
@@ -110,23 +124,24 @@ def expm(a):
     shares the stack. One call runs one sequence of broadcast products, one
     batched solve, and a squaring loop masked to the members still squaring.
 
-    A member whose Frobenius norm exceeds theta_13 is halved until its
-    :func:`_power_bound` is below theta_13 instead: each squaring doubles the
-    approximant's roundoff, and the norm of a nilpotent member can ask for
-    hundreds of squarings that its powers do not need. Raises DomainError
-    for a member with a non-finite entry or norm.
+    A member whose Frobenius norm is at most theta_13 is not squared. One
+    above it takes :func:`_far_squarings`, which halves by the member's
+    powers rather than its norm: each squaring doubles the approximant's
+    roundoff, and the norm of a nilpotent member can ask for hundreds of
+    squarings that its powers do not need. Raises DomainError for a member
+    with a non-finite entry.
     """
     shape = a.shape
     s = shape[-1]
     ident = np.eye(s)
     a = a.reshape(-1, s, s)
-    norms = _fro(a)
-    far = ~(norms <= _THETA_13)  # NaN included
+    with np.errstate(over="ignore"):
+        far = ~(_fro(a) <= _THETA_13)  # overflow and NaN included
+    squarings = np.zeros(len(a), dtype=int)
     if far.any():
-        if not np.isfinite(norms[far]).all():
-            raise DomainError("matrix exponential needs finite entries and a finite norm")
-        norms[far] = _power_bound(a[far], norms[far])
-    squarings = np.ceil(np.log2(np.maximum(norms, _THETA_13) / _THETA_13)).astype(int)
+        if not np.isfinite(a[far]).all():
+            raise DomainError("matrix exponential needs finite entries")
+        squarings[far] = _far_squarings(a[far])
     scaled = a * np.ldexp(1.0, -squarings)[:, None, None]
 
     b = _PADE_13

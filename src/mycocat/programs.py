@@ -50,9 +50,11 @@ class Program:
         widths = {len(control) for _, control in pieces}
         if len(widths) > 1:
             raise ShapeError("all pieces must share one control width")
-        for length, _ in pieces:
+        for length, control in pieces:
             if not length > 0:
                 raise ParameterError("piece lengths must be strictly positive")
+            if not (math.isfinite(length) and all(map(math.isfinite, control))):
+                raise ParameterError("piece lengths and controls must be finite")
 
     @property
     def duration(self) -> float:

@@ -777,12 +777,14 @@ EXPLICIT_SPECIES = {
             id="worked-example-features-not-channels-plus-one",
         ),
         pytest.param(
-            # the pulse flow is exact (the pulse is nilpotent); the generator
-            # estimate cannot take the log of a flow this far from I
-            ["order-scan", CONFIG],
-            {**SMALL_SPECIES, "pulse_p": {"channel": 0, "amplitude": 1e200}}, {},
-            "error: matrix log: square-root scaling did not converge",
-            id="scan-huge-amplitude-is-not-commuting",
+            ["simulate", DYNAMICS, CONFIG, STATE], {"pieces": [[math.inf, [0.3]]]}, {},
+            f"error: {CONFIG}: piece lengths and controls must be finite",
+            id="simulate-infinite-length",
+        ),
+        pytest.param(
+            ["simulate", DYNAMICS, CONFIG, STATE], {"pieces": [[0.5, [math.nan]]]}, {},
+            f"error: {CONFIG}: piece lengths and controls must be finite",
+            id="simulate-nan-control",
         ),
     ],
 )
@@ -802,3 +804,14 @@ def test_input_contract(tmp_path, monkeypatch, capsys, argv, config, env, messag
     else:
         assert code == 2
         assert err.splitlines() == [message]
+
+
+def test_huge_nilpotent_pulse_is_not_read_as_commuting(tmp_path, capsys):
+    # the pulse flow is exact (the pulse is nilpotent), but the generator
+    # estimate cannot take the log of a flow this far from I; the scan must
+    # fail rather than report the pair as commuting
+    path = write(tmp_path / "config.json",
+                 {**SMALL_SPECIES, "pulse_p": {"channel": 0, "amplitude": 1e200}})
+    code = run_cli(["order-scan", path, "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert "commuting" not in capsys.readouterr().out

@@ -1,5 +1,6 @@
 """Matrix kernels: stacked calls, blockwise flows, and scipy oracles."""
 
+import math
 import warnings
 
 import numpy as np
@@ -76,11 +77,47 @@ def test_expm_refuses_a_non_finite_member(bad):
         kernels.expm(stack)
 
 
-def test_frobenius_norm_does_not_overflow():
-    stack = np.array([[[3e200, 4e200], [0.0, 0.0]], [[3.0, 4.0], [0.0, 0.0]]])
-    norms = kernels._fro(stack)
-    assert abs(norms[0] - 5e200) <= 1e-15 * 5e200
-    assert norms[1] == 5.0
+def dense_nilpotent(rng, n):
+    """Orthogonal conjugate of a random strictly upper triangular matrix."""
+    q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    return q @ np.triu(rng.normal(size=(n, n)), 1) @ q.T
+
+
+@pytest.mark.parametrize("x", [1e2, 1e4, 1e6, 1e8])
+def test_expm_squarings_keep_the_pade_error_term_below_roundoff(x):
+    # Al-Mohy and Higham 2009, Algorithm 5.1: after s halvings,
+    # |c_27| || |A_s|^27 ||_1 / ||A_s||_1 <= 2^-53. A dense nilpotent has
+    # A^27 = 0 but |A|^27 far from 0; halving by its powers alone would
+    # leave the Pade denominator with condition about (x / 2)^2
+    rng = np.random.default_rng(int(x))
+    c27 = math.factorial(13) ** 2 / (math.factorial(26) * math.factorial(27))
+    members = [x * np.array([[1.0, 1.0], [-1.0, -1.0]])]
+    members += [dense_nilpotent(rng, n) for n in (2, 3, 5, 8)]
+    members = [m * x / np.linalg.norm(m) for m in members]
+    for a in members:
+        s = kernels._far_squarings(a[None])[0]
+        scaled = np.abs(np.ldexp(a, -s))
+        alpha = c27 * np.linalg.norm(np.linalg.matrix_power(scaled, 27), 1)
+        assert alpha / np.linalg.norm(scaled, 1) <= 2.0**-53
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    kind=st.sampled_from(["gauss", "non-normal", "nilpotent"]),
+    log_norm=st.floats(np.log10(5.4), 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_expm_above_theta_13_against_scipy(n, kind, log_norm, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "nilpotent":
+        a = dense_nilpotent(rng, n)
+    else:
+        a = rng.normal(size=(n, n))
+        if kind == "non-normal":
+            a = np.triu(a) * np.logspace(0, 2, n)
+    a *= 10.0**log_norm / np.linalg.norm(a)
+    assert rel_fro(kernels.expm(a), scipy.linalg.expm(a)) < 1e-10
 
 
 @settings(max_examples=80, deadline=None)
