@@ -439,7 +439,14 @@ class ExposureExperiment:
 
 @dataclass(frozen=True)
 class AsymmetryReport:
-    """Scan rows, the fitted scaling law, and the generator-level diagnostic."""
+    """Scan rows, the fitted scaling law, and the generator-level diagnostic.
+
+    ``commutator_norm`` is the Frobenius norm of [X_p, X_q], the commutator
+    of the two pulse generators estimated from their flows, over the whole
+    state space: 4.0 on the reference pair. It is not the fitted prefactor
+    exp(intercept), 16.026 on the same pair, which to leading order is the
+    weighted feature L1 norm of [X_p, X_q] applied to the start state.
+    """
 
     rows: tuple[tuple[float, float], ...]
     excluded: tuple[float, ...]  # eps values at or below the delta floor

@@ -13,7 +13,10 @@ connected components of a sparsity pattern. A matrix function of a block
 diagonal matrix is block diagonal on the same blocks, so ``gather`` cuts
 the blocks out into one zero-padded stack, the kernel runs once on the
 stack, and ``scatter`` writes the result back. The split is exact; a dense
-matrix is a single block.
+matrix is a single block. Blocks often repeat (the reference species
+couples every site alike: 16 blocks, 2 distinct), so ``block_classes``
+keeps one slice per distinct block and maps each block to it; the flow
+kernels exponentiate and multiply each class once.
 
 Algorithms:
 
@@ -25,19 +28,22 @@ Algorithms:
   nilpotent member is not squared hundreds of times. No member's choice
   depends on another's, so every member of a stack equals its
   single-matrix call bit for bit, and a flow's bits do not depend on what
-  shares its call.
+  shares its call. A finite member whose result would overflow is refused
+  with DomainError, without a numpy warning.
 - ``logm``: inverse scaling and squaring; Denman-Beavers square roots
   bring each matrix within 0.25 of the identity, then an alternating
   Taylor series of log(I + E) is summed and scaled back. Each member of a
-  stack takes its own number of square roots and series terms.
-- Flows: one routine, ``_block_flows``, computes the block flows of P
+  stack takes its own number of square roots and series terms. A member
+  whose sum of squares of M - I overflows is refused with DomainError.
+- Flows: one routine, ``_block_flows``, computes the class flows of P
   programs whose pieces are listed back to back: every piece of every
-  block goes through a single ``expm`` call, then each program's pieces
-  are multiplied in time order. It has two callers. ``apply_flows`` runs
-  it once per ``FLOW_CHUNK`` programs and applies each program's block
-  flow directly to its vector's block sub-vectors (the law checks and the
-  scans); ``piecewise_flow`` runs it on one program and scatters the flow
-  to n x n (``programs.flow_matrix``, for generator estimation).
+  block class goes through a single ``expm`` call, then each program's
+  pieces are multiplied in time order. It has two callers, which index the
+  class flows back to blocks by ``Blocks.kind``. ``apply_flows`` runs it
+  once per ``FLOW_CHUNK`` programs and applies each block's flow directly
+  to its vector's block sub-vector (the law checks and the scans);
+  ``piecewise_flow`` runs it on one program and scatters the flow to
+  n x n (``programs.flow_matrix``, for generator estimation).
 
 Domain validation (finiteness, principal-branch eigenvalue checks) lives
 in :mod:`mycocat.liealg`; beyond ``expm``'s refusal of a non-finite
@@ -64,12 +70,19 @@ _LOG2_PADE_13_ERROR = math.log2(
     math.factorial(13) ** 2 / (math.factorial(26) * math.factorial(27))
 )
 
-# Pade numerator coefficients b_0..b_13.
-_PADE_13 = (
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-    1187353796428800.0, 129060195264000.0, 10559470521600.0,
-    670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
-    16380.0, 182.0, 1.0,
+# Pade numerator coefficients b_0..b_13, scaled by 2^-56 so that b_0 < 1.
+# A power-of-two scale of both u and v leaves solve(v - u, v + u) bit for
+# bit as it is, and keeps u = a @ (... + b_1 I) finite for a member that
+# takes no squaring however large its entries: a square-zero member has
+# all powers 0, so its count is 0 at any norm.
+_PADE_13 = tuple(
+    math.ldexp(b, -56)
+    for b in (
+        64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+        1187353796428800.0, 129060195264000.0, 10559470521600.0,
+        670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+        16380.0, 182.0, 1.0,
+    )
 )
 
 # Programs per expm call of :func:`apply_flows`; bounds the piece stack
@@ -116,6 +129,11 @@ def _far_squarings(a):
     return np.maximum(np.maximum(s, ell), 0).astype(int)
 
 
+# A finite member can still overflow: past the largest float when its
+# exponential does, or inside the approximant when a member with entries
+# above ~1e154 takes few squarings because its products cancel. expm checks
+# its result instead of letting numpy warn.
+@np.errstate(over="ignore", invalid="ignore")
 def expm(a):
     """exp of a square float64 matrix or of each matrix of a (..., s, s) stack.
 
@@ -129,14 +147,14 @@ def expm(a):
     powers rather than its norm: each squaring doubles the approximant's
     roundoff, and the norm of a nilpotent member can ask for hundreds of
     squarings that its powers do not need. Raises DomainError for a member
-    with a non-finite entry.
+    with a non-finite entry, and for a finite member whose result would not
+    be finite; no numpy warning is raised.
     """
     shape = a.shape
     s = shape[-1]
     ident = np.eye(s)
     a = a.reshape(-1, s, s)
-    with np.errstate(over="ignore"):
-        far = ~(_fro(a) <= _THETA_13)  # overflow and NaN included
+    far = ~(_fro(a) <= _THETA_13)  # overflow and NaN included
     squarings = np.zeros(len(a), dtype=int)
     if far.any():
         if not np.isfinite(a[far]).all():
@@ -166,6 +184,8 @@ def expm(a):
     for k in range(squarings.max(initial=0)):
         live = squarings > k
         r[live] = r[live] @ r[live]
+    if not np.isfinite(r).all():
+        raise DomainError("matrix exponential overflows float64")
     return r.reshape(shape)
 
 
@@ -203,16 +223,21 @@ def logm(m):
     Repeated Denman-Beavers square roots pull each argument into the
     convergence ball ||M - I|| <= 0.25, where the alternating series of
     log(I + E) is summed; each result is scaled back by the number of
-    square roots its own matrix took. Raises DomainError if either
-    iteration stalls for any member (callers pre-validate the spectrum,
-    so this indicates inputs far outside the supported domain).
+    square roots its own matrix took. Raises DomainError if the sum of
+    squares of M - I overflows for any member, or if either iteration
+    stalls for any member (callers pre-validate the spectrum, so this
+    indicates inputs far outside the supported domain).
     """
     shape = m.shape
     s = shape[-1]
     ident = np.eye(s)
     r = np.array(m, dtype=np.float64).reshape(-1, s, s)
     scalings = np.zeros(len(r))
-    todo = np.flatnonzero(_fro(r - ident) > 0.25)
+    with np.errstate(over="ignore"):
+        dist = _fro(r - ident)
+    if not np.isfinite(dist).all():
+        raise DomainError("matrix log: ||M - I|| overflows float64")
+    todo = np.flatnonzero(dist > 0.25)
     while todo.size:
         if scalings[todo].max() >= 60:
             raise DomainError("matrix log: square-root scaling did not converge")
@@ -251,12 +276,18 @@ class Blocks(NamedTuple):
     marks the entries that are not padding; both have shape
     (blocks, size, size) and are computed once, so gathering and
     scattering cost a few numpy calls.
+
+    ``kind`` gives each block its class: blocks of one class have the same
+    flows, so the flow kernels compute one flow per class and index it back
+    by ``kind``. :func:`blocks` puts every block in a class of its own;
+    :func:`block_classes` merges blocks whose system slices are equal.
     """
 
     index: np.ndarray
     flat: np.ndarray
     mask: np.ndarray
     n: int
+    kind: np.ndarray
 
 
 def blocks(pattern):
@@ -294,7 +325,26 @@ def blocks(pattern):
         index[:, :, None] * n + index[:, None, :],
         valid[:, :, None] & valid[:, None, :],
         n,
+        np.arange(len(index)),
     )
+
+
+def block_classes(system, parts):
+    """``(classes, parts)``: the distinct block slices of a (1 + c, blocks,
+    size, size) ``system`` gathered on ``parts``, in order of first
+    appearance, and ``parts`` with ``kind`` mapping each block to its slice.
+
+    Two blocks share a class only when their slices have the same bytes, so
+    a 0.0 and a -0.0 entry keep them apart; a class's flow then has the bits
+    of each of its blocks' flows, since ``expm`` and the product loop treat
+    every member alone.
+    """
+    first = {}
+    kind = np.array(
+        [first.setdefault(system[:, b].tobytes(), len(first)) for b in range(system.shape[1])],
+        dtype=int,
+    )
+    return system[:, np.unique(kind, return_index=True)[1]], parts._replace(kind=kind)
 
 
 def gather(m, parts, fill=0.0):
@@ -319,8 +369,8 @@ def scatter(stack, parts):
 
 
 def _generators(system, lengths, inputs):
-    """(k, blocks, size, size) piece generators
-    length_j * (drift + sum_i u_ji * controls_i) from the (1 + c, blocks,
+    """(k, classes, size, size) piece generators
+    length_j * (drift + sum_i u_ji * controls_i) from the (1 + c, classes,
     size, size) stack of drift and controls. The sum runs elementwise in
     channel order, so each piece's bits do not depend on the other pieces."""
     scale = lengths[:, None, None, None]
@@ -331,9 +381,10 @@ def _generators(system, lengths, inputs):
 
 
 def _block_flows(system, lengths, inputs, counts):
-    """(P, blocks, size, size) flows of P programs of at least one piece,
+    """(P, classes, size, size) flows of P programs of at least one piece,
     listed back to back as in :func:`apply_flows`: one ``expm`` call over
-    every piece, then each program's pieces multiplied in time order."""
+    every piece of every block class, then each program's pieces multiplied
+    in time order."""
     pieces = expm(_generators(system, lengths, inputs))
     offset = np.cumsum(counts) - counts
     flows = pieces[offset]
@@ -351,22 +402,25 @@ def piecewise_flow(system, parts, lengths, inputs):
     """
     if not len(lengths):
         return np.eye(parts.n)
-    return scatter(_block_flows(system, lengths, inputs, np.array([len(lengths)]))[0], parts)
+    flows = _block_flows(system, lengths, inputs, np.array([len(lengths)]))[0]
+    return scatter(flows[parts.kind], parts)
 
 
 def apply_flows(system, parts, lengths, inputs, counts, vectors):
     """Evolve each of P vectors by the piecewise flow of its own program.
 
-    ``system`` is the (1 + c, blocks, size, size) gather of drift and
-    controls on ``parts``. The programs' pieces are listed back to back:
+    ``system`` holds the drift and controls on each block class of
+    ``parts``: shape (1 + c, classes, size, size), either the gather on
+    ``parts`` (one class per block) or its :func:`block_classes`. The programs' pieces are listed back to back:
     ``lengths`` has shape (K,), ``inputs`` (K, c), and ``counts`` (P,) says
     how many consecutive pieces belong to each program; ``vectors`` is
     (P, n). Returns the (P, n) evolved vectors; a program without pieces
     leaves its vector as it is.
 
     The pieces of up to :data:`FLOW_CHUNK` programs share one
-    :func:`_block_flows` call. Each program's block flow acts on the
-    vector's block sub-vectors; nothing is scattered to n x n. Each row
+    :func:`_block_flows` call, which exponentiates each class once. Each
+    block's class flow acts on the vector's block sub-vector; nothing is
+    scattered to n x n. Each row
     depends on its own program and vector only, so a batch of one gives the
     same bits as any batch holding it.
     """
@@ -382,5 +436,5 @@ def apply_flows(system, parts, lengths, inputs, counts, vectors):
         own = slice(starts[rows[0]], ends[rows[-1]])
         flows = _block_flows(system, lengths[own], inputs[own], counts[rows])
         sub = np.where(valid, out[rows[:, None, None], parts.index], 0.0)
-        out[rows[:, None], cols] = (flows @ sub[..., None])[..., 0][:, valid]
+        out[rows[:, None], cols] = (flows[:, parts.kind] @ sub[..., None])[..., 0][:, valid]
     return out

@@ -178,7 +178,9 @@ class ReferenceDynamics:
 
     Every generator lies inside the union sparsity pattern of drift and
     controls, so flows are computed blockwise on that pattern's connected
-    components (see :func:`mycocat.kernels.blocks`)."""
+    components (see :func:`mycocat.kernels.blocks`), and once for each
+    class of components with equal drift and control entries (see
+    :func:`mycocat.kernels.block_classes`)."""
 
     drift: np.ndarray
     controls: tuple[np.ndarray, ...]
@@ -209,7 +211,9 @@ class ReferenceDynamics:
         # only the matrices.
         stacked = np.stack(frozen) if frozen else np.zeros((0,) + drift.shape)
         parts = kernels.blocks((drift != 0) | (stacked != 0).any(axis=0))
-        system = kernels.gather(np.concatenate((drift[None], stacked)), parts)
+        system, parts = kernels.block_classes(
+            kernels.gather(np.concatenate((drift[None], stacked)), parts), parts
+        )
         system.setflags(write=False)
         object.__setattr__(self, "_blocks", parts)
         object.__setattr__(self, "_system", system)

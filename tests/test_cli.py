@@ -815,3 +815,20 @@ def test_huge_nilpotent_pulse_is_not_read_as_commuting(tmp_path, capsys):
     code = run_cli(["order-scan", path, "--out-dir", str(tmp_path)])
     assert code == 2
     assert "commuting" not in capsys.readouterr().out
+
+
+def test_huge_pulse_prints_one_error_line_and_no_warning(tmp_path):
+    # the log of the generator estimate refuses the flow before the sum of
+    # squares of M - I can overflow with a numpy warning on stderr
+    path = write(tmp_path / "config.json",
+                 {**SMALL_SPECIES, "pulse_p": {"channel": 0, "amplitude": 1e200}})
+    env = dict(os.environ)
+    env.pop("MYCOCAT_SEED", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "mycocat.cli", "order-scan", path, "--out-dir", str(tmp_path)],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["error: matrix log: ||M - I|| overflows float64"]

@@ -60,10 +60,11 @@ def test_expm_against_scipy(samples):
         assert np.max(np.abs(ours - ref)) < 1e-12 * max(1.0, scale)
 
 
-@pytest.mark.parametrize("x", [1e20, 1e100, 1e200])
+@pytest.mark.parametrize("x", [1e20, 1e100, 1e200, 1e300])
 def test_expm_of_a_huge_nilpotent_against_scipy(x):
     # 2**s squarings from the Frobenius norm would amplify the Pade
-    # roundoff past 1; at 1e200 the sum of squares also overflows
+    # roundoff past 1; at 1e200 the sum of squares overflows, and at 1e300
+    # so would the unscaled Pade coefficient b_1 = 3.2e16 times the member
     a = np.array([[0.0, x], [0.0, 0.0]])
     ref = scipy.linalg.expm(a)
     assert np.max(np.abs(kernels.expm(a) - ref)) <= 1e-15 * x
@@ -74,6 +75,39 @@ def test_expm_refuses_a_non_finite_member(bad):
     stack = np.zeros((3, 2, 2))
     stack[1, 0, 1] = bad
     with pytest.raises(DomainError, match="finite"):
+        kernels.expm(stack)
+
+
+@pytest.mark.parametrize("x", [1e300, np.finfo(float).max])
+@pytest.mark.parametrize("lower", [False, True])
+def test_expm_of_a_square_zero_member_up_to_the_largest_float(x, lower):
+    # a @ a = 0 takes no squaring at any norm; the result is I + a, finite,
+    # with no numpy warning (warnings are errors in this suite)
+    a = np.array([[0.0, x], [0.0, 0.0]])
+    if lower:
+        a = a.T
+    got = kernels.expm(a)
+    assert np.isfinite(got).all()
+    assert np.max(np.abs(got - (np.eye(2) + a))) <= 1e-15 * x
+
+
+def cancelling_paths(x):
+    """Strictly triangular after a permutation, with the two paths from 0 to
+    2 cancelling: a @ a = 0, but its products overflow for x above ~1e154."""
+    a = np.zeros((4, 4))
+    a[0, 1] = a[1, 2] = a[0, 3] = x
+    a[3, 2] = -x
+    return a
+
+
+@pytest.mark.parametrize(
+    "a", [[[800.0]], [[0.0, 1e3], [1e3, 0.0]], cancelling_paths(2.0**664)]
+)
+def test_expm_refuses_a_finite_member_whose_result_overflows(a):
+    # exp(800) and exp(1000) exceed the largest float; the cancelling member
+    # takes no squaring, and its first product is inf - inf
+    stack = np.stack([np.zeros_like(a), a])
+    with pytest.raises(DomainError, match="overflows"):
         kernels.expm(stack)
 
 
@@ -123,7 +157,7 @@ def test_expm_above_theta_13_against_scipy(n, kind, log_norm, seed):
 @settings(max_examples=80, deadline=None)
 @given(
     n=st.integers(2, 8),
-    log_norms=st.lists(st.floats(-3.0, 280.0), min_size=1, max_size=10),
+    log_norms=st.lists(st.floats(-3.0, 308.0), min_size=1, max_size=10),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_expm_of_huge_square_zero_members(n, log_norms, seed):
@@ -135,7 +169,8 @@ def test_expm_of_huge_square_zero_members(n, log_norms, seed):
         if log_norm > 1.5:
             a[1:] = 0.0
             a[0, 0] = 0.0
-        a *= 10.0**log_norm / np.linalg.norm(a)
+        a /= np.linalg.norm(a)
+        a *= 10.0**log_norm
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         stacked = kernels.expm(stack)
@@ -163,6 +198,13 @@ def test_logm_stack_raises_when_one_member_stalls():
     stalled = np.diag([-1.0, 1.0])  # no real principal square root
     with pytest.raises(DomainError):
         kernels.logm(np.stack([np.eye(2), stalled]))
+
+
+@pytest.mark.parametrize("m", [np.diag([1e200, 1e200]), np.array([[1.0, -1e160], [0.0, 1.0]])])
+def test_logm_refuses_a_member_whose_distance_from_i_overflows(m):
+    # the sum of squares of M - I overflows before any square root is taken
+    with pytest.raises(DomainError, match="overflows"):
+        kernels.logm(np.stack([np.eye(2), m]))
 
 
 def test_logm_against_scipy():
@@ -325,3 +367,29 @@ def test_apply_flows_matches_flow_matrices_and_single_programs():
         assert np.max(np.abs(out[j] - flow @ vectors[j])) < 1e-13 * np.abs(vectors[j]).max()
         if not count:
             assert np.array_equal(out[j], vectors[j])
+
+
+def test_block_classes_merge_only_byte_identical_blocks():
+    # blocks 0, 2 and 4 have the same slices; block 3 differs from them
+    # only by a -0.0 drift entry, block 1 by its values
+    rng = np.random.default_rng(15)
+    same, other = rng.normal(size=(2, 3, 2, 2))
+    same[0, 0, 0] = 0.0
+    signed = same.copy()
+    signed[0, 0, 0] = -0.0
+    parts = kernels.blocks(np.kron(np.eye(5, dtype=bool), np.ones((2, 2), dtype=bool)))
+    system = np.stack([same, other, same, signed, same], axis=1)
+    classes, merged = kernels.block_classes(system, parts)
+    assert merged.kind.tolist() == [0, 1, 0, 2, 0]
+    assert classes.tobytes() == np.stack([same, other, signed], axis=1).tobytes()
+    assert np.array_equal(merged.index, parts.index) and parts.kind.tolist() == list(range(5))
+
+    counts = rng.integers(0, 4, size=70)
+    lengths = rng.uniform(0.1, 1.0, size=counts.sum())
+    inputs = rng.uniform(-1.0, 1.0, size=(counts.sum(), 2))
+    vectors = rng.normal(size=(70, 10))
+    got = kernels.apply_flows(classes, merged, lengths, inputs, counts, vectors)
+    ref = kernels.apply_flows(system, parts, lengths, inputs, counts, vectors)
+    assert got.tobytes() == ref.tobytes()
+    got = kernels.piecewise_flow(classes, merged, lengths[:3], inputs[:3])
+    assert got.tobytes() == kernels.piecewise_flow(system, parts, lengths[:3], inputs[:3]).tobytes()

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mycocat import experiments, kernels
 from mycocat.envmyc import DistanceWeights, myc_distance
 from mycocat.errors import ParameterError, ShapeError
 from mycocat.experiments import reference_species
 from mycocat.graphs import AttributedGraph
-from mycocat.laws import SpeciesFunctor, similarity_variant
+from mycocat.laws import SpeciesFunctor, perturbed_variant, similarity_variant
 from mycocat.programs import (
     Extraction,
     InternalState,
@@ -20,6 +21,7 @@ from mycocat.programs import (
     Program,
     ReferenceDynamics,
     StateLayout,
+    _piece_table,
     concatenate,
     evolve,
     evolve_many,
@@ -187,6 +189,113 @@ def test_flow_matrix_is_the_evolved_identity_basis(name, pieces):
     basis = [InternalState(e, layout) for e in np.eye(dyn.dim)]
     evolved = np.stack([s.vector for s in evolve_many(basis, [p] * dyn.dim, dyn)])
     assert np.array_equal(flow_matrix(dyn, p), evolved.T)
+
+
+def per_block_system(dyn):
+    """(system, parts) of ``dyn`` with one class per block: the gather of
+    drift and controls on the blocks of their union pattern."""
+    mats = np.concatenate((dyn.drift[None], np.reshape(dyn.controls, (-1, dyn.dim, dyn.dim))))
+    parts = kernels.blocks((mats != 0).any(axis=0))
+    return kernels.gather(mats, parts), parts
+
+
+def assert_one_class_per_distinct_block(dyn):
+    system, parts = per_block_system(dyn)
+    distinct = {system[:, b].tobytes() for b in range(system.shape[1])}
+    assert dyn._system.shape[1] == len(distinct)
+    assert np.array_equal(dyn._blocks.index, parts.index)
+    assert dyn._system[:, dyn._blocks.kind].tobytes() == system.tobytes()
+
+
+def repeated_blocks(rng, sizes, mode, channels):
+    """Drift and controls made of random blocks of the given sizes, scattered
+    to permuted indices. Blocks of one size repeat one block ("repeats"),
+    repeat it with the drift's zero (0, 0) entry negated in every other copy
+    ("signed-zero"), or are all drawn afresh ("distinct"). A nonzero drift
+    chain (i, i + 1) keeps each block one component."""
+    templates = {}
+    n = sum(sizes)
+    mats = np.zeros((1 + channels, n, n))
+    start = 0
+    for k, size in enumerate(sizes):
+        if mode == "distinct" or size not in templates:
+            block = 0.5 * rng.normal(size=(1 + channels, size, size)) / np.sqrt(size)
+            block[rng.random(block.shape) < 0.3] = 0.0
+            block[0, np.arange(size - 1), np.arange(1, size)] = 0.5
+            block[0, 0, 0] = 0.0
+            templates[size] = block
+        block = templates[size].copy()
+        if mode == "signed-zero" and k % 2:
+            block[0, 0, 0] = -0.0
+        mats[:, start:start + size, start:start + size] = block
+        start += size
+    perm = rng.permutation(n)
+    return mats[:, perm][:, :, perm]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 3), min_size=1, max_size=7),
+    mode=st.sampled_from(["repeats", "signed-zero", "distinct"]),
+    channels=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_classes_keep_every_flow_bit_for_bit(sizes, mode, channels, seed):
+    # evolve_many and flow_matrix on the block classes equal the one-class-
+    # per-block path byte for byte, signs of zeros included
+    rng = np.random.default_rng(seed)
+    mats = repeated_blocks(rng, sizes, mode, channels)
+    dyn = ReferenceDynamics(mats[0], tuple(mats[1:]))
+    assert_one_class_per_distinct_block(dyn)
+    system, parts = per_block_system(dyn)
+    programs = [
+        Program(tuple(
+            (float(rng.uniform(0.1, 1.0)), tuple(rng.uniform(-1.0, 1.0, size=channels)))
+            for _ in range(rng.integers(0, 4))
+        ))
+        for _ in range(70)
+    ]
+    layout = StateLayout(path_graph(len(mats[0])), 1)
+    states = [InternalState(v, layout) for v in rng.normal(size=(70, len(mats[0])))]
+    table = _piece_table(programs, dyn)
+    ref = kernels.apply_flows(system, parts, *table, np.stack([s.vector for s in states]))
+    got = np.stack([s.vector for s in evolve_many(states, programs, dyn)])
+    assert got.tobytes() == ref.tobytes()
+    for p in programs[:5]:
+        lengths, inputs, _ = _piece_table([p], dyn)
+        ref = kernels.piecewise_flow(system, parts, lengths, inputs)
+        assert flow_matrix(dyn, p).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize(
+    "coupling, blocks, classes", [("noncommuting", 16, 2), ("commuting", 24, 3)]
+)
+def test_species_variants_keep_one_class_per_distinct_block(coupling, blocks, classes):
+    # the reference species couples every site alike; the perturbed and
+    # similarity variants are dense, a single block and class each
+    species = reference_species(coupling=coupling)
+    assert len(species.dynamics._blocks.kind) == blocks
+    assert species.dynamics._system.shape[1] == classes
+    for variant in (perturbed_variant(species), similarity_variant(species)[0]):
+        assert_one_class_per_distinct_block(variant.dynamics)
+        assert variant.dynamics._system.shape[1] == 1
+    assert_one_class_per_distinct_block(species.dynamics)
+
+
+def test_worked_example_exponentiates_each_block_class_once(monkeypatch):
+    # the default run sends 11840 expm members when every block of every
+    # piece is exponentiated, in the same 14 calls
+    members = []
+    expm = kernels.expm
+
+    def counted(a):
+        members.append(a.size // a.shape[-1] ** 2)
+        return expm(a)
+
+    monkeypatch.setattr(kernels, "expm", counted)
+    experiments.run_worked_example(experiments.WorkedExampleConfig())
+    assert len(members) == 14
+    assert sum(members) <= 1520
 
 
 class TestEquivalence:
