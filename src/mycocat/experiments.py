@@ -21,6 +21,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from . import kernels
 from .envmyc import (
     Constraints,
     DistanceWeights,
@@ -42,7 +43,7 @@ from .laws import (
     field_writeback,
     matched_environment_evolution,
 )
-from .liealg import commutator, estimate_generator
+from .liealg import _class_generators
 from .programs import (
     Extraction,
     InternalState,
@@ -523,14 +524,16 @@ def run_order_asymmetry_scan(exp: ExposureExperiment) -> AsymmetryReport:
     else:
         slope = intercept = r_squared = None
 
+    # both generators in one call, on the block classes of the dynamics;
+    # only the commutator is scattered to n x n
     gen_eps = 0.1
-    x_p = estimate_generator(
-        exp.pulse_p.generator_family(channels), dyn, gen_eps
+    x_p, x_q = _class_generators(
+        [pulse.generator_family(channels)(gen_eps) for pulse in (exp.pulse_p, exp.pulse_q)],
+        dyn,
+        gen_eps,
     )
-    x_q = estimate_generator(
-        exp.pulse_q.generator_family(channels), dyn, gen_eps
-    )
-    comm_norm = float(np.linalg.norm(commutator(x_p, x_q), "fro"))
+    comm = kernels.scatter((x_p @ x_q - x_q @ x_p)[dyn._blocks.kind], dyn._blocks)
+    comm_norm = float(np.linalg.norm(comm, "fro"))
 
     return AsymmetryReport(
         rows=tuple(rows),

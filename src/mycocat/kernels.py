@@ -38,12 +38,14 @@ Algorithms:
 - Flows: one routine, ``_block_flows``, computes the class flows of P
   programs whose pieces are listed back to back: every piece of every
   block class goes through a single ``expm`` call, then each program's
-  pieces are multiplied in time order. It has two callers, which index the
-  class flows back to blocks by ``Blocks.kind``. ``apply_flows`` runs it
-  once per ``FLOW_CHUNK`` programs and applies each block's flow directly
-  to its vector's block sub-vector (the law checks and the scans);
-  ``piecewise_flow`` runs it on one program and scatters the flow to
-  n x n (``programs.flow_matrix``, for generator estimation).
+  pieces are multiplied in time order. It has three callers.
+  ``apply_flows`` runs it once per ``FLOW_CHUNK`` programs and applies each
+  block's class flow, indexed by ``Blocks.kind``, directly to its vector's
+  block sub-vector (the law checks and the scans). ``piecewise_flow`` runs
+  it on one program and scatters the flow to n x n
+  (``programs.flow_matrix``). Generator estimation in :mod:`mycocat.liealg`
+  takes the log of the class flows themselves, so no estimate builds an
+  n x n flow.
 
 Domain validation (finiteness, principal-branch eigenvalue checks) lives
 in :mod:`mycocat.liealg`; beyond ``expm``'s refusal of a non-finite

@@ -4,7 +4,9 @@ Each checker samples inputs from a seeded generator, measures how far a
 law is from holding (as a network distance residual), and returns a
 :class:`LawReport` carrying the worst case found. Failures are reported,
 never raised; the witness stored in a report contains enough data to
-replay its residual exactly.
+replay its residual exactly. The witness is the first sample within 4
+ulps of the largest residual, so roundoff between residuals that are equal
+in exact arithmetic does not choose it.
 
 Checkers:
 
@@ -197,6 +199,17 @@ def _random_state(rng: np.random.Generator, f: SpeciesFunctor) -> InternalState:
     return InternalState(rng.normal(size=f.dynamics.dim), f.extraction.layout)
 
 
+def _worst(values: Sequence[float]) -> tuple[float, int | None]:
+    """``(worst, index)``: the largest of ``values`` and the first index
+    within 4 ulps (``np.spacing``) of it, the witness; ``(0.0, None)`` when
+    no value is at least 0."""
+    worst = max((v for v in values if v >= 0.0), default=None)
+    if worst is None:
+        return 0.0, None
+    near = worst - 4 * np.spacing(worst) if math.isfinite(worst) else worst
+    return worst, next(i for i, v in enumerate(values) if v >= near)
+
+
 # ---------------------------------------------------------------------------
 # Functor laws
 # ---------------------------------------------------------------------------
@@ -248,19 +261,18 @@ def check_functor_laws(
                 seed=seed,
                 witness={"kind": "identity-law", "sample": i},
             )
-    worst = 0.0
-    witness: dict | None = None
-    for i, residual in enumerate(state_distances(joint, second, f.extraction)):
-        if residual >= worst:
-            worst = residual
-            witness = {
-                "kind": "composition",
-                "sample": i,
-                "state": [float(x) for x in states[i].vector],
-                "p": ps[i].to_json(),
-                "q": qs[i].to_json(),
-                "residual": residual,
-            }
+    residuals = state_distances(joint, second, f.extraction)
+    worst, i = _worst(residuals)
+    witness = None
+    if i is not None:
+        witness = {
+            "kind": "composition",
+            "sample": i,
+            "state": [float(x) for x in states[i].vector],
+            "p": ps[i].to_json(),
+            "q": qs[i].to_json(),
+            "residual": residuals[i],
+        }
     return LawReport(
         law="functor-laws",
         samples=sample_count,
@@ -350,20 +362,18 @@ def check_naturality(
     translated = [
         InternalState(eta.map_state(s.vector), f2.extraction.layout) for s in moved1
     ]
-    worst = 0.0
-    witness: dict | None = None
     residuals = state_distances(translated, moved2, f2.extraction, weights)
-    for i, residual in enumerate(residuals):
-        if residual >= worst:
-            worst = residual
-            pi, si = divmod(i, states_per_program)
-            witness = {
-                "program_index": pi,
-                "state_index": si,
-                "state": [float(x) for x in states[i].vector],
-                "program": programs[pi].to_json(),
-                "residual": residual,
-            }
+    worst, i = _worst(residuals)
+    witness = None
+    if i is not None:
+        pi, si = divmod(i, states_per_program)
+        witness = {
+            "program_index": pi,
+            "state_index": si,
+            "state": [float(x) for x in states[i].vector],
+            "program": programs[pi].to_json(),
+            "residual": residuals[i],
+        }
     return LawReport(
         law="naturality",
         samples=len(states),
@@ -616,9 +626,7 @@ def check_lipschitz(
     starts = [iota(env) for pair in object_pairs for env in pair]
     images = f.transform_many(starts, [program] * len(starts))
     d_mycs = state_distances(images[0::2], images[1::2], f.extraction, d_myc_weights)
-    worst = 0.0
-    witness: dict | None = None
-    used = 0
+    used = []  # (pair_index, ratio, d_env, d_myc) of the pairs at nonzero distance
     for idx, ((e1, e2), d_myc) in enumerate(zip(object_pairs, d_mycs)):
         d_env = env_distance(e1, e2, d_env_weights)
         if d_env == 0.0:
@@ -631,14 +639,14 @@ def check_lipschitz(
                     witness={"pair_index": idx, "kind": "zero-distance-expansion"},
                 )
             continue
-        used += 1
-        ratio = d_myc / d_env
-        if ratio >= worst:
-            worst = ratio
-            witness = {"pair_index": idx, "ratio": ratio, "d_env": d_env, "d_myc": d_myc}
+        used.append((idx, d_myc / d_env, d_env, d_myc))
+    worst, w = _worst([ratio for _, ratio, _, _ in used])
+    witness = None
+    if w is not None:
+        witness = dict(zip(("pair_index", "ratio", "d_env", "d_myc"), used[w]))
     return LawReport(
         law="lipschitz",
-        samples=used,
+        samples=len(used),
         max_residual=worst,
         tolerance=bound,
         witness=witness,
@@ -728,17 +736,16 @@ def check_compatibility(
     operational = f.transform_many([starts[ei] for ei, _ in pairs], paired)
     static = [iota(env) for env in psi([environments[ei] for ei, _ in pairs], paired)]
     residuals = state_distances(static, operational, f.extraction, weights)
-    worst = 0.0
-    witness: dict | None = None
-    for (ei, pi), residual in zip(pairs, residuals):
-        if residual >= worst:
-            worst = residual
-            witness = {
-                "environment_index": ei,
-                "program_index": pi,
-                "program": programs[pi].to_json(),
-                "residual": residual,
-            }
+    worst, i = _worst(residuals)
+    witness = None
+    if i is not None:
+        ei, pi = pairs[i]
+        witness = {
+            "environment_index": ei,
+            "program_index": pi,
+            "program": programs[pi].to_json(),
+            "residual": residuals[i],
+        }
     return LawReport(
         law="compatibility",
         samples=len(pairs),

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DomainError, NumericError, ParameterError, ShapeError
-from .programs import Program, ReferenceDynamics, flow_matrix
+from .programs import Program, ReferenceDynamics, _piece_table
 
 
 def _check_square(x: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -58,14 +58,24 @@ def matrix_log(m: np.ndarray) -> np.ndarray:
     """
     m = _check_square(m)
     parts = kernels.blocks(m != 0)
-    stack = kernels.gather(m, parts, fill=1.0)
+    return kernels.scatter(_log_blocks(kernels.gather(m, parts, fill=1.0)), parts)
+
+
+def _log_blocks(stack):
+    """Principal log of each block of a (..., blocks, size, size) stack,
+    each leading index holding the blocks of one matrix.
+
+    Raises :class:`DomainError` when a block has an eigenvalue on the
+    closed negative real axis: real part at most 0 and imaginary part
+    within 1e-12 of the largest eigenvalue modulus of its matrix (or of 1).
+    """
     eigs = np.linalg.eigvals(stack)
-    scale = max(float(np.max(np.abs(eigs))), 1.0)
+    scale = np.maximum(np.abs(eigs).max(axis=(-2, -1), keepdims=True), 1.0)
     if np.any((eigs.real <= 0) & (np.abs(eigs.imag) <= 1e-12 * scale)):
         raise DomainError(
             "matrix log undefined: eigenvalue on the nonpositive real axis"
         )
-    return kernels.scatter(kernels.logm(stack), parts)
+    return kernels.logm(stack)
 
 
 def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -124,6 +134,22 @@ def effective_mixture_generator(x: np.ndarray, y: np.ndarray, eps: float) -> np.
     return matrix_log(matrix_exp(y, eps) @ matrix_exp(x, eps))
 
 
+def _class_generators(
+    programs: list[Program], dyn: ReferenceDynamics, eps: float
+) -> np.ndarray:
+    """(P, classes, size, size) generators of single-piece programs on the
+    block classes of ``dyn``: the log of each class flow, over ``eps``.
+
+    The flows come from one flow-kernel call and their logs from one
+    ``logm`` call; every member is independent, so a program's generators
+    do not depend on what shares the call. Nothing is scattered to n x n.
+    """
+    if any(len(p.pieces) != 1 for p in programs):
+        raise ParameterError("generator estimation expects a single-piece pulse")
+    flows = kernels._block_flows(dyn._system, *_piece_table(programs, dyn))
+    return _log_blocks(flows) / eps
+
+
 def estimate_generator(
     p_family: Callable[[float], Program],
     dyn: ReferenceDynamics,
@@ -135,8 +161,10 @@ def estimate_generator(
     exp(eps*X); for the bilinear reference dynamics with constant control
     u over duration eps*d this recovers d*(drift + sum u_i controls_i)
     exactly, up to log/exp roundoff.
+
+    The log is taken once per block class of ``dyn`` and scattered to
+    n x n at the end. Where the flow's nonzero pattern has the blocks of
+    ``dyn``, this has the bits of ``matrix_log(flow_matrix(dyn, p)) / eps``.
     """
-    program = p_family(eps)
-    if len(program.pieces) != 1:
-        raise ParameterError("generator estimation expects a single-piece pulse")
-    return matrix_log(flow_matrix(dyn, program)) / eps
+    gens = _class_generators([p_family(eps)], dyn, eps)[0]
+    return kernels.scatter(gens[dyn._blocks.kind], dyn._blocks)

@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mycocat import kernels
 from mycocat.errors import ConfigError, InsufficientDataError
 from mycocat.experiments import (
     DELTA_FLOOR,
@@ -21,7 +24,15 @@ from mycocat.experiments import (
 )
 from mycocat.envmyc import myc_distance
 from mycocat.laws import SpeciesFunctor
-from mycocat.programs import InternalState, concatenate, evolve
+from mycocat.liealg import commutator, estimate_generator
+from mycocat.programs import (
+    Extraction,
+    InternalState,
+    ReferenceDynamics,
+    StateLayout,
+    concatenate,
+    evolve,
+)
 
 
 class TestFitLoglogSlope:
@@ -150,6 +161,90 @@ class TestOrderAsymmetryScan:
         assert rows == scan_rows_oracle(exp, lambda f, s, p: f.transform(s, p))
         # doubling both final states doubles every distance exactly
         assert rows == [(eps, 2.0 * d) for eps, d in run_order_asymmetry_scan(base).rows]
+
+
+def dense_commutator_norm(exp):
+    """The scan's commutator norm through n x n: the two generator
+    estimates, their dense commutator, its Frobenius norm."""
+    dyn = exp.species.dynamics
+    x_p, x_q = (
+        estimate_generator(pulse.generator_family(dyn.channels), dyn, 0.1)
+        for pulse in (exp.pulse_p, exp.pulse_q)
+    )
+    return float(np.linalg.norm(commutator(x_p, x_q), "fro"))
+
+
+def repeated_block_species(rng, sizes):
+    """Species on a path of sum(sizes) one-feature sites whose drift and two
+    controls are one random block per size, repeated for every block of
+    that size and scattered to permuted indices; a drift chain keeps each
+    block one component."""
+    n = sum(sizes)
+    mats = np.zeros((3, n, n))
+    templates = {}
+    start = 0
+    for size in sizes:
+        if size not in templates:
+            block = 0.5 * rng.normal(size=(3, size, size)) / np.sqrt(size)
+            block[0, np.arange(size - 1), np.arange(1, size)] = 0.5
+            templates[size] = block
+        mats[:, start:start + size, start:start + size] = templates[size]
+        start += size
+    perm = rng.permutation(n)
+    mats = mats[:, perm][:, :, perm]
+    dyn = ReferenceDynamics(mats[0], (mats[1], mats[2]))
+    return SpeciesFunctor("blocks", dyn, Extraction(StateLayout(electrode_array(n), 1)))
+
+
+class TestScanCommutator:
+    """The scan estimates both generators and their commutator on the block
+    classes of the dynamics; the n x n path is the oracle."""
+
+    @pytest.mark.parametrize("coupling", ["noncommuting", "commuting"])
+    @pytest.mark.parametrize("n_sites", [1, 8, 64])
+    def test_reference_species_bit_for_bit(self, coupling, n_sites):
+        exp = dataclasses.replace(
+            experiment(coupling=coupling),
+            species=reference_species(n_sites=n_sites, coupling=coupling),
+        )
+        assert run_order_asymmetry_scan(exp).commutator_norm == dense_commutator_norm(exp)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 4), min_size=2, max_size=10),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_repeated_block_species(self, sizes, seed):
+        # a blockwise product can round differently from a dense one
+        species = repeated_block_species(np.random.default_rng(seed), sizes)
+        exp = dataclasses.replace(experiment(), species=species)
+        ours = run_order_asymmetry_scan(exp).commutator_norm
+        dense = dense_commutator_norm(exp)
+        assert abs(ours - dense) <= 1e-13 * dense
+
+    @pytest.mark.parametrize("coupling", ["noncommuting", "commuting"])
+    def test_no_block_search_and_one_log_per_class(self, monkeypatch, coupling):
+        exp = dataclasses.replace(
+            experiment(coupling=coupling),
+            species=reference_species(n_sites=64, coupling=coupling),
+        )
+        classes = exp.species.dynamics._system.shape[1]
+        searches, members = [], []
+        blocks, logm = kernels.blocks, kernels.logm
+
+        def counted_blocks(pattern):
+            searches.append(pattern.shape)
+            return blocks(pattern)
+
+        def counted_logm(m):
+            members.append(m.size // m.shape[-1] ** 2)
+            return logm(m)
+
+        monkeypatch.setattr(kernels, "blocks", counted_blocks)
+        monkeypatch.setattr(kernels, "logm", counted_logm)
+        run_order_asymmetry_scan(exp)
+        assert searches == []
+        assert members and max(members) <= 2 * classes
 
 
 def scan_rows_oracle(exp, run):

@@ -1,5 +1,7 @@
 """Lie machinery: exp/log, commutators, truncated expansions, generators."""
 
+import functools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -16,7 +18,9 @@ from mycocat.liealg import (
     matrix_exp,
     matrix_log,
 )
-from mycocat.experiments import reference_species
+from mycocat import kernels
+from mycocat.experiments import PulseTemplate, reference_species
+from mycocat.laws import perturbed_variant, similarity_variant
 from mycocat.programs import Program, ReferenceDynamics, flow_matrix
 
 UP = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -270,3 +274,81 @@ class TestEstimateGenerator:
         family = lambda eps: Program(((eps, (1.0,)), (eps, (0.0,))))
         with pytest.raises(ParameterError):
             estimate_generator(family, dyn, 0.1)
+
+
+@functools.lru_cache(maxsize=None)
+def estimate_species(name, n_sites):
+    """Dynamics of the reference species at ``n_sites``, or of the perturbed
+    and similarity variants that the law suite builds on its 4-site
+    species."""
+    if name in ("noncommuting", "commuting"):
+        return reference_species(n_sites=n_sites, coupling=name).dynamics
+    base = reference_species(n_sites=4)
+    if name == "perturbed":
+        return perturbed_variant(base).dynamics
+    return similarity_variant(base)[0].dynamics
+
+
+nonzero_control = st.builds(
+    lambda sign, size: sign * size, st.sampled_from([-1.0, 1.0]), st.floats(0.05, 3.0)
+)
+
+
+class TestEstimateGeneratorOnBlockClasses:
+    """Estimates run on the block classes of the dynamics; the n x n path,
+    ``matrix_log(flow_matrix(dyn, p)) / eps``, is the oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(["noncommuting", "commuting", "perturbed", "similarity"]),
+        n_sites=st.integers(1, 64),
+        duration=st.floats(0.1, 2.0),
+        controls=st.lists(nonzero_control, min_size=2, max_size=2),
+        eps=st.floats(0.01, 0.5),
+    )
+    @example("noncommuting", 64, 1.0, [1.0, 1.0], 0.1)
+    @example("commuting", 64, 1.0, [1.0, 1.0], 0.1)
+    def test_bit_for_bit_with_the_dense_log(self, name, n_sites, duration, controls, eps):
+        # every channel is on, so each flow block is one component of its
+        # nonzero pattern and both paths log the same blocks
+        dyn = estimate_species(name, n_sites)
+        family = lambda e: Program(((e * duration, tuple(controls)),))
+        ours = estimate_generator(family, dyn, eps)
+        dense = matrix_log(flow_matrix(dyn, family(eps))) / eps
+        assert ours.tobytes() == dense.tobytes()
+
+    def test_a_zero_channel_that_splits_a_block(self, nprng):
+        # a 6-site chain whose middle link only channel 1 drives: a pulse on
+        # channel 0 alone splits the flow into two blocks, which the dense
+        # path logs apart and the class path as one block
+        links0 = [(0, 1), (1, 2), (3, 4), (4, 5)]
+        for _ in range(20):
+            a0, a1 = np.zeros((6, 6)), np.zeros((6, 6))
+            for i, j in links0:
+                a0[i, j], a0[j, i] = nprng.normal(size=2)
+            a1[2, 3], a1[3, 2] = nprng.normal(size=2)
+            dyn = ReferenceDynamics(np.zeros((6, 6)), (a0, a1))
+            program = Program(((0.1, (nprng.uniform(0.5, 2.0), 0.0)),))
+            flow = flow_matrix(dyn, program)
+            assert len(kernels.blocks(flow != 0).index) == 2
+            assert len(dyn._blocks.index) == 1
+            ours = estimate_generator(lambda e: program, dyn, 0.1)
+            dense = matrix_log(flow) / 0.1
+            assert np.max(np.abs(ours - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize(
+        "coupling, recovered, refused", [("commuting", 700.0, 800.0), ("noncommuting", 1e12, None)]
+    )
+    def test_documented_domain(self, coupling, recovered, refused):
+        # README: on the 2-site reference species at eps 0.1, a commuting
+        # pulse is recovered up to amplitude 700 and refused at 800, and a
+        # nilpotent pulse is recovered at amplitude 1e12
+        dyn = reference_species(n_sites=2, coupling=coupling).dynamics
+        pulse = PulseTemplate(channel=0, amplitude=recovered)
+        out = estimate_generator(pulse.generator_family(2), dyn, 0.1)
+        truth = recovered * dyn.controls[0]
+        assert np.max(np.abs(out - truth)) <= 1e-12 * recovered
+        if refused is not None:
+            pulse = PulseTemplate(channel=0, amplitude=refused)
+            with pytest.raises(DomainError):
+                estimate_generator(pulse.generator_family(2), dyn, 0.1)
