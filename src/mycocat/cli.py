@@ -141,9 +141,9 @@ def load_input(path: str, build):
 
 
 def cospan_from_json(data) -> Cospan:
-    apex = AttributedGraph.from_json(data["apex"])
-    b = AttributedGraph.from_json(data["b"])
-    c = AttributedGraph.from_json(data["c"])
+    apex = AttributedGraph.from_json(data["apex"], "apex.")
+    b = AttributedGraph.from_json(data["b"], "b.")
+    c = AttributedGraph.from_json(data["c"], "c.")
     left = GraphMorphism.from_json(data["left"], apex, b)
     right = GraphMorphism.from_json(data["right"], apex, c)
     return Cospan(apex, left, right)

@@ -293,7 +293,7 @@ def species_from_config(data: Mapping) -> SpeciesFunctor:
                 raise ConfigError(f"species.{key}: unknown configuration field")
         try:
             dyn = ReferenceDynamics.from_json(data["dynamics"])
-            graph = AttributedGraph.from_json(data["graph"])
+            graph = AttributedGraph.from_json(data["graph"], "graph.")
             features = _config_kwargs(
                 {"features": data["features"]}, {"features": 1}, "species."
             )["features"]

@@ -166,7 +166,7 @@ class InternalState:
     @classmethod
     def from_json(cls, data: Mapping) -> "InternalState":
         layout = StateLayout(
-            AttributedGraph.from_json(data["graph"]), int(data["features"])
+            AttributedGraph.from_json(data["graph"], "graph."), int(data["features"])
         )
         return cls(np.asarray(data["vector"], dtype=np.float64), layout)
 

@@ -382,6 +382,23 @@ EXPLICIT_SPECIES = {
             id="pushout-leg-breaks-incidence",
         ),
         pytest.param(
+            ["pushout", CONFIG], {**STAR_COSPAN, "b": {"nodes": "ab", "edges": []}}, {},
+            f"error: {CONFIG}: b.nodes: must be a list of ids, got str",
+            id="pushout-nodes-not-a-list",
+        ),
+        pytest.param(
+            ["pushout", CONFIG],
+            {**STAR_COSPAN, "b": {**STAR_COSPAN["b"], "directed": "no"}}, {},
+            f"error: {CONFIG}: b.directed: must be true or false, got 'no'",
+            id="pushout-directed-not-a-bool",
+        ),
+        pytest.param(
+            ["pushout", CONFIG],
+            {**STAR_COSPAN, "b": {"nodes": ["a", "b"], "edges": [["eb", ["a", "b"], "x"]]}},
+            {}, f"error: {CONFIG}: b.edges[0]: must be [id, [u, v]]",
+            id="pushout-edge-entry-malformed",
+        ),
+        pytest.param(
             ["check-laws", str(SAMPLES / "laws_suite.json"), "--seed", "301"], None, {},
             None, id="lipschitz-sampler-seed-301",
         ),

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mycocat import graphs as graphs_module
 from mycocat.errors import (
     CompositionError,
+    ParameterError,
     PreconditionError,
     ResourceError,
     ShapeError,
@@ -61,6 +63,20 @@ class TestGraphConstruction:
     def test_undeclared_endpoint_rejected(self):
         with pytest.raises(ShapeError):
             AttributedGraph(("a",), (("e", ("a", "b")),))
+
+    @pytest.mark.parametrize(
+        "data, field",
+        [
+            ({"nodes": "ab"}, "nodes"),
+            ({"nodes": ["a"], "directed": "no"}, "directed"),
+            ({"nodes": ["a"], "edges": "e"}, "edges"),
+            ({"nodes": ["a", "b"], "edges": [["e", ["a", "b"], "x"]]}, r"edges\[0\]"),
+            ({"nodes": ["a", "b"], "edges": [["e", "ab"]]}, r"edges\[0\]"),
+        ],
+    )
+    def test_wire_format_shape_names_the_field(self, data, field):
+        with pytest.raises(ShapeError, match=f"^b\\.{field}: "):
+            AttributedGraph.from_json(data, "b.")
 
     def test_json_roundtrip(self):
         g = triangle()
@@ -493,7 +509,7 @@ class TestUniversalProperty:
     def test_matches_reference_verifier(self):
         rng = random.Random(8080)
         verdicts = Counter()
-        for _ in range(30):
+        for i in range(30):
             cospan = make_random_mono_cospan(rng, max_nodes=4)
             candidate = pushout_along_monos(cospan)
             obj = candidate[0]
@@ -504,12 +520,15 @@ class TestUniversalProperty:
             ]
             if obj.edges:
                 broken.append(extended(candidate, edges=(("twin", obj.edges[0][1]),)))
-            for cand in [candidate] + broken:
-                verdict = verify_pushout_universal_property(cospan, cand, 3)
-                assert verdict == reference_verifier(cospan, cand, 3)
-                verdicts[verdict] += 1
+            # the reference walks all 76 labelled probes at bound 4: a few cospans
+            bounds = (3, 4) if i < 4 else (3,)
+            for cand, bound in itertools.product([candidate] + broken, bounds):
+                verdict = verify_pushout_universal_property(cospan, cand, bound)
+                assert verdict == reference_verifier(cospan, cand, bound)
+                verdicts[bound, verdict] += 1
             assert verify_pushout_universal_property(cospan, candidate, 3)
-        assert verdicts[True] >= 30 and verdicts[False] >= 30
+        assert verdicts[3, True] >= 30 and verdicts[3, False] >= 30
+        assert verdicts[4, True] >= 4 and verdicts[4, False] >= 4
 
     def test_star_pushout_passes(self):
         cospan = star_cospan()
@@ -565,3 +584,93 @@ class TestUniversalProperty:
     def test_probe_family_sizes(self):
         assert len(probe_family(3)) == 12  # 1 + 1 + 2 + 8
         assert len(probe_family(4)) == 76  # + 64
+
+    @pytest.mark.parametrize("bound", [-1, 2.5, True, "3"])
+    def test_probe_bound_must_be_a_nonnegative_int(self, bound):
+        # -1 would leave no probe at all: a vacuous pass for any candidate
+        cospan = star_cospan()
+        padded = extended(pushout_along_monos(cospan), nodes=("ghost",))
+        with pytest.raises(ParameterError, match="probe_bound"):
+            verify_pushout_universal_property(cospan, padded, bound)
+
+    def test_bounds_0_and_1_cannot_reject_an_isolated_node(self):
+        # documented: an extra isolated node changes the mediator count only
+        # on probes with two or more nodes
+        cospan = star_cospan()
+        padded = extended(pushout_along_monos(cospan), nodes=("ghost",))
+        assert verify_pushout_universal_property(cospan, padded, 0)
+        assert verify_pushout_universal_property(cospan, padded, 1)
+        assert not verify_pushout_universal_property(cospan, padded, 2)
+
+    def test_one_hom_enumeration_per_leg_object_and_class(self, monkeypatch):
+        # three hom-sets (B, C, candidate) per probe: 3 x 19 classes at bound
+        # 4, against 3 x 76 over every labelled probe
+        calls = []
+        homs = graphs_module._homs
+
+        def counted(g, h):
+            calls.append(h)
+            return homs(g, h)
+
+        monkeypatch.setattr(graphs_module, "_homs", counted)
+        cospan = star_cospan()
+        assert verify_pushout_universal_property(cospan, pushout_along_monos(cospan), 4)
+        assert len(calls) <= 3 * 19
+
+
+def _brute_least_code(graph):
+    """The least probe code of ``graph`` over all 0..n-1 relabellings."""
+    n = len(graph.nodes)
+    index = {pair: i for i, pair in enumerate(itertools.combinations(range(n), 2))}
+    return min(
+        sum(1 << index[tuple(sorted((perm[u], perm[v])))] for _, (u, v) in graph.edges)
+        for perm in itertools.permutations(range(n))
+    )
+
+
+class TestProbeClasses:
+    def test_class_counts(self):
+        # OEIS A000088: simple graphs on n unlabelled nodes
+        per_n = Counter(len(z.nodes) for z in graphs_module._probe_classes(5))
+        assert [per_n[n] for n in range(6)] == [1, 1, 2, 4, 11, 34]
+
+    def test_every_probe_has_exactly_one_representative(self):
+        classes = graphs_module._probe_classes(4)
+        family = probe_family(4)
+        for z in family:
+            assert sum(are_isomorphic(z, rep) for rep in classes) == 1
+        # each representative is its class's first member in family order
+        for rep in classes:
+            first = next(z for z in family if are_isomorphic(z, rep))
+            assert first == rep
+
+    def test_representatives_are_probes(self):
+        family = set(probe_family(5))
+        assert all(rep in family for rep in graphs_module._probe_classes(5))
+
+    def test_representatives_carry_the_least_code(self):
+        # at 5 nodes, against every one of the 120 relabellings
+        index = {pair: i for i, pair in enumerate(itertools.combinations(range(5), 2))}
+        for rep in graphs_module._probe_classes(5):
+            if len(rep.nodes) == 5:
+                code = sum(1 << index[pair] for _, pair in rep.edges)
+                assert code == _brute_least_code(rep)
+
+    def test_pruning_order_keeps_the_graph(self):
+        rng = random.Random(14)
+        for _ in range(50):
+            g = make_random_graph(rng, max_nodes=6)
+            ordered = graphs_module._pruning_order(g)
+            assert sorted(ordered.nodes, key=repr) == sorted(g.nodes, key=repr)
+            assert ordered.edges == g.edges and ordered.directed == g.directed
+            # a node with no edge back to the placed ones comes next only
+            # when no unplaced node has one
+            for i, v in enumerate(ordered.nodes):
+                placed = set(ordered.nodes[:i])
+
+                def back(x):
+                    return any(
+                        u != w and x in (u, w) and {u, w} & placed for _, (u, w) in g.edges
+                    )
+
+                assert back(v) or not any(back(x) for x in ordered.nodes[i + 1:])
