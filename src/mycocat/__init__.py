@@ -66,6 +66,7 @@ from .liealg import (
 from .programs import (
     Extraction,
     InternalState,
+    PieceTable,
     Program,
     ReferenceDynamics,
     StateLayout,

@@ -141,11 +141,15 @@ def load_input(path: str, build):
 
 
 def cospan_from_json(data) -> Cospan:
+    """The cospan ``{"apex", "b", "c", "left", "right"}``; a field of the
+    wrong shape raises :class:`ShapeError` naming it."""
+    if not isinstance(data, dict):
+        raise ShapeError(f"cospan: must be a JSON object, got {type(data).__name__}")
     apex = AttributedGraph.from_json(data["apex"], "apex.")
     b = AttributedGraph.from_json(data["b"], "b.")
     c = AttributedGraph.from_json(data["c"], "c.")
-    left = GraphMorphism.from_json(data["left"], apex, b)
-    right = GraphMorphism.from_json(data["right"], apex, c)
+    left = GraphMorphism.from_json(data["left"], apex, b, "left.")
+    right = GraphMorphism.from_json(data["right"], apex, c, "right.")
     return Cospan(apex, left, right)
 
 

@@ -47,10 +47,10 @@ from .liealg import _class_generators
 from .programs import (
     Extraction,
     InternalState,
+    PieceTable,
     Program,
     ReferenceDynamics,
     StateLayout,
-    concatenate,
     state_distances,
 )
 
@@ -494,7 +494,8 @@ def run_order_asymmetry_scan(exp: ExposureExperiment) -> AsymmetryReport:
 
     For each eps, both orderings of the scaled pulses are run from the
     same seeded initial state and the extracted networks are compared;
-    both orderings at every eps run in one ``transform_many`` call.
+    both orderings at every eps run in one ``transform_many`` call, on one
+    piece table of the scaled pulses.
     Rows at the delta floor are flagged and excluded from the fit. The
     report also carries the norm of the commutator of the two estimated
     pulse generators, the generator-level diagnostic of the same effect.
@@ -504,17 +505,22 @@ def run_order_asymmetry_scan(exp: ExposureExperiment) -> AsymmetryReport:
     channels = dyn.channels
     state = initial_state(species.extraction.layout, exp.seed)
 
-    ps = [exp.pulse_p.program(eps, exp.scaling, channels) for eps in exp.eps_grid]
-    qs = [exp.pulse_q.program(eps, exp.scaling, channels) for eps in exp.eps_grid]
-    orderings = [concatenate(p, q) for p, q in zip(ps, qs)] + [
-        concatenate(q, p) for p, q in zip(ps, qs)
-    ]
-    finals = species.transform_many([state] * len(orderings), orderings)
+    # rows 0..grid-1 hold p at each eps, rows grid.. q; the orderings are
+    # p;q at every eps, then q;p
     grid = len(exp.eps_grid)
+    pulses = PieceTable.from_programs(
+        [
+            pulse.program(eps, exp.scaling, channels)
+            for pulse in (exp.pulse_p, exp.pulse_q)
+            for eps in exp.eps_grid
+        ]
+    )
+    orderings = pulses.concatenate(pulses.take([*range(grid, 2 * grid), *range(grid)]))
+    finals = species.transform_many(np.tile(state.vector, (2 * grid, 1)), orderings)
     deltas = state_distances(
         finals[:grid], finals[grid:], species.extraction, exp.weights
     )
-    rows = list(zip(exp.eps_grid, deltas))
+    rows = list(zip(exp.eps_grid, deltas.tolist()))
 
     excluded = tuple(eps for eps, delta in rows if delta <= DELTA_FLOOR)
     usable = [(eps, delta) for eps, delta in rows if delta > DELTA_FLOOR]
@@ -528,7 +534,9 @@ def run_order_asymmetry_scan(exp: ExposureExperiment) -> AsymmetryReport:
     # only the commutator is scattered to n x n
     gen_eps = 0.1
     x_p, x_q = _class_generators(
-        [pulse.generator_family(channels)(gen_eps) for pulse in (exp.pulse_p, exp.pulse_q)],
+        PieceTable.from_programs(
+            [pulse.generator_family(channels)(gen_eps) for pulse in (exp.pulse_p, exp.pulse_q)]
+        ),
         dyn,
         gen_eps,
     )

@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import numbers
 from collections import Counter
+from collections.abc import Hashable
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Any, Iterator, Mapping
@@ -142,11 +143,16 @@ class AttributedGraph:
     def from_json(cls, data: Mapping, field: str = "") -> "AttributedGraph":
         """The graph in the wire format; a value of the wrong shape raises
         :class:`ShapeError` naming its field, prefixed by ``field``
-        (``"b."`` names ``b.nodes``)."""
+        (``"b."`` names ``b.nodes``). Ids must be JSON strings, numbers,
+        booleans or null."""
+        _require_object(data, field, "graph")
         nodes, edges = data["nodes"], data.get("edges", [])
         directed = data.get("directed", False)
         if not isinstance(nodes, (list, tuple)):
             raise ShapeError(f"{field}nodes: must be a list of ids, got {type(nodes).__name__}")
+        for i, node in enumerate(nodes):
+            if not isinstance(node, Hashable):
+                raise ShapeError(f"{field}nodes[{i}]: must be an id, got {type(node).__name__}")
         if not isinstance(edges, (list, tuple)):
             raise ShapeError(f"{field}edges: must be a list, got {type(edges).__name__}")
         for i, entry in enumerate(edges):
@@ -155,6 +161,7 @@ class AttributedGraph:
                 and len(entry) == 2
                 and isinstance(entry[1], (list, tuple))
                 and len(entry[1]) == 2
+                and all(isinstance(x, Hashable) for x in (entry[0], *entry[1]))
             ):
                 raise ShapeError(f"{field}edges[{i}]: must be [id, [u, v]]")
         if not isinstance(directed, bool):
@@ -209,14 +216,36 @@ class GraphMorphism:
 
     @classmethod
     def from_json(
-        cls, data: Mapping, source: AttributedGraph, target: AttributedGraph
+        cls, data: Mapping, source: AttributedGraph, target: AttributedGraph, field: str = ""
     ) -> "GraphMorphism":
-        def as_map(entry):
-            if isinstance(entry, Mapping):
-                return dict(entry)
-            return {k: v for k, v in entry}
+        """The morphism in the wire format: ``nodes`` and ``edges`` each an
+        object or a list of ``[from, to]`` id pairs. A value of the wrong
+        shape raises :class:`ShapeError` naming its field, prefixed by
+        ``field`` (``"left."`` names ``left.nodes``)."""
+        _require_object(data, field, "morphism")
 
-        return cls(source, target, as_map(data["nodes"]), as_map(data["edges"]))
+        def as_map(key):
+            entry = data[key]
+            pairs = list(entry.items()) if isinstance(entry, Mapping) else entry
+            if not isinstance(pairs, (list, tuple)) or not all(
+                isinstance(pair, (list, tuple))
+                and len(pair) == 2
+                and all(isinstance(x, Hashable) for x in pair)
+                for pair in pairs
+            ):
+                raise ShapeError(f"{field}{key}: must be a list of [from, to] id pairs")
+            return dict(pairs)
+
+        return cls(source, target, as_map("nodes"), as_map("edges"))
+
+
+def _require_object(data, field: str, name: str) -> None:
+    """A :class:`ShapeError` naming ``field`` (without its trailing dot), or
+    ``name`` at the top level, unless ``data`` is a JSON object."""
+    if not isinstance(data, Mapping):
+        raise ShapeError(
+            f"{field[:-1] or name}: must be a JSON object, got {type(data).__name__}"
+        )
 
 
 @dataclass(frozen=True)

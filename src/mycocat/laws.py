@@ -6,7 +6,9 @@ law is from holding (as a network distance residual), and returns a
 never raised; the witness stored in a report contains enough data to
 replay its residual exactly. The witness is the first sample within 4
 ulps of the largest residual, so roundoff between residuals that are equal
-in exact arithmetic does not choose it.
+in exact arithmetic does not choose it. A NaN residual is worse than any
+number: the report then carries NaN, which fails every tolerance, and the
+first NaN sample as its witness.
 
 Checkers:
 
@@ -39,13 +41,16 @@ from .envmyc import (
     MycObject,
     env_distance,
 )
-from .errors import InputError, ParameterError, ResourceError
+from .errors import InputError, ParameterError, ResourceError, ShapeError
 from .graphs import identity_morphism
 from .programs import (
+    NULL_PROGRAM,
     Extraction,
     InternalState,
+    PieceTable,
     Program,
     ReferenceDynamics,
+    StateLayout,
     concatenate,
     evolve_many,
     extract,
@@ -66,7 +71,8 @@ class LawReport:
 
     @property
     def passed(self) -> bool:
-        """Residual within tolerance; an infinite residual fails any tolerance."""
+        """Residual within tolerance; an infinite or NaN residual fails any
+        tolerance."""
         return self.max_residual <= self.tolerance and self.max_residual != math.inf
 
     @property
@@ -95,9 +101,11 @@ class SpeciesFunctor:
     """One species: reference dynamics plus a measurement pipeline.
 
     ``transform_many`` realizes the induced state transitions of many
-    (state, program) pairs and is the one override point: a subclass (the
-    mutants do) overrides it, and ``transform`` of one pair goes through
-    it too. The read-out is fixed by ``extraction``:
+    (state, program) pairs, given as a (P, n) state array and a
+    :class:`mycocat.programs.PieceTable` of P programs, and is the one
+    override point: a subclass (the mutants do) overrides it, and
+    ``transform`` of one pair goes through it too. The read-out is fixed by
+    ``extraction``:
     the checkers measure distances between evolved states with
     :func:`mycocat.programs.state_distances`, which equals
     ``myc_distance`` of the ``on_object`` networks bit for bit.
@@ -108,14 +116,14 @@ class SpeciesFunctor:
     extraction: Extraction
 
     def transform(self, state: InternalState, program: Program) -> InternalState:
-        return self.transform_many([state], [program])[0]
+        moved = self.transform_many(state.vector[None], PieceTable.from_programs([program]))
+        return InternalState(moved[0], state.layout)
 
-    def transform_many(
-        self, states: Sequence[InternalState], programs: Sequence[Program]
-    ) -> list[InternalState]:
-        """Run ``programs[i]`` from ``states[i]`` for every i, in batched
-        kernel calls; each result has the bits of its pair run alone."""
-        return evolve_many(states, programs, self.dynamics)
+    def transform_many(self, vectors: np.ndarray, table: PieceTable) -> np.ndarray:
+        """Run program i of ``table`` from row i of ``vectors`` for every i,
+        in batched kernel calls; returns the (P, n) results, each with the
+        bits of its pair run alone."""
+        return evolve_many(vectors, table, self.dynamics)
 
     def on_object(self, state: InternalState) -> MycObject:
         return extract(state, self.extraction)
@@ -138,10 +146,8 @@ class NonCausalSpecies(SpeciesFunctor):
     while breaking composition.
     """
 
-    def transform_many(
-        self, states: Sequence[InternalState], programs: Sequence[Program]
-    ) -> list[InternalState]:
-        return super().transform_many(states, [Program(p.pieces[-1:]) for p in programs])
+    def transform_many(self, vectors: np.ndarray, table: PieceTable) -> np.ndarray:
+        return super().transform_many(vectors, table.last_pieces())
 
 
 def non_causal_variant(f: SpeciesFunctor) -> NonCausalSpecies:
@@ -184,30 +190,60 @@ def similarity_variant(
 # ---------------------------------------------------------------------------
 
 
-def _random_program(rng: np.random.Generator, channels: int, max_pieces: int = 2) -> Program:
-    pieces = tuple(
-        (
-            float(rng.uniform(0.1, 0.6)),
-            tuple(float(x) for x in 0.5 * rng.normal(size=channels)),
-        )
-        for _ in range(int(rng.integers(1, max_pieces + 1)))
-    )
-    return Program(pieces)
+def _draw_program(
+    rng: np.random.Generator,
+    channels: int,
+    lengths: list,
+    inputs: list,
+    max_pieces: int = 2,
+) -> int:
+    """Draw one random program, appending its pieces to ``lengths`` and
+    ``inputs``; returns its piece count. The draws are the piece count,
+    then each piece's length and controls, in that order."""
+    count = int(rng.integers(1, max_pieces + 1))
+    for _ in range(count):
+        lengths.append(rng.uniform(0.1, 0.6))
+        inputs.append(0.5 * rng.normal(size=channels))
+    return count
 
 
-def _random_state(rng: np.random.Generator, f: SpeciesFunctor) -> InternalState:
-    return InternalState(rng.normal(size=f.dynamics.dim), f.extraction.layout)
+def _stack(states: Sequence[InternalState], layout: StateLayout) -> np.ndarray:
+    """The (P, n) vectors of ``states``; a state in another layout is a
+    :class:`ShapeError`."""
+    if any(state.layout != layout for state in states):
+        raise ShapeError("state layout does not match the extraction layout")
+    return np.array([state.vector for state in states]).reshape(len(states), layout.dim)
+
+
+def _translate(
+    eta: "NaturalTransformationData", vectors: np.ndarray, layout: StateLayout
+) -> np.ndarray:
+    """``eta``'s component at every row of ``vectors``, one call per row, as
+    states in ``layout``; a component of another shape is a
+    :class:`ShapeError`."""
+    moved = [eta.map_state(v) for v in vectors]
+    for v in moved:
+        if v.shape != (layout.dim,):
+            raise ShapeError(
+                f"translated state has shape {v.shape}, layout expects {layout.dim} entries"
+            )
+    return np.array(moved).reshape(len(vectors), layout.dim)
 
 
 def _worst(values: Sequence[float]) -> tuple[float, int | None]:
     """``(worst, index)``: the largest of ``values`` and the first index
     within 4 ulps (``np.spacing``) of it, the witness; ``(0.0, None)`` when
-    no value is at least 0."""
-    worst = max((v for v in values if v >= 0.0), default=None)
-    if worst is None:
+    there is no value. A NaN is worse than any number: the worst is then
+    NaN and the witness the first NaN."""
+    values = np.asarray(values, dtype=np.float64)
+    if not values.size:
         return 0.0, None
+    nan = np.isnan(values)
+    if nan.any():
+        return math.nan, int(nan.argmax())
+    worst = float(values.max())
     near = worst - 4 * np.spacing(worst) if math.isfinite(worst) else worst
-    return worst, next(i for i, v in enumerate(values) if v >= near)
+    return worst, int((values >= near).argmax())
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +257,7 @@ def functor_law_residual(
     """Distance between the one-shot and the composed network updates."""
     joint = f.transform(state, concatenate(p, q))
     second = f.transform(f.transform(state, p), q)
-    return state_distances([joint], [second], f.extraction)[0]
+    return float(state_distances(joint.vector[None], second.vector[None], f.extraction)[0])
 
 
 def check_functor_laws(
@@ -235,32 +271,36 @@ def check_functor_laws(
     Also asserts that the null program leaves the read-out network
     exactly unchanged; a violation is reported with an ``identity-law``
     witness naming the first failing sample. Every sample is drawn before
-    any flow runs; the joint leg, the two sequential legs and the null
-    program each take one batched ``transform_many`` call. Raises
-    :class:`ParameterError` when ``sample_count`` is not positive.
+    any flow runs, straight into one state array and two piece tables (per
+    sample: the state, then p, then q); the joint leg, the two sequential
+    legs and the null program each take one batched ``transform_many``
+    call. Raises :class:`ParameterError` when ``sample_count`` is not
+    positive.
     """
     if sample_count < 1:
         raise ParameterError(f"functor laws need at least one sample, got {sample_count}")
     rng = np.random.default_rng(seed)
-    channels = f.dynamics.channels
-    states, ps, qs = [], [], []
-    for _ in range(sample_count):
-        states.append(_random_state(rng, f))
-        ps.append(_random_program(rng, channels))
-        qs.append(_random_program(rng, channels))
-    joint = f.transform_many(states, [concatenate(p, q) for p, q in zip(ps, qs)])
+    dim, channels = f.dynamics.dim, f.dynamics.channels
+    states = np.empty((sample_count, dim))
+    draws = [([], [], []), ([], [], [])]  # (lengths, inputs, counts) of p and of q
+    for i in range(sample_count):
+        states[i] = rng.normal(size=dim)
+        for lengths, inputs, counts in draws:
+            counts.append(_draw_program(rng, channels, lengths, inputs))
+    ps, qs = (PieceTable(*draw) for draw in draws)
+    joint = f.transform_many(states, ps.concatenate(qs))
     second = f.transform_many(f.transform_many(states, ps), qs)
-    unmoved = f.transform_many(states, [Program()] * sample_count)
-    for i, moved in enumerate(state_distances(states, unmoved, f.extraction)):
-        if moved != 0.0:
-            return LawReport(
-                law="functor-laws",
-                samples=i + 1,
-                max_residual=math.inf,
-                tolerance=tol,
-                seed=seed,
-                witness={"kind": "identity-law", "sample": i},
-            )
+    unmoved = f.transform_many(states, PieceTable.from_programs([NULL_PROGRAM] * sample_count))
+    moved = np.flatnonzero(state_distances(states, unmoved, f.extraction) != 0.0)
+    if moved.size:
+        return LawReport(
+            law="functor-laws",
+            samples=int(moved[0]) + 1,
+            max_residual=math.inf,
+            tolerance=tol,
+            seed=seed,
+            witness={"kind": "identity-law", "sample": int(moved[0])},
+        )
     residuals = state_distances(joint, second, f.extraction)
     worst, i = _worst(residuals)
     witness = None
@@ -268,10 +308,10 @@ def check_functor_laws(
         witness = {
             "kind": "composition",
             "sample": i,
-            "state": [float(x) for x in states[i].vector],
-            "p": ps[i].to_json(),
-            "q": qs[i].to_json(),
-            "residual": residuals[i],
+            "state": states[i].tolist(),
+            "p": ps.program(i).to_json(),
+            "q": qs.program(i).to_json(),
+            "residual": float(residuals[i]),
         }
     return LawReport(
         law="functor-laws",
@@ -341,9 +381,9 @@ def check_naturality(
     translate-then-transform against transform-then-translate (both read
     out through the second species' pipeline). The max residual is the
     empirical sensitivity of the species pair to that program family.
-    Every state is drawn first and each species runs all pairs in one
-    ``transform_many`` call. Raises :class:`ParameterError` when there is
-    no program or ``states_per_program`` is not positive.
+    Every state is drawn first, into one array, and each species runs all
+    pairs in one ``transform_many`` call. Raises :class:`ParameterError`
+    when there is no program or ``states_per_program`` is not positive.
     """
     programs = list(programs)
     if not programs or states_per_program < 1:
@@ -352,16 +392,12 @@ def check_naturality(
             f"{len(programs)} and {states_per_program}"
         )
     rng = np.random.default_rng(seed)
-    states = [_random_state(rng, f1) for _ in programs for _ in range(states_per_program)]
-    repeated = [program for program in programs for _ in range(states_per_program)]
+    states = rng.normal(size=(len(programs) * states_per_program, f1.dynamics.dim))
+    repeated = PieceTable.from_programs(programs).repeat(states_per_program)
+    layout = f2.extraction.layout
     moved1 = f1.transform_many(states, repeated)
-    moved2 = f2.transform_many(
-        [InternalState(eta.map_state(s.vector), f2.extraction.layout) for s in states],
-        repeated,
-    )
-    translated = [
-        InternalState(eta.map_state(s.vector), f2.extraction.layout) for s in moved1
-    ]
+    moved2 = f2.transform_many(_translate(eta, states, layout), repeated)
+    translated = _translate(eta, moved1, layout)
     residuals = state_distances(translated, moved2, f2.extraction, weights)
     worst, i = _worst(residuals)
     witness = None
@@ -370,9 +406,9 @@ def check_naturality(
         witness = {
             "program_index": pi,
             "state_index": si,
-            "state": [float(x) for x in states[i].vector],
+            "state": states[i].tolist(),
             "program": programs[pi].to_json(),
-            "residual": residuals[i],
+            "residual": float(residuals[i]),
         }
     return LawReport(
         law="naturality",
@@ -609,7 +645,8 @@ def check_lipschitz(
 
     Reports sup over pairs of d_myc(F(E1), F(E2)) / d_env(E1, E2),
     skipping pairs at zero environment distance unless their images
-    differ (which scores infinity). ``iota`` defaults to the direct
+    differ (which scores infinity; a NaN image distance differs). A NaN
+    ratio is the worst. ``iota`` defaults to the direct
     field embedding; ``program`` optionally runs a flow between embedding
     and extraction, for every embedded environment in one
     ``transform_many`` call. Raises :class:`ParameterError` when there is
@@ -618,19 +655,20 @@ def check_lipschitz(
     object_pairs = list(object_pairs)
     if not object_pairs:
         raise ParameterError("Lipschitz check needs at least one environment pair")
+    layout = f.extraction.layout
     if iota is None:
-        iota = direct_embedding(
-            f.extraction.layout, f.extraction.layout.feature_count - 1
-        )
-    program = program if program is not None else Program()
-    starts = [iota(env) for pair in object_pairs for env in pair]
-    images = f.transform_many(starts, [program] * len(starts))
-    d_mycs = state_distances(images[0::2], images[1::2], f.extraction, d_myc_weights)
+        iota = direct_embedding(layout, layout.feature_count - 1)
+    program = program if program is not None else NULL_PROGRAM
+    starts = _stack([iota(env) for pair in object_pairs for env in pair], layout)
+    images = f.transform_many(starts, PieceTable.from_programs([program]).repeat(len(starts)))
+    d_mycs = state_distances(
+        images[0::2], images[1::2], f.extraction, d_myc_weights
+    ).tolist()
     used = []  # (pair_index, ratio, d_env, d_myc) of the pairs at nonzero distance
     for idx, ((e1, e2), d_myc) in enumerate(zip(object_pairs, d_mycs)):
         d_env = env_distance(e1, e2, d_env_weights)
         if d_env == 0.0:
-            if d_myc > 0.0:
+            if d_myc != 0.0:  # a NaN image distance differs too
                 return LawReport(
                     law="lipschitz",
                     samples=idx + 1,
@@ -664,11 +702,29 @@ def field_writeback(template: EnvObject, state: InternalState) -> EnvObject:
     Inverse of :func:`direct_embedding` on its image: feature 0 becomes
     the resource value, the remaining features the chemical channels.
     """
-    nodes = state.layout.graph.nodes
-    rows = state.layout.node_rows(state.vector)
+    return _writeback(template, state.layout, state.vector)
+
+
+def _writeback(template: EnvObject, layout: StateLayout, vector: np.ndarray) -> EnvObject:
+    """:func:`field_writeback` of the state ``vector`` in ``layout``."""
+    nodes = layout.graph.nodes
+    rows = layout.node_rows(vector)
     rho = {v: row[0] for v, row in zip(nodes, rows)}
     phi = {v: row[1:] for v, row in zip(nodes, rows)}
     return EnvObject(template.graph, rho, phi, template.chi)
+
+
+def _evolve_environments(
+    f: SpeciesFunctor,
+    iota: Callable[[EnvObject], InternalState],
+    environments: Sequence[EnvObject],
+    table: PieceTable,
+) -> list[EnvObject]:
+    """Embed each environment, run program i of ``table`` from embedding i
+    in one ``transform_many`` call, and write the fields back."""
+    layout = f.extraction.layout
+    moved = f.transform_many(_stack([iota(env) for env in environments], layout), table)
+    return [_writeback(env, layout, vector) for env, vector in zip(environments, moved)]
 
 
 def matched_environment_evolution(
@@ -680,8 +736,7 @@ def matched_environment_evolution(
     call, write the fields back."""
 
     def psi(environments: Sequence[EnvObject], programs: Sequence[Program]) -> list[EnvObject]:
-        moved = f.transform_many([iota(env) for env in environments], programs)
-        return [field_writeback(env, state) for env, state in zip(environments, moved)]
+        return _evolve_environments(f, iota, environments, PieceTable.from_programs(programs))
 
     return psi
 
@@ -692,10 +747,10 @@ def scaled_environment_evolution(
     amplitude_scale: float,
 ) -> Callable[[Sequence[EnvObject], Sequence[Program]], list[EnvObject]]:
     """Mutant environment evolution that mis-scales every pulse amplitude."""
-    matched = matched_environment_evolution(f, iota)
 
     def psi(environments: Sequence[EnvObject], programs: Sequence[Program]) -> list[EnvObject]:
-        return matched(environments, [p.scale_amplitude(amplitude_scale) for p in programs])
+        table = PieceTable.from_programs(programs).scale_amplitude(amplitude_scale)
+        return _evolve_environments(f, iota, environments, table)
 
     return psi
 
@@ -731,10 +786,15 @@ def check_compatibility(
             starts.append(iota(env))
         except (KeyError, InputError) as exc:
             raise InputError(f"iota undefined on sampled environment {ei}") from exc
+    layout = f.extraction.layout
     pairs = [(ei, pi) for ei in range(len(environments)) for pi in range(len(programs))]
-    paired = [programs[pi] for _, pi in pairs]
-    operational = f.transform_many([starts[ei] for ei, _ in pairs], paired)
-    static = [iota(env) for env in psi([environments[ei] for ei, _ in pairs], paired)]
+    env_rows, program_rows = (list(rows) for rows in zip(*pairs))
+    operational = f.transform_many(
+        _stack(starts, layout)[env_rows],
+        PieceTable.from_programs(programs).take(program_rows),
+    )
+    evolved = psi([environments[ei] for ei in env_rows], [programs[pi] for pi in program_rows])
+    static = _stack([iota(env) for env in evolved], layout)
     residuals = state_distances(static, operational, f.extraction, weights)
     worst, i = _worst(residuals)
     witness = None
@@ -744,7 +804,7 @@ def check_compatibility(
             "environment_index": ei,
             "program_index": pi,
             "program": programs[pi].to_json(),
-            "residual": residuals[i],
+            "residual": float(residuals[i]),
         }
     return LawReport(
         law="compatibility",

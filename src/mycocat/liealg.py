@@ -26,7 +26,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DomainError, NumericError, ParameterError, ShapeError
-from .programs import Program, ReferenceDynamics, _piece_table
+from .programs import PieceTable, Program, ReferenceDynamics, _flow_arrays
 
 
 def _check_square(x: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -135,18 +135,19 @@ def effective_mixture_generator(x: np.ndarray, y: np.ndarray, eps: float) -> np.
 
 
 def _class_generators(
-    programs: list[Program], dyn: ReferenceDynamics, eps: float
+    table: PieceTable, dyn: ReferenceDynamics, eps: float
 ) -> np.ndarray:
-    """(P, classes, size, size) generators of single-piece programs on the
-    block classes of ``dyn``: the log of each class flow, over ``eps``.
+    """(P, classes, size, size) generators of the P single-piece programs of
+    ``table`` on the block classes of ``dyn``: the log of each class flow,
+    over ``eps``.
 
     The flows come from one flow-kernel call and their logs from one
     ``logm`` call; every member is independent, so a program's generators
     do not depend on what shares the call. Nothing is scattered to n x n.
     """
-    if any(len(p.pieces) != 1 for p in programs):
+    if (table.counts != 1).any():
         raise ParameterError("generator estimation expects a single-piece pulse")
-    flows = kernels._block_flows(dyn._system, *_piece_table(programs, dyn))
+    flows = kernels._block_flows(dyn._system, *_flow_arrays(table, dyn))
     return _log_blocks(flows) / eps
 
 
@@ -166,5 +167,5 @@ def estimate_generator(
     n x n at the end. Where the flow's nonzero pattern has the blocks of
     ``dyn``, this has the bits of ``matrix_log(flow_matrix(dyn, p)) / eps``.
     """
-    gens = _class_generators([p_family(eps)], dyn, eps)[0]
+    gens = _class_generators(PieceTable.from_programs([p_family(eps)]), dyn, eps)[0]
     return kernels.scatter(gens[dyn._blocks.kind], dyn._blocks)

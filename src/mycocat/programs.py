@@ -7,6 +7,10 @@ evolves a state vector S by dS/dt = (A0 + sum_i u_i A_i) S, integrated
 piece-exactly with matrix exponentials, so concatenation corresponds to
 multiplying piece flows and causality holds to machine precision.
 
+A batch of programs is a :class:`PieceTable` and a batch of states one
+(P, n) array; ``Program`` and ``InternalState`` are the single-item and
+wire types.
+
 States carry a layout tying vector indices to (node, feature) slots of a
 fixed observation graph; ``extract`` reads the state out as a mycelial
 network object with configured constant edge conductivities.
@@ -103,6 +107,130 @@ def concatenate(p: Program, q: Program) -> Program:
     if p.pieces and q.pieces and p.channels != q.channels:
         raise ShapeError("cannot concatenate programs with different control widths")
     return Program(p.pieces + q.pieces)
+
+
+@dataclass(frozen=True, eq=False)
+class PieceTable:
+    """The pieces of P programs listed back to back: ``lengths`` (K,),
+    ``inputs`` (K, c) and ``counts`` (P,), program i owning the next
+    ``counts[i]`` pieces. The batch form of :class:`Program`, validated once
+    with the same errors: one control width, and each piece's length
+    strictly positive and its length and controls finite. The arrays are
+    read-only copies; every operation returns a new table, and one that
+    only selects or reorders pieces of checked tables is not checked again.
+    """
+
+    lengths: np.ndarray
+    inputs: np.ndarray
+    counts: np.ndarray
+
+    def __post_init__(self):
+        lengths = np.array(self.lengths, dtype=np.float64)
+        inputs = np.array(self.inputs, dtype=np.float64)
+        counts = np.array(self.counts, dtype=np.intp)
+        if inputs.size == 0 and inputs.ndim < 2:
+            inputs = inputs.reshape(0, 0)
+        if lengths.ndim != 1 or counts.ndim != 1:
+            raise ShapeError("piece lengths and counts must be one-dimensional")
+        if inputs.ndim != 2:
+            raise ShapeError("all pieces must share one control width")
+        if len(inputs) != len(lengths) or counts.sum() != len(lengths) or (counts < 0).any():
+            raise ShapeError(
+                f"{len(lengths)} lengths, {len(inputs)} control rows and "
+                f"piece counts {counts.sum()} do not agree"
+            )
+        ok = (lengths > 0) & (lengths < math.inf) & np.isfinite(inputs).all(axis=1)
+        if not ok.all():
+            # the first bad piece decides, as in Program
+            if not lengths[ok.argmin()] > 0:
+                raise ParameterError("piece lengths must be strictly positive")
+            raise ParameterError("piece lengths and controls must be finite")
+        self._freeze(lengths, inputs, counts)
+
+    def _freeze(self, lengths, inputs, counts):
+        for name, value in (("lengths", lengths), ("inputs", inputs), ("counts", counts)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _selected(cls, lengths, inputs, counts) -> "PieceTable":
+        """A table of new arrays selected from checked tables, unchecked."""
+        table = object.__new__(cls)
+        table._freeze(lengths, inputs, counts)
+        return table
+
+    @classmethod
+    def from_programs(cls, programs: Sequence[Program]) -> "PieceTable":
+        """The table of ``programs``, in order."""
+        pieces = [piece for p in programs for piece in p.pieces]
+        if len({len(control) for _, control in pieces}) > 1:
+            raise ShapeError("all pieces must share one control width")
+        return cls(
+            [length for length, _ in pieces],
+            [control for _, control in pieces],
+            [len(p.pieces) for p in programs],
+        )
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    @property
+    def channels(self) -> int:
+        return self.inputs.shape[1]
+
+    def program(self, i: int) -> Program:
+        """Program ``i`` as a :class:`Program`, for a witness or the wire."""
+        i = range(len(self))[i]
+        start = int(self.counts[:i].sum())
+        own = slice(start, start + int(self.counts[i]))
+        return Program(
+            tuple(zip(self.lengths[own].tolist(), map(tuple, self.inputs[own].tolist())))
+        )
+
+    def take(self, rows) -> "PieceTable":
+        """The programs at ``rows``, in that order; a row may repeat."""
+        rows = np.asarray(rows, dtype=np.intp)
+        counts = self.counts[rows]
+        shift = (np.cumsum(self.counts) - self.counts)[rows] - (np.cumsum(counts) - counts)
+        pieces = np.arange(counts.sum()) + np.repeat(shift, counts)
+        return PieceTable._selected(self.lengths[pieces], self.inputs[pieces], counts)
+
+    def repeat(self, k: int) -> "PieceTable":
+        """Each program ``k`` times in a row."""
+        return self.take(np.repeat(np.arange(len(self)), k))
+
+    def concatenate(self, other: "PieceTable") -> "PieceTable":
+        """Row i runs this table's program i, then ``other``'s: the row-wise
+        :func:`concatenate`."""
+        if len(self) != len(other):
+            raise ShapeError(f"cannot concatenate {len(self)} programs with {len(other)}")
+        if len(self.lengths) and len(other.lengths) and self.channels != other.channels:
+            raise ShapeError("cannot concatenate programs with different control widths")
+        # a stable sort by row keeps each row's pieces of this table first
+        parts = (self, other)
+        rows = np.repeat(
+            np.tile(np.arange(len(self)), 2), np.concatenate((self.counts, other.counts))
+        )
+        order = np.argsort(rows, kind="stable")
+        width = (self if len(self.lengths) else other).channels
+        return PieceTable._selected(
+            np.concatenate([t.lengths for t in parts])[order],
+            np.concatenate([t.inputs.reshape(len(t.lengths), width) for t in parts])[order],
+            self.counts + other.counts,
+        )
+
+    def last_pieces(self) -> "PieceTable":
+        """Each program's last piece; an empty program stays empty."""
+        last = np.cumsum(self.counts)[self.counts > 0] - 1
+        return PieceTable._selected(
+            self.lengths[last], self.inputs[last], np.minimum(self.counts, 1)
+        )
+
+    def scale_amplitude(self, factor: float) -> "PieceTable":
+        """Every control times ``factor``, as :meth:`Program.scale_amplitude`."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            inputs = factor * self.inputs
+        return PieceTable(self.lengths, inputs, self.counts)
 
 
 @dataclass(frozen=True)
@@ -244,58 +372,49 @@ class ReferenceDynamics:
         )
 
 
-def _piece_table(programs: Sequence[Program], dyn: ReferenceDynamics):
+def _flow_arrays(table: PieceTable, dyn: ReferenceDynamics):
     """``(lengths, inputs, counts)`` of :func:`mycocat.kernels.apply_flows`
-    for ``programs``; a control width other than ``dyn``'s is a ShapeError."""
-    for p in programs:
-        if p.pieces and p.channels != dyn.channels:
-            raise ShapeError(
-                f"program has {p.channels} control channels, dynamics has {dyn.channels}"
-            )
-    pieces = [piece for p in programs for piece in p.pieces]
-    return (
-        np.array([length for length, _ in pieces], dtype=np.float64),
-        np.array([control for _, control in pieces], dtype=np.float64).reshape(
-            len(pieces), dyn.channels
-        ),
-        np.array([len(p.pieces) for p in programs]),
-    )
+    for ``table``; a control width other than ``dyn``'s is a ShapeError."""
+    if len(table.lengths) and table.channels != dyn.channels:
+        raise ShapeError(
+            f"program has {table.channels} control channels, dynamics has {dyn.channels}"
+        )
+    return table.lengths, table.inputs.reshape(len(table.lengths), dyn.channels), table.counts
 
 
 def flow_matrix(dyn: ReferenceDynamics, p: Program) -> np.ndarray:
     """Total flow of a program: the ordered product of piece exponentials."""
-    lengths, inputs, _ = _piece_table([p], dyn)
+    lengths, inputs, _ = _flow_arrays(PieceTable.from_programs([p]), dyn)
     return kernels.piecewise_flow(dyn._system, dyn._blocks, lengths, inputs)
 
 
 def evolve_many(
-    states: Sequence[InternalState],
-    programs: Sequence[Program],
-    dyn: ReferenceDynamics,
-) -> list[InternalState]:
-    """Run ``programs[i]`` from ``states[i]`` for every i, piece-exactly.
+    vectors: np.ndarray, table: PieceTable, dyn: ReferenceDynamics
+) -> np.ndarray:
+    """Run program i of ``table`` from row i of the (P, n) ``vectors`` for
+    every i, piece-exactly; returns the (P, n) evolved vectors.
 
     The pieces of up to :data:`mycocat.kernels.FLOW_CHUNK` programs share
     one matrix-exponential call (see :func:`mycocat.kernels.apply_flows`).
     Each result depends on its own state and program only: it has the same
-    bits as :func:`evolve` of that pair.
+    bits as :func:`evolve` of that pair. A non-finite result is a
+    :class:`NumericError`.
     """
-    if len(states) != len(programs):
-        raise ShapeError(f"{len(states)} states for {len(programs)} programs")
-    for state in states:
-        if dyn.dim != state.layout.dim:
-            raise ShapeError(
-                f"dynamics dimension {dyn.dim} does not match state dimension {state.layout.dim}"
-            )
-    table = _piece_table(programs, dyn)
-    if not states:
-        return []
+    vectors = np.asarray(vectors, dtype=np.float64)
+    if vectors.ndim != 2:
+        raise ShapeError(f"states must be a (P, n) array, got shape {vectors.shape}")
+    if len(vectors) != len(table):
+        raise ShapeError(f"{len(vectors)} states for {len(table)} programs")
+    if dyn.dim != vectors.shape[1]:
+        raise ShapeError(
+            f"dynamics dimension {dyn.dim} does not match state dimension {vectors.shape[1]}"
+        )
     out = kernels.apply_flows(
-        dyn._system, dyn._blocks, *table, np.stack([state.vector for state in states])
+        dyn._system, dyn._blocks, *_flow_arrays(table, dyn), vectors
     )
     if not np.isfinite(out).all():
         raise NumericError("evolution produced non-finite state entries")
-    return [InternalState(vector, state.layout) for vector, state in zip(out, states)]
+    return out
 
 
 def evolve(state: InternalState, p: Program, dyn: ReferenceDynamics) -> InternalState:
@@ -305,7 +424,8 @@ def evolve(state: InternalState, p: Program, dyn: ReferenceDynamics) -> Internal
     Satisfies causality by construction: evolving the concatenation of two
     programs equals evolving them in sequence, up to float associativity.
     """
-    return evolve_many([state], [p], dyn)[0]
+    moved = evolve_many(state.vector[None], PieceTable.from_programs([p]), dyn)
+    return InternalState(moved[0], state.layout)
 
 
 def programs_equivalent_at(
@@ -318,8 +438,10 @@ def programs_equivalent_at(
     """Sup-norm comparison of the two evolved states at one start state."""
     if tol < 0:
         raise ParameterError("tolerance must be nonnegative")
-    sp, sq = evolve_many([state, state], [p, q], dyn)
-    return float(np.max(np.abs(sp.vector - sq.vector))) <= tol
+    sp, sq = evolve_many(
+        np.stack([state.vector, state.vector]), PieceTable.from_programs([p, q]), dyn
+    )
+    return float(np.max(np.abs(sp - sq))) <= tol
 
 
 @dataclass(frozen=True)
@@ -369,36 +491,44 @@ def extract(state: InternalState, extraction: Extraction) -> MycObject:
 
 
 def state_distances(
-    firsts: Sequence[InternalState],
-    seconds: Sequence[InternalState],
+    firsts: np.ndarray,
+    seconds: np.ndarray,
     extraction: Extraction,
     weights: DistanceWeights = DistanceWeights(),
-) -> list[float]:
-    """``myc_distance(extract(a), extract(b), weights)`` of every pair
-    ``(firsts[i], seconds[i])``, bit for bit, without building networks.
+) -> np.ndarray:
+    """``myc_distance(extract(a), extract(b), weights)`` of every pair of
+    rows ``(firsts[i], seconds[i])`` of two (P, n) state arrays in the
+    layout of ``extraction``, bit for bit, without building networks.
 
     Both read-outs share the graph and conductivities of ``extraction``, so
     only ``weights.omega`` times the feature L1 distance is left. It sums in
     ``myc_distance``'s order: each node's features left to right, then the
     nodes by a running total (``np.cumsum``; ``np.sum`` is pairwise). Rows
-    are independent, so the batch does not change a result. Raises
-    :class:`ShapeError` on unequal lengths or a layout not the extraction's.
+    are independent, so the batch does not change a result. Returns the
+    (P,) distances. Raises :class:`ShapeError` on unequal row counts or a
+    row width other than the layout's dimension.
     """
+    firsts = np.asarray(firsts, dtype=np.float64)
+    seconds = np.asarray(seconds, dtype=np.float64)
     if len(firsts) != len(seconds):
         raise ShapeError(f"{len(firsts)} first states for {len(seconds)} second states")
-    if any(s.layout != extraction.layout for s in (*firsts, *seconds)):
-        raise ShapeError("state layout does not match the extraction layout")
-    if not firsts:
-        return []
     layout = extraction.layout
-    gaps = np.abs(
-        np.stack([s.vector for s in firsts]) - np.stack([s.vector for s in seconds])
-    ).reshape(len(firsts), len(layout.graph.nodes), layout.feature_count)
-    per_node = gaps[:, :, 0]
-    for feature in range(1, layout.feature_count):
-        per_node = per_node + gaps[:, :, feature]
-    totals = np.zeros(len(firsts))
-    if per_node.shape[1]:
-        totals = np.cumsum(per_node, axis=1)[:, -1]
+    for vectors in (firsts, seconds):
+        if vectors.ndim != 2 or vectors.shape[1] != layout.dim:
+            raise ShapeError(
+                f"states of shape {vectors.shape} do not match the extraction "
+                f"layout of dimension {layout.dim}"
+            )
     w = weights
-    return [w.omega * d + w.sigma * 0.0 + w.structure * 0 for d in totals.tolist()]
+    # an overflow gives inf, and inf times 0 NaN, silently, as Python floats do
+    with np.errstate(over="ignore", invalid="ignore"):
+        gaps = np.abs(firsts - seconds).reshape(
+            len(firsts), len(layout.graph.nodes), layout.feature_count
+        )
+        per_node = gaps[:, :, 0]
+        for feature in range(1, layout.feature_count):
+            per_node = per_node + gaps[:, :, feature]
+        totals = np.zeros(len(firsts))
+        if per_node.shape[1]:
+            totals = np.cumsum(per_node, axis=1)[:, -1]
+        return w.omega * totals + w.sigma * 0.0 + w.structure * 0

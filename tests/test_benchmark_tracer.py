@@ -7,16 +7,22 @@ import importlib.util
 import inspect
 import pathlib
 
+import pytest
+
 import mycocat.kernels
 
-SPANS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_spans():
+    return load("spans")
 
 
 def test_traced_functions_resolve():
@@ -31,3 +37,11 @@ def test_traced_functions_resolve():
 
 def test_kernel_path_flag_read_by_the_worker():
     assert isinstance(mycocat.kernels.NUMBA_ENABLED, bool)
+
+
+@pytest.mark.parametrize("name", ["worked_example", "scan_wide", "law_suite", "fusion"])
+def test_workload_runs_one_checked_op(name, tmp_path):
+    # the benchmark drives the public API; an API change that breaks a
+    # workload's op or its oracle check fails here, not only in a benchmark run
+    workload = load("workloads").WORKLOADS[name](1, tmp_path)
+    workload.check(0, workload.op(0))

@@ -399,6 +399,21 @@ EXPLICIT_SPECIES = {
             id="pushout-edge-entry-malformed",
         ),
         pytest.param(
+            ["pushout", CONFIG], {**STAR_COSPAN, "b": "ab"}, {},
+            f"error: {CONFIG}: b: must be a JSON object, got str",
+            id="pushout-graph-not-an-object",
+        ),
+        pytest.param(
+            ["pushout", CONFIG], {**STAR_COSPAN, "b": {"nodes": [["a"], "b"], "edges": []}},
+            {}, f"error: {CONFIG}: b.nodes[0]: must be an id, got list",
+            id="pushout-node-id-a-list",
+        ),
+        pytest.param(
+            ["pushout", CONFIG], {**STAR_COSPAN, "left": {"nodes": "a", "edges": []}}, {},
+            f"error: {CONFIG}: left.nodes: must be a list of [from, to] id pairs",
+            id="pushout-leg-nodes-not-pairs",
+        ),
+        pytest.param(
             ["check-laws", str(SAMPLES / "laws_suite.json"), "--seed", "301"], None, {},
             None, id="lipschitz-sampler-seed-301",
         ),

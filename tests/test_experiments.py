@@ -27,7 +27,6 @@ from mycocat.laws import SpeciesFunctor
 from mycocat.liealg import commutator, estimate_generator
 from mycocat.programs import (
     Extraction,
-    InternalState,
     ReferenceDynamics,
     StateLayout,
     concatenate,
@@ -150,9 +149,8 @@ class TestOrderAsymmetryScan:
 
     def test_overridden_transform_is_honoured(self):
         class Doubling(SpeciesFunctor):
-            def transform_many(self, states, programs):
-                moved = super().transform_many(states, programs)
-                return [InternalState(2.0 * m.vector, m.layout) for m in moved]
+            def transform_many(self, vectors, table):
+                return 2.0 * super().transform_many(vectors, table)
 
         base = experiment()
         mutant = Doubling("doubling", base.species.dynamics, base.species.extraction)

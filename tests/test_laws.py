@@ -31,8 +31,7 @@ from mycocat.laws import (
     scaled_environment_evolution,
     similarity_variant,
 )
-from mycocat.laws import _random_program, _random_state
-from mycocat.programs import InternalState, Program, concatenate, evolve
+from mycocat.programs import InternalState, PieceTable, Program, concatenate, evolve
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +67,23 @@ def random_pulses(channels, count, seed):
     return out
 
 
+def random_program(rng, channels, max_pieces=2):
+    # the checkers' program draw, one Program at a time: the piece count,
+    # then each piece's length and controls
+    pieces = tuple(
+        (
+            float(rng.uniform(0.1, 0.6)),
+            tuple(float(x) for x in 0.5 * rng.normal(size=channels)),
+        )
+        for _ in range(int(rng.integers(1, max_pieces + 1)))
+    )
+    return Program(pieces)
+
+
+def random_state(rng, f):
+    return InternalState(rng.normal(size=f.dynamics.dim), f.extraction.layout)
+
+
 def test_infinite_residual_fails_an_infinite_tolerance():
     witness = {"pair_index": 0, "kind": "zero-distance-expansion"}
     report = LawReport("lipschitz", 1, math.inf, math.inf, witness=witness)
@@ -98,12 +114,9 @@ class TestFunctorLaws:
     def test_null_program_that_moves_the_state_fails_identity_law(self, species):
         class Drifting(SpeciesFunctor):
             # Composes exactly, but the null program shifts the state.
-            def transform_many(self, states, programs):
-                moved = super().transform_many(states, programs)
-                return [
-                    m if p.pieces else InternalState(s.vector + 1e-3, s.layout)
-                    for s, p, m in zip(states, programs, moved)
-                ]
+            def transform_many(self, vectors, table):
+                moved = super().transform_many(vectors, table)
+                return np.where((table.counts > 0)[:, None], moved, vectors + 1e-3)
 
         mutant = Drifting("drifting", species.dynamics, species.extraction)
         report = check_functor_laws(mutant, sample_count=20, tol=1e-10, seed=42)
@@ -316,9 +329,9 @@ def oracle_functor_laws(f, run, sample_count, tol, seed):
     channels = f.dynamics.channels
     scored = []
     for i in range(sample_count):
-        state = _random_state(rng, f)
-        p = _random_program(rng, channels)
-        q = _random_program(rng, channels)
+        state = random_state(rng, f)
+        p = random_program(rng, channels)
+        q = random_program(rng, channels)
         joint = f.on_object(run(f, state, concatenate(p, q)))
         second = f.on_object(run(f, run(f, state, p), q))
         residual = myc_distance(joint, second)
@@ -341,7 +354,7 @@ def oracle_naturality(f1, f2, eta, programs, run, tol, seed, states_per_program=
     scored = []
     for pi, program in enumerate(programs):
         for si in range(states_per_program):
-            state = _random_state(rng, f1)
+            state = random_state(rng, f1)
             translated = InternalState(eta.map_state(state.vector), layout)
             moved = run(f1, state, program)
             path1 = f2.on_object(InternalState(eta.map_state(moved.vector), layout))
@@ -399,9 +412,8 @@ TWO_PIECES = Program(((0.4, (0.3, -0.2)), (0.25, (0.1, 0.5))))
 
 class Doubling(SpeciesFunctor):
     # Every result, the null program's included, is twice the evolved state.
-    def transform_many(self, states, programs):
-        moved = super().transform_many(states, programs)
-        return [InternalState(2.0 * m.vector, m.layout) for m in moved]
+    def transform_many(self, vectors, table):
+        return 2.0 * super().transform_many(vectors, table)
 
 
 class TestBatchedCheckersMatchPerSampleLoops:
@@ -499,13 +511,15 @@ class TestSingleFlowPath:
     def test_batched_non_causal_mutant_matches_piece_loop(self, species):
         mutant = non_causal_variant(species)
         rng = np.random.default_rng(21)
-        states = [_random_state(rng, species) for _ in range(130)]
+        states = [random_state(rng, species) for _ in range(130)]
         programs = [
-            _random_program(rng, 2, max_pieces=3) if i % 5 else Program() for i in range(130)
+            random_program(rng, 2, max_pieces=3) if i % 5 else Program() for i in range(130)
         ]
         assert {len(p.pieces) for p in programs} == {0, 1, 2, 3}
-        moved = mutant.transform_many(states, programs)
-        assert [m.vector.tobytes() for m in moved] == [
+        moved = mutant.transform_many(
+            np.stack([s.vector for s in states]), PieceTable.from_programs(programs)
+        )
+        assert [m.tobytes() for m in moved] == [
             non_causal_loop(mutant, s, p).vector.tobytes() for s, p in zip(states, programs)
         ]
 
@@ -585,3 +599,88 @@ class TestEmptySampleSets:
             check_compatibility(iota, psi, species, [env], [])
         with pytest.raises(ParameterError):
             check_compatibility(iota, psi, species, [], [Program()])
+
+
+# ---------------------------------------------------------------------------
+# NaN residuals are the worst, never skipped
+# ---------------------------------------------------------------------------
+
+
+def nan_species(species, rows):
+    # Evolves as ``species`` does, then sets the rows that ``rows(table)``
+    # marks to NaN: a species whose flow fails on some programs.
+    class NaNRows(SpeciesFunctor):
+        def transform_many(self, vectors, table):
+            moved = super().transform_many(vectors, table)
+            return np.where(rows(table)[:, None], math.nan, moved)
+
+    return NaNRows("nan-rows", species.dynamics, species.extraction)
+
+
+class TestNaNResidualsFail:
+    def test_functor_laws(self, species):
+        # only joint programs have 4 pieces; their rows come out NaN
+        mutant = nan_species(species, lambda table: table.counts == 4)
+        report = check_functor_laws(mutant, sample_count=20, seed=42)
+        rng = np.random.default_rng(42)
+        first = None
+        for i in range(20):
+            random_state(rng, species)
+            p, q = random_program(rng, 2), random_program(rng, 2)
+            if first is None and len(p.pieces) + len(q.pieces) == 4:
+                first = i, p, q
+        i, p, q = first
+        assert i > 0  # some residuals before the witness are finite
+        assert not report.passed and report.verdict == "fail"
+        assert math.isnan(report.max_residual)
+        assert report.witness["sample"] == i
+        assert (report.witness["p"], report.witness["q"]) == (p.to_json(), q.to_json())
+        assert math.isnan(report.witness["residual"])
+
+    @pytest.mark.parametrize("nan_from, witness", [(16, (0, 0)), (23, (1, 2))])
+    def test_naturality(self, species, nan_from, witness):
+        # eta maps the 15 start states first, then the 15 moved states; from
+        # call nan_from on it returns NaN
+        calls = []
+
+        def state_map(v):
+            calls.append(1)
+            return v if len(calls) < nan_from else np.full_like(v, math.nan)
+
+        eta = NaturalTransformationData(state_map=state_map)
+        programs = random_pulses(2, 3, seed=3)
+        report = check_naturality(species, species, eta, programs, tol=1e-9, seed=5)
+        assert len(calls) == 30
+        assert not report.passed
+        assert math.isnan(report.max_residual)
+        assert (report.witness["program_index"], report.witness["state_index"]) == witness
+        assert math.isnan(report.witness["residual"])
+
+    def test_lipschitz(self, species):
+        # the image of pair 2's first environment is NaN
+        mutant = nan_species(species, lambda table: np.arange(len(table)) == 4)
+        pairs = lipschitz_pairs(species, 5, seed=60)
+        report = check_lipschitz(mutant, pairs, bound=10.0)
+        assert not report.passed
+        assert math.isnan(report.max_residual)
+        assert report.witness["pair_index"] == 2
+        assert math.isnan(report.witness["ratio"])
+
+    def test_lipschitz_nan_images_at_zero_distance_differ(self, species):
+        mutant = nan_species(species, lambda table: np.arange(len(table)) == 1)
+        env = wide_env(species, seed=1)
+        report = check_lipschitz(mutant, [(env, env)], bound=10.0)
+        assert not report.passed
+        assert report.witness == {"pair_index": 0, "kind": "zero-distance-expansion"}
+
+    def test_compatibility(self, species):
+        # the operational leg of pulse 3 comes out NaN; psi runs the species
+        iota = direct_embedding(species.extraction.layout, 2)
+        psi = matched_environment_evolution(species, iota)
+        mutant = nan_species(species, lambda table: np.arange(len(table)) == 3)
+        pulses = random_pulses(2, 8, seed=11)
+        report = check_compatibility(iota, psi, mutant, [wide_env(species, 2)], pulses)
+        assert not report.passed
+        assert math.isnan(report.max_residual)
+        assert report.witness["program_index"] == 3
+        assert math.isnan(report.witness["residual"])

@@ -18,10 +18,11 @@ from mycocat.programs import (
     Extraction,
     InternalState,
     NULL_PROGRAM,
+    PieceTable,
     Program,
     ReferenceDynamics,
     StateLayout,
-    _piece_table,
+    _flow_arrays,
     concatenate,
     evolve,
     evolve_many,
@@ -183,11 +184,9 @@ FLOW_SPECIES["similarity"] = similarity_variant(FLOW_SPECIES["reference"], seed=
 def test_flow_matrix_is_the_evolved_identity_basis(name, pieces):
     # flow_matrix and evolve_many run one flow kernel: column i of the flow
     # is the i-th basis vector evolved, bit for bit (zeros compare by value)
-    species = FLOW_SPECIES[name]
-    dyn, layout = species.dynamics, species.extraction.layout
+    dyn = FLOW_SPECIES[name].dynamics
     p = Program(pieces)
-    basis = [InternalState(e, layout) for e in np.eye(dyn.dim)]
-    evolved = np.stack([s.vector for s in evolve_many(basis, [p] * dyn.dim, dyn)])
+    evolved = evolve_many(np.eye(dyn.dim), PieceTable.from_programs([p]).repeat(dyn.dim), dyn)
     assert np.array_equal(flow_matrix(dyn, p), evolved.T)
 
 
@@ -255,14 +254,13 @@ def test_block_classes_keep_every_flow_bit_for_bit(sizes, mode, channels, seed):
         ))
         for _ in range(70)
     ]
-    layout = StateLayout(path_graph(len(mats[0])), 1)
-    states = [InternalState(v, layout) for v in rng.normal(size=(70, len(mats[0])))]
-    table = _piece_table(programs, dyn)
-    ref = kernels.apply_flows(system, parts, *table, np.stack([s.vector for s in states]))
-    got = np.stack([s.vector for s in evolve_many(states, programs, dyn)])
+    states = rng.normal(size=(70, len(mats[0])))
+    table = PieceTable.from_programs(programs)
+    ref = kernels.apply_flows(system, parts, *_flow_arrays(table, dyn), states)
+    got = evolve_many(states, table, dyn)
     assert got.tobytes() == ref.tobytes()
     for p in programs[:5]:
-        lengths, inputs, _ = _piece_table([p], dyn)
+        lengths, inputs, _ = _flow_arrays(PieceTable.from_programs([p]), dyn)
         ref = kernels.piecewise_flow(system, parts, lengths, inputs)
         assert flow_matrix(dyn, p).tobytes() == ref.tobytes()
 
@@ -436,46 +434,69 @@ def test_state_distances_equal_myc_distance_bit_for_bit(
     a = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 17, size=shape)
     b = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 17, size=shape)
     b = np.where(rng.random(shape) < 0.25, a, b)
-    firsts = [InternalState(v, layout) for v in a]
-    seconds = [InternalState(v, layout) for v in b]
-    got = state_distances(firsts, seconds, extraction, weights)
+    got = state_distances(a, b, extraction, weights).tolist()
     want = [
-        myc_distance(extract(x, extraction), extract(y, extraction), weights)
-        for x, y in zip(firsts, seconds)
+        myc_distance(
+            extract(InternalState(x, layout), extraction),
+            extract(InternalState(y, layout), extraction),
+            weights,
+        )
+        for x, y in zip(a, b)
     ]
     assert [bits(d) for d in got] == [bits(d) for d in want]
-    for x, y, d in zip(firsts, seconds, got):
-        assert bits(state_distances([x], [y], extraction, weights)[0]) == bits(d)
+    for x, y, d in zip(a, b, got):
+        assert bits(float(state_distances(x[None], y[None], extraction, weights)[0])) == bits(d)
 
 
 class TestStateDistances:
     def test_default_weights_and_empty_batch(self):
         layout = StateLayout(path_graph(2), 2)
         extraction = Extraction(layout)
-        s = InternalState((1.0, -2.0, 0.5, 0.0), layout)
-        t = InternalState((0.0, 0.0, 0.0, 0.25), layout)
-        assert state_distances([s, s], [t, s], extraction) == [3.75, 0.0]
-        assert state_distances([], [], extraction) == []
+        s = (1.0, -2.0, 0.5, 0.0)
+        t = (0.0, 0.0, 0.0, 0.25)
+        assert state_distances([s, s], [t, s], extraction).tolist() == [3.75, 0.0]
+        assert state_distances(np.zeros((0, 4)), np.zeros((0, 4)), extraction).tolist() == []
+
+    def test_overflow_is_inf_without_a_warning(self):
+        # myc_distance sums Python floats, which overflow to inf silently
+        layout = StateLayout(path_graph(2), 2)
+        extraction = Extraction(layout)
+        weights = DistanceWeights(0.0, 1.0, 1.0)  # 0 times inf is NaN
+        a = np.array([[1e308, 0.0, 0.0, 0.0], [1e308, 1e308, -1e308, 0.0]])
+        b = np.array([[-1e308, 0.0, 0.0, 0.0], [0.0, 0.0, 1e308, 0.0]])
+        want = [
+            myc_distance(
+                extract(InternalState(x, layout), extraction),
+                extract(InternalState(y, layout), extraction),
+                weights,
+            )
+            for x, y in zip(a, b)
+        ]
+        got = state_distances(a, b, extraction, weights)
+        assert [bits(d) for d in got.tolist()] == [bits(d) for d in want]
+        assert state_distances(a, b, extraction).tolist() == [math.inf, math.inf]
 
     def test_graph_without_nodes(self):
         layout = StateLayout(path_graph(0), 1)
         empty = InternalState(np.zeros(0), layout)
         extraction = Extraction(layout)
         network = extract(empty, extraction)
-        assert state_distances([empty], [empty], extraction) == [
+        assert state_distances(np.zeros((1, 0)), np.zeros((1, 0)), extraction).tolist() == [
             myc_distance(network, network)
         ]
 
     def test_mismatches_raise(self, small_setup):
         layout, _, state = small_setup
-        other = InternalState(np.zeros(6), StateLayout(path_graph(3), 2))
+        one, other = state.vector[None], np.zeros((1, 6))
         extraction = Extraction(layout)
         with pytest.raises(ShapeError):
-            state_distances([state], [state, state], extraction)
+            state_distances(one, np.concatenate((one, one)), extraction)
         with pytest.raises(ShapeError):
-            state_distances([state], [other], extraction)
+            state_distances(one, other, extraction)
         with pytest.raises(ShapeError):
-            state_distances([state], [state], Extraction(other.layout))
+            state_distances(one, one, Extraction(StateLayout(path_graph(3), 2)))
+        with pytest.raises(ShapeError):
+            state_distances(state.vector, state.vector, extraction)
 
 
 class TestInducedMorphism:
@@ -514,3 +535,180 @@ class TestInducedMorphism:
         g1 = f.on_program(state, ab)
         g2 = f.on_program(state, ba)
         assert myc_distance(g1.target, g2.target) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# Piece tables: the batch form of programs
+# ---------------------------------------------------------------------------
+
+CONTROL = st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e-300, 5e-324, 1e300]) | st.floats(
+    -1e6, 1e6, allow_nan=False
+)
+
+
+@st.composite
+def program_batches(draw, min_size=0):
+    """A control width and a list of programs of that width, empty ones
+    included; entries include signed zeros, subnormals and huge values."""
+    width = draw(st.integers(0, 3))
+    piece = st.tuples(
+        st.sampled_from([5e-324, 1e-300, 1e300]) | st.floats(1e-3, 10.0),
+        st.tuples(*[CONTROL] * width),
+    )
+    programs = draw(
+        st.lists(st.lists(piece, max_size=4).map(tuple), min_size=min_size, max_size=8)
+    )
+    return width, [Program(pieces) for pieces in programs]
+
+
+def program_bits(p: Program) -> list:
+    """Every float of a program as bytes, so -0.0 differs from 0.0."""
+    return [(bits(length), [bits(u) for u in control]) for length, control in p.pieces]
+
+
+def table_programs(table: PieceTable) -> list:
+    return [program_bits(table.program(i)) for i in range(len(table))]
+
+
+class TestPieceTable:
+    @settings(max_examples=150, deadline=None)
+    @given(program_batches())
+    def test_round_trip(self, batch):
+        _, programs = batch
+        table = PieceTable.from_programs(programs)
+        assert len(table) == len(programs)
+        assert table_programs(table) == [program_bits(p) for p in programs]
+        if programs:
+            assert program_bits(table.program(-1)) == program_bits(programs[-1])
+
+    @settings(max_examples=150, deadline=None)
+    @given(program_batches())
+    def test_concatenate_and_last_pieces(self, batch):
+        _, programs = batch
+        half = len(programs) // 2
+        ps, qs = programs[:half], programs[half:2 * half]
+        joined = PieceTable.from_programs(ps).concatenate(PieceTable.from_programs(qs))
+        assert table_programs(joined) == [program_bits(concatenate(p, q)) for p, q in zip(ps, qs)]
+        last = PieceTable.from_programs(ps).last_pieces()
+        assert table_programs(last) == [program_bits(Program(p.pieces[-1:])) for p in ps]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        program_batches(),
+        st.sampled_from([1.1, -1.0, 0.0, -0.0, 0.5, 1e-300, 1e300, math.nan])
+        | st.floats(-1e3, 1e3),
+    )
+    def test_scale_amplitude(self, batch, factor):
+        _, programs = batch
+        table = PieceTable.from_programs(programs)
+        try:
+            want = [program_bits(p.scale_amplitude(factor)) for p in programs]
+        except ParameterError as exc:
+            with pytest.raises(ParameterError, match=str(exc)):
+                table.scale_amplitude(factor)
+        else:
+            assert table_programs(table.scale_amplitude(factor)) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(program_batches(), st.integers(0, 3), st.data())
+    def test_repeat_and_take(self, batch, k, data):
+        _, programs = batch
+        table = PieceTable.from_programs(programs)
+        assert table_programs(table.repeat(k)) == [
+            program_bits(p) for p in programs for _ in range(k)
+        ]
+        rows = data.draw(st.lists(st.integers(0, max(len(programs) - 1, 0)), max_size=10)
+                         if programs else st.just([]))
+        assert table_programs(table.take(rows)) == [program_bits(programs[i]) for i in rows]
+
+    @pytest.mark.parametrize(
+        "pieces",
+        [
+            ((0.0, (1.0,)),),
+            ((-1.0, (1.0,)),),
+            ((math.nan, (1.0,)),),
+            ((math.inf, (1.0,)),),
+            ((1.0, (math.inf,)),),
+            ((1.0, (math.nan,)),),
+            ((1.0, (math.inf,)), (-1.0, (1.0,))),
+            ((1.0, (1.0,)), (0.0, (math.nan,))),
+        ],
+    )
+    def test_validation_matches_program(self, pieces):
+        with pytest.raises(ParameterError) as want:
+            Program(pieces)
+        with pytest.raises(ParameterError, match=f"^{want.value}$"):
+            PieceTable([p[0] for p in pieces], [p[1] for p in pieces], [len(pieces)])
+
+    def test_width_errors_match_program(self):
+        mixed = [Program(((1.0, (1.0,)),)), Program(((1.0, (1.0, 2.0)),))]
+        with pytest.raises(ShapeError, match="all pieces must share one control width"):
+            Program(mixed[0].pieces + mixed[1].pieces)
+        with pytest.raises(ShapeError, match="all pieces must share one control width"):
+            PieceTable.from_programs(mixed)
+        a, b = (PieceTable.from_programs([p]) for p in mixed)
+        with pytest.raises(ShapeError, match="different control widths"):
+            concatenate(*mixed)
+        with pytest.raises(ShapeError, match="different control widths"):
+            a.concatenate(b)
+        dyn = reference_species(n_sites=2).dynamics
+        state = np.ones((1, dyn.dim))
+        with pytest.raises(ShapeError, match="program has 1 control channels, dynamics has 2"):
+            evolve_many(state, a, dyn)
+        with pytest.raises(ShapeError, match="2 states for 1 programs"):
+            evolve_many(np.ones((2, dyn.dim)), b, dyn)
+        with pytest.raises(ShapeError, match="does not match state dimension 3"):
+            evolve_many(np.ones((1, 3)), b, dyn)
+        # an empty program fits any dynamics
+        assert evolve_many(state, PieceTable.from_programs([NULL_PROGRAM]), dyn).tobytes() == (
+            state.tobytes()
+        )
+
+    def test_arrays_are_read_only_copies(self):
+        lengths = np.array([0.5, 0.25])
+        table = PieceTable(lengths, np.zeros((2, 1)), [1, 1])
+        lengths[0] = 9.0
+        assert table.lengths[0] == 0.5
+        with pytest.raises(ValueError):
+            table.inputs[0, 0] = 1.0
+
+
+def test_array_evolve_many_equals_per_pair_evolve(nprng):
+    # a mixed batch of 0- to 3-piece programs, over two flow chunks
+    species = reference_species(n_sites=3)
+    dyn, layout = species.dynamics, species.extraction.layout
+    programs = [
+        Program(tuple(
+            (float(nprng.uniform(0.1, 1.0)), tuple(nprng.normal(size=2)))
+            for _ in range(k % 4)
+        ))
+        for k in range(150)
+    ]
+    vectors = nprng.normal(size=(150, dyn.dim))
+    got = evolve_many(vectors, PieceTable.from_programs(programs), dyn)
+    want = [evolve(InternalState(v, layout), p, dyn).vector for v, p in zip(vectors, programs)]
+    assert got.tobytes() == np.stack(want).tobytes()
+    assert evolve_many(np.zeros((0, dyn.dim)), PieceTable.from_programs([]), dyn).shape == (
+        0, dyn.dim
+    )
+
+
+def test_functor_check_builds_only_its_witness(monkeypatch):
+    # one 100-sample check draws into arrays and builds the two witness
+    # programs only; a worked-example op built 395 Programs and 724
+    # InternalStates when every sample was an object
+    built = {Program: 0, InternalState: 0}
+    for cls in built:
+        init = cls.__post_init__
+
+        def counted(self, cls=cls, init=init):
+            built[cls] += 1
+            init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    from mycocat.laws import check_functor_laws
+
+    report = check_functor_laws(reference_species(), sample_count=100, seed=1)
+    assert report.passed
+    assert built[Program] <= 2
+    assert built[InternalState] == 0
