@@ -10,6 +10,7 @@ experiment.
 from .envmyc import (
     Constraints,
     DistanceWeights,
+    EnvBatch,
     EnvMorphism,
     EnvObject,
     FieldRule,

@@ -8,6 +8,10 @@ vectors. Admissible transformations of each kind compose, and network
 fusion is computed as a pushout of the underlying graphs with explicit
 merge rules for the conductivity and feature data.
 
+A batch of environments on one graph under one constraint record is an
+:class:`EnvBatch`, one (P, N, 1 + k) field array; :class:`EnvObject` is
+the single-item and wire type.
+
 Everything here is a pure value: applying or composing transformations
 never mutates inputs, so concurrent reads are safe.
 
@@ -23,6 +27,8 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
+import numpy as np
+
 from .errors import (
     CompositionError,
     ConstraintError,
@@ -35,6 +41,8 @@ from .graphs import (
     AttributedGraph,
     Cospan,
     GraphMorphism,
+    _is_number,
+    _require_object,
     compose_graph_morphisms,
     identity_morphism,
     is_monomorphism,
@@ -92,12 +100,37 @@ class Constraints:
         }
 
     @classmethod
-    def from_json(cls, data: Mapping) -> "Constraints":
+    def from_json(cls, data: Mapping, field: str = "") -> "Constraints":
+        """The record in the wire format: ``humidity`` and ``temperature``
+        each a ``[lo, hi]`` pair of numbers, ``phi_bounds`` a list of such
+        pairs and ``budget`` a number; absent keys keep the defaults. A value
+        of another shape or type (a bool is not a number) raises
+        :class:`ShapeError` naming its field, prefixed by ``field``
+        (``"chi."`` names ``chi.budget``)."""
+        _require_object(data, field, "chi")
+
+        def interval(raw, name):
+            if not (
+                isinstance(raw, (list, tuple)) and len(raw) == 2 and all(map(_is_number, raw))
+            ):
+                raise ShapeError(f"{field}{name}: must be a [lo, hi] pair of numbers, got {raw!r}")
+            return tuple(raw)
+
+        bounds = data.get("phi_bounds", [[0.0, 1.0]])
+        if not isinstance(bounds, (list, tuple)):
+            raise ShapeError(
+                f"{field}phi_bounds: must be a list of [lo, hi] pairs, got {bounds!r}"
+            )
+        budget = data.get("budget", math.inf)
+        if not _is_number(budget):
+            raise ShapeError(f"{field}budget: must be a number, got {budget!r}")
         return cls(
-            humidity=tuple(data.get("humidity", (0.0, 1.0))),
-            temperature=tuple(data.get("temperature", (0.0, 40.0))),
-            phi_bounds=tuple(tuple(b) for b in data.get("phi_bounds", [[0.0, 1.0]])),
-            budget=float(data.get("budget", math.inf)),
+            humidity=interval(data.get("humidity", (0.0, 1.0)), "humidity"),
+            temperature=interval(data.get("temperature", (0.0, 40.0)), "temperature"),
+            phi_bounds=tuple(
+                interval(b, f"phi_bounds[{i}]") for i, b in enumerate(bounds)
+            ),
+            budget=float(budget),
         )
 
 
@@ -143,7 +176,7 @@ class EnvObject:
             graph=graph,
             rho={by_str[k]: float(x) for k, x in data["rho"].items()},
             phi={by_str[k]: tuple(map(float, vec)) for k, vec in data["phi"].items()},
-            chi=Constraints.from_json(data.get("chi", {})),
+            chi=Constraints.from_json(data.get("chi", {}), "chi."),
         )
 
 
@@ -176,6 +209,121 @@ def check_admissibility(rho: Mapping, phi: Mapping, chi: Constraints) -> str | N
                     f"outside bounds [{lo}, {hi}]"
                 )
     return None
+
+
+@dataclass(frozen=True, eq=False)
+class EnvBatch:
+    """P environments on one graph under one constraint record: the batch
+    form of :class:`EnvObject`.
+
+    ``fields`` (P, N, 1 + k) holds environment i's fields at row i, node by
+    node in the graph's declaration order: rho, then the k chemical
+    channels. It is a read-only copy, validated once with the errors of a
+    loop of :func:`check_admissibility` over the rows, each keyed in node
+    declaration order: the first violating row decides the message, and
+    within it negative rho by node, then the budget (the row's rho added
+    left to right, as :func:`ordered_sum` does), then phi by node and
+    channel. A batch that only selects rows of a checked batch (``take``)
+    is not checked again.
+    """
+
+    graph: AttributedGraph
+    chi: Constraints
+    fields: np.ndarray
+
+    def __post_init__(self):
+        fields = np.array(self.fields, dtype=np.float64)
+        nodes, k = len(self.graph.nodes), self.chi.channels
+        if fields.ndim != 3 or fields.shape[1:] != (nodes, 1 + k):
+            raise ShapeError(
+                f"environment fields of shape {fields.shape} do not match "
+                f"{nodes} nodes with 1 + {k} fields each"
+            )
+        violation = _first_violation(fields, self.graph.nodes, self.chi)
+        if violation:
+            raise ConstraintError(violation)
+        self._freeze(fields)
+
+    def _freeze(self, fields: np.ndarray) -> None:
+        fields.setflags(write=False)
+        object.__setattr__(self, "fields", fields)
+
+    @classmethod
+    def from_envs(cls, envs: Sequence[EnvObject]) -> "EnvBatch":
+        """The batch of ``envs``, in order. They must share one graph and
+        one constraint record; the first that does not raises
+        :class:`ParameterError` naming its index, as does an empty list."""
+        envs = list(envs)
+        if not envs:
+            raise ParameterError("an environment batch needs at least one environment")
+        first = envs[0]
+        for i, env in enumerate(envs):
+            if env.graph != first.graph:
+                raise ParameterError(f"environment {i} is on another graph than environment 0")
+            if env.chi != first.chi:
+                raise ParameterError(
+                    f"environment {i} has other constraints than environment 0"
+                )
+        nodes = first.graph.nodes
+        fields = np.array(
+            [[(env.rho[v], *env.phi[v]) for v in nodes] for env in envs], dtype=np.float64
+        )
+        shape = (len(envs), len(nodes), 1 + first.chi.channels)
+        return cls(first.graph, first.chi, fields.reshape(shape))
+
+    def __len__(self) -> int:
+        return len(self.fields)
+
+    def take(self, rows) -> "EnvBatch":
+        """The environments at ``rows``, in that order; a row may repeat."""
+        batch = object.__new__(EnvBatch)
+        object.__setattr__(batch, "graph", self.graph)
+        object.__setattr__(batch, "chi", self.chi)
+        batch._freeze(self.fields[np.asarray(rows, dtype=np.intp)])
+        return batch
+
+    def env(self, i: int) -> EnvObject:
+        """Environment ``i`` as an :class:`EnvObject`, for a witness or the
+        wire."""
+        rows = self.fields[i].tolist()
+        nodes = self.graph.nodes
+        return EnvObject(
+            self.graph,
+            {v: row[0] for v, row in zip(nodes, rows)},
+            {v: tuple(row[1:]) for v, row in zip(nodes, rows)},
+            self.chi,
+        )
+
+
+def _first_violation(fields: np.ndarray, nodes: Sequence, chi: Constraints) -> str | None:
+    """:func:`check_admissibility`'s message for the first inadmissible row
+    of the (P, N, 1 + k) ``fields``, or None."""
+    rho, phi = fields[:, :, 0], fields[:, :, 1:]
+    negative = rho < -_BOUND_SLACK
+    # a leading 0.0 column makes the running total ordered_sum's, bit for
+    # bit; an overflow gives inf and inf - inf NaN, silently, as floats do
+    with np.errstate(over="ignore", invalid="ignore"):
+        start = np.zeros((len(rho), 1))
+        totals = np.add.accumulate(np.concatenate((start, rho), axis=1), axis=1)[:, -1]
+    over = totals > chi.budget + _BOUND_SLACK
+    lo = np.array([b[0] for b in chi.phi_bounds], dtype=np.float64)
+    hi = np.array([b[1] for b in chi.phi_bounds], dtype=np.float64)
+    outside = (phi < lo - _BOUND_SLACK) | (phi > hi + _BOUND_SLACK)
+    bad = negative.any(axis=1) | over | outside.any(axis=(1, 2))
+    if not bad.any():
+        return None
+    i = int(bad.argmax())
+    if negative[i].any():
+        node = int(negative[i].argmax())
+        return f"rho at node {nodes[node]!r} is negative ({float(rho[i, node])})"
+    if over[i]:
+        return f"total resource {float(totals[i])} exceeds budget {chi.budget}"
+    node, ch = divmod(int(outside[i].argmax()), chi.channels)
+    lo_ch, hi_ch = chi.phi_bounds[ch]
+    return (
+        f"phi channel {ch} at node {nodes[node]!r} is {float(phi[i, node, ch])}, "
+        f"outside bounds [{lo_ch}, {hi_ch}]"
+    )
 
 
 # ---------------------------------------------------------------------------

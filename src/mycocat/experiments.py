@@ -621,10 +621,6 @@ class WorkedExampleResult:
     scans: Mapping[str, AsymmetryReport]
     law_reports: tuple[LawReport, ...]
 
-    @property
-    def all_laws_pass(self) -> bool:
-        return all(r.passed for r in self.law_reports)
-
     def summary_json(self) -> dict:
         return {
             "config": {

@@ -239,6 +239,11 @@ class GraphMorphism:
         return cls(source, target, as_map("nodes"), as_map("edges"))
 
 
+def _is_number(value) -> bool:
+    """True for a JSON number: a real number that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _require_object(data, field: str, name: str) -> None:
     """A :class:`ShapeError` naming ``field`` (without its trailing dot), or
     ``name`` at the top level, unless ``data`` is a JSON object."""

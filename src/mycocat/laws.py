@@ -36,6 +36,7 @@ import numpy as np
 
 from .envmyc import (
     DistanceWeights,
+    EnvBatch,
     EnvObject,
     MycMorphism,
     MycObject,
@@ -205,14 +206,6 @@ def _draw_program(
         lengths.append(rng.uniform(0.1, 0.6))
         inputs.append(0.5 * rng.normal(size=channels))
     return count
-
-
-def _stack(states: Sequence[InternalState], layout: StateLayout) -> np.ndarray:
-    """The (P, n) vectors of ``states``; a state in another layout is a
-    :class:`ShapeError`."""
-    if any(state.layout != layout for state in states):
-        raise ShapeError("state layout does not match the extraction layout")
-    return np.array([state.vector for state in states]).reshape(len(states), layout.dim)
 
 
 def _translate(
@@ -612,24 +605,53 @@ def check_adjunction(
 # ---------------------------------------------------------------------------
 
 
-def direct_embedding(layout, channels: int) -> Callable[[EnvObject], InternalState]:
-    """Environment-to-state map reading (rho, phi) into node feature slots.
+@dataclass(frozen=True)
+class DirectEmbedding:
+    """Environment-to-state map reading (rho, phi) into node feature slots:
+    feature 0 carries the resource value, features 1..k the first k
+    chemical channels. Requires ``layout.feature_count == 1 + channels``.
 
-    Requires feature_count == 1 + channels: feature 0 carries the resource
-    value, features 1..k the chemical channels.
+    Called on one :class:`EnvObject` it returns an :class:`InternalState`;
+    ``many`` embeds an :class:`EnvBatch` as one (P, n) state array.
     """
-    if layout.feature_count != channels + 1:
-        raise InputError(
-            f"direct embedding needs {channels + 1} features, layout has {layout.feature_count}"
-        )
 
-    def iota(env: EnvObject) -> InternalState:
-        if env.graph != layout.graph:
+    layout: StateLayout
+    channels: int
+
+    def __post_init__(self):
+        if self.layout.feature_count != self.channels + 1:
+            raise InputError(
+                f"direct embedding needs {self.channels + 1} features, "
+                f"layout has {self.layout.feature_count}"
+            )
+
+    def __call__(self, env: EnvObject) -> InternalState:
+        return InternalState(self.many(EnvBatch.from_envs([env]))[0], self.layout)
+
+    def many(self, batch: EnvBatch) -> np.ndarray:
+        """The (P, n) states of the P environments of ``batch``: their
+        fields in node order, keeping the first ``channels`` chemical
+        channels. A batch on another graph raises :class:`InputError`, one
+        with fewer channels :class:`ShapeError`."""
+        if batch.graph != self.layout.graph:
             raise InputError("environment graph differs from the observation graph")
-        rows = [(env.rho[v], *env.phi[v][:channels]) for v in layout.graph.nodes]
-        return InternalState(np.ravel(rows), layout)
+        if batch.chi.channels < self.channels:
+            raise ShapeError(
+                f"environments have {batch.chi.channels} chemical channels, "
+                f"the embedding reads {self.channels}"
+            )
+        return batch.fields[:, :, : 1 + self.channels].reshape(len(batch), self.layout.dim)
 
-    return iota
+
+def direct_embedding(layout: StateLayout, channels: int) -> DirectEmbedding:
+    """The :class:`DirectEmbedding` of ``channels`` chemical channels into
+    ``layout``."""
+    return DirectEmbedding(layout, channels)
+
+
+def _require_layout(iota: DirectEmbedding, layout: StateLayout) -> None:
+    if iota.layout != layout:
+        raise ShapeError("state layout does not match the extraction layout")
 
 
 def check_lipschitz(
@@ -638,7 +660,7 @@ def check_lipschitz(
     d_env_weights: tuple[float, float, float] = (1.0, 1.0, 1.0),
     d_myc_weights: DistanceWeights = DistanceWeights(),
     bound: float = math.inf,
-    iota: Callable[[EnvObject], InternalState] | None = None,
+    iota: DirectEmbedding | None = None,
     program: Program | None = None,
 ) -> LawReport:
     """Empirical expansion ratio of the environment-to-network map.
@@ -647,10 +669,11 @@ def check_lipschitz(
     skipping pairs at zero environment distance unless their images
     differ (which scores infinity; a NaN image distance differs). A NaN
     ratio is the worst. ``iota`` defaults to the direct
-    field embedding; ``program`` optionally runs a flow between embedding
-    and extraction, for every embedded environment in one
-    ``transform_many`` call. Raises :class:`ParameterError` when there is
-    no pair.
+    field embedding and embeds every environment as one batch; ``program``
+    optionally runs a flow between embedding and extraction, for every
+    embedded environment in one ``transform_many`` call. Raises
+    :class:`ParameterError` when there is no pair, or when the environments
+    do not share one graph and one constraint record.
     """
     object_pairs = list(object_pairs)
     if not object_pairs:
@@ -658,8 +681,9 @@ def check_lipschitz(
     layout = f.extraction.layout
     if iota is None:
         iota = direct_embedding(layout, layout.feature_count - 1)
+    _require_layout(iota, layout)
     program = program if program is not None else NULL_PROGRAM
-    starts = _stack([iota(env) for pair in object_pairs for env in pair], layout)
+    starts = iota.many(EnvBatch.from_envs([env for pair in object_pairs for env in pair]))
     images = f.transform_many(starts, PieceTable.from_programs([program]).repeat(len(starts)))
     d_mycs = state_distances(
         images[0::2], images[1::2], f.extraction, d_myc_weights
@@ -702,62 +726,57 @@ def field_writeback(template: EnvObject, state: InternalState) -> EnvObject:
     Inverse of :func:`direct_embedding` on its image: feature 0 becomes
     the resource value, the remaining features the chemical channels.
     """
-    return _writeback(template, state.layout, state.vector)
-
-
-def _writeback(template: EnvObject, layout: StateLayout, vector: np.ndarray) -> EnvObject:
-    """:func:`field_writeback` of the state ``vector`` in ``layout``."""
-    nodes = layout.graph.nodes
-    rows = layout.node_rows(vector)
+    nodes = state.layout.graph.nodes
+    rows = state.layout.node_rows(state.vector)
     rho = {v: row[0] for v, row in zip(nodes, rows)}
     phi = {v: row[1:] for v, row in zip(nodes, rows)}
     return EnvObject(template.graph, rho, phi, template.chi)
 
 
+EnvironmentEvolution = Callable[[EnvBatch, PieceTable], EnvBatch]
+
+
 def _evolve_environments(
-    f: SpeciesFunctor,
-    iota: Callable[[EnvObject], InternalState],
-    environments: Sequence[EnvObject],
-    table: PieceTable,
-) -> list[EnvObject]:
-    """Embed each environment, run program i of ``table`` from embedding i
-    in one ``transform_many`` call, and write the fields back."""
-    layout = f.extraction.layout
-    moved = f.transform_many(_stack([iota(env) for env in environments], layout), table)
-    return [_writeback(env, layout, vector) for env, vector in zip(environments, moved)]
+    f: SpeciesFunctor, iota: DirectEmbedding, batch: EnvBatch, table: PieceTable
+) -> EnvBatch:
+    """Embed ``batch``, run program i of ``table`` from embedding i in one
+    ``transform_many`` call, and write the states back as fields: the
+    batch form of :func:`field_writeback`."""
+    moved = f.transform_many(iota.many(batch), table)
+    layout = iota.layout
+    fields = moved.reshape(len(moved), len(layout.graph.nodes), layout.feature_count)
+    return EnvBatch(batch.graph, batch.chi, fields)
 
 
 def matched_environment_evolution(
-    f: SpeciesFunctor,
-    iota: Callable[[EnvObject], InternalState],
-) -> Callable[[Sequence[EnvObject], Sequence[Program]], list[EnvObject]]:
+    f: SpeciesFunctor, iota: DirectEmbedding
+) -> EnvironmentEvolution:
     """Environment evolution that mirrors the internal dynamics exactly:
-    embed each environment, run its program in one ``transform_many``
-    call, write the fields back."""
+    embed the batch of environments, run program i from environment i in
+    one ``transform_many`` call, write the fields back."""
+    _require_layout(iota, f.extraction.layout)
 
-    def psi(environments: Sequence[EnvObject], programs: Sequence[Program]) -> list[EnvObject]:
-        return _evolve_environments(f, iota, environments, PieceTable.from_programs(programs))
+    def psi(batch: EnvBatch, table: PieceTable) -> EnvBatch:
+        return _evolve_environments(f, iota, batch, table)
 
     return psi
 
 
 def scaled_environment_evolution(
-    f: SpeciesFunctor,
-    iota: Callable[[EnvObject], InternalState],
-    amplitude_scale: float,
-) -> Callable[[Sequence[EnvObject], Sequence[Program]], list[EnvObject]]:
+    f: SpeciesFunctor, iota: DirectEmbedding, amplitude_scale: float
+) -> EnvironmentEvolution:
     """Mutant environment evolution that mis-scales every pulse amplitude."""
+    _require_layout(iota, f.extraction.layout)
 
-    def psi(environments: Sequence[EnvObject], programs: Sequence[Program]) -> list[EnvObject]:
-        table = PieceTable.from_programs(programs).scale_amplitude(amplitude_scale)
-        return _evolve_environments(f, iota, environments, table)
+    def psi(batch: EnvBatch, table: PieceTable) -> EnvBatch:
+        return _evolve_environments(f, iota, batch, table.scale_amplitude(amplitude_scale))
 
     return psi
 
 
 def check_compatibility(
-    iota: Callable[[EnvObject], InternalState],
-    psi: Callable[[Sequence[EnvObject], Sequence[Program]], list[EnvObject]],
+    iota: DirectEmbedding,
+    psi: EnvironmentEvolution,
     f: SpeciesFunctor,
     environments: Sequence[EnvObject],
     programs: Sequence[Program],
@@ -769,10 +788,14 @@ def check_compatibility(
     Leg one evolves the environment with ``psi`` and reads the result out
     through the species pipeline; leg two embeds with ``iota`` and evolves
     internally. The report's residual is the max network distance between
-    the legs over all (environment, program) pairs. ``psi`` maps lists of
-    environments and programs to the evolved environments; it and the
+    the legs over all (environment, program) pairs. The environments form
+    one :class:`EnvBatch`, embedded once; ``psi`` maps a batch of
+    environments and a :class:`PieceTable` of as many programs, one per
+    environment, to the batch of evolved environments. It and the
     operational leg's ``transform_many`` each run on all pairs in one call.
-    Raises :class:`ParameterError` when there is no environment or program.
+    Raises :class:`ParameterError` when there is no environment or program,
+    or when the environments do not share one graph and one constraint
+    record.
     """
     environments, programs = list(environments), list(programs)
     if not environments or not programs:
@@ -780,21 +803,18 @@ def check_compatibility(
             f"compatibility needs at least one environment and one program, got "
             f"{len(environments)} and {len(programs)}"
         )
-    starts = []
-    for ei, env in enumerate(environments):
-        try:
-            starts.append(iota(env))
-        except (KeyError, InputError) as exc:
-            raise InputError(f"iota undefined on sampled environment {ei}") from exc
-    layout = f.extraction.layout
+    _require_layout(iota, f.extraction.layout)
+    batch = EnvBatch.from_envs(environments)
+    try:
+        starts = iota.many(batch)
+    except InputError as exc:
+        # the batch shares one graph, so the first environment is undefined
+        raise InputError("iota undefined on sampled environment 0") from exc
     pairs = [(ei, pi) for ei in range(len(environments)) for pi in range(len(programs))]
     env_rows, program_rows = (list(rows) for rows in zip(*pairs))
-    operational = f.transform_many(
-        _stack(starts, layout)[env_rows],
-        PieceTable.from_programs(programs).take(program_rows),
-    )
-    evolved = psi([environments[ei] for ei in env_rows], [programs[pi] for pi in program_rows])
-    static = _stack([iota(env) for env in evolved], layout)
+    table = PieceTable.from_programs(programs).take(program_rows)
+    operational = f.transform_many(starts[env_rows], table)
+    static = iota.many(psi(batch.take(env_rows), table))
     residuals = state_distances(static, operational, f.extraction, weights)
     worst, i = _worst(residuals)
     witness = None

@@ -36,7 +36,7 @@ import numpy as np
 from . import kernels
 from .envmyc import DistanceWeights, MycObject, ordered_sum
 from .errors import NumericError, ParameterError, ShapeError
-from .graphs import AttributedGraph
+from .graphs import AttributedGraph, _is_number
 
 
 @dataclass(frozen=True)
@@ -94,9 +94,25 @@ class Program:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "Program":
-        return cls(
-            tuple((length, tuple(control)) for length, control in data["pieces"])
-        )
+        """The program in the wire format; ``pieces`` must be a list of
+        ``[length, [u1, ..., uc]]`` entries of numbers (not bools), and a
+        piece of another shape raises :class:`ShapeError` naming it
+        (``pieces[0]``)."""
+        pieces = data["pieces"]
+        if not isinstance(pieces, (list, tuple)):
+            raise ShapeError(f"pieces: must be a list of pieces, got {pieces!r}")
+        for i, piece in enumerate(pieces):
+            if not (
+                isinstance(piece, (list, tuple))
+                and len(piece) == 2
+                and _is_number(piece[0])
+                and isinstance(piece[1], (list, tuple))
+                and all(map(_is_number, piece[1]))
+            ):
+                raise ShapeError(
+                    f"pieces[{i}]: must be [length, [u1, ..., uc]] with numbers, got {piece!r}"
+                )
+        return cls(tuple((length, tuple(control)) for length, control in pieces))
 
 
 NULL_PROGRAM = Program()
@@ -293,9 +309,13 @@ class InternalState:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "InternalState":
-        layout = StateLayout(
-            AttributedGraph.from_json(data["graph"], "graph."), int(data["features"])
-        )
+        """The state in the wire format; a ``features`` value that is not an
+        integer (a bool, a fraction, an infinity) raises :class:`ShapeError`
+        naming the field."""
+        features = data["features"]
+        if not (_is_number(features) and math.isfinite(features) and features == int(features)):
+            raise ShapeError(f"features: must be an integer, got {features!r}")
+        layout = StateLayout(AttributedGraph.from_json(data["graph"], "graph."), int(features))
         return cls(np.asarray(data["vector"], dtype=np.float64), layout)
 
 
@@ -364,12 +384,31 @@ class ReferenceDynamics:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "ReferenceDynamics":
+        """The dynamics in the wire format; a ``drift`` or ``controls[i]``
+        that is not a list of equally long rows of numbers (not bools)
+        raises :class:`ShapeError` naming it, as does a ``controls`` value
+        that is not a list."""
+        controls = data["controls"]
+        if not isinstance(controls, (list, tuple)):
+            raise ShapeError(f"controls: must be a list of matrices, got {controls!r}")
         return cls(
-            drift=np.asarray(data["drift"], dtype=np.float64),
+            drift=_matrix_from_json(data["drift"], "drift"),
             controls=tuple(
-                np.asarray(c, dtype=np.float64) for c in data["controls"]
+                _matrix_from_json(c, f"controls[{i}]") for i, c in enumerate(controls)
             ),
         )
+
+
+def _matrix_from_json(raw, field: str) -> np.ndarray:
+    """A matrix given as a list of equally long rows of numbers; anything
+    else raises :class:`ShapeError` naming ``field``."""
+    if not (
+        isinstance(raw, (list, tuple))
+        and all(isinstance(row, (list, tuple)) and all(map(_is_number, row)) for row in raw)
+        and len({len(row) for row in raw}) <= 1
+    ):
+        raise ShapeError(f"{field}: must be a list of equally long rows of numbers")
+    return np.array(raw, dtype=np.float64)
 
 
 def _flow_arrays(table: PieceTable, dyn: ReferenceDynamics):

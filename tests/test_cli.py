@@ -327,6 +327,7 @@ CONFIG = "<config>"
 DYNAMICS = str(SAMPLES / "dynamics_shear.json")
 PROGRAM = str(SAMPLES / "program_pulse.json")
 STATE = str(SAMPLES / "state_pair.json")
+STATE_PAIR = json.loads((SAMPLES / "state_pair.json").read_text(encoding="utf-8"))
 STAR_COSPAN = json.loads((SAMPLES / "cospan_star.json").read_text(encoding="utf-8"))
 # A two-site explicit species block: one channel that decays each site.
 EXPLICIT_SPECIES = {
@@ -817,6 +818,40 @@ EXPLICIT_SPECIES = {
             ["simulate", DYNAMICS, CONFIG, STATE], {"pieces": [[0.5, [math.nan]]]}, {},
             f"error: {CONFIG}: piece lengths and controls must be finite",
             id="simulate-nan-control",
+        ),
+        pytest.param(
+            ["simulate", DYNAMICS, PROGRAM, CONFIG], {**STATE_PAIR, "features": 1.9}, {},
+            f"error: {CONFIG}: features: must be an integer, got 1.9",
+            id="simulate-fractional-features",
+        ),
+        pytest.param(
+            ["simulate", DYNAMICS, PROGRAM, CONFIG], {**STATE_PAIR, "features": True}, {},
+            f"error: {CONFIG}: features: must be an integer, got True",
+            id="simulate-bool-features",
+        ),
+        pytest.param(
+            ["simulate", DYNAMICS, PROGRAM, CONFIG], {**STATE_PAIR, "features": math.inf}, {},
+            f"error: {CONFIG}: features: must be an integer, got inf",
+            id="simulate-infinite-features",
+        ),
+        pytest.param(
+            ["simulate", DYNAMICS, CONFIG, STATE], {"pieces": [[0.5, ["a"]]]}, {},
+            f"error: {CONFIG}: pieces[0]: must be [length, [u1, ..., uc]] with numbers, "
+            "got [0.5, ['a']]",
+            id="simulate-string-control",
+        ),
+        pytest.param(
+            ["simulate", CONFIG, PROGRAM, STATE],
+            {"drift": [["a", 1.0], [0.0, 0.0]], "controls": [[[0.0, 0.0], [1.0, 0.0]]]}, {},
+            f"error: {CONFIG}: drift: must be a list of equally long rows of numbers",
+            id="simulate-string-drift",
+        ),
+        pytest.param(
+            ["simulate", CONFIG, PROGRAM, STATE],
+            {"drift": [[0.0, 1.0], [0.0, 0.0]],
+             "controls": [[[0.0, 0.0], [1.0, 0.0]], [[0.0, "a"], [0.0, 0.0]]]}, {},
+            f"error: {CONFIG}: controls[1]: must be a list of equally long rows of numbers",
+            id="simulate-string-dynamics-control",
         ),
     ],
 )

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from mycocat.envmyc import (
     Constraints,
     DistanceWeights,
+    EnvBatch,
     EnvObject,
     EnvMorphism,
     FieldRule,
@@ -20,10 +22,13 @@ from mycocat.envmyc import (
     anastomosis,
     anastomosis_with_injections,
     apply_env_morphism,
+    _BOUND_SLACK,
     check_admissibility,
     compose_env_morphisms,
+    compose_myc_morphisms,
     env_distance,
     identity_env_morphism,
+    identity_myc_morphism,
     identity_rule,
     myc_distance,
     transport_myc,
@@ -43,7 +48,7 @@ from mycocat.graphs import (
     are_isomorphic,
     pushout_along_monos,
 )
-from conftest import make_random_mono_cospan
+from conftest import make_random_graph, make_random_mono_cospan, make_random_morphism
 
 
 def square_env(k=2, phi_hi=1.0, budget=10.0):
@@ -534,3 +539,178 @@ def test_env_distance_basics():
         e1.chi,
     )
     assert env_distance(e1, bumped) == pytest.approx(0.5)
+
+
+# ---------------------------------------------------------------------------
+# Identity and composition in Myc
+# ---------------------------------------------------------------------------
+
+
+def random_network(rng):
+    while True:
+        graph = make_random_graph(rng, max_nodes=4)
+        if graph.is_connected():
+            break
+    sigma = {e: rng.uniform(0.0, 2.0) for e in graph.edge_ids}
+    omega = {v: (rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)) for v in graph.nodes}
+    return MycObject(graph, sigma, omega)
+
+
+def random_assign(rng, source):
+    """An ``assign`` morphism out of ``source`` along a random graph map."""
+    while True:
+        target = random_network(rng)
+        graph_map = make_random_morphism(rng, source.graph, target.graph)
+        if graph_map is not None:
+            return MycMorphism(source, target, graph_map, kind="assign")
+
+
+def random_chain(seed, length=3):
+    rng = random.Random(seed)
+    chain = [random_assign(rng, random_network(rng))]
+    for _ in range(length - 1):
+        chain.append(random_assign(rng, chain[-1].target))
+    return chain
+
+
+class TestMycCategory:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_identity_laws(self, seed):
+        (f,) = random_chain(seed, length=1)
+        assert compose_myc_morphisms(identity_myc_morphism(f.source), f) == f
+        assert compose_myc_morphisms(f, identity_myc_morphism(f.target)) == f
+        assert identity_myc_morphism(f.source).is_identity()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_composition_is_associative(self, seed):
+        f, g, h = random_chain(seed)
+        left = compose_myc_morphisms(compose_myc_morphisms(f, g), h)
+        right = compose_myc_morphisms(f, compose_myc_morphisms(g, h))
+        assert left == right
+        assert (left.source, left.target) == (f.source, h.target)
+
+    def test_mismatched_pair_is_refused(self):
+        f, g, h = random_chain(3)
+        assert f.target != h.source
+        with pytest.raises(CompositionError):
+            compose_myc_morphisms(f, h)
+
+
+# ---------------------------------------------------------------------------
+# Environment batches against the per-object path
+# ---------------------------------------------------------------------------
+
+BATCH_BOUNDS = (-1.0, 2.0)
+BATCH_VALUES = st.sampled_from([
+    0.0, -0.0, 0.5, 1.0, 1e300, -1e300, 5e-324, math.inf,
+    -_BOUND_SLACK, -2 * _BOUND_SLACK,
+    *(b + d for b in BATCH_BOUNDS for d in (-2 * _BOUND_SLACK, -_BOUND_SLACK, 0.0,
+                                            _BOUND_SLACK, 2 * _BOUND_SLACK)),
+])
+
+
+@st.composite
+def env_rows(draw):
+    """(graph, chi, rows): rows of fields, each node's rho then channels."""
+    nodes = tuple(f"n{i}" for i in range(draw(st.integers(1, 4))))
+    path = tuple((f"e{i}", pair) for i, pair in enumerate(zip(nodes, nodes[1:])))
+    graph = AttributedGraph(nodes, path)
+    k = draw(st.integers(0, 2))
+    value = st.one_of(BATCH_VALUES, st.floats(-3.0, 3.0))
+    rows = draw(st.lists(
+        st.lists(st.tuples(*[value] * (1 + k)), min_size=len(nodes), max_size=len(nodes)),
+        min_size=1, max_size=4,
+    ))
+    first = 0.0
+    for cells in rows[0]:
+        first += cells[0]
+    budget = draw(
+        st.sampled_from([math.inf, 1e300, 3.0, abs(first), abs(first) + _BOUND_SLACK])
+    )
+    chi = Constraints(phi_bounds=(BATCH_BOUNDS,) * k, budget=budget)
+    return graph, chi, rows
+
+
+def loop_outcome(graph, chi, rows):
+    """The envs of a loop over ``EnvObject``s, or the first one's error."""
+    envs = []
+    for cells in rows:
+        rho = {v: c[0] for v, c in zip(graph.nodes, cells)}
+        phi = {v: tuple(c[1:]) for v, c in zip(graph.nodes, cells)}
+        try:
+            envs.append(EnvObject(graph, rho, phi, chi))
+        except ConstraintError as exc:
+            return exc
+    return envs
+
+
+def bits(env):
+    return np.array(
+        [(env.rho[v], *env.phi[v]) for v in env.graph.nodes], dtype=np.float64
+    ).tobytes()
+
+
+class TestEnvBatch:
+    @settings(max_examples=300, deadline=None)
+    @given(env_rows())
+    def test_validation_and_round_trip_match_env_objects(self, case):
+        graph, chi, rows = case
+        expected = loop_outcome(graph, chi, rows)
+        if isinstance(expected, ConstraintError):
+            with pytest.raises(ConstraintError) as exc:
+                EnvBatch(graph, chi, rows)
+            assert str(exc.value) == str(expected)
+            return
+        batch = EnvBatch(graph, chi, rows)
+        assert batch.fields.tobytes() == np.array(rows, dtype=np.float64).tobytes()
+        again = EnvBatch.from_envs(expected)
+        assert again.fields.tobytes() == batch.fields.tobytes()
+        for i, env in enumerate(expected):
+            assert again.env(i) == env
+            assert bits(again.env(i)) == bits(env)
+
+    def test_first_violating_row_decides(self):
+        graph = AttributedGraph(("a", "b"), (("e", ("a", "b")),))
+        chi = Constraints(phi_bounds=((0.0, 1.0),), budget=2.0)
+        rows = [
+            [(1.0, 0.5), (1.0, 0.5)],
+            [(1.0, 3.0), (-1.0, 0.5)],  # negative rho outranks phi
+            [(-5.0, 0.5), (1.0, 0.5)],
+        ]
+        with pytest.raises(ConstraintError, match=r"^rho at node 'b' is negative \(-1.0\)$"):
+            EnvBatch(graph, chi, rows)
+        with pytest.raises(ConstraintError, match=r"^total resource 3.0 exceeds budget 2.0$"):
+            EnvBatch(graph, chi, [[(1.0, 5.0), (2.0, 0.5)]])  # budget outranks phi
+        with pytest.raises(ConstraintError, match=r"^phi channel 0 at node 'a' is 5.0, "):
+            EnvBatch(graph, chi, [[(0.0, 5.0), (0.0, 0.5)]])
+
+    def test_fields_are_a_read_only_copy(self):
+        graph = AttributedGraph(("a",), ())
+        rows = np.zeros((2, 1, 2))
+        batch = EnvBatch(graph, Constraints(), rows)
+        rows[0, 0, 0] = 1.0
+        assert batch.fields[0, 0, 0] == 0.0
+        with pytest.raises(ValueError):
+            batch.fields[0, 0, 0] = 1.0
+        assert batch.take([1, 1, 0]).fields.shape == (3, 1, 2)
+
+    def test_shape_must_match_graph_and_channels(self):
+        graph = AttributedGraph(("a", "b"), ())
+        with pytest.raises(ShapeError):
+            EnvBatch(graph, Constraints(), np.zeros((1, 2, 3)))
+        with pytest.raises(ShapeError):
+            EnvBatch(graph, Constraints(), np.zeros((2, 2)))
+
+    def test_from_envs_refuses_a_mixed_batch(self):
+        e = square_env()
+        other_chi = EnvObject(e.graph, e.rho, e.phi, Constraints(
+            phi_bounds=e.chi.phi_bounds, budget=e.chi.budget + 1.0
+        ))
+        g = AttributedGraph(("a",), ())
+        other_graph = EnvObject(g, {"a": 0.0}, {"a": (0.0, 0.0)}, e.chi)
+        with pytest.raises(ParameterError, match="^environment 2 has other constraints"):
+            EnvBatch.from_envs([e, e, other_chi, other_graph])
+        with pytest.raises(ParameterError, match="^environment 1 is on another graph"):
+            EnvBatch.from_envs([e, other_graph])
+        with pytest.raises(ParameterError):
+            EnvBatch.from_envs([])

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from mycocat import kernels
-from mycocat.envmyc import Constraints, EnvObject
-from mycocat.errors import InputError, ParameterError
-from mycocat.experiments import reference_species
+from mycocat.envmyc import Constraints, EnvBatch, EnvObject
+from mycocat.errors import ConstraintError, InputError, ParameterError
+from mycocat.experiments import reference_species, run_worked_example
+from mycocat.graphs import AttributedGraph
 from mycocat.envmyc import env_distance, myc_distance
 from mycocat.laws import (
     FiniteInstance,
@@ -31,7 +32,14 @@ from mycocat.laws import (
     scaled_environment_evolution,
     similarity_variant,
 )
-from mycocat.programs import InternalState, PieceTable, Program, concatenate, evolve
+from mycocat.programs import (
+    InternalState,
+    PieceTable,
+    Program,
+    StateLayout,
+    concatenate,
+    evolve,
+)
 
 
 @pytest.fixture(scope="module")
@@ -295,6 +303,96 @@ class TestCompatibility:
         assert report.max_residual > 1e-4
 
 
+class TestEnvironmentBatches:
+    """psi and iota run on ``EnvBatch`` field arrays: a check builds no
+    ``EnvObject`` beyond its inputs."""
+
+    @pytest.fixture()
+    def env_constructions(self, monkeypatch):
+        calls = []
+        post_init = EnvObject.__post_init__
+
+        def counted(env):
+            calls.append(1)
+            post_init(env)
+
+        monkeypatch.setattr(EnvObject, "__post_init__", counted)
+        return calls
+
+    def test_compatibility_builds_no_environment(self, species, env_constructions):
+        iota = direct_embedding(species.extraction.layout, 2)
+        psi = matched_environment_evolution(species, iota)
+        env = wide_env(species, seed=2)
+        pulses = random_pulses(2, 50, seed=11)
+        env_constructions.clear()
+        report = check_compatibility(iota, psi, species, [env], pulses)
+        assert report.samples == 50
+        assert env_constructions == []
+
+    def test_worked_example_builds_six_environments(self, env_constructions):
+        # the demo environment, its three morphism images, and the
+        # compatibility environment with its template
+        run_worked_example()
+        assert len(env_constructions) <= 6
+
+    def test_many_embeds_each_environment_bit_for_bit(self, species):
+        iota = direct_embedding(species.extraction.layout, 2)
+        envs = [wide_env(species, seed=k) for k in range(5)]
+        many = iota.many(EnvBatch.from_envs(envs))
+        assert [row.tobytes() for row in many] == [iota(e).vector.tobytes() for e in envs]
+        nodes = species.extraction.layout.graph.nodes
+        assert many[0].tolist() == [x for v in nodes for x in (envs[0].rho[v], *envs[0].phi[v])]
+
+    def test_many_keeps_the_first_channels(self, species):
+        layout = StateLayout(species.extraction.layout.graph, 2)
+        iota = direct_embedding(layout, 1)
+        env = wide_env(species, seed=3)
+        many = iota.many(EnvBatch.from_envs([env]))
+        nodes = layout.graph.nodes
+        assert many[0].tolist() == [x for v in nodes for x in (env.rho[v], env.phi[v][0])]
+        assert iota(env).vector.tobytes() == many[0].tobytes()
+
+    def test_embedding_refuses_another_graph(self, species):
+        iota = direct_embedding(species.extraction.layout, 2)
+        psi = matched_environment_evolution(species, iota)
+        graph = AttributedGraph(("a",), ())
+        chi = Constraints(phi_bounds=((0.0, 1.0),) * 2)
+        other = EnvObject(graph, {"a": 1.0}, {"a": (0.0, 0.0)}, chi)
+        with pytest.raises(InputError, match="environment graph differs"):
+            iota(other)
+        with pytest.raises(InputError, match="^iota undefined on sampled environment 0$"):
+            check_compatibility(iota, psi, species, [other], [Program()])
+
+    def test_checkers_refuse_mixed_constraints(self, species):
+        iota = direct_embedding(species.extraction.layout, 2)
+        psi = matched_environment_evolution(species, iota)
+        env = wide_env(species, seed=2)
+        looser = EnvObject(env.graph, env.rho, env.phi, Constraints(
+            phi_bounds=env.chi.phi_bounds, budget=1e9
+        ))
+        with pytest.raises(ParameterError, match="^environment 1 has other constraints"):
+            check_compatibility(iota, psi, species, [env, looser], [Program()])
+        with pytest.raises(ParameterError, match="^environment 1 has other constraints"):
+            check_lipschitz(species, [(env, looser)])
+
+    def test_psi_result_is_checked_like_the_written_back_environment(self, species):
+        # the doubled fields leave the phi bounds; the batch refuses them
+        # with the message field_writeback gives for the same state
+        iota = direct_embedding(species.extraction.layout, 2)
+        doubling = Doubling("doubling", species.dynamics, species.extraction)
+        psi = matched_environment_evolution(doubling, iota)
+        base = wide_env(species, jitter=0.0)
+        env = EnvObject(base.graph, base.rho, base.phi, Constraints(
+            phi_bounds=((0.0, 1.5),) * 2
+        ))
+        with pytest.raises(ConstraintError) as written_back:
+            field_writeback(env, InternalState(2.0 * iota(env).vector, iota.layout))
+        with pytest.raises(ConstraintError) as batched:
+            psi(EnvBatch.from_envs([env, env]), PieceTable.from_programs([Program()] * 2))
+        assert str(batched.value) == str(written_back.value)
+        assert str(batched.value).startswith("phi channel 0 at node 'site0' is 2.0")
+
+
 # ---------------------------------------------------------------------------
 # Batched checkers against per-sample loops
 # ---------------------------------------------------------------------------
@@ -391,7 +489,8 @@ def oracle_compatibility(iota, psi, f, environments, programs, run, tol):
     for ei, env in enumerate(environments):
         start = iota(env)
         for pi, program in enumerate(programs):
-            static_leg = f.on_object(iota(psi([env], [program])[0]))
+            evolved = psi(EnvBatch.from_envs([env]), PieceTable.from_programs([program]))
+            static_leg = f.on_object(iota(evolved.env(0)))
             operational_leg = f.on_object(run(f, start, program))
             residual = myc_distance(static_leg, operational_leg)
             scored.append((residual, {
@@ -538,10 +637,13 @@ class TestSingleFlowPath:
             psi = scaled_environment_evolution(species, iota, scale)
         envs = [wide_env(species, seed=k % 3) for k in range(130)]
         pulses = random_pulses(2, 130, seed=14)
-        together = psi(envs, pulses)
-        alone = [psi([env], [pulse])[0] for env, pulse in zip(envs, pulses)]
-        assert together == alone
-        assert [iota(e).vector.tobytes() for e in together] == [
+        together = psi(EnvBatch.from_envs(envs), PieceTable.from_programs(pulses))
+        alone = [
+            psi(EnvBatch.from_envs([env]), PieceTable.from_programs([pulse])).env(0)
+            for env, pulse in zip(envs, pulses)
+        ]
+        assert [together.env(i) for i in range(len(together))] == alone
+        assert [v.tobytes() for v in iota.many(together)] == [
             iota(e).vector.tobytes() for e in alone
         ]
 

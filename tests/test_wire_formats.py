@@ -185,6 +185,33 @@ def test_pulse_round_trip(channel, amplitude, duration):
     assert back.to_json() == pulse.to_json()
 
 
+@pytest.mark.parametrize(
+    "chi, message",
+    [
+        ({"humidity": "ab"}, "chi.humidity: must be a [lo, hi] pair of numbers, got 'ab'"),
+        ({"temperature": [0, 40, 1]},
+         "chi.temperature: must be a [lo, hi] pair of numbers, got [0, 40, 1]"),
+        ({"humidity": [0, True]},
+         "chi.humidity: must be a [lo, hi] pair of numbers, got [0, True]"),
+        ({"phi_bounds": [[0, 1], "x"]},
+         "chi.phi_bounds[1]: must be a [lo, hi] pair of numbers, got 'x'"),
+        ({"phi_bounds": 3}, "chi.phi_bounds: must be a list of [lo, hi] pairs, got 3"),
+        ({"budget": True}, "chi.budget: must be a number, got True"),
+        ({"budget": "5"}, "chi.budget: must be a number, got '5'"),
+        ([1.0], "chi: must be a JSON object, got list"),
+    ],
+)
+def test_constraints_reader_names_the_field(chi, message):
+    graph = AttributedGraph(("a",), ())
+    data = {**wire(EnvObject(graph, {"a": 0.0}, {"a": (0.0,)}, Constraints())), "chi": chi}
+    with pytest.raises(ShapeError) as exc:
+        EnvObject.from_json(data)
+    assert str(exc.value) == message
+    with pytest.raises(ShapeError) as exc:
+        Constraints.from_json(chi)
+    assert str(exc.value) == message.removeprefix("chi.")
+
+
 def test_ids_that_print_alike_are_refused():
     graph = AttributedGraph((1, "1"), ((0, (1, "1")), ("0", ("1", 1))))
     env = EnvObject(graph, {1: 0.0, "1": 0.0}, {1: (0.0,), "1": (0.0,)}, Constraints())
