@@ -42,6 +42,8 @@ from .graphs import (
     Cospan,
     GraphMorphism,
     _is_number,
+    _read_number,
+    _read_numbers,
     _require_object,
     compose_graph_morphisms,
     identity_morphism,
@@ -68,9 +70,16 @@ class Constraints:
 
     def __post_init__(self):
         object.__setattr__(self, "phi_bounds", tuple(tuple(b) for b in self.phi_bounds))
-        for lo, hi in (self.humidity, self.temperature, *self.phi_bounds):
+        intervals = {"humidity": self.humidity, "temperature": self.temperature}
+        intervals.update((f"phi_bounds[{i}]", b) for i, b in enumerate(self.phi_bounds))
+        for name, (lo, hi) in intervals.items():
+            # a NaN bound compares false, so every value would pass it
+            if math.isnan(lo) or math.isnan(hi):
+                raise ParameterError(f"{name}: bounds must be numbers, got [{lo}, {hi}]")
             if lo > hi:
                 raise ParameterError(f"empty interval [{lo}, {hi}]")
+        if math.isnan(self.budget):
+            raise ParameterError("budget: must be a number, got nan")
         if self.budget < 0:
             raise ParameterError("budget must be nonnegative")
 
@@ -121,16 +130,14 @@ class Constraints:
             raise ShapeError(
                 f"{field}phi_bounds: must be a list of [lo, hi] pairs, got {bounds!r}"
             )
-        budget = data.get("budget", math.inf)
-        if not _is_number(budget):
-            raise ShapeError(f"{field}budget: must be a number, got {budget!r}")
+        budget = _read_number(data.get("budget", math.inf), f"{field}budget")
         return cls(
             humidity=interval(data.get("humidity", (0.0, 1.0)), "humidity"),
             temperature=interval(data.get("temperature", (0.0, 40.0)), "temperature"),
             phi_bounds=tuple(
                 interval(b, f"phi_bounds[{i}]") for i, b in enumerate(bounds)
             ),
-            budget=float(budget),
+            budget=budget,
         )
 
 
@@ -170,14 +177,33 @@ class EnvObject:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "EnvObject":
+        """The environment in the wire format; a ``rho`` value that is not a
+        number or a ``phi`` value that is not a list of numbers (a bool is
+        not a number) raises :class:`ShapeError` naming it (``rho.n0``,
+        ``phi.n1[0]``)."""
         graph = AttributedGraph.from_json(data)
-        by_str = {str(v): v for v in graph.nodes}
+        nodes = {str(v): v for v in graph.nodes}
         return cls(
             graph=graph,
-            rho={by_str[k]: float(x) for k, x in data["rho"].items()},
-            phi={by_str[k]: tuple(map(float, vec)) for k, vec in data["phi"].items()},
+            rho=_read_map(data, "rho", nodes, "node", _read_number),
+            phi=_read_map(data, "phi", nodes, "node", _read_numbers),
             chi=Constraints.from_json(data.get("chi", {}), "chi."),
         )
+
+
+def _read_map(data: Mapping, name: str, ids: Mapping, kind: str, read: Callable) -> dict:
+    """``data[name]``, a JSON object keyed by ``str(id)`` (``ids`` maps key
+    to id), with each value read by ``read(value, field)``. A value that is
+    not an object or a key that names no ``kind`` raises :class:`ShapeError`
+    naming the field (``rho``, ``rho.n0``)."""
+    raw = data[name]
+    _require_object(raw, name + ".", name)
+    out = {}
+    for key, value in raw.items():
+        if key not in ids:
+            raise ShapeError(f"{name}.{key}: no {kind} has this id")
+        out[ids[key]] = read(value, f"{name}.{key}")
+    return out
 
 
 def _json_keys(ids: Sequence, kind: str) -> dict:
@@ -192,18 +218,24 @@ def _json_keys(ids: Sequence, kind: str) -> dict:
     return keys
 
 
+def _rho_violation(v, r: float) -> str:
+    what = "not a number" if math.isnan(r) else "negative"
+    return f"rho at node {v!r} is {what} ({r})"
+
+
 def check_admissibility(rho: Mapping, phi: Mapping, chi: Constraints) -> str | None:
-    """Return a message naming the first violated bound, or None if admissible."""
+    """Return a message naming the first violated bound, or None if admissible.
+    A NaN rho or phi value violates its bound."""
     for v, r in rho.items():
-        if r < -_BOUND_SLACK:
-            return f"rho at node {v!r} is negative ({r})"
+        if not r >= -_BOUND_SLACK:
+            return _rho_violation(v, r)
     total = ordered_sum(rho.values())
     if total > chi.budget + _BOUND_SLACK:
         return f"total resource {total} exceeds budget {chi.budget}"
     for v, vec in phi.items():
         for ch, x in enumerate(vec):
             lo, hi = chi.phi_bounds[ch]
-            if x < lo - _BOUND_SLACK or x > hi + _BOUND_SLACK:
+            if not lo - _BOUND_SLACK <= x <= hi + _BOUND_SLACK:
                 return (
                     f"phi channel {ch} at node {v!r} is {x}, "
                     f"outside bounds [{lo}, {hi}]"
@@ -299,7 +331,7 @@ def _first_violation(fields: np.ndarray, nodes: Sequence, chi: Constraints) -> s
     """:func:`check_admissibility`'s message for the first inadmissible row
     of the (P, N, 1 + k) ``fields``, or None."""
     rho, phi = fields[:, :, 0], fields[:, :, 1:]
-    negative = rho < -_BOUND_SLACK
+    negative = ~(rho >= -_BOUND_SLACK)  # NaN included
     # a leading 0.0 column makes the running total ordered_sum's, bit for
     # bit; an overflow gives inf and inf - inf NaN, silently, as floats do
     with np.errstate(over="ignore", invalid="ignore"):
@@ -308,14 +340,14 @@ def _first_violation(fields: np.ndarray, nodes: Sequence, chi: Constraints) -> s
     over = totals > chi.budget + _BOUND_SLACK
     lo = np.array([b[0] for b in chi.phi_bounds], dtype=np.float64)
     hi = np.array([b[1] for b in chi.phi_bounds], dtype=np.float64)
-    outside = (phi < lo - _BOUND_SLACK) | (phi > hi + _BOUND_SLACK)
+    outside = ~((phi >= lo - _BOUND_SLACK) & (phi <= hi + _BOUND_SLACK))
     bad = negative.any(axis=1) | over | outside.any(axis=(1, 2))
     if not bad.any():
         return None
     i = int(bad.argmax())
     if negative[i].any():
         node = int(negative[i].argmax())
-        return f"rho at node {nodes[node]!r} is negative ({float(rho[i, node])})"
+        return _rho_violation(nodes[node], float(rho[i, node]))
     if over[i]:
         return f"total resource {float(totals[i])} exceeds budget {chi.budget}"
     node, ch = divmod(int(outside[i].argmax()), chi.channels)
@@ -591,13 +623,17 @@ class MycObject:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "MycObject":
+        """The network in the wire format; a ``sigma`` value that is not a
+        number or an ``omega`` value that is not a list of numbers (a bool is
+        not a number) raises :class:`ShapeError` naming it (``sigma.e0``,
+        ``omega.n1[0]``)."""
         graph = AttributedGraph.from_json(data)
-        nodes_by_str = {str(v): v for v in graph.nodes}
-        edges_by_str = {str(e): e for e in graph.edge_ids}
+        edges = {str(e): e for e in graph.edge_ids}
+        nodes = {str(v): v for v in graph.nodes}
         return cls(
             graph=graph,
-            sigma={edges_by_str[k]: float(x) for k, x in data["sigma"].items()},
-            omega={nodes_by_str[k]: tuple(map(float, vec)) for k, vec in data["omega"].items()},
+            sigma=_read_map(data, "sigma", edges, "edge", _read_number),
+            omega=_read_map(data, "omega", nodes, "node", _read_numbers),
         )
 
 

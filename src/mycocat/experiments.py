@@ -316,18 +316,21 @@ def species_from_config(data: Mapping) -> SpeciesFunctor:
 
 
 def random_pulses(species: SpeciesFunctor, count: int, seed: int) -> list[Program]:
-    """Seeded single-piece pulses: a random channel (drawn first) at an
-    amplitude in [0.05, 0.5), for a length in [0.1, 1.0)."""
+    """Seeded single-piece pulses, each on a random channel at an amplitude
+    in [0.05, 0.5), for a length in [0.1, 1.0). Each quantity is drawn in
+    one call over all pulses, in this order: the channels, the amplitudes,
+    then the lengths; with no channel only the lengths are drawn."""
     rng = np.random.default_rng(seed)
     channels = species.dynamics.channels
-    pulses = []
-    for _ in range(count):
-        control = [0.0] * channels
-        if channels:
-            channel = int(rng.integers(0, channels))
-            control[channel] = float(rng.uniform(0.05, 0.5))
-        pulses.append(Program(((float(rng.uniform(0.1, 1.0)), tuple(control)),)))
-    return pulses
+    controls = np.zeros((count, channels))
+    if channels:
+        picked = rng.integers(0, channels, count)
+        controls[np.arange(count), picked] = rng.uniform(0.05, 0.5, count)
+    lengths = rng.uniform(0.1, 1.0, count)
+    return [
+        Program(((length, tuple(control)),))
+        for length, control in zip(lengths.tolist(), controls.tolist())
+    ]
 
 
 def wide_environment(species: SpeciesFunctor, seed: int) -> EnvObject:

@@ -244,6 +244,22 @@ def _is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _read_number(raw, field: str) -> float:
+    """``raw`` as a float if it is a JSON number; else a :class:`ShapeError`
+    naming ``field``."""
+    if not _is_number(raw):
+        raise ShapeError(f"{field}: must be a number, got {raw!r}")
+    return float(raw)
+
+
+def _read_numbers(raw, field: str) -> tuple[float, ...]:
+    """``raw`` as a tuple of floats if it is a list of JSON numbers; else a
+    :class:`ShapeError` naming ``field`` or the entry (``field[0]``)."""
+    if not isinstance(raw, (list, tuple)):
+        raise ShapeError(f"{field}: must be a list of numbers, got {raw!r}")
+    return tuple(_read_number(x, f"{field}[{i}]") for i, x in enumerate(raw))
+
+
 def _require_object(data, field: str, name: str) -> None:
     """A :class:`ShapeError` naming ``field`` (without its trailing dot), or
     ``name`` at the top level, unless ``data`` is a JSON object."""

@@ -187,25 +187,8 @@ def similarity_variant(
 
 
 # ---------------------------------------------------------------------------
-# Sampling helpers
+# Helpers
 # ---------------------------------------------------------------------------
-
-
-def _draw_program(
-    rng: np.random.Generator,
-    channels: int,
-    lengths: list,
-    inputs: list,
-    max_pieces: int = 2,
-) -> int:
-    """Draw one random program, appending its pieces to ``lengths`` and
-    ``inputs``; returns its piece count. The draws are the piece count,
-    then each piece's length and controls, in that order."""
-    count = int(rng.integers(1, max_pieces + 1))
-    for _ in range(count):
-        lengths.append(rng.uniform(0.1, 0.6))
-        inputs.append(0.5 * rng.normal(size=channels))
-    return count
 
 
 def _translate(
@@ -264,26 +247,28 @@ def check_functor_laws(
     Also asserts that the null program leaves the read-out network
     exactly unchanged; a violation is reported with an ``identity-law``
     witness naming the first failing sample. Every sample is drawn before
-    any flow runs, straight into one state array and two piece tables (per
-    sample: the state, then p, then q); the joint leg, the two sequential
-    legs and the null program each take one batched ``transform_many``
-    call. Raises :class:`ParameterError` when ``sample_count`` is not
-    positive.
+    any flow runs, each quantity in one call over the batch, in this order:
+    the (S, n) states, the (2, S) piece counts in 1..2 (row 0 for p, row 1
+    for q), then p's K piece lengths in [0.1, 0.6) and (K, c) controls
+    (0.5 times a standard normal), then q's. The joint leg, the two
+    sequential legs and the null program each take one batched
+    ``transform_many`` call. Raises :class:`ParameterError` when
+    ``sample_count`` is not positive.
     """
     if sample_count < 1:
         raise ParameterError(f"functor laws need at least one sample, got {sample_count}")
     rng = np.random.default_rng(seed)
     dim, channels = f.dynamics.dim, f.dynamics.channels
-    states = np.empty((sample_count, dim))
-    draws = [([], [], []), ([], [], [])]  # (lengths, inputs, counts) of p and of q
-    for i in range(sample_count):
-        states[i] = rng.normal(size=dim)
-        for lengths, inputs, counts in draws:
-            counts.append(_draw_program(rng, channels, lengths, inputs))
-    ps, qs = (PieceTable(*draw) for draw in draws)
+    states = rng.normal(size=(sample_count, dim))
+    counts = rng.integers(1, 3, size=(2, sample_count))
+    ps, qs = [
+        PieceTable(rng.uniform(0.1, 0.6, k), 0.5 * rng.normal(size=(k, channels)), row)
+        for row, k in zip(counts, counts.sum(axis=1))
+    ]
     joint = f.transform_many(states, ps.concatenate(qs))
     second = f.transform_many(f.transform_many(states, ps), qs)
-    unmoved = f.transform_many(states, PieceTable.from_programs([NULL_PROGRAM] * sample_count))
+    null = PieceTable(np.empty(0), np.empty((0, channels)), np.zeros(sample_count, np.intp))
+    unmoved = f.transform_many(states, null)
     moved = np.flatnonzero(state_distances(states, unmoved, f.extraction) != 0.0)
     if moved.size:
         return LawReport(

@@ -36,7 +36,7 @@ import numpy as np
 from . import kernels
 from .envmyc import DistanceWeights, MycObject, ordered_sum
 from .errors import NumericError, ParameterError, ShapeError
-from .graphs import AttributedGraph, _is_number
+from .graphs import AttributedGraph, _is_number, _read_numbers
 
 
 @dataclass(frozen=True)
@@ -310,13 +310,14 @@ class InternalState:
     @classmethod
     def from_json(cls, data: Mapping) -> "InternalState":
         """The state in the wire format; a ``features`` value that is not an
-        integer (a bool, a fraction, an infinity) raises :class:`ShapeError`
-        naming the field."""
+        integer (a bool, a fraction, an infinity) or a ``vector`` that is not
+        a list of numbers (a bool is not a number) raises :class:`ShapeError`
+        naming the field (``vector[0]``)."""
         features = data["features"]
         if not (_is_number(features) and math.isfinite(features) and features == int(features)):
             raise ShapeError(f"features: must be an integer, got {features!r}")
         layout = StateLayout(AttributedGraph.from_json(data["graph"], "graph."), int(features))
-        return cls(np.asarray(data["vector"], dtype=np.float64), layout)
+        return cls(np.array(_read_numbers(data["vector"], "vector")), layout)
 
 
 @dataclass(frozen=True)

@@ -835,6 +835,16 @@ EXPLICIT_SPECIES = {
             id="simulate-infinite-features",
         ),
         pytest.param(
+            ["simulate", DYNAMICS, PROGRAM, CONFIG], {**STATE_PAIR, "vector": [True, 0.5]}, {},
+            f"error: {CONFIG}: vector[0]: must be a number, got True",
+            id="simulate-bool-vector-entry",
+        ),
+        pytest.param(
+            ["simulate", DYNAMICS, PROGRAM, CONFIG], {**STATE_PAIR, "vector": [1.0, "a"]}, {},
+            f"error: {CONFIG}: vector[1]: must be a number, got 'a'",
+            id="simulate-string-vector-entry",
+        ),
+        pytest.param(
             ["simulate", DYNAMICS, CONFIG, STATE], {"pieces": [[0.5, ["a"]]]}, {},
             f"error: {CONFIG}: pieces[0]: must be [length, [u1, ..., uc]] with numbers, "
             "got [0.5, ['a']]",

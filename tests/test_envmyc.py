@@ -84,6 +84,40 @@ class TestEnvObjects:
         phi = {v: (0.0,) for v in rho}
         assert check_admissibility(rho, phi, Constraints(budget=1e16)) is None
 
+    def test_nan_budget_is_refused(self):
+        # nan < 0 is false, and no total exceeds a NaN budget
+        with pytest.raises(ParameterError, match=r"^budget: must be a number, got nan$"):
+            Constraints(budget=math.nan)
+        with pytest.raises(ParameterError, match=r"^budget: must be a number, got nan$"):
+            Constraints.from_json({"budget": math.nan})
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"humidity": (math.nan, 1.0)}, "humidity"),
+        ({"temperature": (0.0, math.nan)}, "temperature"),
+        ({"phi_bounds": ((0.0, 1.0), (math.nan, 1.0))}, r"phi_bounds\[1\]"),
+    ], ids=["humidity", "temperature", "phi_bounds"])
+    def test_nan_interval_bound_is_refused(self, kwargs, name):
+        # a NaN bound compares false, so it would admit phi -50.0
+        with pytest.raises(ParameterError, match=rf"^{name}: bounds must be numbers, got \["):
+            Constraints(**kwargs)
+
+    @pytest.mark.parametrize("cells, message", [
+        # a NaN rho comes before the budget, which it would make NaN
+        ([(1.0, 0.5), (math.nan, 0.5)], "rho at node 'b' is not a number (nan)"),
+        ([(-1.0, 0.5), (math.nan, 0.5)], "rho at node 'a' is negative (-1.0)"),
+        ([(1.0, math.nan), (1.0, 0.5)], "phi channel 0 at node 'a' is nan, outside bounds [0.0, 1.0]"),
+        ([(5.0, math.nan), (1.0, 0.5)], "total resource 6.0 exceeds budget 2.0"),
+    ], ids=["nan-rho", "negative-rho-first", "nan-phi", "budget-before-phi"])
+    def test_nan_field_value_is_a_violation(self, cells, message):
+        graph = AttributedGraph(("a", "b"), (("e", ("a", "b")),))
+        chi = Constraints(phi_bounds=((0.0, 1.0),), budget=2.0)
+        rho = {v: c[0] for v, c in zip(graph.nodes, cells)}
+        phi = {v: c[1:] for v, c in zip(graph.nodes, cells)}
+        assert check_admissibility(rho, phi, chi) == message
+        with pytest.raises(ConstraintError) as exc:
+            EnvBatch(graph, chi, [[(0.5, 0.5), (0.5, 0.5)], cells])
+        assert str(exc.value) == message
+
     def test_json_roundtrip(self):
         e = square_env()
         assert EnvObject.from_json(e.to_json()) == e
@@ -602,7 +636,7 @@ class TestMycCategory:
 
 BATCH_BOUNDS = (-1.0, 2.0)
 BATCH_VALUES = st.sampled_from([
-    0.0, -0.0, 0.5, 1.0, 1e300, -1e300, 5e-324, math.inf,
+    0.0, -0.0, 0.5, 1.0, 1e300, -1e300, 5e-324, math.inf, math.nan,
     -_BOUND_SLACK, -2 * _BOUND_SLACK,
     *(b + d for b in BATCH_BOUNDS for d in (-2 * _BOUND_SLACK, -_BOUND_SLACK, 0.0,
                                             _BOUND_SLACK, 2 * _BOUND_SLACK)),
@@ -624,9 +658,10 @@ def env_rows(draw):
     first = 0.0
     for cells in rows[0]:
         first += cells[0]
-    budget = draw(
-        st.sampled_from([math.inf, 1e300, 3.0, abs(first), abs(first) + _BOUND_SLACK])
-    )
+    budgets = [math.inf, 1e300, 3.0]
+    if not math.isnan(first):  # a NaN budget is refused
+        budgets += [abs(first), abs(first) + _BOUND_SLACK]
+    budget = draw(st.sampled_from(budgets))
     chi = Constraints(phi_bounds=(BATCH_BOUNDS,) * k, budget=budget)
     return graph, chi, rows
 

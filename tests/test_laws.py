@@ -75,21 +75,35 @@ def random_pulses(channels, count, seed):
     return out
 
 
-def random_program(rng, channels, max_pieces=2):
-    # the checkers' program draw, one Program at a time: the piece count,
-    # then each piece's length and controls
-    pieces = tuple(
-        (
-            float(rng.uniform(0.1, 0.6)),
-            tuple(float(x) for x in 0.5 * rng.normal(size=channels)),
-        )
-        for _ in range(int(rng.integers(1, max_pieces + 1)))
-    )
-    return Program(pieces)
+def random_states(rng, f, count):
+    # one (count, n) normal draw, a state per row
+    layout = f.extraction.layout
+    return [InternalState(v, layout) for v in rng.normal(size=(count, f.dynamics.dim))]
 
 
-def random_state(rng, f):
-    return InternalState(rng.normal(size=f.dynamics.dim), f.extraction.layout)
+def random_programs(rng, channels, counts):
+    # programs with the given piece counts: every length in one draw, then
+    # every control in one draw, sliced program by program
+    total = int(sum(counts))
+    lengths = rng.uniform(0.1, 0.6, total).tolist()
+    controls = (0.5 * rng.normal(size=(total, channels))).tolist()
+    programs, start = [], 0
+    for k in counts:
+        own = slice(start, start + k)
+        programs.append(Program(tuple(zip(lengths[own], map(tuple, controls[own])))))
+        start += k
+    return programs
+
+
+def functor_samples(seed, f, count, max_pieces=2):
+    # the functor-law checker's stream as (state, p, q) triples: the states,
+    # then the (2, count) piece counts (row 0 for p), then p's pieces, then q's
+    rng = np.random.default_rng(seed)
+    states = random_states(rng, f, count)
+    counts = rng.integers(1, max_pieces + 1, size=(2, count))
+    ps = random_programs(rng, f.dynamics.channels, counts[0])
+    qs = random_programs(rng, f.dynamics.channels, counts[1])
+    return list(zip(states, ps, qs))
 
 
 def test_infinite_residual_fails_an_infinite_tolerance():
@@ -136,6 +150,24 @@ class TestFunctorLaws:
         assert report.witness is not None
         replayed = replay_functor_law_witness(species, report.witness)
         assert replayed == report.max_residual
+
+    def test_witness_state_is_a_row_of_one_normal_draw(self, species):
+        # the states are the stream's first draw, one (S, n) call
+        for seed in (0, 7, 42):
+            report = check_functor_laws(species, sample_count=30, tol=1e-10, seed=seed)
+            rows = np.random.default_rng(seed).normal(size=(30, species.dynamics.dim))
+            assert report.witness["state"] == rows[report.witness["sample"]].tolist()
+
+    def test_every_witness_replays_bit_for_bit(self, species):
+        mutant = non_causal_variant(species)
+        for seed in range(20):
+            for f in (species, mutant):
+                report = check_functor_laws(f, sample_count=40, tol=1e-10, seed=seed)
+                state, p, q = functor_samples(seed, f, 40)[report.witness["sample"]]
+                assert report.witness["state"] == state.vector.tolist()
+                assert (report.witness["p"], report.witness["q"]) == (p.to_json(), q.to_json())
+                replayed = replay_functor_law_witness(f, report.witness)
+                assert replayed == report.witness["residual"] == report.max_residual
 
     def test_report_is_deterministic(self, species):
         a = check_functor_laws(species, sample_count=20, tol=1e-10, seed=9)
@@ -423,13 +455,8 @@ def pick_witness(scored):
 
 
 def oracle_functor_laws(f, run, sample_count, tol, seed):
-    rng = np.random.default_rng(seed)
-    channels = f.dynamics.channels
     scored = []
-    for i in range(sample_count):
-        state = random_state(rng, f)
-        p = random_program(rng, channels)
-        q = random_program(rng, channels)
+    for i, (state, p, q) in enumerate(functor_samples(seed, f, sample_count)):
         joint = f.on_object(run(f, state, concatenate(p, q)))
         second = f.on_object(run(f, run(f, state, p), q))
         residual = myc_distance(joint, second)
@@ -449,10 +476,11 @@ def oracle_functor_laws(f, run, sample_count, tol, seed):
 def oracle_naturality(f1, f2, eta, programs, run, tol, seed, states_per_program=5):
     rng = np.random.default_rng(seed)
     layout = f2.extraction.layout
+    states = iter(random_states(rng, f1, len(programs) * states_per_program))
     scored = []
     for pi, program in enumerate(programs):
         for si in range(states_per_program):
-            state = random_state(rng, f1)
+            state = next(states)
             translated = InternalState(eta.map_state(state.vector), layout)
             moved = run(f1, state, program)
             path1 = f2.on_object(InternalState(eta.map_state(moved.vector), layout))
@@ -609,11 +637,9 @@ class TestSingleFlowPath:
 
     def test_batched_non_causal_mutant_matches_piece_loop(self, species):
         mutant = non_causal_variant(species)
-        rng = np.random.default_rng(21)
-        states = [random_state(rng, species) for _ in range(130)]
-        programs = [
-            random_program(rng, 2, max_pieces=3) if i % 5 else Program() for i in range(130)
-        ]
+        samples = functor_samples(21, species, 130, max_pieces=3)
+        states = [state for state, _, _ in samples]
+        programs = [p if i % 5 else Program() for i, (_, p, _) in enumerate(samples)]
         assert {len(p.pieces) for p in programs} == {0, 1, 2, 3}
         moved = mutant.transform_many(
             np.stack([s.vector for s in states]), PieceTable.from_programs(programs)
@@ -724,14 +750,11 @@ class TestNaNResidualsFail:
         # only joint programs have 4 pieces; their rows come out NaN
         mutant = nan_species(species, lambda table: table.counts == 4)
         report = check_functor_laws(mutant, sample_count=20, seed=42)
-        rng = np.random.default_rng(42)
-        first = None
-        for i in range(20):
-            random_state(rng, species)
-            p, q = random_program(rng, 2), random_program(rng, 2)
-            if first is None and len(p.pieces) + len(q.pieces) == 4:
-                first = i, p, q
-        i, p, q = first
+        i, p, q = next(
+            (i, p, q)
+            for i, (_, p, q) in enumerate(functor_samples(42, species, 20))
+            if len(p.pieces) + len(q.pieces) == 4
+        )
         assert i > 0  # some residuals before the witness are finite
         assert not report.passed and report.verdict == "fail"
         assert math.isnan(report.max_residual)

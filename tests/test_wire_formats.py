@@ -212,6 +212,50 @@ def test_constraints_reader_names_the_field(chi, message):
     assert str(exc.value) == message.removeprefix("chi.")
 
 
+ENV_WIRE = {
+    "nodes": ["n0", "n1"], "edges": [["e0", ["n0", "n1"]]],
+    "rho": {"n0": 0.5, "n1": 0.5}, "phi": {"n0": [0.1], "n1": [0.2]},
+}
+MYC_WIRE = {
+    "nodes": ["n0", "n1"], "edges": [["e0", ["n0", "n1"]]],
+    "sigma": {"e0": 1.0}, "omega": {"n0": [0.1], "n1": [0.2]},
+}
+
+
+@pytest.mark.parametrize(
+    "reader, data, message",
+    [
+        (EnvObject, {**ENV_WIRE, "rho": {"n0": True, "n1": 0.5}},
+         "rho.n0: must be a number, got True"),
+        (EnvObject, {**ENV_WIRE, "rho": {"n0": 0.5, "n1": "0.5"}},
+         "rho.n1: must be a number, got '0.5'"),
+        (EnvObject, {**ENV_WIRE, "rho": [0.5, 0.5]}, "rho: must be a JSON object, got list"),
+        (EnvObject, {**ENV_WIRE, "rho": {"n0": 0.5, "n9": 0.5}},
+         "rho.n9: no node has this id"),
+        (EnvObject, {**ENV_WIRE, "phi": {"n0": [0.1], "n1": ["a"]}},
+         "phi.n1[0]: must be a number, got 'a'"),
+        (EnvObject, {**ENV_WIRE, "phi": {"n0": [False], "n1": [0.2]}},
+         "phi.n0[0]: must be a number, got False"),
+        (EnvObject, {**ENV_WIRE, "phi": {"n0": 0.1, "n1": [0.2]}},
+         "phi.n0: must be a list of numbers, got 0.1"),
+        (MycObject, {**MYC_WIRE, "sigma": {"e0": True}}, "sigma.e0: must be a number, got True"),
+        (MycObject, {**MYC_WIRE, "sigma": {"e9": 1.0}}, "sigma.e9: no edge has this id"),
+        (MycObject, {**MYC_WIRE, "omega": {"n0": [0.1], "n1": [None]}},
+         "omega.n1[0]: must be a number, got None"),
+        (MycObject, {**MYC_WIRE, "omega": {"n0": "ab", "n1": [0.2]}},
+         "omega.n0: must be a list of numbers, got 'ab'"),
+    ],
+    ids=["rho-bool", "rho-string", "rho-not-an-object", "rho-unknown-node", "phi-string",
+         "phi-bool", "phi-not-a-list", "sigma-bool", "sigma-unknown-edge", "omega-null",
+         "omega-not-a-list"],
+)
+def test_field_readers_name_the_field(reader, data, message):
+    reader.from_json(ENV_WIRE if reader is EnvObject else MYC_WIRE)  # the base reads
+    with pytest.raises(ShapeError) as exc:
+        reader.from_json(data)
+    assert str(exc.value) == message
+
+
 def test_ids_that_print_alike_are_refused():
     graph = AttributedGraph((1, "1"), ((0, (1, "1")), ("0", ("1", 1))))
     env = EnvObject(graph, {1: 0.0, "1": 0.0}, {1: (0.0,), "1": (0.0,)}, Constraints())
