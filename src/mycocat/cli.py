@@ -13,6 +13,12 @@ variables ``MYCOCAT_SEED`` and ``MYCOCAT_OUT_DIR`` supply defaults when
 the flags are absent. All files are written atomically (temp file then
 rename); JSON is UTF-8 with sorted keys, CSV is RFC 4180. The exit code
 is nonzero iff any check's verdict differs from its expectation.
+
+At module level this file imports only the standard library, ``errors``,
+``graphs`` and ``readers``, none of which loads numpy, so ``--help`` and
+``pushout`` run without it. ``simulate``, ``order-scan``,
+``worked-example`` and ``check-laws`` import numpy and the numerical
+modules they call inside their own functions.
 """
 
 from __future__ import annotations
@@ -24,45 +30,18 @@ import json
 import os
 import sys
 import tempfile
+from functools import cache
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     ConfigError, ConstraintError, MycocatError, NumericError, ParameterError, ShapeError
 )
-from .experiments import (
-    AsymmetryReport,
-    ExposureExperiment,
-    WorkedExampleConfig,
-    _config_kwargs,
-    _require_finite,
-    _require_nonnegative,
-    _require_positive,
-    random_pulses,
-    reference_species,
-    run_order_asymmetry_scan,
-    run_worked_example,
-    wide_environment,
-)
 from .graphs import AttributedGraph, Cospan, GraphMorphism, pushout_along_monos
-from .laws import (
-    check_adjunction,
-    check_compatibility,
-    check_functor_laws,
-    check_lipschitz,
-    check_naturality,
-    direct_embedding,
-    field_writeback,
-    identity_adjunction_instance,
-    identity_transformation,
-    matched_environment_evolution,
-    non_causal_variant,
-    perturbed_variant,
-    scaled_environment_evolution,
-    similarity_variant,
-)
-from .programs import InternalState, Program, ReferenceDynamics, evolve
+from .readers import _require_finite, _require_nonnegative, _require_positive
+
+if TYPE_CHECKING:
+    from .experiments import AsymmetryReport
 
 
 def write_atomic(path: Path, text: str) -> None:
@@ -169,6 +148,10 @@ def cmd_pushout(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    import numpy as np
+
+    from .programs import InternalState, Program, ReferenceDynamics, evolve
+
     dyn = load_input(args.dynamics, ReferenceDynamics.from_json)
     program = load_input(args.program, Program.from_json)
     state = load_input(args.state, InternalState.from_json)
@@ -192,6 +175,8 @@ def _print_scan(report: AsymmetryReport, label: str) -> None:
 
 
 def cmd_order_scan(args) -> int:
+    from .experiments import ExposureExperiment, run_order_asymmetry_scan
+
     exp = ExposureExperiment.from_json(load_json(args.experiment), args.seed)
     report = run_order_asymmetry_scan(exp)
     out_dir = Path(args.out_dir)
@@ -202,6 +187,8 @@ def cmd_order_scan(args) -> int:
 
 
 def cmd_worked_example(args) -> int:
+    from .experiments import WorkedExampleConfig, run_worked_example
+
     if args.config:
         config = WorkedExampleConfig.from_json(load_json(args.config))
     else:
@@ -226,23 +213,29 @@ def cmd_worked_example(args) -> int:
     return 1 if failures else 0
 
 
-# Every key a suite entry may carry, per law, with the value it takes when
-# absent; each value read is coerced to its default's type. A law's `tol`
-# falls back to --tol before its default here.
-_COMMON = {"law": "", "expect": "pass"}
-_SPECIES = {"species": reference_species(), "seed": 0}
-SUITE_DEFAULTS = {
-    "adjunction": _COMMON,
-    "functor_laws": {**_COMMON, **_SPECIES, "tol": 1e-10, "samples": 100, "mutant": ""},
-    "naturality": {
-        **_COMMON, **_SPECIES, "tol": 1e-9, "variant": "similarity", "programs": 10,
-        "magnitude": 0.1,
-    },
-    "lipschitz": {**_COMMON, **_SPECIES, "pairs": 10, "bound": 10.0, "program": Program()},
-    "compatibility": {
-        **_COMMON, **_SPECIES, "tol": 1e-8, "pulses": 50, "psi_amplitude_scale": 1.0
-    },
-}
+@cache
+def suite_defaults() -> dict:
+    """Every key a suite entry may carry, per law, with the value it takes
+    when absent; each value read is coerced to its default's type. A law's
+    ``tol`` falls back to --tol before its default here. Built on first use,
+    so that the other subcommands do not load the numerical modules."""
+    from .experiments import reference_species
+    from .programs import Program
+
+    common = {"law": "", "expect": "pass"}
+    species = {"species": reference_species(), "seed": 0}
+    return {
+        "adjunction": common,
+        "functor_laws": {**common, **species, "tol": 1e-10, "samples": 100, "mutant": ""},
+        "naturality": {
+            **common, **species, "tol": 1e-9, "variant": "similarity", "programs": 10,
+            "magnitude": 0.1,
+        },
+        "lipschitz": {**common, **species, "pairs": 10, "bound": 10.0, "program": Program()},
+        "compatibility": {
+            **common, **species, "tol": 1e-8, "pulses": 50, "psi_amplitude_scale": 1.0
+        },
+    }
 
 
 def read_suite_entry(check, where: str, tol: float | None, seed: int | None) -> dict:
@@ -250,10 +243,12 @@ def read_suite_entry(check, where: str, tol: float | None, seed: int | None) -> 
     a negative, NaN or infinite limit and a non-finite scale are refused:
     the verdict would say nothing. ``tol`` and ``seed`` are the flags, or
     None."""
+    from .experiments import _config_kwargs
+
     defaults = {}  # a non-object entry is refused by _config_kwargs
     if isinstance(check, dict):
         law = check.get("law")
-        defaults = SUITE_DEFAULTS.get(law) if isinstance(law, str) else None
+        defaults = suite_defaults().get(law) if isinstance(law, str) else None
         if defaults is None:
             raise ConfigError(f"{where}law: unknown check {law!r}")
     if tol is not None and "tol" in defaults:
@@ -278,6 +273,27 @@ def read_suite_entry(check, where: str, tol: float | None, seed: int | None) -> 
 
 def run_suite_check(entry: dict):
     """Run one entry read by :func:`read_suite_entry`; returns the LawReport."""
+    import numpy as np
+
+    from .experiments import random_pulses, wide_environment
+    from .laws import (
+        check_adjunction,
+        check_compatibility,
+        check_functor_laws,
+        check_lipschitz,
+        check_naturality,
+        direct_embedding,
+        field_writeback,
+        identity_adjunction_instance,
+        identity_transformation,
+        matched_environment_evolution,
+        non_causal_variant,
+        perturbed_variant,
+        scaled_environment_evolution,
+        similarity_variant,
+    )
+    from .programs import InternalState
+
     law = entry["law"]
     if law == "adjunction":
         instance, bijection = identity_adjunction_instance()

@@ -77,11 +77,11 @@ class Constraints:
             if math.isnan(lo) or math.isnan(hi):
                 raise ParameterError(f"{name}: bounds must be numbers, got [{lo}, {hi}]")
             if lo > hi:
-                raise ParameterError(f"empty interval [{lo}, {hi}]")
+                raise ParameterError(f"{name}: empty interval [{lo}, {hi}]")
         if math.isnan(self.budget):
             raise ParameterError("budget: must be a number, got nan")
         if self.budget < 0:
-            raise ParameterError("budget must be nonnegative")
+            raise ParameterError(f"budget: must be nonnegative, got {self.budget}")
 
     @property
     def channels(self) -> int:
@@ -115,7 +115,9 @@ class Constraints:
         pairs and ``budget`` a number; absent keys keep the defaults. A value
         of another shape or type (a bool is not a number) raises
         :class:`ShapeError` naming its field, prefixed by ``field``
-        (``"chi."`` names ``chi.budget``)."""
+        (``"chi."`` names ``chi.budget``); a value the constructor refuses
+        (a NaN, an empty interval, a negative budget) raises its
+        :class:`ParameterError` under the same prefix."""
         _require_object(data, field, "chi")
 
         def interval(raw, name):
@@ -131,14 +133,17 @@ class Constraints:
                 f"{field}phi_bounds: must be a list of [lo, hi] pairs, got {bounds!r}"
             )
         budget = _read_number(data.get("budget", math.inf), f"{field}budget")
-        return cls(
-            humidity=interval(data.get("humidity", (0.0, 1.0)), "humidity"),
-            temperature=interval(data.get("temperature", (0.0, 40.0)), "temperature"),
-            phi_bounds=tuple(
-                interval(b, f"phi_bounds[{i}]") for i, b in enumerate(bounds)
-            ),
-            budget=budget,
-        )
+        try:
+            return cls(
+                humidity=interval(data.get("humidity", (0.0, 1.0)), "humidity"),
+                temperature=interval(data.get("temperature", (0.0, 40.0)), "temperature"),
+                phi_bounds=tuple(
+                    interval(b, f"phi_bounds[{i}]") for i, b in enumerate(bounds)
+                ),
+                budget=budget,
+            )
+        except ParameterError as exc:  # the constructor's message starts with the field
+            raise ParameterError(f"{field}{exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,7 @@ from .programs import (
     StateLayout,
     state_distances,
 )
+from .readers import _coerce, _require_finite, _require_nonnegative, _require_positive
 
 # Rows at or below this delta are treated as exact commutation and are
 # excluded from slope fits.
@@ -190,35 +191,6 @@ def _check_pulse_channels(config, channels: int) -> None:
             raise ConfigError(f"{name}.channel: {channel} is outside [0, {channels})")
 
 
-def _require_positive(values: Mapping, names: Sequence[str], where: str = "") -> None:
-    """Reject a size or count below 1; ``where`` prefixes the key in errors."""
-    for name in names:
-        if values[name] < 1:
-            raise ConfigError(f"{where}{name}: must be positive, got {values[name]}")
-
-
-def _require_nonnegative(values: Mapping, names: Sequence[str], where: str = "") -> None:
-    """Reject a negative, NaN or infinite seed, tolerance, bound or
-    conductivity (``sigma``): every residual passes an infinite tolerance
-    or bound, and an infinite conductivity makes every network distance
-    NaN. ``where`` prefixes the key in errors."""
-    for name in names:
-        value = values[name]
-        if not value >= 0:
-            kind = "a nonnegative number" if isinstance(value, float) else "nonnegative"
-            raise ConfigError(f"{where}{name}: must be {kind}, got {value}")
-        if value == math.inf:
-            raise ConfigError(f"{where}{name}: must be finite, got {value}")
-
-
-def _require_finite(values: Mapping, names: Sequence[str], where: str = "") -> None:
-    """Reject a NaN or infinite scale, amplitude or duration, which would
-    only surface as a non-finite flow. ``where`` prefixes the key in errors."""
-    for name in names:
-        if not math.isfinite(values[name]):
-            raise ConfigError(f"{where}{name}: must be finite, got {values[name]}")
-
-
 def _distance_weights(raw) -> DistanceWeights:
     """Distance weights from a list of exactly three nonnegative numbers,
     (omega, sigma, structure)."""
@@ -274,13 +246,6 @@ def _config_kwargs(data: Mapping, defaults: Mapping, where: str = "") -> dict:
         except (TypeError, ValueError, ShapeError, ParameterError) as exc:
             raise ConfigError(f"{path}: {exc}") from exc
     return kwargs
-
-
-def _coerce(kind: type, raw):
-    """``kind(raw)``, refusing to truncate a non-integral float to an int."""
-    if kind is int and isinstance(raw, float) and not raw.is_integer():
-        raise ValueError(f"must be an integer, got {raw}")
-    return kind(raw)
 
 
 def species_from_config(data: Mapping) -> SpeciesFunctor:
@@ -418,10 +383,10 @@ class ExposureExperiment:
                 raise ConfigError(f"eps_grid: entries must be finite, got {eps}")
         if any(b >= a for a, b in zip(grid, grid[1:])):
             raise ConfigError("eps_grid: must be strictly decreasing")
-        if grid[0] / grid[-1] < 10.0:
-            raise ConfigError("eps_grid: must span at least one decade")
         if any(e <= 0 for e in grid):
             raise ConfigError("eps_grid: entries must be positive")
+        if grid[0] / grid[-1] < 10.0:
+            raise ConfigError("eps_grid: must span at least one decade")
         if self.scaling not in ("amplitude", "duration"):
             raise ConfigError(f"scaling: unknown mode {self.scaling!r}")
         _require_nonnegative(vars(self), ("seed",))

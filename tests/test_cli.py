@@ -909,3 +909,185 @@ def test_huge_pulse_prints_one_error_line_and_no_warning(tmp_path):
     )
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == ["error: matrix log: ||M - I|| overflows float64"]
+
+
+# ---------------------------------------------------------------------------
+# Import contract: the package and the CLI load only what a command runs
+# ---------------------------------------------------------------------------
+
+# Each snippet runs in a fresh interpreter and ends by printing whether numpy
+# was loaded; {cospan} and {out} are filled in by the test.
+NUMPY_FREE_SNIPPETS = {
+    "import-package": "import mycocat",
+    "cli-help": (
+        "import runpy\n"
+        "sys.argv = ['mycocat', '--help']\n"
+        "try:\n"
+        "    runpy.run_module('mycocat.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+    ),
+    "cli-pushout": (
+        "from mycocat.cli import main\n"
+        "assert main(['pushout', {cospan!r}, '--out-dir', {out!r}]) == 0\n"
+    ),
+    "graphs-name": (
+        "import mycocat\n"
+        "assert mycocat.pushout_along_monos is sys.modules['mycocat.graphs'].pushout_along_monos\n"
+    ),
+    "unknown-name": (
+        "import mycocat\n"
+        "try:\n"
+        "    mycocat.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    assert str(exc) == \"module 'mycocat' has no attribute 'no_such_name'\", exc\n"
+        "else:\n"
+        "    raise AssertionError('no AttributeError')\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("snippet", NUMPY_FREE_SNIPPETS)
+def test_fresh_interpreter_loads_no_numpy(tmp_path, star_cospan_file, snippet):
+    code = NUMPY_FREE_SNIPPETS[snippet].format(cospan=star_cospan_file, out=str(tmp_path))
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys\n{code}\nprint('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
+# Every name the package exported by eager imports, by defining submodule.
+PACKAGE_EXPORTS = {
+    "envmyc": [
+        "Constraints", "DistanceWeights", "EnvBatch", "EnvMorphism", "EnvObject",
+        "FieldRule", "MycMorphism", "MycObject", "anastomosis",
+        "anastomosis_with_injections", "apply_env_morphism", "compose_env_morphisms",
+        "compose_myc_morphisms", "env_distance", "myc_distance", "transport_myc",
+    ],
+    "errors": ["MycocatError"],
+    "experiments": [
+        "AsymmetryReport", "ExposureExperiment", "PulseTemplate", "WorkedExampleConfig",
+        "fit_loglog_slope", "reference_species", "run_order_asymmetry_scan",
+        "run_worked_example",
+    ],
+    "graphs": [
+        "AttributedGraph", "Cospan", "GraphMorphism", "compose_graph_morphisms",
+        "is_monomorphism", "pushout_along_monos", "verify_pushout_universal_property",
+    ],
+    "laws": [
+        "LawReport", "NaturalTransformationData", "SpeciesFunctor", "check_adjunction",
+        "check_compatibility", "check_functor_laws", "check_lipschitz", "check_naturality",
+    ],
+    "liealg": [
+        "BchResult", "bch_truncated", "commutator", "effective_mixture_generator",
+        "estimate_generator", "matrix_exp", "matrix_log",
+    ],
+    "programs": [
+        "Extraction", "InternalState", "PieceTable", "Program", "ReferenceDynamics",
+        "StateLayout", "concatenate", "evolve", "extract", "flow_matrix",
+        "programs_equivalent_at", "state_distances",
+    ],
+}
+
+
+@pytest.mark.parametrize("module", PACKAGE_EXPORTS)
+def test_package_exports_resolve_to_their_definitions(module):
+    import importlib
+
+    import mycocat
+
+    source = importlib.import_module(f"mycocat.{module}")
+    assert getattr(mycocat, module) is source
+    for name in PACKAGE_EXPORTS[module]:
+        assert getattr(mycocat, name) is getattr(source, name), name
+        assert name in dir(mycocat), name
+        assert name in mycocat.__all__, name
+    assert mycocat.__version__ == "0.1.0"
+
+
+def test_package_refuses_unknown_names():
+    import mycocat
+
+    with pytest.raises(AttributeError, match="no_such_name"):
+        mycocat.no_such_name
+    assert not hasattr(mycocat, "_config_kwargs")
+    assert sorted(mycocat.__all__) == sorted(
+        name for names in PACKAGE_EXPORTS.values() for name in names
+    )
+
+
+# ---------------------------------------------------------------------------
+# Input fuzzer: every key path of every sample input, through cli.main
+# ---------------------------------------------------------------------------
+
+INPUT = "<input>"  # stands for the path of the fuzzed file in argv
+FUZZ_COMMANDS = {
+    "cospan_star.json": ["pushout", INPUT],
+    "dynamics_shear.json": ["simulate", INPUT, PROGRAM, STATE],
+    "program_pulse.json": ["simulate", DYNAMICS, INPUT, STATE],
+    "state_pair.json": ["simulate", DYNAMICS, PROGRAM, INPUT],
+    "order_scan.json": ["order-scan", INPUT],
+    "laws_suite.json": ["check-laws", INPUT],
+}
+FUZZ_VALUES = [None, "x", [], {}, -1, 0, math.inf, True, [[1]]]
+
+
+def key_paths(doc, prefix=()):
+    """Every path into ``doc``: the root, each object key and list index."""
+    yield prefix
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from key_paths(value, prefix + (key,))
+    elif isinstance(doc, list):
+        for index, value in enumerate(doc):
+            yield from key_paths(value, prefix + (index,))
+
+
+def replaced(doc, path, value):
+    """A copy of ``doc`` with the value at ``path`` replaced."""
+    if not path:
+        return value
+    copy = json.loads(json.dumps(doc))
+    parent = copy
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return copy
+
+
+def test_fuzzer_covers_every_sample_input():
+    assert sorted(FUZZ_COMMANDS) == sorted(p.name for p in SAMPLES.glob("*.json"))
+
+
+@pytest.mark.parametrize("name", FUZZ_COMMANDS)
+def test_fuzzed_sample_inputs_exit_cleanly(tmp_path, monkeypatch, capsys, name):
+    """Each key path of the file, set to each fuzz value in turn: the run
+    exits 0 or 2 (check-laws may also exit 1, a verdict that differs from
+    its expectation), writes one ``error:`` line to stderr when it exits 2
+    and nothing otherwise, and raises nothing out of ``main``. Every case runs, in a fixed order;
+    all six files take ~2 s."""
+    monkeypatch.delenv("MYCOCAT_SEED", raising=False)
+    doc = json.loads((SAMPLES / name).read_text(encoding="utf-8"))
+    command = FUZZ_COMMANDS[name]
+    exits = (0, 1, 2) if command[0] == "check-laws" else (0, 2)
+    cases = [(path, value) for path in key_paths(doc) for value in FUZZ_VALUES]
+    bad = []
+    for index, (path, value) in enumerate(cases):
+        # a new input file and out-dir per run: replacing an existing file
+        # can cost a disk flush, which would dominate the run
+        run = tmp_path / str(index)
+        run.mkdir()
+        (run / name).write_text(json.dumps(replaced(doc, path, value)), encoding="utf-8")
+        argv = [str(run / name) if arg == INPUT else arg for arg in command]
+        try:
+            code = main(argv + ["--out-dir", str(run)])
+        except BaseException as exc:  # a traceback at the command line
+            code = f"{type(exc).__name__}: {exc}"
+        lines = capsys.readouterr().err.splitlines()
+        clean = all(line.startswith("error: ") for line in lines)
+        if code not in exits or len(lines) != (code == 2) or not clean:
+            bad.append((path, value, code, lines))
+    assert bad == []

@@ -85,6 +85,12 @@ class TestExperimentValidation:
         with pytest.raises(ConfigError):
             experiment(eps_grid=(0.2, 0.15, 0.1, 0.05))
 
+    @pytest.mark.parametrize("last", [0.0, -0.01])
+    def test_grid_must_be_positive(self, last):
+        # checked before the decade ratio, which divides by the last entry
+        with pytest.raises(ConfigError, match=r"^eps_grid: entries must be positive$"):
+            experiment(eps_grid=(0.2, 0.1, 0.05, 0.02, last))
+
     def test_unknown_scaling_rejected(self):
         with pytest.raises(ConfigError):
             experiment(scaling="sideways")

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mycocat.envmyc import Constraints, EnvObject, MycObject
-from mycocat.errors import ShapeError
+from mycocat.errors import ParameterError, ShapeError
 from mycocat.experiments import PulseTemplate
 from mycocat.graphs import AttributedGraph, GraphMorphism
 from mycocat.programs import InternalState, Program, ReferenceDynamics, StateLayout
@@ -185,6 +185,15 @@ def test_pulse_round_trip(channel, amplitude, duration):
     assert back.to_json() == pulse.to_json()
 
 
+# Well-shaped records whose values the Constraints constructor refuses; the
+# reader keeps its ParameterError and puts the field prefix on it.
+CONSTRUCTOR_REFUSALS = [
+    ({"budget": math.nan}, "chi.budget: must be a number, got nan"),
+    ({"humidity": [math.nan, 1.0]}, "chi.humidity: bounds must be numbers, got [nan, 1.0]"),
+    ({"phi_bounds": [[2.0, 1.0]]}, "chi.phi_bounds[0]: empty interval [2.0, 1.0]"),
+]
+
+
 @pytest.mark.parametrize(
     "chi, message",
     [
@@ -199,15 +208,17 @@ def test_pulse_round_trip(channel, amplitude, duration):
         ({"budget": True}, "chi.budget: must be a number, got True"),
         ({"budget": "5"}, "chi.budget: must be a number, got '5'"),
         ([1.0], "chi: must be a JSON object, got list"),
-    ],
+    ] + CONSTRUCTOR_REFUSALS,
 )
 def test_constraints_reader_names_the_field(chi, message):
+    error = ParameterError if (chi, message) in CONSTRUCTOR_REFUSALS else ShapeError
     graph = AttributedGraph(("a",), ())
     data = {**wire(EnvObject(graph, {"a": 0.0}, {"a": (0.0,)}, Constraints())), "chi": chi}
-    with pytest.raises(ShapeError) as exc:
+    with pytest.raises(error) as exc:
         EnvObject.from_json(data)
+    assert type(exc.value) is error
     assert str(exc.value) == message
-    with pytest.raises(ShapeError) as exc:
+    with pytest.raises(error) as exc:
         Constraints.from_json(chi)
     assert str(exc.value) == message.removeprefix("chi.")
 
