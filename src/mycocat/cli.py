@@ -34,11 +34,11 @@ from functools import cache
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import (
-    ConfigError, ConstraintError, MycocatError, NumericError, ParameterError, ShapeError
-)
+from .errors import ConfigError, ConstraintError, MycocatError, ShapeError
 from .graphs import AttributedGraph, Cospan, GraphMorphism, pushout_along_monos
-from .readers import _require_finite, _require_nonnegative, _require_positive
+from .readers import (
+    _require_finite, _require_nonnegative, _require_positive, read_object, read_wire
+)
 
 if TYPE_CHECKING:
     from .experiments import AsymmetryReport
@@ -95,23 +95,21 @@ def load_json(path: str) -> dict:
             data = json.load(handle)
     except FileNotFoundError:
         raise ConfigError(f"{path}: file not found")
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read ({exc.strerror})")
+    except (ValueError, RecursionError) as exc:
+        # not JSON, not UTF-8, an integer past the digit limit, or nested too deep
         raise ConfigError(f"{path}: invalid JSON ({exc})")
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: must be a JSON object, got {type(data).__name__}")
-    return data
+    try:
+        return read_object(data, path)
+    except ShapeError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def load_input(path: str, build):
     """``build`` applied to the JSON in ``path``; a missing key, a bad or a
     non-finite value becomes a :class:`ConfigError` that names the file."""
-    data = load_json(path)
-    try:
-        return build(data)
-    except KeyError as exc:
-        raise ConfigError(f"{path}: missing key {exc}")
-    except (TypeError, ValueError, ShapeError, ParameterError, NumericError) as exc:
-        raise ConfigError(f"{path}: {exc}")
+    return read_wire(load_json(path), path, build)
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +120,7 @@ def load_input(path: str, build):
 def cospan_from_json(data) -> Cospan:
     """The cospan ``{"apex", "b", "c", "left", "right"}``; a field of the
     wrong shape raises :class:`ShapeError` naming it."""
-    if not isinstance(data, dict):
-        raise ShapeError(f"cospan: must be a JSON object, got {type(data).__name__}")
+    data = read_object(data, "cospan")
     apex = AttributedGraph.from_json(data["apex"], "apex.")
     b = AttributedGraph.from_json(data["b"], "b.")
     c = AttributedGraph.from_json(data["c"], "c.")
@@ -216,7 +213,7 @@ def cmd_worked_example(args) -> int:
 @cache
 def suite_defaults() -> dict:
     """Every key a suite entry may carry, per law, with the value it takes
-    when absent; each value read is coerced to its default's type. A law's
+    when absent; each value is read as the kind of its default. A law's
     ``tol`` falls back to --tol before its default here. Built on first use,
     so that the other subcommands do not load the numerical modules."""
     from .experiments import reference_species

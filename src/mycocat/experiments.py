@@ -53,7 +53,15 @@ from .programs import (
     StateLayout,
     state_distances,
 )
-from .readers import _coerce, _require_finite, _require_nonnegative, _require_positive
+from .readers import (
+    _require_finite,
+    _require_nonnegative,
+    _require_positive,
+    read_like,
+    read_numbers,
+    read_object,
+    read_wire,
+)
 
 # Rows at or below this delta are treated as exact commutation and are
 # excluded from slope fits.
@@ -84,8 +92,7 @@ def coupling_matrices(
     pulse order matters at second order. ``commuting``: each channel
     decays its own feature slot (diagonal matrices, zero commutator).
     """
-    if layout.feature_count < 2:
-        raise ConfigError("coupling needs at least 2 features per site")
+    _check_coupling(kind, layout.feature_count)
     n = layout.dim
     m = layout.feature_count
     mats = []
@@ -98,12 +105,19 @@ def coupling_matrices(
                     a[base, base + 1] = 1.0
                 else:
                     a[base + 1, base] = 1.0
-            elif kind == "commuting":
-                a[base + ch % m, base + ch % m] = 1.0
             else:
-                raise ConfigError(f"unknown coupling kind {kind!r}")
+                a[base + ch % m, base + ch % m] = 1.0
         mats.append(a)
     return tuple(mats)
+
+
+def _check_coupling(kind: str, features: int, where: str = "") -> None:
+    """Refuse a coupling kind :func:`coupling_matrices` does not build, or
+    fewer than 2 features per site; ``where`` prefixes the field."""
+    if kind not in ("noncommuting", "commuting"):
+        raise ConfigError(f"{where}coupling: unknown coupling kind {kind!r}")
+    if features < 2:
+        raise ConfigError(f"{where}features: coupling needs at least 2 features per site")
 
 
 def reference_species(
@@ -191,10 +205,9 @@ def _check_pulse_channels(config, channels: int) -> None:
             raise ConfigError(f"{name}.channel: {channel} is outside [0, {channels})")
 
 
-def _distance_weights(raw) -> DistanceWeights:
-    """Distance weights from a list of exactly three nonnegative numbers,
+def _distance_weights(values: Sequence[float]) -> DistanceWeights:
+    """Distance weights from exactly three nonnegative numbers,
     (omega, sigma, structure)."""
-    values = tuple(raw)
     if len(values) != 3:
         raise ConfigError(
             f"weights: need 3 numbers (omega, sigma, structure), got {len(values)}"
@@ -210,42 +223,35 @@ def _config_kwargs(data: Mapping, defaults: Mapping, where: str = "") -> dict:
 
     ``data`` must be a JSON object and every key must name an entry of
     ``defaults``; anything else raises :class:`ConfigError` with its field
-    path. Each value is coerced to the type of its default: pulses through
-    :meth:`PulseTemplate.from_json`, distance weights through
-    :func:`_distance_weights`, programs through :meth:`Program.from_json`,
-    species through :func:`species_from_config`, tuples element-wise,
-    anything else by calling the type; a number with a fractional part (or
-    an infinite one) is refused where an integer is due, rather than
-    truncated. Absent keys are left out, so the callee's own defaults
-    apply.
+    path. Each value is read as the kind of its default: pulses, distance
+    weights, programs and species by their own readers, anything else by
+    :func:`~mycocat.readers.read_like`. Absent keys are left out, so the
+    callee's own defaults apply.
     """
-    if not isinstance(data, Mapping):
-        name = where[:-1] or "config"
-        raise ConfigError(f"{name}: must be a JSON object, got {type(data).__name__}")
-    kwargs = {}
-    for key, raw in data.items():
-        path = where + key
-        if key not in defaults:
-            raise ConfigError(f"{path}: unknown configuration field")
-        default = defaults[key]
-        try:
+    try:
+        kwargs = {}
+        for key, raw in read_object(data, where[:-1] or "config").items():
+            path = where + key
+            if key not in defaults:
+                raise ConfigError(f"{path}: unknown configuration field")
+            default = defaults[key]
             if isinstance(default, PulseTemplate):
                 kwargs[key] = PulseTemplate.from_json(raw, path)
             elif isinstance(default, DistanceWeights):
-                kwargs[key] = _distance_weights(raw)
+                kwargs[key] = _distance_weights(read_numbers(raw, path))
             elif isinstance(default, Program):
-                kwargs[key] = Program.from_json(raw)
+                kwargs[key] = read_wire(read_object(raw, path), path, Program.from_json)
             elif isinstance(default, SpeciesFunctor):
                 kwargs[key] = species_from_config(raw)
-            elif isinstance(default, tuple):
-                kwargs[key] = tuple(_coerce(type(default[0]), x) for x in raw)
             else:
-                kwargs[key] = _coerce(type(default), raw)
-        except KeyError as exc:
-            raise ConfigError(f"{path}: missing key {exc}") from exc
-        except (TypeError, ValueError, ShapeError, ParameterError) as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-    return kwargs
+                kwargs[key] = read_like(raw, path, default)
+        return kwargs
+    except ShapeError as exc:  # a reader's refusal names its field
+        raise ConfigError(str(exc)) from exc
+
+
+# The keys of an explicit species block and the kinds of their values.
+_EXPLICIT_SPECIES = {"dynamics": {}, "graph": {}, "features": 1, "label": "", "sigma": 0.0}
 
 
 def species_from_config(data: Mapping) -> SpeciesFunctor:
@@ -253,31 +259,22 @@ def species_from_config(data: Mapping) -> SpeciesFunctor:
     compact reference form, whose keys are the keyword arguments of
     :func:`reference_species`."""
     if isinstance(data, Mapping) and "dynamics" in data:
-        for key in data:
-            if key not in ("dynamics", "graph", "features", "label", "sigma"):
-                raise ConfigError(f"species.{key}: unknown configuration field")
-        try:
-            dyn = ReferenceDynamics.from_json(data["dynamics"])
-            graph = AttributedGraph.from_json(data["graph"], "graph.")
-            features = _config_kwargs(
-                {"features": data["features"]}, {"features": 1}, "species."
-            )["features"]
-            layout = StateLayout(graph, features)
-            extraction = Extraction(layout, data.get("sigma", 1.0))
-        except KeyError as exc:
-            raise ConfigError(f"species: missing key {exc}") from exc
-        except (TypeError, ValueError, ShapeError, ParameterError) as exc:
-            raise ConfigError(f"species: {exc}") from exc
-        if layout.dim != dyn.dim:
-            raise ConfigError(
-                f"dynamics: dimension {dyn.dim} does not match layout {layout.dim}"
-            )
-        return SpeciesFunctor(str(data.get("label", "configured")), dyn, extraction)
-    kwargs = _config_kwargs(data, _SPECIES_DEFAULTS, "species.")
-    values = {**_SPECIES_DEFAULTS, **kwargs}
+        values = _config_kwargs(data, _EXPLICIT_SPECIES, "species.")
+        return read_wire(values, "species", _explicit_species)
+    values = {**_SPECIES_DEFAULTS, **_config_kwargs(data, _SPECIES_DEFAULTS, "species.")}
     _require_positive(values, ("n_sites", "channels", "features"), "species.")
     _require_nonnegative(values, ("sigma",), "species.")
-    return reference_species(**kwargs)
+    _check_coupling(values["coupling"], values["features"], "species.")
+    return reference_species(**values)
+
+
+def _explicit_species(values: Mapping) -> SpeciesFunctor:
+    dyn = ReferenceDynamics.from_json(values["dynamics"])
+    layout = StateLayout(AttributedGraph.from_json(values["graph"], "graph."), values["features"])
+    if layout.dim != dyn.dim:
+        raise ConfigError(f"dynamics: dimension {dyn.dim} does not match layout {layout.dim}")
+    extraction = Extraction(layout, values.get("sigma", 1.0))
+    return SpeciesFunctor(values.get("label", "configured"), dyn, extraction)
 
 
 def random_pulses(species: SpeciesFunctor, count: int, seed: int) -> list[Program]:
@@ -536,7 +533,6 @@ class WorkedExampleConfig:
 
     n_sites: int = _SPECIES_DEFAULTS["n_sites"]
     channels: int = _SPECIES_DEFAULTS["channels"]
-    features: int = _SPECIES_DEFAULTS["features"]
     sigma: float = _SPECIES_DEFAULTS["sigma"]
     coupling: str = _SPECIES_DEFAULTS["coupling"]
     pulse_p: PulseTemplate = ExposureExperiment.pulse_p
@@ -550,16 +546,15 @@ class WorkedExampleConfig:
     compat_pulses: int = 50
     compat_tol: float = 1e-8
 
+    @property
+    def features(self) -> int:
+        """Features per site: the resource and one field per channel, all of
+        which the direct embedding reads."""
+        return self.channels + 1
+
     def __post_init__(self):
-        _require_positive(
-            vars(self),
-            ("n_sites", "channels", "features", "functor_samples", "compat_pulses"),
-        )
-        if self.features != self.channels + 1:
-            # the direct embedding reads the resource and one field per channel
-            raise ConfigError(
-                f"features: must be channels + 1 = {self.channels + 1}, got {self.features}"
-            )
+        _require_positive(vars(self), ("n_sites", "channels", "functor_samples", "compat_pulses"))
+        _check_coupling(self.coupling, self.features)
         _check_pulse_channels(self, self.channels)
         _require_nonnegative(vars(self), ("sigma", "seed", "functor_tol", "compat_tol"))
         _distance_weights(self.weights)

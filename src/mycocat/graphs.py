@@ -14,7 +14,8 @@ JSON wire format (used by the CLI and test fixtures)::
     graph:    {"nodes": [id, ...], "edges": [[eid, [u, v]], ...], "directed": false}
     morphism: {"nodes": [[src_id, dst_id], ...], "edges": [[src_eid, dst_eid], ...]}
 
-Morphism maps may equivalently be JSON objects when all ids are strings.
+Morphism maps may equivalently be JSON objects keyed by the source ids as
+strings.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 import itertools
 import numbers
 from collections import Counter
-from collections.abc import Hashable
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Any, Iterator, Mapping
@@ -34,6 +34,7 @@ from .errors import (
     ResourceError,
     ShapeError,
 )
+from .readers import read_bool, read_id, read_list, read_map, read_object, read_tuple
 
 NodeId = Any
 
@@ -145,32 +146,20 @@ class AttributedGraph:
         :class:`ShapeError` naming its field, prefixed by ``field``
         (``"b."`` names ``b.nodes``). Ids must be JSON strings, numbers,
         booleans or null."""
-        _require_object(data, field, "graph")
-        nodes, edges = data["nodes"], data.get("edges", [])
-        directed = data.get("directed", False)
-        if not isinstance(nodes, (list, tuple)):
-            raise ShapeError(f"{field}nodes: must be a list of ids, got {type(nodes).__name__}")
-        for i, node in enumerate(nodes):
-            if not isinstance(node, Hashable):
-                raise ShapeError(f"{field}nodes[{i}]: must be an id, got {type(node).__name__}")
-        if not isinstance(edges, (list, tuple)):
-            raise ShapeError(f"{field}edges: must be a list, got {type(edges).__name__}")
-        for i, entry in enumerate(edges):
-            if not (
-                isinstance(entry, (list, tuple))
-                and len(entry) == 2
-                and isinstance(entry[1], (list, tuple))
-                and len(entry[1]) == 2
-                and all(isinstance(x, Hashable) for x in (entry[0], *entry[1]))
-            ):
-                raise ShapeError(f"{field}edges[{i}]: must be [id, [u, v]]")
-        if not isinstance(directed, bool):
-            raise ShapeError(f"{field}directed: must be true or false, got {directed!r}")
+        data = read_object(data, field[:-1] or "graph")
         return cls(
-            nodes=tuple(nodes),
-            edges=tuple((eid, (u, v)) for eid, (u, v) in edges),
-            directed=directed,
+            nodes=read_list(data["nodes"], f"{field}nodes", read_id, "a list of ids"),
+            edges=read_list(data.get("edges", []), f"{field}edges", _read_edge),
+            directed=read_bool(data.get("directed", False), f"{field}directed"),
         )
+
+
+def _read_id_pair(raw, field: str) -> tuple:
+    return read_tuple(raw, field, "a [from, to] pair of ids", read_id, read_id)
+
+
+def _read_edge(raw, field: str) -> tuple:
+    return read_tuple(raw, field, "[id, [u, v]]", read_id, _read_id_pair)
 
 
 @dataclass(frozen=True)
@@ -222,51 +211,16 @@ class GraphMorphism:
         object or a list of ``[from, to]`` id pairs. A value of the wrong
         shape raises :class:`ShapeError` naming its field, prefixed by
         ``field`` (``"left."`` names ``left.nodes``)."""
-        _require_object(data, field, "morphism")
+        data = read_object(data, field[:-1] or "morphism")
 
-        def as_map(key):
-            entry = data[key]
-            pairs = list(entry.items()) if isinstance(entry, Mapping) else entry
-            if not isinstance(pairs, (list, tuple)) or not all(
-                isinstance(pair, (list, tuple))
-                and len(pair) == 2
-                and all(isinstance(x, Hashable) for x in pair)
-                for pair in pairs
-            ):
-                raise ShapeError(f"{field}{key}: must be a list of [from, to] id pairs")
-            return dict(pairs)
+        def as_map(key, ids, kind):
+            raw, name = data[key], f"{field}{key}"
+            if isinstance(raw, Mapping):
+                return read_map(raw, name, ids, kind, read_id)
+            return dict(read_list(raw, name, _read_id_pair, "a list of [from, to] id pairs"))
 
-        return cls(source, target, as_map("nodes"), as_map("edges"))
-
-
-def _is_number(value) -> bool:
-    """True for a JSON number: a real number that is not a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _read_number(raw, field: str) -> float:
-    """``raw`` as a float if it is a JSON number; else a :class:`ShapeError`
-    naming ``field``."""
-    if not _is_number(raw):
-        raise ShapeError(f"{field}: must be a number, got {raw!r}")
-    return float(raw)
-
-
-def _read_numbers(raw, field: str) -> tuple[float, ...]:
-    """``raw`` as a tuple of floats if it is a list of JSON numbers; else a
-    :class:`ShapeError` naming ``field`` or the entry (``field[0]``)."""
-    if not isinstance(raw, (list, tuple)):
-        raise ShapeError(f"{field}: must be a list of numbers, got {raw!r}")
-    return tuple(_read_number(x, f"{field}[{i}]") for i, x in enumerate(raw))
-
-
-def _require_object(data, field: str, name: str) -> None:
-    """A :class:`ShapeError` naming ``field`` (without its trailing dot), or
-    ``name`` at the top level, unless ``data`` is a JSON object."""
-    if not isinstance(data, Mapping):
-        raise ShapeError(
-            f"{field[:-1] or name}: must be a JSON object, got {type(data).__name__}"
-        )
+        nodes = as_map("nodes", source.nodes, "node")
+        return cls(source, target, nodes, as_map("edges", source.edge_ids, "edge"))
 
 
 @dataclass(frozen=True)

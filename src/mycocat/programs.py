@@ -36,7 +36,8 @@ import numpy as np
 from . import kernels
 from .envmyc import DistanceWeights, MycObject, ordered_sum
 from .errors import NumericError, ParameterError, ShapeError
-from .graphs import AttributedGraph, _is_number, _read_numbers
+from .graphs import AttributedGraph
+from .readers import read_integer, read_list, read_matrix, read_number, read_numbers, read_tuple
 
 
 @dataclass(frozen=True)
@@ -98,21 +99,13 @@ class Program:
         ``[length, [u1, ..., uc]]`` entries of numbers (not bools), and a
         piece of another shape raises :class:`ShapeError` naming it
         (``pieces[0]``)."""
-        pieces = data["pieces"]
-        if not isinstance(pieces, (list, tuple)):
-            raise ShapeError(f"pieces: must be a list of pieces, got {pieces!r}")
-        for i, piece in enumerate(pieces):
-            if not (
-                isinstance(piece, (list, tuple))
-                and len(piece) == 2
-                and _is_number(piece[0])
-                and isinstance(piece[1], (list, tuple))
-                and all(map(_is_number, piece[1]))
-            ):
-                raise ShapeError(
-                    f"pieces[{i}]: must be [length, [u1, ..., uc]] with numbers, got {piece!r}"
-                )
-        return cls(tuple((length, tuple(control)) for length, control in pieces))
+        return cls(read_list(data["pieces"], "pieces", _read_piece))
+
+
+def _read_piece(raw, field: str) -> tuple:
+    return read_tuple(
+        raw, field, "[length, [u1, ..., uc]] with numbers", read_number, read_numbers
+    )
 
 
 NULL_PROGRAM = Program()
@@ -313,11 +306,9 @@ class InternalState:
         integer (a bool, a fraction, an infinity) or a ``vector`` that is not
         a list of numbers (a bool is not a number) raises :class:`ShapeError`
         naming the field (``vector[0]``)."""
-        features = data["features"]
-        if not (_is_number(features) and math.isfinite(features) and features == int(features)):
-            raise ShapeError(f"features: must be an integer, got {features!r}")
-        layout = StateLayout(AttributedGraph.from_json(data["graph"], "graph."), int(features))
-        return cls(np.array(_read_numbers(data["vector"], "vector")), layout)
+        features = read_integer(data["features"], "features")
+        layout = StateLayout(AttributedGraph.from_json(data["graph"], "graph."), features)
+        return cls(read_numbers(data["vector"], "vector"), layout)
 
 
 @dataclass(frozen=True)
@@ -387,29 +378,11 @@ class ReferenceDynamics:
     def from_json(cls, data: Mapping) -> "ReferenceDynamics":
         """The dynamics in the wire format; a ``drift`` or ``controls[i]``
         that is not a list of equally long rows of numbers (not bools)
-        raises :class:`ShapeError` naming it, as does a ``controls`` value
-        that is not a list."""
-        controls = data["controls"]
-        if not isinstance(controls, (list, tuple)):
-            raise ShapeError(f"controls: must be a list of matrices, got {controls!r}")
-        return cls(
-            drift=_matrix_from_json(data["drift"], "drift"),
-            controls=tuple(
-                _matrix_from_json(c, f"controls[{i}]") for i, c in enumerate(controls)
-            ),
-        )
-
-
-def _matrix_from_json(raw, field: str) -> np.ndarray:
-    """A matrix given as a list of equally long rows of numbers; anything
-    else raises :class:`ShapeError` naming ``field``."""
-    if not (
-        isinstance(raw, (list, tuple))
-        and all(isinstance(row, (list, tuple)) and all(map(_is_number, row)) for row in raw)
-        and len({len(row) for row in raw}) <= 1
-    ):
-        raise ShapeError(f"{field}: must be a list of equally long rows of numbers")
-    return np.array(raw, dtype=np.float64)
+        raises :class:`ShapeError` naming it (``drift[0][1]``,
+        ``controls[1][0][1]``), as does a ``controls`` value that is not a
+        list."""
+        controls = read_list(data["controls"], "controls", read_matrix)
+        return cls(drift=read_matrix(data["drift"], "drift"), controls=controls)
 
 
 def _flow_arrays(table: PieceTable, dyn: ReferenceDynamics):

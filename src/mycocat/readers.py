@@ -1,18 +1,134 @@
-"""Checks on values read from configs, suite entries and command-line flags.
+"""What each kind of JSON value is: the one reader of every input.
 
-Each check takes a mapping and the names of the values to check in it;
-``where`` prefixes each name in the :class:`ConfigError` it raises
-(``"species."`` names ``species.n_sites``). The module imports no numpy,
-so the command line can validate its flags before it loads the numerical
-modules.
+Each reader takes a raw value and ``field``, its name in the input
+(``b.nodes[0]``, ``checks[0].tol``), and returns the value or raises one
+:class:`ShapeError` naming the field. A number is an int or a float, not a
+bool or a string; an integer is a number without a fraction (3.0 reads as
+3); an id is a string, a number, a bool or null. A refused value is shown
+by its repr, a list or an object by its type name. Configs report these
+refusals as :class:`ConfigError`.
+
+The ``_require_*`` checks take values already read and the names to check;
+``where`` prefixes each name (``"species."`` names ``species.n_sites``).
+
+The module imports no numpy, so the command line can read its inputs and
+validate its flags before it loads the numerical modules.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Mapping, Sequence
+import numbers
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericError, ParameterError, ShapeError
+
+
+def _refused(field: str, kind: str, raw) -> ShapeError:
+    shown = type(raw).__name__ if isinstance(raw, (list, tuple, Mapping)) else repr(raw)
+    return ShapeError(f"{field}: must be {kind}, got {shown}")
+
+
+def read_number(raw, field: str) -> float:
+    if isinstance(raw, bool) or not isinstance(raw, numbers.Real):
+        raise _refused(field, "a number", raw)
+    try:
+        return float(raw)
+    except OverflowError:  # an integer literal past the float range
+        raise _refused(field, "a number in the float range", raw) from None
+
+
+def read_integer(raw, field: str) -> int:
+    integral = isinstance(raw, numbers.Integral) or isinstance(raw, float) and raw.is_integer()
+    if isinstance(raw, bool) or not integral:
+        raise _refused(field, "an integer", raw)
+    return int(raw)
+
+
+def _of_type(types, kind: str) -> Callable:
+    """The reader of a value that is one of ``types``, returned as it is."""
+    def read(raw, field: str):
+        if not isinstance(raw, types):
+            raise _refused(field, kind, raw)
+        return raw
+    return read
+
+
+read_object = _of_type(Mapping, "a JSON object")
+read_string = _of_type(str, "a string")
+read_bool = _of_type(bool, "true or false")
+read_id = _of_type((str, numbers.Real, type(None)), "an id")
+
+
+def read_list(raw, field: str, read: Callable, kind: str = "a list") -> tuple:
+    """The items of a list, each read by ``read(item, field[i])``; ``kind``
+    says what the list holds when ``raw`` is not a list."""
+    if not isinstance(raw, (list, tuple)):
+        raise _refused(field, kind, raw)
+    return tuple(read(item, f"{field}[{i}]") for i, item in enumerate(raw))
+
+
+def read_numbers(raw, field: str) -> tuple[float, ...]:
+    return read_list(raw, field, read_number, "a list of numbers")
+
+
+def read_tuple(raw, field: str, kind: str, *reads: Callable) -> tuple:
+    """A short list of fixed shape, such as ``[lo, hi]``: one item per
+    reader in ``reads``, item ``i`` read by ``reads[i]``. A value of another
+    length, or with an item its reader refuses, is refused whole as not
+    ``kind``, shown by its repr."""
+    if isinstance(raw, (list, tuple)) and len(raw) == len(reads):
+        try:
+            return tuple(read(item, field) for read, item in zip(reads, raw))
+        except ShapeError:
+            pass
+    raise ShapeError(f"{field}: must be {kind}, got {raw!r}")
+
+
+def read_matrix(raw, field: str) -> tuple[tuple[float, ...], ...]:
+    """A list of equally long number rows."""
+    rows = read_list(raw, field, read_numbers)
+    if len({len(row) for row in rows}) > 1:
+        lengths = [len(row) for row in rows]
+        raise ShapeError(f"{field}: rows must be equally long, got lengths {lengths}")
+    return rows
+
+
+def read_map(raw, field: str, ids: Iterable, kind: str, read: Callable) -> dict:
+    """A JSON object keyed by ``str(id)`` for the ``ids`` of a graph's nodes
+    or edges (``kind``), as ``{id: read(value, field.key)}``; a key that
+    names no id is refused."""
+    keys = {str(i): i for i in ids}
+    out = {}
+    for key, value in read_object(raw, field).items():
+        if key not in keys:
+            raise ShapeError(f"{field}.{key}: no {kind} has this id")
+        out[keys[key]] = read(value, f"{field}.{key}")
+    return out
+
+
+_BY_TYPE = {int: read_integer, float: read_number, str: read_string, dict: read_object}
+
+
+def read_like(raw, field: str, default):
+    """``raw`` read as the kind of value ``default`` is: an int, a float, a
+    string or an object; a tuple default reads a list of its first item's
+    kind."""
+    if isinstance(default, tuple):
+        return read_list(raw, field, lambda item, name: read_like(item, name, default[0]))
+    return _BY_TYPE[type(default)](raw, field)
+
+
+def read_wire(data, field: str, build: Callable):
+    """``build(data)`` for a wire format held at ``field``: an input file, or
+    a program or species block in a config. A missing key or a value the
+    format refuses raises :class:`ConfigError` after ``field: ``."""
+    try:
+        return build(data)
+    except KeyError as exc:
+        raise ConfigError(f"{field}: missing key {exc}") from exc
+    except (ShapeError, ParameterError, NumericError) as exc:
+        raise ConfigError(f"{field}: {exc}") from exc
 
 
 def _require_positive(values: Mapping, names: Sequence[str], where: str = "") -> None:
@@ -42,10 +158,3 @@ def _require_finite(values: Mapping, names: Sequence[str], where: str = "") -> N
     for name in names:
         if not math.isfinite(values[name]):
             raise ConfigError(f"{where}{name}: must be finite, got {values[name]}")
-
-
-def _coerce(kind: type, raw):
-    """``kind(raw)``, refusing to truncate a non-integral float to an int."""
-    if kind is int and isinstance(raw, float) and not raw.is_integer():
-        raise ValueError(f"must be an integer, got {raw}")
-    return kind(raw)

@@ -384,7 +384,7 @@ EXPLICIT_SPECIES = {
         ),
         pytest.param(
             ["pushout", CONFIG], {**STAR_COSPAN, "b": {"nodes": "ab", "edges": []}}, {},
-            f"error: {CONFIG}: b.nodes: must be a list of ids, got str",
+            f"error: {CONFIG}: b.nodes: must be a list of ids, got 'ab'",
             id="pushout-nodes-not-a-list",
         ),
         pytest.param(
@@ -396,12 +396,12 @@ EXPLICIT_SPECIES = {
         pytest.param(
             ["pushout", CONFIG],
             {**STAR_COSPAN, "b": {"nodes": ["a", "b"], "edges": [["eb", ["a", "b"], "x"]]}},
-            {}, f"error: {CONFIG}: b.edges[0]: must be [id, [u, v]]",
+            {}, f"error: {CONFIG}: b.edges[0]: must be [id, [u, v]], got ['eb', ['a', 'b'], 'x']",
             id="pushout-edge-entry-malformed",
         ),
         pytest.param(
             ["pushout", CONFIG], {**STAR_COSPAN, "b": "ab"}, {},
-            f"error: {CONFIG}: b: must be a JSON object, got str",
+            f"error: {CONFIG}: b: must be a JSON object, got 'ab'",
             id="pushout-graph-not-an-object",
         ),
         pytest.param(
@@ -411,7 +411,7 @@ EXPLICIT_SPECIES = {
         ),
         pytest.param(
             ["pushout", CONFIG], {**STAR_COSPAN, "left": {"nodes": "a", "edges": []}}, {},
-            f"error: {CONFIG}: left.nodes: must be a list of [from, to] id pairs",
+            f"error: {CONFIG}: left.nodes: must be a list of [from, to] id pairs, got 'a'",
             id="pushout-leg-nodes-not-pairs",
         ),
         pytest.param(
@@ -488,7 +488,7 @@ EXPLICIT_SPECIES = {
         pytest.param(
             ["check-laws", CONFIG],
             {"checks": [{"law": "lipschitz", "pairs": 2, "bound": "nan", **SMALL_SPECIES}]}, {},
-            "error: checks[0].bound: must be a nonnegative number, got nan",
+            "error: checks[0].bound: must be a number, got 'nan'",
             id="lipschitz-nan-bound",
         ),
         pytest.param(
@@ -509,7 +509,7 @@ EXPLICIT_SPECIES = {
         ),
         pytest.param(
             ["order-scan", CONFIG], {**SMALL_SPECIES, "weights": [math.nan, 1, 1]}, {},
-            "error: weights: distance weights must be nonnegative numbers, got (nan, 1, 1)",
+            "error: weights: distance weights must be nonnegative numbers, got (nan, 1.0, 1.0)",
             id="scan-nan-weight",
         ),
         pytest.param(
@@ -536,7 +536,7 @@ EXPLICIT_SPECIES = {
         ),
         pytest.param(
             ["worked-example", "--config", CONFIG], {"features": 0}, {},
-            "error: features: must be positive, got 0", id="worked-example-zero-features",
+            "error: features: unknown configuration field", id="worked-example-zero-features",
         ),
         pytest.param(
             ["worked-example", "--seed", "-1"], None, {},
@@ -567,7 +567,7 @@ EXPLICIT_SPECIES = {
         ),
         pytest.param(
             ["order-scan", CONFIG], {"species": {"n_sites": 2, "sigma": "nan"}}, {},
-            "error: species.sigma: must be a nonnegative number, got nan",
+            "error: species.sigma: must be a number, got 'nan'",
             id="scan-nan-sigma",
         ),
         pytest.param(
@@ -600,7 +600,7 @@ EXPLICIT_SPECIES = {
         ),
         pytest.param(
             ["check-laws", CONFIG], {"checks": ["x"]}, {},
-            "error: checks[0]: must be a JSON object, got str", id="laws-entry-not-object",
+            "error: checks[0]: must be a JSON object, got 'x'", id="laws-entry-not-object",
         ),
         pytest.param(
             ["check-laws", CONFIG], [1], {},
@@ -622,7 +622,7 @@ EXPLICIT_SPECIES = {
         pytest.param(
             ["check-laws", CONFIG],
             {"checks": [{"law": "functor_laws", "samples": 3, "species": 5}]}, {},
-            "error: species: must be a JSON object, got int", id="laws-species-not-object",
+            "error: species: must be a JSON object, got 5", id="laws-species-not-object",
         ),
         pytest.param(
             ["check-laws", CONFIG], {"checks": [{"law": ["adjunction"]}]}, {},
@@ -684,7 +684,7 @@ EXPLICIT_SPECIES = {
             {"checks": [{"law": "functor_laws", "samples": 3, "species": {
                 **EXPLICIT_SPECIES, "sigma": "abc",
             }}]}, {},
-            "error: species: could not convert string to float: 'abc'",
+            "error: species.sigma: must be a number, got 'abc'",
             id="laws-explicit-species-sigma-not-a-number",
         ),
         pytest.param(
@@ -759,7 +759,7 @@ EXPLICIT_SPECIES = {
         ),
         pytest.param(
             ["order-scan", CONFIG], {**SMALL_SPECIES, "weights": [1, math.inf, 1]}, {},
-            "error: weights: distance weights must be finite, got (1, inf, 1)",
+            "error: weights: distance weights must be finite, got (1.0, inf, 1.0)",
             id="scan-infinite-weight",
         ),
         pytest.param(
@@ -806,7 +806,7 @@ EXPLICIT_SPECIES = {
         ),
         pytest.param(
             ["worked-example", "--config", CONFIG], {"n_sites": 2, "features": 4}, {},
-            "error: features: must be channels + 1 = 3, got 4",
+            "error: features: unknown configuration field",
             id="worked-example-features-not-channels-plus-one",
         ),
         pytest.param(
@@ -853,15 +853,83 @@ EXPLICIT_SPECIES = {
         pytest.param(
             ["simulate", CONFIG, PROGRAM, STATE],
             {"drift": [["a", 1.0], [0.0, 0.0]], "controls": [[[0.0, 0.0], [1.0, 0.0]]]}, {},
-            f"error: {CONFIG}: drift: must be a list of equally long rows of numbers",
+            f"error: {CONFIG}: drift[0][0]: must be a number, got 'a'",
             id="simulate-string-drift",
         ),
         pytest.param(
             ["simulate", CONFIG, PROGRAM, STATE],
             {"drift": [[0.0, 1.0], [0.0, 0.0]],
              "controls": [[[0.0, 0.0], [1.0, 0.0]], [[0.0, "a"], [0.0, 0.0]]]}, {},
-            f"error: {CONFIG}: controls[1]: must be a list of equally long rows of numbers",
+            f"error: {CONFIG}: controls[1][0][1]: must be a number, got 'a'",
             id="simulate-string-dynamics-control",
+        ),
+        pytest.param(
+            ["simulate", CONFIG, PROGRAM, STATE],
+            {"drift": [[0.0, 1.0], [0.0]], "controls": [[[0.0, 0.0], [1.0, 0.0]]]}, {},
+            f"error: {CONFIG}: drift: rows must be equally long, got lengths [2, 1]",
+            id="simulate-ragged-drift",
+        ),
+        pytest.param(
+            ["order-scan", CONFIG],
+            {"species": {"n_sites": 2.0, "sigma": 1}, "seed": 3.0,
+             "pulse_p": {"channel": 0.0, "amplitude": 1}}, {},
+            None, id="scan-integral-float-for-int-and-int-for-float",
+        ),
+        pytest.param(
+            ["check-laws", CONFIG],
+            {"checks": [{"law": "functor_laws", "samples": 3, "tol": True, **SMALL_SPECIES}]}, {},
+            "error: checks[0].tol: must be a number, got True", id="laws-bool-tol",
+        ),
+        pytest.param(
+            ["check-laws", CONFIG],
+            {"checks": [{"law": "functor_laws", "samples": "7", **SMALL_SPECIES}]}, {},
+            "error: checks[0].samples: must be an integer, got '7'", id="laws-string-samples",
+        ),
+        pytest.param(
+            ["order-scan", CONFIG], {**SMALL_SPECIES, "pulse_p": {"channel": False}}, {},
+            "error: pulse_p.channel: must be an integer, got False", id="scan-bool-channel",
+        ),
+        pytest.param(
+            ["order-scan", CONFIG], {**SMALL_SPECIES, "weights": [True, 1, 1]}, {},
+            "error: weights[0]: must be a number, got True", id="scan-bool-weight",
+        ),
+        pytest.param(
+            ["order-scan", CONFIG], {**SMALL_SPECIES, "scaling": ["amplitude"]}, {},
+            "error: scaling: must be a string, got list", id="scan-list-scaling",
+        ),
+        pytest.param(
+            ["order-scan", CONFIG], {"species": {"n_sites": 2, "label": 7}}, {},
+            "error: species.label: must be a string, got 7", id="scan-number-label",
+        ),
+        pytest.param(
+            ["worked-example", "--config", CONFIG], {"eps_grid": "0.2"}, {},
+            "error: eps_grid: must be a list, got '0.2'", id="worked-example-string-eps-grid",
+        ),
+        pytest.param(
+            ["worked-example", "--config", CONFIG], {"scaling_modes": "duration"}, {},
+            "error: scaling_modes: must be a list, got 'duration'",
+            id="worked-example-string-scaling-modes",
+        ),
+        pytest.param(
+            ["check-laws", CONFIG],
+            {"checks": [{"law": "functor_laws", "samples": 3,
+                         "species": {"n_sites": 2, "coupling": "dense"}}]}, {},
+            "error: species.coupling: unknown coupling kind 'dense'", id="laws-unknown-coupling",
+        ),
+        pytest.param(
+            ["worked-example", "--config", CONFIG], {"n_sites": 2, "coupling": "dense"}, {},
+            "error: coupling: unknown coupling kind 'dense'",
+            id="worked-example-unknown-coupling",
+        ),
+        pytest.param(
+            ["order-scan", CONFIG], {"species": {"n_sites": 2, "features": 1}}, {},
+            "error: species.features: coupling needs at least 2 features per site",
+            id="scan-one-feature",
+        ),
+        pytest.param(
+            ["order-scan", CONFIG], {**SMALL_SPECIES, "pulse_p": {"channel": 0, "amplitude": 10**400}},
+            {}, f"error: pulse_p.amplitude: must be a number in the float range, got {10**400}",
+            id="scan-integer-past-float-range",
         ),
     ],
 )
@@ -881,6 +949,25 @@ def test_input_contract(tmp_path, monkeypatch, capsys, argv, config, env, messag
     else:
         assert code == 2
         assert err.splitlines() == [message]
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [b'{"seed": ' + b"9" * 5000 + b"}", b'{"scaling": "\xff"}',
+     b'{"seed": ' + b"[" * 100000 + b"]" * 100000 + b"}"],
+    ids=["integer-past-digit-limit", "not-utf8", "nested-past-recursion-limit"],
+)
+def test_unreadable_input_file_is_invalid_json(tmp_path, capsys, raw):
+    path = tmp_path / "config.json"
+    path.write_bytes(raw)
+    assert run_cli(["order-scan", str(path), "--out-dir", str(tmp_path)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {path}: invalid JSON (")
+
+
+def test_directory_as_input_file_is_a_config_error(tmp_path, capsys):
+    assert run_cli(["order-scan", str(tmp_path), "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {tmp_path}: cannot read (Is a directory)"]
 
 
 def test_huge_nilpotent_pulse_is_not_read_as_commuting(tmp_path, capsys):
@@ -1032,7 +1119,7 @@ FUZZ_COMMANDS = {
     "order_scan.json": ["order-scan", INPUT],
     "laws_suite.json": ["check-laws", INPUT],
 }
-FUZZ_VALUES = [None, "x", [], {}, -1, 0, math.inf, True, [[1]]]
+FUZZ_VALUES = [None, "x", [], {}, -1, 0, math.inf, True, "1", [[1]]]
 
 
 def key_paths(doc, prefix=()):
@@ -1058,6 +1145,12 @@ def replaced(doc, path, value):
     return copy
 
 
+def value_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
 def test_fuzzer_covers_every_sample_input():
     assert sorted(FUZZ_COMMANDS) == sorted(p.name for p in SAMPLES.glob("*.json"))
 
@@ -1067,13 +1160,20 @@ def test_fuzzed_sample_inputs_exit_cleanly(tmp_path, monkeypatch, capsys, name):
     """Each key path of the file, set to each fuzz value in turn: the run
     exits 0 or 2 (check-laws may also exit 1, a verdict that differs from
     its expectation), writes one ``error:`` line to stderr when it exits 2
-    and nothing otherwise, and raises nothing out of ``main``. Every case runs, in a fixed order;
-    all six files take ~2 s."""
+    and nothing otherwise, and raises nothing out of ``main``. Where the
+    file holds a number, ``true`` and ``"1"`` exit 2: a bool or a string is
+    never a number. Every case runs, in a fixed order; all six files take
+    ~2 s."""
     monkeypatch.delenv("MYCOCAT_SEED", raising=False)
     doc = json.loads((SAMPLES / name).read_text(encoding="utf-8"))
     command = FUZZ_COMMANDS[name]
     exits = (0, 1, 2) if command[0] == "check-laws" else (0, 2)
     cases = [(path, value) for path in key_paths(doc) for value in FUZZ_VALUES]
+    numbers = {
+        path for path in key_paths(doc)
+        if isinstance(value_at(doc, path), (int, float))
+        and not isinstance(value_at(doc, path), bool)
+    }
     bad = []
     for index, (path, value) in enumerate(cases):
         # a new input file and out-dir per run: replacing an existing file
@@ -1088,6 +1188,7 @@ def test_fuzzed_sample_inputs_exit_cleanly(tmp_path, monkeypatch, capsys, name):
             code = f"{type(exc).__name__}: {exc}"
         lines = capsys.readouterr().err.splitlines()
         clean = all(line.startswith("error: ") for line in lines)
-        if code not in exits or len(lines) != (code == 2) or not clean:
+        refused = path in numbers and (value is True or value == "1")
+        if code not in exits or len(lines) != (code == 2) or not clean or refused and code != 2:
             bad.append((path, value, code, lines))
     assert bad == []

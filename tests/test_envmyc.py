@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mycocat import envmyc
 from mycocat.envmyc import (
     Constraints,
     DistanceWeights,
@@ -152,6 +153,18 @@ class TestApplyEnvMorphism:
         )
         with pytest.raises(ConstraintError, match="channel 0"):
             apply_env_morphism(e, f)
+
+    def test_admissibility_is_checked_once_per_apply(self, monkeypatch):
+        e = square_env(k=2)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return check_admissibility(*args)
+
+        monkeypatch.setattr(envmyc, "check_admissibility", counted)
+        apply_env_morphism(e, identity_env_morphism(e))
+        assert len(calls) == 1
 
     def test_pushforward_conserves_total_resource(self):
         e = square_env()
