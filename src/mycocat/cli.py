@@ -8,9 +8,11 @@ Subcommands::
     mycocat worked-example [--config p] [--scaling amplitude|duration]
     mycocat check-laws <suite.json>         run a configured law battery
 
-Common flags: ``--seed``, ``--out-dir``, ``--tol``. The environment
-variables ``MYCOCAT_SEED`` and ``MYCOCAT_OUT_DIR`` supply defaults when
-the flags are absent. All files are written atomically (temp file then
+Every subcommand takes ``--out-dir``; ``order-scan``, ``worked-example``
+and ``check-laws``, which draw random samples, take ``--seed``; only
+``check-laws`` takes ``--tol``. The environment variables
+``MYCOCAT_OUT_DIR`` and ``MYCOCAT_SEED`` supply defaults when the flags
+are absent. All files are written atomically (temp file then
 rename); JSON is UTF-8 with sorted keys, CSV is RFC 4180. The exit code
 is nonzero iff any check's verdict differs from its expectation.
 
@@ -395,44 +397,38 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mycocat",
         description="Compositional mycelial-network experiments",
     )
-    env_out = os.environ.get("MYCOCAT_OUT_DIR", ".")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument(
+        "--out-dir",
+        default=os.environ.get("MYCOCAT_OUT_DIR", "."),
+        help="directory for report files (default: MYCOCAT_OUT_DIR or '.')",
+    )
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument(
         "--seed",
         type=int,
         default=None,
         help="override the configured random seed (default: MYCOCAT_SEED)",
     )
-    common.add_argument(
-        "--out-dir",
-        default=env_out,
-        help="directory for report files (default: MYCOCAT_OUT_DIR or '.')",
-    )
-    common.add_argument(
-        "--tol",
-        type=float,
-        default=None,
-        help="default tolerance for checks that do not set one",
-    )
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("pushout", parents=[common], help="glue two graphs along an apex")
+    p = sub.add_parser("pushout", parents=[out], help="glue two graphs along an apex")
     p.add_argument("cospan", help="cospan JSON file")
     p.set_defaults(func=cmd_pushout)
 
-    p = sub.add_parser("simulate", parents=[common], help="run a program from a state")
+    p = sub.add_parser("simulate", parents=[out], help="run a program from a state")
     p.add_argument("dynamics", help="dynamics JSON file")
     p.add_argument("program", help="program JSON file")
     p.add_argument("state", help="state JSON file")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("order-scan", parents=[common], help="order-asymmetry scan")
+    p = sub.add_parser("order-scan", parents=[out, seeded], help="order-asymmetry scan")
     p.add_argument("experiment", help="experiment JSON file")
     p.set_defaults(func=cmd_order_scan)
 
     p = sub.add_parser(
-        "worked-example", parents=[common], help="two-pulse protocol end to end"
+        "worked-example", parents=[out, seeded], help="two-pulse protocol end to end"
     )
     p.add_argument("--config", default=None, help="configuration JSON file")
     p.add_argument(
@@ -443,7 +439,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_worked_example)
 
-    p = sub.add_parser("check-laws", parents=[common], help="run a law suite")
+    p = sub.add_parser("check-laws", parents=[out, seeded], help="run a law suite")
+    p.add_argument(
+        "--tol",
+        type=float,
+        default=None,
+        help="default tolerance for checks that do not set one",
+    )
     p.add_argument("suite", help="suite JSON file")
     p.set_defaults(func=cmd_check_laws)
 
@@ -455,13 +457,13 @@ def main(argv=None) -> int:
     try:
         env_seed = os.environ.get("MYCOCAT_SEED")
         seed_source = "--seed"
-        if args.seed is None and env_seed:
+        if "seed" in args and args.seed is None and env_seed:
             seed_source = "MYCOCAT_SEED"
             try:
                 args.seed = int(env_seed)
             except ValueError:
                 raise ConfigError(f"MYCOCAT_SEED: not an integer: {env_seed!r}")
-        flags = {seed_source: args.seed, "--tol": args.tol}
+        flags = {seed_source: getattr(args, "seed", None), "--tol": getattr(args, "tol", None)}
         _require_nonnegative(flags, [flag for flag, v in flags.items() if v is not None])
         return args.func(args)
     except MycocatError as exc:

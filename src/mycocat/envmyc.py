@@ -5,8 +5,9 @@ resource field, a vector-valued chemical field, and a constraint record
 (interval bounds plus a total resource budget). A mycelial state couples a
 connected network graph with edge conductivities and per-node feature
 vectors. Admissible transformations of each kind compose, and network
-fusion is computed as a pushout of the underlying graphs with explicit
-merge rules for the conductivity and feature data.
+fusion is computed as a pushout of the underlying graphs: identified
+conductivities add and identified feature vectors take the
+strength-weighted mean.
 
 A batch of environments on one graph under one constraint record is an
 :class:`EnvBatch`, one (P, N, 1 + k) field array; :class:`EnvObject` is
@@ -25,7 +26,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -376,14 +377,6 @@ class FieldRule:
             pushed = {w: x * self.factor for w, x in pushed.items()}
         return pushed
 
-    def to_json(self) -> dict:
-        out: dict = {"tag": self.tag}
-        if self.delta is not None:
-            out["delta"] = {str(k): v for k, v in self.delta.items()}
-        if self.tag == RESCALE:
-            out["factor"] = self.factor
-        return out
-
 
 def identity_rule() -> FieldRule:
     return FieldRule(PUSHFORWARD)
@@ -572,8 +565,10 @@ class MycObject:
         if set(self.omega) != self.graph.node_set:
             raise ShapeError("omega must be defined on exactly the graph nodes")
         for e, x in self.sigma.items():
-            if x < 0:
-                raise ParameterError(f"sigma at edge {e!r} is negative")
+            if not 0.0 <= x < math.inf:
+                raise ParameterError(
+                    f"sigma at edge {e!r} must be a finite nonnegative number, got {x}"
+                )
         lengths = {len(v) for v in self.omega.values()}
         if len(lengths) > 1:
             raise ShapeError("omega feature vectors must share one length")
@@ -651,18 +646,13 @@ def myc_distance(
 # Mycelial morphisms and fusion
 # ---------------------------------------------------------------------------
 
-MERGE_RULES: dict[str, Callable[[float, float, float, float], float]] = {
-    "sum": lambda a, b, wa, wb: a + b,
-    "max": lambda a, b, wa, wb: max(a, b),
-    "mean": lambda a, b, wa, wb: 0.5 * (a + b),
-    "weighted_mean": lambda a, b, wa, wb: (
-        (wa * a + wb * b) / (wa + wb) if wa + wb > 0 else 0.5 * (a + b)
-    ),
-}
 
-
-def _merge_vectors(rule, va, vb, wa, wb):
-    return tuple(rule(a, b, wa, wb) for a, b in zip(va, vb))
+def _weighted_mean(va, vb, wa: float, wb: float) -> tuple:
+    """Two feature vectors merged entrywise, weighted by their nodes'
+    strengths ``wa`` and ``wb``; the plain mean when both are zero."""
+    if wa + wb > 0:
+        return tuple((wa * a + wb * b) / (wa + wb) for a, b in zip(va, vb))
+    return tuple(0.5 * (a + b) for a, b in zip(va, vb))
 
 
 @dataclass(frozen=True)
@@ -675,17 +665,15 @@ class MycMorphism:
       owned by the target (used for fusion legs).
     - ``"assign"``: the target fields are explicit data (used for induced
       state updates, where the graph map is the identity).
-    - ``"transport"``: the target is the source coarse-grained under
-      ``sigma_rule`` / ``omega_rule``; construction recomputes the
-      transport and rejects mismatching targets.
+    - ``"transport"``: the target is the source coarse-grained by
+      :func:`transport_myc`; construction recomputes the transport and
+      rejects mismatching targets.
     """
 
     source: MycObject
     target: MycObject
     graph_map: GraphMorphism
     kind: str = "assign"
-    sigma_rule: str = "sum"
-    omega_rule: str = "weighted_mean"
 
     def __post_init__(self):
         if self.graph_map.source != self.source.graph:
@@ -695,9 +683,7 @@ class MycMorphism:
         if self.kind not in ("embed", "assign", "transport"):
             raise ParameterError(f"unknown morphism kind {self.kind!r}")
         if self.kind == "transport":
-            recomputed = transport_myc(
-                self.source, self.graph_map, self.sigma_rule, self.omega_rule
-            )
+            recomputed = transport_myc(self.source, self.graph_map)
             if recomputed.sigma != self.target.sigma or recomputed.omega != self.target.omega:
                 raise ShapeError("target fields do not match the transported source")
 
@@ -723,22 +709,19 @@ def compose_myc_morphisms(f: MycMorphism, g: MycMorphism) -> MycMorphism:
     )
 
 
-def transport_myc(
-    m: MycObject, gt: GraphMorphism, sigma_rule: str = "sum", omega_rule: str = "weighted_mean"
-) -> MycObject:
+def transport_myc(m: MycObject, gt: GraphMorphism) -> MycObject:
     """Coarse-grain a mycelial state along a graph map.
 
-    Fibers of the node map merge feature vectors under ``omega_rule``
-    (pairwise, in source declaration order); fibers of the edge map merge
-    conductivities under ``sigma_rule``.
+    Fibers of the edge map add their conductivities; fibers of the node map
+    merge feature vectors by the strength-weighted mean, pairwise in source
+    declaration order (see :func:`anastomosis`). A sum of conductivities
+    that overflows raises :class:`ParameterError`.
     """
-    s_rule = MERGE_RULES[sigma_rule]
-    o_rule = MERGE_RULES[omega_rule]
     sigma: dict = {}
     for e in m.graph.edge_ids:
         img = gt.edge_map[e]
         if img in sigma:
-            sigma[img] = s_rule(sigma[img], m.sigma[e], 1.0, 1.0)
+            sigma[img] = sigma[img] + m.sigma[e]
         else:
             sigma[img] = m.sigma[e]
     omega: dict = {}
@@ -747,7 +730,7 @@ def transport_myc(
         img = gt.node_map[v]
         w = m.node_strength(v)
         if img in omega:
-            omega[img] = _merge_vectors(o_rule, omega[img], m.omega[v], strength[img], w)
+            omega[img] = _weighted_mean(omega[img], m.omega[v], strength[img], w)
             strength[img] = strength[img] + w
         else:
             omega[img] = m.omega[v]
@@ -755,53 +738,37 @@ def transport_myc(
     return MycObject(gt.target, sigma, omega)
 
 
-def anastomosis(
-    a: MycObject,
-    m1: MycMorphism,
-    m2: MycMorphism,
-    sigma_rule: str = "sum",
-    omega_rule: str = "weighted_mean",
-) -> MycObject:
+def anastomosis(a: MycObject, m1: MycMorphism, m2: MycMorphism) -> MycObject:
     """Fuse two networks along a shared substructure.
 
     ``m1`` and ``m2`` embed ``a`` into the two networks; both graph maps
     must be monomorphisms. The underlying graph of the result is the
     pushout of the graph cospan. On identified edges the conductivities
-    merge under ``sigma_rule`` (default: parallel conductances add); on
-    identified nodes the feature vectors merge under ``omega_rule``
-    (default: mean weighted by each node's total incident conductivity,
-    falling back to the plain mean when both totals are zero).
+    add, as parallel conductances do; on identified nodes the feature
+    vectors take the mean weighted by each node's total incident
+    conductivity, falling back to the plain mean when both totals are zero.
 
     Raises :class:`PreconditionError` for non-mono legs and
     :class:`NumericError` if a merge produces a non-finite value. Use
     :func:`anastomosis_with_injections` when the inclusion morphisms of
     the two fused networks are needed as well.
     """
-    fused, _, _ = anastomosis_with_injections(a, m1, m2, sigma_rule, omega_rule)
+    fused, _, _ = anastomosis_with_injections(a, m1, m2)
     return fused
 
 
 def anastomosis_with_injections(
-    a: MycObject,
-    m1: MycMorphism,
-    m2: MycMorphism,
-    sigma_rule: str = "sum",
-    omega_rule: str = "weighted_mean",
+    a: MycObject, m1: MycMorphism, m2: MycMorphism
 ) -> tuple[MycObject, MycMorphism, MycMorphism]:
     """As :func:`anastomosis`, returning the two inclusion morphisms too."""
     if m1.source != a or m2.source != a:
         raise PreconditionError("both legs must start at the shared substructure")
     if not is_monomorphism(m1.graph_map) or not is_monomorphism(m2.graph_map):
         raise PreconditionError("anastomosis requires mono legs")
-    if sigma_rule not in MERGE_RULES or omega_rule not in MERGE_RULES:
-        raise ParameterError("unknown merge rule")
     b, c = m1.target, m2.target
 
     cospan = Cospan(a.graph, m1.graph_map, m2.graph_map)
     fused_graph, inj_b, inj_c = pushout_along_monos(cospan)
-
-    s_rule = MERGE_RULES[sigma_rule]
-    o_rule = MERGE_RULES[omega_rule]
 
     from_b_edge = {inj_b.edge_map[e]: e for e in b.graph.edge_ids}
     from_c_edge = {inj_c.edge_map[e]: e for e in c.graph.edge_ids}
@@ -809,7 +776,7 @@ def anastomosis_with_injections(
     for pe in fused_graph.edge_ids:
         eb, ec = from_b_edge.get(pe), from_c_edge.get(pe)
         if eb is not None and ec is not None:
-            sigma[pe] = s_rule(b.sigma[eb], c.sigma[ec], 1.0, 1.0)
+            sigma[pe] = b.sigma[eb] + c.sigma[ec]
         elif eb is not None:
             sigma[pe] = b.sigma[eb]
         else:
@@ -822,7 +789,7 @@ def anastomosis_with_injections(
         vb, vc = from_b_node.get(pv), from_c_node.get(pv)
         if vb is not None and vc is not None:
             wb, wc = b.node_strength(vb), c.node_strength(vc)
-            omega[pv] = _merge_vectors(o_rule, b.omega[vb], c.omega[vc], wb, wc)
+            omega[pv] = _weighted_mean(b.omega[vb], c.omega[vc], wb, wc)
         elif vb is not None:
             omega[pv] = b.omega[vb]
         else:

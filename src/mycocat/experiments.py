@@ -145,13 +145,11 @@ _SPECIES_DEFAULTS = {
 }
 
 
-def initial_state(
-    layout: StateLayout, seed: int, base: float = 1.0, jitter: float = 0.01
-) -> InternalState:
-    """Unit-level state with a small seeded perturbation per slot, so the
-    extracted features are nondegenerate."""
+def initial_state(layout: StateLayout, seed: int) -> InternalState:
+    """Unit-level state with a small seeded perturbation per slot (0.01
+    times a standard normal), so the extracted features are nondegenerate."""
     rng = np.random.default_rng(seed)
-    return InternalState(base + jitter * rng.standard_normal(layout.dim), layout)
+    return InternalState(1.0 + 0.01 * rng.standard_normal(layout.dim), layout)
 
 
 @dataclass(frozen=True)
@@ -242,7 +240,7 @@ def _config_kwargs(data: Mapping, defaults: Mapping, where: str = "") -> dict:
             elif isinstance(default, Program):
                 kwargs[key] = read_wire(read_object(raw, path), path, Program.from_json)
             elif isinstance(default, SpeciesFunctor):
-                kwargs[key] = species_from_config(raw)
+                kwargs[key] = species_from_config(raw, path)
             else:
                 kwargs[key] = read_like(raw, path, default)
         return kwargs
@@ -254,25 +252,29 @@ def _config_kwargs(data: Mapping, defaults: Mapping, where: str = "") -> dict:
 _EXPLICIT_SPECIES = {"dynamics": {}, "graph": {}, "features": 1, "label": "", "sigma": 0.0}
 
 
-def species_from_config(data: Mapping) -> SpeciesFunctor:
-    """Species from a config block: either explicit dynamics matrices or the
-    compact reference form, whose keys are the keyword arguments of
-    :func:`reference_species`."""
+def species_from_config(data: Mapping, path: str) -> SpeciesFunctor:
+    """Species from the config block at ``path`` (``species``,
+    ``checks[0].species``), which prefixes every error: either explicit
+    dynamics matrices or the compact reference form, whose keys are the
+    keyword arguments of :func:`reference_species`."""
+    where = path + "."
     if isinstance(data, Mapping) and "dynamics" in data:
-        values = _config_kwargs(data, _EXPLICIT_SPECIES, "species.")
-        return read_wire(values, "species", _explicit_species)
-    values = {**_SPECIES_DEFAULTS, **_config_kwargs(data, _SPECIES_DEFAULTS, "species.")}
-    _require_positive(values, ("n_sites", "channels", "features"), "species.")
-    _require_nonnegative(values, ("sigma",), "species.")
-    _check_coupling(values["coupling"], values["features"], "species.")
+        values = _config_kwargs(data, _EXPLICIT_SPECIES, where)
+        return read_wire(values, path, lambda block: _explicit_species(block, where))
+    values = {**_SPECIES_DEFAULTS, **_config_kwargs(data, _SPECIES_DEFAULTS, where)}
+    _require_positive(values, ("n_sites", "channels", "features"), where)
+    _require_nonnegative(values, ("sigma",), where)
+    _check_coupling(values["coupling"], values["features"], where)
     return reference_species(**values)
 
 
-def _explicit_species(values: Mapping) -> SpeciesFunctor:
+def _explicit_species(values: Mapping, where: str) -> SpeciesFunctor:
     dyn = ReferenceDynamics.from_json(values["dynamics"])
     layout = StateLayout(AttributedGraph.from_json(values["graph"], "graph."), values["features"])
     if layout.dim != dyn.dim:
-        raise ConfigError(f"dynamics: dimension {dyn.dim} does not match layout {layout.dim}")
+        raise ConfigError(
+            f"{where}dynamics: dimension {dyn.dim} does not match layout {layout.dim}"
+        )
     extraction = Extraction(layout, values.get("sigma", 1.0))
     return SpeciesFunctor(values.get("label", "configured"), dyn, extraction)
 
@@ -326,16 +328,26 @@ class FitResult(NamedTuple):
 def fit_loglog_slope(rows: Sequence[tuple[float, float]]) -> FitResult:
     """Ordinary least squares of log(delta) against log(eps).
 
-    Requires at least 3 rows with positive delta; raises
-    :class:`InsufficientDataError` otherwise. The intercept is the natural
-    log of the power-law prefactor.
+    Every eps must be finite and positive and every delta finite; raises
+    :class:`ParameterError` otherwise. Rows with delta at or below zero are
+    not used; the fit requires at least 3 used rows at 2 or more distinct
+    eps, and raises :class:`InsufficientDataError` otherwise. The intercept
+    is the natural log of the power-law prefactor.
     """
+    for eps, delta in rows:
+        if not 0.0 < eps < math.inf:
+            raise ParameterError(f"log-log fit needs finite positive eps, got {eps}")
+        if not math.isfinite(delta):
+            raise ParameterError(f"log-log fit needs finite deltas, got {delta}")
     usable = [(eps, delta) for eps, delta in rows if delta > 0]
     if len(usable) < 3:
         raise InsufficientDataError(
             f"log-log fit needs at least 3 positive rows, got {len(usable)}"
         )
     x = np.log([eps for eps, _ in usable])
+    distinct = len(set(x.tolist()))  # a zero spread in x leaves the slope undefined
+    if distinct < 2:
+        raise InsufficientDataError(f"log-log fit needs at least 2 distinct eps, got {distinct}")
     y = np.log([delta for _, delta in usable])
     n = len(x)
     x_mean, y_mean = x.mean(), y.mean()

@@ -155,27 +155,27 @@ def non_causal_variant(f: SpeciesFunctor) -> NonCausalSpecies:
     return NonCausalSpecies(f.label + "-noncausal", f.dynamics, f.extraction)
 
 
-def perturbed_variant(
-    f: SpeciesFunctor, channel: int = 0, magnitude: float = 0.1, seed: int = 7
-) -> SpeciesFunctor:
-    """Species with one control matrix perturbed; used as a sensitivity probe."""
-    rng = np.random.default_rng(seed)
+def perturbed_variant(f: SpeciesFunctor, magnitude: float = 0.1) -> SpeciesFunctor:
+    """Species with control matrix 0 plus a fixed random bump of Frobenius
+    norm ``magnitude``; used as a sensitivity probe."""
+    rng = np.random.default_rng(7)
     controls = list(np.array(c) for c in f.dynamics.controls)
-    bump = rng.normal(size=controls[channel].shape)
+    bump = rng.normal(size=controls[0].shape)
     bump *= magnitude / np.linalg.norm(bump, "fro")
-    controls[channel] = controls[channel] + bump
+    controls[0] = controls[0] + bump
     dyn = ReferenceDynamics(f.dynamics.drift, tuple(controls))
     return SpeciesFunctor(f.label + "-perturbed", dyn, f.extraction)
 
 
 def similarity_variant(
-    f: SpeciesFunctor, seed: int = 11, strength: float = 0.1
+    f: SpeciesFunctor, seed: int = 11
 ) -> tuple[SpeciesFunctor, "NaturalTransformationData"]:
-    """Species conjugated by a well-conditioned change of basis P, together
+    """Species conjugated by a well-conditioned change of basis P (the
+    identity plus 0.1 times a seeded normal matrix over sqrt(n)), together
     with the translation S -> P @ S as a natural comparison map."""
     rng = np.random.default_rng(seed)
     n = f.dynamics.dim
-    p = np.eye(n) + strength * rng.normal(size=(n, n)) / math.sqrt(n)
+    p = np.eye(n) + 0.1 * rng.normal(size=(n, n)) / math.sqrt(n)
     p_inv = np.linalg.inv(p)
     dyn = ReferenceDynamics(
         p @ f.dynamics.drift @ p_inv,
@@ -343,6 +343,10 @@ def identity_transformation() -> NaturalTransformationData:
     return NaturalTransformationData(state_map=lambda v: v)
 
 
+# Source states sampled per program by check_naturality.
+STATES_PER_PROGRAM = 5
+
+
 def check_naturality(
     f1: SpeciesFunctor,
     f2: SpeciesFunctor,
@@ -350,37 +354,33 @@ def check_naturality(
     programs: Sequence[Program],
     tol: float = 1e-9,
     seed: int = 0,
-    states_per_program: int = 5,
-    weights: DistanceWeights = DistanceWeights(),
 ) -> LawReport:
     """Measure commutation of the species-translation square.
 
-    For each sampled source state S and each program f, compares
-    translate-then-transform against transform-then-translate (both read
-    out through the second species' pipeline). The max residual is the
-    empirical sensitivity of the species pair to that program family.
-    Every state is drawn first, into one array, and each species runs all
-    pairs in one ``transform_many`` call. Raises :class:`ParameterError`
-    when there is no program or ``states_per_program`` is not positive.
+    For each program f and each of :data:`STATES_PER_PROGRAM` sampled
+    source states S, compares translate-then-transform against
+    transform-then-translate (both read out through the second species'
+    pipeline). The max residual is the empirical sensitivity of the
+    species pair to that program family. Every state is drawn first, into
+    one array, and each species runs all pairs in one ``transform_many``
+    call. Raises :class:`ParameterError`
+    when there is no program.
     """
     programs = list(programs)
-    if not programs or states_per_program < 1:
-        raise ParameterError(
-            f"naturality needs at least one program and one state per program, got "
-            f"{len(programs)} and {states_per_program}"
-        )
+    if not programs:
+        raise ParameterError("naturality needs at least one program")
     rng = np.random.default_rng(seed)
-    states = rng.normal(size=(len(programs) * states_per_program, f1.dynamics.dim))
-    repeated = PieceTable.from_programs(programs).repeat(states_per_program)
+    states = rng.normal(size=(len(programs) * STATES_PER_PROGRAM, f1.dynamics.dim))
+    repeated = PieceTable.from_programs(programs).repeat(STATES_PER_PROGRAM)
     layout = f2.extraction.layout
     moved1 = f1.transform_many(states, repeated)
     moved2 = f2.transform_many(_translate(eta, states, layout), repeated)
     translated = _translate(eta, moved1, layout)
-    residuals = state_distances(translated, moved2, f2.extraction, weights)
+    residuals = state_distances(translated, moved2, f2.extraction)
     worst, i = _worst(residuals)
     witness = None
     if i is not None:
-        pi, si = divmod(i, states_per_program)
+        pi, si = divmod(i, STATES_PER_PROGRAM)
         witness = {
             "program_index": pi,
             "state_index": si,
@@ -415,8 +415,6 @@ class FiniteInstance:
     myc_objects: tuple[str, ...]
     env_hom: Mapping[tuple[str, str], tuple[str, ...]]
     myc_hom: Mapping[tuple[str, str], tuple[str, ...]]
-    env_identity: Mapping[str, str]
-    myc_identity: Mapping[str, str]
     env_compose: Mapping[tuple[str, str], str]
     myc_compose: Mapping[tuple[str, str], str]
     f_obj: Mapping[str, str] = field(default_factory=dict)
@@ -452,7 +450,6 @@ def identity_adjunction_instance() -> tuple[FiniteInstance, dict]:
         ("X", "Y"): ("f",),
         ("Y", "X"): (),
     }
-    identity = {"X": "id_X", "Y": "id_Y"}
     compose = {
         ("id_X", "id_X"): "id_X",
         ("id_Y", "id_Y"): "id_Y",
@@ -465,8 +462,6 @@ def identity_adjunction_instance() -> tuple[FiniteInstance, dict]:
         myc_objects=objects,
         env_hom=hom,
         myc_hom=hom,
-        env_identity=identity,
-        myc_identity=identity,
         env_compose=compose,
         myc_compose=compose,
         f_obj={"X": "X", "Y": "Y"},
@@ -642,18 +637,16 @@ def _require_layout(iota: DirectEmbedding, layout: StateLayout) -> None:
 def check_lipschitz(
     f: SpeciesFunctor,
     object_pairs: Sequence[tuple[EnvObject, EnvObject]],
-    d_env_weights: tuple[float, float, float] = (1.0, 1.0, 1.0),
-    d_myc_weights: DistanceWeights = DistanceWeights(),
     bound: float = math.inf,
     iota: DirectEmbedding | None = None,
     program: Program | None = None,
 ) -> LawReport:
     """Empirical expansion ratio of the environment-to-network map.
 
-    Reports sup over pairs of d_myc(F(E1), F(E2)) / d_env(E1, E2),
-    skipping pairs at zero environment distance unless their images
-    differ (which scores infinity; a NaN image distance differs). A NaN
-    ratio is the worst. ``iota`` defaults to the direct
+    Reports sup over pairs of d_myc(F(E1), F(E2)) / d_env(E1, E2), both
+    distances with unit weights, skipping pairs at zero environment
+    distance unless their images differ (which scores infinity; a NaN
+    image distance differs). A NaN ratio is the worst. ``iota`` defaults to the direct
     field embedding and embeds every environment as one batch; ``program``
     optionally runs a flow between embedding and extraction, for every
     embedded environment in one ``transform_many`` call. Raises
@@ -670,12 +663,10 @@ def check_lipschitz(
     program = program if program is not None else NULL_PROGRAM
     starts = iota.many(EnvBatch.from_envs([env for pair in object_pairs for env in pair]))
     images = f.transform_many(starts, PieceTable.from_programs([program]).repeat(len(starts)))
-    d_mycs = state_distances(
-        images[0::2], images[1::2], f.extraction, d_myc_weights
-    ).tolist()
+    d_mycs = state_distances(images[0::2], images[1::2], f.extraction).tolist()
     used = []  # (pair_index, ratio, d_env, d_myc) of the pairs at nonzero distance
     for idx, ((e1, e2), d_myc) in enumerate(zip(object_pairs, d_mycs)):
-        d_env = env_distance(e1, e2, d_env_weights)
+        d_env = env_distance(e1, e2)
         if d_env == 0.0:
             if d_myc != 0.0:  # a NaN image distance differs too
                 return LawReport(

@@ -13,7 +13,7 @@ wire types.
 
 States carry a layout tying vector indices to (node, feature) slots of a
 fixed observation graph; ``extract`` reads the state out as a mycelial
-network object with configured constant edge conductivities.
+network object with one configured conductivity on every edge.
 
 All values are immutable after construction; evolution is deterministic
 and side-effect free.
@@ -461,33 +461,25 @@ def programs_equivalent_at(
 class Extraction:
     """Measurement pipeline: read node features off the observation graph.
 
-    ``sigma`` gives the constant edge conductivities of the extracted
-    network, either one shared float or a per-edge mapping. The network
-    invariants are checked once, here: a connected graph and a finite,
-    nonnegative conductivity on exactly its edges.
+    ``sigma`` is the one conductivity of every edge of the extracted
+    network. The network invariants are checked once, here: a connected
+    graph and a finite, nonnegative number for ``sigma``; a value that is
+    not a number (a bool, a string, a mapping) raises :class:`ShapeError`
+    naming ``sigma``.
     """
 
     layout: StateLayout
-    sigma: float | Mapping = 1.0
+    sigma: float = 1.0
 
     def __post_init__(self):
-        graph = self.layout.graph
-        if isinstance(self.sigma, Mapping):
-            per_edge = {e: float(x) for e, x in self.sigma.items()}
-            named = {f"sigma at edge {e!r}": x for e, x in per_edge.items()}
-        else:
-            shared = float(self.sigma)
-            per_edge = dict.fromkeys(graph.edge_ids, shared)
-            named = {"sigma": shared}
+        graph, sigma = self.layout.graph, read_number(self.sigma, "sigma")
         if not graph.is_connected():
             raise ShapeError("mycelial network must be connected")
-        if set(per_edge) != set(graph.edge_ids):
-            raise ShapeError("sigma must be defined on exactly the graph edges")
-        for name, x in named.items():
-            if not 0.0 <= x < math.inf:
-                raise ParameterError(f"{name} must be a finite nonnegative number, got {x}")
+        if not 0.0 <= sigma < math.inf:
+            raise ParameterError(f"sigma must be a finite nonnegative number, got {sigma}")
+        object.__setattr__(self, "sigma", sigma)
         # A plain attribute, not a field: equality and repr see only sigma.
-        object.__setattr__(self, "_edge_sigma", per_edge)
+        object.__setattr__(self, "_edge_sigma", dict.fromkeys(graph.edge_ids, sigma))
 
 
 def extract(state: InternalState, extraction: Extraction) -> MycObject:

@@ -1,5 +1,6 @@
 """End-to-end CLI runs against temp directories and JSON fixtures."""
 
+import argparse
 import json
 import math
 import os
@@ -9,7 +10,7 @@ import sys
 
 import pytest
 
-from mycocat.cli import main
+from mycocat.cli import build_parser, main
 
 
 def run_cli(argv):
@@ -365,8 +366,24 @@ EXPLICIT_SPECIES = {
             "error: pulse_q.channel: 5 is outside [0, 2)", id="worked-example-channel-too-high",
         ),
         pytest.param(
-            ["pushout", str(SAMPLES / "cospan_star.json")], None, {"MYCOCAT_SEED": "abc"},
+            ["order-scan", CONFIG], SMALL_SPECIES, {"MYCOCAT_SEED": "abc"},
             "error: MYCOCAT_SEED: not an integer: 'abc'", id="seed-env-not-an-integer",
+        ),
+        pytest.param(
+            ["pushout", str(SAMPLES / "cospan_star.json")], None, {"MYCOCAT_SEED": "abc"},
+            None, id="pushout-ignores-seed-env",
+        ),
+        pytest.param(
+            ["pushout", str(SAMPLES / "cospan_star.json"), "--seed", "1"], None, {},
+            "mycocat: error: unrecognized arguments: --seed 1", id="pushout-seed-flag",
+        ),
+        pytest.param(
+            ["simulate", DYNAMICS, PROGRAM, STATE, "--tol", "0"], None, {},
+            "mycocat: error: unrecognized arguments: --tol 0", id="simulate-tol-flag",
+        ),
+        pytest.param(
+            ["worked-example", "--tol", "1e-12"], None, {},
+            "mycocat: error: unrecognized arguments: --tol 1e-12", id="worked-example-tol-flag",
         ),
         pytest.param(
             ["pushout", CONFIG], {**STAR_COSPAN, "b": {"nodes": ["a", "a"], "edges": []}}, {},
@@ -446,7 +463,8 @@ EXPLICIT_SPECIES = {
             {"checks": [{"law": "functor_laws", "samples": 5, "species": {
                 "dynamics": {"drift": [[0.0]], "controls": [[[1.0]]]}, "features": 1,
             }}]}, {},
-            "error: species: missing key 'graph'", id="laws-explicit-species-without-graph",
+            "error: checks[0].species: missing key 'graph'",
+            id="laws-explicit-species-without-graph",
         ),
         pytest.param(
             ["check-laws", CONFIG],
@@ -454,7 +472,7 @@ EXPLICIT_SPECIES = {
                 "dynamics": {"drift": [[0.0]], "controls": [[[1.0]]]}, "features": 1,
                 "graph": {"nodes": ["site0"], "edges": []}, "sigmma": 1.0,
             }}]}, {},
-            "error: species.sigmma: unknown configuration field",
+            "error: checks[0].species.sigmma: unknown configuration field",
             id="laws-explicit-species-unknown-key",
         ),
         pytest.param(
@@ -524,7 +542,29 @@ EXPLICIT_SPECIES = {
         pytest.param(
             ["check-laws", CONFIG],
             {"checks": [{"law": "functor_laws", "samples": 3, "species": {"n_sites": 0}}]}, {},
-            "error: species.n_sites: must be positive, got 0", id="laws-zero-sites",
+            "error: checks[0].species.n_sites: must be positive, got 0", id="laws-zero-sites",
+        ),
+        pytest.param(
+            ["check-laws", CONFIG],
+            {"checks": [{"law": "functor_laws", "samples": 3, **SMALL_SPECIES},
+                        {"law": "functor_laws", "samples": 3, "species": {"n_sites": 0}}]}, {},
+            "error: checks[1].species.n_sites: must be positive, got 0",
+            id="laws-zero-sites-second-entry",
+        ),
+        pytest.param(
+            ["order-scan", CONFIG], {"species": {
+                **EXPLICIT_SPECIES, "dynamics": {"drift": [[0.0]], "controls": [[[1.0]]]},
+            }}, {},
+            "error: species.dynamics: dimension 1 does not match layout 2",
+            id="scan-explicit-species-dimension-mismatch",
+        ),
+        pytest.param(
+            ["check-laws", CONFIG],
+            {"checks": [{"law": "functor_laws", "samples": 3, "species": {
+                **EXPLICIT_SPECIES, "dynamics": {"drift": [[0.0]], "controls": [[[1.0]]]},
+            }}]}, {},
+            "error: checks[0].species.dynamics: dimension 1 does not match layout 2",
+            id="laws-explicit-species-dimension-mismatch",
         ),
         pytest.param(
             ["worked-example", "--config", CONFIG], {"n_sites": 0}, {},
@@ -579,14 +619,14 @@ EXPLICIT_SPECIES = {
             ["check-laws", CONFIG],
             {"checks": [{"law": "compatibility", "pulses": 3,
                          "species": {"n_sites": 2, "channels": -1}}]}, {},
-            "error: species.channels: must be positive, got -1",
+            "error: checks[0].species.channels: must be positive, got -1",
             id="laws-negative-channels",
         ),
         pytest.param(
             ["check-laws", CONFIG],
             {"checks": [{"law": "functor_laws", "samples": 3,
                          "species": {"n_sites": 2, "channels": 0}}]}, {},
-            "error: species.channels: must be positive, got 0",
+            "error: checks[0].species.channels: must be positive, got 0",
             id="laws-zero-channels",
         ),
         pytest.param(
@@ -622,7 +662,7 @@ EXPLICIT_SPECIES = {
         pytest.param(
             ["check-laws", CONFIG],
             {"checks": [{"law": "functor_laws", "samples": 3, "species": 5}]}, {},
-            "error: species: must be a JSON object, got 5", id="laws-species-not-object",
+            "error: checks[0].species: must be a JSON object, got 5", id="laws-species-not-object",
         ),
         pytest.param(
             ["check-laws", CONFIG], {"checks": [{"law": ["adjunction"]}]}, {},
@@ -645,7 +685,8 @@ EXPLICIT_SPECIES = {
             ["check-laws", CONFIG],
             {"checks": [{"law": "compatibility", "pulses": 3, "psi_amplitude_scale": 2.0,
                          "expect": "fail", "species": {"n_sites": 2, "sigma": math.inf}}]},
-            {}, "error: species.sigma: must be finite, got inf", id="laws-infinite-sigma",
+            {}, "error: checks[0].species.sigma: must be finite, got inf",
+            id="laws-infinite-sigma",
         ),
         pytest.param(
             ["worked-example", "--config", CONFIG], {"sigma": math.inf}, {},
@@ -684,7 +725,7 @@ EXPLICIT_SPECIES = {
             {"checks": [{"law": "functor_laws", "samples": 3, "species": {
                 **EXPLICIT_SPECIES, "sigma": "abc",
             }}]}, {},
-            "error: species.sigma: must be a number, got 'abc'",
+            "error: checks[0].species.sigma: must be a number, got 'abc'",
             id="laws-explicit-species-sigma-not-a-number",
         ),
         pytest.param(
@@ -692,7 +733,7 @@ EXPLICIT_SPECIES = {
             {"checks": [{"law": "functor_laws", "samples": 3, "species": {
                 **EXPLICIT_SPECIES, "sigma": -1.0,
             }}]}, {},
-            "error: species: sigma must be a finite nonnegative number, got -1.0",
+            "error: checks[0].species: sigma must be a finite nonnegative number, got -1.0",
             id="laws-explicit-species-negative-sigma",
         ),
         pytest.param(
@@ -701,7 +742,7 @@ EXPLICIT_SPECIES = {
                 **EXPLICIT_SPECIES, "graph": {"nodes": ["site0"], "edges": []},
                 "dynamics": {"drift": [[0.0]], "controls": [[[1.0]]]}, "sigma": -1.0,
             }}]}, {},
-            "error: species: sigma must be a finite nonnegative number, got -1.0",
+            "error: checks[0].species: sigma must be a finite nonnegative number, got -1.0",
             id="laws-explicit-species-negative-sigma-one-node",
         ),
         pytest.param(
@@ -709,7 +750,7 @@ EXPLICIT_SPECIES = {
             {"checks": [{"law": "functor_laws", "samples": 3, "species": {
                 **EXPLICIT_SPECIES, "graph": {"nodes": ["site0", "site1"], "edges": []},
             }}]}, {},
-            "error: species: mycelial network must be connected",
+            "error: checks[0].species: mycelial network must be connected",
             id="laws-explicit-species-disconnected",
         ),
         pytest.param(
@@ -717,7 +758,7 @@ EXPLICIT_SPECIES = {
             {"checks": [{"law": "functor_laws", "samples": 3, "species": {
                 **EXPLICIT_SPECIES, "features": 1.5,
             }}]}, {},
-            "error: species.features: must be an integer, got 1.5",
+            "error: checks[0].species.features: must be an integer, got 1.5",
             id="laws-explicit-species-fractional-features",
         ),
         pytest.param(
@@ -730,7 +771,7 @@ EXPLICIT_SPECIES = {
         pytest.param(
             ["check-laws", CONFIG],
             {"checks": [{"law": "functor_laws", "samples": 3, "species": {"n_sites": 2.5}}]},
-            {}, "error: species.n_sites: must be an integer, got 2.5",
+            {}, "error: checks[0].species.n_sites: must be an integer, got 2.5",
             id="laws-fractional-sites",
         ),
         pytest.param(
@@ -914,7 +955,8 @@ EXPLICIT_SPECIES = {
             ["check-laws", CONFIG],
             {"checks": [{"law": "functor_laws", "samples": 3,
                          "species": {"n_sites": 2, "coupling": "dense"}}]}, {},
-            "error: species.coupling: unknown coupling kind 'dense'", id="laws-unknown-coupling",
+            "error: checks[0].species.coupling: unknown coupling kind 'dense'",
+            id="laws-unknown-coupling",
         ),
         pytest.param(
             ["worked-example", "--config", CONFIG], {"n_sites": 2, "coupling": "dense"}, {},
@@ -934,7 +976,9 @@ EXPLICIT_SPECIES = {
     ],
 )
 def test_input_contract(tmp_path, monkeypatch, capsys, argv, config, env, message):
-    """Bad inputs exit 2 with one ``error:`` line; ``message=None`` expects exit 0."""
+    """Bad inputs exit 2 with one ``error:`` line, after argparse's usage
+    lines for a flag the subcommand does not take; ``message=None`` expects
+    exit 0."""
     monkeypatch.delenv("MYCOCAT_SEED", raising=False)
     for name, value in env.items():
         monkeypatch.setenv(name, value)
@@ -942,13 +986,34 @@ def test_input_contract(tmp_path, monkeypatch, capsys, argv, config, env, messag
         path = write(tmp_path / "config.json", config)
         argv = [path if arg == CONFIG else arg for arg in argv]
         message = message and message.replace(CONFIG, path)
-    code = run_cli(argv + ["--out-dir", str(tmp_path)])
-    err = capsys.readouterr().err
+    try:
+        code = run_cli(argv + ["--out-dir", str(tmp_path)])
+        lines = capsys.readouterr().err.splitlines()
+    except SystemExit as exc:
+        code, lines = exc.code, capsys.readouterr().err.splitlines()
+        assert lines[0].startswith("usage: mycocat")
+        lines = lines[-1:]
     if message is None:
-        assert code == 0, err
+        assert code == 0, lines
     else:
         assert code == 2
-        assert err.splitlines() == [message]
+        assert lines == [message]
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    parser = build_parser()
+    [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {
+        name: {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
+        for name, sub in commands.choices.items()
+    }
+    assert flags == {
+        "pushout": {"--out-dir"},
+        "simulate": {"--out-dir"},
+        "order-scan": {"--out-dir", "--seed"},
+        "worked-example": {"--out-dir", "--seed", "--config", "--scaling"},
+        "check-laws": {"--out-dir", "--seed", "--tol"},
+    }
 
 
 @pytest.mark.parametrize(

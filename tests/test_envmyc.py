@@ -555,11 +555,28 @@ class TestTransport:
         gt = GraphMorphism(
             g, h, {"x": "xy", "y": "xy", "z": "z"}, {"e0": "loop", "e1": "e"}
         )
-        out = transport_myc(m, gt, sigma_rule="sum", omega_rule="weighted_mean")
+        out = transport_myc(m, gt)
         assert out.sigma["loop"] == pytest.approx(3.0)
         assert out.sigma["e"] == pytest.approx(1.0)
         # strengths: x -> 3.0, y -> 4.0 ; weighted mean (3*4 + 4*0)/7
         assert out.omega["xy"] == pytest.approx((12.0 / 7.0,))
+
+    def test_overflowing_conductivity_sum_is_refused(self):
+        g = AttributedGraph(("x", "y"), (("e0", ("x", "y")), ("e1", ("x", "y"))))
+        m = MycObject(g, {"e0": 1e308, "e1": 1e308}, {"x": (0.0,), "y": (0.0,)})
+        h = AttributedGraph(("x", "y"), (("e", ("x", "y")),))
+        gt = GraphMorphism(g, h, {"x": "x", "y": "y"}, {"e0": "e", "e1": "e"})
+        with pytest.raises(ParameterError, match="^sigma at edge 'e' must be a finite"):
+            transport_myc(m, gt)
+
+
+class TestMycObjectConductivity:
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -1.0])
+    def test_refused(self, x):
+        g = AttributedGraph(("a", "b"), (("e", ("a", "b")),))
+        with pytest.raises(ParameterError) as exc:
+            MycObject(g, {"e": x}, {"a": (0.0,), "b": (0.0,)})
+        assert str(exc.value) == f"sigma at edge 'e' must be a finite nonnegative number, got {x}"
 
 
 @settings(max_examples=40, deadline=None)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mycocat import kernels
-from mycocat.errors import ConfigError, InsufficientDataError
+from mycocat.errors import ConfigError, InsufficientDataError, ParameterError
 from mycocat.experiments import (
     DELTA_FLOOR,
     ExposureExperiment,
@@ -59,6 +59,20 @@ class TestFitLoglogSlope:
     def test_fewer_than_three_positive_rows_rejected(self):
         with pytest.raises(InsufficientDataError):
             fit_loglog_slope([(0.1, 0.01), (0.05, 0.0), (0.01, 0.0)])
+
+    def test_rows_at_one_eps_rejected(self):
+        with pytest.raises(InsufficientDataError, match="at least 2 distinct eps, got 1"):
+            fit_loglog_slope([(0.1, 0.01), (0.1, 0.02), (0.1, 0.03)])
+
+    @pytest.mark.parametrize("eps", [0.0, -0.05, math.inf, math.nan])
+    def test_eps_not_finite_and_positive_rejected(self, eps):
+        with pytest.raises(ParameterError, match="finite positive eps"):
+            fit_loglog_slope([(0.1, 0.01), (eps, 0.02), (0.01, 1e-4), (0.02, 4e-4)])
+
+    @pytest.mark.parametrize("delta", [math.inf, -math.inf, math.nan])
+    def test_delta_not_finite_rejected(self, delta):
+        with pytest.raises(ParameterError, match="finite deltas"):
+            fit_loglog_slope([(0.1, 0.01), (0.05, delta), (0.01, 1e-4), (0.02, 4e-4)])
 
 
 def experiment(coupling="noncommuting", scaling="amplitude", **kwargs):

@@ -231,8 +231,6 @@ class TestAdjunction:
             myc_objects=instance.myc_objects,
             env_hom=instance.env_hom,
             myc_hom=myc_hom,
-            env_identity=instance.env_identity,
-            myc_identity=instance.myc_identity,
             env_compose=instance.env_compose,
             myc_compose=instance.myc_compose,
             f_obj=instance.f_obj,
@@ -712,8 +710,6 @@ class TestEmptySampleSets:
         eta = identity_transformation()
         with pytest.raises(ParameterError):
             check_naturality(species, species, eta, [])
-        with pytest.raises(ParameterError):
-            check_naturality(species, species, eta, random_pulses(2, 2, 1), states_per_program=0)
 
     def test_lipschitz(self, species):
         with pytest.raises(ParameterError):

@@ -377,8 +377,8 @@ class TestExtractionInvariants:
             (AttributedGraph(("a", "b"), ()), 1.0, ShapeError),
             (path_graph(2), {"e0": 1.0, "e9": 1.0}, ShapeError),
             (path_graph(2), {}, ShapeError),
-            (path_graph(3), {"e0": 1.0, "e1": -0.5}, ParameterError),
-            (path_graph(2), {"e0": math.inf}, ParameterError),
+            (path_graph(3), {"e0": 1.0, "e1": -0.5}, ShapeError),
+            (path_graph(2), {"e0": math.inf}, ShapeError),
             (path_graph(2), -1.0, ParameterError),
             (path_graph(2), math.nan, ParameterError),
             (path_graph(2), math.inf, ParameterError),
@@ -390,18 +390,20 @@ class TestExtractionInvariants:
         with pytest.raises(error):
             Extraction(StateLayout(graph, 1), sigma)
 
+    @pytest.mark.parametrize("sigma", [{"e0": 1.0}, True, "1.0"])
+    def test_a_sigma_that_is_not_a_number_is_named(self, sigma):
+        with pytest.raises(ShapeError, match="^sigma: must be a number, got "):
+            Extraction(StateLayout(path_graph(2), 1), sigma)
+
     def test_fields_alone_define_equality_and_repr(self):
         layout = StateLayout(path_graph(2), 1)
         assert Extraction(layout, 2.0) == Extraction(layout, 2.0)
-        assert Extraction(layout, 2.0) != Extraction(layout, {"e0": 2.0})
+        assert Extraction(layout, 2.0) != Extraction(layout, 3.0)
         assert repr(Extraction(layout, 2.0)) == f"Extraction(layout={layout!r}, sigma=2.0)"
 
-    def test_extract_reads_the_per_edge_sigma(self):
+    def test_extract_puts_sigma_on_every_edge(self):
         layout = StateLayout(path_graph(3), 1)
         state = InternalState((0.0, 1.0, 2.0), layout)
-        assert extract(state, Extraction(layout, {"e1": 3, "e0": 0.5})).sigma == {
-            "e0": 0.5, "e1": 3.0
-        }
         assert extract(state, Extraction(layout, 2)).sigma == {"e0": 2.0, "e1": 2.0}
 
 

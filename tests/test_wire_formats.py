@@ -267,6 +267,13 @@ def test_field_readers_name_the_field(reader, data, message):
     assert str(exc.value) == message
 
 
+def test_a_nan_conductivity_on_the_wire_is_refused():
+    data = {**MYC_WIRE, "sigma": json.loads('{"e0": NaN}')}
+    with pytest.raises(ParameterError) as exc:
+        MycObject.from_json(data)
+    assert str(exc.value) == "sigma at edge 'e0' must be a finite nonnegative number, got nan"
+
+
 def test_ids_that_print_alike_are_refused():
     graph = AttributedGraph((1, "1"), ((0, (1, "1")), ("0", ("1", 1))))
     env = EnvObject(graph, {1: 0.0, "1": 0.0}, {1: (0.0,), "1": (0.0,)}, Constraints())
