@@ -33,7 +33,6 @@ import numpy as np
 from .errors import (
     CompositionError,
     ConstraintError,
-    NumericError,
     ParameterError,
     PreconditionError,
     ShapeError,
@@ -137,7 +136,9 @@ class Constraints:
 
 @dataclass(frozen=True)
 class EnvObject:
-    """Substrate graph plus resource field, chemical field, and constraints."""
+    """Substrate graph plus resource field, chemical field, and constraints;
+    ``rho`` and ``phi`` are kept in node declaration order and must be
+    admissible (see :func:`_first_violation`)."""
 
     graph: AttributedGraph
     rho: Mapping  # node -> float >= 0
@@ -145,18 +146,20 @@ class EnvObject:
     chi: Constraints
 
     def __post_init__(self):
-        object.__setattr__(self, "rho", {v: float(x) for v, x in self.rho.items()})
-        object.__setattr__(
-            self, "phi", {v: tuple(float(x) for x in vec) for v, vec in self.phi.items()}
-        )
-        nodes = self.graph.node_set
-        if set(self.rho) != nodes or set(self.phi) != nodes:
+        nodes = self.graph.nodes
+        if set(self.rho) != self.graph.node_set or set(self.phi) != self.graph.node_set:
             raise ShapeError("rho and phi must be defined on exactly the graph nodes")
+        # node declaration order, the order of a batch's fields and the wire
+        rho = {v: float(self.rho[v]) for v in nodes}
+        phi = {v: tuple(float(x) for x in self.phi[v]) for v in nodes}
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "phi", phi)
         k = self.chi.channels
-        for v, vec in self.phi.items():
+        for v, vec in phi.items():
             if len(vec) != k:
                 raise ShapeError(f"phi at {v!r} has {len(vec)} channels, expected {k}")
-        violation = check_admissibility(self.rho, self.phi, self.chi)
+        fields = np.array([[(rho[v], *phi[v]) for v in nodes]], dtype=np.float64)
+        violation = _first_violation(fields.reshape(1, len(nodes), 1 + k), nodes, self.chi)
         if violation:
             raise ConstraintError(violation)
 
@@ -196,31 +199,6 @@ def _json_keys(ids: Sequence, kind: str) -> dict:
     return keys
 
 
-def _rho_violation(v, r: float) -> str:
-    what = "not a number" if math.isnan(r) else "negative"
-    return f"rho at node {v!r} is {what} ({r})"
-
-
-def check_admissibility(rho: Mapping, phi: Mapping, chi: Constraints) -> str | None:
-    """Return a message naming the first violated bound, or None if admissible.
-    A NaN rho or phi value violates its bound."""
-    for v, r in rho.items():
-        if not r >= -_BOUND_SLACK:
-            return _rho_violation(v, r)
-    total = ordered_sum(rho.values())
-    if total > chi.budget + _BOUND_SLACK:
-        return f"total resource {total} exceeds budget {chi.budget}"
-    for v, vec in phi.items():
-        for ch, x in enumerate(vec):
-            lo, hi = chi.phi_bounds[ch]
-            if not lo - _BOUND_SLACK <= x <= hi + _BOUND_SLACK:
-                return (
-                    f"phi channel {ch} at node {v!r} is {x}, "
-                    f"outside bounds [{lo}, {hi}]"
-                )
-    return None
-
-
 @dataclass(frozen=True, eq=False)
 class EnvBatch:
     """P environments on one graph under one constraint record: the batch
@@ -228,13 +206,10 @@ class EnvBatch:
 
     ``fields`` (P, N, 1 + k) holds environment i's fields at row i, node by
     node in the graph's declaration order: rho, then the k chemical
-    channels. It is a read-only copy, validated once with the errors of a
-    loop of :func:`check_admissibility` over the rows, each keyed in node
-    declaration order: the first violating row decides the message, and
-    within it negative rho by node, then the budget (the row's rho added
-    left to right, as :func:`ordered_sum` does), then phi by node and
-    channel. A batch that only selects rows of a checked batch (``take``)
-    is not checked again.
+    channels. It is a read-only copy, validated once by the admissibility
+    rule of :class:`EnvObject` (see :func:`_first_violation`): the first
+    violating row decides the message. A batch of rows of checked
+    environments or batches (``from_envs``, ``take``) is not checked again.
     """
 
     graph: AttributedGraph
@@ -279,18 +254,25 @@ class EnvBatch:
             [[(env.rho[v], *env.phi[v]) for v in nodes] for env in envs], dtype=np.float64
         )
         shape = (len(envs), len(nodes), 1 + first.chi.channels)
-        return cls(first.graph, first.chi, fields.reshape(shape))
+        return cls._selected(first.graph, first.chi, fields.reshape(shape))
+
+    @classmethod
+    def _selected(cls, graph, chi, fields: np.ndarray) -> "EnvBatch":
+        """A batch of new ``fields`` rows taken from checked environments, unchecked."""
+        batch = object.__new__(cls)
+        object.__setattr__(batch, "graph", graph)
+        object.__setattr__(batch, "chi", chi)
+        batch._freeze(fields)
+        return batch
 
     def __len__(self) -> int:
         return len(self.fields)
 
     def take(self, rows) -> "EnvBatch":
         """The environments at ``rows``, in that order; a row may repeat."""
-        batch = object.__new__(EnvBatch)
-        object.__setattr__(batch, "graph", self.graph)
-        object.__setattr__(batch, "chi", self.chi)
-        batch._freeze(self.fields[np.asarray(rows, dtype=np.intp)])
-        return batch
+        return EnvBatch._selected(
+            self.graph, self.chi, self.fields[np.asarray(rows, dtype=np.intp)]
+        )
 
     def env(self, i: int) -> EnvObject:
         """Environment ``i`` as an :class:`EnvObject`, for a witness or the
@@ -306,10 +288,14 @@ class EnvBatch:
 
 
 def _first_violation(fields: np.ndarray, nodes: Sequence, chi: Constraints) -> str | None:
-    """:func:`check_admissibility`'s message for the first inadmissible row
-    of the (P, N, 1 + k) ``fields``, or None."""
+    """The admissibility rule: the message naming the first violation in
+    the first inadmissible row of the (P, N, 1 + k) ``fields``, or None.
+    Within a row: rho by node (negative, NaN or infinite), then the budget
+    (rho added left to right, as :func:`ordered_sum` does), then phi by node
+    and channel (outside its bounds, NaN or infinite); each bound allows
+    ``_BOUND_SLACK``."""
     rho, phi = fields[:, :, 0], fields[:, :, 1:]
-    negative = ~(rho >= -_BOUND_SLACK)  # NaN included
+    bad_rho = ~((rho >= -_BOUND_SLACK) & (rho < math.inf))  # NaN included
     # a leading 0.0 column makes the running total ordered_sum's, bit for
     # bit; an overflow gives inf and inf - inf NaN, silently, as floats do
     with np.errstate(over="ignore", invalid="ignore"):
@@ -318,22 +304,25 @@ def _first_violation(fields: np.ndarray, nodes: Sequence, chi: Constraints) -> s
     over = totals > chi.budget + _BOUND_SLACK
     lo = np.array([b[0] for b in chi.phi_bounds], dtype=np.float64)
     hi = np.array([b[1] for b in chi.phi_bounds], dtype=np.float64)
-    outside = ~((phi >= lo - _BOUND_SLACK) & (phi <= hi + _BOUND_SLACK))
-    bad = negative.any(axis=1) | over | outside.any(axis=(1, 2))
+    inside = (phi >= lo - _BOUND_SLACK) & (phi <= hi + _BOUND_SLACK)
+    bad_phi = ~(inside & (np.abs(phi) < math.inf))
+    bad = bad_rho.any(axis=1) | over | bad_phi.any(axis=(1, 2))
     if not bad.any():
         return None
     i = int(bad.argmax())
-    if negative[i].any():
-        node = int(negative[i].argmax())
-        return _rho_violation(nodes[node], float(rho[i, node]))
+    if bad_rho[i].any():
+        node = int(bad_rho[i].argmax())
+        r = float(rho[i, node])
+        what = "negative" if r < 0 else "not a number" if math.isnan(r) else "infinite"
+        return f"rho at node {nodes[node]!r} is {what} ({r})"
     if over[i]:
         return f"total resource {float(totals[i])} exceeds budget {chi.budget}"
-    node, ch = divmod(int(outside[i].argmax()), chi.channels)
+    node, ch = divmod(int(bad_phi[i].argmax()), chi.channels)
     lo_ch, hi_ch = chi.phi_bounds[ch]
-    return (
-        f"phi channel {ch} at node {nodes[node]!r} is {float(phi[i, node, ch])}, "
-        f"outside bounds [{lo_ch}, {hi_ch}]"
-    )
+    where = f"phi channel {ch} at node {nodes[node]!r} is {float(phi[i, node, ch])}"
+    if inside[i, node, ch]:  # infinite, inside an infinite bound
+        return f"{where}, not a finite number"
+    return f"{where}, outside bounds [{lo_ch}, {hi_ch}]"
 
 
 # ---------------------------------------------------------------------------
@@ -516,20 +505,14 @@ def _ordered_l1(first: Mapping, second: Mapping) -> float:
     return total
 
 
-def env_distance(
-    e1: EnvObject, e2: EnvObject, weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
-) -> float:
-    """Weighted L1 distance between environmental states on a shared id universe.
+def env_distance(e1: EnvObject, e2: EnvObject) -> float:
+    """L1 distance between environmental states on a shared id universe.
 
-    Components: resource field, chemical field (summed over channels), and
-    the node/edge symmetric-difference count. Unmatched nodes contribute
-    their full field norms. Constraint records are not compared.
+    The sum of three components, each of weight 1: resource field, chemical
+    field (summed over channels), and the node/edge symmetric-difference
+    count. Unmatched nodes contribute their full field norms. Constraint
+    records are not compared.
     """
-    w_rho, w_phi, w_struct = weights
-    if not all(w >= 0 for w in weights):
-        raise ParameterError(f"weights must be nonnegative numbers, got {tuple(weights)}")
-    if math.inf in weights:
-        raise ParameterError(f"weights must be finite, got {tuple(weights)}")
     d_rho = _ordered_l1(
         {v: (x,) for v, x in e1.rho.items()}, {v: (x,) for v, x in e2.rho.items()}
     )
@@ -537,7 +520,7 @@ def env_distance(
     struct = len(e1.graph.node_set ^ e2.graph.node_set) + len(
         set(e1.graph.edge_keys) ^ set(e2.graph.edge_keys)
     )
-    return w_rho * d_rho + w_phi * d_phi + w_struct * struct
+    return d_rho + d_phi + struct
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +530,9 @@ def env_distance(
 
 @dataclass(frozen=True)
 class MycObject:
-    """Connected network with edge conductivities and node feature vectors."""
+    """Connected network with edge conductivities and node feature vectors;
+    a conductivity that is not finite and nonnegative, or a feature that is
+    not finite, raises :class:`ParameterError` naming it."""
 
     graph: AttributedGraph
     sigma: Mapping  # edge -> float >= 0
@@ -572,6 +557,12 @@ class MycObject:
         lengths = {len(v) for v in self.omega.values()}
         if len(lengths) > 1:
             raise ShapeError("omega feature vectors must share one length")
+        for v, vec in self.omega.items():
+            for i, x in enumerate(vec):
+                if not math.isfinite(x):
+                    raise ParameterError(
+                        f"omega at node {v!r} feature {i} must be a finite number, got {x}"
+                    )
 
     @property
     def feature_count(self) -> int:
@@ -621,7 +612,7 @@ class DistanceWeights:
 
 
 def myc_distance(
-    m1: MycObject, m2: MycObject, weights: DistanceWeights | Sequence[float] = DistanceWeights()
+    m1: MycObject, m2: MycObject, weights: DistanceWeights = DistanceWeights()
 ) -> float:
     """Weighted L1 distance between mycelial states over a shared id universe.
 
@@ -630,8 +621,6 @@ def myc_distance(
     their full norms plus a symmetric-difference count. This is a metric
     on states over a fixed id universe.
     """
-    if not isinstance(weights, DistanceWeights):
-        weights = DistanceWeights(*weights)
     sigma1 = {k: (m1.sigma[k[0]],) for k in m1.graph.edge_keys}
     sigma2 = {k: (m2.sigma[k[0]],) for k in m2.graph.edge_keys}
     d_omega = _ordered_l1(m1.omega, m2.omega)
@@ -714,8 +703,8 @@ def transport_myc(m: MycObject, gt: GraphMorphism) -> MycObject:
 
     Fibers of the edge map add their conductivities; fibers of the node map
     merge feature vectors by the strength-weighted mean, pairwise in source
-    declaration order (see :func:`anastomosis`). A sum of conductivities
-    that overflows raises :class:`ParameterError`.
+    declaration order (see :func:`anastomosis`). A merge that overflows
+    raises :class:`MycObject`'s :class:`ParameterError` naming it.
     """
     sigma: dict = {}
     for e in m.graph.edge_ids:
@@ -748,8 +737,9 @@ def anastomosis(a: MycObject, m1: MycMorphism, m2: MycMorphism) -> MycObject:
     vectors take the mean weighted by each node's total incident
     conductivity, falling back to the plain mean when both totals are zero.
 
-    Raises :class:`PreconditionError` for non-mono legs and
-    :class:`NumericError` if a merge produces a non-finite value. Use
+    Raises :class:`PreconditionError` for non-mono legs, and
+    :class:`MycObject`'s :class:`ParameterError` naming the fused edge or
+    node if a merge overflows, as :func:`transport_myc` does. Use
     :func:`anastomosis_with_injections` when the inclusion morphisms of
     the two fused networks are needed as well.
     """
@@ -794,13 +784,6 @@ def anastomosis_with_injections(
             omega[pv] = b.omega[vb]
         else:
             omega[pv] = c.omega[vc]
-
-    for vec in omega.values():
-        if any(not math.isfinite(x) for x in vec):
-            raise NumericError("omega merge produced a non-finite value")
-    for x in sigma.values():
-        if not math.isfinite(x):
-            raise NumericError("sigma merge produced a non-finite value")
 
     fused = MycObject(fused_graph, sigma, omega)
     into_b = MycMorphism(b, fused, inj_b, kind="embed")

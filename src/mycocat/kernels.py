@@ -59,7 +59,7 @@ import numpy as np
 
 from .errors import DomainError
 
-# The kernels are numpy only; reports record this flag as the kernel path.
+# The kernels are numpy only; no output records this flag, only perfbench reads it.
 NUMBA_ENABLED = False
 
 # Frobenius-norm threshold of the degree-13 Pade approximant; a member

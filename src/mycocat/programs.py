@@ -126,7 +126,7 @@ class PieceTable:
     with the same errors: one control width, and each piece's length
     strictly positive and its length and controls finite. The arrays are
     read-only copies; every operation returns a new table, and one that
-    only selects or reorders pieces of checked tables is not checked again.
+    only selects pieces of checked programs or tables is not checked again.
     """
 
     lengths: np.ndarray
@@ -163,21 +163,24 @@ class PieceTable:
 
     @classmethod
     def _selected(cls, lengths, inputs, counts) -> "PieceTable":
-        """A table of new arrays selected from checked tables, unchecked."""
+        """A table of new arrays taken from checked programs or tables, unchecked."""
         table = object.__new__(cls)
         table._freeze(lengths, inputs, counts)
         return table
 
     @classmethod
     def from_programs(cls, programs: Sequence[Program]) -> "PieceTable":
-        """The table of ``programs``, in order."""
+        """The table of ``programs``, in order. :class:`Program` has checked
+        each piece, so only the shared control width is checked here."""
         pieces = [piece for p in programs for piece in p.pieces]
-        if len({len(control) for _, control in pieces}) > 1:
+        widths = {len(control) for _, control in pieces}
+        if len(widths) > 1:
             raise ShapeError("all pieces must share one control width")
-        return cls(
-            [length for length, _ in pieces],
-            [control for _, control in pieces],
-            [len(p.pieces) for p in programs],
+        inputs = np.array([control for _, control in pieces], dtype=np.float64)
+        return cls._selected(
+            np.array([length for length, _ in pieces], dtype=np.float64),
+            inputs.reshape(len(pieces), max(widths, default=0)),
+            np.array([len(p.pieces) for p in programs], dtype=np.intp),
         )
 
     def __len__(self) -> int:

@@ -1,5 +1,6 @@
 """Shared fixtures and seeded random generators for the test suite."""
 
+import json
 import os
 import pathlib
 import random
@@ -108,6 +109,29 @@ def make_random_mono_cospan(rng: random.Random, max_nodes=4) -> Cospan:
         if right is None:
             continue
         return Cospan(apex, left, right)
+
+
+def key_paths(doc, prefix=()):
+    """Every path into ``doc``: the root, each object key and list index."""
+    yield prefix
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from key_paths(value, prefix + (key,))
+    elif isinstance(doc, list):
+        for index, value in enumerate(doc):
+            yield from key_paths(value, prefix + (index,))
+
+
+def replaced(doc, path, value):
+    """A copy of ``doc`` with the value at ``path`` replaced."""
+    if not path:
+        return value
+    copy = json.loads(json.dumps(doc))
+    parent = copy
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return copy
 
 
 @pytest.fixture

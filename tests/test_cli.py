@@ -11,6 +11,7 @@ import sys
 import pytest
 
 from mycocat.cli import build_parser, main
+from conftest import key_paths, replaced
 
 
 def run_cli(argv):
@@ -1185,29 +1186,6 @@ FUZZ_COMMANDS = {
     "laws_suite.json": ["check-laws", INPUT],
 }
 FUZZ_VALUES = [None, "x", [], {}, -1, 0, math.inf, True, "1", [[1]]]
-
-
-def key_paths(doc, prefix=()):
-    """Every path into ``doc``: the root, each object key and list index."""
-    yield prefix
-    if isinstance(doc, dict):
-        for key, value in doc.items():
-            yield from key_paths(value, prefix + (key,))
-    elif isinstance(doc, list):
-        for index, value in enumerate(doc):
-            yield from key_paths(value, prefix + (index,))
-
-
-def replaced(doc, path, value):
-    """A copy of ``doc`` with the value at ``path`` replaced."""
-    if not path:
-        return value
-    copy = json.loads(json.dumps(doc))
-    parent = copy
-    for key in path[:-1]:
-        parent = parent[key]
-    parent[path[-1]] = value
-    return copy
 
 
 def value_at(doc, path):

@@ -24,7 +24,6 @@ from mycocat.envmyc import (
     anastomosis_with_injections,
     apply_env_morphism,
     _BOUND_SLACK,
-    check_admissibility,
     compose_env_morphisms,
     compose_myc_morphisms,
     env_distance,
@@ -50,6 +49,51 @@ from mycocat.graphs import (
     pushout_along_monos,
 )
 from conftest import make_random_graph, make_random_mono_cospan, make_random_morphism
+
+
+def reference_violation(rho, phi, chi):
+    """The admissibility rule as a plain loop over the mappings in their
+    order: the reference that ``EnvObject`` and ``EnvBatch`` are compared
+    against. A message naming the first violated bound, or None."""
+    for v, r in rho.items():
+        if not -_BOUND_SLACK <= r < math.inf:
+            what = "negative" if r < 0 else "not a number" if math.isnan(r) else "infinite"
+            return f"rho at node {v!r} is {what} ({r})"
+    total = 0.0
+    for r in rho.values():
+        total += r
+    if total > chi.budget + _BOUND_SLACK:
+        return f"total resource {total} exceeds budget {chi.budget}"
+    for v, vec in phi.items():
+        for ch, x in enumerate(vec):
+            lo, hi = chi.phi_bounds[ch]
+            where = f"phi channel {ch} at node {v!r} is {x}"
+            if not lo - _BOUND_SLACK <= x <= hi + _BOUND_SLACK:
+                return f"{where}, outside bounds [{lo}, {hi}]"
+            if not math.isfinite(x):
+                return f"{where}, not a finite number"
+    return None
+
+
+def row_maps(graph, cells):
+    """The rho and phi mappings of one batch row, in node order."""
+    rho = {v: c[0] for v, c in zip(graph.nodes, cells)}
+    phi = {v: tuple(c[1:]) for v, c in zip(graph.nodes, cells)}
+    return rho, phi
+
+
+@pytest.fixture
+def violation_checks(monkeypatch):
+    """The arguments of every ``_first_violation`` call, as they happen."""
+    calls = []
+    first_violation = envmyc._first_violation
+
+    def counted(*args):
+        calls.append(args)
+        return first_violation(*args)
+
+    monkeypatch.setattr(envmyc, "_first_violation", counted)
+    return calls
 
 
 def square_env(k=2, phi_hi=1.0, budget=10.0):
@@ -83,7 +127,9 @@ class TestEnvObjects:
         # 1e16 + 2 would exceed the budget of 1e16
         rho = {"a": 1e16, "b": 1.0, "c": 1.0}
         phi = {v: (0.0,) for v in rho}
-        assert check_admissibility(rho, phi, Constraints(budget=1e16)) is None
+        chi = Constraints(budget=1e16)
+        assert reference_violation(rho, phi, chi) is None
+        EnvObject(AttributedGraph(tuple(rho), ()), rho, phi, chi)
 
     def test_nan_budget_is_refused(self):
         # nan < 0 is false, and no total exceeds a NaN budget
@@ -102,22 +148,46 @@ class TestEnvObjects:
         with pytest.raises(ParameterError, match=rf"^{name}: bounds must be numbers, got \["):
             Constraints(**kwargs)
 
-    @pytest.mark.parametrize("cells, message", [
+    @pytest.mark.parametrize("cells, budget, phi_hi, message", [
         # a NaN rho comes before the budget, which it would make NaN
-        ([(1.0, 0.5), (math.nan, 0.5)], "rho at node 'b' is not a number (nan)"),
-        ([(-1.0, 0.5), (math.nan, 0.5)], "rho at node 'a' is negative (-1.0)"),
-        ([(1.0, math.nan), (1.0, 0.5)], "phi channel 0 at node 'a' is nan, outside bounds [0.0, 1.0]"),
-        ([(5.0, math.nan), (1.0, 0.5)], "total resource 6.0 exceeds budget 2.0"),
-    ], ids=["nan-rho", "negative-rho-first", "nan-phi", "budget-before-phi"])
-    def test_nan_field_value_is_a_violation(self, cells, message):
+        ([(1.0, 0.5), (math.nan, 0.5)], 2.0, 1.0, "rho at node 'b' is not a number (nan)"),
+        ([(-1.0, 0.5), (math.nan, 0.5)], 2.0, 1.0, "rho at node 'a' is negative (-1.0)"),
+        ([(1.0, math.nan), (1.0, 0.5)], 2.0, 1.0,
+         "phi channel 0 at node 'a' is nan, outside bounds [0.0, 1.0]"),
+        ([(5.0, math.nan), (1.0, 0.5)], 2.0, 1.0, "total resource 6.0 exceeds budget 2.0"),
+        # an infinite value is refused under an infinite budget or bound too
+        ([(1.0, 0.5), (math.inf, 0.5)], math.inf, 1.0, "rho at node 'b' is infinite (inf)"),
+        ([(1.0, 0.5), (1.0, math.inf)], 2.0, math.inf,
+         "phi channel 0 at node 'b' is inf, not a finite number"),
+    ], ids=["nan-rho", "negative-rho-first", "nan-phi", "budget-before-phi", "infinite-rho",
+            "infinite-phi"])
+    def test_nan_field_value_is_a_violation(self, cells, budget, phi_hi, message):
         graph = AttributedGraph(("a", "b"), (("e", ("a", "b")),))
-        chi = Constraints(phi_bounds=((0.0, 1.0),), budget=2.0)
-        rho = {v: c[0] for v, c in zip(graph.nodes, cells)}
-        phi = {v: c[1:] for v, c in zip(graph.nodes, cells)}
-        assert check_admissibility(rho, phi, chi) == message
+        chi = Constraints(phi_bounds=((0.0, phi_hi),), budget=budget)
+        rho, phi = row_maps(graph, cells)
+        assert reference_violation(rho, phi, chi) == message
+        with pytest.raises(ConstraintError) as exc:
+            EnvObject(graph, rho, phi, chi)
+        assert str(exc.value) == message
         with pytest.raises(ConstraintError) as exc:
             EnvBatch(graph, chi, [[(0.5, 0.5), (0.5, 0.5)], cells])
         assert str(exc.value) == message
+
+    def test_fields_are_stored_and_checked_in_node_order(self):
+        graph = AttributedGraph(("a", "b", "c"), (("e", ("a", "b")), ("f", ("b", "c"))))
+        chi = Constraints(phi_bounds=((0.0, 1.0),), budget=10.0)
+        rho = {"c": -1.0, "a": 1.0, "b": -2.0}
+        phi = {"b": (0.5,), "c": (0.5,), "a": (0.5,)}
+        in_order = ({v: rho[v] for v in graph.nodes}, {v: phi[v] for v in graph.nodes})
+        message = "rho at node 'b' is negative (-2.0)"
+        assert reference_violation(*in_order, chi) == message
+        assert reference_violation(rho, phi, chi) == "rho at node 'c' is negative (-1.0)"
+        with pytest.raises(ConstraintError) as exc:
+            EnvObject(graph, rho, phi, chi)
+        assert str(exc.value) == message
+        env = EnvObject(graph, {**rho, "b": 2.0, "c": 3.0}, phi, chi)
+        assert list(env.rho) == list(env.phi) == list(graph.nodes)
+        assert list(env.to_json()["rho"]) == ["a", "b", "c"]
 
     def test_json_roundtrip(self):
         e = square_env()
@@ -154,17 +224,11 @@ class TestApplyEnvMorphism:
         with pytest.raises(ConstraintError, match="channel 0"):
             apply_env_morphism(e, f)
 
-    def test_admissibility_is_checked_once_per_apply(self, monkeypatch):
+    def test_admissibility_is_checked_once_per_apply(self, violation_checks):
         e = square_env(k=2)
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return check_admissibility(*args)
-
-        monkeypatch.setattr(envmyc, "check_admissibility", counted)
+        violation_checks.clear()
         apply_env_morphism(e, identity_env_morphism(e))
-        assert len(calls) == 1
+        assert len(violation_checks) == 1
 
     def test_pushforward_conserves_total_resource(self):
         e = square_env()
@@ -289,8 +353,6 @@ class TestComposeEnvMorphisms:
     def test_fuzzed_outputs_always_admissible(self):
         # pulses straddling the bound either raise a named constraint error
         # or return an admissible object; nothing in between
-        from mycocat.envmyc import check_admissibility
-
         rng = random.Random(97)
         e0 = square_env(k=1, phi_hi=1.0, budget=10.0)
         raised = accepted = 0
@@ -308,7 +370,7 @@ class TestComposeEnvMorphisms:
                 raised += 1
                 continue
             accepted += 1
-            assert check_admissibility(out.rho, out.phi, out.chi) is None
+            assert reference_violation(out.rho, out.phi, out.chi) is None
         assert raised > 0 and accepted > 0
 
 
@@ -348,17 +410,11 @@ class TestMycDistance:
     def test_nan_weight_rejected(self):
         with pytest.raises(ParameterError):
             DistanceWeights(1.0, float("nan"), 1.0)
-        e = square_env()
-        with pytest.raises(ParameterError):
-            env_distance(e, e, (1.0, 1.0, float("nan")))
 
     def test_infinite_weight_rejected(self):
         # inf * 0.0 is NaN: an infinite weight makes even a self-distance NaN
         with pytest.raises(ParameterError, match="distance weights must be finite"):
             DistanceWeights(1.0, math.inf, 1.0)
-        e = square_env()
-        with pytest.raises(ParameterError, match="weights must be finite"):
-            env_distance(e, e, (math.inf, 1.0, 1.0))
 
     def test_symmetry_random(self, nprng):
         for _ in range(50):
@@ -467,6 +523,24 @@ class TestAnastomosis:
         merged = into_b.graph_map.node_map["a"]
         assert fused.omega[merged][0] == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("b_sigma, c_sigma, feature, message", [
+        (1e308, 1e308, 0.0, "sigma at edge 0 must be a finite nonnegative number, got inf"),
+        (1.0, 1.0, 1e308, "omega at node 0 feature 0 must be a finite number, got inf"),
+    ], ids=["sigma", "omega"])
+    def test_overflowing_merge_is_refused(self, b_sigma, c_sigma, feature, message):
+        ga = AttributedGraph(("a0", "a1"), (("ae", ("a0", "a1")),))
+        a = MycObject(ga, {"ae": 1.0}, {"a0": (0.0,), "a1": (0.0,)})
+
+        def leg(edge, sigma):
+            g = AttributedGraph(("a0", "a1"), ((edge, ("a0", "a1")),))
+            target = MycObject(g, {edge: sigma}, {"a0": (feature,), "a1": (0.0,)})
+            graph_map = GraphMorphism(ga, g, {"a0": "a0", "a1": "a1"}, {"ae": edge})
+            return MycMorphism(a, target, graph_map, kind="embed")
+
+        with pytest.raises(ParameterError) as exc:
+            anastomosis(a, leg("be", b_sigma), leg("ce", c_sigma))
+        assert str(exc.value) == message
+
     def test_non_mono_leg_rejected(self):
         ga = AttributedGraph(("a", "a2"), (("ae", ("a", "a2")),))
         a = MycObject(ga, {"ae": 1.0}, {"a": (0.0,), "a2": (0.0,)})
@@ -569,6 +643,15 @@ class TestTransport:
         with pytest.raises(ParameterError, match="^sigma at edge 'e' must be a finite"):
             transport_myc(m, gt)
 
+    def test_overflowing_feature_merge_is_refused(self):
+        g = AttributedGraph(("x", "y"), (("e0", ("x", "y")),))
+        m = MycObject(g, {"e0": 1.0}, {"x": (1e308,), "y": (1e308,)})
+        h = AttributedGraph(("xy",), (("loop", ("xy", "xy")),))
+        gt = GraphMorphism(g, h, {"x": "xy", "y": "xy"}, {"e0": "loop"})
+        with pytest.raises(ParameterError) as exc:
+            transport_myc(m, gt)
+        assert str(exc.value) == "omega at node 'xy' feature 0 must be a finite number, got inf"
+
 
 class TestMycObjectConductivity:
     @pytest.mark.parametrize("x", [math.nan, math.inf, -1.0])
@@ -577,6 +660,14 @@ class TestMycObjectConductivity:
         with pytest.raises(ParameterError) as exc:
             MycObject(g, {"e": x}, {"a": (0.0,), "b": (0.0,)})
         assert str(exc.value) == f"sigma at edge 'e' must be a finite nonnegative number, got {x}"
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_non_finite_feature_is_refused(x):
+    g = AttributedGraph(("a", "b"), (("e", ("a", "b")),))
+    with pytest.raises(ParameterError) as exc:
+        MycObject(g, {"e": 1.0}, {"a": (0.0, 0.0), "b": (0.0, x)})
+    assert str(exc.value) == f"omega at node 'b' feature 1 must be a finite number, got {x}"
 
 
 @settings(max_examples=40, deadline=None)
@@ -700,8 +791,7 @@ def loop_outcome(graph, chi, rows):
     """The envs of a loop over ``EnvObject``s, or the first one's error."""
     envs = []
     for cells in rows:
-        rho = {v: c[0] for v, c in zip(graph.nodes, cells)}
-        phi = {v: tuple(c[1:]) for v, c in zip(graph.nodes, cells)}
+        rho, phi = row_maps(graph, cells)
         try:
             envs.append(EnvObject(graph, rho, phi, chi))
         except ConstraintError as exc:
@@ -720,11 +810,15 @@ class TestEnvBatch:
     @given(env_rows())
     def test_validation_and_round_trip_match_env_objects(self, case):
         graph, chi, rows = case
+        message = next(
+            filter(None, (reference_violation(*row_maps(graph, c), chi) for c in rows)), None
+        )
         expected = loop_outcome(graph, chi, rows)
-        if isinstance(expected, ConstraintError):
+        if message is not None:
+            assert isinstance(expected, ConstraintError) and str(expected) == message
             with pytest.raises(ConstraintError) as exc:
                 EnvBatch(graph, chi, rows)
-            assert str(exc.value) == str(expected)
+            assert str(exc.value) == message
             return
         batch = EnvBatch(graph, chi, rows)
         assert batch.fields.tobytes() == np.array(rows, dtype=np.float64).tobytes()
@@ -765,6 +859,16 @@ class TestEnvBatch:
             EnvBatch(graph, Constraints(), np.zeros((1, 2, 3)))
         with pytest.raises(ShapeError):
             EnvBatch(graph, Constraints(), np.zeros((2, 2)))
+
+    def test_rows_of_checked_environments_are_not_checked_again(self, violation_checks):
+        e = square_env()
+        envs = [e, EnvObject(e.graph, {**e.rho, "n0": 2.0}, e.phi, e.chi)]
+        violation_checks.clear()
+        batch = EnvBatch.from_envs(envs)
+        batch.take([1, 0, 1])
+        assert violation_checks == []
+        assert batch.env(0) == envs[0]  # the wire form is checked again, once
+        assert len(violation_checks) == 1
 
     def test_from_envs_refuses_a_mixed_batch(self):
         e = square_env()

@@ -498,7 +498,7 @@ def oracle_lipschitz(f, pairs, iota, program, run, bound):
     for idx, (e1, e2) in enumerate(pairs):
         m1 = f.on_object(run(f, iota(e1), program))
         m2 = f.on_object(run(f, iota(e2), program))
-        d_env = env_distance(e1, e2, (1.0, 1.0, 1.0))
+        d_env = env_distance(e1, e2)
         d_myc = myc_distance(m1, m2)
         if d_env == 0.0:
             continue

@@ -582,6 +582,16 @@ class TestPieceTable:
         assert table_programs(table) == [program_bits(p) for p in programs]
         if programs:
             assert program_bits(table.program(-1)) == program_bits(programs[-1])
+        pieces = [piece for p in programs for piece in p.pieces]
+        checked = PieceTable(
+            [length for length, _ in pieces],
+            [control for _, control in pieces],
+            [len(p.pieces) for p in programs],
+        )
+        for name in ("lengths", "inputs", "counts"):
+            got, want = getattr(table, name), getattr(checked, name)
+            assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())
+            assert not got.flags.writeable
 
     @settings(max_examples=150, deadline=None)
     @given(program_batches())
@@ -665,6 +675,21 @@ class TestPieceTable:
         assert evolve_many(state, PieceTable.from_programs([NULL_PROGRAM]), dyn).tobytes() == (
             state.tobytes()
         )
+
+    def test_from_programs_does_not_check_the_pieces_again(self, monkeypatch):
+        programs = [Program(((0.5, (1.0, 0.0)),)), NULL_PROGRAM, Program(((0.25, (0.0, 1.0)),) * 2)]
+        calls = []
+        init = PieceTable.__post_init__
+
+        def counted(self):
+            calls.append(self)
+            init(self)
+
+        monkeypatch.setattr(PieceTable, "__post_init__", counted)
+        assert PieceTable.from_programs(programs).inputs.shape == (3, 2)
+        assert PieceTable.from_programs([]).inputs.shape == (0, 0)
+        assert PieceTable.from_programs([Program(((1.0, ()),))] * 2).inputs.shape == (2, 0)
+        assert calls == []
 
     def test_arrays_are_read_only_copies(self):
         lengths = np.array([0.5, 0.25])

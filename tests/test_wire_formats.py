@@ -16,11 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mycocat.envmyc import Constraints, EnvObject, MycObject
-from mycocat.errors import ParameterError, ShapeError
+from mycocat.envmyc import Constraints, EnvObject, MycObject, env_distance, myc_distance
+from mycocat.errors import MycocatError, ParameterError, ShapeError
 from mycocat.experiments import PulseTemplate
 from mycocat.graphs import AttributedGraph, GraphMorphism
 from mycocat.programs import InternalState, Program, ReferenceDynamics, StateLayout
+from conftest import key_paths, replaced
 
 IDS = st.one_of(st.integers(0, 3), st.sampled_from(["0", "1", "2", "3", "a"]))
 FINITE = st.floats(-1e3, 1e3, allow_nan=False)
@@ -286,3 +287,38 @@ def test_ids_that_print_alike_are_refused():
     )
     with pytest.raises(ShapeError, match="edge ids 0 and '0' share the JSON key '0'"):
         myc.to_json()
+
+
+# The values of the CLI input fuzzer, with NaN as well as Infinity.
+READER_FUZZ_VALUES = [None, "x", [], {}, -1, 0, math.nan, math.inf, True, [[1]]]
+READER_FUZZ = {
+    "env": (EnvObject, env_distance, ENV_WIRE),
+    "env-chi": (EnvObject, env_distance, {**ENV_WIRE, "chi": {
+        "humidity": [0, 1], "temperature": [0, 40], "phi_bounds": [[0, 1]], "budget": 10,
+    }}),
+    "myc": (MycObject, myc_distance, MYC_WIRE),
+}
+
+
+@pytest.mark.parametrize("name", READER_FUZZ)
+def test_fuzzed_wire_objects_are_refused_or_sound(name):
+    """Each key path of a template, set to each fuzz value in turn: the
+    reader raises a MycocatError or builds an object at distance exactly 0
+    from itself. An empty root object lacks every key; a missing key stays
+    a KeyError, which the CLI reports as such. The three templates, 650
+    reads, take ~0.01 s."""
+    reader, distance, template = READER_FUZZ[name]
+    bad = []
+    for path in key_paths(template):
+        for value in READER_FUZZ_VALUES:
+            try:
+                built = reader.from_json(replaced(template, path, value))
+            except MycocatError:
+                continue
+            except KeyError:
+                if path == () and value == {}:
+                    continue
+                raise
+            if distance(built, built) != 0.0:
+                bad.append((path, value))
+    assert bad == []
