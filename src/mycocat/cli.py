@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING
 from .errors import ConfigError, ConstraintError, MycocatError, ShapeError
 from .graphs import AttributedGraph, Cospan, GraphMorphism, pushout_along_monos
 from .readers import (
-    _require_finite, _require_nonnegative, _require_positive, read_object, read_wire
+    _require_counts, _require_finite, _require_nonnegative, read_object, read_wire
 )
 
 if TYPE_CHECKING:
@@ -260,7 +260,7 @@ def read_suite_entry(check, where: str, tol: float | None, seed: int | None) -> 
     if entry.get("variant", "identity") not in ("identity", "similarity", "perturbed"):
         raise ConfigError(f"{where}variant: unknown variant {entry['variant']!r}")
     counts = ("samples", "programs", "pairs", "pulses")
-    _require_positive(entry, [key for key in counts if key in entry], where)
+    _require_counts(entry, [key for key in counts if key in entry], where)
     limits = ("tol", "bound", "seed")
     _require_nonnegative(entry, [key for key in limits if key in entry], where)
     scales = ("psi_amplitude_scale", "magnitude")

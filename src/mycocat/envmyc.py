@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -530,34 +531,36 @@ def env_distance(e1: EnvObject, e2: EnvObject) -> float:
 
 @dataclass(frozen=True)
 class MycObject:
-    """Connected network with edge conductivities and node feature vectors;
-    a conductivity that is not finite and nonnegative, or a feature that is
-    not finite, raises :class:`ParameterError` naming it."""
+    """Connected network with edge conductivities and node feature vectors,
+    kept in graph declaration order; the first conductivity that is not
+    finite and nonnegative, or feature that is not finite, raises
+    :class:`ParameterError` naming it."""
 
     graph: AttributedGraph
     sigma: Mapping  # edge -> float >= 0
     omega: Mapping  # node -> tuple of feature values
 
     def __post_init__(self):
-        object.__setattr__(self, "sigma", {e: float(x) for e, x in self.sigma.items()})
-        object.__setattr__(
-            self, "omega", {v: tuple(float(x) for x in vec) for v, vec in self.omega.items()}
-        )
         if not self.graph.is_connected():
             raise ShapeError("mycelial network must be connected")
         if set(self.sigma) != set(self.graph.edge_ids):
             raise ShapeError("sigma must be defined on exactly the graph edges")
         if set(self.omega) != self.graph.node_set:
             raise ShapeError("omega must be defined on exactly the graph nodes")
-        for e, x in self.sigma.items():
+        # declaration order, the order of the wire and of every distance sum
+        sigma = {e: float(self.sigma[e]) for e in self.graph.edge_ids}
+        omega = {v: tuple(float(x) for x in self.omega[v]) for v in self.graph.nodes}
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "omega", omega)
+        for e, x in sigma.items():
             if not 0.0 <= x < math.inf:
                 raise ParameterError(
                     f"sigma at edge {e!r} must be a finite nonnegative number, got {x}"
                 )
-        lengths = {len(v) for v in self.omega.values()}
+        lengths = {len(v) for v in omega.values()}
         if len(lengths) > 1:
             raise ShapeError("omega feature vectors must share one length")
-        for v, vec in self.omega.items():
+        for v, vec in omega.items():
             for i, x in enumerate(vec):
                 if not math.isfinite(x):
                     raise ParameterError(
@@ -568,9 +571,21 @@ class MycObject:
     def feature_count(self) -> int:
         return len(next(iter(self.omega.values()))) if self.omega else 0
 
+    @cached_property
+    def _strengths(self) -> dict:
+        """Node -> total conductivity of its incident edges (loops counted
+        once), each total added in edge declaration order."""
+        strengths = {v: 0.0 for v in self.graph.nodes}
+        for e, (u, v) in self.graph.edges:
+            x = self.sigma[e]
+            strengths[u] += x
+            if v != u:
+                strengths[v] += x
+        return strengths
+
     def node_strength(self, v) -> float:
         """Total conductivity of edges incident to v (loops counted once)."""
-        return ordered_sum(self.sigma[e] for e in self.graph.incident_edges(v))
+        return self._strengths[v]
 
     def to_json(self) -> dict:
         edges = _json_keys(self.graph.edge_ids, "edge")
@@ -646,35 +661,19 @@ def _weighted_mean(va, vb, wa: float, wb: float) -> tuple:
 
 @dataclass(frozen=True)
 class MycMorphism:
-    """Structure-compatible update between mycelial states.
-
-    ``kind`` records how the target fields relate to the source:
-
-    - ``"embed"``: the graph map identifies a substructure; fields are
-      owned by the target (used for fusion legs).
-    - ``"assign"``: the target fields are explicit data (used for induced
-      state updates, where the graph map is the identity).
-    - ``"transport"``: the target is the source coarse-grained by
-      :func:`transport_myc`; construction recomputes the transport and
-      rejects mismatching targets.
-    """
+    """Structure-compatible update between mycelial states: a graph map
+    between the two networks' graphs, with the target fields as explicit
+    data (a fusion leg's, an induced state update's, a composite's)."""
 
     source: MycObject
     target: MycObject
     graph_map: GraphMorphism
-    kind: str = "assign"
 
     def __post_init__(self):
         if self.graph_map.source != self.source.graph:
             raise ShapeError("graph map must start at the source network")
         if self.graph_map.target != self.target.graph:
             raise ShapeError("graph map must end at the target network")
-        if self.kind not in ("embed", "assign", "transport"):
-            raise ParameterError(f"unknown morphism kind {self.kind!r}")
-        if self.kind == "transport":
-            recomputed = transport_myc(self.source, self.graph_map)
-            if recomputed.sigma != self.target.sigma or recomputed.omega != self.target.omega:
-                raise ShapeError("target fields do not match the transported source")
 
     def is_identity(self, tol: float = 0.0) -> bool:
         if self.source.graph != self.target.graph:
@@ -683,48 +682,49 @@ class MycMorphism:
 
 
 def identity_myc_morphism(m: MycObject) -> MycMorphism:
-    return MycMorphism(m, m, identity_morphism(m.graph), kind="assign")
+    return MycMorphism(m, m, identity_morphism(m.graph))
 
 
 def compose_myc_morphisms(f: MycMorphism, g: MycMorphism) -> MycMorphism:
     """Diagrammatic composite; the result carries explicit target fields."""
     if f.target != g.source:
         raise CompositionError("cannot compose: target of f is not source of g")
-    return MycMorphism(
-        f.source,
-        g.target,
-        compose_graph_morphisms(f.graph_map, g.graph_map),
-        kind="assign",
-    )
+    return MycMorphism(f.source, g.target, compose_graph_morphisms(f.graph_map, g.graph_map))
+
+
+def _merged(
+    target: AttributedGraph, legs: Sequence[tuple[MycObject, GraphMorphism]]
+) -> MycObject:
+    """The network on ``target`` holding the fields of each leg, a (network,
+    graph map into ``target``) pair, merged along its map: in one fiber
+    conductivities add and feature vectors take the strength-weighted mean,
+    pairwise in leg order and then in each network's declaration order."""
+    sigma: dict = {}
+    omega: dict = {}
+    strength: dict = {}  # target node -> strength merged into it so far
+    for m, gt in legs:
+        for e in m.graph.edge_ids:
+            img = gt.edge_map[e]
+            sigma[img] = sigma[img] + m.sigma[e] if img in sigma else m.sigma[e]
+        strengths = m._strengths
+        for v in m.graph.nodes:
+            img, w = gt.node_map[v], strengths[v]
+            if img in omega:
+                omega[img] = _weighted_mean(omega[img], m.omega[v], strength[img], w)
+                strength[img] = strength[img] + w
+            else:
+                omega[img], strength[img] = m.omega[v], w
+    return MycObject(target, sigma, omega)
 
 
 def transport_myc(m: MycObject, gt: GraphMorphism) -> MycObject:
-    """Coarse-grain a mycelial state along a graph map.
-
-    Fibers of the edge map add their conductivities; fibers of the node map
-    merge feature vectors by the strength-weighted mean, pairwise in source
-    declaration order (see :func:`anastomosis`). A merge that overflows
+    """Coarse-grain a mycelial state along a graph map by the merge of
+    :func:`anastomosis`: fibers of the edge map add their conductivities;
+    fibers of the node map merge feature vectors by the strength-weighted
+    mean, pairwise in source declaration order. A merge that overflows
     raises :class:`MycObject`'s :class:`ParameterError` naming it.
     """
-    sigma: dict = {}
-    for e in m.graph.edge_ids:
-        img = gt.edge_map[e]
-        if img in sigma:
-            sigma[img] = sigma[img] + m.sigma[e]
-        else:
-            sigma[img] = m.sigma[e]
-    omega: dict = {}
-    strength: dict = {}
-    for v in m.graph.nodes:
-        img = gt.node_map[v]
-        w = m.node_strength(v)
-        if img in omega:
-            omega[img] = _weighted_mean(omega[img], m.omega[v], strength[img], w)
-            strength[img] = strength[img] + w
-        else:
-            omega[img] = m.omega[v]
-            strength[img] = w
-    return MycObject(gt.target, sigma, omega)
+    return _merged(gt.target, [(m, gt)])
 
 
 def anastomosis(a: MycObject, m1: MycMorphism, m2: MycMorphism) -> MycObject:
@@ -732,10 +732,11 @@ def anastomosis(a: MycObject, m1: MycMorphism, m2: MycMorphism) -> MycObject:
 
     ``m1`` and ``m2`` embed ``a`` into the two networks; both graph maps
     must be monomorphisms. The underlying graph of the result is the
-    pushout of the graph cospan. On identified edges the conductivities
-    add, as parallel conductances do; on identified nodes the feature
-    vectors take the mean weighted by each node's total incident
-    conductivity, falling back to the plain mean when both totals are zero.
+    pushout of the graph cospan; the two networks' fields merge along the
+    pushout injections. On identified edges the conductivities add, as
+    parallel conductances do; on identified nodes the feature vectors take
+    the mean weighted by each node's total incident conductivity, falling
+    back to the plain mean when both totals are zero.
 
     Raises :class:`PreconditionError` for non-mono legs, and
     :class:`MycObject`'s :class:`ParameterError` naming the fused edge or
@@ -756,36 +757,6 @@ def anastomosis_with_injections(
     if not is_monomorphism(m1.graph_map) or not is_monomorphism(m2.graph_map):
         raise PreconditionError("anastomosis requires mono legs")
     b, c = m1.target, m2.target
-
-    cospan = Cospan(a.graph, m1.graph_map, m2.graph_map)
-    fused_graph, inj_b, inj_c = pushout_along_monos(cospan)
-
-    from_b_edge = {inj_b.edge_map[e]: e for e in b.graph.edge_ids}
-    from_c_edge = {inj_c.edge_map[e]: e for e in c.graph.edge_ids}
-    sigma: dict = {}
-    for pe in fused_graph.edge_ids:
-        eb, ec = from_b_edge.get(pe), from_c_edge.get(pe)
-        if eb is not None and ec is not None:
-            sigma[pe] = b.sigma[eb] + c.sigma[ec]
-        elif eb is not None:
-            sigma[pe] = b.sigma[eb]
-        else:
-            sigma[pe] = c.sigma[ec]
-
-    from_b_node = {inj_b.node_map[v]: v for v in b.graph.nodes}
-    from_c_node = {inj_c.node_map[v]: v for v in c.graph.nodes}
-    omega: dict = {}
-    for pv in fused_graph.nodes:
-        vb, vc = from_b_node.get(pv), from_c_node.get(pv)
-        if vb is not None and vc is not None:
-            wb, wc = b.node_strength(vb), c.node_strength(vc)
-            omega[pv] = _weighted_mean(b.omega[vb], c.omega[vc], wb, wc)
-        elif vb is not None:
-            omega[pv] = b.omega[vb]
-        else:
-            omega[pv] = c.omega[vc]
-
-    fused = MycObject(fused_graph, sigma, omega)
-    into_b = MycMorphism(b, fused, inj_b, kind="embed")
-    into_c = MycMorphism(c, fused, inj_c, kind="embed")
-    return fused, into_b, into_c
+    fused_graph, inj_b, inj_c = pushout_along_monos(Cospan(a.graph, m1.graph_map, m2.graph_map))
+    fused = _merged(fused_graph, [(b, inj_b), (c, inj_c)])
+    return fused, MycMorphism(b, fused, inj_b), MycMorphism(c, fused, inj_c)

@@ -54,6 +54,7 @@ from .programs import (
     state_distances,
 )
 from .readers import (
+    _require_counts,
     _require_finite,
     _require_nonnegative,
     _require_positive,
@@ -118,6 +119,24 @@ def _check_coupling(kind: str, features: int, where: str = "") -> None:
         raise ConfigError(f"{where}coupling: unknown coupling kind {kind!r}")
     if features < 2:
         raise ConfigError(f"{where}features: coupling needs at least 2 features per site")
+
+
+# The most memory the dense dynamics of a reference species may take:
+# (1 + channels) float64 matrices of (n_sites * features)^2 entries.
+MAX_DYNAMICS_BYTES = 64 << 20
+
+
+def _check_dynamics_size(values: Mapping, names: Sequence[str], where: str = "") -> None:
+    """Refuse a reference species whose dense dynamics would take more than
+    :data:`MAX_DYNAMICS_BYTES`, naming the largest of its fields ``names``,
+    before anything is built; ``where`` prefixes the field."""
+    dim = values["n_sites"] * values["features"]
+    if 8 * (1 + values["channels"]) * dim * dim > MAX_DYNAMICS_BYTES:
+        name = max(names, key=values.__getitem__)
+        raise ConfigError(
+            f"{where}{name}: too large, the species' dynamics would take more than "
+            f"{MAX_DYNAMICS_BYTES >> 20} MiB"
+        )
 
 
 def reference_species(
@@ -262,7 +281,9 @@ def species_from_config(data: Mapping, path: str) -> SpeciesFunctor:
         values = _config_kwargs(data, _EXPLICIT_SPECIES, where)
         return read_wire(values, path, lambda block: _explicit_species(block, where))
     values = {**_SPECIES_DEFAULTS, **_config_kwargs(data, _SPECIES_DEFAULTS, where)}
-    _require_positive(values, ("n_sites", "channels", "features"), where)
+    sizes = ("n_sites", "channels", "features")
+    _require_positive(values, sizes, where)
+    _check_dynamics_size(values, sizes, where)
     _require_nonnegative(values, ("sigma",), where)
     _check_coupling(values["coupling"], values["features"], where)
     return reference_species(**values)
@@ -565,7 +586,9 @@ class WorkedExampleConfig:
         return self.channels + 1
 
     def __post_init__(self):
-        _require_positive(vars(self), ("n_sites", "channels", "functor_samples", "compat_pulses"))
+        _require_positive(vars(self), ("n_sites", "channels"))
+        _require_counts(vars(self), ("functor_samples", "compat_pulses"))
+        _check_dynamics_size({**vars(self), "features": self.features}, ("n_sites", "channels"))
         _check_coupling(self.coupling, self.features)
         _check_pulse_channels(self, self.channels)
         _require_nonnegative(vars(self), ("sigma", "seed", "functor_tol", "compat_tol"))

@@ -106,9 +106,6 @@ class AttributedGraph:
         """Edge ids joining u and v (unordered for undirected graphs)."""
         return list(self.adjacency.get((u, v), ()))
 
-    def incident_edges(self, v: NodeId) -> list:
-        return [eid for eid, (a, b) in self.edges if a == v or b == v]
-
     def is_connected(self) -> bool:
         """Connectivity of the underlying undirected graph; empty graph counts
         as connected only if it has no nodes."""

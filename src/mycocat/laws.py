@@ -132,9 +132,7 @@ class SpeciesFunctor:
     def on_program(self, state: InternalState, program: Program) -> MycMorphism:
         before = self.on_object(state)
         after = self.on_object(self.transform(state, program))
-        return MycMorphism(
-            before, after, identity_morphism(before.graph), kind="assign"
-        )
+        return MycMorphism(before, after, identity_morphism(before.graph))
 
 
 class NonCausalSpecies(SpeciesFunctor):
@@ -222,6 +220,16 @@ def _worst(values: Sequence[float]) -> tuple[float, int | None]:
     return worst, int((values >= near).argmax())
 
 
+def _report(
+    law: str, residuals: np.ndarray, tol: float, witness_of: Callable, seed: int | None = None
+) -> LawReport:
+    """The report on one residual per sample: the worst (see :func:`_worst`)
+    and the witness ``witness_of(i)`` of its sample ``i``, plus ``residual``."""
+    worst, i = _worst(residuals)
+    witness = None if i is None else {**witness_of(i), "residual": float(residuals[i])}
+    return LawReport(law, len(residuals), worst, tol, seed, witness)
+
+
 # ---------------------------------------------------------------------------
 # Functor laws
 # ---------------------------------------------------------------------------
@@ -280,25 +288,17 @@ def check_functor_laws(
             witness={"kind": "identity-law", "sample": int(moved[0])},
         )
     residuals = state_distances(joint, second, f.extraction)
-    worst, i = _worst(residuals)
-    witness = None
-    if i is not None:
-        witness = {
+
+    def witness_of(i: int) -> dict:
+        return {
             "kind": "composition",
             "sample": i,
             "state": states[i].tolist(),
             "p": ps.program(i).to_json(),
             "q": qs.program(i).to_json(),
-            "residual": float(residuals[i]),
         }
-    return LawReport(
-        law="functor-laws",
-        samples=sample_count,
-        max_residual=worst,
-        tolerance=tol,
-        seed=seed,
-        witness=witness,
-    )
+
+    return _report("functor-laws", residuals, tol, witness_of, seed)
 
 
 def replay_functor_law_witness(f: SpeciesFunctor, witness: Mapping) -> float:
@@ -377,25 +377,17 @@ def check_naturality(
     moved2 = f2.transform_many(_translate(eta, states, layout), repeated)
     translated = _translate(eta, moved1, layout)
     residuals = state_distances(translated, moved2, f2.extraction)
-    worst, i = _worst(residuals)
-    witness = None
-    if i is not None:
+
+    def witness_of(i: int) -> dict:
         pi, si = divmod(i, STATES_PER_PROGRAM)
-        witness = {
+        return {
             "program_index": pi,
             "state_index": si,
             "state": states[i].tolist(),
             "program": programs[pi].to_json(),
-            "residual": float(residuals[i]),
         }
-    return LawReport(
-        law="naturality",
-        samples=len(states),
-        max_residual=worst,
-        tolerance=tol,
-        seed=seed,
-        witness=witness,
-    )
+
+    return _report("naturality", residuals, tol, witness_of, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -792,20 +784,13 @@ def check_compatibility(
     operational = f.transform_many(starts[env_rows], table)
     static = iota.many(psi(batch.take(env_rows), table))
     residuals = state_distances(static, operational, f.extraction, weights)
-    worst, i = _worst(residuals)
-    witness = None
-    if i is not None:
+
+    def witness_of(i: int) -> dict:
         ei, pi = pairs[i]
-        witness = {
+        return {
             "environment_index": ei,
             "program_index": pi,
             "program": programs[pi].to_json(),
-            "residual": float(residuals[i]),
         }
-    return LawReport(
-        law="compatibility",
-        samples=len(pairs),
-        max_residual=worst,
-        tolerance=tol,
-        witness=witness,
-    )
+
+    return _report("compatibility", residuals, tol, witness_of)

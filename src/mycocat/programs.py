@@ -425,9 +425,9 @@ def evolve_many(
         raise ShapeError(
             f"dynamics dimension {dyn.dim} does not match state dimension {vectors.shape[1]}"
         )
-    out = kernels.apply_flows(
-        dyn._system, dyn._blocks, *_flow_arrays(table, dyn), vectors
-    )
+    # a flow that overflows is refused below, not warned about by numpy
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = kernels.apply_flows(dyn._system, dyn._blocks, *_flow_arrays(table, dyn), vectors)
     if not np.isfinite(out).all():
         raise NumericError("evolution produced non-finite state entries")
     return out

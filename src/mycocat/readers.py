@@ -131,11 +131,26 @@ def read_wire(data, field: str, build: Callable):
         raise ConfigError(f"{field}: {exc}") from exc
 
 
+# The most samples, programs, pairs or pulses one config may ask for. A
+# count is a Python loop or an array length, and an integral float such as
+# 1e308 reads as a 309-digit int.
+MAX_SAMPLES = 10_000
+
+
 def _require_positive(values: Mapping, names: Sequence[str], where: str = "") -> None:
     """Reject a size or count below 1; ``where`` prefixes the key in errors."""
     for name in names:
         if values[name] < 1:
             raise ConfigError(f"{where}{name}: must be positive, got {values[name]}")
+
+
+def _require_counts(values: Mapping, names: Sequence[str], where: str = "") -> None:
+    """Reject a sample count below 1 or above :data:`MAX_SAMPLES`; ``where``
+    prefixes the key in errors."""
+    _require_positive(values, names, where)
+    for name in names:
+        if values[name] > MAX_SAMPLES:
+            raise ConfigError(f"{where}{name}: must be at most {MAX_SAMPLES}")
 
 
 def _require_nonnegative(values: Mapping, names: Sequence[str], where: str = "") -> None:

@@ -974,6 +974,25 @@ EXPLICIT_SPECIES = {
             {}, f"error: pulse_p.amplitude: must be a number in the float range, got {10**400}",
             id="scan-integer-past-float-range",
         ),
+        pytest.param(
+            ["worked-example", "--config", CONFIG], {"n_sites": 1e308}, {},
+            "error: n_sites: too large, the species' dynamics would take more than 64 MiB",
+            id="worked-example-huge-sites",
+        ),
+        pytest.param(
+            ["worked-example", "--config", CONFIG], {"compat_pulses": 1e308}, {},
+            "error: compat_pulses: must be at most 10000", id="worked-example-huge-pulses",
+        ),
+        pytest.param(
+            ["order-scan", CONFIG], {"species": {"n_sites": 2, "channels": 1e308}}, {},
+            "error: species.channels: too large, the species' dynamics would take more than "
+            "64 MiB", id="scan-huge-channels",
+        ),
+        pytest.param(
+            ["check-laws", CONFIG],
+            {"checks": [{"law": "lipschitz", "pairs": 1e308, **SMALL_SPECIES}]}, {},
+            "error: checks[0].pairs: must be at most 10000", id="lipschitz-huge-pairs",
+        ),
     ],
 )
 def test_input_contract(tmp_path, monkeypatch, capsys, argv, config, env, message):
@@ -1185,7 +1204,7 @@ FUZZ_COMMANDS = {
     "order_scan.json": ["order-scan", INPUT],
     "laws_suite.json": ["check-laws", INPUT],
 }
-FUZZ_VALUES = [None, "x", [], {}, -1, 0, math.inf, True, "1", [[1]]]
+FUZZ_VALUES = [None, "x", [], {}, -1, 0, math.inf, 1e308, -1e308, True, "1", [[1]]]
 
 
 def value_at(doc, path):

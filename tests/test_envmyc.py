@@ -42,6 +42,7 @@ from mycocat.errors import (
 )
 from mycocat.graphs import (
     AttributedGraph,
+    Cospan,
     GraphMorphism,
     identity_morphism,
     verify_pushout_universal_property,
@@ -467,8 +468,8 @@ def shared_node_fusion(sig_b=1.0, sig_c=1.0, omega_mid=(0.0, 0.0, 0.0)):
     gc = AttributedGraph(("a", "c"), (("ec", ("a", "c")),))
     b = MycObject(gb, {"eb": sig_b}, {"a": omega_mid, "b": (1.0, 1.0, 1.0)})
     c = MycObject(gc, {"ec": sig_c}, {"a": omega_mid, "c": (2.0, 2.0, 2.0)})
-    m1 = MycMorphism(a, b, GraphMorphism(a.graph, gb, {"a": "a"}, {}), kind="embed")
-    m2 = MycMorphism(a, c, GraphMorphism(a.graph, gc, {"a": "a"}, {}), kind="embed")
+    m1 = MycMorphism(a, b, GraphMorphism(a.graph, gb, {"a": "a"}, {}))
+    m2 = MycMorphism(a, c, GraphMorphism(a.graph, gc, {"a": "a"}, {}))
     return a, m1, m2
 
 
@@ -479,7 +480,7 @@ class TestAnastomosis:
         assert len(fused.graph.nodes) == 3
         assert sorted(fused.sigma.values()) == [1.0, 1.0]
         assert fused.graph.is_connected()
-        assert into_b.kind == "embed" and into_c.kind == "embed"
+        assert into_b.target == fused and into_c.target == fused
 
     def test_identified_edge_sigma_sums(self):
         ga = AttributedGraph(("a0", "a1"), (("ae", ("a0", "a1")),))
@@ -488,12 +489,8 @@ class TestAnastomosis:
         b = MycObject(gb, {"be": 2.0}, {"a0": (0.0,), "a1": (0.0,)})
         gc = AttributedGraph(("a0", "a1"), (("ce", ("a0", "a1")),))
         c = MycObject(gc, {"ce": 3.0}, {"a0": (0.0,), "a1": (0.0,)})
-        m1 = MycMorphism(
-            a, b, GraphMorphism(ga, gb, {"a0": "a0", "a1": "a1"}, {"ae": "be"}), kind="embed"
-        )
-        m2 = MycMorphism(
-            a, c, GraphMorphism(ga, gc, {"a0": "a0", "a1": "a1"}, {"ae": "ce"}), kind="embed"
-        )
+        m1 = MycMorphism(a, b, GraphMorphism(ga, gb, {"a0": "a0", "a1": "a1"}, {"ae": "be"}))
+        m2 = MycMorphism(a, c, GraphMorphism(ga, gc, {"a0": "a0", "a1": "a1"}, {"ae": "ce"}))
         fused = anastomosis(a, m1, m2)
         assert list(fused.sigma.values()) == [pytest.approx(5.0)]
 
@@ -505,8 +502,8 @@ class TestAnastomosis:
         b = MycObject(gb, {"be": 2.0}, {"a": (1.0,), "b": (0.0,)})
         gc = AttributedGraph(("a", "c"), (("ce", ("a", "c")),))
         c = MycObject(gc, {"ce": 3.0}, {"a": (6.0,), "c": (0.0,)})
-        m1 = MycMorphism(a, b, GraphMorphism(ga, gb, {"a": "a"}, {}), kind="embed")
-        m2 = MycMorphism(a, c, GraphMorphism(ga, gc, {"a": "a"}, {}), kind="embed")
+        m1 = MycMorphism(a, b, GraphMorphism(ga, gb, {"a": "a"}, {}))
+        m2 = MycMorphism(a, c, GraphMorphism(ga, gc, {"a": "a"}, {}))
         fused, into_b, _ = anastomosis_with_injections(a, m1, m2)
         merged_node = into_b.graph_map.node_map["a"]
         # (2*1 + 3*6) / 5 = 4.0
@@ -517,8 +514,8 @@ class TestAnastomosis:
         b, c = m1.target, m2.target
         b2 = MycObject(b.graph, b.sigma, {**b.omega, "a": (1.0, 0.0, 0.0)})
         c2 = MycObject(c.graph, c.sigma, {**c.omega, "a": (3.0, 0.0, 0.0)})
-        m1b = MycMorphism(a, b2, m1.graph_map, kind="embed")
-        m2b = MycMorphism(a, c2, m2.graph_map, kind="embed")
+        m1b = MycMorphism(a, b2, m1.graph_map)
+        m2b = MycMorphism(a, c2, m2.graph_map)
         fused, into_b, _ = anastomosis_with_injections(a, m1b, m2b)
         merged = into_b.graph_map.node_map["a"]
         assert fused.omega[merged][0] == pytest.approx(2.0)
@@ -535,7 +532,7 @@ class TestAnastomosis:
             g = AttributedGraph(("a0", "a1"), ((edge, ("a0", "a1")),))
             target = MycObject(g, {edge: sigma}, {"a0": (feature,), "a1": (0.0,)})
             graph_map = GraphMorphism(ga, g, {"a0": "a0", "a1": "a1"}, {"ae": edge})
-            return MycMorphism(a, target, graph_map, kind="embed")
+            return MycMorphism(a, target, graph_map)
 
         with pytest.raises(ParameterError) as exc:
             anastomosis(a, leg("be", b_sigma), leg("ce", c_sigma))
@@ -548,14 +545,8 @@ class TestAnastomosis:
         b = MycObject(gb, {"loop": 1.0}, {"x": (0.0,)})
         gc = AttributedGraph(("a", "a2"), (("ce", ("a", "a2")),))
         c = MycObject(gc, {"ce": 1.0}, {"a": (0.0,), "a2": (0.0,)})
-        collapse = MycMorphism(
-            a, b, GraphMorphism(ga, gb, {"a": "x", "a2": "x"}, {"ae": "loop"}),
-            kind="embed",
-        )
-        embed = MycMorphism(
-            a, c, GraphMorphism(ga, gc, {"a": "a", "a2": "a2"}, {"ae": "ce"}),
-            kind="embed",
-        )
+        collapse = MycMorphism(a, b, GraphMorphism(ga, gb, {"a": "x", "a2": "x"}, {"ae": "loop"}))
+        embed = MycMorphism(a, c, GraphMorphism(ga, gc, {"a": "a", "a2": "a2"}, {"ae": "ce"}))
         with pytest.raises(PreconditionError):
             anastomosis(a, collapse, embed)
 
@@ -579,8 +570,8 @@ class TestAnastomosis:
             a_fields = mk(cospan.apex, 1)
             b = mk(b_graph, 2)
             c = mk(c_graph, 5)
-            m1 = MycMorphism(a_fields, b, cospan.left, kind="embed")
-            m2 = MycMorphism(a_fields, c, cospan.right, kind="embed")
+            m1 = MycMorphism(a_fields, b, cospan.left)
+            m2 = MycMorphism(a_fields, c, cospan.right)
             fused, into_b, into_c = anastomosis_with_injections(a_fields, m1, m2)
 
             # underlying graph equals plain graph pushout
@@ -653,6 +644,195 @@ class TestTransport:
         assert str(exc.value) == "omega at node 'xy' feature 0 must be a finite number, got inf"
 
 
+# ---------------------------------------------------------------------------
+# The one field merge against per-class references
+# ---------------------------------------------------------------------------
+
+
+def reference_strength(m, v):
+    """Conductivity of the edges incident to ``v`` (a loop counted once),
+    added left to right in edge declaration order."""
+    return envmyc.ordered_sum(m.sigma[e] for e, (a, b) in m.graph.edges if v in (a, b))
+
+
+def reference_fusion(b, c, fused_graph, inj_b, inj_c):
+    """Fused ``(sigma, omega)`` class by class: each fused edge or node is
+    looked up in B and in C; a pair adds its conductivities, B's first, and
+    merges its features B-first by the strength-weighted mean."""
+    from_b_edge = {inj_b.edge_map[e]: e for e in b.graph.edge_ids}
+    from_c_edge = {inj_c.edge_map[e]: e for e in c.graph.edge_ids}
+    sigma = {}
+    for pe in fused_graph.edge_ids:
+        eb, ec = from_b_edge.get(pe), from_c_edge.get(pe)
+        if eb is not None and ec is not None:
+            sigma[pe] = b.sigma[eb] + c.sigma[ec]
+        else:
+            sigma[pe] = b.sigma[eb] if eb is not None else c.sigma[ec]
+    from_b_node = {inj_b.node_map[v]: v for v in b.graph.nodes}
+    from_c_node = {inj_c.node_map[v]: v for v in c.graph.nodes}
+    omega = {}
+    for pv in fused_graph.nodes:
+        vb, vc = from_b_node.get(pv), from_c_node.get(pv)
+        if vb is not None and vc is not None:
+            wb, wc = reference_strength(b, vb), reference_strength(c, vc)
+            omega[pv] = envmyc._weighted_mean(b.omega[vb], c.omega[vc], wb, wc)
+        else:
+            omega[pv] = b.omega[vb] if vb is not None else c.omega[vc]
+    return sigma, omega
+
+
+def reference_transport(m, gt):
+    """Transported ``(sigma, omega)`` fiber by fiber, in source declaration
+    order: conductivities add, features merge pairwise by the
+    strength-weighted mean."""
+    sigma = {}
+    for e in m.graph.edge_ids:
+        img = gt.edge_map[e]
+        sigma[img] = sigma[img] + m.sigma[e] if img in sigma else m.sigma[e]
+    omega, strength = {}, {}
+    for v in m.graph.nodes:
+        img, w = gt.node_map[v], reference_strength(m, v)
+        if img in omega:
+            omega[img] = envmyc._weighted_mean(omega[img], m.omega[v], strength[img], w)
+            strength[img] = strength[img] + w
+        else:
+            omega[img], strength[img] = m.omega[v], w
+    return sigma, omega
+
+
+def field_bits(sigma, omega):
+    """Both fields with every float as its hex string, keys in order."""
+    return (
+        [(e, x.hex()) for e, x in sigma.items()],
+        [(v, [x.hex() for x in vec]) for v, vec in omega.items()],
+    )
+
+
+def random_fields(rng, graph):
+    """Fields on ``graph``: one network in five has only 0.0 conductivities
+    (zero-strength nodes); the others mix 0.0, 1e16 and ordinary values."""
+    zero = rng.random() < 0.2
+    sigma = {
+        e: 0.0 if zero else rng.choice((0.0, 1e16, rng.uniform(0.0, 2.0)))
+        for e in graph.edge_ids
+    }
+    omega = {v: (rng.uniform(-1.0, 1.0), rng.choice((0.0, 1e16, -3.5))) for v in graph.nodes}
+    return MycObject(graph, sigma, omega)
+
+
+def looped_mono_cospan(rng):
+    """A random mono cospan of connected B and C that also carries self-loops:
+    some on apex nodes, glued through both legs, and some on B's and C's own
+    nodes, parallel to a glued loop where they share its node."""
+    while True:
+        cospan = make_random_mono_cospan(rng, max_nodes=5)
+        if cospan.left.target.is_connected() and cospan.right.target.is_connected():
+            break
+    apex_loops = tuple(
+        (f"al{i}", (v, v)) for i, v in enumerate(cospan.apex.nodes) if rng.random() < 0.5
+    )
+    apex = AttributedGraph(cospan.apex.nodes, cospan.apex.edges + apex_loops)
+    legs = []
+    for leg, tag in ((cospan.left, "b"), (cospan.right, "c")):
+        glued = tuple((f"{tag}{e}", (leg.node_map[v],) * 2) for e, (v, _) in apex_loops)
+        own = tuple(
+            (f"{tag}x{i}", (v, v)) for i, v in enumerate(leg.target.nodes) if rng.random() < 0.4
+        )
+        target = AttributedGraph(leg.target.nodes, leg.target.edges + glued + own)
+        edge_map = {**leg.edge_map, **{e: f"{tag}{e}" for e, _ in apex_loops}}
+        legs.append(GraphMorphism(apex, target, leg.node_map, edge_map))
+    return Cospan(apex, *legs)
+
+
+def random_quotient(rng, graph):
+    """A surjective, rarely injective graph map out of ``graph``: random
+    nodes glued, and half the edges between the same glued ends glued too;
+    the target declares its nodes and edges in shuffled order."""
+    k = rng.randint(1, len(graph.nodes))
+    node_map = {v: f"q{rng.randrange(k)}" for v in graph.nodes}
+    edge_map, target_edges, by_ends = {}, [], {}
+    for e, (u, v) in graph.edges:
+        ends = (node_map[u], node_map[v])
+        earlier = by_ends.get(frozenset(ends))
+        if earlier is not None and rng.random() < 0.5:
+            edge_map[e] = earlier
+            continue
+        edge_map[e] = f"f{len(target_edges)}"
+        by_ends[frozenset(ends)] = edge_map[e]
+        target_edges.append((edge_map[e], ends))
+    nodes = sorted(set(node_map.values()))
+    rng.shuffle(nodes)
+    rng.shuffle(target_edges)
+    return GraphMorphism(graph, AttributedGraph(nodes, target_edges), node_map, edge_map)
+
+
+class TestOneMerge:
+    def test_fusion_matches_the_class_reference_bit_for_bit(self):
+        rng = random.Random(2201)
+        done = 0
+        while done < 300:
+            cospan = looped_mono_cospan(rng)
+            if not cospan.apex.is_connected():  # the shared network is a MycObject too
+                continue
+            graphs = (cospan.apex, cospan.left.target, cospan.right.target)
+            a, b, c = (random_fields(rng, g) for g in graphs)
+            fused, into_b, into_c = anastomosis_with_injections(
+                a, MycMorphism(a, b, cospan.left), MycMorphism(a, c, cospan.right)
+            )
+            graph, inj_b, inj_c = pushout_along_monos(cospan)
+            assert fused.graph == graph
+            assert (into_b.graph_map, into_c.graph_map) == (inj_b, inj_c)
+            expected = reference_fusion(b, c, graph, inj_b, inj_c)
+            assert field_bits(fused.sigma, fused.omega) == field_bits(*expected)
+            for m in (b, c, fused):
+                assert [m.node_strength(v).hex() for v in m.graph.nodes] == [
+                    reference_strength(m, v).hex() for v in m.graph.nodes
+                ]
+            done += 1
+
+    def test_transport_matches_the_fiber_reference_bit_for_bit(self):
+        rng = random.Random(2202)
+        glued = 0
+        for _ in range(300):
+            graph = looped_mono_cospan(rng).left.target
+            m = random_fields(rng, graph)
+            gt = random_quotient(rng, graph)
+            glued += len(gt.target.nodes) < len(graph.nodes)
+            out = transport_myc(m, gt)
+            sigma, omega = reference_transport(m, gt)
+            in_order = (
+                {e: sigma[e] for e in gt.target.edge_ids},
+                {v: omega[v] for v in gt.target.nodes},
+            )
+            assert field_bits(out.sigma, out.omega) == field_bits(*in_order)
+        assert glued > 100
+
+    def test_reordered_fields_give_the_same_distance_bits(self):
+        graph = AttributedGraph(("a", "b", "c"), (("e0", ("a", "b")), ("e1", ("b", "c"))))
+        sigma = {"e0": 1.0, "e1": 2.0}
+        omega = {"a": (1e16,), "b": (1.0,), "c": (1.0,)}
+        m = MycObject(graph, sigma, omega)
+        reordered = MycObject(graph, dict(reversed(sigma.items())), dict(reversed(omega.items())))
+        zero = MycObject(graph, sigma, {v: (0.0,) for v in graph.nodes})
+        assert m == reordered
+        assert list(reordered.sigma) == list(graph.edge_ids)
+        assert list(reordered.omega) == list(graph.nodes)
+        # node order c, b, a would add 1.0 + 1.0 + 1e16 = 1e16 + 2
+        assert myc_distance(m, zero) == myc_distance(reordered, zero) == 1e16
+        wire = m.to_json()
+        wire["omega"] = dict(reversed(wire["omega"].items()))
+        assert myc_distance(MycObject.from_json(wire), zero) == 1e16
+
+    def test_first_violation_is_named_in_graph_order(self):
+        graph = AttributedGraph(("a", "b"), (("e0", ("a", "b")), ("e1", ("a", "b"))))
+        with pytest.raises(ParameterError) as exc:
+            MycObject(graph, {"e1": -1.0, "e0": -2.0}, {"a": (0.0,), "b": (0.0,)})
+        assert str(exc.value) == "sigma at edge 'e0' must be a finite nonnegative number, got -2.0"
+        with pytest.raises(ParameterError) as exc:
+            MycObject(graph, {"e0": 1.0, "e1": 1.0}, {"b": (math.nan,), "a": (math.inf,)})
+        assert str(exc.value) == "omega at node 'a' feature 0 must be a finite number, got inf"
+
+
 class TestMycObjectConductivity:
     @pytest.mark.parametrize("x", [math.nan, math.inf, -1.0])
     def test_refused(self, x):
@@ -712,12 +892,12 @@ def random_network(rng):
 
 
 def random_assign(rng, source):
-    """An ``assign`` morphism out of ``source`` along a random graph map."""
+    """A morphism out of ``source`` to a random network along a random graph map."""
     while True:
         target = random_network(rng)
         graph_map = make_random_morphism(rng, source.graph, target.graph)
         if graph_map is not None:
-            return MycMorphism(source, target, graph_map, kind="assign")
+            return MycMorphism(source, target, graph_map)
 
 
 def random_chain(seed, length=3):

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mycocat import kernels
+from mycocat import experiments, kernels
+from mycocat.cli import read_suite_entry
 from mycocat.errors import ConfigError, InsufficientDataError, ParameterError
 from mycocat.experiments import (
     DELTA_FLOOR,
+    MAX_DYNAMICS_BYTES,
     ExposureExperiment,
     PulseTemplate,
     WorkedExampleConfig,
@@ -21,7 +23,9 @@ from mycocat.experiments import (
     reference_species,
     run_order_asymmetry_scan,
     run_worked_example,
+    species_from_config,
 )
+from mycocat.readers import MAX_SAMPLES
 from mycocat.envmyc import myc_distance
 from mycocat.laws import SpeciesFunctor
 from mycocat.liealg import commutator, estimate_generator
@@ -32,6 +36,51 @@ from mycocat.programs import (
     concatenate,
     evolve,
 )
+
+
+class TestConfigSizeBounds:
+    """Sizes and counts read from a config are bounded before anything is
+    built: an integral float such as 1e308 reads as a 309-digit int."""
+
+    def test_species_dynamics_budget_is_inclusive(self, monkeypatch):
+        # 8 bytes * (1 + 1 channel) * (1024 sites * 2 features)^2
+        assert 8 * 2 * (1024 * 2) ** 2 == MAX_DYNAMICS_BYTES
+        built = []
+        monkeypatch.setattr(experiments, "reference_species", lambda **kw: built.append(kw))
+        species_from_config({"n_sites": 1024, "channels": 1, "features": 2}, "species")
+        assert [(kw["n_sites"], kw["channels"], kw["features"]) for kw in built] == [(1024, 1, 2)]
+        for key, value in (("n_sites", 1025), ("features", 1e308), ("channels", 1e308)):
+            config = {"n_sites": 1024, "channels": 1, "features": 2, key: value}
+            with pytest.raises(ConfigError) as exc:
+                species_from_config(config, "species")
+            assert str(exc.value) == (
+                f"species.{key}: too large, the species' dynamics would take more than 64 MiB"
+            )
+        assert len(built) == 1
+
+    def test_worked_example_budget_and_counts(self):
+        # one channel, so two features: exactly the budget at 1024 sites
+        one = {"channels": 1, "pulse_q": PulseTemplate(channel=0)}
+        WorkedExampleConfig(
+            n_sites=1024, functor_samples=MAX_SAMPLES, compat_pulses=MAX_SAMPLES, **one
+        )
+        with pytest.raises(ConfigError, match="^n_sites: too large"):
+            WorkedExampleConfig(n_sites=1025, **one)
+        for key in ("functor_samples", "compat_pulses"):
+            with pytest.raises(ConfigError) as exc:
+                WorkedExampleConfig(**{key: MAX_SAMPLES + 1})
+            assert str(exc.value) == f"{key}: must be at most {MAX_SAMPLES}"
+
+    @pytest.mark.parametrize("law, key", [
+        ("functor_laws", "samples"), ("naturality", "programs"), ("lipschitz", "pairs"),
+        ("compatibility", "pulses"),
+    ])
+    def test_suite_counts_are_capped(self, law, key):
+        entry = read_suite_entry({"law": law, key: MAX_SAMPLES}, "checks[0].", None, None)
+        assert entry[key] == MAX_SAMPLES
+        with pytest.raises(ConfigError) as exc:
+            read_suite_entry({"law": law, key: MAX_SAMPLES + 1}, "checks[0].", None, None)
+        assert str(exc.value) == f"checks[0].{key}: must be at most {MAX_SAMPLES}"
 
 
 class TestFitLoglogSlope:
