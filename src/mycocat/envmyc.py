@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -571,7 +570,6 @@ class MycObject:
     def feature_count(self) -> int:
         return len(next(iter(self.omega.values()))) if self.omega else 0
 
-    @cached_property
     def _strengths(self) -> dict:
         """Node -> total conductivity of its incident edges (loops counted
         once), each total added in edge declaration order."""
@@ -585,7 +583,7 @@ class MycObject:
 
     def node_strength(self, v) -> float:
         """Total conductivity of edges incident to v (loops counted once)."""
-        return self._strengths[v]
+        return self._strengths()[v]
 
     def to_json(self) -> dict:
         edges = _json_keys(self.graph.edge_ids, "edge")
@@ -706,7 +704,7 @@ def _merged(
         for e in m.graph.edge_ids:
             img = gt.edge_map[e]
             sigma[img] = sigma[img] + m.sigma[e] if img in sigma else m.sigma[e]
-        strengths = m._strengths
+        strengths = m._strengths()
         for v in m.graph.nodes:
             img, w = gt.node_map[v], strengths[v]
             if img in omega:
