@@ -12,9 +12,10 @@ Every subcommand takes ``--out-dir``; ``order-scan``, ``worked-example``
 and ``check-laws``, which draw random samples, take ``--seed``; only
 ``check-laws`` takes ``--tol``. The environment variables
 ``MYCOCAT_OUT_DIR`` and ``MYCOCAT_SEED`` supply defaults when the flags
-are absent. All files are written atomically (temp file then
-rename); JSON is UTF-8 with sorted keys, CSV is RFC 4180. The exit code
-is nonzero iff any check's verdict differs from its expectation.
+are absent. All files are written atomically (temp file then rename),
+and a file that already holds the same bytes is left as it is. JSON is
+UTF-8 with sorted keys, CSV is RFC 4180. The exit code is nonzero iff
+any check's verdict differs from its expectation.
 
 At module level this file imports only the standard library, ``errors``,
 ``graphs`` and ``readers``, none of which loads numpy, so ``--help`` and
@@ -47,11 +48,21 @@ if TYPE_CHECKING:
 
 
 def write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` as UTF-8 to ``path`` through a temp file and a rename,
+    or leave ``path`` as it is when it already holds those bytes: a re-run
+    into the same out-dir rewrites nothing, and replacing an existing file
+    can cost tens of milliseconds on some file systems."""
+    data = text.encode("utf-8")
+    try:
+        if path.read_bytes() == data:
+            return
+    except OSError:
+        pass  # no such file (or none readable): write it
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -24,8 +24,9 @@ import itertools
 import numbers
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache, cached_property
-from typing import Any, Iterator, Mapping
+from functools import cache, cached_property, lru_cache
+from operator import itemgetter
+from typing import Any, Callable, Iterator, Mapping
 
 from .errors import (
     CompositionError,
@@ -35,8 +36,6 @@ from .errors import (
     ShapeError,
 )
 from .readers import read_bool, read_id, read_list, read_map, read_object, read_tuple
-
-NodeId = Any
 
 
 def _id_key(x: Any) -> tuple[str, str]:
@@ -84,6 +83,10 @@ class AttributedGraph:
         return tuple(eid for eid, _ in self.edges)
 
     @cached_property
+    def edge_set(self) -> frozenset:
+        return frozenset(self.edge_ids)
+
+    @cached_property
     def edge_keys(self) -> tuple:
         """Edge identity for matching across graphs: id plus endpoints, the
         endpoints of an undirected edge in canonical order."""
@@ -102,9 +105,36 @@ class AttributedGraph:
                 adj.setdefault((v, u), []).append(eid)
         return {pair: tuple(eids) for pair, eids in adj.items()}
 
-    def edges_between(self, u: NodeId, v: NodeId) -> list:
-        """Edge ids joining u and v (unordered for undirected graphs)."""
-        return list(self.adjacency.get((u, v), ()))
+    @cached_property
+    def _masks(self) -> tuple[list, list, int]:
+        """Bit masks over node positions, for :func:`_node_maps`: each
+        node's out-neighbours and in-neighbours (both its neighbours when
+        the graph is undirected), and the nodes that carry a loop."""
+        at = {v: k for k, v in enumerate(self.nodes)}
+        out, into = [0] * len(self.nodes), [0] * len(self.nodes)
+        for _, (u, v) in self.edges:
+            out[at[u]] |= 1 << at[v]
+            into[at[v]] |= 1 << at[u]
+        if not self.directed:
+            out = into = [o | i for o, i in zip(out, into)]
+        return out, into, sum(1 << k for k, mask in enumerate(out) if mask >> k & 1)
+
+    @cached_property
+    def _links(self) -> tuple:
+        """For each node, in declaration order and for :func:`_node_maps`:
+        whether it carries a loop, and the pairs (j, forward) of its
+        neighbours j declared before it, forward when an edge runs from j
+        to it."""
+        pos = {v: i for i, v in enumerate(self.nodes)}
+        loops = [False] * len(self.nodes)
+        links: list[dict] = [{} for _ in self.nodes]
+        for _, (u, v) in self.edges:
+            a, b = pos[u], pos[v]
+            if a == b:
+                loops[a] = True
+            else:
+                links[max(a, b)][min(a, b), a < b] = None
+        return tuple(zip(loops, map(tuple, links)))
 
     def is_connected(self) -> bool:
         """Connectivity of the underlying undirected graph; empty graph counts
@@ -174,21 +204,20 @@ class GraphMorphism:
         object.__setattr__(self, "edge_map", dict(self.edge_map))
         if self.source.directed != self.target.directed:
             raise ShapeError("source and target disagree on directedness")
-        src_nodes = self.source.node_set
-        if set(self.node_map) != src_nodes:
+        if self.node_map.keys() != self.source.node_set:
             raise ShapeError("node map is not total on source nodes")
         tgt_nodes = self.target.node_set
         for v, w in self.node_map.items():
             if w not in tgt_nodes:
                 raise ShapeError(f"node {v!r} maps outside the target")
-        if set(self.edge_map) != set(self.source.edge_ids):
+        if self.edge_map.keys() != self.source.edge_set:
             raise ShapeError("edge map is not total on source edges")
-        tgt_edges = set(self.target.edge_ids)
+        tgt_edges, adj = self.target.edge_set, self.target.adjacency
         for eid, (u, v) in self.source.edges:
             img = self.edge_map[eid]
             if img not in tgt_edges:
                 raise ShapeError(f"edge {eid!r} maps outside the target")
-            if img not in self.target.edges_between(self.node_map[u], self.node_map[v]):
+            if img not in adj.get((self.node_map[u], self.node_map[v]), ()):
                 raise ShapeError(f"edge {eid!r} does not preserve incidence")
 
     def same_maps(self, other: "GraphMorphism") -> bool:
@@ -331,27 +360,48 @@ def pushout_along_monos(
 # ---------------------------------------------------------------------------
 
 
-def _homs(g: AttributedGraph, h: AttributedGraph) -> list[tuple[tuple, tuple]]:
-    """Every morphism g -> h as (node images, edge images), each a tuple in
-    g's declaration order, listed in :func:`enumerate_morphisms` order.
+@lru_cache(maxsize=1 << 12)
+def _bits(mask: int) -> tuple[int, ...]:
+    """The positions of the set bits of ``mask``, ascending."""
+    return tuple(k for k in range(mask.bit_length()) if mask >> k & 1)
 
-    Node maps grow breadth-first, one node of g at a time; a partial map is
-    dropped as soon as an edge with both endpoints assigned has no image.
+
+def _node_maps(g: AttributedGraph, h: AttributedGraph) -> list[tuple]:
+    """Every node map g -> h that preserves adjacency, as a tuple of
+    positions in ``h.nodes`` in g's declaration order, in lexicographic
+    order; these are the node maps of the morphisms g -> h.
+
+    Maps grow one node of g at a time. Node i's candidates are the set bits
+    of the AND of the neighbour masks (:attr:`AttributedGraph._masks`) of
+    the images of i's neighbours placed before it: for a directed graph,
+    the out-mask of the image of an edge's source and the in-mask of the
+    image of its target. A self-loop at i keeps only the candidates that
+    carry a loop.
     """
     if g.directed != h.directed:
         return []
-    pos = {v: i for i, v in enumerate(g.nodes)}
-    ends = [(pos[u], pos[v]) for _, (u, v) in g.edges]
-    adj = h.adjacency
+    out, into, looped = h._masks
+    anywhere = (1 << len(h.nodes)) - 1
     maps = [()]
-    for i in range(len(g.nodes)):
-        maps = [m + (w,) for m in maps for w in h.nodes]
-        # edges whose later endpoint is node i are fully assigned now
-        checks = [(a, b) for a, b in ends if max(a, b) == i]
-        if checks:
-            maps = [m for m in maps if all((m[a], m[b]) in adj for a, b in checks)]
-    homs = [(m, ()) for m in maps]
-    for a, b in ends:
+    for loop, links in g._links:
+        masks = [looped if loop else anywhere] * len(maps)
+        for j, forward in links:
+            table = out if forward else into
+            masks = [mask & table[m[j]] for mask, m in zip(masks, maps)]
+        maps = [m + (w,) for m, mask in zip(maps, masks) for w in _bits(mask)]
+    return maps
+
+
+def _homs(g: AttributedGraph, h: AttributedGraph) -> list[tuple[tuple, tuple]]:
+    """Every morphism g -> h as (node images, edge images), each a tuple in
+    g's declaration order, listed in :func:`enumerate_morphisms` order: each
+    node map of :func:`_node_maps` with each choice of an edge image per
+    edge."""
+    pos = {v: i for i, v in enumerate(g.nodes)}
+    adj = h.adjacency
+    homs = [(tuple([h.nodes[k] for k in m]), ()) for m in _node_maps(g, h)]
+    for _, (u, v) in g.edges:
+        a, b = pos[u], pos[v]
         homs = [(m, es + (t,)) for m, es in homs for t in adj[m[a], m[b]]]
     return homs
 
@@ -474,10 +524,10 @@ def _probe_classes(max_nodes: int) -> tuple[AttributedGraph, ...]:
 
 
 def _pruning_order(g: AttributedGraph) -> AttributedGraph:
-    """``g`` with its nodes reordered for :func:`_homs`: each next node is
-    the unplaced one with the most edges to the nodes already placed (ties:
-    more edges in all, then declaration order), so that partial maps meet
-    an edge check as early as possible."""
+    """``g`` with its nodes reordered for :func:`_node_maps`: each next node
+    is the unplaced one with the most edges to the nodes already placed
+    (ties: more edges in all, then declaration order), so that partial maps
+    meet a neighbour mask as early as possible."""
     links: Counter = Counter()
     for _, (u, v) in g.edges:
         if u != v:
@@ -493,22 +543,15 @@ def _pruning_order(g: AttributedGraph) -> AttributedGraph:
     return AttributedGraph(tuple(order), g.edges, g.directed)
 
 
-def _positions(f: GraphMorphism, onto: AttributedGraph) -> tuple[tuple, tuple]:
-    """``f`` as index tuples: for each source node and edge, in declaration
-    order, the position of its image among the nodes and edges of ``onto``,
-    a graph with the same nodes and edges as ``f.target``."""
-    node_at = {v: i for i, v in enumerate(onto.nodes)}
-    edge_at = {e: i for i, e in enumerate(onto.edge_ids)}
-    return (
-        tuple(node_at[f.node_map[v]] for v in f.source.nodes),
-        tuple(edge_at[f.edge_map[e]] for e in f.source.edge_ids),
-    )
-
-
-def _after(hom: tuple[tuple, tuple], f: tuple[tuple, tuple]) -> tuple:
-    """The image tuples of hom∘f, for ``f`` given by :func:`_positions`."""
-    (nodes, edges), (node_pos, edge_pos) = hom, f
-    return tuple([nodes[i] for i in node_pos]), tuple([edges[i] for i in edge_pos])
+def _composer(f: GraphMorphism, onto: AttributedGraph) -> Callable[[tuple], Any]:
+    """Composition with ``f`` on node maps out of ``onto``, a graph with the
+    same nodes as ``f.target``: a node tuple over ``onto`` goes to its
+    entries at the positions of ``f``'s node images, in ``f.source``'s
+    declaration order (one entry bare, as :func:`operator.itemgetter` gives
+    it, and none as ``()``)."""
+    at = {v: i for i, v in enumerate(onto.nodes)}
+    positions = [at[f.node_map[v]] for v in f.source.nodes]
+    return itemgetter(*positions) if positions else lambda m: ()
 
 
 def verify_pushout_universal_property(
@@ -526,17 +569,26 @@ def verify_pushout_universal_property(
     candidate injections: it verifies that u |-> (u∘inB, u∘inC) is a
     bijection from hom(P, Z) onto the agreeing pairs.
 
+    Every probe is simple, with no loops and no parallel edges, so a
+    morphism X -> Z is fixed by its node map: each edge goes to the one
+    edge that joins its endpoints' images. Two morphisms into Z are equal
+    exactly when their node maps are, for the legs, the agreeing pairs and
+    the mediators alike. The check therefore runs on node maps alone
+    (:func:`_node_maps`): a composite is the node tuple picked at the
+    other map's node positions, and the pairs are grouped by the apex's
+    node images.
+
     The test is exhaustive up to isomorphism and runs on one probe per
     isomorphism class of the family (19 classes up to 4 nodes, against 76
     labelled graphs). That loses nothing: an isomorphism s: Z -> Z' gives
     bijections hom(X, Z) -> hom(X, Z'), h |-> s∘h, natural in X, so Z and
     Z' have the same number of agreeing pairs and of mediators, and
     u |-> (u∘inB, u∘inC) is injective for Z' exactly when it is for Z. The
-    hom-sets are enumerated with the nodes of B, C and the candidate object
-    in a pruning order (each next node the one with the most edges to the
-    nodes before it), so partial maps that break an edge are dropped early;
-    the check only counts and compares sets, so the order never reaches
-    the verdict.
+    node maps are enumerated with the nodes of B, C and the candidate
+    object in a pruning order (each next node the one with the most edges
+    to the nodes before it), so partial maps that break an edge are dropped
+    early; the check only counts and compares sets, so the order never
+    reaches the verdict.
 
     ``probe_bound`` must be an int from 0 to 6. Bounds 0 and 1 cannot
     reject an extra isolated node: its only images are the probe's nodes,
@@ -545,7 +597,9 @@ def verify_pushout_universal_property(
     Raises :class:`ParameterError` for a ``probe_bound`` that is negative,
     not an int or a bool, :class:`ResourceError` for ``probe_bound > 6``
     and :class:`PreconditionError` if the cospan is directed (the probe
-    graphs are undirected, so every hom-set would be empty) or the
+    graphs are undirected, so every hom-set would be empty), if B or C has
+    a self-loop (no probe has a loop, so every hom-set out of that leg
+    would be empty and the counts would agree for any candidate), or if the
     candidate square does not commute.
     """
     if isinstance(probe_bound, bool) or not isinstance(probe_bound, numbers.Integral):
@@ -556,6 +610,8 @@ def verify_pushout_universal_property(
         raise ResourceError("probe_bound above 6 is not supported")
     if c.apex.directed:
         raise PreconditionError("the pushout verifier takes undirected graphs only")
+    if any(u == v for g in (c.left.target, c.right.target) for _, (u, v) in g.edges):
+        raise PreconditionError("the pushout verifier takes legs without self-loops only")
     obj, inj_b, inj_c = candidate
     if inj_b.target != obj or inj_c.target != obj:
         raise PreconditionError("candidate injections must land in the candidate object")
@@ -565,15 +621,15 @@ def verify_pushout_universal_property(
         raise PreconditionError("candidate square does not commute")
 
     b, cg, p = (_pruning_order(g) for g in (c.left.target, c.right.target, obj))
-    left, right = _positions(c.left, b), _positions(c.right, cg)
-    in_b, in_c = _positions(inj_b, p), _positions(inj_c, p)
+    left, right = _composer(c.left, b), _composer(c.right, cg)
+    in_b, in_c = _composer(inj_b, p), _composer(inj_c, p)
     for z in _probe_classes(probe_bound):
-        groups_b = Counter(_after(zb, left) for zb in _homs(b, z))
-        groups_c = Counter(_after(zc, right) for zc in _homs(cg, z))
-        n_pairs = sum(count * groups_c[key] for key, count in groups_b.items())
-        mediated = [(_after(u, in_b), _after(u, in_c)) for u in _homs(p, z)]
-        if len(set(mediated)) != len(mediated):  # two mediators induce the same pair
+        groups_b = Counter(map(left, _node_maps(b, z)))
+        groups_c = Counter(map(right, _node_maps(cg, z)))
+        n_pairs = sum(count * groups_c.get(key, 0) for key, count in groups_b.items())
+        mediators = _node_maps(p, z)
+        if len(mediators) != n_pairs:  # some pair has no (or extra) mediator
             return False
-        if len(mediated) != n_pairs:  # some pair has no (or extra) mediator
-            return False
+        if len(set(zip(map(in_b, mediators), map(in_c, mediators)))) != n_pairs:
+            return False  # two mediators induce the same pair
     return True

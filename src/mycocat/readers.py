@@ -137,11 +137,22 @@ def read_wire(data, field: str, build: Callable):
 MAX_SAMPLES = 10_000
 
 
+def _brief(value) -> str:
+    """``value`` as an error names it: an int of 13 or more digits to six
+    significant digits (``-1e+308``), rounded exactly, so an int past the
+    float range does not overflow; any other value as ``str`` gives it."""
+    if isinstance(value, int) and abs(value) >= 10**12:
+        from decimal import Context  # only on this error path
+
+        return f"{Context(prec=6).create_decimal(value).normalize():g}"
+    return str(value)
+
+
 def _require_positive(values: Mapping, names: Sequence[str], where: str = "") -> None:
     """Reject a size or count below 1; ``where`` prefixes the key in errors."""
     for name in names:
         if values[name] < 1:
-            raise ConfigError(f"{where}{name}: must be positive, got {values[name]}")
+            raise ConfigError(f"{where}{name}: must be positive, got {_brief(values[name])}")
 
 
 def _require_counts(values: Mapping, names: Sequence[str], where: str = "") -> None:
@@ -162,7 +173,7 @@ def _require_nonnegative(values: Mapping, names: Sequence[str], where: str = "")
         value = values[name]
         if not value >= 0:
             kind = "a nonnegative number" if isinstance(value, float) else "nonnegative"
-            raise ConfigError(f"{where}{name}: must be {kind}, got {value}")
+            raise ConfigError(f"{where}{name}: must be {kind}, got {_brief(value)}")
         if value == math.inf:
             raise ConfigError(f"{where}{name}: must be finite, got {value}")
 

@@ -40,7 +40,7 @@ def make_random_morphism(rng: random.Random, src: AttributedGraph, dst: Attribut
     node_map = {v: rng.choice(dst.nodes) for v in src.nodes}
     edge_map = {}
     for eid, (u, v) in src.edges:
-        options = dst.edges_between(node_map[u], node_map[v])
+        options = dst.adjacency.get((node_map[u], node_map[v]), ())
         if not options:
             return None
         edge_map[eid] = rng.choice(options)
@@ -61,7 +61,7 @@ def _random_mono_embedding(rng, apex, target, attempts=60):
         for eid, (u, v) in apex.edges:
             options = [
                 e
-                for e in target.edges_between(node_map[u], node_map[v])
+                for e in target.adjacency.get((node_map[u], node_map[v]), ())
                 if e not in used
             ]
             if not options:

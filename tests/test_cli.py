@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from mycocat.cli import build_parser, main
+from mycocat.cli import build_parser, main, write_atomic
 from conftest import key_paths, replaced
 
 
@@ -49,6 +49,27 @@ class TestPushoutCommand:
         code = run_cli(["pushout", str(tmp_path / "nope.json"), "--out-dir", str(tmp_path)])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestWriteAtomic:
+    def test_same_bytes_leave_the_file(self, tmp_path, star_cospan_file):
+        argv = ["pushout", star_cospan_file, "--out-dir", str(tmp_path / "out")]
+        assert run_cli(argv) == 0
+        path = tmp_path / "out" / "pushout.json"
+        before = path.stat()
+        assert run_cli(argv) == 0
+        after = path.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+        assert os.listdir(path.parent) == ["pushout.json"]
+
+    def test_new_bytes_replace_the_file(self, tmp_path):
+        path = tmp_path / "out" / "a.json"
+        write_atomic(path, "{}\n")
+        before = path.stat()
+        write_atomic(path, '{"a": "\u00e9"}\n')
+        assert path.read_bytes() == '{"a": "\u00e9"}\n'.encode("utf-8")
+        assert path.stat().st_ino != before.st_ino  # a temp file renamed over it
+        assert os.listdir(path.parent) == ["a.json"]
 
 
 class TestSimulateCommand:
@@ -978,6 +999,20 @@ EXPLICIT_SPECIES = {
             ["worked-example", "--config", CONFIG], {"n_sites": 1e308}, {},
             "error: n_sites: too large, the species' dynamics would take more than 64 MiB",
             id="worked-example-huge-sites",
+        ),
+        pytest.param(
+            ["worked-example", "--config", CONFIG], {"n_sites": -1e308}, {},
+            "error: n_sites: must be positive, got -1e+308",
+            id="worked-example-hugely-negative-sites",
+        ),
+        pytest.param(
+            ["order-scan", CONFIG], {"species": {"n_sites": -(10**400)}}, {},
+            "error: species.n_sites: must be positive, got -1e+400",
+            id="scan-negative-sites-past-float-range",
+        ),
+        pytest.param(
+            ["order-scan", CONFIG], {**SMALL_SPECIES, "seed": -1e308}, {},
+            "error: seed: must be nonnegative, got -1e+308", id="scan-hugely-negative-seed",
         ),
         pytest.param(
             ["worked-example", "--config", CONFIG], {"compat_pulses": 1e308}, {},

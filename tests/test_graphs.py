@@ -138,6 +138,22 @@ class TestEnumeration:
         ]
         assert are_isomorphic(g, h) == bool(isomorphisms)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.booleans().flatmap(
+            lambda directed: st.tuples(
+                small_graphs(directed, "g", 3), small_graphs(directed, "h", 4)
+            )
+        )
+    )
+    def test_node_maps_are_the_oracle_node_maps(self, pair):
+        # the distinct node maps of the oracle's morphisms, in its order, as
+        # positions in h.nodes
+        g, h = pair
+        at = {v: k for k, v in enumerate(h.nodes)}
+        node_maps = (tuple(at[m[v]] for v in g.nodes) for m, _ in brute_force_homs(g, h))
+        assert graphs_module._node_maps(g, h) == list(dict.fromkeys(node_maps))
+
     def test_directedness_mismatch_has_no_morphisms(self):
         g = AttributedGraph(("a",), ())
         assert list(enumerate_morphisms(g, AttributedGraph(("b",), (), True))) == []
@@ -520,8 +536,15 @@ class TestUniversalProperty:
             ]
             if obj.edges:
                 broken.append(extended(candidate, edges=(("twin", obj.edges[0][1]),)))
-            # the reference walks all 76 labelled probes at bound 4: a few cospans
-            bounds = (3, 4) if i < 4 else (3,)
+            # the reference walks all 76 labelled probes at bound 4: a few
+            # cospans, and every one whose legs have parallel edges, which
+            # the verifier's node tuples do not tell apart
+            parallel = any(
+                len(ids) > 1 for leg in (cospan.left, cospan.right)
+                for ids in leg.target.adjacency.values()
+            )
+            bounds = (3, 4) if i < 4 or parallel else (3,)
+            verdicts["parallel"] += parallel
             for cand, bound in itertools.product([candidate] + broken, bounds):
                 verdict = verify_pushout_universal_property(cospan, cand, bound)
                 assert verdict == reference_verifier(cospan, cand, bound)
@@ -529,6 +552,7 @@ class TestUniversalProperty:
             assert verify_pushout_universal_property(cospan, candidate, 3)
         assert verdicts[3, True] >= 30 and verdicts[3, False] >= 30
         assert verdicts[4, True] >= 4 and verdicts[4, False] >= 4
+        assert verdicts["parallel"] >= 4
 
     def test_star_pushout_passes(self):
         cospan = star_cospan()
@@ -548,6 +572,27 @@ class TestUniversalProperty:
         with pytest.raises(PreconditionError):
             verify_pushout_universal_property(cospan, padded, 3)
 
+    @pytest.mark.parametrize("looped", ["b", "c"])
+    def test_leg_with_self_loop_rejected(self, looped):
+        # No probe has a loop, so every hom-set out of a looped leg is empty
+        # and the counts would agree for any candidate, padded or not.
+        apex = AttributedGraph(("a",), ())
+        legs = {}
+        for side in "bc":
+            edges = (("e" + side, ("a", side)),)
+            if side == looped:
+                edges += (("loop", (side, side)),)
+            legs[side] = AttributedGraph(("a", side), edges)
+        cospan = Cospan(
+            apex,
+            GraphMorphism(apex, legs["b"], {"a": "a"}, {}),
+            GraphMorphism(apex, legs["c"], {"a": "a"}, {}),
+        )
+        candidate = pushout_along_monos(cospan)
+        for cand in (candidate, extended(candidate, nodes=("ghost",))):
+            with pytest.raises(PreconditionError, match="self-loops"):
+                verify_pushout_universal_property(cospan, cand, 4)
+
     def test_under_identified_candidate_fails(self):
         # Disjoint union without gluing the shared node: mediators are missing
         # for pairs that agree on the apex.
@@ -562,6 +607,25 @@ class TestUniversalProperty:
         with pytest.raises(PreconditionError):
             # the square does not even commute
             verify_pushout_universal_property(cospan, (obj, inj_b, inj_c), 3)
+
+    def test_extra_node_cannot_make_up_for_over_identification(self):
+        # C's free node c is glued onto the apex image and an isolated node is
+        # added: on every probe Z the mediators and the agreeing pairs number
+        # |Z|^2 alike, but mediators that differ only on the extra node
+        # induce the same pair.
+        apex = AttributedGraph(("a",), ())
+        b, c = AttributedGraph(("a",), ()), AttributedGraph(("a", "c"), ())
+        cospan = Cospan(
+            apex, GraphMorphism(apex, b, {"a": "a"}, {}), GraphMorphism(apex, c, {"a": "a"}, {})
+        )
+        obj = AttributedGraph(("p", "ghost"), ())
+        candidate = (
+            obj,
+            GraphMorphism(b, obj, {"a": "p"}, {}),
+            GraphMorphism(c, obj, {"a": "p", "c": "p"}, {}),
+        )
+        assert not verify_pushout_universal_property(cospan, candidate, 3)
+        assert not reference_verifier(cospan, candidate, 3)
 
     def test_empty_apex_coproduct_passes(self):
         apex = AttributedGraph((), ())
@@ -603,19 +667,19 @@ class TestUniversalProperty:
         assert not verify_pushout_universal_property(cospan, padded, 2)
 
     def test_one_hom_enumeration_per_leg_object_and_class(self, monkeypatch):
-        # three hom-sets (B, C, candidate) per probe: 3 x 19 classes at bound
-        # 4, against 3 x 76 over every labelled probe
+        # three node-map sets (B, C, candidate) per probe: 3 x 19 classes at
+        # bound 4, against 3 x 76 over every labelled probe
         calls = []
-        homs = graphs_module._homs
+        node_maps = graphs_module._node_maps
 
         def counted(g, h):
             calls.append(h)
-            return homs(g, h)
+            return node_maps(g, h)
 
-        monkeypatch.setattr(graphs_module, "_homs", counted)
+        monkeypatch.setattr(graphs_module, "_node_maps", counted)
         cospan = star_cospan()
         assert verify_pushout_universal_property(cospan, pushout_along_monos(cospan), 4)
-        assert len(calls) <= 3 * 19
+        assert 0 < len(calls) <= 3 * 19
 
 
 def _brute_least_code(graph):
