@@ -562,37 +562,44 @@ def verify_pushout_universal_property(
     """Exhaustively test the universal property of a candidate pushout of
     undirected graphs.
 
-    For every probe graph Z in the fixed family up to ``probe_bound`` nodes
-    and every pair (B -> Z, C -> Z) agreeing on the apex, there must exist
-    exactly one mediating morphism from the candidate object to Z. The
-    check exploits that mediators are determined by composition with the
-    candidate injections: it verifies that u |-> (u∘inB, u∘inC) is a
-    bijection from hom(P, Z) onto the agreeing pairs.
+    First the candidate's maps, once: both injections must be
+    monomorphisms, together they must hit every node and every edge of the
+    candidate object, and the edges that both hit must be exactly the images
+    of the apex's edges. Every pushout along monos has all three: it is
+    isomorphic, under the injections, to the glued disjoint union of
+    :func:`pushout_along_monos`; in an adhesive category such as that of
+    graphs, monos are stable under pushout and a pushout along a mono is
+    also a pullback (Lack and Sobociński, "Adhesive categories", 2004). The
+    probes cannot see these failures: every probe is simple, with no loops
+    and no parallel edges, so a morphism X -> Z is fixed by its node map,
+    each edge going to the one edge that joins its endpoints' images. An
+    unhit edge parallel to another, two parallel edges merged, or an edge
+    of B glued to a parallel edge of C changes no hom-set into a probe, and
+    an unhit node changes the counts only on probes of two or more nodes.
 
-    Every probe is simple, with no loops and no parallel edges, so a
-    morphism X -> Z is fixed by its node map: each edge goes to the one
-    edge that joins its endpoints' images. Two morphisms into Z are equal
-    exactly when their node maps are, for the legs, the agreeing pairs and
-    the mediators alike. The check therefore runs on node maps alone
-    (:func:`_node_maps`): a composite is the node tuple picked at the
-    other map's node positions, and the pairs are grouped by the apex's
-    node images.
+    Then the probes: for every probe graph Z in the fixed family up to
+    ``probe_bound`` nodes and every pair (B -> Z, C -> Z) agreeing on the
+    apex, there must exist exactly one mediating morphism from the
+    candidate object P to Z. Since the injections are jointly surjective,
+    a map out of P is fixed by its composites with them, so
+    u |-> (u∘inB, u∘inC) is injective and each probe is one count:
+    |hom(P, Z)| against the number of agreeing pairs. The probes decide
+    which nodes are identified: a candidate that glues a node of B to a
+    node of C outside the apex image passes the map checks, and a probe
+    large enough to keep their images apart has a pair with no mediator.
+    The counts run on node maps alone (:func:`_node_maps`), and the pairs
+    are grouped by the apex's node images.
 
     The test is exhaustive up to isomorphism and runs on one probe per
     isomorphism class of the family (19 classes up to 4 nodes, against 76
     labelled graphs). That loses nothing: an isomorphism s: Z -> Z' gives
     bijections hom(X, Z) -> hom(X, Z'), h |-> s∘h, natural in X, so Z and
-    Z' have the same number of agreeing pairs and of mediators, and
-    u |-> (u∘inB, u∘inC) is injective for Z' exactly when it is for Z. The
-    node maps are enumerated with the nodes of B, C and the candidate
-    object in a pruning order (each next node the one with the most edges
-    to the nodes before it), so partial maps that break an edge are dropped
-    early; the check only counts and compares sets, so the order never
-    reaches the verdict.
-
-    ``probe_bound`` must be an int from 0 to 6. Bounds 0 and 1 cannot
-    reject an extra isolated node: its only images are the probe's nodes,
-    so the mediator count changes only when a probe has two or more nodes.
+    Z' have the same number of agreeing pairs and of mediators. The node
+    maps are enumerated with the nodes of B, C and the candidate object in
+    a pruning order (each next node the one with the most edges to the
+    nodes before it), so partial maps that break an edge are dropped early;
+    the check only counts, so the order never reaches the verdict.
+    ``probe_bound`` must be an int from 0 to 6.
 
     Raises :class:`ParameterError` for a ``probe_bound`` that is negative,
     not an int or a bool, :class:`ResourceError` for ``probe_bound > 6``
@@ -620,16 +627,20 @@ def verify_pushout_universal_property(
     if not via_b.same_maps(via_c):
         raise PreconditionError("candidate square does not commute")
 
+    if not (is_monomorphism(inj_b) and is_monomorphism(inj_c)):
+        return False
+    edges_b, edges_c = set(inj_b.edge_map.values()), set(inj_c.edge_map.values())
+    nodes_hit = set(inj_b.node_map.values()) | set(inj_c.node_map.values())
+    if nodes_hit != obj.node_set or edges_b | edges_c != obj.edge_set:
+        return False  # the injections are not jointly surjective
+    if edges_b & edges_c != set(via_b.edge_map.values()):
+        return False  # an edge outside the apex image is glued
     b, cg, p = (_pruning_order(g) for g in (c.left.target, c.right.target, obj))
     left, right = _composer(c.left, b), _composer(c.right, cg)
-    in_b, in_c = _composer(inj_b, p), _composer(inj_c, p)
     for z in _probe_classes(probe_bound):
         groups_b = Counter(map(left, _node_maps(b, z)))
         groups_c = Counter(map(right, _node_maps(cg, z)))
         n_pairs = sum(count * groups_c.get(key, 0) for key, count in groups_b.items())
-        mediators = _node_maps(p, z)
-        if len(mediators) != n_pairs:  # some pair has no (or extra) mediator
+        if len(_node_maps(p, z)) != n_pairs:  # some agreeing pair has no mediator
             return False
-        if len(set(zip(map(in_b, mediators), map(in_c, mediators)))) != n_pairs:
-            return False  # two mediators induce the same pair
     return True

@@ -318,25 +318,13 @@ def replay_functor_law_witness(f: SpeciesFunctor, witness: Mapping) -> float:
 
 @dataclass(frozen=True)
 class NaturalTransformationData:
-    """Per-object comparison components between two species.
+    """Per-object comparison components between two species, given as a
+    state-level map applied at every sampled object."""
 
-    Components are given either as a state-level map applied at every
-    sampled object, or as an explicit table keyed by the state vector's
-    bytes. A sampled object with no component raises :class:`InputError`.
-    """
-
-    state_map: Callable[[np.ndarray], np.ndarray] | None = None
-    components: Mapping[bytes, np.ndarray] | None = None
+    state_map: Callable[[np.ndarray], np.ndarray]
 
     def map_state(self, vector: np.ndarray) -> np.ndarray:
-        if self.state_map is not None:
-            return np.asarray(self.state_map(vector), dtype=np.float64)
-        if self.components is not None:
-            key = np.asarray(vector, dtype=np.float64).tobytes()
-            if key not in self.components:
-                raise InputError("no component supplied for a sampled object")
-            return np.asarray(self.components[key], dtype=np.float64)
-        raise InputError("natural transformation carries no components")
+        return np.asarray(self.state_map(vector), dtype=np.float64)
 
 
 def identity_transformation() -> NaturalTransformationData:
@@ -421,15 +409,16 @@ class FiniteInstance:
         if n_morphisms > 10_000:
             raise ResourceError("finite instance too large to enumerate")
 
-    def env_morphisms(self):
-        for (src, dst), names in self.env_hom.items():
-            for name in names:
-                yield src, dst, name
 
-    def myc_morphisms(self):
-        for (src, dst), names in self.myc_hom.items():
-            for name in names:
-                yield src, dst, name
+def _hom(table: Mapping, source: str, target: str) -> tuple[str, ...]:
+    """The names of a hom table's morphisms from ``source`` to ``target``."""
+    return tuple(table.get((source, target), ()))
+
+
+def _morphisms(table: Mapping) -> list[tuple[str, str, str]]:
+    """``(source, target, name)`` of every morphism of a hom table, in
+    table order."""
+    return [(src, dst, name) for (src, dst), names in table.items() for name in names]
 
 
 def identity_adjunction_instance() -> tuple[FiniteInstance, dict]:
@@ -484,17 +473,11 @@ def check_adjunction(
     violations: list[dict] = []
     checks = 0
 
-    def hom_env(a, b):
-        return tuple(instance.env_hom.get((a, b), ()))
-
-    def hom_myc(a, b):
-        return tuple(instance.myc_hom.get((a, b), ()))
-
     for e in instance.env_objects:
         for m in instance.myc_objects:
             fwd = dict(bijection.get((e, m), {}))
-            left = hom_myc(instance.f_obj[e], m)
-            right = hom_env(e, instance.g_obj[m])
+            left = _hom(instance.myc_hom, instance.f_obj[e], m)
+            right = _hom(instance.env_hom, e, instance.g_obj[m])
             checks += 1
             if set(fwd) != set(left):
                 violations.append(
@@ -518,9 +501,9 @@ def check_adjunction(
                 )
 
     # naturality in the environment argument (pre-composition)
-    for e_src, e_dst, alpha in instance.env_morphisms():
+    for e_src, e_dst, alpha in _morphisms(instance.env_hom):
         for m in instance.myc_objects:
-            for g in hom_myc(instance.f_obj[e_dst], m):
+            for g in _hom(instance.myc_hom, instance.f_obj[e_dst], m):
                 checks += 1
                 f_alpha = instance.f_mor.get(alpha)
                 lhs_m = instance.myc_compose.get((f_alpha, g))
@@ -541,9 +524,9 @@ def check_adjunction(
                     )
 
     # naturality in the network argument (post-composition)
-    for m_src, m_dst, beta in instance.myc_morphisms():
+    for m_src, m_dst, beta in _morphisms(instance.myc_hom):
         for e in instance.env_objects:
-            for g in hom_myc(instance.f_obj[e], m_src):
+            for g in _hom(instance.myc_hom, instance.f_obj[e], m_src):
                 checks += 1
                 lhs_m = instance.myc_compose.get((g, beta))
                 if lhs_m is None:

@@ -37,7 +37,9 @@ from . import kernels
 from .envmyc import DistanceWeights, MycObject, ordered_sum
 from .errors import NumericError, ParameterError, ShapeError
 from .graphs import AttributedGraph
-from .readers import read_integer, read_list, read_matrix, read_number, read_numbers, read_tuple
+from .readers import (
+    read_integer, read_list, read_matrix, read_number, read_numbers, read_object, read_tuple
+)
 
 
 @dataclass(frozen=True)
@@ -95,10 +97,11 @@ class Program:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "Program":
-        """The program in the wire format; ``pieces`` must be a list of
-        ``[length, [u1, ..., uc]]`` entries of numbers (not bools), and a
-        piece of another shape raises :class:`ShapeError` naming it
+        """The program in the wire format, a JSON object; ``pieces`` must be
+        a list of ``[length, [u1, ..., uc]]`` entries of numbers (not bools),
+        and a piece of another shape raises :class:`ShapeError` naming it
         (``pieces[0]``)."""
+        data = read_object(data, "program")
         return cls(read_list(data["pieces"], "pieces", _read_piece))
 
 
@@ -305,10 +308,11 @@ class InternalState:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "InternalState":
-        """The state in the wire format; a ``features`` value that is not an
-        integer (a bool, a fraction, an infinity) or a ``vector`` that is not
-        a list of numbers (a bool is not a number) raises :class:`ShapeError`
-        naming the field (``vector[0]``)."""
+        """The state in the wire format, a JSON object; a ``features`` value
+        that is not an integer (a bool, a fraction, an infinity) or a
+        ``vector`` that is not a list of numbers (a bool is not a number)
+        raises :class:`ShapeError` naming the field (``vector[0]``)."""
+        data = read_object(data, "state")
         features = read_integer(data["features"], "features")
         layout = StateLayout(AttributedGraph.from_json(data["graph"], "graph."), features)
         return cls(read_numbers(data["vector"], "vector"), layout)
@@ -379,11 +383,12 @@ class ReferenceDynamics:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "ReferenceDynamics":
-        """The dynamics in the wire format; a ``drift`` or ``controls[i]``
-        that is not a list of equally long rows of numbers (not bools)
-        raises :class:`ShapeError` naming it (``drift[0][1]``,
+        """The dynamics in the wire format, a JSON object; a ``drift`` or
+        ``controls[i]`` that is not a list of equally long rows of numbers
+        (not bools) raises :class:`ShapeError` naming it (``drift[0][1]``,
         ``controls[1][0][1]``), as does a ``controls`` value that is not a
         list."""
+        data = read_object(data, "dynamics")
         controls = read_list(data["controls"], "controls", read_matrix)
         return cls(drift=read_matrix(data["drift"], "drift"), controls=controls)
 

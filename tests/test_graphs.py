@@ -495,11 +495,58 @@ def _images(m):
     )
 
 
-def reference_verifier(cospan, candidate, probe_bound):
-    """The universal-property check over public morphism objects: for each
-    probe Z, the pairs (B -> Z, C -> Z) agreeing on the apex must be the
-    composites (u∘inB, u∘inC) of exactly one mediator u each."""
+def reference_maps_hold(cospan, candidate):
+    """The candidate's map conditions, read off the public maps: each
+    injection is injective on nodes and on edges, together they reach every
+    node and edge of the object, and the edges both reach are the images of
+    the apex's edges."""
     obj, inj_b, inj_c = candidate
+    maps = [inj_b.node_map, inj_c.node_map, inj_b.edge_map, inj_c.edge_map]
+    if any(len(set(m.values())) != len(m) for m in maps):
+        return False
+    nodes_b, nodes_c, edges_b, edges_c = (set(m.values()) for m in maps)
+    apex_edges = {inj_b.edge_map[cospan.left.edge_map[a]] for a in cospan.apex.edge_ids}
+    return (
+        nodes_b | nodes_c == set(obj.nodes)
+        and edges_b | edges_c == set(obj.edge_ids)
+        and edges_b & edges_c == apex_edges
+    )
+
+
+def over_identified(candidate):
+    """The candidate with its first node reached by inB only and its first
+    node reached by inC only made one node, or None when either is missing:
+    the map conditions still hold, and only a probe can refuse it."""
+    obj, inj_b, inj_c = candidate
+    nodes_b, nodes_c = set(inj_b.node_map.values()), set(inj_c.node_map.values())
+    only_b = [v for v in obj.nodes if v not in nodes_c]
+    only_c = [v for v in obj.nodes if v not in nodes_b]
+    if not only_b or not only_c:
+        return None
+    keep, drop = only_b[0], only_c[0]
+
+    def to(v):
+        return keep if v == drop else v
+
+    merged = AttributedGraph(
+        tuple(v for v in obj.nodes if v != drop),
+        tuple((e, (to(u), to(w))) for e, (u, w) in obj.edges),
+    )
+    return (merged,) + tuple(
+        GraphMorphism(inj.source, merged, {v: to(w) for v, w in inj.node_map.items()},
+                      inj.edge_map)
+        for inj in (inj_b, inj_c)
+    )
+
+
+def reference_verifier(cospan, candidate, probe_bound):
+    """The universal-property check over public morphism objects: the map
+    conditions of :func:`reference_maps_hold`, then for each probe Z, the
+    pairs (B -> Z, C -> Z) agreeing on the apex must be the composites
+    (u∘inB, u∘inC) of exactly one mediator u each."""
+    obj, inj_b, inj_c = candidate
+    if not reference_maps_hold(cospan, candidate):
+        return False
     for z in probe_family(probe_bound):
         groups = [
             Counter(
@@ -536,6 +583,13 @@ class TestUniversalProperty:
             ]
             if obj.edges:
                 broken.append(extended(candidate, edges=(("twin", obj.edges[0][1]),)))
+            # passes the map checks, so only the probes can refuse it
+            glued = over_identified(candidate)
+            if glued is not None:
+                assert reference_maps_hold(cospan, glued)
+                broken.append(glued)
+                refused = not verify_pushout_universal_property(cospan, glued, 3)
+                verdicts["glued refused"] += refused
             # the reference walks all 76 labelled probes at bound 4: a few
             # cospans, and every one whose legs have parallel edges, which
             # the verifier's node tuples do not tell apart
@@ -552,7 +606,7 @@ class TestUniversalProperty:
             assert verify_pushout_universal_property(cospan, candidate, 3)
         assert verdicts[3, True] >= 30 and verdicts[3, False] >= 30
         assert verdicts[4, True] >= 4 and verdicts[4, False] >= 4
-        assert verdicts["parallel"] >= 4
+        assert verdicts["parallel"] >= 4 and verdicts["glued refused"] >= 4
 
     def test_star_pushout_passes(self):
         cospan = star_cospan()
@@ -657,14 +711,60 @@ class TestUniversalProperty:
         with pytest.raises(ParameterError, match="probe_bound"):
             verify_pushout_universal_property(cospan, padded, bound)
 
-    def test_bounds_0_and_1_cannot_reject_an_isolated_node(self):
-        # documented: an extra isolated node changes the mediator count only
-        # on probes with two or more nodes
+    def test_ghost_node_refused_at_every_bound(self):
+        # an isolated extra node changes the counts only on probes of two or
+        # more nodes; joint surjectivity refuses it before any probe
         cospan = star_cospan()
         padded = extended(pushout_along_monos(cospan), nodes=("ghost",))
-        assert verify_pushout_universal_property(cospan, padded, 0)
-        assert verify_pushout_universal_property(cospan, padded, 1)
-        assert not verify_pushout_universal_property(cospan, padded, 2)
+        for bound in range(5):
+            assert not verify_pushout_universal_property(cospan, padded, bound)
+
+    def test_twin_edge_refused_at_every_bound(self):
+        # no injection reaches the twin; every probe is simple, so a twin of
+        # an edge changes no hom-set into a probe
+        cospan = star_cospan()
+        candidate = pushout_along_monos(cospan)
+        twin = extended(candidate, edges=(("twin", candidate[0].edges[0][1]),))
+        for bound in range(5):
+            assert not verify_pushout_universal_property(cospan, twin, bound)
+
+    def test_non_mono_injection_refused_at_every_bound(self):
+        # inB merges B's two parallel edges into one edge, which no simple
+        # probe tells from the pushout's two
+        apex = AttributedGraph(("a",), ())
+        b = AttributedGraph(("a", "b"), (("e1", ("a", "b")), ("e2", ("a", "b"))))
+        c = AttributedGraph(("a", "c"), (("ec", ("a", "c")),))
+        cospan = Cospan(
+            apex, GraphMorphism(apex, b, {"a": "a"}, {}), GraphMorphism(apex, c, {"a": "a"}, {})
+        )
+        obj = AttributedGraph(("a", "b", "c"), (("e", ("a", "b")), ("ec", ("a", "c"))))
+        candidate = (
+            obj,
+            GraphMorphism(b, obj, {"a": "a", "b": "b"}, {"e1": "e", "e2": "e"}),
+            GraphMorphism(c, obj, {"a": "a", "c": "c"}, {"ec": "ec"}),
+        )
+        assert verify_pushout_universal_property(cospan, pushout_along_monos(cospan), 4)
+        for bound in range(5):
+            assert not verify_pushout_universal_property(cospan, candidate, bound)
+
+    def test_cross_parallel_glue_refused_at_every_bound(self):
+        # B's edge and C's edge join the two glued nodes and no apex edge
+        # maps to them: the pushout keeps both, and a candidate that glues
+        # them into one edge looks the same to every simple probe
+        apex = AttributedGraph(("x", "y"), ())
+        b = AttributedGraph(("x", "y"), (("eb", ("x", "y")),))
+        c = AttributedGraph(("x", "y"), (("ec", ("y", "x")),))
+        same = {"x": "x", "y": "y"}
+        cospan = Cospan(apex, GraphMorphism(apex, b, same, {}), GraphMorphism(apex, c, same, {}))
+        obj = AttributedGraph(("x", "y"), (("e", ("x", "y")),))
+        candidate = (
+            obj,
+            GraphMorphism(b, obj, same, {"eb": "e"}),
+            GraphMorphism(c, obj, same, {"ec": "e"}),
+        )
+        assert len(pushout_along_monos(cospan)[0].edges) == 2
+        for bound in range(5):
+            assert not verify_pushout_universal_property(cospan, candidate, bound)
 
     def test_one_hom_enumeration_per_leg_object_and_class(self, monkeypatch):
         # three node-map sets (B, C, candidate) per probe: 3 x 19 classes at
@@ -680,6 +780,11 @@ class TestUniversalProperty:
         cospan = star_cospan()
         assert verify_pushout_universal_property(cospan, pushout_along_monos(cospan), 4)
         assert 0 < len(calls) <= 3 * 19
+        # a candidate refused by a map check reaches no probe
+        calls.clear()
+        padded = extended(pushout_along_monos(cospan), nodes=("ghost",))
+        assert not verify_pushout_universal_property(cospan, padded, 4)
+        assert calls == []
 
 
 def _brute_least_code(graph):

@@ -207,12 +207,6 @@ class TestNaturality:
         assert not report.passed
         assert report.max_residual > 1e-4  # reported species sensitivity
 
-    def test_missing_component_raises_input_error(self, species):
-        eta = NaturalTransformationData(components={})
-        programs = random_pulses(2, 1, seed=3)
-        with pytest.raises(InputError):
-            check_naturality(species, species, eta, programs, tol=1e-9, seed=5)
-
 
 class TestAdjunction:
     def test_identity_instance_passes(self):
