@@ -606,8 +606,14 @@ def verify_pushout_universal_property(
     and :class:`PreconditionError` if the cospan is directed (the probe
     graphs are undirected, so every hom-set would be empty), if B or C has
     a self-loop (no probe has a loop, so every hom-set out of that leg
-    would be empty and the counts would agree for any candidate), or if the
-    candidate square does not commute.
+    would be empty and the counts would agree for any candidate), if the
+    candidate square does not commute, or, for a candidate that passes the
+    map checks, if B or C has no map into any probe up to the bound. That
+    last refusal has the self-loop refusal's reason: a bound below a leg's
+    chromatic number leaves every hom-set out of it empty (K4 has no map
+    into a probe of at most 3 nodes), so every count is 0 and a node
+    identification goes unseen. It is read off the probe loop's own counts
+    and costs no enumeration.
     """
     if isinstance(probe_bound, bool) or not isinstance(probe_bound, numbers.Integral):
         raise ParameterError(f"probe_bound must be an int, got {probe_bound!r}")
@@ -637,10 +643,18 @@ def verify_pushout_universal_property(
         return False  # an edge outside the apex image is glued
     b, cg, p = (_pruning_order(g) for g in (c.left.target, c.right.target, obj))
     left, right = _composer(c.left, b), _composer(c.right, cg)
+    reached_b = reached_c = False
     for z in _probe_classes(probe_bound):
         groups_b = Counter(map(left, _node_maps(b, z)))
         groups_c = Counter(map(right, _node_maps(cg, z)))
+        reached_b, reached_c = reached_b or bool(groups_b), reached_c or bool(groups_c)
         n_pairs = sum(count * groups_c.get(key, 0) for key, count in groups_b.items())
         if len(_node_maps(p, z)) != n_pairs:  # some agreeing pair has no mediator
             return False
+    if not (reached_b and reached_c):
+        leg = "C" if reached_b else "B"
+        raise PreconditionError(
+            f"{leg} has no map into any probe of at most {probe_bound} nodes, so every"
+            " count would agree for any candidate; raise probe_bound"
+        )
     return True

@@ -20,16 +20,21 @@ kernels exponentiate and multiply each class once.
 
 Algorithms:
 
-- ``expm``: Pade approximant of degree 13 for every member (Higham 2005,
-  "The scaling and squaring method for the matrix exponential
-  revisited"), with its own squaring count: none at Frobenius norm up to
-  theta_13, and above it the count of Al-Mohy and Higham 2009, which
-  halves by the member's powers rather than its norm, so a triangular
-  nilpotent member is not squared hundreds of times. No member's choice
-  depends on another's, so every member of a stack equals its
-  single-matrix call bit for bit, and a flow's bits do not depend on what
-  shares its call. A finite member whose result would overflow is refused
-  with DomainError, without a numpy warning.
+- ``expm``: a member of size 1 or 2 with Frobenius norm up to theta_13
+  takes a closed form: ``np.exp`` of its entry, or for a 2 x 2 member A
+  with half trace m, e^m (c I + s (A - m I)), c and s being the cosh and
+  sinh terms of the square root of the discriminant (Bernstein and So
+  1993, "Some explicit formulas for the matrix exponential"). Every other
+  member takes the Pade approximant of degree 13 (Higham 2005, "The
+  scaling and squaring method for the matrix exponential revisited"),
+  with its own squaring count: none at Frobenius norm up to theta_13,
+  and above it the count of Al-Mohy and Higham 2009, which halves by the
+  member's powers rather than its norm, so a triangular nilpotent member
+  is not squared hundreds of times. No member's path or count depends on
+  another's, so every member of a stack equals its single-matrix call bit
+  for bit, and a flow's bits do not depend on what shares its call. A
+  finite member whose result would overflow is refused with DomainError,
+  without a numpy warning.
 - ``logm``: inverse scaling and squaring; Denman-Beavers square roots
   bring each matrix within 0.25 of the identity, then an alternating
   Taylor series of log(I + E) is summed and scaled back. Each member of a
@@ -39,9 +44,11 @@ Algorithms:
   programs whose pieces are listed back to back: every piece of every
   block class goes through a single ``expm`` call, then each program's
   pieces are multiplied in time order. It has three callers.
-  ``apply_flows`` runs it once per ``FLOW_CHUNK`` programs and applies each
-  block's class flow, indexed by ``Blocks.kind``, directly to its vector's
-  block sub-vector (the law checks and the scans). ``piecewise_flow`` runs
+  ``apply_flows`` runs it on runs of consecutive programs whose piece
+  stack fits in ``FLOW_BYTES`` (every flow batch of the shipped workloads
+  is one run) and applies each block's class flow, indexed by
+  ``Blocks.kind``, directly to its vector's block sub-vector (the law
+  checks and the scans). ``piecewise_flow`` runs
   it on one program and scatters the flow to n x n
   (``programs.flow_matrix``). Generator estimation in :mod:`mycocat.liealg`
   takes the log of the class flows themselves, so no estimate builds an
@@ -87,9 +94,11 @@ _PADE_13 = tuple(
     )
 )
 
-# Programs per expm call of :func:`apply_flows`; bounds the piece stack
-# that one call of a large batch allocates.
-FLOW_CHUNK = 64
+# Bytes of the piece stack of one expm call of :func:`apply_flows`: pieces x
+# classes x size^2 x 8. The approximant's temporaries are about a dozen such
+# stacks; 1 MiB holds about 64 three-piece programs on a dense 24 x 24
+# species, and every flow batch of the shipped workloads (at most 60 kB).
+FLOW_BYTES = 2**20
 
 
 def _fro(a):
@@ -131,39 +140,37 @@ def _far_squarings(a):
     return np.maximum(np.maximum(s, ell), 0).astype(int)
 
 
-# A finite member can still overflow: past the largest float when its
-# exponential does, or inside the approximant when a member with entries
-# above ~1e154 takes few squarings because its products cancel. expm checks
-# its result instead of letting numpy warn.
-@np.errstate(over="ignore", invalid="ignore")
-def expm(a):
-    """exp of a square float64 matrix or of each matrix of a (..., s, s) stack.
+def _expm_2x2(a):
+    """exp of each member of a (k, 2, 2) stack in closed form.
 
-    Every member takes the degree-13 Pade approximant and its own squaring
-    count, so it equals the single-matrix call bit for bit whatever else
-    shares the stack. One call runs one sequence of broadcast products, one
-    batched solve, and a squaring loop masked to the members still squaring.
-
-    A member whose Frobenius norm is at most theta_13 is not squared. One
-    above it takes :func:`_far_squarings`, which halves by the member's
-    powers rather than its norm: each squaring doubles the approximant's
-    roundoff, and the norm of a nilpotent member can ask for hundreds of
-    squarings that its powers do not need. Raises DomainError for a member
-    with a non-finite entry, and for a finite member whose result would not
-    be finite; no numpy warning is raised.
+    For A = [[a, b], [c, d]] with half trace m, N = A - m I is
+    [[h, b], [c, -h]] with h = (a - d) / 2, and N @ N = D I for the
+    discriminant D = h^2 + b c, so exp(A) is
+    e^m (cosh sqrt(D) I + sinh sqrt(D) / sqrt(D) N) for D >= 0, with cos
+    and sin of sqrt(-D) for D < 0, and the second factor exactly 1 at
+    D = 0. N is built from h so that its trace is exactly 0.
     """
-    shape = a.shape
-    s = shape[-1]
-    ident = np.eye(s)
-    a = a.reshape(-1, s, s)
-    far = ~(_fro(a) <= _THETA_13)  # overflow and NaN included
-    squarings = np.zeros(len(a), dtype=int)
-    if far.any():
-        if not np.isfinite(a[far]).all():
-            raise DomainError("matrix exponential needs finite entries")
-        squarings[far] = _far_squarings(a[far])
-    scaled = a * np.ldexp(1.0, -squarings)[:, None, None]
+    m = 0.5 * (a[:, 0, 0] + a[:, 1, 1])
+    h = 0.5 * (a[:, 0, 0] - a[:, 1, 1])
+    n = a.copy()
+    n[:, 0, 0] = h
+    n[:, 1, 1] = -h
+    disc = h * h + a[:, 0, 1] * a[:, 1, 0]
+    root = np.sqrt(np.abs(disc))
+    grows = disc >= 0
+    cos = np.where(grows, np.cosh(root), np.cos(root))
+    sin = np.where(grows, np.sinh(root), np.sin(root))
+    r = np.divide(sin, root, out=np.ones_like(root), where=root > 0)[:, None, None] * n
+    r[:, 0, 0] += cos
+    r[:, 1, 1] += cos
+    return np.exp(m)[:, None, None] * r
 
+
+def _pade_13(a, squarings):
+    """Degree-13 Pade approximant of each member of a (k, s, s) stack,
+    halved ``squarings`` times and squared back."""
+    ident = np.eye(a.shape[-1])
+    scaled = a * np.ldexp(1.0, -squarings)[:, None, None]
     b = _PADE_13
     a2 = scaled @ scaled
     a4 = a2 @ a2
@@ -186,6 +193,49 @@ def expm(a):
     for k in range(squarings.max(initial=0)):
         live = squarings > k
         r[live] = r[live] @ r[live]
+    return r
+
+
+# A finite member can still overflow: past the largest float when its
+# exponential does, or inside the approximant when a member with entries
+# above ~1e154 takes few squarings because its products cancel. expm checks
+# its result instead of letting numpy warn.
+@np.errstate(over="ignore", invalid="ignore")
+def expm(a):
+    """exp of a square float64 matrix or of each matrix of a (..., s, s) stack.
+
+    Each member takes its own path, so it equals the single-matrix call bit
+    for bit whatever else shares the stack. A member of size 1 or 2 whose
+    Frobenius norm is at most theta_13 takes a closed form: ``np.exp``, or
+    :func:`_expm_2x2`, a dozen elementwise operations on the stack's entries.
+    Every other member takes the degree-13 Pade approximant and its own
+    squaring count: one sequence of broadcast products, one batched solve,
+    and a squaring loop masked to the members still squaring.
+
+    A Pade member whose Frobenius norm is at most theta_13 is not squared.
+    One above it takes :func:`_far_squarings`, which halves by the member's
+    powers rather than its norm: each squaring doubles the approximant's
+    roundoff, and the norm of a nilpotent member can ask for hundreds of
+    squarings that its powers do not need. Raises DomainError for a member
+    with a non-finite entry, and for a finite member whose result would not
+    be finite; no numpy warning is raised.
+    """
+    shape = a.shape
+    s = shape[-1]
+    a = a.reshape(-1, s, s)
+    far = ~(_fro(a) <= _THETA_13)  # overflow and NaN included
+    squarings = np.zeros(len(a), dtype=int)
+    if far.any():
+        if not np.isfinite(a[far]).all():
+            raise DomainError("matrix exponential needs finite entries")
+        squarings[far] = _far_squarings(a[far])
+    if s > 2:
+        r = _pade_13(a, squarings)
+    else:
+        r = np.empty(a.shape)
+        r[~far] = np.exp(a[~far]) if s == 1 else _expm_2x2(a[~far])
+        if far.any():
+            r[far] = _pade_13(a[far], squarings[far])
     if not np.isfinite(r).all():
         raise DomainError("matrix exponential overflows float64")
     return r.reshape(shape)
@@ -419,10 +469,11 @@ def apply_flows(system, parts, lengths, inputs, counts, vectors):
     (P, n). Returns the (P, n) evolved vectors; a program without pieces
     leaves its vector as it is.
 
-    The pieces of up to :data:`FLOW_CHUNK` programs share one
-    :func:`_block_flows` call, which exponentiates each class once. Each
-    block's class flow acts on the vector's block sub-vector; nothing is
-    scattered to n x n. Each row
+    Runs of consecutive programs share one :func:`_block_flows` call,
+    which exponentiates each class once; a run holds as many programs as
+    keep its piece stack (pieces x classes x size^2 x 8 bytes) within
+    :data:`FLOW_BYTES`, and at least one. Each block's class flow acts on
+    the vector's block sub-vector; nothing is scattered to n x n. Each row
     depends on its own program and vector only, so a batch of one gives the
     same bits as any batch holding it.
     """
@@ -431,8 +482,12 @@ def apply_flows(system, parts, lengths, inputs, counts, vectors):
     cols = parts.index[valid]
     ends = np.cumsum(counts)
     starts = ends - counts
-    for lo in range(0, len(counts), FLOW_CHUNK):
-        rows = lo + np.flatnonzero(counts[lo:lo + FLOW_CHUNK])
+    limit = FLOW_BYTES // (8 * system[0].size)  # pieces per call
+    lo = 0
+    while lo < len(counts):
+        hi = max(lo + 1, int(np.searchsorted(ends, starts[lo] + limit, side="right")))
+        rows = lo + np.flatnonzero(counts[lo:hi])
+        lo = hi
         if not rows.size:
             continue
         own = slice(starts[rows[0]], ends[rows[-1]])

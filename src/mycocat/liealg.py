@@ -39,7 +39,9 @@ def _check_square(x: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 
 def matrix_exp(x: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """exp(t*x) by Pade scaling-and-squaring (see :mod:`mycocat.kernels`)."""
+    """exp(t*x): a closed form for a 1 x 1 or 2 x 2 matrix of Frobenius norm
+    up to theta_13, else Pade scaling-and-squaring (see
+    :func:`mycocat.kernels.expm`)."""
     x = _check_square(x, "generator")
     return kernels.expm(t * x)
 

@@ -415,8 +415,10 @@ def evolve_many(
     """Run program i of ``table`` from row i of the (P, n) ``vectors`` for
     every i, piece-exactly; returns the (P, n) evolved vectors.
 
-    The pieces of up to :data:`mycocat.kernels.FLOW_CHUNK` programs share
-    one matrix-exponential call (see :func:`mycocat.kernels.apply_flows`).
+    Consecutive programs share one matrix-exponential call while their
+    piece stack fits in :data:`mycocat.kernels.FLOW_BYTES`, so every batch
+    of the shipped workloads takes one call (see
+    :func:`mycocat.kernels.apply_flows`).
     Each result depends on its own state and program only: it has the same
     bits as :func:`evolve` of that pair. A non-finite result is a
     :class:`NumericError`.

@@ -543,11 +543,16 @@ def reference_verifier(cospan, candidate, probe_bound):
     """The universal-property check over public morphism objects: the map
     conditions of :func:`reference_maps_hold`, then for each probe Z, the
     pairs (B -> Z, C -> Z) agreeing on the apex must be the composites
-    (u∘inB, u∘inC) of exactly one mediator u each."""
+    (u∘inB, u∘inC) of exactly one mediator u each. A leg with no map into
+    any probe raises PreconditionError."""
     obj, inj_b, inj_c = candidate
     if not reference_maps_hold(cospan, candidate):
         return False
-    for z in probe_family(probe_bound):
+    probes = probe_family(probe_bound)
+    for leg in (cospan.left, cospan.right):
+        if not any(list(enumerate_morphisms(leg.target, z)) for z in probes):
+            raise PreconditionError("a leg has no map into any probe")
+    for z in probes:
         groups = [
             Counter(
                 _images(compose_graph_morphisms(leg, m))
@@ -566,6 +571,14 @@ def reference_verifier(cospan, candidate, probe_bound):
         if len(set(mediated)) != len(mediated) or len(mediated) != n_pairs:
             return False
     return True
+
+
+def outcome(verify, cospan, candidate, probe_bound):
+    """The verdict of ``verify``, or "unmapped" where it refuses the bound."""
+    try:
+        return verify(cospan, candidate, probe_bound)
+    except PreconditionError:
+        return "unmapped"
 
 
 class TestUniversalProperty:
@@ -588,8 +601,10 @@ class TestUniversalProperty:
             if glued is not None:
                 assert reference_maps_hold(cospan, glued)
                 broken.append(glued)
-                refused = not verify_pushout_universal_property(cospan, glued, 3)
-                verdicts["glued refused"] += refused
+            # a leg such as K4 with no map into any probe of at most 3 nodes
+            # leaves every count at 0 there, so bound 3 is refused
+            verdict = outcome(verify_pushout_universal_property, cospan, candidate, 3)
+            unmapped = verdict == "unmapped"
             # the reference walks all 76 labelled probes at bound 4: a few
             # cospans, and every one whose legs have parallel edges, which
             # the verifier's node tuples do not tell apart
@@ -597,16 +612,19 @@ class TestUniversalProperty:
                 len(ids) > 1 for leg in (cospan.left, cospan.right)
                 for ids in leg.target.adjacency.values()
             )
-            bounds = (3, 4) if i < 4 or parallel else (3,)
+            bounds = (3, 4) if i < 4 or parallel or unmapped else (3,)
             verdicts["parallel"] += parallel
+            verdicts["unmapped"] += unmapped
             for cand, bound in itertools.product([candidate] + broken, bounds):
-                verdict = verify_pushout_universal_property(cospan, cand, bound)
-                assert verdict == reference_verifier(cospan, cand, bound)
+                verdict = outcome(verify_pushout_universal_property, cospan, cand, bound)
+                assert verdict == outcome(reference_verifier, cospan, cand, bound)
                 verdicts[bound, verdict] += 1
-            assert verify_pushout_universal_property(cospan, candidate, 3)
-        assert verdicts[3, True] >= 30 and verdicts[3, False] >= 30
+                verdicts["glued refused"] += cand is glued and bound == 3 and verdict is False
+            assert verify_pushout_universal_property(cospan, candidate, 4 if unmapped else 3)
+        assert verdicts[3, True] >= 30 - verdicts["unmapped"] and verdicts[3, False] >= 30
         assert verdicts[4, True] >= 4 and verdicts[4, False] >= 4
         assert verdicts["parallel"] >= 4 and verdicts["glued refused"] >= 4
+        assert verdicts["unmapped"] >= 1
 
     def test_star_pushout_passes(self):
         cospan = star_cospan()
@@ -765,6 +783,34 @@ class TestUniversalProperty:
         assert len(pushout_along_monos(cospan)[0].edges) == 2
         for bound in range(5):
             assert not verify_pushout_universal_property(cospan, candidate, bound)
+
+    def test_bound_below_a_legs_chromatic_number_is_refused(self):
+        # B is K4 and C a path glued to it at one node. No probe of at most 3
+        # nodes receives K4, so every count is 0 = 0, and a candidate that
+        # glues a free node of B to C's free node "c" would pass.
+        apex = AttributedGraph(("a",), ())
+        k4 = AttributedGraph(
+            ("a", "b1", "b2", "b3"),
+            tuple((f"k{i}", pair) for i, pair in
+                  enumerate(itertools.combinations(("a", "b1", "b2", "b3"), 2))),
+        )
+        c = AttributedGraph(("a", "c"), (("ec", ("a", "c")),))
+        cospan = Cospan(
+            apex, GraphMorphism(apex, k4, {"a": "a"}, {}), GraphMorphism(apex, c, {"a": "a"}, {})
+        )
+        candidate = pushout_along_monos(cospan)
+        glued = over_identified(candidate)
+        assert reference_maps_hold(cospan, glued)
+        for bound in range(4):
+            for cand in (candidate, glued):
+                with pytest.raises(PreconditionError, match="B has no map"):
+                    verify_pushout_universal_property(cospan, cand, bound)
+        assert verify_pushout_universal_property(cospan, candidate, 4)
+        assert not verify_pushout_universal_property(cospan, glued, 4)
+        # the refusal names the leg: C as the K4 side
+        swapped = Cospan(apex, cospan.right, cospan.left)
+        with pytest.raises(PreconditionError, match="C has no map"):
+            verify_pushout_universal_property(swapped, pushout_along_monos(swapped), 3)
 
     def test_one_hom_enumeration_per_leg_object_and_class(self, monkeypatch):
         # three node-map sets (B, C, candidate) per probe: 3 x 19 classes at

@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -181,6 +182,88 @@ def test_expm_of_huge_square_zero_members(n, log_norms, seed):
                 assert np.max(np.abs(got - exact)) <= 1e-15 * 10.0**log_norm
 
 
+def mp_error(got, a):
+    """Normwise error of ``got`` against a 40-digit exp(a)."""
+    with mpmath.workdps(40):
+        ref = mpmath.expm(mpmath.matrix(a.tolist()))
+        return float(mpmath.mnorm(mpmath.matrix(got.tolist()) - ref, "F") / mpmath.mnorm(ref, "F"))
+
+
+def test_expm_of_1x1_members_is_np_exp():
+    # every member within theta_13 takes np.exp itself; beyond it the Pade
+    # path, which the overflow refusal of [[800]] covers
+    x = np.concatenate(
+        [np.linspace(-kernels._THETA_13, kernels._THETA_13, 101), [0.0, -0.0, 1e-300, 5e-324]]
+    )
+    assert np.array_equal(kernels.expm(x[:, None, None])[:, 0, 0], np.exp(x))
+
+
+def test_expm_of_2x2_members_with_exact_answers():
+    eps = np.finfo(float).eps
+    assert np.array_equal(kernels.expm(np.zeros((2, 2))), np.eye(2))
+    # square-zero: half trace 0 and discriminant exactly 0, so I + a
+    for a in ([[0.0, 3.0], [0.0, 0.0]], [[0.0, 0.0], [-5.0, 0.0]],
+              [[2.0, 2.0], [-2.0, -2.0]], [[2.0, -4.0], [1.0, -2.0]]):
+        a = np.array(a)
+        assert np.array_equal(kernels.expm(a), np.eye(2) + a)
+    # diagonal, the padded 1 x 1 block of the reference species included
+    for d in ([3.0, -3.0], [5.0, 0.0], [-1.2, 0.7], [3.7, 3.7], [0.0, 1e-9]):
+        exact = np.diag(np.exp(d))
+        got = kernels.expm(np.diag(d))
+        assert np.array_equal(got[[0, 1], [1, 0]], [0.0, 0.0])
+        assert np.linalg.norm(got - exact) <= 2 * eps * np.linalg.norm(exact)
+    # the rotation generator: discriminant -t^2
+    for t in (1e-8, 0.3, 1.0, 2.5, -3.7):
+        rot = np.array([[np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)]])
+        got = kernels.expm(np.array([[0.0, t], [-t, 0.0]]))
+        assert np.max(np.abs(got - rot)) <= eps
+    # discriminant about -1e-9, computed with cancellation from h^2 and bc
+    a = np.array([[1.0, 2.0], [-0.5, -1.0 + 1e-9]])
+    assert mp_error(kernels.expm(a), a) <= 1e-15
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    kind=st.sampled_from(["gauss", "triangular", "near-nilpotent", "diagonal"]),
+    log_norm=st.floats(-8.0, np.log10(kernels._THETA_13)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(kind="gauss", log_norm=np.log10(kernels._THETA_13), seed=0)
+def test_expm_2x2_closed_form_against_40_digits(kind, log_norm, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(2, 2))
+    if kind == "triangular":
+        a[1, 0] = 0.0
+    elif kind == "diagonal":
+        a[[0, 1], [1, 0]] = 0.0
+    elif kind == "near-nilpotent":
+        # trace 0 and discriminant h^2 + bc within a few ulps of 0
+        a[1, 1] = -a[0, 0]
+        a[1, 0] = -a[0, 0] ** 2 / a[0, 1]
+    a *= 10.0**log_norm / np.linalg.norm(a)
+    assert mp_error(kernels.expm(a), a) <= 1e-14
+
+
+def test_expm_keeps_the_pade_path_off_the_closed_form():
+    # a member of size 3 or more, or of size 1 or 2 above theta_13, has the
+    # bits of the Pade approximant with its own squaring count
+    rng = np.random.default_rng(17)
+    for n, norm in ((1, 8.0), (2, 5.4), (2, 40.0), (3, 0.5), (3, 20.0)):
+        a = rng.normal(size=(4, n, n))
+        a *= (norm / np.linalg.norm(a, axis=(1, 2)))[:, None, None]
+        far = norm > kernels._THETA_13
+        squarings = kernels._far_squarings(a) if far else np.zeros(4, dtype=int)
+        assert np.array_equal(kernels.expm(a), kernels._pade_13(a, squarings))
+
+
+def test_expm_2x2_where_scipy_errs():
+    # scipy is no oracle at the sweep's tolerance: here, at norm 5.37, its
+    # expm errs by 8e-13 against 40 digits, and the closed form by 1.3e-16
+    a = np.array([[-0.535, -2.958], [-4.133, 1.649]])
+    assert np.linalg.norm(a) <= kernels._THETA_13
+    assert mp_error(kernels.expm(a), a) <= 1e-15
+
+
 def test_logm_stack_matches_per_matrix_calls():
     # members need different square-root counts (norm 0.05 to 2.5)
     rng = np.random.default_rng(11)
@@ -346,7 +429,7 @@ def test_piecewise_flow_matches_unblocked_product(sizes, pieces, channels, kind,
 
 
 def test_apply_flows_matches_flow_matrices_and_single_programs():
-    # 130 programs of 0-3 pieces: more than two chunks, null programs included
+    # 130 programs of 0-3 pieces in one flow call, null programs included
     rng = np.random.default_rng(14)
     mats = block_structured(rng, [2, 1, 3], 3, "blocks")
     parts = kernels.blocks((mats != 0).any(axis=0))
@@ -367,6 +450,41 @@ def test_apply_flows_matches_flow_matrices_and_single_programs():
         assert np.max(np.abs(out[j] - flow @ vectors[j])) < 1e-13 * np.abs(vectors[j]).max()
         if not count:
             assert np.array_equal(out[j], vectors[j])
+
+
+def test_apply_flows_splits_a_piece_stack_past_the_byte_bound(monkeypatch):
+    # a dense 16 x 16 species: 2 KiB a piece, so one call holds 512 pieces;
+    # 800 programs of 0-3 pieces need three calls, and one program past
+    # the bound on its own takes a call of its own
+    rng = np.random.default_rng(16)
+    mats = block_structured(rng, [16], 2, "dense")
+    parts = kernels.blocks((mats != 0).any(axis=0))
+    system = kernels.gather(mats, parts)
+    per_call = kernels.FLOW_BYTES // system[0].nbytes
+    counts = rng.integers(0, 4, size=800)
+    counts[400] = per_call + 1
+    lengths = rng.uniform(0.1, 1.0, size=counts.sum())
+    inputs = rng.uniform(-1.0, 1.0, size=(counts.sum(), 1))
+    vectors = rng.normal(size=(800, 16))
+    calls = []
+    expm = kernels.expm
+
+    def counted(a):
+        calls.append(len(a))
+        return expm(a)
+
+    monkeypatch.setattr(kernels, "expm", counted)
+    out = kernels.apply_flows(system, parts, lengths, inputs, counts, vectors)
+    assert sum(calls) == counts.sum() > 3 * per_call
+    assert len(calls) == 5 and sorted(calls)[-2] <= per_call
+    assert calls[2] == counts[400]
+    starts = np.cumsum(counts) - counts
+    for j, (start, count) in enumerate(zip(starts, counts)):
+        own = slice(start, start + count)
+        single = kernels.apply_flows(
+            system, parts, lengths[own], inputs[own], counts[j:j + 1], vectors[j:j + 1]
+        )
+        assert np.array_equal(out[j], single[0])
 
 
 def test_block_classes_merge_only_byte_identical_blocks():

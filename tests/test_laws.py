@@ -536,7 +536,7 @@ class Doubling(SpeciesFunctor):
 
 
 class TestBatchedCheckersMatchPerSampleLoops:
-    """130 samples: more than two batches of kernels.FLOW_CHUNK programs."""
+    """130 samples, each leg's flows in one expm call."""
 
     def test_functor_laws(self, species):
         report = check_functor_laws(species, sample_count=130, tol=1e-10, seed=4)
@@ -677,21 +677,19 @@ class TestSingleFlowPath:
         monkeypatch.setattr(kernels, "expm", counted)
         return calls
 
-    def test_compatibility_takes_one_expm_per_leg_per_64_programs(self, species, expm_calls):
+    def test_compatibility_takes_one_expm_per_leg(self, species, expm_calls):
         iota = direct_embedding(species.extraction.layout, 2)
         psi = scaled_environment_evolution(species, iota, 1.1)
         pulses = random_pulses(2, 130, seed=12)
         report = check_compatibility(iota, psi, species, [wide_env(species, 2)], pulses)
         assert report.samples == 130
-        # static and operational legs, 64 + 64 + 2 programs each
-        assert len(expm_calls) == 2 * 3
+        # static and operational legs, 130 programs each
+        assert expm_calls == [130, 130]
 
-    def test_mutant_functor_laws_take_one_expm_per_leg_per_64_programs(
-        self, species, expm_calls
-    ):
+    def test_mutant_functor_laws_take_one_expm_per_leg(self, species, expm_calls):
         check_functor_laws(non_causal_variant(species), sample_count=130, seed=4)
         # joint leg and both sequential legs; the null programs take none
-        assert len(expm_calls) == 3 * 3
+        assert len(expm_calls) == 3
 
 
 class TestEmptySampleSets:

@@ -283,7 +283,7 @@ def test_species_variants_keep_one_class_per_distinct_block(coupling, blocks, cl
 def test_worked_example_exponentiates_each_block_class_once(monkeypatch):
     # the default run sends 11840 expm members when every block of every
     # piece is exponentiated; each scan estimates both pulse generators in
-    # one call, so the run makes 12 calls
+    # one call, and each flow batch takes one call, so the run makes 9
     members = []
     expm = kernels.expm
 
@@ -293,7 +293,7 @@ def test_worked_example_exponentiates_each_block_class_once(monkeypatch):
 
     monkeypatch.setattr(kernels, "expm", counted)
     experiments.run_worked_example(experiments.WorkedExampleConfig())
-    assert len(members) == 12
+    assert len(members) == 9
     assert sum(members) <= 1520
 
 
