@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING
 from .errors import ConfigError, ConstraintError, MycocatError, ShapeError
 from .graphs import AttributedGraph, Cospan, GraphMorphism, pushout_along_monos
 from .readers import (
-    _require_counts, _require_finite, _require_nonnegative, read_object, read_wire
+    _require_counts, _require_finite, _require_nonnegative, read_key, read_object, read_wire
 )
 
 if TYPE_CHECKING:
@@ -132,13 +132,11 @@ def load_input(path: str, build):
 
 def cospan_from_json(data) -> Cospan:
     """The cospan ``{"apex", "b", "c", "left", "right"}``; a field of the
-    wrong shape raises :class:`ShapeError` naming it."""
+    wrong shape or a missing key raises :class:`ShapeError` naming it."""
     data = read_object(data, "cospan")
-    apex = AttributedGraph.from_json(data["apex"], "apex.")
-    b = AttributedGraph.from_json(data["b"], "b.")
-    c = AttributedGraph.from_json(data["c"], "c.")
-    left = GraphMorphism.from_json(data["left"], apex, b, "left.")
-    right = GraphMorphism.from_json(data["right"], apex, c, "right.")
+    apex, b, c = (AttributedGraph.from_json(read_key(data, k), f"{k}.") for k in ("apex", "b", "c"))
+    left = GraphMorphism.from_json(read_key(data, "left"), apex, b, "left.")
+    right = GraphMorphism.from_json(read_key(data, "right"), apex, c, "right.")
     return Cospan(apex, left, right)
 
 

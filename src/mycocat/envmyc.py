@@ -46,7 +46,9 @@ from .graphs import (
     is_monomorphism,
     pushout_along_monos,
 )
-from .readers import read_list, read_map, read_number, read_numbers, read_object, read_tuple
+from .readers import (
+    read_key, read_list, read_map, read_number, read_numbers, read_object, read_tuple
+)
 
 # Slack for floating-point comparisons against interval bounds and budgets.
 _BOUND_SLACK = 1e-9
@@ -177,12 +179,12 @@ class EnvObject:
         """The environment in the wire format; a ``rho`` value that is not a
         number or a ``phi`` value that is not a list of numbers (a bool is
         not a number) raises :class:`ShapeError` naming it (``rho.n0``,
-        ``phi.n1[0]``)."""
+        ``phi.n1[0]``), as does a missing key."""
         graph = AttributedGraph.from_json(data)
         return cls(
             graph=graph,
-            rho=read_map(data["rho"], "rho", graph.nodes, "node", read_number),
-            phi=read_map(data["phi"], "phi", graph.nodes, "node", read_numbers),
+            rho=read_map(read_key(data, "rho"), "rho", graph.nodes, "node", read_number),
+            phi=read_map(read_key(data, "phi"), "phi", graph.nodes, "node", read_numbers),
             chi=Constraints.from_json(data.get("chi", {}), "chi."),
         )
 
@@ -599,12 +601,12 @@ class MycObject:
         """The network in the wire format; a ``sigma`` value that is not a
         number or an ``omega`` value that is not a list of numbers (a bool is
         not a number) raises :class:`ShapeError` naming it (``sigma.e0``,
-        ``omega.n1[0]``)."""
+        ``omega.n1[0]``), as does a missing key."""
         graph = AttributedGraph.from_json(data)
         return cls(
             graph=graph,
-            sigma=read_map(data["sigma"], "sigma", graph.edge_ids, "edge", read_number),
-            omega=read_map(data["omega"], "omega", graph.nodes, "node", read_numbers),
+            sigma=read_map(read_key(data, "sigma"), "sigma", graph.edge_ids, "edge", read_number),
+            omega=read_map(read_key(data, "omega"), "omega", graph.nodes, "node", read_numbers),
         )
 
 

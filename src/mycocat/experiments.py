@@ -58,6 +58,7 @@ from .readers import (
     _require_finite,
     _require_nonnegative,
     _require_positive,
+    read_key,
     read_like,
     read_numbers,
     read_object,
@@ -209,7 +210,7 @@ class PulseTemplate:
         defaults = {"channel": 0, "amplitude": cls.amplitude, "duration": cls.duration}
         kwargs = _config_kwargs(data, defaults, path + ".")
         if "channel" not in kwargs:
-            raise ConfigError(f"{path}: missing key 'channel'")
+            raise ConfigError(f"{path}.channel: missing key")
         _require_finite({**defaults, **kwargs}, ("amplitude", "duration"), path + ".")
         return cls(**kwargs)
 
@@ -291,7 +292,8 @@ def species_from_config(data: Mapping, path: str) -> SpeciesFunctor:
 
 def _explicit_species(values: Mapping, where: str) -> SpeciesFunctor:
     dyn = ReferenceDynamics.from_json(values["dynamics"])
-    layout = StateLayout(AttributedGraph.from_json(values["graph"], "graph."), values["features"])
+    graph = AttributedGraph.from_json(read_key(values, "graph"), "graph.")
+    layout = StateLayout(graph, read_key(values, "features"))
     if layout.dim != dyn.dim:
         raise ConfigError(
             f"{where}dynamics: dimension {dyn.dim} does not match layout {layout.dim}"

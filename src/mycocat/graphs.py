@@ -21,21 +21,15 @@ strings.
 from __future__ import annotations
 
 import itertools
-import numbers
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache
-from operator import itemgetter
-from typing import Any, Callable, Iterator, Mapping
+from functools import cached_property, lru_cache
+from typing import Any, Iterator, Mapping
 
-from .errors import (
-    CompositionError,
-    ParameterError,
-    PreconditionError,
-    ResourceError,
-    ShapeError,
+from .errors import CompositionError, PreconditionError, ShapeError
+from .readers import (
+    read_bool, read_id, read_key, read_list, read_map, read_object, read_tuple
 )
-from .readers import read_bool, read_id, read_list, read_map, read_object, read_tuple
 
 
 def _id_key(x: Any) -> tuple[str, str]:
@@ -171,11 +165,12 @@ class AttributedGraph:
     def from_json(cls, data: Mapping, field: str = "") -> "AttributedGraph":
         """The graph in the wire format; a value of the wrong shape raises
         :class:`ShapeError` naming its field, prefixed by ``field``
-        (``"b."`` names ``b.nodes``). Ids must be JSON strings, numbers,
-        booleans or null."""
+        (``"b."`` names ``b.nodes``), as does a missing ``nodes``. Ids must
+        be JSON strings, numbers, booleans or null."""
         data = read_object(data, field[:-1] or "graph")
+        nodes = read_key(data, "nodes", field)
         return cls(
-            nodes=read_list(data["nodes"], f"{field}nodes", read_id, "a list of ids"),
+            nodes=read_list(nodes, f"{field}nodes", read_id, "a list of ids"),
             edges=read_list(data.get("edges", []), f"{field}edges", _read_edge),
             directed=read_bool(data.get("directed", False), f"{field}directed"),
         )
@@ -236,11 +231,12 @@ class GraphMorphism:
         """The morphism in the wire format: ``nodes`` and ``edges`` each an
         object or a list of ``[from, to]`` id pairs. A value of the wrong
         shape raises :class:`ShapeError` naming its field, prefixed by
-        ``field`` (``"left."`` names ``left.nodes``)."""
+        ``field`` (``"left."`` names ``left.nodes``), as does a missing
+        key."""
         data = read_object(data, field[:-1] or "morphism")
 
         def as_map(key, ids, kind):
-            raw, name = data[key], f"{field}{key}"
+            raw, name = read_key(data, key, field), f"{field}{key}"
             if isinstance(raw, Mapping):
                 return read_map(raw, name, ids, kind, read_id)
             return dict(read_list(raw, name, _read_id_pair, "a list of [from, to] id pairs"))
@@ -356,7 +352,7 @@ def pushout_along_monos(
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive morphism enumeration and the universal-property verifier
+# Exhaustive morphism enumeration, and the pushout decision
 # ---------------------------------------------------------------------------
 
 
@@ -433,228 +429,58 @@ def are_isomorphic(g: AttributedGraph, h: AttributedGraph) -> bool:
     return False
 
 
-def _probe_graph(n: int, code: int) -> AttributedGraph:
-    """The simple graph on nodes 0..n-1 whose edges are the pairs, in
-    ``itertools.combinations`` order, at the set bits of ``code``; each edge
-    id is its pair's index."""
-    pairs = list(itertools.combinations(range(n), 2))
-    return AttributedGraph(
-        tuple(range(n)), tuple((i, pairs[i]) for i in range(len(pairs)) if code >> i & 1)
-    )
-
-
-@cache
-def _probes(max_nodes: int) -> tuple[AttributedGraph, ...]:
-    return tuple(
-        _probe_graph(n, code)
-        for n in range(max_nodes + 1)
-        for code in range(2 ** (n * (n - 1) // 2))
-    )
-
-
-def probe_family(max_nodes: int) -> list[AttributedGraph]:
-    """The fixed probe family: all simple undirected graphs on 0..n-1 nodes
-    for every n up to ``max_nodes``. Deterministic order."""
-    return list(_probes(max_nodes))
-
-
-def _least_code(nbrs: tuple[int, ...]) -> int:
-    """The least :func:`_probe_graph` code of a simple graph over all
-    labellings of its nodes; ``nbrs[v]`` is the bit mask of v's neighbours.
-
-    The pair (k, j), k < j, is bit k(2n - k - 1)/2 + j - k - 1: a larger
-    k, then a larger j, makes a higher bit. Labels are handed out
-    from n - 1 down to 0: giving label k to a node fixes the bits of the
-    pairs (k, j), j > k, which are the highest bits not yet fixed. Only the
-    partial labellings whose bits so far are least are extended.
-    """
-    n = len(nbrs)
-    partial = [()]  # the nodes holding labels n - 1, n - 2, ... in turn
-    for _ in range(n):
-        best, kept = None, []
-        for placed in partial:
-            for v in range(n):
-                if v in placed:
-                    continue
-                bits = tuple(nbrs[v] >> w & 1 for w in placed)
-                if best is None or bits < best:
-                    best, kept = bits, [placed + (v,)]
-                elif bits == best:
-                    kept.append(placed + (v,))
-        partial = kept
-    label = {v: n - 1 - i for i, v in enumerate(partial[0])}
-    code = 0
-    for u in range(n):
-        for w in range(u + 1, n):
-            if nbrs[u] >> w & 1:
-                k, j = sorted((label[u], label[w]))
-                code |= 1 << (k * (2 * n - k - 1) // 2 + j - k - 1)
-    return code
-
-
-@cache
-def _class_codes(n: int) -> tuple[int, ...]:
-    """The least code of each isomorphism class of simple graphs on n
-    nodes, ascending: every class on n nodes is a class on n - 1 nodes
-    with one more node joined to some subset of the others."""
-    if n == 0:
-        return (0,)
-    pairs = list(itertools.combinations(range(n - 1), 2))
-    codes = set()
-    for code in _class_codes(n - 1):
-        nbrs = [0] * (n - 1)
-        for i, (u, w) in enumerate(pairs):
-            if code >> i & 1:
-                nbrs[u] |= 1 << w
-                nbrs[w] |= 1 << u
-        for joined in range(2 ** (n - 1)):
-            grown = [m | (joined >> v & 1) << (n - 1) for v, m in enumerate(nbrs)]
-            codes.add(_least_code(tuple(grown) + (joined,)))
-    return tuple(sorted(codes))
-
-
-@cache
-def _probe_classes(max_nodes: int) -> tuple[AttributedGraph, ...]:
-    """One probe per isomorphism class of :func:`probe_family`, the class's
-    first member in its order; 1, 1, 2, 4, 11, 34, 156 classes on 0 to 6
-    nodes."""
-    return tuple(
-        _probe_graph(n, code) for n in range(max_nodes + 1) for code in _class_codes(n)
-    )
-
-
-def _pruning_order(g: AttributedGraph) -> AttributedGraph:
-    """``g`` with its nodes reordered for :func:`_node_maps`: each next node
-    is the unplaced one with the most edges to the nodes already placed
-    (ties: more edges in all, then declaration order), so that partial maps
-    meet a neighbour mask as early as possible."""
-    links: Counter = Counter()
-    for _, (u, v) in g.edges:
-        if u != v:
-            links[u, v] += 1
-            links[v, u] += 1
-    degree = Counter(u for u, _ in links.elements())
-    order: list = []
-    left = list(g.nodes)
-    while left:
-        nxt = max(left, key=lambda v: (sum(links[v, w] for w in order), degree[v]))
-        order.append(nxt)
-        left.remove(nxt)
-    return AttributedGraph(tuple(order), g.edges, g.directed)
-
-
-def _composer(f: GraphMorphism, onto: AttributedGraph) -> Callable[[tuple], Any]:
-    """Composition with ``f`` on node maps out of ``onto``, a graph with the
-    same nodes as ``f.target``: a node tuple over ``onto`` goes to its
-    entries at the positions of ``f``'s node images, in ``f.source``'s
-    declaration order (one entry bare, as :func:`operator.itemgetter` gives
-    it, and none as ``()``)."""
-    at = {v: i for i, v in enumerate(onto.nodes)}
-    positions = [at[f.node_map[v]] for v in f.source.nodes]
-    return itemgetter(*positions) if positions else lambda m: ()
-
-
 def verify_pushout_universal_property(
     c: Cospan,
     candidate: tuple[AttributedGraph, GraphMorphism, GraphMorphism],
     probe_bound: int,
 ) -> bool:
-    """Exhaustively test the universal property of a candidate pushout of
-    undirected graphs.
+    """Decide whether ``candidate`` = (P, inB, inC) is a pushout of the
+    mono cospan B <- A -> C, exactly, from the candidate's maps alone.
 
-    First the candidate's maps, once: both injections must be
-    monomorphisms, together they must hit every node and every edge of the
-    candidate object, and the edges that both hit must be exactly the images
-    of the apex's edges. Every pushout along monos has all three: it is
-    isomorphic, under the injections, to the glued disjoint union of
-    :func:`pushout_along_monos`; in an adhesive category such as that of
-    graphs, monos are stable under pushout and a pushout along a mono is
-    also a pullback (Lack and Sobociński, "Adhesive categories", 2004). The
-    probes cannot see these failures: every probe is simple, with no loops
-    and no parallel edges, so a morphism X -> Z is fixed by its node map,
-    each edge going to the one edge that joins its endpoints' images. An
-    unhit edge parallel to another, two parallel edges merged, or an edge
-    of B glued to a parallel edge of C changes no hom-set into a probe, and
-    an unhit node changes the counts only on probes of two or more nodes.
+    It is one exactly when inB and inC are monomorphisms, together they hit
+    every node and every edge of P, the nodes both hit are exactly the
+    images of A's nodes, and the edges both hit are exactly the images of
+    A's edges. Enough: the map from the glued union of
+    :func:`pushout_along_monos` to P that sends a class to the common image
+    of its members is well defined (the square commutes), onto (joint
+    surjectivity) and one-to-one on nodes and on edges (monos, and two
+    members of B and C meet only over the apex), and it preserves
+    incidence both ways because every edge of P is the image of an edge of
+    B or C; so P is isomorphic to the glued union under the injections.
+    Necessary: graphs form an adhesive category, where monos are stable
+    under pushout and a pushout along a mono is also a pullback (Lack and
+    Sobociński, "Adhesive categories", 2004). The rule holds for directed
+    graphs, self-loops and parallel edges alike. ``probe_bound`` is
+    accepted and ignored: the decision enumerates no morphism.
 
-    Then the probes: for every probe graph Z in the fixed family up to
-    ``probe_bound`` nodes and every pair (B -> Z, C -> Z) agreeing on the
-    apex, there must exist exactly one mediating morphism from the
-    candidate object P to Z. Since the injections are jointly surjective,
-    a map out of P is fixed by its composites with them, so
-    u |-> (u∘inB, u∘inC) is injective and each probe is one count:
-    |hom(P, Z)| against the number of agreeing pairs. The probes decide
-    which nodes are identified: a candidate that glues a node of B to a
-    node of C outside the apex image passes the map checks, and a probe
-    large enough to keep their images apart has a pair with no mediator.
-    The counts run on node maps alone (:func:`_node_maps`), and the pairs
-    are grouped by the apex's node images.
-
-    The test is exhaustive up to isomorphism and runs on one probe per
-    isomorphism class of the family (19 classes up to 4 nodes, against 76
-    labelled graphs). That loses nothing: an isomorphism s: Z -> Z' gives
-    bijections hom(X, Z) -> hom(X, Z'), h |-> s∘h, natural in X, so Z and
-    Z' have the same number of agreeing pairs and of mediators. The node
-    maps are enumerated with the nodes of B, C and the candidate object in
-    a pruning order (each next node the one with the most edges to the
-    nodes before it), so partial maps that break an edge are dropped early;
-    the check only counts, so the order never reaches the verdict.
-    ``probe_bound`` must be an int from 0 to 6.
-
-    Raises :class:`ParameterError` for a ``probe_bound`` that is negative,
-    not an int or a bool, :class:`ResourceError` for ``probe_bound > 6``
-    and :class:`PreconditionError` if the cospan is directed (the probe
-    graphs are undirected, so every hom-set would be empty), if B or C has
-    a self-loop (no probe has a loop, so every hom-set out of that leg
-    would be empty and the counts would agree for any candidate), if the
-    candidate square does not commute, or, for a candidate that passes the
-    map checks, if B or C has no map into any probe up to the bound. That
-    last refusal has the self-loop refusal's reason: a bound below a leg's
-    chromatic number leaves every hom-set out of it empty (K4 has no map
-    into a probe of at most 3 nodes), so every count is 0 and a node
-    identification goes unseen. It is read off the probe loop's own counts
-    and costs no enumeration.
+    Raises :class:`PreconditionError` if either leg is not a monomorphism
+    (as :func:`pushout_along_monos` does), if an injection does not land in
+    P, or if the candidate square does not commute.
     """
-    if isinstance(probe_bound, bool) or not isinstance(probe_bound, numbers.Integral):
-        raise ParameterError(f"probe_bound must be an int, got {probe_bound!r}")
-    if probe_bound < 0:
-        raise ParameterError(f"probe_bound must be nonnegative, got {probe_bound}")
-    if probe_bound > 6:
-        raise ResourceError("probe_bound above 6 is not supported")
-    if c.apex.directed:
-        raise PreconditionError("the pushout verifier takes undirected graphs only")
-    if any(u == v for g in (c.left.target, c.right.target) for _, (u, v) in g.edges):
-        raise PreconditionError("the pushout verifier takes legs without self-loops only")
+    if not is_monomorphism(c.left) or not is_monomorphism(c.right):
+        raise PreconditionError("pushout requires both cospan legs to be mono")
     obj, inj_b, inj_c = candidate
     if inj_b.target != obj or inj_c.target != obj:
         raise PreconditionError("candidate injections must land in the candidate object")
-    via_b = compose_graph_morphisms(c.left, inj_b)
-    via_c = compose_graph_morphisms(c.right, inj_c)
-    if not via_b.same_maps(via_c):
+    via_b, via_c = (
+        (
+            [inj.node_map[leg.node_map[a]] for a in c.apex.nodes],
+            [inj.edge_map[leg.edge_map[e]] for e in c.apex.edge_ids],
+        )
+        for leg, inj in ((c.left, inj_b), (c.right, inj_c))
+    )
+    if via_b != via_c:
         raise PreconditionError("candidate square does not commute")
 
     if not (is_monomorphism(inj_b) and is_monomorphism(inj_c)):
         return False
-    edges_b, edges_c = set(inj_b.edge_map.values()), set(inj_c.edge_map.values())
-    nodes_hit = set(inj_b.node_map.values()) | set(inj_c.node_map.values())
-    if nodes_hit != obj.node_set or edges_b | edges_c != obj.edge_set:
-        return False  # the injections are not jointly surjective
-    if edges_b & edges_c != set(via_b.edge_map.values()):
-        return False  # an edge outside the apex image is glued
-    b, cg, p = (_pruning_order(g) for g in (c.left.target, c.right.target, obj))
-    left, right = _composer(c.left, b), _composer(c.right, cg)
-    reached_b = reached_c = False
-    for z in _probe_classes(probe_bound):
-        groups_b = Counter(map(left, _node_maps(b, z)))
-        groups_c = Counter(map(right, _node_maps(cg, z)))
-        reached_b, reached_c = reached_b or bool(groups_b), reached_c or bool(groups_c)
-        n_pairs = sum(count * groups_c.get(key, 0) for key, count in groups_b.items())
-        if len(_node_maps(p, z)) != n_pairs:  # some agreeing pair has no mediator
-            return False
-    if not (reached_b and reached_c):
-        leg = "C" if reached_b else "B"
-        raise PreconditionError(
-            f"{leg} has no map into any probe of at most {probe_bound} nodes, so every"
-            " count would agree for any candidate; raise probe_bound"
-        )
-    return True
+    (nodes_b, edges_b), (nodes_c, edges_c) = (
+        (set(inj.node_map.values()), set(inj.edge_map.values())) for inj in (inj_b, inj_c)
+    )
+    apex_nodes, apex_edges = map(set, via_b)
+    return (
+        nodes_b | nodes_c == obj.node_set
+        and edges_b | edges_c == obj.edge_set
+        and nodes_b & nodes_c == apex_nodes
+        and edges_b & edges_c == apex_edges
+    )

@@ -24,7 +24,10 @@ Algorithms:
   takes a closed form: ``np.exp`` of its entry, or for a 2 x 2 member A
   with half trace m, e^m (c I + s (A - m I)), c and s being the cosh and
   sinh terms of the square root of the discriminant (Bernstein and So
-  1993, "Some explicit formulas for the matrix exponential"). Every other
+  1993, "Some explicit formulas for the matrix exponential"). A triangular
+  2 x 2 member above theta_13 takes the closed form of its divided
+  difference at any norm, so a stiff flow such as [[-s, s], [0, 0]] loses
+  nothing to squaring (Al-Mohy and Higham 2009, section 2). Every other
   member takes the Pade approximant of degree 13 (Higham 2005, "The
   scaling and squaring method for the matrix exponential revisited"),
   with its own squaring count: none at Frobenius norm up to theta_13,
@@ -166,6 +169,37 @@ def _expm_2x2(a):
     return np.exp(m)[:, None, None] * r
 
 
+def _expm_triangular_2x2(a):
+    """exp of each member of a (k, 2, 2) stack of triangular members, whose
+    b or c is 0, at any norm.
+
+    For A = [[a, b], [c, d]] with b c = 0, exp(A) is
+    [[e^a, b δ], [c δ, e^d]] with δ the divided difference
+    (e^a - e^d) / (a - d). δ is that quotient where |a - d| > 2, and
+    e^((a + d) / 2) sinh(h) / h with h = (a - d) / 2 otherwise, where the
+    quotient would cancel; sinh(h) / h is 1 at h = 0 (Al-Mohy and Higham
+    2009, "A new scaling and squaring algorithm for the matrix exponential",
+    section 2). No squaring is taken, so a stiff member such as
+    [[-s, s], [0, 0]] is exact to a few ulps however large s is.
+    """
+    x, y = a[:, 0, 0], a[:, 1, 1]
+    ex, ey = np.exp(x), np.exp(y)
+    gap = x - y
+    h = 0.5 * gap
+    apart = np.abs(gap) > 2
+    delta = np.where(
+        apart,
+        (ex - ey) / np.where(apart, gap, 1.0),
+        np.exp(0.5 * (x + y)) * np.divide(np.sinh(h), h, out=np.ones_like(h), where=h != 0),
+    )
+    r = np.empty_like(a)
+    r[:, 0, 0] = ex
+    r[:, 1, 1] = ey
+    r[:, 0, 1] = a[:, 0, 1] * delta
+    r[:, 1, 0] = a[:, 1, 0] * delta
+    return r
+
+
 def _pade_13(a, squarings):
     """Degree-13 Pade approximant of each member of a (k, s, s) stack,
     halved ``squarings`` times and squared back."""
@@ -208,9 +242,11 @@ def expm(a):
     for bit whatever else shares the stack. A member of size 1 or 2 whose
     Frobenius norm is at most theta_13 takes a closed form: ``np.exp``, or
     :func:`_expm_2x2`, a dozen elementwise operations on the stack's entries.
-    Every other member takes the degree-13 Pade approximant and its own
-    squaring count: one sequence of broadcast products, one batched solve,
-    and a squaring loop masked to the members still squaring.
+    A triangular 2 x 2 member above theta_13 takes the closed form of
+    :func:`_expm_triangular_2x2`, which needs no squaring. Every other
+    member takes the degree-13 Pade approximant and its own squaring count:
+    one sequence of broadcast products, one batched solve, and a squaring
+    loop masked to the members still squaring.
 
     A Pade member whose Frobenius norm is at most theta_13 is not squared.
     One above it takes :func:`_far_squarings`, which halves by the member's
@@ -224,16 +260,23 @@ def expm(a):
     s = shape[-1]
     a = a.reshape(-1, s, s)
     far = ~(_fro(a) <= _THETA_13)  # overflow and NaN included
+    near = ~far
+    triangular = None
     squarings = np.zeros(len(a), dtype=int)
     if far.any():
         if not np.isfinite(a[far]).all():
             raise DomainError("matrix exponential needs finite entries")
+        if s == 2:
+            triangular = far & ((a[:, 0, 1] == 0) | (a[:, 1, 0] == 0))
+            far &= ~triangular
         squarings[far] = _far_squarings(a[far])
     if s > 2:
         r = _pade_13(a, squarings)
     else:
         r = np.empty(a.shape)
-        r[~far] = np.exp(a[~far]) if s == 1 else _expm_2x2(a[~far])
+        r[near] = np.exp(a[near]) if s == 1 else _expm_2x2(a[near])
+        if triangular is not None:
+            r[triangular] = _expm_triangular_2x2(a[triangular])
         if far.any():
             r[far] = _pade_13(a[far], squarings[far])
     if not np.isfinite(r).all():

@@ -38,7 +38,14 @@ from .envmyc import DistanceWeights, MycObject, ordered_sum
 from .errors import NumericError, ParameterError, ShapeError
 from .graphs import AttributedGraph
 from .readers import (
-    read_integer, read_list, read_matrix, read_number, read_numbers, read_object, read_tuple
+    read_integer,
+    read_key,
+    read_list,
+    read_matrix,
+    read_number,
+    read_numbers,
+    read_object,
+    read_tuple,
 )
 
 
@@ -100,9 +107,9 @@ class Program:
         """The program in the wire format, a JSON object; ``pieces`` must be
         a list of ``[length, [u1, ..., uc]]`` entries of numbers (not bools),
         and a piece of another shape raises :class:`ShapeError` naming it
-        (``pieces[0]``)."""
+        (``pieces[0]``), as does a missing ``pieces``."""
         data = read_object(data, "program")
-        return cls(read_list(data["pieces"], "pieces", _read_piece))
+        return cls(read_list(read_key(data, "pieces"), "pieces", _read_piece))
 
 
 def _read_piece(raw, field: str) -> tuple:
@@ -311,11 +318,12 @@ class InternalState:
         """The state in the wire format, a JSON object; a ``features`` value
         that is not an integer (a bool, a fraction, an infinity) or a
         ``vector`` that is not a list of numbers (a bool is not a number)
-        raises :class:`ShapeError` naming the field (``vector[0]``)."""
+        raises :class:`ShapeError` naming the field (``vector[0]``), as does
+        a missing key (``graph.nodes``)."""
         data = read_object(data, "state")
-        features = read_integer(data["features"], "features")
-        layout = StateLayout(AttributedGraph.from_json(data["graph"], "graph."), features)
-        return cls(read_numbers(data["vector"], "vector"), layout)
+        features = read_integer(read_key(data, "features"), "features")
+        layout = StateLayout(AttributedGraph.from_json(read_key(data, "graph"), "graph."), features)
+        return cls(read_numbers(read_key(data, "vector"), "vector"), layout)
 
 
 @dataclass(frozen=True)
@@ -387,10 +395,10 @@ class ReferenceDynamics:
         ``controls[i]`` that is not a list of equally long rows of numbers
         (not bools) raises :class:`ShapeError` naming it (``drift[0][1]``,
         ``controls[1][0][1]``), as does a ``controls`` value that is not a
-        list."""
+        list, and a missing key."""
         data = read_object(data, "dynamics")
-        controls = read_list(data["controls"], "controls", read_matrix)
-        return cls(drift=read_matrix(data["drift"], "drift"), controls=controls)
+        controls = read_list(read_key(data, "controls"), "controls", read_matrix)
+        return cls(drift=read_matrix(read_key(data, "drift"), "drift"), controls=controls)
 
 
 def _flow_arrays(table: PieceTable, dyn: ReferenceDynamics):

@@ -2,11 +2,12 @@
 
 Each reader takes a raw value and ``field``, its name in the input
 (``b.nodes[0]``, ``checks[0].tol``), and returns the value or raises one
-:class:`ShapeError` naming the field. A number is an int or a float, not a
-bool or a string; an integer is a number without a fraction (3.0 reads as
-3); an id is a string, a number, a bool or null. A refused value is shown
-by its repr, a list or an object by its type name. Configs report these
-refusals as :class:`ConfigError`.
+:class:`ShapeError` naming the field; :func:`read_key` names a missing key
+by its full path (``graph.nodes: missing key``). A number is an int or a
+float, not a bool or a string; an integer is a number without a fraction
+(3.0 reads as 3); an id is a string, a number, a bool or null. A refused
+value is shown by its repr, a list or an object by its type name. Configs
+report these refusals as :class:`ConfigError`.
 
 The ``_require_*`` checks take values already read and the names to check;
 ``where`` prefixes each name (``"species."`` names ``species.n_sites``).
@@ -55,6 +56,15 @@ def _of_type(types, kind: str) -> Callable:
 
 
 read_object = _of_type(Mapping, "a JSON object")
+
+
+def read_key(data: Mapping, key: str, where: str = ""):
+    """``data[key]`` of an object already read; a missing key raises
+    :class:`ShapeError` naming it, prefixed by ``where`` (``"b."`` names
+    ``b.nodes``)."""
+    if key not in data:
+        raise ShapeError(f"{where}{key}: missing key")
+    return data[key]
 read_string = _of_type(str, "a string")
 read_bool = _of_type(bool, "true or false")
 read_id = _of_type((str, numbers.Real, type(None)), "an id")
@@ -121,12 +131,10 @@ def read_like(raw, field: str, default):
 
 def read_wire(data, field: str, build: Callable):
     """``build(data)`` for a wire format held at ``field``: an input file, or
-    a program or species block in a config. A missing key or a value the
-    format refuses raises :class:`ConfigError` after ``field: ``."""
+    a program or species block in a config. A value the format refuses, a
+    missing key among them, raises :class:`ConfigError` after ``field: ``."""
     try:
         return build(data)
-    except KeyError as exc:
-        raise ConfigError(f"{field}: missing key {exc}") from exc
     except (ShapeError, ParameterError, NumericError) as exc:
         raise ConfigError(f"{field}: {exc}") from exc
 

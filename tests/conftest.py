@@ -7,8 +7,16 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from mycocat.graphs import AttributedGraph, Cospan, GraphMorphism
+
+# Every @given test draws the same examples on every run, seeded from the
+# test itself, so a verdict does not depend on the draw; each test keeps
+# its own max_examples. To explore other draws, run with
+# ``--hypothesis-profile=default --hypothesis-seed=N``.
+settings.register_profile("repeatable", derandomize=True)
+settings.load_profile("repeatable")
 
 # Tests that start ``python -m mycocat.cli`` in a subprocess import the
 # package from this checkout, as the in-process tests do.
@@ -131,6 +139,17 @@ def replaced(doc, path, value):
     for key in path[:-1]:
         parent = parent[key]
     parent[path[-1]] = value
+    return copy
+
+
+def deleted(doc, path):
+    """A copy of ``doc`` without the key or list item at ``path``, a path
+    other than the root."""
+    copy = json.loads(json.dumps(doc))
+    parent = copy
+    for key in path[:-1]:
+        parent = parent[key]
+    del parent[path[-1]]
     return copy
 
 

@@ -38,6 +38,7 @@ from mycocat.liealg import bch_truncated, commutator, matrix_exp, matrix_log
 from mycocat.programs import InternalState, Program, concatenate, evolve
 
 from conftest import make_random_mono_cospan
+from test_graphs import extended, reference_verifier
 
 UP = np.array([[0.0, 1.0], [0.0, 0.0]])
 DOWN = np.array([[0.0, 0.0], [1.0, 0.0]])
@@ -57,19 +58,26 @@ def fit_slope(xs, ys):
 
 
 def test_criterion_1_pushout_universal_property():
+    # the bounded probe count of the test-side reference at bound 4, and the
+    # exact map rule, on each pushout and on it plus an isolated node
     rng = random.Random(20240601)
     all_ok = True
     for _ in range(20):
         cospan = make_random_mono_cospan(rng, max_nodes=4)
         candidate = pushout_along_monos(cospan)
-        if not verify_pushout_universal_property(cospan, candidate, 4):
+        padded = extended(candidate, nodes=("ghost",))
+        if not (
+            reference_verifier(cospan, candidate, 4)
+            and verify_pushout_universal_property(cospan, candidate, 4)
+            and not verify_pushout_universal_property(cospan, padded, 4)
+        ):
             all_ok = False
             break
     report(
         1,
         all_ok,
         "20 random mono cospans: pushout passes exhaustive universal-property "
-        "check at probe bound 4 with unique mediators",
+        "check at probe bound 4 with unique mediators, and the exact map rule",
     )
 
 

@@ -11,7 +11,7 @@ import sys
 import pytest
 
 from mycocat.cli import build_parser, main, write_atomic
-from conftest import key_paths, replaced
+from conftest import deleted, key_paths, replaced
 
 
 def run_cli(argv):
@@ -95,6 +95,28 @@ class TestSimulateCommand:
         out = json.loads((tmp_path / "final_state.json").read_text())
         # exp([[0,1],[0,0]]) @ (0,1) = (1,1)
         assert out["vector"] == pytest.approx([1.0, 1.0])
+
+    @pytest.mark.parametrize("length", [1e14, 1e17, 1e300])
+    def test_stiff_triangular_flow_is_exact(self, tmp_path, length):
+        # exp(s [[-1, 1], [0, 0]]) @ (0, 1) = (1 - e^-s, 1); through Pade
+        # squaring the first entry was 0.9961013694411649 at s = 1e14
+        dyn = write(
+            tmp_path / "dyn.json",
+            {"drift": [[-1.0, 1.0], [0.0, 0.0]], "controls": [[[0.0, 0.0], [0.0, 0.0]]]},
+        )
+        prog = write(tmp_path / "prog.json", {"pieces": [[length, [0.0]]]})
+        state = write(
+            tmp_path / "state.json",
+            {
+                "vector": [0.0, 1.0],
+                "graph": {"nodes": ["v0", "v1"], "edges": [["e0", ["v0", "v1"]]]},
+                "features": 1,
+            },
+        )
+        code = run_cli(["simulate", dyn, prog, state, "--out-dir", str(tmp_path)])
+        assert code == 0
+        out = json.loads((tmp_path / "final_state.json").read_text())
+        assert out["vector"] == [1.0, 1.0]
 
 
 class TestOrderScanCommand:
@@ -449,6 +471,18 @@ EXPLICIT_SPECIES = {
             id="pushout-node-id-a-list",
         ),
         pytest.param(
+            ["pushout", CONFIG], {**STAR_COSPAN, "b": {"edges": []}}, {},
+            f"error: {CONFIG}: b.nodes: missing key", id="pushout-graph-without-nodes",
+        ),
+        pytest.param(
+            ["pushout", CONFIG], {**STAR_COSPAN, "left": {"nodes": [["a", "a"]]}}, {},
+            f"error: {CONFIG}: left.edges: missing key", id="pushout-leg-without-edges",
+        ),
+        pytest.param(
+            ["pushout", CONFIG], {k: v for k, v in STAR_COSPAN.items() if k != "right"}, {},
+            f"error: {CONFIG}: right: missing key", id="pushout-cospan-without-right",
+        ),
+        pytest.param(
             ["pushout", CONFIG], {**STAR_COSPAN, "left": {"nodes": "a", "edges": []}}, {},
             f"error: {CONFIG}: left.nodes: must be a list of [from, to] id pairs, got 'a'",
             id="pushout-leg-nodes-not-pairs",
@@ -464,15 +498,15 @@ EXPLICIT_SPECIES = {
         ),
         pytest.param(
             ["simulate", DYNAMICS, CONFIG, STATE], {"length": 1.0}, {},
-            f"error: {CONFIG}: missing key 'pieces'", id="simulate-program-without-pieces",
+            f"error: {CONFIG}: pieces: missing key", id="simulate-program-without-pieces",
         ),
         pytest.param(
             ["simulate", DYNAMICS, PROGRAM, CONFIG], {"vector": [1.0, 0.5], "features": 1},
-            {}, f"error: {CONFIG}: missing key 'graph'", id="simulate-state-without-graph",
+            {}, f"error: {CONFIG}: graph: missing key", id="simulate-state-without-graph",
         ),
         pytest.param(
             ["simulate", CONFIG, PROGRAM, STATE], {"drift": [[0.0, 1.0], [0.0, 0.0]]}, {},
-            f"error: {CONFIG}: missing key 'controls'", id="simulate-dynamics-without-controls",
+            f"error: {CONFIG}: controls: missing key", id="simulate-dynamics-without-controls",
         ),
         pytest.param(
             ["check-laws", CONFIG],
@@ -485,7 +519,7 @@ EXPLICIT_SPECIES = {
             {"checks": [{"law": "functor_laws", "samples": 5, "species": {
                 "dynamics": {"drift": [[0.0]], "controls": [[[1.0]]]}, "features": 1,
             }}]}, {},
-            "error: checks[0].species: missing key 'graph'",
+            "error: checks[0].species: graph: missing key",
             id="laws-explicit-species-without-graph",
         ),
         pytest.param(
@@ -700,7 +734,7 @@ EXPLICIT_SPECIES = {
             ["check-laws", CONFIG],
             {"checks": [{"law": "lipschitz", "pairs": 2, "program": {"length": 1.0},
                          **SMALL_SPECIES}]}, {},
-            "error: checks[0].program: missing key 'pieces'",
+            "error: checks[0].program: pieces: missing key",
             id="laws-program-without-pieces",
         ),
         pytest.param(
@@ -1240,6 +1274,7 @@ FUZZ_COMMANDS = {
     "laws_suite.json": ["check-laws", INPUT],
 }
 FUZZ_VALUES = [None, "x", [], {}, -1, 0, math.inf, 1e308, -1e308, True, "1", [[1]]]
+DELETE = object()  # a fuzz case that deletes the key or list item at its path
 
 
 def value_at(doc, path):
@@ -1254,8 +1289,8 @@ def test_fuzzer_covers_every_sample_input():
 
 @pytest.mark.parametrize("name", FUZZ_COMMANDS)
 def test_fuzzed_sample_inputs_exit_cleanly(tmp_path, monkeypatch, capsys, name):
-    """Each key path of the file, set to each fuzz value in turn: the run
-    exits 0 or 2 (check-laws may also exit 1, a verdict that differs from
+    """Each key path of the file, set to each fuzz value in turn and, but
+    the root, deleted: the run exits 0 or 2 (check-laws may also exit 1, a verdict that differs from
     its expectation), writes one ``error:`` line to stderr when it exits 2
     and nothing otherwise, and raises nothing out of ``main``. Where the
     file holds a number, ``true`` and ``"1"`` exit 2: a bool or a string is
@@ -1266,6 +1301,7 @@ def test_fuzzed_sample_inputs_exit_cleanly(tmp_path, monkeypatch, capsys, name):
     command = FUZZ_COMMANDS[name]
     exits = (0, 1, 2) if command[0] == "check-laws" else (0, 2)
     cases = [(path, value) for path in key_paths(doc) for value in FUZZ_VALUES]
+    cases += [(path, DELETE) for path in list(key_paths(doc))[1:]]
     numbers = {
         path for path in key_paths(doc)
         if isinstance(value_at(doc, path), (int, float))
@@ -1277,7 +1313,8 @@ def test_fuzzed_sample_inputs_exit_cleanly(tmp_path, monkeypatch, capsys, name):
         # can cost a disk flush, which would dominate the run
         run = tmp_path / str(index)
         run.mkdir()
-        (run / name).write_text(json.dumps(replaced(doc, path, value)), encoding="utf-8")
+        fuzzed = deleted(doc, path) if value is DELETE else replaced(doc, path, value)
+        (run / name).write_text(json.dumps(fuzzed), encoding="utf-8")
         argv = [str(run / name) if arg == INPUT else arg for arg in command]
         try:
             code = main(argv + ["--out-dir", str(run)])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse.csgraph
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mycocat import kernels
@@ -262,6 +262,85 @@ def test_expm_2x2_where_scipy_errs():
     a = np.array([[-0.535, -2.958], [-4.133, 1.649]])
     assert np.linalg.norm(a) <= kernels._THETA_13
     assert mp_error(kernels.expm(a), a) <= 1e-15
+
+
+def mp_triangular_exp(a):
+    """exp of a triangular 2 x 2 ``a`` to 50 digits, entry by entry:
+    e^a, e^d and b or c times (e^a - e^d) / (a - d), taken as
+    e^d expm1(a - d) / (a - d) so that it does not cancel, and as e^a where
+    a = d; mpmath's exponent range holds e^(-1e300)."""
+    with mpmath.workdps(50):
+        x, y = mpmath.mpf(a[0, 0]), mpmath.mpf(a[1, 1])
+        ex, ey = mpmath.exp(x), mpmath.exp(y)
+        delta = ex if x == y else ey * mpmath.expm1(x - y) / (x - y)
+        return [[ex, mpmath.mpf(a[0, 1]) * delta], [mpmath.mpf(a[1, 0]) * delta, ey]]
+
+
+def triangular_error(got, a):
+    """Largest entrywise error of ``got`` against :func:`mp_triangular_exp`,
+    relative to the entry, in units of eps; an entry below the smallest
+    normal float counts its absolute error in units of that float."""
+    ref = mp_triangular_exp(a)
+    tiny = np.finfo(float).tiny
+    return max(
+        float(abs(mpmath.mpf(got[i, j]) - ref[i][j]) / max(abs(ref[i][j]), tiny))
+        for i in range(2) for j in range(2)
+    ) / np.finfo(float).eps
+
+
+@pytest.mark.parametrize("lower", [False, True])
+def test_expm_of_a_stiff_triangular_member_against_mpmath(lower):
+    # [[-s, s], [0, 0]] has exp [[e^-s, 1 - e^-s], [0, 1]]; the Pade path's
+    # squarings lost 3.9e-3 at s = 1e14 and 0.98 at s = 1e17. Below
+    # theta_13 / sqrt(2) the member takes the general 2 x 2 closed form.
+    for s in np.logspace(-3, 300, 607):
+        a = np.array([[-s, s], [0.0, 0.0]])
+        if lower:
+            a = a[::-1, ::-1].copy()
+        got = kernels.expm(a)
+        assert triangular_error(got, a) <= 4, s
+        exact = np.array([[np.exp(-s), -np.expm1(-s)], [0.0, 1.0]])
+        assert np.max(np.abs(got - (exact[::-1, ::-1] if lower else exact))) <= 2.3e-16, s
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    diagonal=st.tuples(st.floats(-700.0, 700.0), st.floats(-3.0, 3.0)),
+    log_off=st.floats(-3.0, 300.0),
+    upper=st.booleans(),
+    same=st.booleans(),
+)
+@example(diagonal=(-700.0, 0.0), log_off=300.0, upper=True, same=False)
+@example(diagonal=(650.0, 1.0), log_off=2.0, upper=False, same=True)
+def test_expm_triangular_2x2_above_theta_13_against_mpmath(diagonal, log_off, upper, same):
+    # both branches of the divided difference: |a - d| above 2 and within
+    # it (``same`` puts d within 3 of a); the error is relative to each
+    # entry, and e^((a + d) / 2) is off by up to |a| ulps where a + d rounds
+    x, dy = diagonal
+    y = x + dy if same else dy
+    a = np.zeros((2, 2))
+    a[0, 0], a[1, 1] = x, y
+    a[(0, 1) if upper else (1, 0)] = -(10.0**log_off)
+    # below theta_13 the general closed form; hypot does not overflow
+    assume(math.hypot(*a.ravel()) > kernels._THETA_13)
+    if any(abs(entry) > np.finfo(float).max for row in mp_triangular_exp(a) for entry in row):
+        with pytest.raises(DomainError, match="overflows"):
+            kernels.expm(a)
+        return
+    got = kernels.expm(a)
+    assert np.array_equal(got, kernels._expm_triangular_2x2(a[None])[0])
+    assert triangular_error(got, a) <= 2 * (1 + max(abs(x), abs(y)))
+
+
+def test_expm_triangular_2x2_agrees_with_mpmath_expm():
+    # the closed form against mpmath's own expm, which shares no formula
+    rng = np.random.default_rng(26)
+    for _ in range(20):
+        a = np.triu(rng.normal(size=(2, 2))) * rng.uniform(3.0, 40.0)
+        if rng.random() < 0.5:
+            a = a.T.copy()
+        assert np.linalg.norm(a) > kernels._THETA_13 or abs(a[0, 1] + a[1, 0]) == 0
+        assert mp_error(kernels.expm(a), a) <= 1e-14
 
 
 def test_logm_stack_matches_per_matrix_calls():

@@ -21,7 +21,7 @@ from mycocat.errors import MycocatError, ParameterError, ShapeError
 from mycocat.experiments import PulseTemplate
 from mycocat.graphs import AttributedGraph, GraphMorphism
 from mycocat.programs import InternalState, Program, ReferenceDynamics, StateLayout
-from conftest import key_paths, replaced
+from conftest import deleted, key_paths, replaced
 
 IDS = st.one_of(st.integers(0, 3), st.sampled_from(["0", "1", "2", "3", "a"]))
 FINITE = st.floats(-1e3, 1e3, allow_nan=False)
@@ -323,33 +323,54 @@ READER_FUZZ = {
 }
 
 
-def value_at(doc, path):
-    """The value at ``path`` in ``doc``."""
-    for key in path:
-        doc = doc[key]
-    return doc
-
-
 @pytest.mark.parametrize("name", READER_FUZZ)
 def test_fuzzed_wire_objects_are_refused_or_sound(name):
-    """Each key path of a template, set to each fuzz value in turn: the
-    reader raises a MycocatError or builds a sound object (at distance
-    exactly 0 from itself, or whose JSON reads back to itself). A non-object
-    root is refused. An object emptied to ``{}`` lacks every key; a missing
-    key stays a KeyError, which the CLI reports as such. The six templates,
-    1080 reads, take ~0.02 s."""
+    """Each key path of a template, set to each fuzz value in turn, and then
+    each key path but the root deleted: the reader raises a MycocatError or
+    builds a sound object (at distance exactly 0 from itself, or whose JSON
+    reads back to itself). A non-object root is refused, and so is an
+    object that lacks a required key. The six templates, 1080 reads and 102
+    deletions, take ~0.02 s."""
     reader, sound, template = READER_FUZZ[name]
+    paths = list(key_paths(template))
+    docs = [replaced(template, path, value) for path in paths for value in READER_FUZZ_VALUES]
+    docs += [deleted(template, path) for path in paths[1:]]
     bad = []
-    for path in key_paths(template):
-        for value in READER_FUZZ_VALUES:
-            try:
-                built = reader.from_json(replaced(template, path, value))
-            except MycocatError:
-                continue
-            except KeyError:
-                if value == {} and isinstance(value_at(template, path), dict):
-                    continue
-                raise
-            if not sound(built):
-                bad.append((path, value))
+    for doc in docs:
+        try:
+            built = reader.from_json(doc)
+        except MycocatError:
+            continue
+        if not sound(built):
+            bad.append(doc)
     assert bad == []
+
+
+@pytest.mark.parametrize(
+    "reader, data, message",
+    [
+        (EnvObject, {}, "nodes: missing key"),
+        (EnvObject, {k: v for k, v in ENV_WIRE.items() if k != "phi"}, "phi: missing key"),
+        (MycObject, {}, "nodes: missing key"),
+        (MycObject, {k: v for k, v in MYC_WIRE.items() if k != "sigma"}, "sigma: missing key"),
+        (Program, {}, "pieces: missing key"),
+        (InternalState, {"graph": {}}, "features: missing key"),
+        (InternalState, {"graph": {}, "features": 1, "vector": []}, "graph.nodes: missing key"),
+        (ReferenceDynamics, {"drift": [[0.0]]}, "controls: missing key"),
+        (ReferenceDynamics, {"controls": []}, "drift: missing key"),
+    ],
+    ids=["env-empty", "env-without-phi", "myc-empty", "myc-without-sigma", "program-empty",
+         "state-without-features", "state-graph-without-nodes", "dynamics-without-controls",
+         "dynamics-without-drift"],
+)
+def test_a_missing_key_is_a_shape_error_naming_its_path(reader, data, message):
+    with pytest.raises(ShapeError) as exc:
+        reader.from_json(data)
+    assert str(exc.value) == message
+
+
+def test_a_morphism_without_a_map_names_it():
+    source = AttributedGraph(("a",), ())
+    with pytest.raises(ShapeError) as exc:
+        GraphMorphism.from_json({"nodes": [["a", "a"]]}, source, source, "left.")
+    assert str(exc.value) == "left.edges: missing key"
