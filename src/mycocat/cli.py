@@ -21,14 +21,13 @@ At module level this file imports only the standard library, ``errors``,
 ``graphs`` and ``readers``, none of which loads numpy, so ``--help`` and
 ``pushout`` run without it. ``simulate``, ``order-scan``,
 ``worked-example`` and ``check-laws`` import numpy and the numerical
-modules they call inside their own functions.
+modules they call inside their own functions, and ``csv`` is imported only
+where a CSV file is written.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
 import json
 import os
 import sys
@@ -91,6 +90,7 @@ def write_json(path: Path, payload) -> None:
 
 
 def write_rows_csv(path: Path, rows) -> None:
+    import csv
     import io
 
     buffer = io.StringIO()
@@ -163,6 +163,11 @@ def cmd_simulate(args) -> int:
     dyn = load_input(args.dynamics, ReferenceDynamics.from_json)
     program = load_input(args.program, Program.from_json)
     state = load_input(args.state, InternalState.from_json)
+    if program.pieces and program.channels != dyn.channels:
+        raise ConfigError(
+            f"{args.program}: program has {program.channels} control channels, "
+            f"dynamics {args.dynamics} has {dyn.channels}"
+        )
     final = evolve(state, program, dyn)
     out = Path(args.out_dir) / "final_state.json"
     write_json(out, final.to_json())
@@ -202,9 +207,9 @@ def cmd_worked_example(args) -> int:
     else:
         config = WorkedExampleConfig()
     if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
+        config = config.replace(seed=args.seed)
     if args.scaling is not None:
-        config = dataclasses.replace(config, scaling_modes=(args.scaling,))
+        config = config.replace(scaling_modes=(args.scaling,))
     result = run_worked_example(config)
     out_dir = Path(args.out_dir)
     write_json(out_dir / "worked_example.json", result.summary_json())

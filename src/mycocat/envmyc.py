@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -35,6 +34,7 @@ from .errors import (
     ConstraintError,
     ParameterError,
     PreconditionError,
+    Record,
     ShapeError,
 )
 from .graphs import (
@@ -54,33 +54,36 @@ from .readers import (
 _BOUND_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
-class Constraints:
+class Constraints(Record):
     """Interval bounds and a resource budget for an environmental state.
 
     ``phi_bounds`` holds one (lo, hi) interval per chemical channel; its
     length fixes the channel count k.
     """
 
-    humidity: tuple[float, float] = (0.0, 1.0)
-    temperature: tuple[float, float] = (0.0, 40.0)
-    phi_bounds: tuple[tuple[float, float], ...] = ((0.0, 1.0),)
-    budget: float = math.inf
-
-    def __post_init__(self):
-        object.__setattr__(self, "phi_bounds", tuple(tuple(b) for b in self.phi_bounds))
-        intervals = {"humidity": self.humidity, "temperature": self.temperature}
-        intervals.update((f"phi_bounds[{i}]", b) for i, b in enumerate(self.phi_bounds))
+    def __init__(
+        self,
+        humidity: tuple[float, float] = (0.0, 1.0),
+        temperature: tuple[float, float] = (0.0, 40.0),
+        phi_bounds: tuple[tuple[float, float], ...] = ((0.0, 1.0),),
+        budget: float = math.inf,
+    ):
+        phi_bounds = tuple(tuple(b) for b in phi_bounds)
+        intervals = {"humidity": humidity, "temperature": temperature}
+        intervals.update((f"phi_bounds[{i}]", b) for i, b in enumerate(phi_bounds))
         for name, (lo, hi) in intervals.items():
             # a NaN bound compares false, so every value would pass it
             if math.isnan(lo) or math.isnan(hi):
                 raise ParameterError(f"{name}: bounds must be numbers, got [{lo}, {hi}]")
             if lo > hi:
                 raise ParameterError(f"{name}: empty interval [{lo}, {hi}]")
-        if math.isnan(self.budget):
+        if math.isnan(budget):
             raise ParameterError("budget: must be a number, got nan")
-        if self.budget < 0:
-            raise ParameterError(f"budget: must be nonnegative, got {self.budget}")
+        if budget < 0:
+            raise ParameterError(f"budget: must be nonnegative, got {budget}")
+        vars(self).update(
+            humidity=humidity, temperature=temperature, phi_bounds=phi_bounds, budget=budget
+        )
 
     @property
     def channels(self) -> int:
@@ -117,13 +120,13 @@ class Constraints:
         (``"chi."`` names ``chi.budget``); a value the constructor refuses
         (a NaN, an empty interval, a negative budget) raises its
         :class:`ParameterError` under the same prefix."""
-        data = read_object(data, field[:-1] or "chi")
+        data, default = read_object(data, field[:-1] or "chi"), cls()
 
         def interval(raw, name):
             return read_tuple(raw, name, "a [lo, hi] pair of numbers", read_number, read_number)
 
         def read(key, reader, *args):
-            return reader(data.get(key, getattr(cls, key)), f"{field}{key}", *args)
+            return reader(data.get(key, getattr(default, key)), f"{field}{key}", *args)
 
         try:
             return cls(
@@ -136,34 +139,33 @@ class Constraints:
             raise ParameterError(f"{field}{exc}") from exc
 
 
-@dataclass(frozen=True)
-class EnvObject:
+class EnvObject(Record):
     """Substrate graph plus resource field, chemical field, and constraints;
     ``rho`` and ``phi`` are kept in node declaration order and must be
     admissible (see :func:`_first_violation`)."""
 
-    graph: AttributedGraph
-    rho: Mapping  # node -> float >= 0
-    phi: Mapping  # node -> tuple of channel values
-    chi: Constraints
-
-    def __post_init__(self):
-        nodes = self.graph.nodes
-        if set(self.rho) != self.graph.node_set or set(self.phi) != self.graph.node_set:
+    def __init__(
+        self,
+        graph: AttributedGraph,
+        rho: Mapping,  # node -> float >= 0
+        phi: Mapping,  # node -> tuple of channel values
+        chi: Constraints,
+    ):
+        nodes = graph.nodes
+        if set(rho) != graph.node_set or set(phi) != graph.node_set:
             raise ShapeError("rho and phi must be defined on exactly the graph nodes")
         # node declaration order, the order of a batch's fields and the wire
-        rho = {v: float(self.rho[v]) for v in nodes}
-        phi = {v: tuple(float(x) for x in self.phi[v]) for v in nodes}
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "phi", phi)
-        k = self.chi.channels
+        rho = {v: float(rho[v]) for v in nodes}
+        phi = {v: tuple(float(x) for x in phi[v]) for v in nodes}
+        k = chi.channels
         for v, vec in phi.items():
             if len(vec) != k:
                 raise ShapeError(f"phi at {v!r} has {len(vec)} channels, expected {k}")
         fields = np.array([[(rho[v], *phi[v]) for v in nodes]], dtype=np.float64)
-        violation = _first_violation(fields.reshape(1, len(nodes), 1 + k), nodes, self.chi)
+        violation = _first_violation(fields.reshape(1, len(nodes), 1 + k), nodes, chi)
         if violation:
             raise ConstraintError(violation)
+        vars(self).update(graph=graph, rho=rho, phi=phi, chi=chi)
 
     def to_json(self) -> dict:
         nodes = _json_keys(self.graph.nodes, "node")
@@ -201,8 +203,7 @@ def _json_keys(ids: Sequence, kind: str) -> dict:
     return keys
 
 
-@dataclass(frozen=True, eq=False)
-class EnvBatch:
+class EnvBatch(Record):
     """P environments on one graph under one constraint record: the batch
     form of :class:`EnvObject`.
 
@@ -214,26 +215,25 @@ class EnvBatch:
     environments or batches (``from_envs``, ``take``) is not checked again.
     """
 
-    graph: AttributedGraph
-    chi: Constraints
-    fields: np.ndarray
+    __eq__ = object.__eq__  # one batch equals only itself
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
-        fields = np.array(self.fields, dtype=np.float64)
-        nodes, k = len(self.graph.nodes), self.chi.channels
+    def __init__(self, graph: AttributedGraph, chi: Constraints, fields: np.ndarray):
+        fields = np.array(fields, dtype=np.float64)
+        nodes, k = len(graph.nodes), chi.channels
         if fields.ndim != 3 or fields.shape[1:] != (nodes, 1 + k):
             raise ShapeError(
                 f"environment fields of shape {fields.shape} do not match "
                 f"{nodes} nodes with 1 + {k} fields each"
             )
-        violation = _first_violation(fields, self.graph.nodes, self.chi)
+        violation = _first_violation(fields, graph.nodes, chi)
         if violation:
             raise ConstraintError(violation)
-        self._freeze(fields)
+        self._store(graph, chi, fields)
 
-    def _freeze(self, fields: np.ndarray) -> None:
+    def _store(self, graph, chi, fields: np.ndarray) -> None:
         fields.setflags(write=False)
-        object.__setattr__(self, "fields", fields)
+        vars(self).update(graph=graph, chi=chi, fields=fields)
 
     @classmethod
     def from_envs(cls, envs: Sequence[EnvObject]) -> "EnvBatch":
@@ -262,9 +262,7 @@ class EnvBatch:
     def _selected(cls, graph, chi, fields: np.ndarray) -> "EnvBatch":
         """A batch of new ``fields`` rows taken from checked environments, unchecked."""
         batch = object.__new__(cls)
-        object.__setattr__(batch, "graph", graph)
-        object.__setattr__(batch, "chi", chi)
-        batch._freeze(fields)
+        batch._store(graph, chi, fields)
         return batch
 
     def __len__(self) -> int:
@@ -336,8 +334,7 @@ POINTWISE_ADD = "pointwise_add"
 RESCALE = "rescale"
 
 
-@dataclass(frozen=True)
-class FieldRule:
+class FieldRule(Record):
     """How a scalar field transports along a graph map.
 
     - ``pushforward``: sum the field over each fiber (conserves the total).
@@ -345,15 +342,17 @@ class FieldRule:
     - ``rescale``: pushforward, then multiply by ``factor``.
     """
 
-    tag: str
-    delta: Mapping | None = None  # target node -> increment
-    factor: float = 1.0
-
-    def __post_init__(self):
-        if self.tag not in (PUSHFORWARD, POINTWISE_ADD, RESCALE):
-            raise ParameterError(f"unknown field rule {self.tag!r}")
-        if self.delta is not None:
-            object.__setattr__(self, "delta", dict(self.delta))
+    def __init__(
+        self,
+        tag: str,
+        delta: Mapping | None = None,  # target node -> increment
+        factor: float = 1.0,
+    ):
+        if tag not in (PUSHFORWARD, POINTWISE_ADD, RESCALE):
+            raise ParameterError(f"unknown field rule {tag!r}")
+        if delta is not None:
+            delta = dict(delta)
+        vars(self).update(tag=tag, delta=delta, factor=factor)
 
     def apply(self, values: Mapping, fg: GraphMorphism) -> dict:
         pushed = {w: 0.0 for w in fg.target.nodes}
@@ -395,8 +394,7 @@ def _compose_rules(first: FieldRule, second: FieldRule, second_fg: GraphMorphism
     )
 
 
-@dataclass(frozen=True)
-class EnvMorphism:
+class EnvMorphism(Record):
     """Admissible transformation of environmental states.
 
     Carries the underlying graph map, one rule for the resource field, one
@@ -406,13 +404,14 @@ class EnvMorphism:
     morphism is applied.
     """
 
-    fg: GraphMorphism
-    rho_rule: FieldRule
-    phi_rules: tuple[FieldRule, ...]
-    chi_map: Constraints | None = None  # None = identity
-
-    def __post_init__(self):
-        object.__setattr__(self, "phi_rules", tuple(self.phi_rules))
+    def __init__(
+        self,
+        fg: GraphMorphism,
+        rho_rule: FieldRule,
+        phi_rules: tuple[FieldRule, ...],
+        chi_map: Constraints | None = None,  # None = identity
+    ):
+        vars(self).update(fg=fg, rho_rule=rho_rule, phi_rules=tuple(phi_rules), chi_map=chi_map)
 
 
 def identity_env_morphism(e: EnvObject) -> EnvMorphism:
@@ -530,29 +529,27 @@ def env_distance(e1: EnvObject, e2: EnvObject) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MycObject:
+class MycObject(Record):
     """Connected network with edge conductivities and node feature vectors,
     kept in graph declaration order; the first conductivity that is not
     finite and nonnegative, or feature that is not finite, raises
     :class:`ParameterError` naming it."""
 
-    graph: AttributedGraph
-    sigma: Mapping  # edge -> float >= 0
-    omega: Mapping  # node -> tuple of feature values
-
-    def __post_init__(self):
-        if not self.graph.is_connected():
+    def __init__(
+        self,
+        graph: AttributedGraph,
+        sigma: Mapping,  # edge -> float >= 0
+        omega: Mapping,  # node -> tuple of feature values
+    ):
+        if not graph.is_connected():
             raise ShapeError("mycelial network must be connected")
-        if set(self.sigma) != set(self.graph.edge_ids):
+        if set(sigma) != set(graph.edge_ids):
             raise ShapeError("sigma must be defined on exactly the graph edges")
-        if set(self.omega) != self.graph.node_set:
+        if set(omega) != graph.node_set:
             raise ShapeError("omega must be defined on exactly the graph nodes")
         # declaration order, the order of the wire and of every distance sum
-        sigma = {e: float(self.sigma[e]) for e in self.graph.edge_ids}
-        omega = {v: tuple(float(x) for x in self.omega[v]) for v in self.graph.nodes}
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "omega", omega)
+        sigma = {e: float(sigma[e]) for e in graph.edge_ids}
+        omega = {v: tuple(float(x) for x in omega[v]) for v in graph.nodes}
         for e, x in sigma.items():
             if not 0.0 <= x < math.inf:
                 raise ParameterError(
@@ -567,6 +564,7 @@ class MycObject:
                     raise ParameterError(
                         f"omega at node {v!r} feature {i} must be a finite number, got {x}"
                     )
+        vars(self).update(graph=graph, sigma=sigma, omega=omega)
 
     @property
     def feature_count(self) -> int:
@@ -610,20 +608,16 @@ class MycObject:
         )
 
 
-@dataclass(frozen=True)
-class DistanceWeights:
-    omega: float = 1.0
-    sigma: float = 1.0
-    structure: float = 1.0
-
-    def __post_init__(self):
-        weights = (self.omega, self.sigma, self.structure)
+class DistanceWeights(Record):
+    def __init__(self, omega: float = 1.0, sigma: float = 1.0, structure: float = 1.0):
+        weights = (omega, sigma, structure)
         if not all(w >= 0 for w in weights):
             raise ParameterError(f"distance weights must be nonnegative numbers, got {weights}")
         # an infinite weight times a zero component is NaN: every distance
         # that weight touches would read NaN
         if math.inf in weights:
             raise ParameterError(f"distance weights must be finite, got {weights}")
+        vars(self).update(omega=omega, sigma=sigma, structure=structure)
 
 
 def myc_distance(
@@ -659,21 +653,17 @@ def _weighted_mean(va, vb, wa: float, wb: float) -> tuple:
     return tuple(0.5 * (a + b) for a, b in zip(va, vb))
 
 
-@dataclass(frozen=True)
-class MycMorphism:
+class MycMorphism(Record):
     """Structure-compatible update between mycelial states: a graph map
     between the two networks' graphs, with the target fields as explicit
     data (a fusion leg's, an induced state update's, a composite's)."""
 
-    source: MycObject
-    target: MycObject
-    graph_map: GraphMorphism
-
-    def __post_init__(self):
-        if self.graph_map.source != self.source.graph:
+    def __init__(self, source: MycObject, target: MycObject, graph_map: GraphMorphism):
+        if graph_map.source != source.graph:
             raise ShapeError("graph map must start at the source network")
-        if self.graph_map.target != self.target.graph:
+        if graph_map.target != target.graph:
             raise ShapeError("graph map must end at the target network")
+        vars(self).update(source=source, target=target, graph_map=graph_map)
 
     def is_identity(self, tol: float = 0.0) -> bool:
         if self.source.graph != self.target.graph:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass, fields
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -32,7 +31,7 @@ from .envmyc import (
     apply_env_morphism,
     identity_rule,
 )
-from .errors import ConfigError, InsufficientDataError, ParameterError, ShapeError
+from .errors import ConfigError, InsufficientDataError, ParameterError, Record, ShapeError
 from .graphs import AttributedGraph, identity_morphism
 from .laws import (
     LawReport,
@@ -157,12 +156,15 @@ def reference_species(
     return SpeciesFunctor(label, dyn, Extraction(layout, sigma))
 
 
+def _defaults(call) -> dict:
+    """Parameter name -> default of a function's or record class's
+    signature, in order; ``inspect.Parameter.empty`` where there is none."""
+    return {name: param.default for name, param in inspect.signature(call).parameters.items()}
+
+
 # The compact species form of a config and the species fields of
 # WorkedExampleConfig both default to these keyword defaults.
-_SPECIES_DEFAULTS = {
-    name: param.default
-    for name, param in inspect.signature(reference_species).parameters.items()
-}
+_SPECIES_DEFAULTS = _defaults(reference_species)
 
 
 def initial_state(layout: StateLayout, seed: int) -> InternalState:
@@ -172,13 +174,11 @@ def initial_state(layout: StateLayout, seed: int) -> InternalState:
     return InternalState(1.0 + 0.01 * rng.standard_normal(layout.dim), layout)
 
 
-@dataclass(frozen=True)
-class PulseTemplate:
+class PulseTemplate(Record):
     """Single-channel pulse: which channel, at what base amplitude/duration."""
 
-    channel: int
-    amplitude: float = 1.0
-    duration: float = 1.0
+    def __init__(self, channel: int, amplitude: float = 1.0, duration: float = 1.0):
+        vars(self).update(channel=channel, amplitude=amplitude, duration=duration)
 
     def program(self, eps: float, scaling: str, channels: int) -> Program:
         """Scaled pulse. ``amplitude`` scaling multiplies the control by
@@ -207,7 +207,7 @@ class PulseTemplate:
     def from_json(cls, data: Mapping, path: str) -> "PulseTemplate":
         """Pulse from ``{"channel": c, "amplitude": a, "duration": d}``;
         only the channel is required. ``path`` names the block in errors."""
-        defaults = {"channel": 0, "amplitude": cls.amplitude, "duration": cls.duration}
+        defaults = {**_defaults(cls), "channel": 0}
         kwargs = _config_kwargs(data, defaults, path + ".")
         if "channel" not in kwargs:
             raise ConfigError(f"{path}.channel: missing key")
@@ -393,21 +393,24 @@ def fit_loglog_slope(rows: Sequence[tuple[float, float]]) -> FitResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExposureExperiment:
+class ExposureExperiment(Record):
     """A two-pulse order-asymmetry scan over a grid of exposure scales."""
 
-    species: SpeciesFunctor
-    pulse_p: PulseTemplate = PulseTemplate(channel=0)
-    pulse_q: PulseTemplate = PulseTemplate(channel=1)
-    eps_grid: tuple[float, ...] = (0.2, 0.1, 0.05, 0.02, 0.01)
-    scaling: str = "amplitude"
-    weights: DistanceWeights = DistanceWeights()
-    seed: int = 12345
-
-    def __post_init__(self):
-        grid = tuple(float(e) for e in self.eps_grid)
-        object.__setattr__(self, "eps_grid", grid)
+    def __init__(
+        self,
+        species: SpeciesFunctor,
+        pulse_p: PulseTemplate = PulseTemplate(channel=0),
+        pulse_q: PulseTemplate = PulseTemplate(channel=1),
+        eps_grid: tuple[float, ...] = (0.2, 0.1, 0.05, 0.02, 0.01),
+        scaling: str = "amplitude",
+        weights: DistanceWeights = DistanceWeights(),
+        seed: int = 12345,
+    ):
+        grid = tuple(float(e) for e in eps_grid)
+        vars(self).update(
+            species=species, pulse_p=pulse_p, pulse_q=pulse_q, eps_grid=grid,
+            scaling=scaling, weights=weights, seed=seed,
+        )
         if len(grid) < 4:
             raise ConfigError("eps_grid: need at least 4 points")
         for eps in grid:
@@ -429,17 +432,20 @@ class ExposureExperiment:
         cls, data: Mapping, seed_override: int | None = None
     ) -> "ExposureExperiment":
         """Experiment from an ``order-scan`` config. Absent keys take the
-        dataclass defaults; ``seed_override``, when given, replaces the seed."""
-        defaults = {f.name: f.default for f in fields(cls)}
-        defaults["species"] = reference_species()
+        constructor's defaults, and ``species`` the reference species;
+        ``seed_override``, when given, replaces the seed."""
+        defaults = {**_defaults(cls), "species": reference_species()}
         kwargs = {**defaults, **_config_kwargs(data, defaults)}
         if seed_override is not None:
             kwargs["seed"] = seed_override
         return cls(**kwargs)
 
 
-@dataclass(frozen=True)
-class AsymmetryReport:
+# WorkedExampleConfig's pulses, grid and seed default to the scan's.
+_EXPERIMENT_DEFAULTS = _defaults(ExposureExperiment)
+
+
+class AsymmetryReport(Record):
     """Scan rows, the fitted scaling law, and the generator-level diagnostic.
 
     ``commutator_norm`` is the Frobenius norm of [X_p, X_q], the commutator
@@ -449,16 +455,24 @@ class AsymmetryReport:
     weighted feature L1 norm of [X_p, X_q] applied to the start state.
     """
 
-    rows: tuple[tuple[float, float], ...]
-    excluded: tuple[float, ...]  # eps values at or below the delta floor
-    slope: float | None
-    intercept: float | None
-    r_squared: float | None
-    commutator_norm: float
-    verdict: str
-    scaling: str
-    weights: tuple[float, float, float]
-    seed: int
+    def __init__(
+        self,
+        rows: tuple[tuple[float, float], ...],
+        excluded: tuple[float, ...],  # eps values at or below the delta floor
+        slope: float | None,
+        intercept: float | None,
+        r_squared: float | None,
+        commutator_norm: float,
+        verdict: str,
+        scaling: str,
+        weights: tuple[float, float, float],
+        seed: int,
+    ):
+        vars(self).update(
+            rows=rows, excluded=excluded, slope=slope, intercept=intercept,
+            r_squared=r_squared, commutator_norm=commutator_norm, verdict=verdict,
+            scaling=scaling, weights=weights, seed=seed,
+        )
 
     def to_json(self) -> dict:
         return {
@@ -562,24 +576,8 @@ def run_order_asymmetry_scan(exp: ExposureExperiment) -> AsymmetryReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WorkedExampleConfig:
+class WorkedExampleConfig(Record):
     """Configuration of the two-pulse protocol on a linear electrode array."""
-
-    n_sites: int = _SPECIES_DEFAULTS["n_sites"]
-    channels: int = _SPECIES_DEFAULTS["channels"]
-    sigma: float = _SPECIES_DEFAULTS["sigma"]
-    coupling: str = _SPECIES_DEFAULTS["coupling"]
-    pulse_p: PulseTemplate = ExposureExperiment.pulse_p
-    pulse_q: PulseTemplate = ExposureExperiment.pulse_q
-    eps_grid: tuple[float, ...] = ExposureExperiment.eps_grid
-    scaling_modes: tuple[str, ...] = ("amplitude", "duration")
-    weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
-    seed: int = ExposureExperiment.seed
-    functor_samples: int = 100
-    functor_tol: float = 1e-10
-    compat_pulses: int = 50
-    compat_tol: float = 1e-8
 
     @property
     def features(self) -> int:
@@ -587,7 +585,29 @@ class WorkedExampleConfig:
         which the direct embedding reads."""
         return self.channels + 1
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        n_sites: int = _SPECIES_DEFAULTS["n_sites"],
+        channels: int = _SPECIES_DEFAULTS["channels"],
+        sigma: float = _SPECIES_DEFAULTS["sigma"],
+        coupling: str = _SPECIES_DEFAULTS["coupling"],
+        pulse_p: PulseTemplate = _EXPERIMENT_DEFAULTS["pulse_p"],
+        pulse_q: PulseTemplate = _EXPERIMENT_DEFAULTS["pulse_q"],
+        eps_grid: tuple[float, ...] = _EXPERIMENT_DEFAULTS["eps_grid"],
+        scaling_modes: tuple[str, ...] = ("amplitude", "duration"),
+        weights: tuple[float, float, float] = (1.0, 1.0, 1.0),
+        seed: int = _EXPERIMENT_DEFAULTS["seed"],
+        functor_samples: int = 100,
+        functor_tol: float = 1e-10,
+        compat_pulses: int = 50,
+        compat_tol: float = 1e-8,
+    ):
+        vars(self).update(
+            n_sites=n_sites, channels=channels, sigma=sigma, coupling=coupling,
+            pulse_p=pulse_p, pulse_q=pulse_q, eps_grid=eps_grid, scaling_modes=scaling_modes,
+            weights=weights, seed=seed, functor_samples=functor_samples,
+            functor_tol=functor_tol, compat_pulses=compat_pulses, compat_tol=compat_tol,
+        )
         _require_positive(vars(self), ("n_sites", "channels"))
         _require_counts(vars(self), ("functor_samples", "compat_pulses"))
         _check_dynamics_size({**vars(self), "features": self.features}, ("n_sites", "channels"))
@@ -605,21 +625,27 @@ class WorkedExampleConfig:
     def from_json(cls, data: Mapping) -> "WorkedExampleConfig":
         """Config from JSON: unknown keys are rejected, absent keys keep
         the class defaults."""
-        defaults = {f.name: f.default for f in fields(cls)}
-        return cls(**_config_kwargs(data, defaults))
+        return cls(**_config_kwargs(data, _defaults(cls)))
 
 
-@dataclass(frozen=True)
-class WorkedExampleResult:
+class WorkedExampleResult(Record):
     """Everything the two-pulse protocol produces, ready for serialization."""
 
-    config: WorkedExampleConfig
-    env_initial: EnvObject
-    env_after_a: EnvObject
-    env_after_b: EnvObject
-    env_after_ab: EnvObject
-    scans: Mapping[str, AsymmetryReport]
-    law_reports: tuple[LawReport, ...]
+    def __init__(
+        self,
+        config: WorkedExampleConfig,
+        env_initial: EnvObject,
+        env_after_a: EnvObject,
+        env_after_b: EnvObject,
+        env_after_ab: EnvObject,
+        scans: Mapping[str, AsymmetryReport],
+        law_reports: tuple[LawReport, ...],
+    ):
+        vars(self).update(
+            config=config, env_initial=env_initial, env_after_a=env_after_a,
+            env_after_b=env_after_b, env_after_ab=env_after_ab, scans=scans,
+            law_reports=law_reports,
+        )
 
     def summary_json(self) -> dict:
         return {

@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Any, Iterator, Mapping
 
-from .errors import CompositionError, PreconditionError, ShapeError
+from .errors import CompositionError, PreconditionError, Record, ShapeError
 from .readers import (
     read_bool, read_id, read_key, read_list, read_map, read_object, read_tuple
 )
@@ -37,8 +36,7 @@ def _id_key(x: Any) -> tuple[str, str]:
     return (type(x).__name__, repr(x))
 
 
-@dataclass(frozen=True)
-class AttributedGraph:
+class AttributedGraph(Record):
     """A finite multigraph with stable node and edge identifiers.
 
     ``nodes`` is an ordered tuple of opaque node ids; ``edges`` maps each
@@ -47,24 +45,19 @@ class AttributedGraph:
     parallel edges are allowed.
     """
 
-    nodes: tuple
-    edges: tuple  # of (edge_id, (u, v))
-    directed: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-        object.__setattr__(
-            self, "edges", tuple((eid, (u, v)) for eid, (u, v) in self.edges)
-        )
-        node_set = set(self.nodes)
-        if len(node_set) != len(self.nodes):
+    def __init__(self, nodes: tuple, edges: tuple, directed: bool = False):
+        nodes = tuple(nodes)
+        edges = tuple((eid, (u, v)) for eid, (u, v) in edges)  # of (edge_id, (u, v))
+        node_set = set(nodes)
+        if len(node_set) != len(nodes):
             raise ShapeError("duplicate node ids")
-        eids = [eid for eid, _ in self.edges]
+        eids = [eid for eid, _ in edges]
         if len(set(eids)) != len(eids):
             raise ShapeError("duplicate edge ids")
-        for eid, (u, v) in self.edges:
+        for eid, (u, v) in edges:
             if u not in node_set or v not in node_set:
                 raise ShapeError(f"edge {eid!r} has undeclared endpoint")
+        vars(self).update(nodes=nodes, edges=edges, directed=directed)
 
     # -- lookups ---------------------------------------------------------
 
@@ -184,36 +177,36 @@ def _read_edge(raw, field: str) -> tuple:
     return read_tuple(raw, field, "[id, [u, v]]", read_id, _read_id_pair)
 
 
-@dataclass(frozen=True)
-class GraphMorphism:
+class GraphMorphism(Record):
     """A total, incidence-preserving map between attributed graphs; any
     other map raises :class:`ShapeError`."""
 
-    source: AttributedGraph
-    target: AttributedGraph
-    node_map: Mapping
-    edge_map: Mapping
-
-    def __post_init__(self):
-        object.__setattr__(self, "node_map", dict(self.node_map))
-        object.__setattr__(self, "edge_map", dict(self.edge_map))
-        if self.source.directed != self.target.directed:
+    def __init__(
+        self,
+        source: AttributedGraph,
+        target: AttributedGraph,
+        node_map: Mapping,
+        edge_map: Mapping,
+    ):
+        node_map, edge_map = dict(node_map), dict(edge_map)
+        if source.directed != target.directed:
             raise ShapeError("source and target disagree on directedness")
-        if self.node_map.keys() != self.source.node_set:
+        if node_map.keys() != source.node_set:
             raise ShapeError("node map is not total on source nodes")
-        tgt_nodes = self.target.node_set
-        for v, w in self.node_map.items():
+        tgt_nodes = target.node_set
+        for v, w in node_map.items():
             if w not in tgt_nodes:
                 raise ShapeError(f"node {v!r} maps outside the target")
-        if self.edge_map.keys() != self.source.edge_set:
+        if edge_map.keys() != source.edge_set:
             raise ShapeError("edge map is not total on source edges")
-        tgt_edges, adj = self.target.edge_set, self.target.adjacency
-        for eid, (u, v) in self.source.edges:
-            img = self.edge_map[eid]
+        tgt_edges, adj = target.edge_set, target.adjacency
+        for eid, (u, v) in source.edges:
+            img = edge_map[eid]
             if img not in tgt_edges:
                 raise ShapeError(f"edge {eid!r} maps outside the target")
-            if img not in adj.get((self.node_map[u], self.node_map[v]), ()):
+            if img not in adj.get((node_map[u], node_map[v]), ()):
                 raise ShapeError(f"edge {eid!r} does not preserve incidence")
+        vars(self).update(source=source, target=target, node_map=node_map, edge_map=edge_map)
 
     def same_maps(self, other: "GraphMorphism") -> bool:
         return self.node_map == other.node_map and self.edge_map == other.edge_map
@@ -245,18 +238,14 @@ class GraphMorphism:
         return cls(source, target, nodes, as_map("edges", source.edge_ids, "edge"))
 
 
-@dataclass(frozen=True)
-class Cospan:
+class Cospan(Record):
     """Two morphisms out of a shared apex: left: A -> B, right: A -> C.
     Legs that do not start at the apex raise :class:`ShapeError`."""
 
-    apex: AttributedGraph
-    left: GraphMorphism
-    right: GraphMorphism
-
-    def __post_init__(self):
-        if self.left.source != self.apex or self.right.source != self.apex:
+    def __init__(self, apex: AttributedGraph, left: GraphMorphism, right: GraphMorphism):
+        if left.source != apex or right.source != apex:
             raise ShapeError("cospan legs must start at the apex")
+        vars(self).update(apex=apex, left=left, right=right)
 
 
 def identity_morphism(g: AttributedGraph) -> GraphMorphism:

@@ -29,7 +29,6 @@ Checkers:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -42,7 +41,7 @@ from .envmyc import (
     MycObject,
     env_distance,
 )
-from .errors import InputError, ParameterError, ResourceError, ShapeError
+from .errors import InputError, ParameterError, Record, ResourceError, ShapeError
 from .graphs import identity_morphism
 from .programs import (
     NULL_PROGRAM,
@@ -59,16 +58,22 @@ from .programs import (
 )
 
 
-@dataclass(frozen=True)
-class LawReport:
+class LawReport(Record):
     """Outcome of one law check: worst residual, tolerance, and witness."""
 
-    law: str
-    samples: int
-    max_residual: float
-    tolerance: float
-    seed: int | None = None
-    witness: dict | None = None
+    def __init__(
+        self,
+        law: str,
+        samples: int,
+        max_residual: float,
+        tolerance: float,
+        seed: int | None = None,
+        witness: dict | None = None,
+    ):
+        vars(self).update(
+            law=law, samples=samples, max_residual=max_residual, tolerance=tolerance,
+            seed=seed, witness=witness,
+        )
 
     @property
     def passed(self) -> bool:
@@ -97,8 +102,7 @@ class LawReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpeciesFunctor:
+class SpeciesFunctor(Record):
     """One species: reference dynamics plus a measurement pipeline.
 
     ``transform_many`` realizes the induced state transitions of many
@@ -112,9 +116,8 @@ class SpeciesFunctor:
     ``myc_distance`` of the ``on_object`` networks bit for bit.
     """
 
-    label: str
-    dynamics: ReferenceDynamics
-    extraction: Extraction
+    def __init__(self, label: str, dynamics: ReferenceDynamics, extraction: Extraction):
+        vars(self).update(label=label, dynamics=dynamics, extraction=extraction)
 
     def transform(self, state: InternalState, program: Program) -> InternalState:
         moved = self.transform_many(state.vector[None], PieceTable.from_programs([program]))
@@ -316,12 +319,12 @@ def replay_functor_law_witness(f: SpeciesFunctor, witness: Mapping) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NaturalTransformationData:
+class NaturalTransformationData(Record):
     """Per-object comparison components between two species, given as a
     state-level map applied at every sampled object."""
 
-    state_map: Callable[[np.ndarray], np.ndarray]
+    def __init__(self, state_map: Callable[[np.ndarray], np.ndarray]):
+        vars(self).update(state_map=state_map)
 
     def map_state(self, vector: np.ndarray) -> np.ndarray:
         return np.asarray(self.state_map(vector), dtype=np.float64)
@@ -383,31 +386,38 @@ def check_naturality(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FiniteInstance:
+class FiniteInstance(Record):
     """Explicitly enumerated pair of tiny categories with functors both ways.
 
     Hom-sets are tuples of morphism names keyed by (source, target);
-    ``compose_*[(f, g)]`` is the diagrammatic composite "f then g".
+    ``compose_*[(f, g)]`` is the diagrammatic composite "f then g". An
+    object or morphism map left out is a new empty dict.
     """
 
-    env_objects: tuple[str, ...]
-    myc_objects: tuple[str, ...]
-    env_hom: Mapping[tuple[str, str], tuple[str, ...]]
-    myc_hom: Mapping[tuple[str, str], tuple[str, ...]]
-    env_compose: Mapping[tuple[str, str], str]
-    myc_compose: Mapping[tuple[str, str], str]
-    f_obj: Mapping[str, str] = field(default_factory=dict)
-    f_mor: Mapping[str, str] = field(default_factory=dict)
-    g_obj: Mapping[str, str] = field(default_factory=dict)
-    g_mor: Mapping[str, str] = field(default_factory=dict)
-
-    def __post_init__(self):
-        n_morphisms = sum(len(v) for v in self.env_hom.values()) + sum(
-            len(v) for v in self.myc_hom.values()
+    def __init__(
+        self,
+        env_objects: tuple[str, ...],
+        myc_objects: tuple[str, ...],
+        env_hom: Mapping[tuple[str, str], tuple[str, ...]],
+        myc_hom: Mapping[tuple[str, str], tuple[str, ...]],
+        env_compose: Mapping[tuple[str, str], str],
+        myc_compose: Mapping[tuple[str, str], str],
+        f_obj: Mapping[str, str] | None = None,
+        f_mor: Mapping[str, str] | None = None,
+        g_obj: Mapping[str, str] | None = None,
+        g_mor: Mapping[str, str] | None = None,
+    ):
+        n_morphisms = sum(len(v) for v in env_hom.values()) + sum(
+            len(v) for v in myc_hom.values()
         )
         if n_morphisms > 10_000:
             raise ResourceError("finite instance too large to enumerate")
+        vars(self).update(
+            env_objects=env_objects, myc_objects=myc_objects, env_hom=env_hom,
+            myc_hom=myc_hom, env_compose=env_compose, myc_compose=myc_compose,
+            f_obj={} if f_obj is None else f_obj, f_mor={} if f_mor is None else f_mor,
+            g_obj={} if g_obj is None else g_obj, g_mor={} if g_mor is None else g_mor,
+        )
 
 
 def _hom(table: Mapping, source: str, target: str) -> tuple[str, ...]:
@@ -560,8 +570,7 @@ def check_adjunction(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DirectEmbedding:
+class DirectEmbedding(Record):
     """Environment-to-state map reading (rho, phi) into node feature slots:
     feature 0 carries the resource value, features 1..k the first k
     chemical channels. Requires ``layout.feature_count == 1 + channels``.
@@ -570,15 +579,13 @@ class DirectEmbedding:
     ``many`` embeds an :class:`EnvBatch` as one (P, n) state array.
     """
 
-    layout: StateLayout
-    channels: int
-
-    def __post_init__(self):
-        if self.layout.feature_count != self.channels + 1:
+    def __init__(self, layout: StateLayout, channels: int):
+        if layout.feature_count != channels + 1:
             raise InputError(
-                f"direct embedding needs {self.channels + 1} features, "
-                f"layout has {self.layout.feature_count}"
+                f"direct embedding needs {channels + 1} features, "
+                f"layout has {layout.feature_count}"
             )
+        vars(self).update(layout=layout, channels=channels)
 
     def __call__(self, env: EnvObject) -> InternalState:
         return InternalState(self.many(EnvBatch.from_envs([env]))[0], self.layout)

@@ -19,13 +19,12 @@ All functions are pure; matrices are never mutated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import kernels
-from .errors import DomainError, NumericError, ParameterError, ShapeError
+from .errors import DomainError, NumericError, ParameterError, Record, ShapeError
 from .programs import PieceTable, Program, ReferenceDynamics, _flow_arrays
 
 
@@ -89,13 +88,11 @@ def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x @ y - y @ x
 
 
-@dataclass(frozen=True)
-class BchResult:
+class BchResult(Record):
     """Truncated composition expansion, with each order kept separately."""
 
-    order: int
-    value: np.ndarray
-    terms: tuple[tuple[int, np.ndarray], ...]
+    def __init__(self, order: int, value: np.ndarray, terms: tuple[tuple[int, np.ndarray], ...]):
+        vars(self).update(order=order, value=value, terms=terms)
 
 
 def bch_truncated(x: np.ndarray, y: np.ndarray, eps: float, order: int) -> BchResult:

@@ -28,14 +28,13 @@ JSON wire formats::
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import kernels
 from .envmyc import DistanceWeights, MycObject, ordered_sum
-from .errors import NumericError, ParameterError, ShapeError
+from .errors import NumericError, ParameterError, Record, ShapeError
 from .graphs import AttributedGraph
 from .readers import (
     read_integer,
@@ -49,18 +48,14 @@ from .readers import (
 )
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(Record):
     """Piecewise-constant control signal; the empty tuple is the null program."""
 
-    pieces: tuple[tuple[float, tuple[float, ...]], ...] = ()
-
-    def __post_init__(self):
+    def __init__(self, pieces: tuple[tuple[float, tuple[float, ...]], ...] = ()):
         pieces = tuple(
             (float(length), tuple(float(u) for u in control))
-            for length, control in self.pieces
+            for length, control in pieces
         )
-        object.__setattr__(self, "pieces", pieces)
         widths = {len(control) for _, control in pieces}
         if len(widths) > 1:
             raise ShapeError("all pieces must share one control width")
@@ -69,6 +64,7 @@ class Program:
                 raise ParameterError("piece lengths must be strictly positive")
             if not (math.isfinite(length) and all(map(math.isfinite, control))):
                 raise ParameterError("piece lengths and controls must be finite")
+        vars(self).update(pieces=pieces)
 
     @property
     def duration(self) -> float:
@@ -128,8 +124,7 @@ def concatenate(p: Program, q: Program) -> Program:
     return Program(p.pieces + q.pieces)
 
 
-@dataclass(frozen=True, eq=False)
-class PieceTable:
+class PieceTable(Record):
     """The pieces of P programs listed back to back: ``lengths`` (K,),
     ``inputs`` (K, c) and ``counts`` (P,), program i owning the next
     ``counts[i]`` pieces. The batch form of :class:`Program`, validated once
@@ -139,14 +134,13 @@ class PieceTable:
     only selects pieces of checked programs or tables is not checked again.
     """
 
-    lengths: np.ndarray
-    inputs: np.ndarray
-    counts: np.ndarray
+    __eq__ = object.__eq__  # one table equals only itself
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
-        lengths = np.array(self.lengths, dtype=np.float64)
-        inputs = np.array(self.inputs, dtype=np.float64)
-        counts = np.array(self.counts, dtype=np.intp)
+    def __init__(self, lengths: np.ndarray, inputs: np.ndarray, counts: np.ndarray):
+        lengths = np.array(lengths, dtype=np.float64)
+        inputs = np.array(inputs, dtype=np.float64)
+        counts = np.array(counts, dtype=np.intp)
         if inputs.size == 0 and inputs.ndim < 2:
             inputs = inputs.reshape(0, 0)
         if lengths.ndim != 1 or counts.ndim != 1:
@@ -164,18 +158,18 @@ class PieceTable:
             if not lengths[ok.argmin()] > 0:
                 raise ParameterError("piece lengths must be strictly positive")
             raise ParameterError("piece lengths and controls must be finite")
-        self._freeze(lengths, inputs, counts)
+        self._store(lengths, inputs, counts)
 
-    def _freeze(self, lengths, inputs, counts):
-        for name, value in (("lengths", lengths), ("inputs", inputs), ("counts", counts)):
+    def _store(self, lengths, inputs, counts):
+        for value in (lengths, inputs, counts):
             value.setflags(write=False)
-            object.__setattr__(self, name, value)
+        vars(self).update(lengths=lengths, inputs=inputs, counts=counts)
 
     @classmethod
     def _selected(cls, lengths, inputs, counts) -> "PieceTable":
         """A table of new arrays taken from checked programs or tables, unchecked."""
         table = object.__new__(cls)
-        table._freeze(lengths, inputs, counts)
+        table._store(lengths, inputs, counts)
         return table
 
     @classmethod
@@ -255,20 +249,17 @@ class PieceTable:
         return PieceTable(self.lengths, inputs, self.counts)
 
 
-@dataclass(frozen=True)
-class StateLayout:
+class StateLayout(Record):
     """Assignment of vector indices to (node, feature) slots.
 
     Index order is node-major in the declaration order of the observation
     graph: index = node_position * feature_count + feature_index.
     """
 
-    graph: AttributedGraph
-    feature_count: int
-
-    def __post_init__(self):
-        if self.feature_count < 1:
+    def __init__(self, graph: AttributedGraph, feature_count: int):
+        if feature_count < 1:
             raise ParameterError("feature_count must be positive")
+        vars(self).update(graph=graph, feature_count=feature_count)
 
     @property
     def dim(self) -> int:
@@ -287,24 +278,20 @@ class StateLayout:
         return [tuple(row) for row in vector.reshape(-1, self.feature_count).tolist()]
 
 
-@dataclass(frozen=True)
-class InternalState:
+class InternalState(Record):
     """State vector together with its observation layout."""
 
-    vector: np.ndarray
-    layout: StateLayout
-
-    def __post_init__(self):
-        vec = np.asarray(self.vector, dtype=np.float64)
+    def __init__(self, vector: np.ndarray, layout: StateLayout):
+        vec = np.asarray(vector, dtype=np.float64)
         if vec.ndim != 1:
             raise ShapeError("state vector must be one-dimensional")
-        if vec.shape[0] != self.layout.dim:
+        if vec.shape[0] != layout.dim:
             raise ShapeError(
-                f"state vector has {vec.shape[0]} entries, layout expects {self.layout.dim}"
+                f"state vector has {vec.shape[0]} entries, layout expects {layout.dim}"
             )
         vec = vec.copy()
         vec.setflags(write=False)
-        object.__setattr__(self, "vector", vec)
+        vars(self).update(vector=vec, layout=layout)
 
     def to_json(self) -> dict:
         return {
@@ -326,8 +313,7 @@ class InternalState:
         return cls(read_numbers(read_key(data, "vector"), "vector"), layout)
 
 
-@dataclass(frozen=True)
-class ReferenceDynamics:
+class ReferenceDynamics(Record):
     """Bilinear control system dS/dt = (drift + sum_i u_i controls_i) S,
     evolved piece-exactly (never discretized).
 
@@ -337,14 +323,11 @@ class ReferenceDynamics:
     class of components with equal drift and control entries (see
     :func:`mycocat.kernels.block_classes`)."""
 
-    drift: np.ndarray
-    controls: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        drift = np.asarray(self.drift, dtype=np.float64)
+    def __init__(self, drift: np.ndarray, controls: tuple[np.ndarray, ...]):
+        drift = np.asarray(drift, dtype=np.float64)
         if drift.ndim != 2 or drift.shape[0] != drift.shape[1]:
             raise ShapeError("drift must be a square matrix")
-        controls = tuple(np.asarray(c, dtype=np.float64) for c in self.controls)
+        controls = tuple(np.asarray(c, dtype=np.float64) for c in controls)
         for c in controls:
             if c.shape != drift.shape:
                 raise ShapeError("control matrices must match the drift shape")
@@ -359,8 +342,6 @@ class ReferenceDynamics:
             c = c.copy()
             c.setflags(write=False)
             frozen.append(c)
-        object.__setattr__(self, "drift", drift)
-        object.__setattr__(self, "controls", tuple(frozen))
         # Derived once per dynamics for flow_matrix and evolve_many: plain
         # attributes, not fields, so equality, repr and the JSON form see
         # only the matrices.
@@ -370,8 +351,7 @@ class ReferenceDynamics:
             kernels.gather(np.concatenate((drift[None], stacked)), parts), parts
         )
         system.setflags(write=False)
-        object.__setattr__(self, "_blocks", parts)
-        object.__setattr__(self, "_system", system)
+        vars(self).update(drift=drift, controls=tuple(frozen), _blocks=parts, _system=system)
 
     @property
     def dim(self) -> int:
@@ -475,8 +455,7 @@ def programs_equivalent_at(
     return float(np.max(np.abs(sp - sq))) <= tol
 
 
-@dataclass(frozen=True)
-class Extraction:
+class Extraction(Record):
     """Measurement pipeline: read node features off the observation graph.
 
     ``sigma`` is the one conductivity of every edge of the extracted
@@ -486,18 +465,17 @@ class Extraction:
     naming ``sigma``.
     """
 
-    layout: StateLayout
-    sigma: float = 1.0
-
-    def __post_init__(self):
-        graph, sigma = self.layout.graph, read_number(self.sigma, "sigma")
+    def __init__(self, layout: StateLayout, sigma: float = 1.0):
+        graph, sigma = layout.graph, read_number(sigma, "sigma")
         if not graph.is_connected():
             raise ShapeError("mycelial network must be connected")
         if not 0.0 <= sigma < math.inf:
             raise ParameterError(f"sigma must be a finite nonnegative number, got {sigma}")
-        object.__setattr__(self, "sigma", sigma)
-        # A plain attribute, not a field: equality and repr see only sigma.
-        object.__setattr__(self, "_edge_sigma", dict.fromkeys(graph.edge_ids, sigma))
+        # _edge_sigma is a plain attribute, not a field: equality and repr
+        # see only sigma.
+        vars(self).update(
+            layout=layout, sigma=sigma, _edge_sigma=dict.fromkeys(graph.edge_ids, sigma)
+        )
 
 
 def extract(state: InternalState, extraction: Extraction) -> MycObject:

@@ -509,6 +509,12 @@ EXPLICIT_SPECIES = {
             f"error: {CONFIG}: controls: missing key", id="simulate-dynamics-without-controls",
         ),
         pytest.param(
+            ["simulate", CONFIG, PROGRAM, STATE],
+            {"drift": [[0.0, 1.0], [0.0, 0.0]], "controls": []}, {},
+            f"error: {PROGRAM}: program has 1 control channels, dynamics {CONFIG} has 0",
+            id="simulate-control-width-mismatch",
+        ),
+        pytest.param(
             ["check-laws", CONFIG],
             {"checks": [{"law": "functor_laws", "samplez": 5, **SMALL_SPECIES}]}, {},
             "error: checks[0].samplez: unknown configuration field",
@@ -1171,6 +1177,7 @@ NUMPY_FREE_SNIPPETS = {
     "cli-pushout": (
         "from mycocat.cli import main\n"
         "assert main(['pushout', {cospan!r}, '--out-dir', {out!r}]) == 0\n"
+        "assert not {{'dataclasses', 'csv'}} & sys.modules.keys(), 'dataclasses or csv loaded'\n"
     ),
     "graphs-name": (
         "import mycocat\n"
@@ -1198,6 +1205,40 @@ def test_fresh_interpreter_loads_no_numpy(tmp_path, star_cospan_file, snippet):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+# Imports every mycocat module after numpy, counting the source strings
+# compiled meanwhile and whether typing's NamedTuple builder made each one.
+STRING_COMPILES = """
+import pathlib, sys
+import numpy, numpy.random
+import mycocat
+compiles = []
+
+def hook(event, args):
+    if event == 'compile' and args[1] == '<string>':
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code.co_name != '_make_nmtuple':
+            frame = frame.f_back
+        compiles.append(frame is not None)
+
+sys.addaudithook(hook)
+for path in sorted(pathlib.Path(mycocat.__path__[0]).glob('*.py')):
+    __import__('mycocat.' + path.stem)
+print(len(compiles), compiles.count(False), 'dataclasses' in sys.modules)
+"""
+
+
+def test_importing_every_module_generates_no_code():
+    """Records are plain classes: no module compiles source text at import
+    (dataclasses compiled 164 strings), save what the two NamedTuples,
+    ``kernels.Blocks`` and ``experiments.FitResult``, make."""
+    proc = subprocess.run([sys.executable, "-c", STRING_COMPILES], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    total, outside_namedtuples, dataclasses_loaded = proc.stdout.split()
+    assert int(total) > 0  # the hook sees the NamedTuples
+    assert outside_namedtuples == "0"
+    assert dataclasses_loaded == "False"
 
 
 # Every name the package exported by eager imports, by defining submodule.

@@ -1,6 +1,5 @@
 """Order-asymmetry scans, log-log fits, and the two-pulse worked example."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -223,7 +222,7 @@ class TestOrderAsymmetryScan:
 
         base = experiment()
         mutant = Doubling("doubling", base.species.dynamics, base.species.extraction)
-        exp = dataclasses.replace(base, species=mutant)
+        exp = base.replace(species=mutant)
         rows = list(run_order_asymmetry_scan(exp).rows)
         assert rows == scan_rows_oracle(exp, lambda f, s, p: f.transform(s, p))
         # doubling both final states doubles every distance exactly
@@ -270,8 +269,7 @@ class TestScanCommutator:
     @pytest.mark.parametrize("coupling", ["noncommuting", "commuting"])
     @pytest.mark.parametrize("n_sites", [1, 8, 64])
     def test_reference_species_bit_for_bit(self, coupling, n_sites):
-        exp = dataclasses.replace(
-            experiment(coupling=coupling),
+        exp = experiment(coupling=coupling).replace(
             species=reference_species(n_sites=n_sites, coupling=coupling),
         )
         assert run_order_asymmetry_scan(exp).commutator_norm == dense_commutator_norm(exp)
@@ -284,15 +282,14 @@ class TestScanCommutator:
     def test_repeated_block_species(self, sizes, seed):
         # a blockwise product can round differently from a dense one
         species = repeated_block_species(np.random.default_rng(seed), sizes)
-        exp = dataclasses.replace(experiment(), species=species)
+        exp = experiment().replace(species=species)
         ours = run_order_asymmetry_scan(exp).commutator_norm
         dense = dense_commutator_norm(exp)
         assert abs(ours - dense) <= 1e-13 * dense
 
     @pytest.mark.parametrize("coupling", ["noncommuting", "commuting"])
     def test_no_block_search_and_one_log_per_class(self, monkeypatch, coupling):
-        exp = dataclasses.replace(
-            experiment(coupling=coupling),
+        exp = experiment(coupling=coupling).replace(
             species=reference_species(n_sites=64, coupling=coupling),
         )
         classes = exp.species.dynamics._system.shape[1]

@@ -334,13 +334,13 @@ class TestEnvironmentBatches:
     @pytest.fixture()
     def env_constructions(self, monkeypatch):
         calls = []
-        post_init = EnvObject.__post_init__
+        init = EnvObject.__init__
 
-        def counted(env):
+        def counted(env, *args, **kwargs):
             calls.append(1)
-            post_init(env)
+            init(env, *args, **kwargs)
 
-        monkeypatch.setattr(EnvObject, "__post_init__", counted)
+        monkeypatch.setattr(EnvObject, "__init__", counted)
         return calls
 
     def test_compatibility_builds_no_environment(self, species, env_constructions):

@@ -679,13 +679,13 @@ class TestPieceTable:
     def test_from_programs_does_not_check_the_pieces_again(self, monkeypatch):
         programs = [Program(((0.5, (1.0, 0.0)),)), NULL_PROGRAM, Program(((0.25, (0.0, 1.0)),) * 2)]
         calls = []
-        init = PieceTable.__post_init__
+        init = PieceTable.__init__
 
-        def counted(self):
+        def counted(self, *args, **kwargs):
             calls.append(self)
-            init(self)
+            init(self, *args, **kwargs)
 
-        monkeypatch.setattr(PieceTable, "__post_init__", counted)
+        monkeypatch.setattr(PieceTable, "__init__", counted)
         assert PieceTable.from_programs(programs).inputs.shape == (3, 2)
         assert PieceTable.from_programs([]).inputs.shape == (0, 0)
         assert PieceTable.from_programs([Program(((1.0, ()),))] * 2).inputs.shape == (2, 0)
@@ -726,13 +726,13 @@ def test_functor_check_builds_only_its_witness(monkeypatch):
     # InternalStates when every sample was an object
     built = {Program: 0, InternalState: 0}
     for cls in built:
-        init = cls.__post_init__
+        init = cls.__init__
 
-        def counted(self, cls=cls, init=init):
+        def counted(self, *args, cls=cls, init=init, **kwargs):
             built[cls] += 1
-            init(self)
+            init(self, *args, **kwargs)
 
-        monkeypatch.setattr(cls, "__post_init__", counted)
+        monkeypatch.setattr(cls, "__init__", counted)
     from mycocat.laws import check_functor_laws
 
     report = check_functor_laws(reference_species(), sample_count=100, seed=1)
