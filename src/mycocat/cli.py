@@ -168,6 +168,11 @@ def cmd_simulate(args) -> int:
             f"{args.program}: program has {program.channels} control channels, "
             f"dynamics {args.dynamics} has {dyn.channels}"
         )
+    if state.vector.size != dyn.dim:
+        raise ConfigError(
+            f"{args.state}: state has dimension {state.vector.size}, "
+            f"dynamics {args.dynamics} has dimension {dyn.dim}"
+        )
     final = evolve(state, program, dyn)
     out = Path(args.out_dir) / "final_state.json"
     write_json(out, final.to_json())

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Any, Iterator, Mapping
 
 from .errors import CompositionError, PreconditionError, Record, ShapeError
@@ -91,37 +91,6 @@ class AttributedGraph(Record):
             if not self.directed and u != v:
                 adj.setdefault((v, u), []).append(eid)
         return {pair: tuple(eids) for pair, eids in adj.items()}
-
-    @cached_property
-    def _masks(self) -> tuple[list, list, int]:
-        """Bit masks over node positions, for :func:`_node_maps`: each
-        node's out-neighbours and in-neighbours (both its neighbours when
-        the graph is undirected), and the nodes that carry a loop."""
-        at = {v: k for k, v in enumerate(self.nodes)}
-        out, into = [0] * len(self.nodes), [0] * len(self.nodes)
-        for _, (u, v) in self.edges:
-            out[at[u]] |= 1 << at[v]
-            into[at[v]] |= 1 << at[u]
-        if not self.directed:
-            out = into = [o | i for o, i in zip(out, into)]
-        return out, into, sum(1 << k for k, mask in enumerate(out) if mask >> k & 1)
-
-    @cached_property
-    def _links(self) -> tuple:
-        """For each node, in declaration order and for :func:`_node_maps`:
-        whether it carries a loop, and the pairs (j, forward) of its
-        neighbours j declared before it, forward when an edge runs from j
-        to it."""
-        pos = {v: i for i, v in enumerate(self.nodes)}
-        loops = [False] * len(self.nodes)
-        links: list[dict] = [{} for _ in self.nodes]
-        for _, (u, v) in self.edges:
-            a, b = pos[u], pos[v]
-            if a == b:
-                loops[a] = True
-            else:
-                links[max(a, b)][min(a, b), a < b] = None
-        return tuple(zip(loops, map(tuple, links)))
 
     def is_connected(self) -> bool:
         """Connectivity of the underlying undirected graph; empty graph counts
@@ -345,46 +314,28 @@ def pushout_along_monos(
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=1 << 12)
-def _bits(mask: int) -> tuple[int, ...]:
-    """The positions of the set bits of ``mask``, ascending."""
-    return tuple(k for k in range(mask.bit_length()) if mask >> k & 1)
+def _homs(g: AttributedGraph, h: AttributedGraph) -> list[tuple[tuple, tuple]]:
+    """Every morphism g -> h as (node images, edge images), each a tuple in
+    g's declaration order, listed in :func:`enumerate_morphisms` order.
 
-
-def _node_maps(g: AttributedGraph, h: AttributedGraph) -> list[tuple]:
-    """Every node map g -> h that preserves adjacency, as a tuple of
-    positions in ``h.nodes`` in g's declaration order, in lexicographic
-    order; these are the node maps of the morphisms g -> h.
-
-    Maps grow one node of g at a time. Node i's candidates are the set bits
-    of the AND of the neighbour masks (:attr:`AttributedGraph._masks`) of
-    the images of i's neighbours placed before it: for a directed graph,
-    the out-mask of the image of an edge's source and the in-mask of the
-    image of its target. A self-loop at i keeps only the candidates that
-    carry a loop.
+    Node maps grow one node of g at a time, each taking h's nodes in order;
+    an edge of g is checked against ``h.adjacency`` as soon as both its ends
+    are placed. Each node map then takes each choice of an edge image per
+    edge.
     """
     if g.directed != h.directed:
         return []
-    out, into, looped = h._masks
-    anywhere = (1 << len(h.nodes)) - 1
-    maps = [()]
-    for loop, links in g._links:
-        masks = [looped if loop else anywhere] * len(maps)
-        for j, forward in links:
-            table = out if forward else into
-            masks = [mask & table[m[j]] for mask, m in zip(masks, maps)]
-        maps = [m + (w,) for m, mask in zip(maps, masks) for w in _bits(mask)]
-    return maps
-
-
-def _homs(g: AttributedGraph, h: AttributedGraph) -> list[tuple[tuple, tuple]]:
-    """Every morphism g -> h as (node images, edge images), each a tuple in
-    g's declaration order, listed in :func:`enumerate_morphisms` order: each
-    node map of :func:`_node_maps` with each choice of an edge image per
-    edge."""
     pos = {v: i for i, v in enumerate(g.nodes)}
     adj = h.adjacency
-    homs = [(tuple([h.nodes[k] for k in m]), ()) for m in _node_maps(g, h)]
+    placed: list[list] = [[] for _ in g.nodes]  # edges whose later end is node i
+    for _, (u, v) in g.edges:
+        placed[max(pos[u], pos[v])].append((pos[u], pos[v]))
+    maps = [()]
+    for ends in placed:
+        maps = [m + (w,) for m in maps for w in h.nodes]
+        for a, b in ends:
+            maps = [m for m in maps if (m[a], m[b]) in adj]
+    homs = [(m, ()) for m in maps]
     for _, (u, v) in g.edges:
         a, b = pos[u], pos[v]
         homs = [(m, es + (t,)) for m, es in homs for t in adj[m[a], m[b]]]

@@ -51,11 +51,13 @@ Algorithms:
   stack fits in ``FLOW_BYTES`` (every flow batch of the shipped workloads
   is one run) and applies each block's class flow, indexed by
   ``Blocks.kind``, directly to its vector's block sub-vector (the law
-  checks and the scans). ``piecewise_flow`` runs
-  it on one program and scatters the flow to n x n
-  (``programs.flow_matrix``). Generator estimation in :mod:`mycocat.liealg`
-  takes the log of the class flows themselves, so no estimate builds an
-  n x n flow.
+  checks and the scans' rows). ``piecewise_flow`` runs it on one program
+  and scatters the flow to n x n (``programs.flow_matrix``).
+  ``liealg.estimate_generator`` takes the log of the class flows
+  themselves, so no estimate builds an n x n flow. The order-asymmetry
+  scan's commutator diagnostic takes no flow: it reads its two pulse
+  generators from ``_generators``, the routine that builds every piece's
+  generator for ``_block_flows``.
 
 Domain validation (finiteness, principal-branch eigenvalue checks) lives
 in :mod:`mycocat.liealg`; beyond ``expm``'s refusal of a non-finite

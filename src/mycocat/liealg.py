@@ -133,23 +133,6 @@ def effective_mixture_generator(x: np.ndarray, y: np.ndarray, eps: float) -> np.
     return matrix_log(matrix_exp(y, eps) @ matrix_exp(x, eps))
 
 
-def _class_generators(
-    table: PieceTable, dyn: ReferenceDynamics, eps: float
-) -> np.ndarray:
-    """(P, classes, size, size) generators of the P single-piece programs of
-    ``table`` on the block classes of ``dyn``: the log of each class flow,
-    over ``eps``.
-
-    The flows come from one flow-kernel call and their logs from one
-    ``logm`` call; every member is independent, so a program's generators
-    do not depend on what shares the call. Nothing is scattered to n x n.
-    """
-    if (table.counts != 1).any():
-        raise ParameterError("generator estimation expects a single-piece pulse")
-    flows = kernels._block_flows(dyn._system, *_flow_arrays(table, dyn))
-    return _log_blocks(flows) / eps
-
-
 def estimate_generator(
     p_family: Callable[[float], Program],
     dyn: ReferenceDynamics,
@@ -166,5 +149,9 @@ def estimate_generator(
     n x n at the end. Where the flow's nonzero pattern has the blocks of
     ``dyn``, this has the bits of ``matrix_log(flow_matrix(dyn, p)) / eps``.
     """
-    gens = _class_generators(PieceTable.from_programs([p_family(eps)]), dyn, eps)[0]
+    table = PieceTable.from_programs([p_family(eps)])
+    if (table.counts != 1).any():
+        raise ParameterError("generator estimation expects a single-piece pulse")
+    flows = kernels._block_flows(dyn._system, *_flow_arrays(table, dyn))
+    gens = _log_blocks(flows[0]) / eps
     return kernels.scatter(gens[dyn._blocks.kind], dyn._blocks)

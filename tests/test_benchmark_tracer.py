@@ -6,6 +6,8 @@ import importlib
 import importlib.util
 import inspect
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -45,3 +47,17 @@ def test_workload_runs_one_checked_op(name, tmp_path):
     # workload's op or its oracle check fails here, not only in a benchmark run
     workload = load("workloads").WORKLOADS[name](1, tmp_path)
     workload.check(0, workload.op(0))
+
+
+def test_tracer_installs_after_the_workloads_imports():
+    # the tracer looks each traced layer up in sys.modules, so every layer
+    # must be loaded by what the workloads import, in a fresh interpreter
+    code = (
+        f"import sys; sys.path[:0] = [{str(PERFBENCH)!r}, {str(PERFBENCH.parent / 'src')!r}]\n"
+        "import workloads, spans\n"
+        "tracer = spans.Tracer()\n"
+        "tracer.install()\n"
+        "tracer.remove()\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -515,6 +515,13 @@ EXPLICIT_SPECIES = {
             id="simulate-control-width-mismatch",
         ),
         pytest.param(
+            ["simulate", DYNAMICS, PROGRAM, CONFIG],
+            {"vector": [1.0, 0.5, 0.25], "features": 1,
+             "graph": {"nodes": ["a", "b", "c"], "edges": []}}, {},
+            f"error: {CONFIG}: state has dimension 3, dynamics {DYNAMICS} has dimension 2",
+            id="simulate-state-dimension-mismatch",
+        ),
+        pytest.param(
             ["check-laws", CONFIG],
             {"checks": [{"law": "functor_laws", "samplez": 5, **SMALL_SPECIES}]}, {},
             "error: checks[0].samplez: unknown configuration field",
@@ -1131,21 +1138,41 @@ def test_directory_as_input_file_is_a_config_error(tmp_path, capsys):
 
 
 def test_huge_nilpotent_pulse_is_not_read_as_commuting(tmp_path, capsys):
-    # the pulse flow is exact (the pulse is nilpotent), but the generator
-    # estimate cannot take the log of a flow this far from I; the scan must
-    # fail rather than report the pair as commuting
+    # the pulse's flow is exact (the pulse is nilpotent) and so is its
+    # generator, read off the dynamics rather than logged from a flow this
+    # far from I; the commutator's norm is taken without overflow
     path = write(tmp_path / "config.json",
                  {**SMALL_SPECIES, "pulse_p": {"channel": 0, "amplitude": 1e200}})
-    code = run_cli(["order-scan", path, "--out-dir", str(tmp_path)])
-    assert code == 2
-    assert "commuting" not in capsys.readouterr().out
+    assert run_cli(["order-scan", path, "--out-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((tmp_path / "order_scan.json").read_text())
+    assert report["verdict"] == "quadratic"
+    assert math.isfinite(report["commutator_norm"]) and report["commutator_norm"] > 1e200
+
+
+def test_commuting_pulse_far_from_identity_is_commuting(tmp_path, capsys):
+    # a log of exp(0.1 * 800 * A) does not converge; the generators commute
+    # exactly and the rows sit at the floor
+    path = write(tmp_path / "config.json", {
+        "species": {"n_sites": 2, "coupling": "commuting"},
+        "pulse_p": {"channel": 0, "amplitude": 800},
+    })
+    assert run_cli(["order-scan", path, "--out-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((tmp_path / "order_scan.json").read_text())
+    assert report["verdict"].startswith("commuting")
+    assert report["commutator_norm"] == 0.0
 
 
 def test_huge_pulse_prints_one_error_line_and_no_warning(tmp_path):
-    # the log of the generator estimate refuses the flow before the sum of
-    # squares of M - I can overflow with a numpy warning on stderr
-    path = write(tmp_path / "config.json",
-                 {**SMALL_SPECIES, "pulse_p": {"channel": 0, "amplitude": 1e200}})
+    # the rows are finite, but the commutator of the two generators
+    # (entries 1e200 and 1e109) overflows; it is refused without a numpy
+    # warning on stderr
+    path = write(tmp_path / "config.json", {
+        **SMALL_SPECIES,
+        "pulse_p": {"channel": 0, "amplitude": 1e200},
+        "pulse_q": {"channel": 1, "amplitude": 1e109},
+    })
     env = dict(os.environ)
     env.pop("MYCOCAT_SEED", None)
     proc = subprocess.run(
@@ -1155,7 +1182,9 @@ def test_huge_pulse_prints_one_error_line_and_no_warning(tmp_path):
         text=True,
     )
     assert proc.returncode == 2
-    assert proc.stderr.splitlines() == ["error: matrix log: ||M - I|| overflows float64"]
+    assert proc.stderr.splitlines() == [
+        "error: commutator of the pulse generators overflows float64"
+    ]
 
 
 # ---------------------------------------------------------------------------

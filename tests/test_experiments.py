@@ -27,7 +27,6 @@ from mycocat.experiments import (
 from mycocat.readers import MAX_SAMPLES
 from mycocat.envmyc import myc_distance
 from mycocat.laws import SpeciesFunctor
-from mycocat.liealg import commutator, estimate_generator
 from mycocat.programs import (
     Extraction,
     ReferenceDynamics,
@@ -230,14 +229,24 @@ class TestOrderAsymmetryScan:
 
 
 def dense_commutator_norm(exp):
-    """The scan's commutator norm through n x n: the two generator
-    estimates, their dense commutator, its Frobenius norm."""
+    """The scan's commutator norm through n x n: each pulse's exact
+    generator duration * (drift + amplitude * A_channel), their dense
+    commutator, its Frobenius norm."""
     dyn = exp.species.dynamics
     x_p, x_q = (
-        estimate_generator(pulse.generator_family(dyn.channels), dyn, 0.1)
+        pulse.duration * (dyn.drift + pulse.amplitude * dyn.controls[pulse.channel])
         for pulse in (exp.pulse_p, exp.pulse_q)
     )
-    return float(np.linalg.norm(commutator(x_p, x_q), "fro"))
+    return float(np.linalg.norm(x_p @ x_q - x_q @ x_p, "fro"))
+
+
+def rotation_species(k):
+    """One site, two features: channel 0 turns them by k radians per unit
+    time, channel 1 stretches one and shrinks the other."""
+    dyn = ReferenceDynamics(
+        np.zeros((2, 2)), (k * np.array([[0.0, 1.0], [-1.0, 0.0]]), np.diag([1.0, -1.0]))
+    )
+    return SpeciesFunctor("rotation", dyn, Extraction(StateLayout(electrode_array(1), 2), 1.0))
 
 
 def repeated_block_species(rng, sizes):
@@ -263,8 +272,9 @@ def repeated_block_species(rng, sizes):
 
 
 class TestScanCommutator:
-    """The scan estimates both generators and their commutator on the block
-    classes of the dynamics; the n x n path is the oracle."""
+    """The scan reads both generators off the dynamics and forms their
+    commutator on the block classes; the dense exact generators are the
+    oracle."""
 
     @pytest.mark.parametrize("coupling", ["noncommuting", "commuting"])
     @pytest.mark.parametrize("n_sites", [1, 8, 64])
@@ -287,28 +297,44 @@ class TestScanCommutator:
         dense = dense_commutator_norm(exp)
         assert abs(ours - dense) <= 1e-13 * dense
 
+    @pytest.mark.parametrize("k", [40.0, 10 * math.pi])
+    def test_rotation_past_a_half_turn(self, k):
+        # a log of the pulse flow exp(0.1 k J) leaves the principal branch
+        # once the turn passes pi; the exact generators have [kJ, D] of
+        # norm 2 sqrt(2) k
+        exp = experiment().replace(species=rotation_species(k))
+        norm = run_order_asymmetry_scan(exp).commutator_norm
+        assert norm == dense_commutator_norm(exp)
+        assert norm == pytest.approx(2 * math.sqrt(2) * k, rel=1e-15)
+
     @pytest.mark.parametrize("coupling", ["noncommuting", "commuting"])
-    def test_no_block_search_and_one_log_per_class(self, monkeypatch, coupling):
+    def test_no_block_search_no_log_and_one_flow_call(self, monkeypatch, coupling):
         exp = experiment(coupling=coupling).replace(
             species=reference_species(n_sites=64, coupling=coupling),
         )
-        classes = exp.species.dynamics._system.shape[1]
-        searches, members = [], []
-        blocks, logm = kernels.blocks, kernels.logm
+        searches, logs, flows = [], [], []
+        blocks, logm, expm = kernels.blocks, kernels.logm, kernels.expm
 
         def counted_blocks(pattern):
             searches.append(pattern.shape)
             return blocks(pattern)
 
         def counted_logm(m):
-            members.append(m.size // m.shape[-1] ** 2)
+            logs.append(m.shape)
             return logm(m)
+
+        def counted_expm(a):
+            flows.append(a.shape)
+            return expm(a)
 
         monkeypatch.setattr(kernels, "blocks", counted_blocks)
         monkeypatch.setattr(kernels, "logm", counted_logm)
+        monkeypatch.setattr(kernels, "expm", counted_expm)
         run_order_asymmetry_scan(exp)
         assert searches == []
-        assert members and max(members) <= 2 * classes
+        assert logs == []
+        # the rows' one call: both orderings' pieces at every eps
+        assert len(flows) == 1 and flows[0][0] == 4 * len(exp.eps_grid)
 
 
 def scan_rows_oracle(exp, run):

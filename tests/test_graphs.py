@@ -132,22 +132,6 @@ class TestEnumeration:
         ]
         assert are_isomorphic(g, h) == bool(isomorphisms)
 
-    @settings(max_examples=150, deadline=None)
-    @given(
-        st.booleans().flatmap(
-            lambda directed: st.tuples(
-                small_graphs(directed, "g", 3), small_graphs(directed, "h", 4)
-            )
-        )
-    )
-    def test_node_maps_are_the_oracle_node_maps(self, pair):
-        # the distinct node maps of the oracle's morphisms, in its order, as
-        # positions in h.nodes
-        g, h = pair
-        at = {v: k for k, v in enumerate(h.nodes)}
-        node_maps = (tuple(at[m[v]] for v in g.nodes) for m, _ in brute_force_homs(g, h))
-        assert graphs_module._node_maps(g, h) == list(dict.fromkeys(node_maps))
-
     def test_directedness_mismatch_has_no_morphisms(self):
         g = AttributedGraph(("a",), ())
         assert list(enumerate_morphisms(g, AttributedGraph(("b",), (), True))) == []
@@ -1035,7 +1019,7 @@ class TestUniversalProperty:
         def refused(*args):
             raise AssertionError("the decision enumerated morphisms")
 
-        monkeypatch.setattr(graphs_module, "_node_maps", refused)
+        monkeypatch.setattr(graphs_module, "_homs", refused)
         monkeypatch.setattr(graphs_module, "compose_graph_morphisms", refused)
         cospan = star_cospan()
         candidate = pushout_along_monos(cospan)

@@ -350,10 +350,10 @@ class TestEstimateGeneratorOnBlockClasses:
         # nilpotent pulse is recovered at amplitude 1e12
         dyn = reference_species(n_sites=2, coupling=coupling).dynamics
         pulse = PulseTemplate(channel=0, amplitude=recovered)
-        out = estimate_generator(pulse.generator_family(2), dyn, 0.1)
+        out = estimate_generator(lambda e: pulse.program(e, "duration", 2), dyn, 0.1)
         truth = recovered * dyn.controls[0]
         assert np.max(np.abs(out - truth)) <= 1e-12 * recovered
         if refused is not None:
             pulse = PulseTemplate(channel=0, amplitude=refused)
             with pytest.raises(DomainError):
-                estimate_generator(pulse.generator_family(2), dyn, 0.1)
+                estimate_generator(lambda e: pulse.program(e, "duration", 2), dyn, 0.1)

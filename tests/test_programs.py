@@ -282,8 +282,8 @@ def test_species_variants_keep_one_class_per_distinct_block(coupling, blocks, cl
 
 def test_worked_example_exponentiates_each_block_class_once(monkeypatch):
     # the default run sends 11840 expm members when every block of every
-    # piece is exponentiated; each scan estimates both pulse generators in
-    # one call, and each flow batch takes one call, so the run makes 9
+    # piece is exponentiated; each flow batch takes one call, and the scans
+    # read their pulse generators off the dynamics, so the run makes 7
     members = []
     expm = kernels.expm
 
@@ -293,7 +293,7 @@ def test_worked_example_exponentiates_each_block_class_once(monkeypatch):
 
     monkeypatch.setattr(kernels, "expm", counted)
     experiments.run_worked_example(experiments.WorkedExampleConfig())
-    assert len(members) == 9
+    assert len(members) == 7
     assert sum(members) <= 1520
 
 
