@@ -258,9 +258,9 @@ def suite_defaults() -> dict:
 
 def read_suite_entry(check, where: str, tol: float | None, seed: int | None) -> dict:
     """A suite entry with every key of its law filled in. A count below 1,
-    a negative, NaN or infinite limit and a non-finite scale are refused:
-    the verdict would say nothing. ``tol`` and ``seed`` are the flags, or
-    None."""
+    a negative, NaN or infinite limit, a non-finite scale and a program of
+    another control width than the species are refused: the verdict would
+    say nothing. ``tol`` and ``seed`` are the flags, or None."""
     from .experiments import _config_kwargs
 
     defaults = {}  # a non-object entry is refused by _config_kwargs
@@ -284,6 +284,13 @@ def read_suite_entry(check, where: str, tol: float | None, seed: int | None) -> 
     _require_nonnegative(entry, [key for key in limits if key in entry], where)
     scales = ("psi_amplitude_scale", "magnitude")
     _require_finite(entry, [key for key in scales if key in entry], where)
+    if "program" in entry:
+        program, channels = entry["program"], entry["species"].dynamics.channels
+        if program.pieces and program.channels != channels:
+            raise ConfigError(
+                f"{where}program: program has {program.channels} control channels, "
+                f"species has {channels}"
+            )
     if seed is not None:
         entry["seed"] = seed
     return entry

@@ -1,10 +1,11 @@
 """Float64 matrix kernels on block stacks: exponential, logarithm, flows.
 
 These are the hot inner loops of the package: every law check and every
-point of an exposure scan evaluates matrix exponentials or logarithms.
-The kernels are plain numpy and work on stacks: ``expm`` and ``logm``
-accept one square matrix or a ``(..., s, s)`` stack and treat every
-member independently, with one broadcast call per numpy operation.
+point of an exposure scan evaluates matrix exponentials. The kernels are
+plain numpy and work on stacks: ``expm`` and ``logm`` accept one square
+matrix or a ``(..., s, s)`` stack and treat every member independently;
+``expm`` makes one broadcast call per numpy operation, ``logm`` takes the
+members one at a time.
 
 Block structure: the generators of a bilinear species are usually block
 diagonal after a permutation (the reference species couples the features
@@ -20,9 +21,9 @@ kernels exponentiate and multiply each class once.
 
 Algorithms:
 
-- ``expm``: a member of size 1 or 2 with Frobenius norm up to theta_13
-  takes a closed form: ``np.exp`` of its entry, or for a 2 x 2 member A
-  with half trace m, e^m (c I + s (A - m I)), c and s being the cosh and
+- ``expm``: a 1 x 1 member takes ``np.exp`` of its entry at any norm. A
+  2 x 2 member A with Frobenius norm up to theta_13 takes the closed form
+  e^m (c I + s (A - m I)), m being its half trace and c and s the cosh and
   sinh terms of the square root of the discriminant (Bernstein and So
   1993, "Some explicit formulas for the matrix exponential"). A triangular
   2 x 2 member above theta_13 takes the closed form of its divided
@@ -38,23 +39,25 @@ Algorithms:
   for bit, and a flow's bits do not depend on what shares its call. A
   finite member whose result would overflow is refused with DomainError,
   without a numpy warning.
-- ``logm``: inverse scaling and squaring; Denman-Beavers square roots
-  bring each matrix within 0.25 of the identity, then an alternating
-  Taylor series of log(I + E) is summed and scaled back. Each member of a
-  stack takes its own number of square roots and series terms. A member
-  whose sum of squares of M - I overflows is refused with DomainError.
+- ``logm``: inverse scaling and squaring (Cheng, Higham, Kenney and Laub
+  2001, "Approximating the logarithm of a matrix to specified accuracy");
+  Denman-Beavers square roots bring a matrix within 0.25 of the identity,
+  then an alternating Taylor series of log(I + E) is summed and scaled
+  back. A stack is taken one member at a time, so each member equals its
+  single-matrix call bit for bit. A stack with a member whose sum of
+  squares of M - I overflows is refused with DomainError before any
+  square root.
 - Flows: one routine, ``_block_flows``, computes the class flows of P
   programs whose pieces are listed back to back: every piece of every
   block class goes through a single ``expm`` call, then each program's
-  pieces are multiplied in time order. It has three callers.
+  pieces are multiplied in time order. It has two callers.
   ``apply_flows`` runs it on runs of consecutive programs whose piece
   stack fits in ``FLOW_BYTES`` (every flow batch of the shipped workloads
   is one run) and applies each block's class flow, indexed by
   ``Blocks.kind``, directly to its vector's block sub-vector (the law
   checks and the scans' rows). ``piecewise_flow`` runs it on one program
-  and scatters the flow to n x n (``programs.flow_matrix``).
-  ``liealg.estimate_generator`` takes the log of the class flows
-  themselves, so no estimate builds an n x n flow. The order-asymmetry
+  and scatters the flow to n x n (``programs.flow_matrix``, which
+  ``liealg.estimate_generator`` logs). The order-asymmetry
   scan's commutator diagnostic takes no flow: it reads its two pulse
   generators from ``_generators``, the routine that builds every piece's
   generator for ``_block_flows``.
@@ -241,10 +244,11 @@ def expm(a):
     """exp of a square float64 matrix or of each matrix of a (..., s, s) stack.
 
     Each member takes its own path, so it equals the single-matrix call bit
-    for bit whatever else shares the stack. A member of size 1 or 2 whose
-    Frobenius norm is at most theta_13 takes a closed form: ``np.exp``, or
-    :func:`_expm_2x2`, a dozen elementwise operations on the stack's entries.
-    A triangular 2 x 2 member above theta_13 takes the closed form of
+    for bit whatever else shares the stack. A 1 x 1 member takes ``np.exp``,
+    which is correctly rounded, at any norm. A 2 x 2 member whose Frobenius
+    norm is at most theta_13 takes the closed form of :func:`_expm_2x2`, a
+    dozen elementwise operations on the stack's entries. A triangular 2 x 2
+    member above theta_13 takes the closed form of
     :func:`_expm_triangular_2x2`, which needs no squaring. Every other
     member takes the degree-13 Pade approximant and its own squaring count:
     one sequence of broadcast products, one batched solve, and a squaring
@@ -262,53 +266,45 @@ def expm(a):
     s = shape[-1]
     a = a.reshape(-1, s, s)
     far = ~(_fro(a) <= _THETA_13)  # overflow and NaN included
-    near = ~far
-    triangular = None
-    squarings = np.zeros(len(a), dtype=int)
-    if far.any():
-        if not np.isfinite(a[far]).all():
-            raise DomainError("matrix exponential needs finite entries")
-        if s == 2:
-            triangular = far & ((a[:, 0, 1] == 0) | (a[:, 1, 0] == 0))
-            far &= ~triangular
-        squarings[far] = _far_squarings(a[far])
-    if s > 2:
-        r = _pade_13(a, squarings)
-    else:
+    if far.any() and not np.isfinite(a[far]).all():
+        raise DomainError("matrix exponential needs finite entries")
+    if s == 1:
+        r = np.exp(a)
+    elif s == 2:
         r = np.empty(a.shape)
-        r[near] = np.exp(a[near]) if s == 1 else _expm_2x2(a[near])
-        if triangular is not None:
-            r[triangular] = _expm_triangular_2x2(a[triangular])
+        r[~far] = _expm_2x2(a[~far])
         if far.any():
-            r[far] = _pade_13(a[far], squarings[far])
+            triangular = far & ((a[:, 0, 1] == 0) | (a[:, 1, 0] == 0))
+            r[triangular] = _expm_triangular_2x2(a[triangular])
+            far &= ~triangular
+            r[far] = _pade_13(a[far], _far_squarings(a[far]))
+    else:
+        squarings = np.zeros(len(a), dtype=int)
+        if far.any():
+            squarings[far] = _far_squarings(a[far])
+        r = _pade_13(a, squarings)
     if not np.isfinite(r).all():
         raise DomainError("matrix exponential overflows float64")
     return r.reshape(shape)
 
 
 def _sqrt_db(r):
-    """Principal square root of each matrix of a stack (Denman-Beavers).
+    """Principal square root of a matrix (Denman-Beavers), stopping once a
+    step falls below 1e-15 of the iterate's norm.
 
-    A member stops iterating once its step falls below 1e-15 of its norm.
-    Raises DomainError if an iterate of any member is singular or any member
-    has not converged after 60 steps.
+    Raises DomainError if an iterate is singular or the iteration has not
+    converged after 60 steps.
     """
-    out = np.empty_like(r)
-    live = np.arange(len(r))  # members of out still iterating, in y and z
     y = r
-    z = np.broadcast_to(np.eye(r.shape[-1]), r.shape)
+    z = np.eye(len(r))
     for _ in range(60):
         try:
             y_next = 0.5 * (y + np.linalg.inv(z))
             z_next = 0.5 * (z + np.linalg.inv(y))
         except np.linalg.LinAlgError as exc:
             raise DomainError("matrix log: Denman-Beavers iterate is singular") from exc
-        going = _fro(y_next - y) > 1e-15 * _fro(y_next)
-        if not going.all():
-            out[live[~going]] = y_next[~going]
-            live, y_next, z_next = live[going], y_next[going], z_next[going]
-            if not live.size:
-                return out
+        if not _fro(y_next - y) > 1e-15 * _fro(y_next):
+            return y_next
         y, z = y_next, z_next
     raise DomainError("matrix log: Denman-Beavers iteration did not converge")
 
@@ -317,51 +313,42 @@ def logm(m):
     """Principal log of a square float64 matrix, or of each matrix of a
     (..., s, s) stack, near the identity component.
 
-    Repeated Denman-Beavers square roots pull each argument into the
-    convergence ball ||M - I|| <= 0.25, where the alternating series of
-    log(I + E) is summed; each result is scaled back by the number of
-    square roots its own matrix took. Raises DomainError if the sum of
-    squares of M - I overflows for any member, or if either iteration
-    stalls for any member (callers pre-validate the spectrum, so this
-    indicates inputs far outside the supported domain).
+    Each member is taken on its own, so it equals its single-matrix call
+    bit for bit. Repeated Denman-Beavers square roots pull the matrix into
+    the convergence ball ||M - I|| <= 0.25, where the alternating series of
+    log(I + E) is summed up to its first term below 1e-18; the result is
+    scaled back by the number of square roots taken. Raises DomainError,
+    before any square root, if the sum of squares of M - I overflows for
+    any member, and if either iteration stalls (callers pre-validate the
+    spectrum, so this indicates inputs far outside the supported domain).
     """
     shape = m.shape
     s = shape[-1]
     ident = np.eye(s)
     r = np.array(m, dtype=np.float64).reshape(-1, s, s)
-    scalings = np.zeros(len(r))
     with np.errstate(over="ignore"):
         dist = _fro(r - ident)
     if not np.isfinite(dist).all():
         raise DomainError("matrix log: ||M - I|| overflows float64")
-    todo = np.flatnonzero(dist > 0.25)
-    while todo.size:
-        if scalings[todo].max() >= 60:
-            raise DomainError("matrix log: square-root scaling did not converge")
-        r[todo] = _sqrt_db(r[todo])
-        scalings[todo] += 1
-        todo = todo[_fro(r[todo] - ident) > 0.25]
-
-    # each member stops summing after its first term below 1e-18
     logs = np.empty_like(r)
-    live = np.arange(len(r))  # members of logs still summing, in e and total
-    e = r - ident
-    term = e
-    total = e
-    sign = -1.0
-    for k in range(2, 120):
-        term = term @ e
-        total = total + (sign / k) * term
-        sign = -sign
-        going = _fro(term) >= 1e-18
-        if not going.all():
-            logs[live[~going]] = total[~going]
-            live, e, term, total = live[going], e[going], term[going], total[going]
-            if not live.size:
+    for i, a in enumerate(r):
+        roots = 0
+        while _fro(a - ident) > 0.25:
+            if roots == 60:
+                raise DomainError("matrix log: square-root scaling did not converge")
+            a = _sqrt_db(a)
+            roots += 1
+        e = a - ident
+        term = total = e
+        sign = -1.0
+        for k in range(2, 120):
+            term = term @ e
+            total = total + (sign / k) * term
+            sign = -sign
+            if not _fro(term) >= 1e-18:
                 break
-    else:
-        logs[live] = total
-    return (logs * (2.0 ** scalings)[:, None, None]).reshape(shape)
+        logs[i] = total * 2.0**roots
+    return logs.reshape(shape)
 
 
 class Blocks(NamedTuple):

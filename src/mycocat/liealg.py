@@ -25,7 +25,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DomainError, NumericError, ParameterError, Record, ShapeError
-from .programs import PieceTable, Program, ReferenceDynamics, _flow_arrays
+from .programs import Program, ReferenceDynamics, flow_matrix
 
 
 def _check_square(x: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -38,9 +38,9 @@ def _check_square(x: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 
 def matrix_exp(x: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """exp(t*x): a closed form for a 1 x 1 or 2 x 2 matrix of Frobenius norm
-    up to theta_13, else Pade scaling-and-squaring (see
-    :func:`mycocat.kernels.expm`)."""
+    """exp(t*x): ``np.exp`` for a 1 x 1 matrix, a closed form for a 2 x 2
+    matrix of Frobenius norm up to theta_13 or a triangular one, else Pade
+    scaling-and-squaring (see :func:`mycocat.kernels.expm`)."""
     x = _check_square(x, "generator")
     return kernels.expm(t * x)
 
@@ -49,7 +49,9 @@ def matrix_log(m: np.ndarray) -> np.ndarray:
     """Principal matrix logarithm.
 
     Raises :class:`DomainError` when the principal branch is undefined:
-    singular input or a real eigenvalue on the closed negative axis.
+    singular input or a real eigenvalue on the closed negative axis, that
+    is, real part at most 0 and imaginary part within 1e-12 of the largest
+    eigenvalue modulus (or of 1).
 
     The log is taken blockwise on the connected components of the sparsity
     pattern of ``m`` (exact, since the log of a block diagonal matrix is
@@ -59,24 +61,14 @@ def matrix_log(m: np.ndarray) -> np.ndarray:
     """
     m = _check_square(m)
     parts = kernels.blocks(m != 0)
-    return kernels.scatter(_log_blocks(kernels.gather(m, parts, fill=1.0)), parts)
-
-
-def _log_blocks(stack):
-    """Principal log of each block of a (..., blocks, size, size) stack,
-    each leading index holding the blocks of one matrix.
-
-    Raises :class:`DomainError` when a block has an eigenvalue on the
-    closed negative real axis: real part at most 0 and imaginary part
-    within 1e-12 of the largest eigenvalue modulus of its matrix (or of 1).
-    """
+    stack = kernels.gather(m, parts, fill=1.0)
     eigs = np.linalg.eigvals(stack)
     scale = np.maximum(np.abs(eigs).max(axis=(-2, -1), keepdims=True), 1.0)
     if np.any((eigs.real <= 0) & (np.abs(eigs.imag) <= 1e-12 * scale)):
         raise DomainError(
             "matrix log undefined: eigenvalue on the nonpositive real axis"
         )
-    return kernels.logm(stack)
+    return kernels.scatter(kernels.logm(stack), parts)
 
 
 def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -90,6 +82,9 @@ def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 class BchResult(Record):
     """Truncated composition expansion, with each order kept separately."""
+
+    __eq__ = object.__eq__  # one expansion equals only itself
+    __hash__ = object.__hash__
 
     def __init__(self, order: int, value: np.ndarray, terms: tuple[tuple[int, np.ndarray], ...]):
         vars(self).update(order=order, value=value, terms=terms)
@@ -138,20 +133,18 @@ def estimate_generator(
     dyn: ReferenceDynamics,
     eps: float,
 ) -> np.ndarray:
-    """Infinitesimal generator of a pulse family from its flow at scale eps.
+    """Infinitesimal generator of a pulse family from its flow at scale eps:
+    ``matrix_log(flow_matrix(dyn, p_family(eps))) / eps``.
 
     ``p_family(eps)`` must be a single-piece pulse whose flow scales as
     exp(eps*X); for the bilinear reference dynamics with constant control
     u over duration eps*d this recovers d*(drift + sum u_i controls_i)
-    exactly, up to log/exp roundoff.
-
-    The log is taken once per block class of ``dyn`` and scattered to
-    n x n at the end. Where the flow's nonzero pattern has the blocks of
-    ``dyn``, this has the bits of ``matrix_log(flow_matrix(dyn, p)) / eps``.
+    exactly, up to log/exp roundoff. An eps that is zero or not finite
+    raises :class:`ParameterError` before any flow is computed.
     """
-    table = PieceTable.from_programs([p_family(eps)])
-    if (table.counts != 1).any():
+    if not (np.isfinite(eps) and eps != 0):
+        raise ParameterError(f"generator estimation needs a finite nonzero eps, got {eps}")
+    p = p_family(eps)
+    if len(p.pieces) != 1:
         raise ParameterError("generator estimation expects a single-piece pulse")
-    flows = kernels._block_flows(dyn._system, *_flow_arrays(table, dyn))
-    gens = _log_blocks(flows[0]) / eps
-    return kernels.scatter(gens[dyn._blocks.kind], dyn._blocks)
+    return matrix_log(flow_matrix(dyn, p)) / eps

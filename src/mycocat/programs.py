@@ -281,6 +281,9 @@ class StateLayout(Record):
 class InternalState(Record):
     """State vector together with its observation layout."""
 
+    __eq__ = object.__eq__  # one state equals only itself
+    __hash__ = object.__hash__
+
     def __init__(self, vector: np.ndarray, layout: StateLayout):
         vec = np.asarray(vector, dtype=np.float64)
         if vec.ndim != 1:
@@ -322,6 +325,9 @@ class ReferenceDynamics(Record):
     components (see :func:`mycocat.kernels.blocks`), and once for each
     class of components with equal drift and control entries (see
     :func:`mycocat.kernels.block_classes`)."""
+
+    __eq__ = object.__eq__  # one dynamics equals only itself
+    __hash__ = object.__hash__
 
     def __init__(self, drift: np.ndarray, controls: tuple[np.ndarray, ...]):
         drift = np.asarray(drift, dtype=np.float64)

@@ -752,6 +752,13 @@ EXPLICIT_SPECIES = {
         ),
         pytest.param(
             ["check-laws", CONFIG],
+            {"checks": [{"law": "lipschitz", "pairs": 2, "program": {"pieces": [[1.0, [1.0]]]},
+                         **SMALL_SPECIES}]}, {},
+            "error: checks[0].program: program has 1 control channels, species has 2",
+            id="laws-program-control-width-mismatch",
+        ),
+        pytest.param(
+            ["check-laws", CONFIG],
             {"checks": [{"law": "compatibility", "pulses": 3, "psi_amplitude_scale": 2.0,
                          "expect": "fail", "species": {"n_sites": 2, "sigma": math.inf}}]},
             {}, "error: checks[0].species.sigma: must be finite, got inf",

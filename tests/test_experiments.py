@@ -1,6 +1,7 @@
 """Order-asymmetry scans, log-log fits, and the two-pulse worked example."""
 
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mycocat import experiments, kernels
-from mycocat.cli import read_suite_entry
+from mycocat.cli import main, read_suite_entry
 from mycocat.errors import ConfigError, InsufficientDataError, ParameterError
 from mycocat.experiments import (
     DELTA_FLOOR,
@@ -27,6 +28,7 @@ from mycocat.experiments import (
 from mycocat.readers import MAX_SAMPLES
 from mycocat.envmyc import myc_distance
 from mycocat.laws import SpeciesFunctor
+from mycocat.liealg import estimate_generator
 from mycocat.programs import (
     Extraction,
     ReferenceDynamics,
@@ -308,31 +310,26 @@ class TestScanCommutator:
         assert norm == pytest.approx(2 * math.sqrt(2) * k, rel=1e-15)
 
     @pytest.mark.parametrize("coupling", ["noncommuting", "commuting"])
-    def test_no_block_search_no_log_and_one_flow_call(self, monkeypatch, coupling):
+    def test_no_block_search_no_log_and_one_flow_call(self, monkeypatch, logm_calls, coupling):
         exp = experiment(coupling=coupling).replace(
             species=reference_species(n_sites=64, coupling=coupling),
         )
-        searches, logs, flows = [], [], []
-        blocks, logm, expm = kernels.blocks, kernels.logm, kernels.expm
+        searches, flows = [], []
+        blocks, expm = kernels.blocks, kernels.expm
 
         def counted_blocks(pattern):
             searches.append(pattern.shape)
             return blocks(pattern)
-
-        def counted_logm(m):
-            logs.append(m.shape)
-            return logm(m)
 
         def counted_expm(a):
             flows.append(a.shape)
             return expm(a)
 
         monkeypatch.setattr(kernels, "blocks", counted_blocks)
-        monkeypatch.setattr(kernels, "logm", counted_logm)
         monkeypatch.setattr(kernels, "expm", counted_expm)
         run_order_asymmetry_scan(exp)
         assert searches == []
-        assert logs == []
+        assert logm_calls == []
         # the rows' one call: both orderings' pieces at every eps
         assert len(flows) == 1 and flows[0][0] == 4 * len(exp.eps_grid)
 
@@ -350,6 +347,38 @@ def scan_rows_oracle(exp, run):
         qp = species.on_object(run(species, state, concatenate(q, p)))
         rows.append((eps, float(myc_distance(pq, qp, exp.weights))))
     return rows
+
+
+@pytest.fixture
+def logm_calls(monkeypatch):
+    """The shape of every ``kernels.logm`` argument, in call order."""
+    calls, logm = [], kernels.logm
+
+    def counted_logm(m):
+        calls.append(m.shape)
+        return logm(m)
+
+    monkeypatch.setattr(kernels, "logm", counted_logm)
+    return calls
+
+
+class TestTheExperimentsTakeNoLog:
+    """README: the experiments take no log; every matrix log comes from
+    ``liealg``'s own entry points."""
+
+    def test_worked_example(self, logm_calls):
+        run_worked_example()
+        assert logm_calls == []
+        # the counter sees a log that is taken
+        estimate_generator(lambda e: PulseTemplate(0).program(e, "duration", 2),
+                           reference_species(n_sites=2).dynamics, 0.1)
+        assert len(logm_calls) == 1
+
+    def test_check_laws_on_the_sample_suite(self, logm_calls, monkeypatch, tmp_path):
+        monkeypatch.delenv("MYCOCAT_SEED", raising=False)
+        suite = pathlib.Path(__file__).resolve().parent.parent / "sample_inputs" / "laws_suite.json"
+        assert main(["check-laws", str(suite), "--out-dir", str(tmp_path)]) == 0
+        assert logm_calls == []
 
 
 class TestWorkedExample:

@@ -190,11 +190,12 @@ def mp_error(got, a):
 
 
 def test_expm_of_1x1_members_is_np_exp():
-    # every member within theta_13 takes np.exp itself; beyond it the Pade
-    # path, which the overflow refusal of [[800]] covers
-    x = np.concatenate(
-        [np.linspace(-kernels._THETA_13, kernels._THETA_13, 101), [0.0, -0.0, 1e-300, 5e-324]]
-    )
+    # every member takes np.exp itself, which is correctly rounded, at any
+    # norm; the overflow refusal of [[800]] covers the top of the range
+    x = np.concatenate([
+        np.linspace(-kernels._THETA_13, kernels._THETA_13, 101), [0.0, -0.0, 1e-300, 5e-324],
+        [5.4, -5.4, 8.0, 160.0, 700.0, 709.78, -700.0, -745.0, -1e300],
+    ])
     assert np.array_equal(kernels.expm(x[:, None, None])[:, 0, 0], np.exp(x))
 
 
@@ -245,10 +246,10 @@ def test_expm_2x2_closed_form_against_40_digits(kind, log_norm, seed):
 
 
 def test_expm_keeps_the_pade_path_off_the_closed_form():
-    # a member of size 3 or more, or of size 1 or 2 above theta_13, has the
-    # bits of the Pade approximant with its own squaring count
+    # a member of size 3 or more, or a full 2 x 2 member above theta_13, has
+    # the bits of the Pade approximant with its own squaring count
     rng = np.random.default_rng(17)
-    for n, norm in ((1, 8.0), (2, 5.4), (2, 40.0), (3, 0.5), (3, 20.0)):
+    for n, norm in ((2, 5.4), (2, 40.0), (3, 0.5), (3, 20.0)):
         a = rng.normal(size=(4, n, n))
         a *= (norm / np.linalg.norm(a, axis=(1, 2)))[:, None, None]
         far = norm > kernels._THETA_13
@@ -353,7 +354,7 @@ def test_logm_stack_matches_per_matrix_calls():
     stack = np.stack([kernels.expm(x) for x in xs])
     stacked = kernels.logm(stack)
     for m, got in zip(stack, stacked):
-        assert np.max(np.abs(got - kernels.logm(m))) < 1e-13
+        assert got.tobytes() == kernels.logm(m).tobytes()
 
 
 def test_logm_stack_raises_when_one_member_stalls():

@@ -280,6 +280,17 @@ class TestEstimateGenerator:
         with pytest.raises(ParameterError):
             estimate_generator(family, dyn, 0.1)
 
+    @pytest.mark.parametrize("eps", [0.0, -0.0, np.nan, np.inf, -np.inf])
+    def test_zero_or_non_finite_eps_rejected(self, nprng, eps):
+        # an amplitude-scaled family at eps 0 has the identity flow, whose
+        # log divided by eps would be all NaN; no flow is computed
+        dyn = self.make_dyn(nprng)
+        built = []
+        family = lambda e: built.append(e) or Program(((1.0, (e,)),))
+        with pytest.raises(ParameterError, match="finite nonzero eps"):
+            estimate_generator(family, dyn, eps)
+        assert built == []
+
 
 @functools.lru_cache(maxsize=None)
 def estimate_species(name, n_sites):

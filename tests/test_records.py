@@ -62,13 +62,13 @@ def layout(features=1):
     return StateLayout(single(), features)
 
 
-def dynamics():
-    # 1 x 1 matrices: two equal dynamics compare without an ambiguous array truth
-    return ReferenceDynamics(np.array([[0.0]]), (np.array([[1.0]]),))
+# Dynamics equal only themselves, so every factory that embeds dynamics
+# shares this one and two species built on it have equal fields.
+DYNAMICS = ReferenceDynamics(np.array([[0.0]]), (np.array([[1.0]]),))
 
 
 def species():
-    return SpeciesFunctor("s", dynamics(), Extraction(layout()))
+    return SpeciesFunctor("s", DYNAMICS, Extraction(layout()))
 
 
 def network():
@@ -119,7 +119,7 @@ RECORDS = {
     Extraction: lambda: {"layout": layout(), "sigma": 2},
     LawReport: lambda: {"law": "identity", "samples": 3, "max_residual": 0.0, "tolerance": 1e-9},
     SpeciesFunctor: lambda: {
-        "label": "s", "dynamics": dynamics(), "extraction": Extraction(layout())
+        "label": "s", "dynamics": DYNAMICS, "extraction": Extraction(layout())
     },
     NaturalTransformationData: lambda: {"state_map": halve},
     FiniteInstance: lambda: vars(identity_adjunction_instance()[0]).copy(),
@@ -143,7 +143,7 @@ RECORDS = {
         "env_after_b": env(), "env_after_ab": env(), "scans": {}, "law_reports": (),
     },
 }
-IDENTITY_EQUALITY = (EnvBatch, PieceTable)
+IDENTITY_EQUALITY = (EnvBatch, PieceTable, InternalState, ReferenceDynamics, BchResult)
 CLASSES = pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
 
 
@@ -197,6 +197,20 @@ def test_equal_fields_give_equal_records_and_hashes(cls):
             hash(first)
     else:
         assert hash(first) == hash(second) == expected
+
+
+def test_records_holding_arrays_compare_without_raising():
+    # a two-entry vector and 24 x 24 matrices have no single truth value;
+    # each comparison is a bool, not numpy's ambiguous-truth ValueError
+    drift, control = np.random.default_rng(5).normal(size=(2, 24, 24))
+    dyn, twin = (ReferenceDynamics(drift, (control,)) for _ in range(2))
+    state, other = (InternalState([1.0, 2.0], layout(2)) for _ in range(2))
+    bch, also = (liealg.bch_truncated(drift, control, 0.1, 3) for _ in range(2))
+    wide = Extraction(layout(24))
+    for record, copy in ((dyn, twin), (state, other), (bch, also)):
+        assert record == record and record != copy
+    assert SpeciesFunctor("s", dyn, wide) == SpeciesFunctor("s", dyn, wide)
+    assert SpeciesFunctor("s", dyn, wide) != SpeciesFunctor("s", twin, wide)
 
 
 @CLASSES
