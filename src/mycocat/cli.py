@@ -311,7 +311,6 @@ def run_suite_check(entry: dict):
         field_writeback,
         identity_adjunction_instance,
         identity_transformation,
-        matched_environment_evolution,
         non_causal_variant,
         perturbed_variant,
         scaled_environment_evolution,
@@ -369,11 +368,7 @@ def run_suite_check(entry: dict):
             species, pairs, bound=entry["bound"], iota=iota, program=entry["program"]
         )
 
-    scale = entry["psi_amplitude_scale"]
-    if scale == 1.0:
-        psi = matched_environment_evolution(species, iota)
-    else:
-        psi = scaled_environment_evolution(species, iota, scale)
+    psi = scaled_environment_evolution(species, iota, entry["psi_amplitude_scale"])
     env = wide_environment(species, seed)
     pulses = random_pulses(species, entry["pulses"], seed + 3)
     return check_compatibility(iota, psi, species, [env], pulses, tol=entry["tol"])

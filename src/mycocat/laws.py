@@ -51,7 +51,6 @@ from .programs import (
     Program,
     ReferenceDynamics,
     StateLayout,
-    concatenate,
     evolve_many,
     extract,
     state_distances,
@@ -238,13 +237,16 @@ def _report(
 # ---------------------------------------------------------------------------
 
 
-def functor_law_residual(
-    f: SpeciesFunctor, state: InternalState, p: Program, q: Program
-) -> float:
-    """Distance between the one-shot and the composed network updates."""
-    joint = f.transform(state, concatenate(p, q))
-    second = f.transform(f.transform(state, p), q)
-    return float(state_distances(joint.vector[None], second.vector[None], f.extraction)[0])
+def _composition_residuals(
+    f: SpeciesFunctor, states: np.ndarray, ps: PieceTable, qs: PieceTable
+) -> np.ndarray:
+    """The composition square at every row i: the network distance between
+    running ``ps``'s program i then ``qs``'s from row i of ``states`` and
+    running their concatenation. The joint leg and each sequential leg take
+    one ``transform_many`` call."""
+    joint = f.transform_many(states, ps.concatenate(qs))
+    second = f.transform_many(f.transform_many(states, ps), qs)
+    return state_distances(joint, second, f.extraction)
 
 
 def check_functor_laws(
@@ -276,8 +278,7 @@ def check_functor_laws(
         PieceTable(rng.uniform(0.1, 0.6, k), 0.5 * rng.normal(size=(k, channels)), row)
         for row, k in zip(counts, counts.sum(axis=1))
     ]
-    joint = f.transform_many(states, ps.concatenate(qs))
-    second = f.transform_many(f.transform_many(states, ps), qs)
+    residuals = _composition_residuals(f, states, ps, qs)
     null = PieceTable(np.empty(0), np.empty((0, channels)), np.zeros(sample_count, np.intp))
     unmoved = f.transform_many(states, null)
     moved = np.flatnonzero(state_distances(states, unmoved, f.extraction) != 0.0)
@@ -290,7 +291,6 @@ def check_functor_laws(
             seed=seed,
             witness={"kind": "identity-law", "sample": int(moved[0])},
         )
-    residuals = state_distances(joint, second, f.extraction)
 
     def witness_of(i: int) -> dict:
         return {
@@ -305,13 +305,14 @@ def check_functor_laws(
 
 
 def replay_functor_law_witness(f: SpeciesFunctor, witness: Mapping) -> float:
-    """Recompute the residual recorded in a functor-law witness."""
+    """Recompute the residual recorded in a functor-law witness: the
+    composition square of :func:`check_functor_laws` on the one row of the
+    witness's state, p and q, which equals its residual bit for bit."""
     state = InternalState(
         np.asarray(witness["state"], dtype=np.float64), f.extraction.layout
     )
-    return functor_law_residual(
-        f, state, Program.from_json(witness["p"]), Program.from_json(witness["q"])
-    )
+    ps, qs = (PieceTable.from_programs([Program.from_json(witness[k])]) for k in "pq")
+    return float(_composition_residuals(f, state.vector[None], ps, qs)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -477,18 +478,20 @@ def check_adjunction(
     Checks, over every object pair (E, M): the map is defined on exactly
     Hom(F(E), M), lands in Hom(E, G(M)), is injective and surjective, and
     is natural under pre-composition with every enumerated environment
-    morphism and post-composition with every network morphism. The
-    residual is the violation count.
+    morphism and post-composition with every network morphism. Both
+    naturality squares run in one loop, environment morphisms first, and
+    read the bijection through one lookup ``phi(e, m, g)``; a square whose
+    network composite the instance does not list is counted but not
+    judged. ``samples`` counts the object pairs and the squares; the
+    residual is the violation count, and the witness lists the first ten
+    violations.
     """
     violations: list[dict] = []
-    checks = 0
-
     for e in instance.env_objects:
         for m in instance.myc_objects:
             fwd = dict(bijection.get((e, m), {}))
             left = _hom(instance.myc_hom, instance.f_obj[e], m)
             right = _hom(instance.env_hom, e, instance.g_obj[m])
-            checks += 1
             if set(fwd) != set(left):
                 violations.append(
                     {"kind": "domain", "pair": [e, m], "expected": list(left)}
@@ -510,55 +513,38 @@ def check_adjunction(
                     }
                 )
 
-    # naturality in the environment argument (pre-composition)
-    for e_src, e_dst, alpha in _morphisms(instance.env_hom):
-        for m in instance.myc_objects:
-            for g in _hom(instance.myc_hom, instance.f_obj[e_dst], m):
-                checks += 1
-                f_alpha = instance.f_mor.get(alpha)
-                lhs_m = instance.myc_compose.get((f_alpha, g))
-                if lhs_m is None:
-                    continue
-                lhs = bijection.get((e_src, m), {}).get(lhs_m)
-                rhs_part = bijection.get((e_dst, m), {}).get(g)
-                rhs = instance.env_compose.get((alpha, rhs_part))
-                if lhs != rhs or lhs is None:
-                    violations.append(
-                        {
-                            "kind": "naturality-env",
-                            "morphism": alpha,
-                            "pair": [e_src, m],
-                            "lhs": lhs,
-                            "rhs": rhs,
-                        }
-                    )
+    def phi(e: str, m: str, g: str | None) -> str | None:
+        return bijection.get((e, m), {}).get(g)
 
-    # naturality in the network argument (post-composition)
-    for m_src, m_dst, beta in _morphisms(instance.myc_hom):
-        for e in instance.env_objects:
-            for g in _hom(instance.myc_hom, instance.f_obj[e], m_src):
-                checks += 1
-                lhs_m = instance.myc_compose.get((g, beta))
-                if lhs_m is None:
-                    continue
-                lhs = bijection.get((e, m_dst), {}).get(lhs_m)
-                rhs_part = bijection.get((e, m_src), {}).get(g)
-                g_beta = instance.g_mor.get(beta)
-                rhs = instance.env_compose.get((rhs_part, g_beta))
-                if lhs != rhs or lhs is None:
-                    violations.append(
-                        {
-                            "kind": "naturality-myc",
-                            "morphism": beta,
-                            "pair": [e, m_dst],
-                            "lhs": lhs,
-                            "rhs": rhs,
-                        }
-                    )
+    # (kind, morphism, pair (e, m), network composite c, environment pair):
+    # the square commutes when phi(e, m, c) is the environment composite.
+    # Pre-composition with each environment morphism alpha, then
+    # post-composition with each network morphism beta.
+    squares = [
+        ("naturality-env", alpha, (e_src, m),
+         instance.myc_compose.get((instance.f_mor.get(alpha), g)), (alpha, phi(e_dst, m, g)))
+        for e_src, e_dst, alpha in _morphisms(instance.env_hom)
+        for m in instance.myc_objects
+        for g in _hom(instance.myc_hom, instance.f_obj[e_dst], m)
+    ] + [
+        ("naturality-myc", beta, (e, m_dst),
+         instance.myc_compose.get((g, beta)), (phi(e, m_src, g), instance.g_mor.get(beta)))
+        for m_src, m_dst, beta in _morphisms(instance.myc_hom)
+        for e in instance.env_objects
+        for g in _hom(instance.myc_hom, instance.f_obj[e], m_src)
+    ]
+    for kind, morphism, (e, m), composite, env_pair in squares:
+        if composite is None:
+            continue
+        lhs, rhs = phi(e, m, composite), instance.env_compose.get(env_pair)
+        if lhs != rhs or lhs is None:
+            violations.append(
+                {"kind": kind, "morphism": morphism, "pair": [e, m], "lhs": lhs, "rhs": rhs}
+            )
 
     return LawReport(
         law="adjunction",
-        samples=checks,
+        samples=len(instance.env_objects) * len(instance.myc_objects) + len(squares),
         max_residual=float(len(violations)),
         tolerance=0.0,
         witness={"violations": violations[:10]} if violations else None,
@@ -694,40 +680,29 @@ def field_writeback(template: EnvObject, state: InternalState) -> EnvObject:
 EnvironmentEvolution = Callable[[EnvBatch, PieceTable], EnvBatch]
 
 
-def _evolve_environments(
-    f: SpeciesFunctor, iota: DirectEmbedding, batch: EnvBatch, table: PieceTable
-) -> EnvBatch:
-    """Embed ``batch``, run program i of ``table`` from embedding i in one
-    ``transform_many`` call, and write the states back as fields: the
-    batch form of :func:`field_writeback`."""
-    moved = f.transform_many(iota.many(batch), table)
-    layout = iota.layout
-    fields = moved.reshape(len(moved), len(layout.graph.nodes), layout.feature_count)
-    return EnvBatch(batch.graph, batch.chi, fields)
-
-
 def matched_environment_evolution(
     f: SpeciesFunctor, iota: DirectEmbedding
 ) -> EnvironmentEvolution:
-    """Environment evolution that mirrors the internal dynamics exactly:
-    embed the batch of environments, run program i from environment i in
-    one ``transform_many`` call, write the fields back."""
-    _require_layout(iota, f.extraction.layout)
-
-    def psi(batch: EnvBatch, table: PieceTable) -> EnvBatch:
-        return _evolve_environments(f, iota, batch, table)
-
-    return psi
+    """Environment evolution that mirrors the internal dynamics exactly: the
+    scaled evolution at scale 1, which keeps every control's bits."""
+    return scaled_environment_evolution(f, iota, 1.0)
 
 
 def scaled_environment_evolution(
     f: SpeciesFunctor, iota: DirectEmbedding, amplitude_scale: float
 ) -> EnvironmentEvolution:
-    """Mutant environment evolution that mis-scales every pulse amplitude."""
+    """Environment evolution that scales every pulse amplitude by
+    ``amplitude_scale`` (a mutant unless it is 1): embed the batch of
+    environments, run scaled program i from environment i in one
+    ``transform_many`` call, and write the states back as fields, the
+    batch form of :func:`field_writeback`."""
     _require_layout(iota, f.extraction.layout)
+    layout = iota.layout
 
     def psi(batch: EnvBatch, table: PieceTable) -> EnvBatch:
-        return _evolve_environments(f, iota, batch, table.scale_amplitude(amplitude_scale))
+        moved = f.transform_many(iota.many(batch), table.scale_amplitude(amplitude_scale))
+        fields = moved.reshape(len(moved), len(layout.graph.nodes), layout.feature_count)
+        return EnvBatch(batch.graph, batch.chi, fields)
 
     return psi
 

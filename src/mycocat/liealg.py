@@ -29,12 +29,22 @@ from .programs import Program, ReferenceDynamics, flow_matrix
 
 
 def _check_square(x: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """``x`` as a float64 array; a matrix that is not square, is 0 x 0 or
+    has a non-finite entry is refused."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise ShapeError(f"{name} must be square, got shape {x.shape}")
+    if x.ndim != 2 or x.shape[0] != x.shape[1] or not x.size:
+        raise ShapeError(f"{name} must be square and nonempty, got shape {x.shape}")
     if not np.isfinite(x).all():
         raise NumericError(f"{name} has non-finite entries")
     return x
+
+
+def _check_pair(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` and ``y`` checked by :func:`_check_square`, of one shape."""
+    x, y = _check_square(x, "x"), _check_square(y, "y")
+    if x.shape != y.shape:
+        raise ShapeError(f"shape mismatch: {x.shape} vs {y.shape}")
+    return x, y
 
 
 def matrix_exp(x: np.ndarray, t: float = 1.0) -> np.ndarray:
@@ -73,10 +83,7 @@ def matrix_log(m: np.ndarray) -> np.ndarray:
 
 def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """[x, y] = x @ y - y @ x."""
-    x = _check_square(x, "x")
-    y = _check_square(y, "y")
-    if x.shape != y.shape:
-        raise ShapeError(f"shape mismatch: {x.shape} vs {y.shape}")
+    x, y = _check_pair(x, y)
     return x @ y - y @ x
 
 
@@ -98,10 +105,7 @@ def bch_truncated(x: np.ndarray, y: np.ndarray, eps: float, order: int) -> BchRe
     """
     if order not in (1, 2, 3):
         raise ParameterError(f"unsupported truncation order {order}")
-    x = _check_square(x, "x")
-    y = _check_square(y, "y")
-    if x.shape != y.shape:
-        raise ShapeError(f"shape mismatch: {x.shape} vs {y.shape}")
+    x, y = _check_pair(x, y)
     terms = [(1, eps * (x + y))]
     if order >= 2:
         terms.append((2, (eps**2 / 2.0) * commutator(y, x)))

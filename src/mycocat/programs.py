@@ -129,9 +129,11 @@ class PieceTable(Record):
     ``inputs`` (K, c) and ``counts`` (P,), program i owning the next
     ``counts[i]`` pieces. The batch form of :class:`Program`, validated once
     with the same errors: one control width, and each piece's length
-    strictly positive and its length and controls finite. The arrays are
-    read-only copies; every operation returns a new table, and one that
-    only selects pieces of checked programs or tables is not checked again.
+    strictly positive and its length and controls finite; each count must
+    be an integer (3.0 reads as 3; a bool, a fraction or an infinity is
+    refused). The arrays are read-only copies; every operation returns a
+    new table, and one that only selects pieces of checked programs or
+    tables is not checked again.
     """
 
     __eq__ = object.__eq__  # one table equals only itself
@@ -139,8 +141,19 @@ class PieceTable(Record):
 
     def __init__(self, lengths: np.ndarray, inputs: np.ndarray, counts: np.ndarray):
         lengths = np.array(lengths, dtype=np.float64)
-        inputs = np.array(inputs, dtype=np.float64)
-        counts = np.array(counts, dtype=np.intp)
+        try:
+            inputs = np.array(inputs, dtype=np.float64)
+        except ValueError:
+            if len({np.shape(row) for row in inputs}) < 2:  # not ragged: not numbers
+                raise
+            raise ShapeError("all pieces must share one control width") from None
+        counts = np.asarray(counts)
+        if counts.size and counts.dtype.kind not in "iu":  # 3.0 reads as 3
+            with np.errstate(invalid="ignore"):  # a count past the integers is not whole
+                whole = counts.dtype.kind == "f" and (counts.astype(np.intp) == counts).all()
+            if not whole:
+                raise ShapeError(f"piece counts must be integers, got {counts.tolist()}")
+        counts = counts.astype(np.intp)
         if inputs.size == 0 and inputs.ndim < 2:
             inputs = inputs.reshape(0, 0)
         if lengths.ndim != 1 or counts.ndim != 1:

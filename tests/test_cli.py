@@ -212,6 +212,19 @@ class TestCheckLawsCommand:
         assert len(results) == 6
         assert all(r["as_expected"] for r in results)
 
+    def test_an_explicit_unit_psi_scale_writes_the_same_report(self, tmp_path):
+        entry = {"law": "compatibility", "pulses": 10, "species": {"n_sites": 2}}
+        reports = []
+        for check in (entry, {**entry, "psi_amplitude_scale": 1.0}):
+            out = tmp_path / str(len(reports))
+            out.mkdir()
+            suite = write(out / "suite.json", {"checks": [check]})
+            assert run_cli(["check-laws", suite, "--seed", "3", "--out-dir", str(out)]) == 0
+            results = json.loads((out / "law_reports.json").read_text())["results"]
+            reports.append(results[0]["report"])
+        assert reports[0] == reports[1]
+        assert reports[0]["samples"] == 10
+
     def test_unexpected_failure_exits_nonzero(self, tmp_path):
         suite = {
             "checks": [

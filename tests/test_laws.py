@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from mycocat import kernels
+from mycocat import experiments, kernels
 from mycocat.envmyc import Constraints, EnvBatch, EnvObject
 from mycocat.errors import ConstraintError, InputError, ParameterError
-from mycocat.experiments import reference_species, run_worked_example
+from mycocat.experiments import WorkedExampleConfig, reference_species, run_worked_example
 from mycocat.graphs import AttributedGraph
 from mycocat.envmyc import env_distance, myc_distance
 from mycocat.laws import (
@@ -208,6 +208,11 @@ class TestNaturality:
         assert report.max_residual > 1e-4  # reported species sensitivity
 
 
+def naturality(kind, morphism, pair, lhs, rhs):
+    """A naturality violation as ``check_adjunction`` reports it."""
+    return {"kind": kind, "morphism": morphism, "pair": pair, "lhs": lhs, "rhs": rhs}
+
+
 class TestAdjunction:
     def test_identity_instance_passes(self):
         instance, bijection = identity_adjunction_instance()
@@ -244,6 +249,51 @@ class TestAdjunction:
         squashed[("X", "Y")]["f"] = "id_X"  # wrong codomain element
         report = check_adjunction(instance, squashed)
         assert not report.passed
+
+    @pytest.mark.parametrize(
+        "table, key, value, violations",
+        [
+            # F sends f to id_Y: the square of f at (X, Y) has no left side
+            ("f_mor", "f", "id_Y", [naturality("naturality-env", "f", ["X", "Y"], None, "f")]),
+            # G sends id_Y to f: no environment composite ends either square
+            (
+                "g_mor", "id_Y", "f",
+                [
+                    naturality("naturality-myc", "id_Y", ["X", "Y"], "f", None),
+                    naturality("naturality-myc", "id_Y", ["Y", "Y"], "id_Y", None),
+                ],
+            ),
+            # a square whose network composite is missing is counted, not judged
+            ("myc_compose", ("id_X", "f"), None, []),
+            # f then id_Y is id_X in the environments: one square of each kind
+            (
+                "env_compose", ("f", "id_Y"), "id_X",
+                [
+                    naturality("naturality-env", "f", ["X", "Y"], "f", "id_X"),
+                    naturality("naturality-myc", "id_Y", ["X", "Y"], "f", "id_X"),
+                ],
+            ),
+        ],
+        ids=["wrong-f_mor", "wrong-g_mor", "missing-myc_compose", "wrong-env_compose"],
+    )
+    def test_naturality_report_is_pinned(self, table, key, value, violations):
+        instance, bijection = identity_adjunction_instance()
+        fields = dict(vars(instance))
+        fields[table] = dict(fields[table])
+        if value is None:
+            del fields[table][key]
+        else:
+            fields[table][key] = value
+        report = check_adjunction(FiniteInstance(**fields), bijection)
+        assert report.to_json() == {
+            "law": "adjunction",
+            "seed": None,
+            "samples": 12,
+            "max_residual": float(len(violations)),
+            "tolerance": 0.0,
+            "verdict": "fail" if violations else "pass",
+            "witness": {"violations": violations} if violations else None,
+        }
 
 
 class TestLipschitz:
@@ -315,6 +365,26 @@ class TestCompatibility:
         report = check_compatibility(iota, psi, species, [env], pulses, tol=1e-8)
         assert report.passed
         assert report.samples == 50
+
+    def test_matched_psi_is_the_scaled_psi_at_one(self):
+        # the worked example's species, environment and compatibility pulses
+        config = WorkedExampleConfig()
+        species = reference_species(
+            n_sites=config.n_sites, channels=config.channels, features=config.features,
+            sigma=config.sigma, coupling=config.coupling,
+        )
+        iota = direct_embedding(species.extraction.layout, config.channels)
+        pulses = experiments.random_pulses(species, config.compat_pulses, config.seed + 1)
+        assert len(pulses) == 50
+        env = experiments.wide_environment(species, config.seed)
+        batch = EnvBatch.from_envs([env] * len(pulses))
+        table = PieceTable.from_programs(pulses)
+        matched = matched_environment_evolution(species, iota)(batch, table)
+        scaled = scaled_environment_evolution(species, iota, 1.0)(batch, table)
+        assert matched.fields.tobytes() == scaled.fields.tobytes()
+        # scale 1 keeps every control's bits: the fields are the plain flow's
+        moved = species.transform_many(iota.many(batch), table)
+        assert matched.fields.tobytes() == moved.tobytes()
 
     def test_amplitude_mismatched_psi_fails(self, species):
         layout = species.extraction.layout

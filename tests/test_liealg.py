@@ -33,6 +33,25 @@ def fit_slope(xs, ys):
     return slope
 
 
+EMPTY = np.zeros((0, 0))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: matrix_exp(EMPTY),
+        lambda: matrix_log(EMPTY),
+        lambda: effective_mixture_generator(EMPTY, EMPTY, 0.1),
+        lambda: commutator(EMPTY, EMPTY),
+        lambda: bch_truncated(EMPTY, EMPTY, 0.1, 2),
+    ],
+    ids=["matrix_exp", "matrix_log", "effective_mixture_generator", "commutator", "bch_truncated"],
+)
+def test_an_empty_matrix_is_refused(call):
+    with pytest.raises(ShapeError, match=r"must be square and nonempty, got shape \(0, 0\)"):
+        call()
+
+
 class TestMatrixExp:
     def test_exp_of_zero_is_identity(self):
         assert np.allclose(matrix_exp(np.zeros((3, 3))), np.eye(3), rtol=0, atol=1e-15)

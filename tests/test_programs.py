@@ -658,6 +658,8 @@ class TestPieceTable:
             Program(mixed[0].pieces + mixed[1].pieces)
         with pytest.raises(ShapeError, match="all pieces must share one control width"):
             PieceTable.from_programs(mixed)
+        with pytest.raises(ShapeError, match="^all pieces must share one control width$"):
+            PieceTable([1.0, 1.0], [[1.0], [1.0, 2.0]], [2])
         a, b = (PieceTable.from_programs([p]) for p in mixed)
         with pytest.raises(ShapeError, match="different control widths"):
             concatenate(*mixed)
@@ -675,6 +677,20 @@ class TestPieceTable:
         assert evolve_many(state, PieceTable.from_programs([NULL_PROGRAM]), dyn).tobytes() == (
             state.tobytes()
         )
+
+    @pytest.mark.parametrize(
+        "counts", [[1.5], [True], [math.nan], [math.inf], [1e300], np.array([0.5, 0.5])],
+        ids=["fraction", "bool", "nan", "inf", "past-the-integers", "halves"],
+    )
+    def test_counts_that_are_not_integers_are_refused(self, counts):
+        # truncating would read [1.5] as [1] and [0.5, 0.5] as [0, 0]
+        lengths = [1.0] * len(counts)
+        with pytest.raises(ShapeError, match=r"^piece counts must be integers, got \["):
+            PieceTable(lengths, [[1.0]] * len(lengths), counts)
+
+    def test_whole_float_counts_read_as_integers(self):
+        table = PieceTable([1.0, 1.0], [[1.0]] * 2, [2.0, 0.0])
+        assert table.counts.dtype == np.intp and table.counts.tolist() == [2, 0]
 
     def test_from_programs_does_not_check_the_pieces_again(self, monkeypatch):
         programs = [Program(((0.5, (1.0, 0.0)),)), NULL_PROGRAM, Program(((0.25, (0.0, 1.0)),) * 2)]
