@@ -458,22 +458,24 @@ def compose_env_morphisms(f: EnvMorphism, g: EnvMorphism) -> EnvMorphism:
 
     Field rules compose componentwise (adds sum after transport, rescales
     multiply); mixing an add with a rescale raises
-    :class:`CompositionError`, as does a graph-map mismatch.
+    :class:`CompositionError`, as does a graph-map mismatch. The composite's
+    constraint map is ``g``'s, or ``f``'s when ``g`` has none; when both
+    have one and ``g``'s does not tighten ``f``'s, applying ``f`` then ``g``
+    always raises :class:`ConstraintError`, so the composite is refused with
+    :class:`CompositionError`.
     """
     fg = compose_graph_morphisms(f.fg, g.fg)
     if len(f.phi_rules) != len(g.phi_rules):
         raise CompositionError("channel counts differ")
-    if f.chi_map is None and g.chi_map is None:
-        chi_map = None
-    else:
-        chi_map = g.chi_map if g.chi_map is not None else f.chi_map
+    if f.chi_map is not None and g.chi_map is not None and not g.chi_map.tightens(f.chi_map):
+        raise CompositionError("the second constraint map must tighten the first")
     return EnvMorphism(
         fg=fg,
         rho_rule=_compose_rules(f.rho_rule, g.rho_rule, g.fg),
         phi_rules=tuple(
             _compose_rules(a, b, g.fg) for a, b in zip(f.phi_rules, g.phi_rules)
         ),
-        chi_map=chi_map,
+        chi_map=g.chi_map if g.chi_map is not None else f.chi_map,
     )
 
 

@@ -97,23 +97,17 @@ def coupling_matrices(
     channel 1 the reverse (a nilpotent pair with constant commutator), so
     pulse order matters at second order. ``commuting``: each channel
     decays its own feature slot (diagonal matrices, zero commutator).
+    The channels are the slices of one (channels, n, n) array; each channel
+    is set at every site by one indexed assignment.
     """
-    _check_coupling(kind, layout.feature_count)
-    n = layout.dim
     m = layout.feature_count
-    mats = []
-    for ch in range(channels):
-        a = np.zeros((n, n))
-        for i in range(len(layout.graph.nodes)):
-            base = i * m
-            if kind == "noncommuting":
-                if ch % 2 == 0:
-                    a[base, base + 1] = 1.0
-                else:
-                    a[base + 1, base] = 1.0
-            else:
-                a[base + ch % m, base + ch % m] = 1.0
-        mats.append(a)
+    _check_coupling(kind, m)
+    base = np.arange(0, layout.dim, m)  # each site's first slot
+    mats = np.zeros((channels, layout.dim, layout.dim))
+    for ch, a in enumerate(mats):
+        # the (row, column) offsets from each site's first slot that channel ch sets
+        row, col = (ch % m, ch % m) if kind == "commuting" else [(0, 1), (1, 0)][ch % 2]
+        a[base + row, base + col] = 1.0
     return tuple(mats)
 
 
@@ -126,8 +120,9 @@ def _check_coupling(kind: str, features: int, where: str = "") -> None:
         raise ConfigError(f"{where}features: coupling needs at least 2 features per site")
 
 
-# The most memory the dense dynamics of a reference species may take:
-# (1 + channels) float64 matrices of (n_sites * features)^2 entries.
+# The most memory the dynamics of a reference species may take: the one
+# (1 + channels, n, n) float64 stack of drift and controls that
+# ReferenceDynamics keeps, n being n_sites * features.
 MAX_DYNAMICS_BYTES = 64 << 20
 
 
@@ -452,9 +447,12 @@ class AsymmetryReport(Record):
     ``commutator_norm`` is the Frobenius norm of [X_p, X_q], the commutator
     of the two pulse generators read off the dynamics (duration times the
     drift plus amplitude times the pulse's control), over the whole state
-    space: 4.0 on the reference pair. It is not the fitted prefactor
-    exp(intercept), 16.026 on the same pair, which to leading order is the
-    weighted feature L1 norm of [X_p, X_q] applied to the start state.
+    space: 4.0 on the reference pair. It is taken on the block classes of
+    the dynamics, each class's sum of squares counted once per block of
+    that class, so no n x n matrix is built for it. It is not the fitted
+    prefactor exp(intercept), 16.026 on the same pair, which to leading
+    order is the weighted feature L1 norm of [X_p, X_q] applied to the start
+    state.
     """
 
     def __init__(
@@ -516,8 +514,10 @@ def run_order_asymmetry_scan(exp: ExposureExperiment) -> AsymmetryReport:
     report also carries the norm of the commutator of the two pulse
     generators, the generator-level diagnostic of the same effect. Each is
     read off the dynamics by the routine that builds the rows' piece
-    generators, so no flow is exponentiated or logged for it. Raises
-    NumericError when the commutator overflows float64.
+    generators, so no flow is exponentiated or logged for it, and the
+    commutator is formed and normed per block class, weighted by the number
+    of blocks in each class, so nothing n x n is built. Raises NumericError
+    when the commutator overflows float64.
     """
     species = exp.species
     dyn = species.dynamics
@@ -550,17 +550,18 @@ def run_order_asymmetry_scan(exp: ExposureExperiment) -> AsymmetryReport:
         slope = intercept = r_squared = None
 
     # a unit-duration pulse's generator is duration * (drift + amplitude *
-    # A_ch), on the block classes of the dynamics; only the commutator is
-    # scattered to n x n, and its norm is taken on entries scaled by a power
-    # of two, which is exact and keeps the sum of squares finite
+    # A_ch), on the block classes of the dynamics; the commutator stays on
+    # the classes, each class's sum of squares counted once per block, on
+    # entries scaled by a power of two, which is exact and keeps it finite
     units = PieceTable.from_programs(
         [pulse.program(1.0, "duration", channels) for pulse in (exp.pulse_p, exp.pulse_q)]
     )
     with np.errstate(over="ignore", invalid="ignore"):
         x_p, x_q = kernels._generators(dyn._system, units.lengths, units.inputs)
-        comm = kernels.scatter((x_p @ x_q - x_q @ x_p)[dyn._blocks.kind], dyn._blocks)
+        comm = x_p @ x_q - x_q @ x_p
         scale = np.frexp(np.abs(comm).max())[1]
-        comm_norm = float(np.ldexp(np.linalg.norm(np.ldexp(comm, -scale)), scale))
+        squares = np.square(np.ldexp(comm, -scale)).sum(axis=(1, 2))
+        comm_norm = float(np.ldexp(np.sqrt(np.bincount(dyn._blocks.kind) @ squares), scale))
     if not math.isfinite(comm_norm):
         raise NumericError("commutator of the pulse generators overflows float64")
 

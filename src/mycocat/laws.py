@@ -159,7 +159,7 @@ def perturbed_variant(f: SpeciesFunctor, magnitude: float = 0.1) -> SpeciesFunct
     """Species with control matrix 0 plus a fixed random bump of Frobenius
     norm ``magnitude``; used as a sensitivity probe."""
     rng = np.random.default_rng(7)
-    controls = list(np.array(c) for c in f.dynamics.controls)
+    controls = list(f.dynamics.controls)  # ReferenceDynamics copies them
     bump = rng.normal(size=controls[0].shape)
     bump *= magnitude / np.linalg.norm(bump, "fro")
     controls[0] = controls[0] + bump

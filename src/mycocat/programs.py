@@ -49,13 +49,21 @@ from .readers import (
 
 
 class Program(Record):
-    """Piecewise-constant control signal; the empty tuple is the null program."""
+    """Piecewise-constant control signal; the empty tuple is the null program.
+
+    A piece that is not a (length, controls) pair of numbers raises
+    :class:`ShapeError` naming ``pieces``."""
 
     def __init__(self, pieces: tuple[tuple[float, tuple[float, ...]], ...] = ()):
-        pieces = tuple(
-            (float(length), tuple(float(u) for u in control))
-            for length, control in pieces
-        )
+        try:
+            pieces = tuple(
+                (float(length), tuple(float(u) for u in control))
+                for length, control in pieces
+            )
+        except (TypeError, ValueError):
+            raise ShapeError(
+                "pieces: each piece must be (length, (u1, ..., uc)) with numbers"
+            ) from None
         widths = {len(control) for _, control in pieces}
         if len(widths) > 1:
             raise ShapeError("all pieces must share one control width")
@@ -131,22 +139,26 @@ class PieceTable(Record):
     with the same errors: one control width, and each piece's length
     strictly positive and its length and controls finite; each count must
     be an integer (3.0 reads as 3; a bool, a fraction or an infinity is
-    refused). The arrays are read-only copies; every operation returns a
-    new table, and one that only selects pieces of checked programs or
-    tables is not checked again.
+    refused); ``lengths`` or ``inputs`` that do not read as a float array
+    raise :class:`ShapeError` naming the field. The arrays are read-only
+    copies; every operation returns a new table, and one that only selects
+    pieces of checked programs or tables is not checked again.
     """
 
     __eq__ = object.__eq__  # one table equals only itself
     __hash__ = object.__hash__
 
     def __init__(self, lengths: np.ndarray, inputs: np.ndarray, counts: np.ndarray):
-        lengths = np.array(lengths, dtype=np.float64)
+        try:
+            lengths = np.array(lengths, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ShapeError("lengths: must be a list of numbers") from None
         try:
             inputs = np.array(inputs, dtype=np.float64)
-        except ValueError:
-            if len({np.shape(row) for row in inputs}) < 2:  # not ragged: not numbers
-                raise
-            raise ShapeError("all pieces must share one control width") from None
+        except (TypeError, ValueError):
+            if isinstance(inputs, Sequence) and len({np.shape(row) for row in inputs}) > 1:
+                raise ShapeError("all pieces must share one control width") from None
+            raise ShapeError("inputs: must be rows of numbers") from None
         counts = np.asarray(counts)
         if counts.size and counts.dtype.kind not in "iu":  # 3.0 reads as 3
             with np.errstate(invalid="ignore"):  # a count past the integers is not whole
@@ -333,6 +345,10 @@ class ReferenceDynamics(Record):
     """Bilinear control system dS/dt = (drift + sum_i u_i controls_i) S,
     evolved piece-exactly (never discretized).
 
+    The inputs are copied once, into one read-only (1 + c, n, n) float64
+    stack; ``drift`` and ``controls`` are views of its slices, so changing
+    the caller's arrays changes neither them nor a flow.
+
     Every generator lies inside the union sparsity pattern of drift and
     controls, so flows are computed blockwise on that pattern's connected
     components (see :func:`mycocat.kernels.blocks`), and once for each
@@ -347,30 +363,19 @@ class ReferenceDynamics(Record):
         if drift.ndim != 2 or drift.shape[0] != drift.shape[1]:
             raise ShapeError("drift must be a square matrix")
         controls = tuple(np.asarray(c, dtype=np.float64) for c in controls)
-        for c in controls:
-            if c.shape != drift.shape:
-                raise ShapeError("control matrices must match the drift shape")
-        if not np.isfinite(drift).all() or any(
-            not np.isfinite(c).all() for c in controls
-        ):
+        if any(c.shape != drift.shape for c in controls):
+            raise ShapeError("control matrices must match the drift shape")
+        mats = np.array((drift, *controls))
+        if not np.isfinite(mats).all():
             raise NumericError("dynamics matrices must be finite")
-        drift = drift.copy()
-        drift.setflags(write=False)
-        frozen = []
-        for c in controls:
-            c = c.copy()
-            c.setflags(write=False)
-            frozen.append(c)
+        mats.setflags(write=False)
         # Derived once per dynamics for flow_matrix and evolve_many: plain
         # attributes, not fields, so equality, repr and the JSON form see
         # only the matrices.
-        stacked = np.stack(frozen) if frozen else np.zeros((0,) + drift.shape)
-        parts = kernels.blocks((drift != 0) | (stacked != 0).any(axis=0))
-        system, parts = kernels.block_classes(
-            kernels.gather(np.concatenate((drift[None], stacked)), parts), parts
-        )
+        parts = kernels.blocks((mats != 0).any(axis=0))
+        system, parts = kernels.block_classes(kernels.gather(mats, parts), parts)
         system.setflags(write=False)
-        vars(self).update(drift=drift, controls=tuple(frozen), _blocks=parts, _system=system)
+        vars(self).update(drift=mats[0], controls=tuple(mats[1:]), _blocks=parts, _system=system)
 
     @property
     def dim(self) -> int:

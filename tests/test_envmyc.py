@@ -310,6 +310,30 @@ class TestComposeEnvMorphisms:
         with pytest.raises(CompositionError):
             compose_env_morphisms(f, g)
 
+    @staticmethod
+    def bounding(e, hi):
+        return EnvMorphism(
+            identity_morphism(e.graph),
+            identity_rule(),
+            (identity_rule(),),
+            chi_map=Constraints(phi_bounds=((0.0, hi),), budget=e.chi.budget),
+        )
+
+    def test_a_loosening_constraint_map_is_refused(self):
+        # applying f then g raises, so no composite may apply
+        e = square_env(k=1)
+        f, g = self.bounding(e, 0.5), self.bounding(e, 0.8)
+        with pytest.raises(ConstraintError):
+            apply_env_morphism(apply_env_morphism(e, f), g)
+        with pytest.raises(CompositionError, match="must tighten the first"):
+            compose_env_morphisms(f, g)
+
+    def test_a_tightening_constraint_map_composes(self):
+        e = square_env(k=1)
+        f, g = self.bounding(e, 0.8), self.bounding(e, 0.5)
+        sequential = apply_env_morphism(apply_env_morphism(e, f), g)
+        assert apply_env_morphism(e, compose_env_morphisms(f, g)).chi == sequential.chi
+
     def test_random_chains_match_sequential_application(self):
         # composed-then-applied equals applied-sequentially (oracle)
         rng = random.Random(31)

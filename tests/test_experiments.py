@@ -17,6 +17,7 @@ from mycocat.experiments import (
     ExposureExperiment,
     PulseTemplate,
     WorkedExampleConfig,
+    coupling_matrices,
     electrode_array,
     fit_loglog_slope,
     initial_state,
@@ -333,6 +334,16 @@ class TestScanCommutator:
         # the rows' one call: both orderings' pieces at every eps
         assert len(flows) == 1 and flows[0][0] == 4 * len(exp.eps_grid)
 
+    def test_the_commutator_is_not_scattered(self, monkeypatch):
+        # the norm is taken on the block classes; nothing is built n x n
+        scattered, scatter = [], kernels.scatter
+        monkeypatch.setattr(
+            kernels, "scatter", lambda *args: scattered.append(1) or scatter(*args)
+        )
+        exp = experiment().replace(species=reference_species(n_sites=64))
+        assert run_order_asymmetry_scan(exp).commutator_norm == dense_commutator_norm(exp)
+        assert scattered == []
+
 
 def scan_rows_oracle(exp, run):
     """(eps, delta) rows of the scan from one ``run`` per ordering and eps."""
@@ -438,3 +449,35 @@ def test_electrode_array_shape():
     assert len(g.nodes) == 5
     assert len(g.edges) == 4
     assert g.is_connected()
+
+
+def coupling_oracle(layout, channels, kind):
+    """The control matrices of :func:`coupling_matrices`, one site at a time."""
+    n, m = layout.dim, layout.feature_count
+    mats = []
+    for ch in range(channels):
+        a = np.zeros((n, n))
+        for i in range(len(layout.graph.nodes)):
+            base = i * m
+            if kind == "commuting":
+                a[base + ch % m, base + ch % m] = 1.0
+            elif ch % 2 == 0:
+                a[base, base + 1] = 1.0
+            else:
+                a[base + 1, base] = 1.0
+        mats.append(a)
+    return mats
+
+
+@pytest.mark.parametrize("kind", ["noncommuting", "commuting"])
+def test_coupling_matrices_equal_the_per_site_oracle(kind):
+    for n_sites in range(1, 10):
+        for features in range(2, 5):
+            layout = StateLayout(electrode_array(n_sites), features)
+            for channels in range(1, 5):
+                ours = coupling_matrices(layout, channels, kind)
+                oracle = coupling_oracle(layout, channels, kind)
+                assert len(ours) == channels
+                for a, b in zip(ours, oracle):
+                    assert a.dtype == b.dtype and a.shape == b.shape
+                    assert a.tobytes() == b.tobytes()

@@ -330,8 +330,9 @@ nonzero_control = st.builds(
 
 
 class TestEstimateGeneratorOnBlockClasses:
-    """Estimates run on the block classes of the dynamics; the n x n path,
-    ``matrix_log(flow_matrix(dyn, p)) / eps``, is the oracle."""
+    """An estimate is ``matrix_log(flow_matrix(dyn, p)) / eps``: the flow is
+    computed on the block classes of the dynamics and scattered to n x n,
+    then logged whole. The log of the flow taken here is the oracle."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -354,8 +355,8 @@ class TestEstimateGeneratorOnBlockClasses:
 
     def test_a_zero_channel_that_splits_a_block(self, nprng):
         # a 6-site chain whose middle link only channel 1 drives: a pulse on
-        # channel 0 alone splits the flow into two blocks, which the dense
-        # path logs apart and the class path as one block
+        # channel 0 alone splits the flow into two blocks inside the one
+        # block of the dynamics, and the estimate logs the whole flow
         links0 = [(0, 1), (1, 2), (3, 4), (4, 5)]
         for _ in range(20):
             a0, a1 = np.zeros((6, 6)), np.zeros((6, 6))

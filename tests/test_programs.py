@@ -108,6 +108,48 @@ class TestProgram:
         assert Program.from_json(p.to_json()) == p
 
 
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: Program(((1.0, ("a",)),)), "pieces"),
+        (lambda: Program(((1.0, 2.0),)), "pieces"),
+        (lambda: Program((1.0,)), "pieces"),
+        (lambda: PieceTable([[1.0], [1.0, 2.0]], [[1.0]], [1]), "lengths"),
+        (lambda: PieceTable([1.0], [["a"]], [1]), "inputs"),
+        (lambda: PieceTable(["a"], [[1.0]], [1]), "lengths"),
+        (lambda: PieceTable([1.0], object(), [1]), "inputs"),
+    ],
+    ids=[
+        "program-control-not-a-number", "program-control-not-a-list", "program-piece-not-a-pair",
+        "table-ragged-lengths", "table-input-not-a-number", "table-length-not-a-number",
+        "table-inputs-not-a-list",
+    ],
+)
+def test_malformed_pieces_built_in_code_are_shape_errors(build, field):
+    with pytest.raises(ShapeError, match=f"^{field}: "):
+        build()
+
+
+class TestReferenceDynamicsCopies:
+    """The dynamics keep their own read-only copy of drift and controls."""
+
+    def test_the_callers_arrays_stay_the_callers(self):
+        drift, control = np.zeros((2, 2)), np.array([[0.0, 1.0], [0.0, 0.0]])
+        dyn = ReferenceDynamics(drift, (control,))
+        program = Program(((1.0, (1.0,)),))
+        flow = flow_matrix(dyn, program)
+        drift[0, 0], control[1, 0] = 5.0, 3.0
+        assert dyn.drift.tobytes() == np.zeros((2, 2)).tobytes()
+        assert dyn.controls[0].tobytes() == np.array([[0.0, 1.0], [0.0, 0.0]]).tobytes()
+        assert flow_matrix(dyn, program).tobytes() == flow.tobytes()
+
+    def test_drift_and_controls_are_read_only(self):
+        dyn = reference_species(n_sites=2).dynamics
+        for matrix in (dyn.drift, *dyn.controls):
+            with pytest.raises(ValueError):
+                matrix[0, 0] = 1.0
+
+
 pieces_strategy = st.lists(
     st.tuples(
         st.floats(0.01, 5.0, allow_nan=False),
