@@ -142,7 +142,13 @@ class Constraints(Record):
 class EnvObject(Record):
     """Substrate graph plus resource field, chemical field, and constraints;
     ``rho`` and ``phi`` are kept in node declaration order and must be
-    admissible (see :func:`_first_violation`)."""
+    admissible (see :func:`_first_violation`).
+
+    The fields are checked as one (N, 1 + k) float64 row, node by node: rho,
+    then the k chemical channels. The environment keeps that row, read-only,
+    as the plain attribute ``_row``: an :class:`EnvBatch` stacks it and
+    :func:`apply_env_morphism` transports its columns. Equality, ``repr``,
+    ``replace`` and the wire do not see it."""
 
     def __init__(
         self,
@@ -161,11 +167,12 @@ class EnvObject(Record):
         for v, vec in phi.items():
             if len(vec) != k:
                 raise ShapeError(f"phi at {v!r} has {len(vec)} channels, expected {k}")
-        fields = np.array([[(rho[v], *phi[v]) for v in nodes]], dtype=np.float64)
-        violation = _first_violation(fields.reshape(1, len(nodes), 1 + k), nodes, chi)
+        row = np.array([(rho[v], *phi[v]) for v in nodes], dtype=np.float64).reshape(-1, 1 + k)
+        violation = _first_violation(row[None], nodes, chi)
         if violation:
             raise ConstraintError(violation)
-        vars(self).update(graph=graph, rho=rho, phi=phi, chi=chi)
+        row.setflags(write=False)
+        vars(self).update(graph=graph, rho=rho, phi=phi, chi=chi, _row=row)
 
     def to_json(self) -> dict:
         nodes = _json_keys(self.graph.nodes, "node")
@@ -237,9 +244,10 @@ class EnvBatch(Record):
 
     @classmethod
     def from_envs(cls, envs: Sequence[EnvObject]) -> "EnvBatch":
-        """The batch of ``envs``, in order. They must share one graph and
-        one constraint record; the first that does not raises
-        :class:`ParameterError` naming its index, as does an empty list."""
+        """The batch of ``envs``, in order: their checked rows, stacked and
+        not checked again. They must share one graph and one constraint
+        record; the first that does not raises :class:`ParameterError` naming
+        its index, as does an empty list."""
         envs = list(envs)
         if not envs:
             raise ParameterError("an environment batch needs at least one environment")
@@ -251,12 +259,7 @@ class EnvBatch(Record):
                 raise ParameterError(
                     f"environment {i} has other constraints than environment 0"
                 )
-        nodes = first.graph.nodes
-        fields = np.array(
-            [[(env.rho[v], *env.phi[v]) for v in nodes] for env in envs], dtype=np.float64
-        )
-        shape = (len(envs), len(nodes), 1 + first.chi.channels)
-        return cls._selected(first.graph, first.chi, fields.reshape(shape))
+        return cls._selected(first.graph, first.chi, np.stack([env._row for env in envs]))
 
     @classmethod
     def _selected(cls, graph, chi, fields: np.ndarray) -> "EnvBatch":
@@ -340,6 +343,11 @@ class FieldRule(Record):
     - ``pushforward``: sum the field over each fiber (conserves the total).
     - ``pointwise_add``: pushforward, then add ``delta`` on target nodes.
     - ``rescale``: pushforward, then multiply by ``factor``.
+
+    ``factor`` and each ``delta`` value are read as numbers when the rule is
+    built; one that is not (a string, a bool) raises :class:`ShapeError`
+    naming ``factor`` or ``delta.<node>``. :meth:`apply` is the one
+    pushforward: environments and composed adds both move through it.
     """
 
     def __init__(
@@ -350,8 +358,9 @@ class FieldRule(Record):
     ):
         if tag not in (PUSHFORWARD, POINTWISE_ADD, RESCALE):
             raise ParameterError(f"unknown field rule {tag!r}")
+        factor = read_number(factor, "factor")
         if delta is not None:
-            delta = dict(delta)
+            delta = {w: read_number(d, f"delta.{w}") for w, d in dict(delta).items()}
         vars(self).update(tag=tag, delta=delta, factor=factor)
 
     def apply(self, values: Mapping, fg: GraphMorphism) -> dict:
@@ -375,18 +384,20 @@ def identity_rule() -> FieldRule:
 def _compose_rules(first: FieldRule, second: FieldRule, second_fg: GraphMorphism) -> FieldRule:
     """Rule equal to applying ``first`` along its map, then ``second`` along
     ``second_fg``. Pushforward composes with everything; add and rescale
-    compose with themselves; mixing add with rescale is rejected."""
+    compose with themselves; mixing add with rescale is rejected. Two adds
+    compose by moving ``first``'s delta along ``second_fg`` with ``second``
+    applied to it; a delta naming a node outside its map's target raises
+    the :class:`ParameterError` that applying its rule would."""
     tags = {first.tag, second.tag}
     if tags <= {PUSHFORWARD}:
         return FieldRule(PUSHFORWARD)
     if tags <= {PUSHFORWARD, POINTWISE_ADD}:
-        pushed_delta: dict = {w: 0.0 for w in second_fg.target.nodes}
-        for v, d in (first.delta or {}).items():
-            pushed_delta[second_fg.node_map[v]] += d
-        for w, d in (second.delta or {}).items():
-            pushed_delta[w] += d
-        delta = {w: d for w, d in pushed_delta.items() if d != 0.0}
-        return FieldRule(POINTWISE_ADD, delta=delta)
+        first_delta = first.delta or {}
+        for v in first_delta:
+            if v not in second_fg.node_map:
+                raise ParameterError(f"delta names unknown target node {v!r}")
+        pushed = FieldRule(POINTWISE_ADD, delta=second.delta).apply(first_delta, second_fg)
+        return FieldRule(POINTWISE_ADD, delta={w: d for w, d in pushed.items() if d != 0.0})
     if tags <= {PUSHFORWARD, RESCALE}:
         return FieldRule(RESCALE, factor=first.factor * second.factor)
     raise CompositionError(
@@ -425,9 +436,13 @@ def identity_env_morphism(e: EnvObject) -> EnvMorphism:
 def apply_env_morphism(e: EnvObject, f: EnvMorphism) -> EnvObject:
     """Transport an environmental state along a morphism.
 
-    Raises :class:`ConstraintError` naming the violated bound when the
-    transported fields are inadmissible for the target constraints, and
-    :class:`CompositionError` when the graph map does not start at ``e``.
+    Each column of ``e``'s checked row (rho, then each chemical channel)
+    moves through its own rule's :meth:`FieldRule.apply`. Raises
+    :class:`ConstraintError` naming the violated bound when the transported
+    fields are inadmissible for the target constraints,
+    :class:`CompositionError` when the graph map does not start at ``e``, and
+    :class:`ParameterError` for a phi rule count other than the channel
+    count or a delta naming a node outside the target.
     """
     if f.fg.source != e.graph:
         raise CompositionError("morphism does not start at this environment")
@@ -435,15 +450,11 @@ def apply_env_morphism(e: EnvObject, f: EnvMorphism) -> EnvObject:
         raise ParameterError(
             f"{len(f.phi_rules)} phi rules for {e.chi.channels} channels"
         )
-    new_rho = f.rho_rule.apply(e.rho, f.fg)
-    per_channel = [
-        rule.apply({v: vec[ch] for v, vec in e.phi.items()}, f.fg)
-        for ch, rule in enumerate(f.phi_rules)
-    ]
-    new_phi = {
-        w: tuple(per_channel[ch][w] for ch in range(len(per_channel)))
-        for w in f.fg.target.nodes
-    }
+    new_rho, *channels = (
+        rule.apply(dict(zip(e.graph.nodes, column)), f.fg)
+        for rule, column in zip((f.rho_rule, *f.phi_rules), e._row.T.tolist())
+    )
+    new_phi = {w: tuple(channel[w] for channel in channels) for w in f.fg.target.nodes}
     if f.chi_map is None:
         new_chi = e.chi
     else:
@@ -458,17 +469,24 @@ def compose_env_morphisms(f: EnvMorphism, g: EnvMorphism) -> EnvMorphism:
 
     Field rules compose componentwise (adds sum after transport, rescales
     multiply); mixing an add with a rescale raises
-    :class:`CompositionError`, as does a graph-map mismatch. The composite's
-    constraint map is ``g``'s, or ``f``'s when ``g`` has none; when both
-    have one and ``g``'s does not tighten ``f``'s, applying ``f`` then ``g``
-    always raises :class:`ConstraintError`, so the composite is refused with
-    :class:`CompositionError`.
+    :class:`CompositionError`, as does a graph-map mismatch. A delta naming
+    a node outside its map's target raises :class:`ParameterError`, as
+    applying its morphism would.
+
+    The composite's constraint map is ``g``'s, or ``f``'s when ``g`` has
+    none. When both have one, they must be equal, or
+    :class:`CompositionError` is raised: one map cannot carry both checks,
+    so the composite would apply where ``f`` then ``g`` raises
+    :class:`ConstraintError`. A composite checks its source's constraints
+    against its map and its result's fields against them; it does not
+    re-check the fields of the intermediate environment that ``f`` alone
+    would produce.
     """
     fg = compose_graph_morphisms(f.fg, g.fg)
     if len(f.phi_rules) != len(g.phi_rules):
         raise CompositionError("channel counts differ")
-    if f.chi_map is not None and g.chi_map is not None and not g.chi_map.tightens(f.chi_map):
-        raise CompositionError("the second constraint map must tighten the first")
+    if f.chi_map is not None and g.chi_map is not None and g.chi_map != f.chi_map:
+        raise CompositionError("two constraint maps compose only when they are equal")
     return EnvMorphism(
         fg=fg,
         rho_rule=_compose_rules(f.rho_rule, g.rho_rule, g.fg),
@@ -713,9 +731,13 @@ def transport_myc(m: MycObject, gt: GraphMorphism) -> MycObject:
     """Coarse-grain a mycelial state along a graph map by the merge of
     :func:`anastomosis`: fibers of the edge map add their conductivities;
     fibers of the node map merge feature vectors by the strength-weighted
-    mean, pairwise in source declaration order. A merge that overflows
-    raises :class:`MycObject`'s :class:`ParameterError` naming it.
+    mean, pairwise in source declaration order. A map that does not start at
+    ``m``'s graph raises :class:`ShapeError`, as :class:`MycMorphism` does;
+    a merge that overflows raises :class:`MycObject`'s
+    :class:`ParameterError` naming it.
     """
+    if gt.source != m.graph:
+        raise ShapeError("graph map must start at the source network")
     return _merged(gt.target, [(m, gt)])
 
 

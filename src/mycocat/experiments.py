@@ -28,6 +28,7 @@ from . import liealg  # noqa: F401
 from .envmyc import (
     Constraints,
     DistanceWeights,
+    EnvBatch,
     EnvObject,
     EnvMorphism,
     FieldRule,
@@ -45,7 +46,6 @@ from .laws import (
     check_compatibility,
     check_functor_laws,
     direct_embedding,
-    field_writeback,
     matched_environment_evolution,
 )
 from .programs import (
@@ -318,19 +318,14 @@ def random_pulses(species: SpeciesFunctor, count: int, seed: int) -> list[Progra
 
 def wide_environment(species: SpeciesFunctor, seed: int) -> EnvObject:
     """Environment holding the seeded initial state under loose constraints
-    (fields within +-100, unlimited budget)."""
+    (fields within +-100, unlimited budget): the state's node rows, feature
+    0 as rho and the rest as the chemical channels, read as a one-row
+    :class:`EnvBatch`."""
     layout = species.extraction.layout
-    channels = layout.feature_count - 1
-    template = EnvObject(
-        layout.graph,
-        {v: 1.0 for v in layout.graph.nodes},
-        {v: (0.0,) * channels for v in layout.graph.nodes},
-        Constraints(
-            phi_bounds=tuple((-100.0, 100.0) for _ in range(channels)),
-            budget=math.inf,
-        ),
-    )
-    return field_writeback(template, initial_state(layout, seed))
+    m = layout.feature_count
+    chi = Constraints(phi_bounds=((-100.0, 100.0),) * (m - 1), budget=math.inf)
+    fields = initial_state(layout, seed).vector.reshape(1, -1, m)
+    return EnvBatch(layout.graph, chi, fields).env(0)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from mycocat.envmyc import (
     MycMorphism,
     MycObject,
     POINTWISE_ADD,
+    PUSHFORWARD,
     RESCALE,
     anastomosis,
     anastomosis_with_injections,
@@ -194,8 +196,96 @@ class TestEnvObjects:
         e = square_env()
         assert EnvObject.from_json(e.to_json()) == e
 
+    def test_the_checked_row_is_kept_read_only_and_is_not_a_field(self):
+        graph = AttributedGraph(("a", "b", "c"), (("e", ("a", "b")),))
+        chi = Constraints(phi_bounds=((0.0, 1.0), (-1.0, 1.0)), budget=10.0)
+        rho = {"c": 3.0, "a": 1.0, "b": 2.0}
+        phi = {"b": (0.2, -0.2), "a": (0.1, -0.1), "c": (0.3, -0.3)}
+        e = EnvObject(graph, rho, phi, chi)
+        expected = [(1.0, 0.1, -0.1), (2.0, 0.2, -0.2), (3.0, 0.3, -0.3)]
+        assert e._row.dtype == np.float64
+        assert e._row.tobytes() == np.array(expected).tobytes()
+        with pytest.raises(ValueError):
+            e._row[0, 0] = 5.0
+        assert "_row" not in e._fields and "_row" not in repr(e)
+        assert "_row" not in e.to_json()
+        moved = e.replace(rho={**rho, "a": 0.5})
+        assert moved != e and moved._row[0, 0] == 0.5 and e._row[0, 0] == 1.0
+        assert EnvObject.from_json(e.to_json())._row.tobytes() == e._row.tobytes()
+        empty = EnvObject(AttributedGraph((), ()), {}, {}, chi)
+        assert empty._row.shape == (0, 3)
+
+
+def per_channel_transport(e, f):
+    """The per-channel dict transport: each field as its own node dict,
+    summed over each fiber of the node map in node order, then added to or
+    scaled by its rule; the phi tuples rebuilt channel by channel. The
+    oracle of :func:`apply_env_morphism`."""
+    def moved(values, rule):
+        pushed = {w: 0.0 for w in f.fg.target.nodes}
+        for v, x in values.items():
+            pushed[f.fg.node_map[v]] += x
+        if rule.tag == POINTWISE_ADD:
+            for w, d in (rule.delta or {}).items():
+                pushed[w] += d
+        elif rule.tag == RESCALE:
+            pushed = {w: x * rule.factor for w, x in pushed.items()}
+        return pushed
+
+    rho = moved(e.rho, f.rho_rule)
+    per_channel = [
+        moved({v: vec[ch] for v, vec in e.phi.items()}, rule)
+        for ch, rule in enumerate(f.phi_rules)
+    ]
+    phi = {
+        w: tuple(per_channel[ch][w] for ch in range(len(per_channel)))
+        for w in f.fg.target.nodes
+    }
+    return rho, phi
+
+
+def random_env_morphism(rng, e, fg):
+    """A morphism along ``fg`` with a random rule per field: pushforward,
+    a nonnegative add on random target nodes, or a rescale."""
+    def rule():
+        tag = rng.choice((PUSHFORWARD, POINTWISE_ADD, RESCALE))
+        if tag == POINTWISE_ADD:
+            nodes = rng.sample(fg.target.nodes, rng.randint(0, len(fg.target.nodes)))
+            return FieldRule(tag, delta={w: rng.uniform(0.0, 0.5) for w in nodes})
+        return FieldRule(tag, factor=rng.uniform(0.5, 1.5))
+
+    return EnvMorphism(fg, rule(), tuple(rule() for _ in range(e.chi.channels)))
+
 
 class TestApplyEnvMorphism:
+    def test_transport_matches_the_per_channel_oracle_bit_for_bit(self):
+        rng = random.Random(3201)
+        done = 0
+        while done < 300:
+            graph = make_random_graph(rng, max_nodes=5)
+            if rng.random() < 0.5:
+                fg = random_quotient(rng, graph)  # merging and surjective
+            else:
+                fg = make_random_morphism(rng, graph, make_random_graph(rng, max_nodes=4))
+                if fg is None:
+                    continue
+            k = rng.randint(0, 3)
+            chi = Constraints(phi_bounds=((-100.0, 100.0),) * k, budget=math.inf)
+            e = EnvObject(
+                graph,
+                {v: rng.uniform(0.0, 1.0) for v in graph.nodes},
+                {v: tuple(rng.uniform(-1.0, 1.0) for _ in range(k)) for v in graph.nodes},
+                chi,
+            )
+            f = random_env_morphism(rng, e, fg)
+            out = apply_env_morphism(e, f)
+            rho, phi = per_channel_transport(e, f)
+            target = fg.target.nodes
+            assert list(out.rho) == list(out.phi) == list(target)
+            oracle = np.array([(rho[w], *phi[w]) for w in target]).reshape(len(target), 1 + k)
+            assert bits(out) == oracle.tobytes()
+            done += 1
+
     def test_identity_returns_equal_object(self):
         e = square_env()
         assert apply_env_morphism(e, identity_env_morphism(e)) == e
@@ -325,14 +415,46 @@ class TestComposeEnvMorphisms:
         f, g = self.bounding(e, 0.5), self.bounding(e, 0.8)
         with pytest.raises(ConstraintError):
             apply_env_morphism(apply_env_morphism(e, f), g)
-        with pytest.raises(CompositionError, match="must tighten the first"):
+        with pytest.raises(CompositionError, match="compose only when they are equal"):
             compose_env_morphisms(f, g)
 
     def test_a_tightening_constraint_map_composes(self):
+        # with an equal map the composite applies exactly where f then g does
         e = square_env(k=1)
-        f, g = self.bounding(e, 0.8), self.bounding(e, 0.5)
-        sequential = apply_env_morphism(apply_env_morphism(e, f), g)
-        assert apply_env_morphism(e, compose_env_morphisms(f, g)).chi == sequential.chi
+        f = self.bounding(e, 0.5)
+        sequential = apply_env_morphism(apply_env_morphism(e, f), f)
+        assert apply_env_morphism(e, compose_env_morphisms(f, f)) == sequential
+        # a map that tightens further is a second check, which one map
+        # cannot carry
+        g = self.bounding(e, 0.4)
+        apply_env_morphism(apply_env_morphism(e, f), g)
+        with pytest.raises(CompositionError, match="compose only when they are equal"):
+            compose_env_morphisms(f, g)
+
+    def test_two_different_constraint_maps_are_refused(self):
+        # f's map loosens the source's bounds, so f then g raises; a
+        # composite carrying g's map alone would apply
+        e = square_env(k=1, phi_hi=0.5)
+        f, g = self.bounding(e, 0.8), self.bounding(e, 0.4)
+        with pytest.raises(ConstraintError):
+            apply_env_morphism(apply_env_morphism(e, f), g)
+        with pytest.raises(CompositionError, match="compose only when they are equal"):
+            compose_env_morphisms(f, g)
+
+    @pytest.mark.parametrize("unknown", ["first", "second"])
+    def test_a_delta_outside_its_target_is_refused(self, unknown):
+        e = square_env(k=1)
+
+        def add(node):
+            rule = FieldRule(POINTWISE_ADD, delta={node: 0.1})
+            return EnvMorphism(identity_morphism(e.graph), rule, (identity_rule(),))
+
+        f, g = (add("zzz"), add("n0")) if unknown == "first" else (add("n0"), add("zzz"))
+        message = "^delta names unknown target node 'zzz'$"
+        with pytest.raises(ParameterError, match=message):
+            apply_env_morphism(e, f if unknown == "first" else g)
+        with pytest.raises(ParameterError, match=message):
+            compose_env_morphisms(f, g)
 
     def test_random_chains_match_sequential_application(self):
         # composed-then-applied equals applied-sequentially (oracle)
@@ -415,6 +537,26 @@ def path_myc(values, sigma=1.0):
         {e: sigma for e in g.edge_ids},
         {f"v{i}": values[i] for i in range(n)},
     )
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    ({"tag": RESCALE, "factor": "2"}, "factor"),
+    ({"tag": RESCALE, "factor": True}, "factor"),
+    ({"tag": RESCALE, "factor": None}, "factor"),
+    ({"tag": POINTWISE_ADD, "delta": {"a": "x"}}, "delta.a"),
+    ({"tag": POINTWISE_ADD, "delta": {"a": 0.5, "b": False}}, "delta.b"),
+], ids=["string-factor", "bool-factor", "none-factor", "string-delta", "bool-delta"])
+def test_field_rule_numbers_are_read_when_built(kwargs, field):
+    # a bool factor would scale by 1 and a string would raise TypeError late
+    with pytest.raises(ShapeError, match=rf"^{re.escape(field)}: must be a number, got "):
+        FieldRule(**kwargs)
+
+
+def test_field_rule_numbers_are_floats():
+    rule = FieldRule(POINTWISE_ADD, delta={"a": 1, "b": np.float64(0.5)}, factor=2)
+    assert rule.factor == 2.0 and type(rule.factor) is float
+    assert rule.delta == {"a": 1.0, "b": 0.5}
+    assert all(type(d) is float for d in rule.delta.values())
 
 
 class TestMycDistance:
@@ -649,6 +791,12 @@ class TestTransport:
         assert out.sigma["e"] == pytest.approx(1.0)
         # strengths: x -> 3.0, y -> 4.0 ; weighted mean (3*4 + 4*0)/7
         assert out.omega["xy"] == pytest.approx((12.0 / 7.0,))
+
+    def test_a_map_from_another_graph_is_refused(self):
+        m = path_myc([(0.0,), (1.0,)])
+        other = AttributedGraph(("x",), ())
+        with pytest.raises(ShapeError, match="^graph map must start at the source network$"):
+            transport_myc(m, identity_morphism(other))
 
     def test_overflowing_conductivity_sum_is_refused(self):
         g = AttributedGraph(("x", "y"), (("e0", ("x", "y")), ("e1", ("x", "y"))))

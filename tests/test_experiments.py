@@ -25,10 +25,11 @@ from mycocat.experiments import (
     run_order_asymmetry_scan,
     run_worked_example,
     species_from_config,
+    wide_environment,
 )
 from mycocat.readers import MAX_SAMPLES
-from mycocat.envmyc import myc_distance
-from mycocat.laws import SpeciesFunctor
+from mycocat.envmyc import Constraints, EnvObject, myc_distance
+from mycocat.laws import SpeciesFunctor, field_writeback
 from mycocat.liealg import estimate_generator
 from mycocat.programs import (
     Extraction,
@@ -481,3 +482,36 @@ def test_coupling_matrices_equal_the_per_site_oracle(kind):
                 for a, b in zip(ours, oracle):
                     assert a.dtype == b.dtype and a.shape == b.shape
                     assert a.tobytes() == b.tobytes()
+
+
+def written_back_wide_environment(species, seed):
+    """The seeded initial state written back into a loose template
+    environment: the oracle of :func:`wide_environment`."""
+    layout = species.extraction.layout
+    channels = layout.feature_count - 1
+    template = EnvObject(
+        layout.graph,
+        {v: 1.0 for v in layout.graph.nodes},
+        {v: (0.0,) * channels for v in layout.graph.nodes},
+        Constraints(
+            phi_bounds=tuple((-100.0, 100.0) for _ in range(channels)), budget=math.inf
+        ),
+    )
+    return field_writeback(template, initial_state(layout, seed))
+
+
+@pytest.mark.parametrize("coupling", ["noncommuting", "commuting"])
+@pytest.mark.parametrize("n_sites", range(1, 10))
+def test_wide_environment_is_the_written_back_initial_state(coupling, n_sites):
+    species = reference_species(n_sites=n_sites, coupling=coupling)
+    for seed in (0, 1, 42):
+        ours = wide_environment(species, seed)
+        oracle = written_back_wide_environment(species, seed)
+        assert ours == oracle
+        for env in (ours, oracle):
+            assert list(env.rho) == list(env.phi) == list(env.graph.nodes)
+        rows = [
+            np.array([(env.rho[v], *env.phi[v]) for v in env.graph.nodes]).tobytes()
+            for env in (ours, oracle)
+        ]
+        assert rows[0] == rows[1]

@@ -1,0 +1,191 @@
+"""Run a catalogue of hand-written mutants against the tests meant to kill them.
+
+Usage: python tools/mutants.py [name ...]
+
+Each mutant in ``MUTANTS`` names one source file, a snippet that occurs
+exactly once in it, the text that replaces the snippet, and the test files
+expected to fail once it is replaced. For each mutant (all of them, or only
+the ``name``s given) the tool copies ``src/``, ``tests/``, ``sample_inputs/``
+and ``pyproject.toml`` of the checkout that holds this script into a
+temporary directory, applies that one mutant there, and runs
+``python -m pytest -x`` on the mutant's test files with the copy's ``src``
+first on ``PYTHONPATH``. It prints one line per mutant: ``killed`` when the
+tests fail, ``survived`` when they pass, and ``error`` with pytest's exit
+code when they could not run; then ``<killed>/<total> killed``. The exit
+code is 0 when every mutant was killed and 1 otherwise.
+
+Before it runs anything it checks the catalogue against the checkout (see
+:func:`check`) and exits 2, listing the problems, if a snippet does not
+occur exactly once or a named test file is missing. A refactor that moves
+a snippet must update its mutant. Needs only the standard library.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "sample_inputs", "pyproject.toml")
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to the checkout's root
+    snippet: str  # occurs exactly once in ``file``
+    replacement: str
+    tests: tuple[str, ...]  # test files expected to kill it
+
+
+ENVMYC = "src/mycocat/envmyc.py"
+GRAPHS = "src/mycocat/graphs.py"
+ENV_TESTS = ("tests/test_envmyc.py",)
+GRAPH_TESTS = ("tests/test_graphs.py",)
+
+MUTANTS = (
+    # the refusals of the environment layer
+    Mutant(
+        "field-rule-factor-unread", ENVMYC,
+        '        factor = read_number(factor, "factor")\n', "",
+        ENV_TESTS,
+    ),
+    Mutant(
+        "field-rule-delta-unread", ENVMYC,
+        'delta = {w: read_number(d, f"delta.{w}") for w, d in dict(delta).items()}',
+        "delta = dict(delta)",
+        ENV_TESTS,
+    ),
+    Mutant(
+        "compose-unknown-first-delta", ENVMYC,
+        "            if v not in second_fg.node_map:\n",
+        "            if False:\n",
+        ENV_TESTS,
+    ),
+    Mutant(
+        "compose-different-constraint-maps", ENVMYC,
+        "g.chi_map is not None and g.chi_map != f.chi_map:",
+        "g.chi_map is not None and not g.chi_map.tightens(f.chi_map):",
+        ENV_TESTS,
+    ),
+    Mutant(
+        "transport-myc-from-another-graph", ENVMYC,
+        "    if gt.source != m.graph:\n"
+        '        raise ShapeError("graph map must start at the source network")\n',
+        "",
+        ENV_TESTS,
+    ),
+    # the environment row and the one pushforward
+    Mutant(
+        "env-row-column-order", ENVMYC,
+        "row = np.array([(rho[v], *phi[v]) for v in nodes]",
+        "row = np.array([(*phi[v], rho[v]) for v in nodes]",
+        ENV_TESTS,
+    ),
+    Mutant(
+        "compose-drops-second-delta", ENVMYC,
+        "FieldRule(POINTWISE_ADD, delta=second.delta).apply(",
+        "FieldRule(POINTWISE_ADD).apply(",
+        ENV_TESTS,
+    ),
+    # the exact pushout decision's conditions
+    Mutant(
+        "pushout-mono-injections", GRAPHS,
+        "    if not (is_monomorphism(inj_b) and is_monomorphism(inj_c)):\n"
+        "        return False\n",
+        "",
+        GRAPH_TESTS,
+    ),
+    Mutant(
+        "pushout-edge-surjectivity", GRAPHS,
+        "        and edges_b | edges_c == obj.edge_set\n", "",
+        GRAPH_TESTS,
+    ),
+    Mutant(
+        "pushout-node-intersection", GRAPHS,
+        "        and nodes_b & nodes_c == apex_nodes\n", "",
+        GRAPH_TESTS,
+    ),
+    Mutant(
+        "pushout-edge-intersection", GRAPHS,
+        "        and edges_b & edges_c == apex_edges\n", "",
+        GRAPH_TESTS,
+    ),
+    # records compare within one class only
+    Mutant(
+        "record-equality-across-classes", "src/mycocat/errors.py",
+        "        if other.__class__ is self.__class__:\n",
+        "        if isinstance(other, Record):\n",
+        ("tests/test_records.py",),
+    ),
+)
+
+
+def check(root: Path = ROOT) -> list[str]:
+    """The catalogue's problems against the checkout at ``root``: a name
+    used twice, a replacement equal to its snippet, a snippet that does
+    not occur exactly once, a missing test file. Empty when it is sound."""
+    problems = []
+    names = [m.name for m in MUTANTS]
+    problems += [f"{n}: name used twice" for n in sorted({n for n in names if names.count(n) > 1})]
+    for m in MUTANTS:
+        if m.snippet == m.replacement:
+            problems.append(f"{m.name}: replacement equals the snippet")
+        count = (root / m.file).read_text().count(m.snippet)
+        if count != 1:
+            problems.append(f"{m.name}: snippet occurs {count} times in {m.file}")
+        if not m.tests:
+            problems.append(f"{m.name}: names no test file")
+        problems += [f"{m.name}: no test file {t}" for t in m.tests if not (root / t).is_file()]
+    return problems
+
+
+def run(mutant: Mutant) -> str:
+    """``killed``, ``survived`` or ``error (exit N)`` for one mutant, run in
+    a fresh temporary copy of the checkout."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        copy = Path(tmp)
+        for part in COPIED:
+            source = ROOT / part
+            if source.is_dir():
+                shutil.copytree(source, copy / part, ignore=shutil.ignore_patterns("__pycache__"))
+            elif source.is_file():
+                shutil.copy2(source, copy / part)
+        target = copy / mutant.file
+        target.write_text(target.read_text().replace(mutant.snippet, mutant.replacement, 1))
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.tests],
+            cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+    if done.returncode == 0:
+        return "survived"
+    return "killed" if done.returncode == 1 else f"error (exit {done.returncode})"
+
+
+def main(argv: list[str]) -> int:
+    problems = check()
+    if problems:
+        print("\n".join(problems), file=sys.stderr)
+        return 2
+    by_name = {m.name: m for m in MUTANTS}
+    unknown = [n for n in argv if n not in by_name]
+    if unknown:
+        print(f"unknown mutants: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    chosen = [by_name[n] for n in argv] if argv else list(MUTANTS)
+    killed = 0
+    for mutant in chosen:
+        outcome = run(mutant)
+        killed += outcome == "killed"
+        print(f"{outcome:<10} {mutant.name}", flush=True)
+    print(f"{killed}/{len(chosen)} killed")
+    return 0 if killed == len(chosen) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
