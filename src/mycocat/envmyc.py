@@ -54,11 +54,23 @@ from .readers import (
 _BOUND_SLACK = 1e-9
 
 
+def _read_interval(raw, field: str) -> tuple[float, float]:
+    return read_tuple(raw, field, "a [lo, hi] pair of numbers", read_number, read_number)
+
+
 class Constraints(Record):
     """Interval bounds and a resource budget for an environmental state.
 
     ``phi_bounds`` holds one (lo, hi) interval per chemical channel; its
     length fixes the channel count k.
+
+    Every number is read as :meth:`from_json` reads it: an interval that is
+    not a pair of numbers, a ``phi_bounds`` that is not a list of them, or a
+    ``budget`` that is not a number (a bool is not a number) raises
+    :class:`ShapeError` naming it (``humidity``, ``phi_bounds[0]``,
+    ``budget``), and intervals are stored as tuples of floats. A NaN bound or
+    budget, an empty interval and a negative budget raise
+    :class:`ParameterError` naming the field.
     """
 
     def __init__(
@@ -68,7 +80,10 @@ class Constraints(Record):
         phi_bounds: tuple[tuple[float, float], ...] = ((0.0, 1.0),),
         budget: float = math.inf,
     ):
-        phi_bounds = tuple(tuple(b) for b in phi_bounds)
+        humidity = _read_interval(humidity, "humidity")
+        temperature = _read_interval(temperature, "temperature")
+        phi_bounds = read_list(phi_bounds, "phi_bounds", _read_interval, "a list of [lo, hi] pairs")
+        budget = read_number(budget, "budget")
         intervals = {"humidity": humidity, "temperature": temperature}
         intervals.update((f"phi_bounds[{i}]", b) for i, b in enumerate(phi_bounds))
         for name, (lo, hi) in intervals.items():
@@ -114,35 +129,25 @@ class Constraints(Record):
     def from_json(cls, data: Mapping, field: str = "") -> "Constraints":
         """The record in the wire format: ``humidity`` and ``temperature``
         each a ``[lo, hi]`` pair of numbers, ``phi_bounds`` a list of such
-        pairs and ``budget`` a number; absent keys keep the defaults. A value
-        of another shape or type (a bool is not a number) raises
-        :class:`ShapeError` naming its field, prefixed by ``field``
-        (``"chi."`` names ``chi.budget``); a value the constructor refuses
-        (a NaN, an empty interval, a negative budget) raises its
-        :class:`ParameterError` under the same prefix."""
-        data, default = read_object(data, field[:-1] or "chi"), cls()
-
-        def interval(raw, name):
-            return read_tuple(raw, name, "a [lo, hi] pair of numbers", read_number, read_number)
-
-        def read(key, reader, *args):
-            return reader(data.get(key, getattr(default, key)), f"{field}{key}", *args)
-
+        pairs and ``budget`` a number; absent keys keep the defaults and
+        other keys are ignored. The constructor reads the values: its
+        :class:`ShapeError` or :class:`ParameterError` is raised with the
+        field it names prefixed by ``field`` (``"chi."`` names
+        ``chi.budget``)."""
+        data = read_object(data, field[:-1] or "chi")
         try:
-            return cls(
-                humidity=read("humidity", interval),
-                temperature=read("temperature", interval),
-                phi_bounds=read("phi_bounds", read_list, interval, "a list of [lo, hi] pairs"),
-                budget=read("budget", read_number),
-            )
-        except ParameterError as exc:  # the constructor's message starts with the field
-            raise ParameterError(f"{field}{exc}") from exc
+            return cls(**{key: data[key] for key in cls._fields if key in data})
+        except (ShapeError, ParameterError) as exc:  # the message starts with the field
+            raise type(exc)(f"{field}{exc}") from exc
 
 
 class EnvObject(Record):
     """Substrate graph plus resource field, chemical field, and constraints;
     ``rho`` and ``phi`` are kept in node declaration order and must be
-    admissible (see :func:`_first_violation`).
+    admissible (see :func:`_first_violation`). Each value is read as a
+    number, as :meth:`from_json` reads it: one that is not (a string, a
+    bool) raises :class:`ShapeError` naming ``rho.<node>`` or
+    ``phi.<node>[i]``.
 
     The fields are checked as one (N, 1 + k) float64 row, node by node: rho,
     then the k chemical channels. The environment keeps that row, read-only,
@@ -161,8 +166,11 @@ class EnvObject(Record):
         if set(rho) != graph.node_set or set(phi) != graph.node_set:
             raise ShapeError("rho and phi must be defined on exactly the graph nodes")
         # node declaration order, the order of a batch's fields and the wire
-        rho = {v: float(rho[v]) for v in nodes}
-        phi = {v: tuple(float(x) for x in phi[v]) for v in nodes}
+        rho = {v: read_number(rho[v], f"rho.{v}") for v in nodes}
+        phi = {
+            v: tuple(read_number(x, f"phi.{v}[{i}]") for i, x in enumerate(phi[v]))
+            for v in nodes
+        }
         k = chi.channels
         for v, vec in phi.items():
             if len(vec) != k:
@@ -332,76 +340,70 @@ def _first_violation(fields: np.ndarray, nodes: Sequence, chi: Constraints) -> s
 # Field transformation rules
 # ---------------------------------------------------------------------------
 
-PUSHFORWARD = "pushforward"
-POINTWISE_ADD = "pointwise_add"
-RESCALE = "rescale"
-
-
 class FieldRule(Record):
-    """How a scalar field transports along a graph map.
+    """How a scalar field transports along a graph map: the affine rule
+    x -> factor * f_*(x) + delta.
 
-    - ``pushforward``: sum the field over each fiber (conserves the total).
-    - ``pointwise_add``: pushforward, then add ``delta`` on target nodes.
-    - ``rescale``: pushforward, then multiply by ``factor``.
+    :meth:`apply` sums the field over each fiber of the node map (the
+    pushforward f_*, which conserves the total), multiplies every pushed
+    value by ``factor``, then adds ``delta`` on the target nodes it names.
+    ``FieldRule()`` is the pushforward, ``FieldRule(delta=...)`` an add and
+    ``FieldRule(factor=...)`` a rescale; any two rules compose (see
+    :func:`_compose_rules`). A factor of 1.0 and an empty delta change no
+    bit of the pushed values.
 
     ``factor`` and each ``delta`` value are read as numbers when the rule is
     built; one that is not (a string, a bool) raises :class:`ShapeError`
-    naming ``factor`` or ``delta.<node>``. :meth:`apply` is the one
-    pushforward: environments and composed adds both move through it.
+    naming ``factor`` or ``delta.<node>``. ``delta`` is stored as a dict,
+    empty when none is given.
     """
 
     def __init__(
         self,
-        tag: str,
         delta: Mapping | None = None,  # target node -> increment
         factor: float = 1.0,
     ):
-        if tag not in (PUSHFORWARD, POINTWISE_ADD, RESCALE):
-            raise ParameterError(f"unknown field rule {tag!r}")
         factor = read_number(factor, "factor")
-        if delta is not None:
-            delta = {w: read_number(d, f"delta.{w}") for w, d in dict(delta).items()}
-        vars(self).update(tag=tag, delta=delta, factor=factor)
+        delta = {w: read_number(d, f"delta.{w}") for w, d in dict(delta or {}).items()}
+        vars(self).update(delta=delta, factor=factor)
 
     def apply(self, values: Mapping, fg: GraphMorphism) -> dict:
+        """``values`` (source node -> number) moved along ``fg``. A value
+        keyed by a node outside ``fg``'s source, or a delta naming a node
+        outside its target, raises :class:`ParameterError` naming the
+        first."""
+        node_map = fg.node_map
+        if not values.keys() <= node_map.keys():
+            unknown = next(v for v in values if v not in node_map)
+            raise ParameterError(f"values name unknown source node {unknown!r}")
         pushed = {w: 0.0 for w in fg.target.nodes}
         for v, x in values.items():
-            pushed[fg.node_map[v]] += x
-        if self.tag == POINTWISE_ADD:
-            for w, d in (self.delta or {}).items():
-                if w not in pushed:
-                    raise ParameterError(f"delta names unknown target node {w!r}")
-                pushed[w] += d
-        elif self.tag == RESCALE:
-            pushed = {w: x * self.factor for w, x in pushed.items()}
+            pushed[node_map[v]] += x
+        pushed = {w: x * self.factor for w, x in pushed.items()}
+        for w, d in self.delta.items():
+            if w not in pushed:
+                raise ParameterError(f"delta names unknown target node {w!r}")
+            pushed[w] += d
         return pushed
 
 
 def identity_rule() -> FieldRule:
-    return FieldRule(PUSHFORWARD)
+    return FieldRule()
 
 
 def _compose_rules(first: FieldRule, second: FieldRule, second_fg: GraphMorphism) -> FieldRule:
     """Rule equal to applying ``first`` along its map, then ``second`` along
-    ``second_fg``. Pushforward composes with everything; add and rescale
-    compose with themselves; mixing add with rescale is rejected. Two adds
-    compose by moving ``first``'s delta along ``second_fg`` with ``second``
-    applied to it; a delta naming a node outside its map's target raises
-    the :class:`ParameterError` that applying its rule would."""
-    tags = {first.tag, second.tag}
-    if tags <= {PUSHFORWARD}:
-        return FieldRule(PUSHFORWARD)
-    if tags <= {PUSHFORWARD, POINTWISE_ADD}:
-        first_delta = first.delta or {}
-        for v in first_delta:
-            if v not in second_fg.node_map:
-                raise ParameterError(f"delta names unknown target node {v!r}")
-        pushed = FieldRule(POINTWISE_ADD, delta=second.delta).apply(first_delta, second_fg)
-        return FieldRule(POINTWISE_ADD, delta={w: d for w, d in pushed.items() if d != 0.0})
-    if tags <= {PUSHFORWARD, RESCALE}:
-        return FieldRule(RESCALE, factor=first.factor * second.factor)
-    raise CompositionError(
-        f"cannot compose field rules {first.tag!r} and {second.tag!r}"
+    ``second_fg``, up to float rounding: factor f1 * f2 and delta
+    f2 * P2(d1) + d2, the first delta moved through ``second``, with its
+    zero entries dropped. A first delta naming a node outside its map's
+    target raises the :class:`ParameterError` that applying its rule would,
+    as a second one does from :meth:`FieldRule.apply`."""
+    for v in first.delta:
+        if v not in second_fg.node_map:
+            raise ParameterError(f"delta names unknown target node {v!r}")
+    pushed = second.apply(first.delta, second_fg)
+    return FieldRule(
+        delta={w: d for w, d in pushed.items() if d != 0.0}, factor=first.factor * second.factor
     )
 
 
@@ -467,11 +469,11 @@ def apply_env_morphism(e: EnvObject, f: EnvMorphism) -> EnvObject:
 def compose_env_morphisms(f: EnvMorphism, g: EnvMorphism) -> EnvMorphism:
     """Diagrammatic composite: first ``f``, then ``g``.
 
-    Field rules compose componentwise (adds sum after transport, rescales
-    multiply); mixing an add with a rescale raises
-    :class:`CompositionError`, as does a graph-map mismatch. A delta naming
-    a node outside its map's target raises :class:`ParameterError`, as
-    applying its morphism would.
+    Field rules compose componentwise, any two of them (see
+    :func:`_compose_rules`). A graph-map mismatch or different channel
+    counts raise :class:`CompositionError`. A delta naming a node outside
+    its map's target raises :class:`ParameterError`, as applying its
+    morphism would.
 
     The composite's constraint map is ``g``'s, or ``f``'s when ``g`` has
     none. When both have one, they must be equal, or
@@ -551,9 +553,11 @@ def env_distance(e1: EnvObject, e2: EnvObject) -> float:
 
 class MycObject(Record):
     """Connected network with edge conductivities and node feature vectors,
-    kept in graph declaration order; the first conductivity that is not
-    finite and nonnegative, or feature that is not finite, raises
-    :class:`ParameterError` naming it."""
+    kept in graph declaration order. Each value is read as a number, as
+    :meth:`from_json` reads it: one that is not (a string, a bool) raises
+    :class:`ShapeError` naming ``sigma.<edge>`` or ``omega.<node>[i]``. The
+    first conductivity that is not finite and nonnegative, or feature that
+    is not finite, raises :class:`ParameterError` naming it."""
 
     def __init__(
         self,
@@ -568,8 +572,11 @@ class MycObject(Record):
         if set(omega) != graph.node_set:
             raise ShapeError("omega must be defined on exactly the graph nodes")
         # declaration order, the order of the wire and of every distance sum
-        sigma = {e: float(sigma[e]) for e in graph.edge_ids}
-        omega = {v: tuple(float(x) for x in omega[v]) for v in graph.nodes}
+        sigma = {e: read_number(sigma[e], f"sigma.{e}") for e in graph.edge_ids}
+        omega = {
+            v: tuple(read_number(x, f"omega.{v}[{i}]") for i, x in enumerate(omega[v]))
+            for v in graph.nodes
+        }
         for e, x in sigma.items():
             if not 0.0 <= x < math.inf:
                 raise ParameterError(

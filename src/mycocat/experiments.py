@@ -32,7 +32,6 @@ from .envmyc import (
     EnvObject,
     EnvMorphism,
     FieldRule,
-    POINTWISE_ADD,
     apply_env_morphism,
     identity_rule,
 )
@@ -692,7 +691,7 @@ def _demo_environment(config: WorkedExampleConfig) -> tuple[EnvObject, EnvMorphi
     def pulse_morphism(channel: int, site_index: int) -> EnvMorphism:
         site = graph.nodes[site_index]
         rules = [identity_rule() for _ in range(config.channels)]
-        rules[channel] = FieldRule(POINTWISE_ADD, delta={site: 0.5})
+        rules[channel] = FieldRule(delta={site: 0.5})
         return EnvMorphism(
             fg=identity_morphism(graph),
             rho_rule=identity_rule(),

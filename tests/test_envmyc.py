@@ -19,9 +19,6 @@ from mycocat.envmyc import (
     FieldRule,
     MycMorphism,
     MycObject,
-    POINTWISE_ADD,
-    PUSHFORWARD,
-    RESCALE,
     anastomosis,
     anastomosis_with_injections,
     apply_env_morphism,
@@ -151,6 +148,27 @@ class TestEnvObjects:
         with pytest.raises(ParameterError, match=rf"^{name}: bounds must be numbers, got \["):
             Constraints(**kwargs)
 
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"budget": True}, "budget"),
+        ({"budget": "5"}, "budget"),
+        ({"humidity": (False, True)}, "humidity"),
+        ({"humidity": (0, 1, 2)}, "humidity"),
+        ({"phi_bounds": ((0, "a"),)}, "phi_bounds[0]"),
+        ({"phi_bounds": (1.0,)}, "phi_bounds[0]"),
+    ], ids=["bool-budget", "string-budget", "bool-bounds", "three-bounds", "string-bound",
+            "number-for-a-pair"])
+    def test_constraints_read_their_numbers_when_built(self, kwargs, field):
+        # a bool budget or bound was stored as it was; the rest raised a
+        # bare ValueError or TypeError
+        with pytest.raises(ShapeError, match=rf"^{re.escape(field)}: must be a "):
+            Constraints(**kwargs)
+
+    def test_constraints_store_tuples_of_floats(self):
+        chi = Constraints(humidity=[0, 1], phi_bounds=[[0, np.float64(1.0)]], budget=2)
+        assert chi == Constraints(humidity=(0.0, 1.0), phi_bounds=((0.0, 1.0),), budget=2.0)
+        assert type(chi.humidity) is tuple and type(chi.phi_bounds[0]) is tuple
+        assert all(type(x) is float for x in (*chi.humidity, *chi.phi_bounds[0], chi.budget))
+
     @pytest.mark.parametrize("cells, budget, phi_hi, message", [
         # a NaN rho comes before the budget, which it would make NaN
         ([(1.0, 0.5), (math.nan, 0.5)], 2.0, 1.0, "rho at node 'b' is not a number (nan)"),
@@ -216,26 +234,27 @@ class TestEnvObjects:
         assert empty._row.shape == (0, 3)
 
 
-def per_channel_transport(e, f):
+def per_channel_transport(e, f, kinds):
     """The per-channel dict transport: each field as its own node dict,
-    summed over each fiber of the node map in node order, then added to or
-    scaled by its rule; the phi tuples rebuilt channel by channel. The
-    oracle of :func:`apply_env_morphism`."""
-    def moved(values, rule):
+    summed over each fiber of the node map in node order, then, by the kind
+    of its rule in ``kinds`` (rho first), left as it is, added to or
+    scaled; the phi tuples rebuilt channel by channel. The oracle of
+    :func:`apply_env_morphism`."""
+    def moved(values, rule, kind):
         pushed = {w: 0.0 for w in f.fg.target.nodes}
         for v, x in values.items():
             pushed[f.fg.node_map[v]] += x
-        if rule.tag == POINTWISE_ADD:
-            for w, d in (rule.delta or {}).items():
+        if kind == "add":
+            for w, d in rule.delta.items():
                 pushed[w] += d
-        elif rule.tag == RESCALE:
+        elif kind == "rescale":
             pushed = {w: x * rule.factor for w, x in pushed.items()}
         return pushed
 
-    rho = moved(e.rho, f.rho_rule)
+    rho = moved(e.rho, f.rho_rule, kinds[0])
     per_channel = [
-        moved({v: vec[ch] for v, vec in e.phi.items()}, rule)
-        for ch, rule in enumerate(f.phi_rules)
+        moved({v: vec[ch] for v, vec in e.phi.items()}, rule, kind)
+        for ch, (rule, kind) in enumerate(zip(f.phi_rules, kinds[1:]))
     ]
     phi = {
         w: tuple(per_channel[ch][w] for ch in range(len(per_channel)))
@@ -246,15 +265,20 @@ def per_channel_transport(e, f):
 
 def random_env_morphism(rng, e, fg):
     """A morphism along ``fg`` with a random rule per field: pushforward,
-    a nonnegative add on random target nodes, or a rescale."""
-    def rule():
-        tag = rng.choice((PUSHFORWARD, POINTWISE_ADD, RESCALE))
-        if tag == POINTWISE_ADD:
-            nodes = rng.sample(fg.target.nodes, rng.randint(0, len(fg.target.nodes)))
-            return FieldRule(tag, delta={w: rng.uniform(0.0, 0.5) for w in nodes})
-        return FieldRule(tag, factor=rng.uniform(0.5, 1.5))
+    a nonnegative add on random target nodes, or a rescale; and the kind
+    drawn for each field, rho first."""
+    kinds = []
 
-    return EnvMorphism(fg, rule(), tuple(rule() for _ in range(e.chi.channels)))
+    def rule():
+        kind = rng.choice(("pushforward", "add", "rescale"))
+        kinds.append(kind)
+        if kind == "add":
+            nodes = rng.sample(fg.target.nodes, rng.randint(0, len(fg.target.nodes)))
+            return FieldRule(delta={w: rng.uniform(0.0, 0.5) for w in nodes})
+        factor = rng.uniform(0.5, 1.5)  # a pushforward draws one too, and drops it
+        return FieldRule(factor=factor) if kind == "rescale" else FieldRule()
+
+    return EnvMorphism(fg, rule(), tuple(rule() for _ in range(e.chi.channels))), kinds
 
 
 class TestApplyEnvMorphism:
@@ -277,9 +301,9 @@ class TestApplyEnvMorphism:
                 {v: tuple(rng.uniform(-1.0, 1.0) for _ in range(k)) for v in graph.nodes},
                 chi,
             )
-            f = random_env_morphism(rng, e, fg)
+            f, kinds = random_env_morphism(rng, e, fg)
             out = apply_env_morphism(e, f)
-            rho, phi = per_channel_transport(e, f)
+            rho, phi = per_channel_transport(e, f, kinds)
             target = fg.target.nodes
             assert list(out.rho) == list(out.phi) == list(target)
             oracle = np.array([(rho[w], *phi[w]) for w in target]).reshape(len(target), 1 + k)
@@ -297,7 +321,7 @@ class TestApplyEnvMorphism:
             rho_rule=identity_rule(),
             phi_rules=(
                 identity_rule(),
-                FieldRule(POINTWISE_ADD, delta={"n1": 0.5}),
+                FieldRule(delta={"n1": 0.5}),
             ),
         )
         out = apply_env_morphism(e, f)
@@ -310,7 +334,7 @@ class TestApplyEnvMorphism:
         f = EnvMorphism(
             fg=identity_morphism(e.graph),
             rho_rule=identity_rule(),
-            phi_rules=(FieldRule(POINTWISE_ADD, delta={"n0": 0.9}),),
+            phi_rules=(FieldRule(delta={"n0": 0.9}),),
         )
         with pytest.raises(ConstraintError, match="channel 0"):
             apply_env_morphism(e, f)
@@ -369,7 +393,7 @@ class TestComposeEnvMorphisms:
         add = lambda d: EnvMorphism(
             identity_morphism(e.graph),
             identity_rule(),
-            (FieldRule(POINTWISE_ADD, delta={"n0": d}),),
+            (FieldRule(delta={"n0": d}),),
         )
         comp = compose_env_morphisms(add(0.2), add(0.3))
         assert comp.phi_rules[0].delta["n0"] == pytest.approx(0.5)
@@ -378,27 +402,31 @@ class TestComposeEnvMorphisms:
         e = square_env(k=1)
         scale = lambda c: EnvMorphism(
             identity_morphism(e.graph),
-            FieldRule(RESCALE, factor=c),
+            FieldRule(factor=c),
             (identity_rule(),),
         )
         comp = compose_env_morphisms(scale(2.0), scale(0.5))
         out = apply_env_morphism(e, comp)
         assert out.rho == pytest.approx(e.rho)
 
-    def test_mixed_add_and_rescale_rejected(self):
+    def test_mixed_add_and_rescale_compose(self):
+        # in either order, the composite applied equals f then g
         e = square_env(k=1)
-        f = EnvMorphism(
+        add = EnvMorphism(
             identity_morphism(e.graph),
-            FieldRule(POINTWISE_ADD, delta={"n0": 0.1}),
+            FieldRule(delta={"n0": 0.1}),
             (identity_rule(),),
         )
-        g = EnvMorphism(
+        rescale = EnvMorphism(
             identity_morphism(e.graph),
-            FieldRule(RESCALE, factor=2.0),
+            FieldRule(factor=2.0),
             (identity_rule(),),
         )
-        with pytest.raises(CompositionError):
-            compose_env_morphisms(f, g)
+        for f, g in ((add, rescale), (rescale, add)):
+            sequential = apply_env_morphism(apply_env_morphism(e, f), g)
+            composed = apply_env_morphism(e, compose_env_morphisms(f, g))
+            assert composed.rho == pytest.approx(sequential.rho)
+            assert composed.rho != e.rho
 
     @staticmethod
     def bounding(e, hi):
@@ -446,7 +474,7 @@ class TestComposeEnvMorphisms:
         e = square_env(k=1)
 
         def add(node):
-            rule = FieldRule(POINTWISE_ADD, delta={node: 0.1})
+            rule = FieldRule(delta={node: 0.1})
             return EnvMorphism(identity_morphism(e.graph), rule, (identity_rule(),))
 
         f, g = (add("zzz"), add("n0")) if unknown == "first" else (add("n0"), add("zzz"))
@@ -466,12 +494,11 @@ class TestComposeEnvMorphisms:
                 pick = rng.random()
                 if pick < 0.3:
                     return identity_rule()
-                if kind == "add":
+                if kind == "add" or (kind == "mixed" and pick < 0.65):
                     return FieldRule(
-                        POINTWISE_ADD,
                         delta={rng.choice(e0.graph.nodes): rng.uniform(-0.05, 0.2)},
                     )
-                return FieldRule(RESCALE, factor=rng.uniform(0.5, 1.5))
+                return FieldRule(factor=rng.uniform(0.5, 1.5))
 
             return EnvMorphism(
                 identity_morphism(e0.graph),
@@ -480,7 +507,7 @@ class TestComposeEnvMorphisms:
             )
 
         for _ in range(20):
-            kind = rng.choice(["add", "rescale"])
+            kind = rng.choice(["add", "rescale", "mixed"])
             chain = [random_morphism(kind) for _ in range(3)]
             sequential = e0
             for f in chain:
@@ -509,7 +536,7 @@ class TestComposeEnvMorphisms:
             f = EnvMorphism(
                 identity_morphism(e0.graph),
                 identity_rule(),
-                (FieldRule(POINTWISE_ADD, delta={node: delta}),),
+                (FieldRule(delta={node: delta}),),
             )
             try:
                 out = apply_env_morphism(e0, f)
@@ -540,11 +567,11 @@ def path_myc(values, sigma=1.0):
 
 
 @pytest.mark.parametrize("kwargs, field", [
-    ({"tag": RESCALE, "factor": "2"}, "factor"),
-    ({"tag": RESCALE, "factor": True}, "factor"),
-    ({"tag": RESCALE, "factor": None}, "factor"),
-    ({"tag": POINTWISE_ADD, "delta": {"a": "x"}}, "delta.a"),
-    ({"tag": POINTWISE_ADD, "delta": {"a": 0.5, "b": False}}, "delta.b"),
+    ({"factor": "2"}, "factor"),
+    ({"factor": True}, "factor"),
+    ({"factor": None}, "factor"),
+    ({"delta": {"a": "x"}}, "delta.a"),
+    ({"delta": {"a": 0.5, "b": False}}, "delta.b"),
 ], ids=["string-factor", "bool-factor", "none-factor", "string-delta", "bool-delta"])
 def test_field_rule_numbers_are_read_when_built(kwargs, field):
     # a bool factor would scale by 1 and a string would raise TypeError late
@@ -552,8 +579,55 @@ def test_field_rule_numbers_are_read_when_built(kwargs, field):
         FieldRule(**kwargs)
 
 
+def test_field_rule_apply_refuses_a_value_outside_the_source():
+    fg = identity_morphism(AttributedGraph(("a", "b"), ()))
+    with pytest.raises(ParameterError, match="^values name unknown source node 'zzz'$"):
+        FieldRule().apply({"a": 1.0, "zzz": 1.0, "yyy": 2.0}, fg)
+
+
+def test_field_rule_is_one_affine_rule():
+    # x -> factor * f_*(x) + delta, whichever parameters are given
+    fg = GraphMorphism(
+        AttributedGraph(("a", "b"), ()), AttributedGraph(("m", "n"), ()),
+        {"a": "m", "b": "m"}, {},
+    )
+    values = {"a": 1.0, "b": 2.0}
+    assert FieldRule() == identity_rule() and FieldRule().delta == {}
+    assert FieldRule().apply(values, fg) == {"m": 3.0, "n": 0.0}
+    assert FieldRule(factor=2.0).apply(values, fg) == {"m": 6.0, "n": 0.0}
+    assert FieldRule(delta={"n": 0.5}).apply(values, fg) == {"m": 3.0, "n": 0.5}
+    both = FieldRule(delta={"m": 0.5}, factor=3.0)
+    assert both.apply(values, fg) == {"m": 9.5, "n": 0.0}
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda g: EnvObject(g, {"a": "1.5"}, {"a": ()}, Constraints(phi_bounds=())), "rho.a"),
+    (lambda g: EnvObject(g, {"a": True}, {"a": ()}, Constraints(phi_bounds=())), "rho.a"),
+    (lambda g: EnvObject(g, {"a": "x"}, {"a": ()}, Constraints(phi_bounds=())), "rho.a"),
+    (lambda g: EnvObject(g, {"a": 1.0}, {"a": ("0.5",)}, Constraints()), "phi.a[0]"),
+    (lambda g: MycObject(g, {"e": True}, {"a": (0.0,)}), "sigma.e"),
+    (lambda g: MycObject(g, {"e": 1.0}, {"a": ("3",)}), "omega.a[0]"),
+    (lambda g: MycObject(g, {"e": 1.0}, {"a": (1.0, False)}), "omega.a[1]"),
+], ids=["string-rho", "bool-rho", "word-rho", "string-phi", "bool-sigma", "string-omega",
+        "bool-omega"])
+def test_state_numbers_are_read_as_the_wire_reads_them(build, field):
+    # a string or bool was coerced by float() (or raised a bare ValueError)
+    with pytest.raises(ShapeError, match=rf"^{re.escape(field)}: must be a number, got "):
+        build(AttributedGraph(("a",), (("e", ("a", "a")),)))
+
+
+def test_state_numbers_keep_their_bits():
+    g = AttributedGraph(("a", "b"), (("e", ("a", "b")),))
+    x = np.float64(0.1) * 3
+    env = EnvObject(g, {"a": x, "b": 1}, {"a": (x,), "b": (np.float32(0.5),)}, Constraints())
+    net = MycObject(g, {"e": x}, {"a": (x,), "b": (2,)})
+    for value in (env.rho["a"], env.phi["a"][0], net.sigma["e"], net.omega["a"][0]):
+        assert type(value) is float and value == x
+    assert env.rho["b"] == net.omega["b"][0] - 1.0 == 1.0 and env.phi["b"] == (0.5,)
+
+
 def test_field_rule_numbers_are_floats():
-    rule = FieldRule(POINTWISE_ADD, delta={"a": 1, "b": np.float64(0.5)}, factor=2)
+    rule = FieldRule(delta={"a": 1, "b": np.float64(0.5)}, factor=2)
     assert rule.factor == 2.0 and type(rule.factor) is float
     assert rule.delta == {"a": 1.0, "b": 0.5}
     assert all(type(d) is float for d in rule.delta.values())

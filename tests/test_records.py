@@ -101,10 +101,10 @@ RECORDS = {
     EnvBatch: lambda: {
         "graph": single(), "chi": Constraints(), "fields": np.array([[[1.0, 0.5]]])
     },
-    FieldRule: lambda: {"tag": envmyc.POINTWISE_ADD, "delta": {"a": 0.5}},
+    FieldRule: lambda: {"delta": {"a": 0.5}},
     EnvMorphism: lambda: {
-        "fg": identity_morphism(single()), "rho_rule": FieldRule(envmyc.PUSHFORWARD),
-        "phi_rules": [FieldRule(envmyc.RESCALE, factor=2.0)],
+        "fg": identity_morphism(single()), "rho_rule": FieldRule(),
+        "phi_rules": [FieldRule(factor=2.0)],
     },
     MycObject: lambda: {"graph": pair(), "sigma": {"e": 1.0}, "omega": {"a": (1,), "b": (2,)}},
     DistanceWeights: lambda: {"omega": 1.0, "sigma": 2.0, "structure": 3.0},

@@ -44,8 +44,11 @@ class Mutant(NamedTuple):
 
 ENVMYC = "src/mycocat/envmyc.py"
 GRAPHS = "src/mycocat/graphs.py"
+KERNELS = "src/mycocat/kernels.py"
 ENV_TESTS = ("tests/test_envmyc.py",)
 GRAPH_TESTS = ("tests/test_graphs.py",)
+KERNEL_TESTS = ("tests/test_kernels.py",)
+RECORD_TESTS = ("tests/test_records.py",)
 
 MUTANTS = (
     # the refusals of the environment layer
@@ -56,14 +59,51 @@ MUTANTS = (
     ),
     Mutant(
         "field-rule-delta-unread", ENVMYC,
-        'delta = {w: read_number(d, f"delta.{w}") for w, d in dict(delta).items()}',
-        "delta = dict(delta)",
+        'delta = {w: read_number(d, f"delta.{w}") for w, d in dict(delta or {}).items()}',
+        "delta = dict(delta or {})",
+        ENV_TESTS,
+    ),
+    Mutant(
+        "field-rule-apply-unknown-source", ENVMYC,
+        "        if not values.keys() <= node_map.keys():\n",
+        "        if False:\n",
         ENV_TESTS,
     ),
     Mutant(
         "compose-unknown-first-delta", ENVMYC,
-        "            if v not in second_fg.node_map:\n",
-        "            if False:\n",
+        "        if v not in second_fg.node_map:\n",
+        "        if False:\n",
+        ENV_TESTS,
+    ),
+    Mutant(
+        "constraints-interval-unread", ENVMYC,
+        '    return read_tuple(raw, field, "a [lo, hi] pair of numbers", read_number, read_number)\n',
+        "    return tuple(raw)\n",
+        ENV_TESTS,
+    ),
+    Mutant(
+        "constraints-budget-unread", ENVMYC,
+        '        budget = read_number(budget, "budget")\n', "",
+        ENV_TESTS,
+    ),
+    Mutant(
+        "env-rho-unread", ENVMYC,
+        'read_number(rho[v], f"rho.{v}")', "float(rho[v])",
+        ENV_TESTS,
+    ),
+    Mutant(
+        "env-phi-unread", ENVMYC,
+        'read_number(x, f"phi.{v}[{i}]")', "float(x)",
+        ENV_TESTS,
+    ),
+    Mutant(
+        "myc-sigma-unread", ENVMYC,
+        'read_number(sigma[e], f"sigma.{e}")', "float(sigma[e])",
+        ENV_TESTS,
+    ),
+    Mutant(
+        "myc-omega-unread", ENVMYC,
+        'read_number(x, f"omega.{v}[{i}]")', "float(x)",
         ENV_TESTS,
     ),
     Mutant(
@@ -79,7 +119,7 @@ MUTANTS = (
         "",
         ENV_TESTS,
     ),
-    # the environment row and the one pushforward
+    # the environment row and the one affine field rule
     Mutant(
         "env-row-column-order", ENVMYC,
         "row = np.array([(rho[v], *phi[v]) for v in nodes]",
@@ -87,9 +127,19 @@ MUTANTS = (
         ENV_TESTS,
     ),
     Mutant(
+        "field-rule-apply-skips-factor", ENVMYC,
+        "        pushed = {w: x * self.factor for w, x in pushed.items()}\n", "",
+        ENV_TESTS,
+    ),
+    Mutant(
         "compose-drops-second-delta", ENVMYC,
-        "FieldRule(POINTWISE_ADD, delta=second.delta).apply(",
-        "FieldRule(POINTWISE_ADD).apply(",
+        "pushed = second.apply(first.delta, second_fg)",
+        "pushed = FieldRule(factor=second.factor).apply(first.delta, second_fg)",
+        ENV_TESTS,
+    ),
+    Mutant(
+        "compose-keeps-second-factor", ENVMYC,
+        "factor=first.factor * second.factor", "factor=second.factor",
         ENV_TESTS,
     ),
     # the exact pushout decision's conditions
@@ -98,6 +148,11 @@ MUTANTS = (
         "    if not (is_monomorphism(inj_b) and is_monomorphism(inj_c)):\n"
         "        return False\n",
         "",
+        GRAPH_TESTS,
+    ),
+    Mutant(
+        "pushout-node-surjectivity", GRAPHS,
+        "        nodes_b | nodes_c == obj.node_set\n", "        True\n",
         GRAPH_TESTS,
     ),
     Mutant(
@@ -115,12 +170,42 @@ MUTANTS = (
         "        and edges_b & edges_c == apex_edges\n", "",
         GRAPH_TESTS,
     ),
-    # records compare within one class only
+    # the matrix exponential's refusals and its triangular 2 x 2 path
+    Mutant(
+        "expm-non-finite-member", KERNELS,
+        "    if far.any() and not np.isfinite(a[far]).all():\n",
+        "    if False:\n",
+        KERNEL_TESTS,
+    ),
+    Mutant(
+        "expm-overflowing-result", KERNELS,
+        "    if not np.isfinite(r).all():\n",
+        "    if False:\n",
+        KERNEL_TESTS,
+    ),
+    Mutant(
+        "expm-upper-triangular-only", KERNELS,
+        "triangular = far & ((a[:, 0, 1] == 0) | (a[:, 1, 0] == 0))",
+        "triangular = far & (a[:, 1, 0] == 0)",
+        KERNEL_TESTS,
+    ),
+    # records compare within one class only, and refuse assignment
     Mutant(
         "record-equality-across-classes", "src/mycocat/errors.py",
         "        if other.__class__ is self.__class__:\n",
         "        if isinstance(other, Record):\n",
-        ("tests/test_records.py",),
+        RECORD_TESTS,
+    ),
+    Mutant(
+        "record-one-field-values-bare", "src/mycocat/errors.py",
+        "get if len(cls._fields) > 1 else lambda r: (get(r),)", "get",
+        RECORD_TESTS,
+    ),
+    Mutant(
+        "record-assignment-allowed", "src/mycocat/errors.py",
+        '        raise FrozenRecordError(f"cannot assign to field {name!r}")\n',
+        "        object.__setattr__(self, name, value)\n",
+        RECORD_TESTS,
     ),
 )
 
