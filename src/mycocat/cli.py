@@ -9,7 +9,8 @@ Subcommands::
     mycocat check-laws <suite.json>         run a configured law battery
 
 Every subcommand takes ``--out-dir``; ``order-scan``, ``worked-example``
-and ``check-laws``, which draw random samples, take ``--seed``; only
+and ``check-laws``, which draw random samples, take ``--seed``, which
+replaces the seed of the config once it is read and checked; only
 ``check-laws`` takes ``--tol``. The environment variables
 ``MYCOCAT_OUT_DIR`` and ``MYCOCAT_SEED`` supply defaults when the flags
 are absent. All files are written atomically (temp file then rename),
@@ -195,7 +196,9 @@ def _print_scan(report: AsymmetryReport, label: str) -> None:
 def cmd_order_scan(args) -> int:
     from .experiments import ExposureExperiment, run_order_asymmetry_scan
 
-    exp = ExposureExperiment.from_json(load_json(args.experiment), args.seed)
+    exp = ExposureExperiment.from_json(load_json(args.experiment))
+    if args.seed is not None:
+        exp = exp.replace(seed=args.seed)
     report = run_order_asymmetry_scan(exp)
     out_dir = Path(args.out_dir)
     write_json(out_dir / "order_scan.json", report.to_json())

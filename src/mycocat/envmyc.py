@@ -129,14 +129,18 @@ class Constraints(Record):
     def from_json(cls, data: Mapping, field: str = "") -> "Constraints":
         """The record in the wire format: ``humidity`` and ``temperature``
         each a ``[lo, hi]`` pair of numbers, ``phi_bounds`` a list of such
-        pairs and ``budget`` a number; absent keys keep the defaults and
-        other keys are ignored. The constructor reads the values: its
+        pairs and ``budget`` a number; absent keys keep the defaults, and
+        any other key raises :class:`ShapeError` naming it (``chi.budjet:
+        unknown key``). The constructor reads the values: its
         :class:`ShapeError` or :class:`ParameterError` is raised with the
         field it names prefixed by ``field`` (``"chi."`` names
         ``chi.budget``)."""
         data = read_object(data, field[:-1] or "chi")
+        for key in data:
+            if key not in cls._fields:
+                raise ShapeError(f"{field}{key}: unknown key")
         try:
-            return cls(**{key: data[key] for key in cls._fields if key in data})
+            return cls(**data)
         except (ShapeError, ParameterError) as exc:  # the message starts with the field
             raise type(exc)(f"{field}{exc}") from exc
 
@@ -144,10 +148,12 @@ class Constraints(Record):
 class EnvObject(Record):
     """Substrate graph plus resource field, chemical field, and constraints;
     ``rho`` and ``phi`` are kept in node declaration order and must be
-    admissible (see :func:`_first_violation`). Each value is read as a
-    number, as :meth:`from_json` reads it: one that is not (a string, a
-    bool) raises :class:`ShapeError` naming ``rho.<node>`` or
-    ``phi.<node>[i]``.
+    admissible (see :func:`_first_violation`). Each value is read as
+    :meth:`from_json` reads it: a ``rho`` value as a number and a ``phi``
+    vector as a list or tuple of numbers. A value that is not a number (a
+    string, a bool) raises :class:`ShapeError` naming ``rho.<node>`` or
+    ``phi.<node>[i]``, and a vector that is not a list or tuple (a number,
+    a string, a numpy array) one naming ``phi.<node>``.
 
     The fields are checked as one (N, 1 + k) float64 row, node by node: rho,
     then the k chemical channels. The environment keeps that row, read-only,
@@ -167,10 +173,7 @@ class EnvObject(Record):
             raise ShapeError("rho and phi must be defined on exactly the graph nodes")
         # node declaration order, the order of a batch's fields and the wire
         rho = {v: read_number(rho[v], f"rho.{v}") for v in nodes}
-        phi = {
-            v: tuple(read_number(x, f"phi.{v}[{i}]") for i, x in enumerate(phi[v]))
-            for v in nodes
-        }
+        phi = {v: read_numbers(phi[v], f"phi.{v}") for v in nodes}
         k = chi.channels
         for v, vec in phi.items():
             if len(vec) != k:
@@ -553,11 +556,14 @@ def env_distance(e1: EnvObject, e2: EnvObject) -> float:
 
 class MycObject(Record):
     """Connected network with edge conductivities and node feature vectors,
-    kept in graph declaration order. Each value is read as a number, as
-    :meth:`from_json` reads it: one that is not (a string, a bool) raises
-    :class:`ShapeError` naming ``sigma.<edge>`` or ``omega.<node>[i]``. The
-    first conductivity that is not finite and nonnegative, or feature that
-    is not finite, raises :class:`ParameterError` naming it."""
+    kept in graph declaration order. Each value is read as
+    :meth:`from_json` reads it: a ``sigma`` value as a number and an
+    ``omega`` vector as a list or tuple of numbers. A value that is not a
+    number (a string, a bool) raises :class:`ShapeError` naming
+    ``sigma.<edge>`` or ``omega.<node>[i]``, and a vector that is not a list
+    or tuple (a number, a string, a numpy array) one naming ``omega.<node>``.
+    The first conductivity that is not finite and nonnegative, or feature
+    that is not finite, raises :class:`ParameterError` naming it."""
 
     def __init__(
         self,
@@ -573,10 +579,7 @@ class MycObject(Record):
             raise ShapeError("omega must be defined on exactly the graph nodes")
         # declaration order, the order of the wire and of every distance sum
         sigma = {e: read_number(sigma[e], f"sigma.{e}") for e in graph.edge_ids}
-        omega = {
-            v: tuple(read_number(x, f"omega.{v}[{i}]") for i, x in enumerate(omega[v]))
-            for v in graph.nodes
-        }
+        omega = {v: read_numbers(omega[v], f"omega.{v}") for v in graph.nodes}
         for e, x in sigma.items():
             if not 0.0 <= x < math.inf:
                 raise ParameterError(
@@ -636,15 +639,19 @@ class MycObject(Record):
 
 
 class DistanceWeights(Record):
+    """Weights of the feature (``omega``), conductivity (``sigma``) and
+    structure terms of :func:`myc_distance`. Each is read as a number; one
+    that is not (a string, a bool) raises :class:`ShapeError` naming it."""
+
     def __init__(self, omega: float = 1.0, sigma: float = 1.0, structure: float = 1.0):
-        weights = (omega, sigma, structure)
+        weights = tuple(map(read_number, (omega, sigma, structure), self._fields))
         if not all(w >= 0 for w in weights):
             raise ParameterError(f"distance weights must be nonnegative numbers, got {weights}")
         # an infinite weight times a zero component is NaN: every distance
         # that weight touches would read NaN
         if math.inf in weights:
             raise ParameterError(f"distance weights must be finite, got {weights}")
-        vars(self).update(omega=omega, sigma=sigma, structure=structure)
+        vars(self).update(zip(self._fields, weights))
 
 
 def myc_distance(

@@ -61,8 +61,10 @@ from .readers import (
     _require_finite,
     _require_nonnegative,
     _require_positive,
+    read_integer,
     read_key,
     read_like,
+    read_number,
     read_numbers,
     read_object,
     read_wire,
@@ -174,9 +176,14 @@ def initial_state(layout: StateLayout, seed: int) -> InternalState:
 
 
 class PulseTemplate(Record):
-    """Single-channel pulse: which channel, at what base amplitude/duration."""
+    """Single-channel pulse: which channel, at what base amplitude/duration.
+    The channel is read as an integer and the amplitude and duration as
+    numbers; a value that is not one (a string, a bool) raises
+    :class:`ShapeError` naming its field."""
 
     def __init__(self, channel: int, amplitude: float = 1.0, duration: float = 1.0):
+        channel = read_integer(channel, "channel")
+        amplitude, duration = read_number(amplitude, "amplitude"), read_number(duration, "duration")
         vars(self).update(channel=channel, amplitude=amplitude, duration=duration)
 
     def program(self, eps: float, scaling: str, channels: int) -> Program:
@@ -384,7 +391,10 @@ def fit_loglog_slope(rows: Sequence[tuple[float, float]]) -> FitResult:
 
 
 class ExposureExperiment(Record):
-    """A two-pulse order-asymmetry scan over a grid of exposure scales."""
+    """A two-pulse order-asymmetry scan over a grid of exposure scales.
+    ``eps_grid`` is read as a list of numbers and ``seed`` as an integer;
+    a value that is not one (a string, a bool) raises :class:`ShapeError`
+    naming it."""
 
     def __init__(
         self,
@@ -396,10 +406,10 @@ class ExposureExperiment(Record):
         weights: DistanceWeights = DistanceWeights(),
         seed: int = 12345,
     ):
-        grid = tuple(float(e) for e in eps_grid)
+        grid = read_numbers(eps_grid, "eps_grid")
         vars(self).update(
             species=species, pulse_p=pulse_p, pulse_q=pulse_q, eps_grid=grid,
-            scaling=scaling, weights=weights, seed=seed,
+            scaling=scaling, weights=weights, seed=read_integer(seed, "seed"),
         )
         if len(grid) < 4:
             raise ConfigError("eps_grid: need at least 4 points")
@@ -418,17 +428,12 @@ class ExposureExperiment(Record):
         _check_pulse_channels(self, self.species.dynamics.channels)
 
     @classmethod
-    def from_json(
-        cls, data: Mapping, seed_override: int | None = None
-    ) -> "ExposureExperiment":
-        """Experiment from an ``order-scan`` config. Absent keys take the
-        constructor's defaults, and ``species`` the reference species;
-        ``seed_override``, when given, replaces the seed."""
+    def from_json(cls, data: Mapping) -> "ExposureExperiment":
+        """Experiment from an ``order-scan`` config, read and checked whole.
+        Absent keys take the constructor's defaults, and ``species`` the
+        reference species; a ``--seed`` replaces the seed of the result."""
         defaults = {**_defaults(cls), "species": reference_species()}
-        kwargs = {**defaults, **_config_kwargs(data, defaults)}
-        if seed_override is not None:
-            kwargs["seed"] = seed_override
-        return cls(**kwargs)
+        return cls(**{**defaults, **_config_kwargs(data, defaults)})
 
 
 # WorkedExampleConfig's pulses, grid and seed default to the scan's.
@@ -607,7 +612,7 @@ class WorkedExampleConfig(Record):
         vars(self).update(
             n_sites=n_sites, channels=channels, sigma=sigma, coupling=coupling,
             pulse_p=pulse_p, pulse_q=pulse_q, eps_grid=eps_grid, scaling_modes=scaling_modes,
-            weights=weights, seed=seed, functor_samples=functor_samples,
+            weights=weights, seed=read_integer(seed, "seed"), functor_samples=functor_samples,
             functor_tol=functor_tol, compat_pulses=compat_pulses, compat_tol=compat_tol,
         )
         _require_positive(vars(self), ("n_sites", "channels"))

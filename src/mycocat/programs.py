@@ -51,13 +51,15 @@ from .readers import (
 class Program(Record):
     """Piecewise-constant control signal; the empty tuple is the null program.
 
-    A piece that is not a (length, controls) pair of numbers raises
-    :class:`ShapeError` naming ``pieces``."""
+    Each length and control is read as a number, as :meth:`from_json` reads
+    it: a piece that is not a (length, controls) pair, or holds a value that
+    is not a number (a string, a bool), raises :class:`ShapeError` naming
+    ``pieces``."""
 
     def __init__(self, pieces: tuple[tuple[float, tuple[float, ...]], ...] = ()):
         try:
             pieces = tuple(
-                (float(length), tuple(float(u) for u in control))
+                (read_number(length, "pieces"), tuple(read_number(u, "pieces") for u in control))
                 for length, control in pieces
             )
         except (TypeError, ValueError):
@@ -279,9 +281,12 @@ class StateLayout(Record):
 
     Index order is node-major in the declaration order of the observation
     graph: index = node_position * feature_count + feature_index.
+    ``feature_count`` is read as an integer (3.0 reads as 3); one that is
+    not (a string, a bool, a fraction) raises :class:`ShapeError`.
     """
 
     def __init__(self, graph: AttributedGraph, feature_count: int):
+        feature_count = read_integer(feature_count, "feature_count")
         if feature_count < 1:
             raise ParameterError("feature_count must be positive")
         vars(self).update(graph=graph, feature_count=feature_count)

@@ -140,6 +140,23 @@ class TestOrderScanCommand:
         assert csv_bytes.startswith(b"eps,delta\r\n")  # RFC 4180 line endings
         assert len(csv_bytes.strip().splitlines()) == 6  # header + 5 rows
 
+    def test_seed_flag_replaces_the_configured_seed(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("MYCOCAT_SEED", raising=False)
+        config = {"species": {"n_sites": 2}, "seed": 7}
+        runs = {
+            "flag": (config, ["--seed", "5"]),
+            "config": ({**config, "seed": 5}, []),
+            "unflagged": (config, []),
+        }
+        reports = {}
+        for name, (data, flags) in runs.items():
+            path = write(tmp_path / f"{name}.json", data)
+            out = tmp_path / name
+            assert run_cli(["order-scan", path, *flags, "--out-dir", str(out)]) == 0
+            reports[name] = (out / "order_scan.json").read_bytes()
+        assert reports["flag"] == reports["config"] != reports["unflagged"]
+        assert json.loads(reports["flag"])["seed"] == 5
+
 
 class TestWorkedExampleCommand:
     def test_default_run_passes(self, tmp_path, capsys):
@@ -671,6 +688,14 @@ EXPLICIT_SPECIES = {
         pytest.param(
             ["order-scan", CONFIG], {**SMALL_SPECIES, "seed": -1}, {},
             "error: seed: must be nonnegative, got -1", id="scan-negative-seed",
+        ),
+        pytest.param(
+            ["order-scan", CONFIG, "--seed", "5"], {**SMALL_SPECIES, "seed": -1}, {},
+            "error: seed: must be nonnegative, got -1", id="scan-negative-seed-under-flag",
+        ),
+        pytest.param(
+            ["order-scan", CONFIG], {**SMALL_SPECIES, "seed": -1}, {"MYCOCAT_SEED": "5"},
+            "error: seed: must be nonnegative, got -1", id="scan-negative-seed-under-env",
         ),
         pytest.param(
             ["check-laws", CONFIG],

@@ -616,6 +616,28 @@ def test_state_numbers_are_read_as_the_wire_reads_them(build, field):
         build(AttributedGraph(("a",), (("e", ("a", "a")),)))
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda g: EnvObject(g, {"a": 1.0}, {"a": 0.5}, Constraints()),
+     "phi.a: must be a list of numbers, got 0.5"),
+    (lambda g: EnvObject(g, {"a": 1.0}, {"a": "0"}, Constraints()),
+     "phi.a: must be a list of numbers, got '0'"),
+    (lambda g: EnvObject(g, {"a": 1.0}, {"a": np.array([0.5])}, Constraints()),
+     "phi.a: must be a list of numbers, got array([0.5])"),
+    (lambda g: MycObject(g, {"e": 1.0}, {"a": 2.0}),
+     "omega.a: must be a list of numbers, got 2.0"),
+    (lambda g: MycObject(g, {"e": 1.0}, {"a": "12"}),
+     "omega.a: must be a list of numbers, got '12'"),
+    (lambda g: MycObject(g, {"e": 1.0}, {"a": np.array([2.0])}),
+     "omega.a: must be a list of numbers, got array([2.])"),
+], ids=["scalar-phi", "string-phi", "array-phi", "scalar-omega", "string-omega", "array-omega"])
+def test_state_vectors_are_read_as_the_wire_reads_them(build, message):
+    # a scalar raised a bare TypeError and a string was read character by
+    # character; a vector is a list or tuple, as on the wire
+    with pytest.raises(ShapeError) as exc:
+        build(AttributedGraph(("a",), (("e", ("a", "a")),)))
+    assert str(exc.value) == message
+
+
 def test_state_numbers_keep_their_bits():
     g = AttributedGraph(("a", "b"), (("e", ("a", "b")),))
     x = np.float64(0.1) * 3

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from mycocat import experiments, kernels
 from mycocat.cli import main, read_suite_entry
-from mycocat.errors import ConfigError, InsufficientDataError, ParameterError
+from mycocat.errors import ConfigError, InsufficientDataError, ParameterError, ShapeError
 from mycocat.experiments import (
     DELTA_FLOOR,
     MAX_DYNAMICS_BYTES,
@@ -28,7 +28,7 @@ from mycocat.experiments import (
     wide_environment,
 )
 from mycocat.readers import MAX_SAMPLES
-from mycocat.envmyc import Constraints, EnvObject, myc_distance
+from mycocat.envmyc import Constraints, DistanceWeights, EnvObject, myc_distance
 from mycocat.laws import SpeciesFunctor, field_writeback
 from mycocat.liealg import estimate_generator
 from mycocat.programs import (
@@ -126,6 +126,51 @@ class TestFitLoglogSlope:
             fit_loglog_slope([(0.1, 0.01), (0.05, delta), (0.01, 1e-4), (0.02, 4e-4)])
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: PulseTemplate(0, amplitude="x"), "amplitude: must be a number, got 'x'"),
+        (lambda: PulseTemplate(0, duration=True), "duration: must be a number, got True"),
+        (lambda: PulseTemplate("0"), "channel: must be an integer, got '0'"),
+        (lambda: PulseTemplate(True), "channel: must be an integer, got True"),
+        (lambda: DistanceWeights("1"), "omega: must be a number, got '1'"),
+        (lambda: DistanceWeights(1.0, 1.0, True), "structure: must be a number, got True"),
+        (lambda: StateLayout(electrode_array(2), "3"),
+         "feature_count: must be an integer, got '3'"),
+        (lambda: StateLayout(electrode_array(2), True),
+         "feature_count: must be an integer, got True"),
+        (lambda: StateLayout(electrode_array(2), 2.5),
+         "feature_count: must be an integer, got 2.5"),
+        (lambda: experiment(seed="1"), "seed: must be an integer, got '1'"),
+        (lambda: experiment(seed=1.5), "seed: must be an integer, got 1.5"),
+        (lambda: WorkedExampleConfig(seed="1"), "seed: must be an integer, got '1'"),
+        (lambda: WorkedExampleConfig(seed=1.5), "seed: must be an integer, got 1.5"),
+    ],
+    ids=[
+        "pulse-string-amplitude", "pulse-bool-duration", "pulse-string-channel",
+        "pulse-bool-channel", "weights-string", "weights-bool", "layout-string-features",
+        "layout-bool-features", "layout-fractional-features", "scan-string-seed",
+        "scan-fractional-seed", "worked-example-string-seed", "worked-example-fractional-seed",
+    ],
+)
+def test_code_built_records_read_their_numbers(build, message):
+    # each was a bare TypeError, or was stored and failed later, or was
+    # coerced (True as channel 1, a layout of dimension 2 or 5.0)
+    with pytest.raises(ShapeError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+def test_code_built_records_store_read_numbers():
+    pulse = PulseTemplate(1.0, amplitude=2, duration=np.float64(0.5))
+    assert (pulse.channel, pulse.amplitude, pulse.duration) == (1, 2.0, 0.5)
+    assert type(pulse.channel) is int and type(pulse.amplitude) is float
+    assert StateLayout(electrode_array(2), 3.0).dim == 6
+    weights = DistanceWeights(1, np.float64(2.0), 3)
+    assert all(type(w) is float for w in (weights.omega, weights.sigma, weights.structure))
+    assert experiment(seed=np.int64(7)).seed == 7 == WorkedExampleConfig(seed=7.0).seed
+
+
 def experiment(coupling="noncommuting", scaling="amplitude", **kwargs):
     species = reference_species(n_sites=2, channels=2, features=3, coupling=coupling)
     return ExposureExperiment(
@@ -149,6 +194,14 @@ class TestExperimentValidation:
     def test_grid_needs_a_decade(self):
         with pytest.raises(ConfigError):
             experiment(eps_grid=(0.2, 0.15, 0.1, 0.05))
+
+    @pytest.mark.parametrize("first, shown", [("0.2", "'0.2'"), (True, "True")],
+                             ids=["string", "bool"])
+    def test_grid_entries_are_read_as_numbers(self, first, shown):
+        # float() read "0.2" as 0.2 and True as 1.0, and the scan ran
+        with pytest.raises(ShapeError) as exc:
+            experiment(eps_grid=(first, 0.1, 0.05, 0.02, 0.01))
+        assert str(exc.value) == f"eps_grid[0]: must be a number, got {shown}"
 
     @pytest.mark.parametrize("last", [0.0, -0.01])
     def test_grid_must_be_positive(self, last):

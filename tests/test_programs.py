@@ -130,6 +130,29 @@ def test_malformed_pieces_built_in_code_are_shape_errors(build, field):
         build()
 
 
+@pytest.mark.parametrize(
+    "pieces, shown",
+    [
+        (((True, (2.0,)),), "True"),
+        (((1.0, ("2",)),), "'2'"),
+        (((1.0, (1.0, False)),), "False"),
+        (((1.0, "12"),), "'1'"),
+    ],
+    ids=["bool-length", "string-control", "bool-control", "string-controls"],
+)
+def test_program_numbers_are_read_as_the_wire_reads_them(pieces, shown):
+    # float() read True as 1.0 and "2" as 2.0
+    with pytest.raises(ShapeError) as exc:
+        Program(pieces)
+    assert str(exc.value) == f"pieces: must be a number, got {shown}"
+
+
+def test_program_numbers_are_stored_as_floats():
+    p = Program(((1, (np.float64(0.5), 2)),))
+    assert p.pieces == ((1.0, (0.5, 2.0)),)
+    assert all(type(x) is float for x in (p.pieces[0][0], *p.pieces[0][1]))
+
+
 class TestReferenceDynamicsCopies:
     """The dynamics keep their own read-only copy of drift and controls."""
 

@@ -209,7 +209,9 @@ CONSTRUCTOR_REFUSALS = [
         ({"budget": True}, "chi.budget: must be a number, got True"),
         ({"budget": "5"}, "chi.budget: must be a number, got '5'"),
         ([1.0], "chi: must be a JSON object, got list"),
-    ] + CONSTRUCTOR_REFUSALS,
+    ] + CONSTRUCTOR_REFUSALS + [
+        ({"budjet": 5.0, "budget": 1.0}, "chi.budjet: unknown key"),
+    ],
 )
 def test_constraints_reader_names_the_field(chi, message):
     error = ParameterError if (chi, message) in CONSTRUCTOR_REFUSALS else ShapeError

@@ -28,6 +28,7 @@ COMMANDS = {
         "sample_inputs/program_pulse.json", "sample_inputs/state_pair.json",
     ],
     "order-scan": ["order-scan", "sample_inputs/order_scan.json"],
+    "order-scan-seed-5": ["order-scan", "sample_inputs/order_scan.json", "--seed", "5"],
     "worked-example": ["worked-example"],
     "worked-example-seed-5": ["worked-example", "--seed", "5"],
     "worked-example-amplitude": ["worked-example", "--scaling", "amplitude"],

@@ -43,11 +43,15 @@ class Mutant(NamedTuple):
 
 
 ENVMYC = "src/mycocat/envmyc.py"
+EXPERIMENTS = "src/mycocat/experiments.py"
 GRAPHS = "src/mycocat/graphs.py"
 KERNELS = "src/mycocat/kernels.py"
+PROGRAMS = "src/mycocat/programs.py"
 ENV_TESTS = ("tests/test_envmyc.py",)
+EXPERIMENT_TESTS = ("tests/test_experiments.py",)
 GRAPH_TESTS = ("tests/test_graphs.py",)
 KERNEL_TESTS = ("tests/test_kernels.py",)
+PROGRAM_TESTS = ("tests/test_programs.py",)
 RECORD_TESTS = ("tests/test_records.py",)
 
 MUTANTS = (
@@ -93,7 +97,7 @@ MUTANTS = (
     ),
     Mutant(
         "env-phi-unread", ENVMYC,
-        'read_number(x, f"phi.{v}[{i}]")', "float(x)",
+        'read_numbers(phi[v], f"phi.{v}")', "tuple(map(float, phi[v]))",
         ENV_TESTS,
     ),
     Mutant(
@@ -103,8 +107,19 @@ MUTANTS = (
     ),
     Mutant(
         "myc-omega-unread", ENVMYC,
-        'read_number(x, f"omega.{v}[{i}]")', "float(x)",
+        'read_numbers(omega[v], f"omega.{v}")', "tuple(map(float, omega[v]))",
         ENV_TESTS,
+    ),
+    Mutant(
+        "constraints-unknown-key", ENVMYC,
+        "            if key not in cls._fields:\n", "            if False:\n",
+        ("tests/test_wire_formats.py",),
+    ),
+    Mutant(
+        "distance-weights-unread", ENVMYC,
+        "weights = tuple(map(read_number, (omega, sigma, structure), self._fields))",
+        "weights = (omega, sigma, structure)",
+        EXPERIMENT_TESTS,
     ),
     Mutant(
         "compose-different-constraint-maps", ENVMYC,
@@ -141,6 +156,51 @@ MUTANTS = (
         "compose-keeps-second-factor", ENVMYC,
         "factor=first.factor * second.factor", "factor=second.factor",
         ENV_TESTS,
+    ),
+    # code-built programs, layouts and experiments read their numbers
+    Mutant(
+        "program-numbers-unread", PROGRAMS,
+        '(read_number(length, "pieces"), tuple(read_number(u, "pieces") for u in control))',
+        "(float(length), tuple(float(u) for u in control))",
+        PROGRAM_TESTS,
+    ),
+    Mutant(
+        "layout-features-unread", PROGRAMS,
+        '        feature_count = read_integer(feature_count, "feature_count")\n', "",
+        EXPERIMENT_TESTS,
+    ),
+    Mutant(
+        "pulse-channel-unread", EXPERIMENTS,
+        '        channel = read_integer(channel, "channel")\n', "",
+        EXPERIMENT_TESTS,
+    ),
+    Mutant(
+        "pulse-amplitude-unread", EXPERIMENTS,
+        'amplitude, duration = read_number(amplitude, "amplitude"), read_number(duration, "duration")',
+        "amplitude, duration = amplitude, duration",
+        EXPERIMENT_TESTS,
+    ),
+    Mutant(
+        "eps-grid-unread", EXPERIMENTS,
+        'grid = read_numbers(eps_grid, "eps_grid")', "grid = tuple(float(e) for e in eps_grid)",
+        EXPERIMENT_TESTS,
+    ),
+    Mutant(
+        "scan-seed-unread", EXPERIMENTS,
+        'weights=weights, seed=read_integer(seed, "seed"),\n        )',
+        "weights=weights, seed=seed,\n        )",
+        EXPERIMENT_TESTS,
+    ),
+    Mutant(
+        "worked-example-seed-unread", EXPERIMENTS,
+        'seed=read_integer(seed, "seed"), functor_samples', "seed=seed, functor_samples",
+        EXPERIMENT_TESTS,
+    ),
+    # --seed replaces the seed of a config already read, on every subcommand
+    Mutant(
+        "order-scan-ignores-seed", "src/mycocat/cli.py",
+        "        exp = exp.replace(seed=args.seed)\n", "        pass\n",
+        ("tests/test_cli.py",),
     ),
     # the exact pushout decision's conditions
     Mutant(
