@@ -148,7 +148,17 @@ def reference_species(
     coupling: str = "noncommuting",
     label: str = "reference",
 ) -> SpeciesFunctor:
-    """Drift-free bilinear species over a linear electrode array."""
+    """Drift-free bilinear species over a linear electrode array.
+    ``n_sites``, ``channels`` and ``features`` are read as integers (3.0
+    reads as 3; :class:`ShapeError` naming the one that is not); an
+    ``n_sites`` or ``features`` below 1 raises :class:`ParameterError`
+    naming it."""
+    n_sites = read_integer(n_sites, "n_sites")
+    channels = read_integer(channels, "channels")
+    features = read_integer(features, "features")
+    for name, size in (("n_sites", n_sites), ("features", features)):
+        if size < 1:
+            raise ParameterError(f"{name}: must be positive, got {size}")
     layout = StateLayout(electrode_array(n_sites), features)
     dyn = ReferenceDynamics(
         np.zeros((layout.dim, layout.dim)),
@@ -584,7 +594,12 @@ def run_order_asymmetry_scan(exp: ExposureExperiment) -> AsymmetryReport:
 
 
 class WorkedExampleConfig(Record):
-    """Configuration of the two-pulse protocol on a linear electrode array."""
+    """Configuration of the two-pulse protocol on a linear electrode array.
+
+    Each size and count (``n_sites``, ``channels``, ``functor_samples``,
+    ``compat_pulses``) and ``seed`` is read as an integer (3.0 reads as 3);
+    one that is not (a string, a bool, a fraction) raises
+    :class:`ShapeError` naming it."""
 
     @property
     def features(self) -> int:
@@ -610,10 +625,12 @@ class WorkedExampleConfig(Record):
         compat_tol: float = 1e-8,
     ):
         vars(self).update(
-            n_sites=n_sites, channels=channels, sigma=sigma, coupling=coupling,
-            pulse_p=pulse_p, pulse_q=pulse_q, eps_grid=eps_grid, scaling_modes=scaling_modes,
-            weights=weights, seed=read_integer(seed, "seed"), functor_samples=functor_samples,
-            functor_tol=functor_tol, compat_pulses=compat_pulses, compat_tol=compat_tol,
+            n_sites=read_integer(n_sites, "n_sites"), channels=read_integer(channels, "channels"),
+            sigma=sigma, coupling=coupling, pulse_p=pulse_p, pulse_q=pulse_q, eps_grid=eps_grid,
+            scaling_modes=scaling_modes, weights=weights, seed=read_integer(seed, "seed"),
+            functor_samples=read_integer(functor_samples, "functor_samples"),
+            functor_tol=functor_tol, compat_pulses=read_integer(compat_pulses, "compat_pulses"),
+            compat_tol=compat_tol,
         )
         _require_positive(vars(self), ("n_sites", "channels"))
         _require_counts(vars(self), ("functor_samples", "compat_pulses"))

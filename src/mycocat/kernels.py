@@ -50,17 +50,21 @@ Algorithms:
 - Flows: one routine, ``_block_flows``, computes the class flows of P
   programs whose pieces are listed back to back: every piece of every
   block class goes through a single ``expm`` call, then each program's
-  pieces are multiplied in time order. It has two callers.
-  ``apply_flows`` runs it on runs of consecutive programs whose piece
-  stack fits in ``FLOW_BYTES`` (every flow batch of the shipped workloads
-  is one run) and applies each block's class flow, indexed by
-  ``Blocks.kind``, directly to its vector's block sub-vector (the law
-  checks and the scans' rows). ``piecewise_flow`` runs it on one program
-  and scatters the flow to n x n (``programs.flow_matrix``, which
-  ``liealg.estimate_generator`` logs). The order-asymmetry
-  scan's commutator diagnostic takes no flow: it reads its two pulse
-  generators from ``_generators``, the routine that builds every piece's
-  generator for ``_block_flows``.
+  pieces are multiplied in time order (a batch of one-piece programs
+  takes no product). It has two callers. ``apply_flows`` runs it once on
+  the whole batch when its piece stack fits in ``FLOW_BYTES`` (every flow
+  batch of the shipped workloads does), and otherwise on runs of
+  consecutive programs that fit. It applies each block's class flow,
+  indexed by ``Blocks.kind``, directly to the block sub-vectors of each
+  of the program's k states (the law checks and the scans' rows): one
+  take from the zero-padded states gathers them, with the index
+  ``Blocks`` carries, and one take puts them back, so each program's flow
+  is computed once however many states it moves. ``piecewise_flow`` runs
+  it on one program and scatters the flow to n x n
+  (``programs.flow_matrix``, which ``liealg.estimate_generator`` logs).
+  The order-asymmetry scan's commutator diagnostic takes no flow: it
+  reads its two pulse generators from ``_generators``, the routine that
+  builds every piece's generator for ``_block_flows``.
 
 Domain validation (finiteness, principal-branch eigenvalue checks) lives
 in :mod:`mycocat.liealg`; beyond ``expm``'s refusal of a non-finite
@@ -270,14 +274,15 @@ def expm(a):
         raise DomainError("matrix exponential needs finite entries")
     if s == 1:
         r = np.exp(a)
+    elif s == 2 and not far.any():
+        r = _expm_2x2(a)
     elif s == 2:
         r = np.empty(a.shape)
         r[~far] = _expm_2x2(a[~far])
-        if far.any():
-            triangular = far & ((a[:, 0, 1] == 0) | (a[:, 1, 0] == 0))
-            r[triangular] = _expm_triangular_2x2(a[triangular])
-            far &= ~triangular
-            r[far] = _pade_13(a[far], _far_squarings(a[far]))
+        triangular = far & ((a[:, 0, 1] == 0) | (a[:, 1, 0] == 0))
+        r[triangular] = _expm_triangular_2x2(a[triangular])
+        far &= ~triangular
+        r[far] = _pade_13(a[far], _far_squarings(a[far]))
     else:
         squarings = np.zeros(len(a), dtype=int)
         if far.any():
@@ -359,7 +364,11 @@ class Blocks(NamedTuple):
     position row * n + col of every entry of the padded blocks and ``mask``
     marks the entries that are not padding; both have shape
     (blocks, size, size) and are computed once, so gathering and
-    scattering cost a few numpy calls.
+    scattering cost a few numpy calls. The vector forms are computed once
+    too: ``take`` is ``index`` with each padding entry pointing at n, so
+    one take from a vector with a zero appended gives its zero-padded
+    block sub-vectors, and ``place`` (n,) gives each index its position in
+    the flattened (blocks, size) stack, so one take puts them back.
 
     ``kind`` gives each block its class: blocks of one class have the same
     flows, so the flow kernels compute one flow per class and index it back
@@ -370,6 +379,8 @@ class Blocks(NamedTuple):
     index: np.ndarray
     flat: np.ndarray
     mask: np.ndarray
+    take: np.ndarray
+    place: np.ndarray
     n: int
     kind: np.ndarray
 
@@ -404,10 +415,14 @@ def blocks(pattern):
         index = np.full((len(roots), size), -1)
         index[comp, np.arange(n) - first[comp]] = order
     valid = index >= 0
+    place = np.empty(n, dtype=int)
+    place[index[valid]] = np.flatnonzero(valid)
     return Blocks(
         index,
         index[:, :, None] * n + index[:, None, :],
         valid[:, :, None] & valid[:, None, :],
+        np.where(valid, index, n),
+        place,
         n,
         np.arange(len(index)),
     )
@@ -470,6 +485,8 @@ def _block_flows(system, lengths, inputs, counts):
     every piece of every block class, then each program's pieces multiplied
     in time order."""
     pieces = expm(_generators(system, lengths, inputs))
+    if len(pieces) == len(counts):  # one piece each
+        return pieces
     offset = np.cumsum(counts) - counts
     flows = pieces[offset]
     for t in range(1, counts.max()):
@@ -490,40 +507,56 @@ def piecewise_flow(system, parts, lengths, inputs):
     return scatter(flows[parts.kind], parts)
 
 
-def apply_flows(system, parts, lengths, inputs, counts, vectors):
-    """Evolve each of P vectors by the piecewise flow of its own program.
-
-    ``system`` holds the drift and controls on each block class of
-    ``parts``: shape (1 + c, classes, size, size), either the gather on
-    ``parts`` (one class per block) or its :func:`block_classes`. The programs' pieces are listed back to back:
-    ``lengths`` has shape (K,), ``inputs`` (K, c), and ``counts`` (P,) says
-    how many consecutive pieces belong to each program; ``vectors`` is
-    (P, n). Returns the (P, n) evolved vectors; a program without pieces
-    leaves its vector as it is.
-
-    Runs of consecutive programs share one :func:`_block_flows` call,
-    which exponentiates each class once; a run holds as many programs as
-    keep its piece stack (pieces x classes x size^2 x 8 bytes) within
-    :data:`FLOW_BYTES`, and at least one. Each block's class flow acts on
-    the vector's block sub-vector; nothing is scattered to n x n. Each row
-    depends on its own program and vector only, so a batch of one gives the
-    same bits as any batch holding it.
-    """
-    out = np.array(vectors, dtype=np.float64)
-    valid = parts.index >= 0
-    cols = parts.index[valid]
+def _runs(counts, limit):
+    """``(rows, pieces)`` of each flow call of :func:`apply_flows`: the rows
+    of at least one piece among consecutive programs whose pieces number at
+    most ``limit``, or of one program past it alone, and the slice of their
+    pieces."""
     ends = np.cumsum(counts)
     starts = ends - counts
-    limit = FLOW_BYTES // (8 * system[0].size)  # pieces per call
     lo = 0
     while lo < len(counts):
         hi = max(lo + 1, int(np.searchsorted(ends, starts[lo] + limit, side="right")))
-        rows = lo + np.flatnonzero(counts[lo:hi])
+        yield lo + np.flatnonzero(counts[lo:hi]), slice(starts[lo], ends[hi - 1])
         lo = hi
+
+
+def apply_flows(system, parts, lengths, inputs, counts, vectors):
+    """Evolve the states of each of P programs by its piecewise flow.
+
+    ``system`` holds the drift and controls on each block class of
+    ``parts``: shape (1 + c, classes, size, size), either the gather on
+    ``parts`` (one class per block) or its :func:`block_classes`. The
+    programs' pieces are listed back to back: ``lengths`` has shape (K,),
+    ``inputs`` (K, c), and ``counts`` (P,) says how many consecutive pieces
+    belong to each program. ``vectors`` is (P, n), one state per program, or
+    (P, k, n), k states per program; (P, n) runs as (P, 1, n). Returns the
+    evolved vectors in the shape given; a program without pieces leaves its
+    states as they are.
+
+    Each program's class flows are computed once, whatever its k, and act
+    on each of its states' block sub-vectors through one broadcast matvec;
+    nothing is scattered to n x n. Runs of consecutive programs share one
+    :func:`_block_flows` call, which exponentiates each class once; a run
+    holds as many programs as keep its piece stack (pieces x classes x
+    size^2 x 8 bytes) within :data:`FLOW_BYTES`, and at least one, and
+    when every piece fits, the whole table is one run. Each row depends on
+    its own program and vector only, one matvec per (program, state,
+    block), so a batch of one gives the same bits as any batch holding it.
+    """
+    out = np.array(vectors, dtype=np.float64)
+    states = out if out.ndim == 3 else out[:, None]  # a view: writes land in out
+    limit = FLOW_BYTES // (8 * system[0].size)  # pieces per call
+    if len(lengths) <= limit:
+        runs = [(np.flatnonzero(counts), slice(None))]
+    else:
+        runs = _runs(counts, limit)
+    for rows, own in runs:
         if not rows.size:
             continue
-        own = slice(starts[rows[0]], ends[rows[-1]])
         flows = _block_flows(system, lengths[own], inputs[own], counts[rows])
-        sub = np.where(valid, out[rows[:, None, None], parts.index], 0.0)
-        out[rows[:, None], cols] = (flows[:, parts.kind] @ sub[..., None])[..., 0][:, valid]
+        picked = states[rows]
+        padded = np.concatenate((picked, np.zeros(picked.shape[:-1] + (1,))), axis=-1)
+        moved = flows[:, parts.kind][:, None] @ padded[..., parts.take, None]
+        states[rows] = moved.reshape(picked.shape[:-1] + (-1,))[..., parts.place]
     return out

@@ -105,8 +105,8 @@ class SpeciesFunctor(Record):
     """One species: reference dynamics plus a measurement pipeline.
 
     ``transform_many`` realizes the induced state transitions of many
-    (state, program) pairs, given as a (P, n) state array and a
-    :class:`mycocat.programs.PieceTable` of P programs, and is the one
+    (state, program) pairs, given as a (P, n) or (P, k, n) state array and
+    a :class:`mycocat.programs.PieceTable` of P programs, and is the one
     override point: a subclass (the mutants do) overrides it, and
     ``transform`` of one pair goes through it too. The read-out is fixed by
     ``extraction``:
@@ -124,8 +124,12 @@ class SpeciesFunctor(Record):
 
     def transform_many(self, vectors: np.ndarray, table: PieceTable) -> np.ndarray:
         """Run program i of ``table`` from row i of ``vectors`` for every i,
-        in batched kernel calls; returns the (P, n) results, each with the
-        bits of its pair run alone."""
+        in batched kernel calls: from one state when ``vectors`` is (P, n),
+        from each of k states when it is (P, k, n), each program's flow
+        computed once. Returns the results in the shape given, each with
+        the bits of its pair run alone. An override must accept states of
+        shape (P, ..., n) and act on each program's rows alike;
+        :func:`check_naturality` passes (P, k, n) states."""
         return evolve_many(vectors, table, self.dynamics)
 
     def on_object(self, state: InternalState) -> MycObject:
@@ -237,16 +241,21 @@ def _report(
 # ---------------------------------------------------------------------------
 
 
-def _composition_residuals(
+def _functor_legs(
     f: SpeciesFunctor, states: np.ndarray, ps: PieceTable, qs: PieceTable
-) -> np.ndarray:
-    """The composition square at every row i: the network distance between
-    running ``ps``'s program i then ``qs``'s from row i of ``states`` and
-    running their concatenation. The joint leg and each sequential leg take
-    one ``transform_many`` call."""
-    joint = f.transform_many(states, ps.concatenate(qs))
-    second = f.transform_many(f.transform_many(states, ps), qs)
-    return state_distances(joint, second, f.extraction)
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(residuals, unmoved)`` at every row i: the composition square, the
+    network distance between running ``ps``'s program i then ``qs``'s from
+    row i of ``states`` and running their concatenation, and the null
+    program's result from row i. The joint leg, the first sequential leg
+    and the null program take one ``transform_many`` call on the three
+    tables stacked; the second leg starts from the first leg's results and
+    takes another."""
+    null = PieceTable(np.empty(0), np.empty((0, 0)), np.zeros(len(ps), np.intp))
+    stacked = PieceTable._stacked([ps.concatenate(qs), ps, null])
+    joint, first, unmoved = np.split(f.transform_many(np.concatenate((states,) * 3), stacked), 3)
+    second = f.transform_many(first, qs)
+    return state_distances(joint, second, f.extraction), unmoved
 
 
 def check_functor_laws(
@@ -263,10 +272,10 @@ def check_functor_laws(
     any flow runs, each quantity in one call over the batch, in this order:
     the (S, n) states, the (2, S) piece counts in 1..2 (row 0 for p, row 1
     for q), then p's K piece lengths in [0.1, 0.6) and (K, c) controls
-    (0.5 times a standard normal), then q's. The joint leg, the two
-    sequential legs and the null program each take one batched
-    ``transform_many`` call. Raises :class:`ParameterError` when
-    ``sample_count`` is not positive.
+    (0.5 times a standard normal), then q's. The joint leg, the first
+    sequential leg and the null program share one batched
+    ``transform_many`` call; the second sequential leg takes another.
+    Raises :class:`ParameterError` when ``sample_count`` is not positive.
     """
     if sample_count < 1:
         raise ParameterError(f"functor laws need at least one sample, got {sample_count}")
@@ -278,9 +287,7 @@ def check_functor_laws(
         PieceTable(rng.uniform(0.1, 0.6, k), 0.5 * rng.normal(size=(k, channels)), row)
         for row, k in zip(counts, counts.sum(axis=1))
     ]
-    residuals = _composition_residuals(f, states, ps, qs)
-    null = PieceTable(np.empty(0), np.empty((0, channels)), np.zeros(sample_count, np.intp))
-    unmoved = f.transform_many(states, null)
+    residuals, unmoved = _functor_legs(f, states, ps, qs)
     moved = np.flatnonzero(state_distances(states, unmoved, f.extraction) != 0.0)
     if moved.size:
         return LawReport(
@@ -312,7 +319,7 @@ def replay_functor_law_witness(f: SpeciesFunctor, witness: Mapping) -> float:
         np.asarray(witness["state"], dtype=np.float64), f.extraction.layout
     )
     ps, qs = (PieceTable.from_programs([Program.from_json(witness[k])]) for k in "pq")
-    return float(_composition_residuals(f, state.vector[None], ps, qs)[0])
+    return float(_functor_legs(f, state.vector[None], ps, qs)[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -354,21 +361,23 @@ def check_naturality(
     transform-then-translate (both read out through the second species'
     pipeline). The max residual is the empirical sensitivity of the
     species pair to that program family. Every state is drawn first, into
-    one array, and each species runs all pairs in one ``transform_many``
-    call. Raises :class:`ParameterError`
-    when there is no program.
+    one (P * k, n) array whose rows k * i to k * i + k - 1 belong to program
+    i, and each species runs all pairs in one ``transform_many`` call on
+    the (P, k, n) view, so each program's flow is computed once for its k
+    states. Raises :class:`ParameterError` when there is no program.
     """
     programs = list(programs)
     if not programs:
         raise ParameterError("naturality needs at least one program")
     rng = np.random.default_rng(seed)
     states = rng.normal(size=(len(programs) * STATES_PER_PROGRAM, f1.dynamics.dim))
-    repeated = PieceTable.from_programs(programs).repeat(STATES_PER_PROGRAM)
+    table = PieceTable.from_programs(programs)
     layout = f2.extraction.layout
-    moved1 = f1.transform_many(states, repeated)
-    moved2 = f2.transform_many(_translate(eta, states, layout), repeated)
+    per_program = (len(programs), STATES_PER_PROGRAM, -1)
+    moved1 = f1.transform_many(states.reshape(per_program), table).reshape(len(states), -1)
+    moved2 = f2.transform_many(_translate(eta, states, layout).reshape(per_program), table)
     translated = _translate(eta, moved1, layout)
-    residuals = state_distances(translated, moved2, f2.extraction)
+    residuals = state_distances(translated, moved2.reshape(len(states), -1), f2.extraction)
 
     def witness_of(i: int) -> dict:
         pi, si = divmod(i, STATES_PER_PROGRAM)

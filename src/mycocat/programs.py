@@ -8,8 +8,8 @@ piece-exactly with matrix exponentials, so concatenation corresponds to
 multiplying piece flows and causality holds to machine precision.
 
 A batch of programs is a :class:`PieceTable` and a batch of states one
-(P, n) array; ``Program`` and ``InternalState`` are the single-item and
-wire types.
+(P, n) array, or a (P, k, n) array when each program runs from k states;
+``Program`` and ``InternalState`` are the single-item and wire types.
 
 States carry a layout tying vector indices to (node, feature) slots of a
 fixed observation graph; ``extract`` reads the state out as a mycelial
@@ -134,6 +134,35 @@ def concatenate(p: Program, q: Program) -> Program:
     return Program(p.pieces + q.pieces)
 
 
+def _float_array(raw, field: str, read) -> np.ndarray:
+    """``raw`` as a new float64 array: an integer or float array as it is,
+    with no per-element read, and anything else as ``read(raw, field)``
+    reads it. An array of another dtype (strings, bools, objects) raises
+    :class:`ShapeError` naming ``field``."""
+    if isinstance(raw, np.ndarray):
+        if raw.dtype.kind not in "iuf":
+            raise ShapeError(f"{field}: must be numbers, got an array of {raw.dtype}")
+        return raw.astype(np.float64)
+    return np.array(read(raw, field), dtype=np.float64)
+
+
+def _read_lengths(raw, field: str) -> tuple:
+    try:
+        return read_numbers(raw, field)
+    except ShapeError:
+        raise ShapeError(f"{field}: must be a list of numbers") from None
+
+
+def _read_rows(raw, field: str) -> tuple:
+    try:
+        rows = read_list(raw, field, read_numbers)
+    except ShapeError:
+        raise ShapeError(f"{field}: must be rows of numbers") from None
+    if len({len(row) for row in rows}) > 1:
+        raise ShapeError("all pieces must share one control width")
+    return rows
+
+
 class PieceTable(Record):
     """The pieces of P programs listed back to back: ``lengths`` (K,),
     ``inputs`` (K, c) and ``counts`` (P,), program i owning the next
@@ -141,26 +170,21 @@ class PieceTable(Record):
     with the same errors: one control width, and each piece's length
     strictly positive and its length and controls finite; each count must
     be an integer (3.0 reads as 3; a bool, a fraction or an infinity is
-    refused); ``lengths`` or ``inputs`` that do not read as a float array
-    raise :class:`ShapeError` naming the field. The arrays are read-only
-    copies; every operation returns a new table, and one that only selects
-    pieces of checked programs or tables is not checked again.
+    refused). ``lengths`` is an integer or float array or a list of
+    numbers, ``inputs`` an integer or float array or a list of rows of
+    numbers, as :func:`~mycocat.readers.read_numbers` reads them (a bool or
+    a string is not a number); anything else raises :class:`ShapeError`
+    saying the field must be numbers. The arrays are read-only copies;
+    every operation returns a new table, and one that only selects pieces
+    of checked programs or tables is not checked again.
     """
 
     __eq__ = object.__eq__  # one table equals only itself
     __hash__ = object.__hash__
 
     def __init__(self, lengths: np.ndarray, inputs: np.ndarray, counts: np.ndarray):
-        try:
-            lengths = np.array(lengths, dtype=np.float64)
-        except (TypeError, ValueError):
-            raise ShapeError("lengths: must be a list of numbers") from None
-        try:
-            inputs = np.array(inputs, dtype=np.float64)
-        except (TypeError, ValueError):
-            if isinstance(inputs, Sequence) and len({np.shape(row) for row in inputs}) > 1:
-                raise ShapeError("all pieces must share one control width") from None
-            raise ShapeError("inputs: must be rows of numbers") from None
+        lengths = _float_array(lengths, "lengths", _read_lengths)
+        inputs = _float_array(inputs, "inputs", _read_rows)
         counts = np.asarray(counts)
         if counts.size and counts.dtype.kind not in "iu":  # 3.0 reads as 3
             with np.errstate(invalid="ignore"):  # a count past the integers is not whole
@@ -198,6 +222,18 @@ class PieceTable(Record):
         table = object.__new__(cls)
         table._store(lengths, inputs, counts)
         return table
+
+    @classmethod
+    def _stacked(cls, tables: Sequence["PieceTable"]) -> "PieceTable":
+        """The programs of checked ``tables`` of one control width, one
+        table after another, unchecked; a table without pieces may have any
+        width."""
+        width = max(t.channels for t in tables)
+        return cls._selected(
+            np.concatenate([t.lengths for t in tables]),
+            np.concatenate([t.inputs.reshape(len(t.lengths), width) for t in tables]),
+            np.concatenate([t.counts for t in tables]),
+        )
 
     @classmethod
     def from_programs(cls, programs: Sequence[Program]) -> "PieceTable":
@@ -309,20 +345,23 @@ class StateLayout(Record):
 
 
 class InternalState(Record):
-    """State vector together with its observation layout."""
+    """State vector together with its observation layout.
+
+    ``vector`` is an integer or float array or a list of numbers, as
+    :meth:`from_json` reads it (a bool or a string is not a number);
+    anything else raises :class:`ShapeError` naming ``vector``."""
 
     __eq__ = object.__eq__  # one state equals only itself
     __hash__ = object.__hash__
 
     def __init__(self, vector: np.ndarray, layout: StateLayout):
-        vec = np.asarray(vector, dtype=np.float64)
+        vec = _float_array(vector, "vector", read_numbers)
         if vec.ndim != 1:
             raise ShapeError("state vector must be one-dimensional")
         if vec.shape[0] != layout.dim:
             raise ShapeError(
                 f"state vector has {vec.shape[0]} entries, layout expects {layout.dim}"
             )
-        vec = vec.copy()
         vec.setflags(write=False)
         vars(self).update(vector=vec, layout=layout)
 
@@ -343,7 +382,7 @@ class InternalState(Record):
         data = read_object(data, "state")
         features = read_integer(read_key(data, "features"), "features")
         layout = StateLayout(AttributedGraph.from_json(read_key(data, "graph"), "graph."), features)
-        return cls(read_numbers(read_key(data, "vector"), "vector"), layout)
+        return cls(read_key(data, "vector"), layout)
 
 
 class ReferenceDynamics(Record):
@@ -429,25 +468,32 @@ def flow_matrix(dyn: ReferenceDynamics, p: Program) -> np.ndarray:
 def evolve_many(
     vectors: np.ndarray, table: PieceTable, dyn: ReferenceDynamics
 ) -> np.ndarray:
-    """Run program i of ``table`` from row i of the (P, n) ``vectors`` for
-    every i, piece-exactly; returns the (P, n) evolved vectors.
+    """Run program i of ``table`` from row i of ``vectors`` for every i,
+    piece-exactly: from one state when ``vectors`` is (P, n), from each of
+    its k states when it is (P, k, n). Returns the evolved vectors in the
+    shape given.
 
-    Consecutive programs share one matrix-exponential call while their
-    piece stack fits in :data:`mycocat.kernels.FLOW_BYTES`, so every batch
-    of the shipped workloads takes one call (see
-    :func:`mycocat.kernels.apply_flows`).
-    Each result depends on its own state and program only: it has the same
-    bits as :func:`evolve` of that pair. A non-finite result is a
-    :class:`NumericError`.
+    Each program's flow is computed once, however many states it runs
+    from, and consecutive programs share one matrix-exponential call while
+    their piece stack fits in :data:`mycocat.kernels.FLOW_BYTES`, so every
+    batch of the shipped workloads takes one call (see
+    :func:`mycocat.kernels.apply_flows`). Each result depends on its own
+    state and program only: it has the same bits as :func:`evolve` of that
+    pair, so the (P, k, n) call equals the (P * k, n) call on
+    ``table.repeat(k)``. States that are not (P, n) or (P, k, n), a row
+    count other than P or a width other than the dynamics' dimension raise
+    :class:`ShapeError`; a non-finite result is a :class:`NumericError`.
     """
     vectors = np.asarray(vectors, dtype=np.float64)
-    if vectors.ndim != 2:
-        raise ShapeError(f"states must be a (P, n) array, got shape {vectors.shape}")
+    if vectors.ndim not in (2, 3):
+        raise ShapeError(
+            f"states must be a (P, n) or (P, k, n) array, got shape {vectors.shape}"
+        )
     if len(vectors) != len(table):
         raise ShapeError(f"{len(vectors)} states for {len(table)} programs")
-    if dyn.dim != vectors.shape[1]:
+    if dyn.dim != vectors.shape[-1]:
         raise ShapeError(
-            f"dynamics dimension {dyn.dim} does not match state dimension {vectors.shape[1]}"
+            f"dynamics dimension {dyn.dim} does not match state dimension {vectors.shape[-1]}"
         )
     # a flow that overflows is refused below, not warned about by numpy
     with np.errstate(over="ignore", invalid="ignore"):

@@ -145,12 +145,20 @@ class TestFitLoglogSlope:
         (lambda: experiment(seed=1.5), "seed: must be an integer, got 1.5"),
         (lambda: WorkedExampleConfig(seed="1"), "seed: must be an integer, got '1'"),
         (lambda: WorkedExampleConfig(seed=1.5), "seed: must be an integer, got 1.5"),
+        (lambda: WorkedExampleConfig(n_sites="8"), "n_sites: must be an integer, got '8'"),
+        (lambda: WorkedExampleConfig(channels=True), "channels: must be an integer, got True"),
+        (lambda: WorkedExampleConfig(functor_samples=2.5),
+         "functor_samples: must be an integer, got 2.5"),
+        (lambda: WorkedExampleConfig(compat_pulses="50"),
+         "compat_pulses: must be an integer, got '50'"),
     ],
     ids=[
         "pulse-string-amplitude", "pulse-bool-duration", "pulse-string-channel",
         "pulse-bool-channel", "weights-string", "weights-bool", "layout-string-features",
         "layout-bool-features", "layout-fractional-features", "scan-string-seed",
         "scan-fractional-seed", "worked-example-string-seed", "worked-example-fractional-seed",
+        "worked-example-string-sites", "worked-example-bool-channels",
+        "worked-example-fractional-samples", "worked-example-string-pulses",
     ],
 )
 def test_code_built_records_read_their_numbers(build, message):
@@ -169,6 +177,32 @@ def test_code_built_records_store_read_numbers():
     weights = DistanceWeights(1, np.float64(2.0), 3)
     assert all(type(w) is float for w in (weights.omega, weights.sigma, weights.structure))
     assert experiment(seed=np.int64(7)).seed == 7 == WorkedExampleConfig(seed=7.0).seed
+    config = WorkedExampleConfig(n_sites=4.0, channels=np.int64(2), functor_samples=3.0)
+    assert (config.n_sites, config.channels, config.functor_samples) == (4, 2, 3)
+    assert type(config.n_sites) is int and type(config.channels) is int
+
+
+@pytest.mark.parametrize("size", [{"n_sites": 0}, {"n_sites": -1}, {"features": 0}])
+def test_reference_species_refuses_an_empty_state(size):
+    # n_sites=0 built a species of dimension 0, and -1 was accepted too
+    ((name, value),) = size.items()
+    with pytest.raises(ParameterError) as exc:
+        reference_species(**size)
+    assert str(exc.value) == f"{name}: must be positive, got {value}"
+
+
+def test_reference_species_reads_its_sizes():
+    # each was a bare TypeError from numpy or a comparison
+    for size, message in (
+        ({"n_sites": "8"}, "n_sites: must be an integer, got '8'"),
+        ({"channels": "2"}, "channels: must be an integer, got '2'"),
+        ({"features": True}, "features: must be an integer, got True"),
+    ):
+        with pytest.raises(ShapeError) as exc:
+            reference_species(**size)
+        assert str(exc.value) == message
+    species = reference_species(n_sites=2.0, channels=np.int64(2), features=3.0)
+    assert species.dynamics.dim == 6 and len(species.dynamics.controls) == 2
 
 
 def experiment(coupling="noncommuting", scaling="amplitude", **kwargs):

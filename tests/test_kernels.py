@@ -567,6 +567,44 @@ def test_apply_flows_splits_a_piece_stack_past_the_byte_bound(monkeypatch):
         assert np.array_equal(out[j], single[0])
 
 
+@pytest.mark.parametrize(
+    "flow_bytes, one_call", [(kernels.FLOW_BYTES, True), (2**12, False)], ids=["one-call", "split"]
+)
+def test_apply_flows_runs_each_program_from_its_k_states(monkeypatch, flow_bytes, one_call):
+    # (P, k, n) states give the bits of the (P * k, n) call with each
+    # program listed k times, and each program's pieces are exponentiated
+    # once; 2**12 bytes hold 18 pieces of this species, so the split case
+    # takes several calls
+    rng = np.random.default_rng(17)
+    mats = block_structured(rng, [2, 1, 3], 3, "blocks")
+    parts = kernels.blocks((mats != 0).any(axis=0))
+    system = kernels.gather(mats, parts)
+    counts = rng.integers(0, 4, size=40)
+    lengths = rng.uniform(0.1, 1.0, size=counts.sum())
+    inputs = rng.uniform(-1.0, 1.0, size=(counts.sum(), 2))
+    vectors = rng.normal(size=(40, 5, 6))
+    rows = np.repeat(np.arange(40), 5)
+    starts = np.cumsum(counts) - counts
+    pieces = np.concatenate([np.arange(a, a + c) for a, c in zip(starts[rows], counts[rows])])
+    monkeypatch.setattr(kernels, "FLOW_BYTES", flow_bytes)
+    ref = kernels.apply_flows(
+        system, parts, lengths[pieces], inputs[pieces], counts[rows], vectors.reshape(200, 6)
+    )
+    calls = []
+    expm = kernels.expm
+
+    def counted(a):
+        calls.append(len(a))
+        return expm(a)
+
+    monkeypatch.setattr(kernels, "expm", counted)
+    got = kernels.apply_flows(system, parts, lengths, inputs, counts, vectors)
+    assert got.shape == vectors.shape
+    assert got.tobytes() == ref.tobytes()
+    assert sum(calls) == counts.sum()
+    assert (len(calls) == 1) == one_call
+
+
 def test_block_classes_merge_only_byte_identical_blocks():
     # blocks 0, 2 and 4 have the same slices; block 3 differs from them
     # only by a -0.0 drift entry, block 1 by its values

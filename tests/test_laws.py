@@ -13,6 +13,7 @@ from mycocat.graphs import AttributedGraph
 from mycocat.envmyc import env_distance, myc_distance
 from mycocat.laws import (
     FiniteInstance,
+    STATES_PER_PROGRAM,
     LawReport,
     NaturalTransformationData,
     SpeciesFunctor,
@@ -756,10 +757,26 @@ class TestSingleFlowPath:
         # static and operational legs, 130 programs each
         assert expm_calls == [130, 130]
 
+    @pytest.mark.parametrize("variant", ["similarity", "perturbed"])
+    def test_naturality_exponentiates_each_program_once_per_leg(
+        self, species, variant, expm_calls
+    ):
+        if variant == "similarity":
+            other, eta = similarity_variant(species, seed=3)
+        else:
+            other, eta = perturbed_variant(species), identity_transformation()
+        programs = random_pulses(2, 26, seed=5)
+        report = check_naturality(species, other, eta, programs, seed=6)
+        assert report.samples == 26 * STATES_PER_PROGRAM
+        # one call per species, one member per program rather than one per
+        # (program, state) pair
+        assert expm_calls == [26, 26]
+
     def test_mutant_functor_laws_take_one_expm_per_leg(self, species, expm_calls):
         check_functor_laws(non_causal_variant(species), sample_count=130, seed=4)
-        # joint leg and both sequential legs; the null programs take none
-        assert len(expm_calls) == 3
+        # the joint and first legs share one call, the second leg takes
+        # another; the null programs take none
+        assert len(expm_calls) == 2
 
 
 class TestEmptySampleSets:

@@ -9,11 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mycocat import experiments, kernels
+from mycocat import programs as programs_module
 from mycocat.envmyc import DistanceWeights, myc_distance
 from mycocat.errors import ParameterError, ShapeError
 from mycocat.experiments import reference_species
 from mycocat.graphs import AttributedGraph
-from mycocat.laws import SpeciesFunctor, perturbed_variant, similarity_variant
+from mycocat.laws import (
+    SpeciesFunctor,
+    non_causal_variant,
+    perturbed_variant,
+    similarity_variant,
+)
 from mycocat.programs import (
     Extraction,
     InternalState,
@@ -347,8 +353,9 @@ def test_species_variants_keep_one_class_per_distinct_block(coupling, blocks, cl
 
 def test_worked_example_exponentiates_each_block_class_once(monkeypatch):
     # the default run sends 11840 expm members when every block of every
-    # piece is exponentiated; each flow batch takes one call, and the scans
-    # read their pulse generators off the dynamics, so the run makes 7
+    # piece is exponentiated; each flow batch takes one call, the functor
+    # law's joint and first legs share one, and the scans read their pulse
+    # generators off the dynamics, so the run makes 6
     members = []
     expm = kernels.expm
 
@@ -358,7 +365,7 @@ def test_worked_example_exponentiates_each_block_class_once(monkeypatch):
 
     monkeypatch.setattr(kernels, "expm", counted)
     experiments.run_worked_example(experiments.WorkedExampleConfig())
-    assert len(members) == 7
+    assert len(members) == 6
     assert sum(members) <= 1520
 
 
@@ -799,6 +806,95 @@ def test_array_evolve_many_equals_per_pair_evolve(nprng):
     assert evolve_many(np.zeros((0, dyn.dim)), PieceTable.from_programs([]), dyn).shape == (
         0, dyn.dim
     )
+
+
+@pytest.mark.parametrize("variant", ["reference", "similarity", "non-causal"])
+def test_states_per_program_equal_the_repeated_table(variant, nprng):
+    # a (P, k, n) call runs each program's flow once for its k states and
+    # gives the bits of the (P * k, n) call on each program repeated k times
+    species = reference_species(n_sites=4)
+    if variant == "similarity":  # one dense 12 x 12 block
+        species = similarity_variant(species, seed=3)[0]
+    elif variant == "non-causal":
+        species = non_causal_variant(species)
+    programs = [
+        Program(tuple(
+            (float(nprng.uniform(0.1, 1.0)), tuple(nprng.normal(size=2)))
+            for _ in range(k % 4)
+        ))
+        for k in range(30)
+    ]
+    table = PieceTable.from_programs(programs)
+    vectors = nprng.normal(size=(30, 5, species.dynamics.dim))
+    got = species.transform_many(vectors, table)
+    want = species.transform_many(vectors.reshape(150, -1), table.repeat(5))
+    assert got.shape == vectors.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_states_per_program_that_do_not_fit_are_refused():
+    dyn = reference_species(n_sites=2).dynamics
+    table = PieceTable.from_programs([NULL_PROGRAM, Program(((1.0, (0.5, 0.0)),))])
+    with pytest.raises(ShapeError, match="^3 states for 2 programs$"):
+        evolve_many(np.ones((3, 4, dyn.dim)), table, dyn)
+    with pytest.raises(ShapeError, match="does not match state dimension 5$"):
+        evolve_many(np.ones((2, 4, 5)), table, dyn)
+    with pytest.raises(ShapeError, match=r"^states must be a \(P, n\) or \(P, k, n\) array"):
+        evolve_many(np.ones((2, 1, 1, dyn.dim)), table, dyn)
+
+
+class TestCodeBuiltVectorsReadTheirNumbers:
+    layout = StateLayout(path_graph(1), 2)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda layout: InternalState(["1.5", True], layout),
+             "vector[0]: must be a number, got '1.5'"),
+            (lambda layout: InternalState([1.5, True], layout),
+             "vector[1]: must be a number, got True"),
+            (lambda layout: InternalState(np.array(["1.5", "2"]), layout),
+             "vector: must be numbers, got an array of <U3"),
+            (lambda layout: InternalState(np.array([True, False]), layout),
+             "vector: must be numbers, got an array of bool"),
+            (lambda layout: PieceTable(["1.5"], [[1.0]], [1]),
+             "lengths: must be a list of numbers"),
+            (lambda layout: PieceTable([1.5], [[True]], [1]),
+             "inputs: must be rows of numbers"),
+            (lambda layout: PieceTable(np.array([True]), [[1.0]], [1]),
+             "lengths: must be numbers, got an array of bool"),
+            (lambda layout: PieceTable([1.5], np.array([["1"]]), [1]),
+             "inputs: must be numbers, got an array of <U1"),
+            (lambda layout: PieceTable([1.5], "1", [1]),
+             "inputs: must be rows of numbers"),
+        ],
+        ids=[
+            "state-string", "state-bool", "state-string-array", "state-bool-array",
+            "lengths-string", "inputs-bool", "lengths-bool-array", "inputs-string-array",
+            "inputs-string",
+        ],
+    )
+    def test_values_that_are_not_numbers_are_refused(self, build, message):
+        # numpy read each of them as a float: "1.5" as 1.5, True as 1.0
+        with pytest.raises(ShapeError) as exc:
+            build(self.layout)
+        assert str(exc.value) == message
+
+    def test_numbers_are_kept(self):
+        assert InternalState([1, np.float64(2.5)], self.layout).vector.tolist() == [1.0, 2.5]
+        assert InternalState(np.array([1, 2]), self.layout).vector.dtype == np.float64
+        table = PieceTable(np.array([1, 2]), [(0.5,), [np.int64(1)]], [2.0])
+        assert table.lengths.tolist() == [1.0, 2.0] and table.inputs.tolist() == [[0.5], [1.0]]
+
+    def test_float_arrays_are_not_read_per_element(self, monkeypatch):
+        # the law checkers build their states and tables from float arrays
+        def refuse(raw, field):
+            raise AssertionError(f"{field} read per element")
+
+        for reader in ("read_numbers", "_read_lengths", "_read_rows"):
+            monkeypatch.setattr(programs_module, reader, refuse)
+        InternalState(np.ones(2), self.layout)
+        PieceTable(np.ones(2), np.ones((2, 3)), [1, 1])
 
 
 def test_functor_check_builds_only_its_witness(monkeypatch):

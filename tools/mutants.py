@@ -193,7 +193,8 @@ MUTANTS = (
     ),
     Mutant(
         "worked-example-seed-unread", EXPERIMENTS,
-        'seed=read_integer(seed, "seed"), functor_samples', "seed=seed, functor_samples",
+        'seed=read_integer(seed, "seed"),\n            functor_samples',
+        "seed=seed,\n            functor_samples",
         EXPERIMENT_TESTS,
     ),
     # --seed replaces the seed of a config already read, on every subcommand
@@ -247,6 +248,25 @@ MUTANTS = (
         "expm-upper-triangular-only", KERNELS,
         "triangular = far & ((a[:, 0, 1] == 0) | (a[:, 1, 0] == 0))",
         "triangular = far & (a[:, 1, 0] == 0)",
+        KERNEL_TESTS,
+    ),
+    # one flow per program: its k states share it, the functor law's
+    # independent legs share one call, and a stack of near 2 x 2 members
+    # takes the closed form whole
+    Mutant(
+        "flow-reaches-first-state-only", KERNELS,
+        "    states = out if out.ndim == 3 else out[:, None]",
+        "    states = out[:, :1] if out.ndim == 3 else out[:, None]",
+        PROGRAM_TESTS,
+    ),
+    Mutant(
+        "functor-legs-swapped", "src/mycocat/laws.py",
+        "joint, first, unmoved = np.split(", "first, joint, unmoved = np.split(",
+        ("tests/test_laws.py",),
+    ),
+    Mutant(
+        "expm-near-2x2-shortcut-on-any", KERNELS,
+        "    elif s == 2 and not far.any():\n", "    elif s == 2 and not far.all():\n",
         KERNEL_TESTS,
     ),
     # records compare within one class only, and refuse assignment
