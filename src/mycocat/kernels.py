@@ -485,8 +485,6 @@ def _block_flows(system, lengths, inputs, counts):
     every piece of every block class, then each program's pieces multiplied
     in time order."""
     pieces = expm(_generators(system, lengths, inputs))
-    if len(pieces) == len(counts):  # one piece each
-        return pieces
     offset = np.cumsum(counts) - counts
     flows = pieces[offset]
     for t in range(1, counts.max()):
@@ -505,20 +503,6 @@ def piecewise_flow(system, parts, lengths, inputs):
         return np.eye(parts.n)
     flows = _block_flows(system, lengths, inputs, np.array([len(lengths)]))[0]
     return scatter(flows[parts.kind], parts)
-
-
-def _runs(counts, limit):
-    """``(rows, pieces)`` of each flow call of :func:`apply_flows`: the rows
-    of at least one piece among consecutive programs whose pieces number at
-    most ``limit``, or of one program past it alone, and the slice of their
-    pieces."""
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    lo = 0
-    while lo < len(counts):
-        hi = max(lo + 1, int(np.searchsorted(ends, starts[lo] + limit, side="right")))
-        yield lo + np.flatnonzero(counts[lo:hi]), slice(starts[lo], ends[hi - 1])
-        lo = hi
 
 
 def apply_flows(system, parts, lengths, inputs, counts, vectors):
@@ -546,14 +530,17 @@ def apply_flows(system, parts, lengths, inputs, counts, vectors):
     """
     out = np.array(vectors, dtype=np.float64)
     states = out if out.ndim == 3 else out[:, None]  # a view: writes land in out
+    ends = np.cumsum(counts)
+    starts = ends - counts
     limit = FLOW_BYTES // (8 * system[0].size)  # pieces per call
-    if len(lengths) <= limit:
-        runs = [(np.flatnonzero(counts), slice(None))]
-    else:
-        runs = _runs(counts, limit)
-    for rows, own in runs:
+    lo = 0
+    while lo < len(counts):
+        hi = max(lo + 1, int(np.searchsorted(ends, starts[lo] + limit, side="right")))
+        rows = lo + np.flatnonzero(counts[lo:hi])
+        lo = hi
         if not rows.size:
             continue
+        own = slice(starts[rows[0]], ends[rows[-1]])
         flows = _block_flows(system, lengths[own], inputs[own], counts[rows])
         picked = states[rows]
         padded = np.concatenate((picked, np.zeros(picked.shape[:-1] + (1,))), axis=-1)

@@ -139,7 +139,7 @@ class TestFunctorLaws:
             # Composes exactly, but the null program shifts the state.
             def transform_many(self, vectors, table):
                 moved = super().transform_many(vectors, table)
-                return np.where((table.counts > 0)[:, None], moved, vectors + 1e-3)
+                return np.where(per_row(table.counts > 0, vectors), moved, vectors + 1e-3)
 
         mutant = Drifting("drifting", species.dynamics, species.extraction)
         report = check_functor_laws(mutant, sample_count=20, tol=1e-10, seed=42)
@@ -809,13 +809,20 @@ class TestEmptySampleSets:
 # ---------------------------------------------------------------------------
 
 
+def per_row(mask, vectors):
+    # a (P,) program mask shaped to act on (P, ..., n) states, every state
+    # of program i alike
+    return mask.reshape(mask.shape + (1,) * (vectors.ndim - 1))
+
+
 def nan_species(species, rows):
-    # Evolves as ``species`` does, then sets the rows that ``rows(table)``
-    # marks to NaN: a species whose flow fails on some programs.
+    # Evolves as ``species`` does, then sets the states of the programs
+    # that ``rows(table)`` marks to NaN: a species whose flow fails on some
+    # programs.
     class NaNRows(SpeciesFunctor):
         def transform_many(self, vectors, table):
             moved = super().transform_many(vectors, table)
-            return np.where(rows(table)[:, None], math.nan, moved)
+            return np.where(per_row(rows(table), vectors), math.nan, moved)
 
     return NaNRows("nan-rows", species.dynamics, species.extraction)
 
@@ -855,6 +862,21 @@ class TestNaNResidualsFail:
         assert math.isnan(report.max_residual)
         assert (report.witness["program_index"], report.witness["state_index"]) == witness
         assert math.isnan(report.witness["residual"])
+
+    @pytest.mark.parametrize("count", [STATES_PER_PROGRAM, 3, 7])
+    def test_naturality_marks_programs_not_states(self, species, count):
+        # the override sees (P, 5, n) states; program 2's five come out NaN,
+        # so the first NaN residual is program 2's first state, whether or
+        # not P equals the states per program
+        mutant = nan_species(species, lambda table: np.arange(len(table)) == 2)
+        programs = random_pulses(2, count, seed=3)
+        eta = identity_transformation()
+        report = check_naturality(mutant, species, eta, programs, tol=1e-9, seed=5)
+        assert not report.passed
+        assert math.isnan(report.max_residual)
+        assert (report.witness["program_index"], report.witness["state_index"]) == (2, 0)
+        clean = check_naturality(species, species, eta, programs, tol=1e-9, seed=5)
+        assert clean.passed
 
     def test_lipschitz(self, species):
         # the image of pair 2's first environment is NaN
