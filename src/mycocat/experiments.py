@@ -150,13 +150,13 @@ def reference_species(
 ) -> SpeciesFunctor:
     """Drift-free bilinear species over a linear electrode array.
     ``n_sites``, ``channels`` and ``features`` are read as integers (3.0
-    reads as 3; :class:`ShapeError` naming the one that is not); an
-    ``n_sites`` or ``features`` below 1 raises :class:`ParameterError`
-    naming it."""
+    reads as 3; :class:`ShapeError` naming the one that is not); any of
+    them below 1 raises :class:`ParameterError` naming it, as the config
+    path refuses it: a species without controls has no pulse to run."""
     n_sites = read_integer(n_sites, "n_sites")
     channels = read_integer(channels, "channels")
     features = read_integer(features, "features")
-    for name, size in (("n_sites", n_sites), ("features", features)):
+    for name, size in (("n_sites", n_sites), ("channels", channels), ("features", features)):
         if size < 1:
             raise ParameterError(f"{name}: must be positive, got {size}")
     layout = StateLayout(electrode_array(n_sites), features)
@@ -178,10 +178,22 @@ def _defaults(call) -> dict:
 _SPECIES_DEFAULTS = _defaults(reference_species)
 
 
+def _read_count(raw, field: str) -> int:
+    """``raw`` read as an integer (:class:`ShapeError` naming ``field`` when
+    it is not one: None, a bool, a fraction); a negative one raises
+    :class:`ParameterError` naming it."""
+    value = read_integer(raw, field)
+    if value < 0:
+        raise ParameterError(f"{field}: must be nonnegative, got {value}")
+    return value
+
+
 def initial_state(layout: StateLayout, seed: int) -> InternalState:
     """Unit-level state with a small seeded perturbation per slot (0.01
-    times a standard normal), so the extracted features are nondegenerate."""
-    rng = np.random.default_rng(seed)
+    times a standard normal), so the extracted features are nondegenerate.
+    ``seed`` is read as a nonnegative integer (see :func:`_read_count`), so
+    None does not draw fresh entropy."""
+    rng = np.random.default_rng(_read_count(seed, "seed"))
     return InternalState(1.0 + 0.01 * rng.standard_normal(layout.dim), layout)
 
 
@@ -189,24 +201,37 @@ class PulseTemplate(Record):
     """Single-channel pulse: which channel, at what base amplitude/duration.
     The channel is read as an integer and the amplitude and duration as
     numbers; a value that is not one (a string, a bool) raises
-    :class:`ShapeError` naming its field."""
+    :class:`ShapeError` naming its field.
+
+    :meth:`pieces` gives the scaled pulse at a vector of eps as arrays, the
+    form the scan builds its piece table from; :meth:`program` is the same
+    pulse at one eps as a :class:`Program`."""
 
     def __init__(self, channel: int, amplitude: float = 1.0, duration: float = 1.0):
         channel = read_integer(channel, "channel")
         amplitude, duration = read_number(amplitude, "amplitude"), read_number(duration, "duration")
         vars(self).update(channel=channel, amplitude=amplitude, duration=duration)
 
+    # a product that overflows is refused by the piece table built from it
+    @np.errstate(over="ignore")
+    def pieces(self, eps, scaling: str, channels: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(lengths, inputs)``, (E,) and (E, channels): the one piece of
+        the scaled pulse at each of the E values of ``eps``, unchecked.
+        ``amplitude`` scaling multiplies the control by eps, ``duration``
+        scaling the length; each is one float64 product, the bits of the
+        same product of Python floats."""
+        if scaling not in ("amplitude", "duration"):
+            raise ConfigError(f"unknown scaling mode {scaling!r}")
+        eps = np.asarray(eps, dtype=np.float64)
+        unit = np.ones_like(eps)  # x * 1.0 is x: the unscaled quantity keeps its bits
+        amplitude, duration = (eps, unit) if scaling == "amplitude" else (unit, eps)
+        inputs = np.zeros((len(eps), channels))
+        inputs[:, self.channel] = self.amplitude * amplitude
+        return self.duration * duration, inputs
+
     def program(self, eps: float, scaling: str, channels: int) -> Program:
-        """Scaled pulse. ``amplitude`` scaling multiplies the control by
-        eps; ``duration`` scaling multiplies the length by eps."""
-        control = [0.0] * channels
-        if scaling == "amplitude":
-            control[self.channel] = self.amplitude * eps
-            return Program(((self.duration, tuple(control)),))
-        if scaling == "duration":
-            control[self.channel] = self.amplitude
-            return Program(((self.duration * eps, tuple(control)),))
-        raise ConfigError(f"unknown scaling mode {scaling!r}")
+        """The scaled pulse at one ``eps``: :meth:`pieces` of ``[eps]``."""
+        return Program(tuple(zip(*self.pieces([eps], scaling, channels))))
 
     def to_json(self) -> dict:
         return {
@@ -314,11 +339,14 @@ def _explicit_species(values: Mapping, where: str) -> SpeciesFunctor:
     return SpeciesFunctor(values.get("label", "configured"), dyn, extraction)
 
 
-def random_pulses(species: SpeciesFunctor, count: int, seed: int) -> list[Program]:
-    """Seeded single-piece pulses, each on a random channel at an amplitude
-    in [0.05, 0.5), for a length in [0.1, 1.0). Each quantity is drawn in
-    one call over all pulses, in this order: the channels, the amplitudes,
-    then the lengths; with no channel only the lengths are drawn."""
+def random_pulses(species: SpeciesFunctor, count: int, seed: int) -> PieceTable:
+    """The :class:`PieceTable` of ``count`` seeded single-piece pulses, each
+    on a random channel at an amplitude in [0.05, 0.5), for a length in
+    [0.1, 1.0). Each quantity is drawn in one call over all pulses, in this
+    order: the channels, the amplitudes, then the lengths; with no channel
+    only the lengths are drawn. ``count`` and ``seed`` are read as
+    nonnegative integers (see :func:`_read_count`)."""
+    count, seed = _read_count(count, "count"), _read_count(seed, "seed")
     rng = np.random.default_rng(seed)
     channels = species.dynamics.channels
     controls = np.zeros((count, channels))
@@ -326,10 +354,7 @@ def random_pulses(species: SpeciesFunctor, count: int, seed: int) -> list[Progra
         picked = rng.integers(0, channels, count)
         controls[np.arange(count), picked] = rng.uniform(0.05, 0.5, count)
     lengths = rng.uniform(0.1, 1.0, count)
-    return [
-        Program(((length, tuple(control)),))
-        for length, control in zip(lengths.tolist(), controls.tolist())
-    ]
+    return PieceTable(lengths, controls, np.ones(count, dtype=np.intp))
 
 
 def wide_environment(species: SpeciesFunctor, seed: int) -> EnvObject:
@@ -518,7 +543,10 @@ def run_order_asymmetry_scan(exp: ExposureExperiment) -> AsymmetryReport:
     For each eps, both orderings of the scaled pulses are run from the
     same seeded initial state and the extracted networks are compared;
     both orderings at every eps run in one ``transform_many`` call, on one
-    piece table of the scaled pulses.
+    checked piece table built from the two pulses' :meth:`PulseTemplate.pieces`
+    arrays: row i runs p then q at eps i, row grid + i q then p, so a pulse
+    that is not finite or not of positive duration at some eps raises
+    :class:`ParameterError` as a :class:`Program` of it would.
     Rows at the delta floor are flagged and excluded from the fit. The
     report also carries the norm of the commutator of the two pulse
     generators, the generator-level diagnostic of the same effect. Each is
@@ -533,17 +561,16 @@ def run_order_asymmetry_scan(exp: ExposureExperiment) -> AsymmetryReport:
     channels = dyn.channels
     state = initial_state(species.extraction.layout, exp.seed)
 
-    # rows 0..grid-1 hold p at each eps, rows grid.. q; the orderings are
-    # p;q at every eps, then q;p
+    # row i runs p then q at eps i, row grid + i q then p: the first pieces
+    # are p's then q's, the second pieces q's then p's
     grid = len(exp.eps_grid)
-    pulses = PieceTable.from_programs(
-        [
-            pulse.program(eps, exp.scaling, channels)
-            for pulse in (exp.pulse_p, exp.pulse_q)
-            for eps in exp.eps_grid
-        ]
+    p, q = (
+        pulse.pieces(exp.eps_grid, exp.scaling, channels) for pulse in (exp.pulse_p, exp.pulse_q)
     )
-    orderings = pulses.concatenate(pulses.take([*range(grid, 2 * grid), *range(grid)]))
+    lengths, inputs = (
+        np.stack((np.concatenate((a, b)), np.concatenate((b, a))), axis=1) for a, b in zip(p, q)
+    )
+    orderings = PieceTable(lengths.ravel(), inputs.reshape(-1, channels), np.full(2 * grid, 2))
     finals = species.transform_many(np.tile(state.vector, (2 * grid, 1)), orderings)
     deltas = state_distances(
         finals[:grid], finals[grid:], species.extraction, exp.weights
@@ -562,11 +589,9 @@ def run_order_asymmetry_scan(exp: ExposureExperiment) -> AsymmetryReport:
     # A_ch), on the block classes of the dynamics; the commutator stays on
     # the classes, each class's sum of squares counted once per block, on
     # entries scaled by a power of two, which is exact and keeps it finite
-    units = PieceTable.from_programs(
-        [pulse.program(1.0, "duration", channels) for pulse in (exp.pulse_p, exp.pulse_q)]
-    )
+    units = [pulse.pieces([1.0], "duration", channels) for pulse in (exp.pulse_p, exp.pulse_q)]
     with np.errstate(over="ignore", invalid="ignore"):
-        x_p, x_q = kernels._generators(dyn._system, units.lengths, units.inputs)
+        x_p, x_q = kernels._generators(dyn._system, *map(np.concatenate, zip(*units)))
         comm = x_p @ x_q - x_q @ x_p
         scale = np.frexp(np.abs(comm).max())[1]
         squares = np.square(np.ldexp(comm, -scale)).sum(axis=(1, 2))

@@ -71,6 +71,7 @@ in :mod:`mycocat.liealg`; beyond ``expm``'s refusal of a non-finite
 member, the kernels assume well-formed input.
 """
 
+import bisect
 import math
 from typing import NamedTuple
 
@@ -530,20 +531,20 @@ def apply_flows(system, parts, lengths, inputs, counts, vectors):
     """
     out = np.array(vectors, dtype=np.float64)
     states = out if out.ndim == 3 else out[:, None]  # a view: writes land in out
-    ends = np.cumsum(counts)
-    starts = ends - counts
+    rows = np.flatnonzero(counts)  # a program without pieces leaves its states
+    edges = [0, *counts[rows].cumsum().tolist()]  # rows[j] owns pieces edges[j]:edges[j + 1]
     limit = FLOW_BYTES // (8 * system[0].size)  # pieces per call
     lo = 0
-    while lo < len(counts):
-        hi = max(lo + 1, int(np.searchsorted(ends, starts[lo] + limit, side="right")))
-        rows = lo + np.flatnonzero(counts[lo:hi])
-        lo = hi
-        if not rows.size:
-            continue
-        own = slice(starts[rows[0]], ends[rows[-1]])
-        flows = _block_flows(system, lengths[own], inputs[own], counts[rows])
-        picked = states[rows]
+    while lo < len(rows):
+        hi = max(lo + 1, bisect.bisect_right(edges, edges[lo] + limit) - 1)
+        run, own = rows[lo:hi], slice(edges[lo], edges[hi])
+        flows = _block_flows(system, lengths[own], inputs[own], counts[run])
+        picked = states[run]
         padded = np.concatenate((picked, np.zeros(picked.shape[:-1] + (1,))), axis=-1)
-        moved = flows[:, parts.kind][:, None] @ padded[..., parts.take, None]
-        states[rows] = moved.reshape(picked.shape[:-1] + (-1,))[..., parts.place]
+        # take, unlike fancy indexing, leaves the operands and the product
+        # contiguous, so the reshape below copies nothing
+        blocked = padded.take(parts.take, axis=-1)[..., None]
+        moved = flows.take(parts.kind, axis=1)[:, None] @ blocked
+        states[run] = moved.reshape(picked.shape[:-1] + (-1,)).take(parts.place, axis=-1)
+        lo = hi
     return out

@@ -210,6 +210,13 @@ def _translate(
     return np.array(moved).reshape(len(vectors), layout.dim)
 
 
+def _table(programs: PieceTable | Sequence[Program]) -> PieceTable:
+    """``programs`` as one :class:`PieceTable`: a table as it is, a
+    sequence (or any iterable) of :class:`Program` read once by
+    ``from_programs``."""
+    return programs if isinstance(programs, PieceTable) else PieceTable.from_programs(programs)
+
+
 def _worst(values: Sequence[float]) -> tuple[float, int | None]:
     """``(worst, index)``: the largest of ``values`` and the first index
     within 4 ulps (``np.spacing``) of it, the witness; ``(0.0, None)`` when
@@ -350,30 +357,32 @@ def check_naturality(
     f1: SpeciesFunctor,
     f2: SpeciesFunctor,
     eta: NaturalTransformationData,
-    programs: Sequence[Program],
+    programs: PieceTable | Sequence[Program],
     tol: float = 1e-9,
     seed: int = 0,
 ) -> LawReport:
     """Measure commutation of the species-translation square.
 
-    For each program f and each of :data:`STATES_PER_PROGRAM` sampled
-    source states S, compares translate-then-transform against
+    ``programs`` is a :class:`PieceTable` or a sequence of
+    :class:`Program`, read into one table on entry; the report is the same
+    for both. For each program f and each of :data:`STATES_PER_PROGRAM`
+    sampled source states S, compares translate-then-transform against
     transform-then-translate (both read out through the second species'
     pipeline). The max residual is the empirical sensitivity of the
     species pair to that program family. Every state is drawn first, into
     one (P * k, n) array whose rows k * i to k * i + k - 1 belong to program
     i, and each species runs all pairs in one ``transform_many`` call on
     the (P, k, n) view, so each program's flow is computed once for its k
-    states. Raises :class:`ParameterError` when there is no program.
+    states. The witness holds its program's ``to_json``. Raises
+    :class:`ParameterError` when there is no program.
     """
-    programs = list(programs)
-    if not programs:
+    table = _table(programs)
+    if not len(table):
         raise ParameterError("naturality needs at least one program")
     rng = np.random.default_rng(seed)
-    states = rng.normal(size=(len(programs) * STATES_PER_PROGRAM, f1.dynamics.dim))
-    table = PieceTable.from_programs(programs)
+    states = rng.normal(size=(len(table) * STATES_PER_PROGRAM, f1.dynamics.dim))
     layout = f2.extraction.layout
-    per_program = (len(programs), STATES_PER_PROGRAM, -1)
+    per_program = (len(table), STATES_PER_PROGRAM, -1)
     moved1 = f1.transform_many(states.reshape(per_program), table).reshape(len(states), -1)
     moved2 = f2.transform_many(_translate(eta, states, layout).reshape(per_program), table)
     translated = _translate(eta, moved1, layout)
@@ -385,7 +394,7 @@ def check_naturality(
             "program_index": pi,
             "state_index": si,
             "state": states[i].tolist(),
-            "program": programs[pi].to_json(),
+            "program": table.program(pi).to_json(),
         }
 
     return _report("naturality", residuals, tol, witness_of, seed)
@@ -721,29 +730,32 @@ def check_compatibility(
     psi: EnvironmentEvolution,
     f: SpeciesFunctor,
     environments: Sequence[EnvObject],
-    programs: Sequence[Program],
+    programs: PieceTable | Sequence[Program],
     tol: float = 1e-8,
     weights: DistanceWeights = DistanceWeights(),
 ) -> LawReport:
     """Compare the two legs of the static/operational square per program.
 
-    Leg one evolves the environment with ``psi`` and reads the result out
-    through the species pipeline; leg two embeds with ``iota`` and evolves
-    internally. The report's residual is the max network distance between
-    the legs over all (environment, program) pairs. The environments form
-    one :class:`EnvBatch`, embedded once; ``psi`` maps a batch of
-    environments and a :class:`PieceTable` of as many programs, one per
-    environment, to the batch of evolved environments. It and the
+    ``programs`` is a :class:`PieceTable` or a sequence of
+    :class:`Program`, read into one table on entry; the report is the same
+    for both. Leg one evolves the environment with ``psi`` and reads the
+    result out through the species pipeline; leg two embeds with ``iota``
+    and evolves internally. The report's residual is the max network
+    distance between the legs over all (environment, program) pairs. The
+    environments form one :class:`EnvBatch`, embedded once; ``psi`` maps a
+    batch of environments and a :class:`PieceTable` of as many programs,
+    one per environment, to the batch of evolved environments. It and the
     operational leg's ``transform_many`` each run on all pairs in one call.
-    Raises :class:`ParameterError` when there is no environment or program,
-    or when the environments do not share one graph and one constraint
+    The witness holds its program's ``to_json``. Raises
+    :class:`ParameterError` when there is no environment or program, or
+    when the environments do not share one graph and one constraint
     record.
     """
-    environments, programs = list(environments), list(programs)
-    if not environments or not programs:
+    environments, table = list(environments), _table(programs)
+    if not environments or not len(table):
         raise ParameterError(
             f"compatibility needs at least one environment and one program, got "
-            f"{len(environments)} and {len(programs)}"
+            f"{len(environments)} and {len(table)}"
         )
     _require_layout(iota, f.extraction.layout)
     batch = EnvBatch.from_envs(environments)
@@ -752,11 +764,11 @@ def check_compatibility(
     except InputError as exc:
         # the batch shares one graph, so the first environment is undefined
         raise InputError("iota undefined on sampled environment 0") from exc
-    pairs = [(ei, pi) for ei in range(len(environments)) for pi in range(len(programs))]
+    pairs = [(ei, pi) for ei in range(len(environments)) for pi in range(len(table))]
     env_rows, program_rows = (list(rows) for rows in zip(*pairs))
-    table = PieceTable.from_programs(programs).take(program_rows)
-    operational = f.transform_many(starts[env_rows], table)
-    static = iota.many(psi(batch.take(env_rows), table))
+    paired = table.take(program_rows)
+    operational = f.transform_many(starts[env_rows], paired)
+    static = iota.many(psi(batch.take(env_rows), paired))
     residuals = state_distances(static, operational, f.extraction, weights)
 
     def witness_of(i: int) -> dict:
@@ -764,7 +776,7 @@ def check_compatibility(
         return {
             "environment_index": ei,
             "program_index": pi,
-            "program": programs[pi].to_json(),
+            "program": table.program(pi).to_json(),
         }
 
     return _report("compatibility", residuals, tol, witness_of)

@@ -28,7 +28,7 @@ JSON wire formats::
 from __future__ import annotations
 
 import math
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -228,7 +228,7 @@ class PieceTable(Record):
         """The programs of checked ``tables`` of one control width, one
         table after another, unchecked; a table without pieces may have any
         width."""
-        width = max(t.channels for t in tables)
+        width = max((t.channels for t in tables if len(t.lengths)), default=0)
         return cls._selected(
             np.concatenate([t.lengths for t in tables]),
             np.concatenate([t.inputs.reshape(len(t.lengths), width) for t in tables]),
@@ -236,9 +236,11 @@ class PieceTable(Record):
         )
 
     @classmethod
-    def from_programs(cls, programs: Sequence[Program]) -> "PieceTable":
-        """The table of ``programs``, in order. :class:`Program` has checked
-        each piece, so only the shared control width is checked here."""
+    def from_programs(cls, programs: Iterable[Program]) -> "PieceTable":
+        """The table of ``programs``, in order, read once, so an iterator
+        gives the table of its items. :class:`Program` has checked each
+        piece, so only the shared control width is checked here."""
+        programs = list(programs)
         pieces = [piece for p in programs for piece in p.pieces]
         widths = {len(control) for _, control in pieces}
         if len(widths) > 1:
@@ -286,17 +288,10 @@ class PieceTable(Record):
         if len(self.lengths) and len(other.lengths) and self.channels != other.channels:
             raise ShapeError("cannot concatenate programs with different control widths")
         # a stable sort by row keeps each row's pieces of this table first
-        parts = (self, other)
-        rows = np.repeat(
-            np.tile(np.arange(len(self)), 2), np.concatenate((self.counts, other.counts))
-        )
+        both = PieceTable._stacked([self, other])
+        rows = np.repeat(np.tile(np.arange(len(self)), 2), both.counts)
         order = np.argsort(rows, kind="stable")
-        width = (self if len(self.lengths) else other).channels
-        return PieceTable._selected(
-            np.concatenate([t.lengths for t in parts])[order],
-            np.concatenate([t.inputs.reshape(len(t.lengths), width) for t in parts])[order],
-            self.counts + other.counts,
-        )
+        return self._selected(both.lengths[order], both.inputs[order], self.counts + other.counts)
 
     def last_pieces(self) -> "PieceTable":
         """Each program's last piece; an empty program stays empty."""

@@ -21,6 +21,7 @@ from mycocat.experiments import (
     electrode_array,
     fit_loglog_slope,
     initial_state,
+    random_pulses,
     reference_species,
     run_order_asymmetry_scan,
     run_worked_example,
@@ -33,6 +34,8 @@ from mycocat.laws import SpeciesFunctor, field_writeback
 from mycocat.liealg import estimate_generator
 from mycocat.programs import (
     Extraction,
+    PieceTable,
+    Program,
     ReferenceDynamics,
     StateLayout,
     concatenate,
@@ -182,9 +185,14 @@ def test_code_built_records_store_read_numbers():
     assert type(config.n_sites) is int and type(config.channels) is int
 
 
-@pytest.mark.parametrize("size", [{"n_sites": 0}, {"n_sites": -1}, {"features": 0}])
+@pytest.mark.parametrize(
+    "size",
+    [{"n_sites": 0}, {"n_sites": -1}, {"features": 0}, {"channels": 0}, {"channels": -1}],
+)
 def test_reference_species_refuses_an_empty_state(size):
-    # n_sites=0 built a species of dimension 0, and -1 was accepted too
+    # n_sites=0 built a species of dimension 0, and -1 was accepted too;
+    # channels=0 built a species without controls, and -1 was numpy's
+    # bare ValueError
     ((name, value),) = size.items()
     with pytest.raises(ParameterError) as exc:
         reference_species(**size)
@@ -602,3 +610,200 @@ def test_wide_environment_is_the_written_back_initial_state(coupling, n_sites):
             for env in (ours, oracle)
         ]
         assert rows[0] == rows[1]
+
+
+# ---------------------------------------------------------------------------
+# Pulse programs built as arrays
+# ---------------------------------------------------------------------------
+
+
+def pulse_program(pulse, eps, scaling, channels):
+    """The scaled pulse built from Python floats, one Program per eps: the
+    oracle of ``PulseTemplate.pieces`` and ``PulseTemplate.program``."""
+    control = [0.0] * channels
+    if scaling == "amplitude":
+        control[pulse.channel] = pulse.amplitude * eps
+        return Program(((pulse.duration, tuple(control)),))
+    control[pulse.channel] = pulse.amplitude
+    return Program(((pulse.duration * eps, tuple(control)),))
+
+
+def orderings_oracle(exp):
+    """The scan's orderings built from one Program per pulse and eps: p;q
+    at every eps, then q;p, by ``take`` and ``concatenate``."""
+    channels, grid = exp.species.dynamics.channels, len(exp.eps_grid)
+    pulses = PieceTable.from_programs([
+        pulse_program(pulse, eps, exp.scaling, channels)
+        for pulse in (exp.pulse_p, exp.pulse_q)
+        for eps in exp.eps_grid
+    ])
+    return pulses.concatenate(pulses.take([*range(grid, 2 * grid), *range(grid)]))
+
+
+def scan_orderings(exp):
+    """The one piece table the scan runs its orderings on."""
+    seen = []
+
+    class Recording(SpeciesFunctor):
+        def transform_many(self, vectors, table):
+            seen.append(table)
+            return super().transform_many(vectors, table)
+
+    species = exp.species
+    recording = Recording(species.label, species.dynamics, species.extraction)
+    run_order_asymmetry_scan(exp.replace(species=recording))
+    (table,) = seen
+    return table
+
+
+def table_bytes(table):
+    return [(a.dtype, a.shape, a.tobytes()) for a in (table.lengths, table.inputs, table.counts)]
+
+
+PULSE_PAIRS = {
+    "default": (PulseTemplate(0), PulseTemplate(1)),
+    "scaled": (PulseTemplate(1, amplitude=0.37, duration=1.9),
+               PulseTemplate(0, amplitude=2.3, duration=0.61)),
+}
+GRIDS = {
+    "4-point": (0.4, 0.2, 0.1, 0.04),
+    "9-point": (0.3, 0.2, 0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001),
+}
+
+
+@pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
+@pytest.mark.parametrize("pulses", PULSE_PAIRS.values(), ids=PULSE_PAIRS.keys())
+@pytest.mark.parametrize("scaling", ["amplitude", "duration"])
+def test_scan_orderings_equal_the_program_built_table(scaling, pulses, grid):
+    exp = experiment(scaling=scaling, eps_grid=grid).replace(
+        pulse_p=pulses[0], pulse_q=pulses[1]
+    )
+    assert table_bytes(scan_orderings(exp)) == table_bytes(orderings_oracle(exp))
+    for pulse in pulses:
+        for eps in grid:
+            ours = pulse.program(eps, scaling, 2)
+            assert ours.to_json() == pulse_program(pulse, eps, scaling, 2).to_json()
+            assert all(type(u) is float for u in ours.pieces[0][1])
+
+
+@pytest.mark.parametrize("scaling", ["amplitude", "duration"])
+@pytest.mark.parametrize(
+    "pulse, message",
+    [
+        (PulseTemplate(0, amplitude=math.inf), "piece lengths and controls must be finite"),
+        (PulseTemplate(0, amplitude=math.nan), "piece lengths and controls must be finite"),
+        (PulseTemplate(0, duration=0.0), "piece lengths must be strictly positive"),
+    ],
+    ids=["infinite-amplitude", "nan-amplitude", "zero-duration"],
+)
+def test_scan_refuses_a_bad_pulse_as_programs_do(scaling, pulse, message):
+    exp = experiment(scaling=scaling).replace(pulse_q=pulse)
+    with pytest.raises(ParameterError) as exc:
+        run_order_asymmetry_scan(exp)
+    assert str(exc.value) == message
+    with pytest.raises(ParameterError) as exc:
+        orderings_oracle(exp)
+    assert str(exc.value) == message
+
+
+def test_scan_refuses_an_overflowing_scaled_control():
+    # each template value is finite; the product at the largest eps is not
+    exp = experiment(eps_grid=(4.0, 2.0, 1.0, 0.4)).replace(
+        pulse_p=PulseTemplate(0, amplitude=1e308)
+    )
+    with pytest.raises(ParameterError) as exc:
+        run_order_asymmetry_scan(exp)
+    assert str(exc.value) == "piece lengths and controls must be finite"
+
+
+def random_pulse_programs(species, count, seed):
+    """One Program per pulse from the draws of ``random_pulses``: its oracle."""
+    rng = np.random.default_rng(seed)
+    channels = species.dynamics.channels
+    controls = np.zeros((count, channels))
+    if channels:
+        picked = rng.integers(0, channels, count)
+        controls[np.arange(count), picked] = rng.uniform(0.05, 0.5, count)
+    lengths = rng.uniform(0.1, 1.0, count)
+    return [
+        Program(((length, tuple(control)),))
+        for length, control in zip(lengths.tolist(), controls.tolist())
+    ]
+
+
+def species_without_controls():
+    dyn = ReferenceDynamics(np.zeros((2, 2)), ())
+    return SpeciesFunctor("still", dyn, Extraction(StateLayout(electrode_array(1), 2)))
+
+
+@pytest.mark.parametrize(
+    "species",
+    [reference_species(n_sites=2, channels=c) for c in (1, 2, 3)] + [species_without_controls()],
+    ids=["1-channel", "2-channel", "3-channel", "no-channel"],
+)
+def test_random_pulses_table_equals_the_program_list(species):
+    for seed in range(21):
+        for count in (0, 1, 50):
+            table = random_pulses(species, count, seed)
+            programs = random_pulse_programs(species, count, seed)
+            assert [table.program(i) for i in range(count)] == programs
+            if count:  # an empty table keeps the species' control width
+                assert table_bytes(table) == table_bytes(PieceTable.from_programs(programs))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda s: random_pulses(s, 5, None), ShapeError, "seed: must be an integer, got None"),
+        (lambda s: random_pulses(s, 5, -1), ParameterError, "seed: must be nonnegative, got -1"),
+        (lambda s: random_pulses(s, 5, 1.5), ShapeError, "seed: must be an integer, got 1.5"),
+        (lambda s: random_pulses(s, -1, 0), ParameterError, "count: must be nonnegative, got -1"),
+        (lambda s: random_pulses(s, None, 0), ShapeError, "count: must be an integer, got None"),
+        (lambda s: random_pulses(s, 2.5, 0), ShapeError, "count: must be an integer, got 2.5"),
+        (lambda s: random_pulses(s, math.nan, 0), ShapeError, "count: must be an integer, got nan"),
+        (lambda s: random_pulses(s, "5", 0), ShapeError, "count: must be an integer, got '5'"),
+        (lambda s: random_pulses(s, True, 0), ShapeError, "count: must be an integer, got True"),
+        (lambda s: random_pulses(s, [5], 0), ShapeError, "count: must be an integer, got list"),
+        (lambda s: initial_state(s.extraction.layout, None), ShapeError,
+         "seed: must be an integer, got None"),
+        (lambda s: initial_state(s.extraction.layout, -3), ParameterError,
+         "seed: must be nonnegative, got -3"),
+        (lambda s: wide_environment(s, None), ShapeError, "seed: must be an integer, got None"),
+    ],
+    ids=[
+        "pulses-none-seed", "pulses-negative-seed", "pulses-fractional-seed",
+        "pulses-negative-count", "pulses-none-count", "pulses-fractional-count",
+        "pulses-nan-count", "pulses-string-count", "pulses-bool-count", "pulses-list-count",
+        "state-none-seed", "state-negative-seed", "environment-none-seed",
+    ],
+)
+def test_seeded_builders_read_count_and_seed(call, error, message):
+    # seed=None drew fresh entropy, and each count was a bare numpy error
+    with pytest.raises(error) as exc:
+        call(reference_species(n_sites=2))
+    assert str(exc.value) == message
+
+
+def test_seeded_builders_take_integral_numbers():
+    species = reference_species(n_sites=2)
+    assert table_bytes(random_pulses(species, 5.0, np.int64(3))) == table_bytes(
+        random_pulses(species, 5, 3)
+    )
+    layout = species.extraction.layout
+    assert initial_state(layout, 7.0).vector.tobytes() == initial_state(layout, 7).vector.tobytes()
+
+
+def test_worked_example_builds_a_program_only_for_a_witness(monkeypatch):
+    # the scans and the compatibility pulses are piece tables built from
+    # arrays; the functor-law witness holds p and q, the compatibility one
+    # its program
+    built = []
+    init = Program.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Program, "__init__", counted)
+    run_worked_example()
+    assert len(built) <= 3

@@ -1,5 +1,6 @@
 """Law harness: functor laws, naturality, adjunction, Lipschitz, compatibility."""
 
+import json
 import math
 
 import numpy as np
@@ -209,6 +210,55 @@ class TestNaturality:
         assert report.max_residual > 1e-4  # reported species sensitivity
 
 
+def table_and_programs(seed, channels=2, count=12):
+    """Programs of 1 to 3 pieces drawn as one table, and the same programs
+    as a list of :class:`Program`."""
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(1, 4, count)
+    pieces = int(counts.sum())
+    table = PieceTable(
+        rng.uniform(0.1, 0.6, pieces), rng.uniform(0.05, 0.5, (pieces, channels)), counts
+    )
+    return table, [table.program(i) for i in range(count)]
+
+
+class TestTableOrPrograms:
+    """The checkers that take programs read a table or a Program list into
+    one table on entry: the report and its witness are the same bytes."""
+
+    @pytest.mark.parametrize("variant", ["identity", "similarity", "perturbed"])
+    def test_naturality(self, species, variant):
+        other, eta = {
+            "identity": (species, identity_transformation()),
+            "similarity": similarity_variant(species, seed=13),
+            "perturbed": (perturbed_variant(species, magnitude=0.1), identity_transformation()),
+        }[variant]
+        for seed in (1, 2, 3):
+            table, programs = table_and_programs(seed)
+            reports = [
+                json.dumps(check_naturality(species, other, eta, p, tol=1e-9, seed=seed).to_json())
+                for p in (table, programs, iter(programs))
+            ]
+            assert reports[0] == reports[1] == reports[2]
+            witness = json.loads(reports[0])["witness"]
+            assert witness["program"] == programs[witness["program_index"]].to_json()
+
+    @pytest.mark.parametrize("scale", [1.0, 1.1])
+    def test_compatibility(self, species, scale):
+        iota = direct_embedding(species.extraction.layout, 2)
+        psi = scaled_environment_evolution(species, iota, scale)
+        envs = [wide_env(species, seed=2), wide_env(species, seed=5)]
+        for seed in (1, 2, 3):
+            table, programs = table_and_programs(seed)
+            reports = [
+                json.dumps(check_compatibility(iota, psi, species, envs, p, tol=1e-8).to_json())
+                for p in (table, programs, iter(programs))
+            ]
+            assert reports[0] == reports[1] == reports[2]
+            witness = json.loads(reports[0])["witness"]
+            assert witness["program"] == programs[witness["program_index"]].to_json()
+
+
 def naturality(kind, morphism, pair, lhs, rhs):
     """A naturality violation as ``check_adjunction`` reports it."""
     return {"kind": kind, "morphism": morphism, "pair": pair, "lhs": lhs, "rhs": rhs}
@@ -375,11 +425,10 @@ class TestCompatibility:
             sigma=config.sigma, coupling=config.coupling,
         )
         iota = direct_embedding(species.extraction.layout, config.channels)
-        pulses = experiments.random_pulses(species, config.compat_pulses, config.seed + 1)
-        assert len(pulses) == 50
+        table = experiments.random_pulses(species, config.compat_pulses, config.seed + 1)
+        assert len(table) == 50
         env = experiments.wide_environment(species, config.seed)
-        batch = EnvBatch.from_envs([env] * len(pulses))
-        table = PieceTable.from_programs(pulses)
+        batch = EnvBatch.from_envs([env] * len(table))
         matched = matched_environment_evolution(species, iota)(batch, table)
         scaled = scaled_environment_evolution(species, iota, 1.0)(batch, table)
         assert matched.fields.tobytes() == scaled.fields.tobytes()
@@ -787,8 +836,9 @@ class TestEmptySampleSets:
 
     def test_naturality(self, species):
         eta = identity_transformation()
-        with pytest.raises(ParameterError):
-            check_naturality(species, species, eta, [])
+        for empty in ([], experiments.random_pulses(species, 0, 0)):
+            with pytest.raises(ParameterError):
+                check_naturality(species, species, eta, empty)
 
     def test_lipschitz(self, species):
         with pytest.raises(ParameterError):
@@ -798,8 +848,9 @@ class TestEmptySampleSets:
         iota = direct_embedding(species.extraction.layout, 2)
         psi = matched_environment_evolution(species, iota)
         env = wide_env(species, seed=2)
-        with pytest.raises(ParameterError):
-            check_compatibility(iota, psi, species, [env], [])
+        for empty in ([], experiments.random_pulses(species, 0, 0)):
+            with pytest.raises(ParameterError):
+                check_compatibility(iota, psi, species, [env], empty)
         with pytest.raises(ParameterError):
             check_compatibility(iota, psi, species, [], [Program()])
 

@@ -676,6 +676,20 @@ class TestPieceTable:
         last = PieceTable.from_programs(ps).last_pieces()
         assert table_programs(last) == [program_bits(Program(p.pieces[-1:])) for p in ps]
 
+    def test_from_programs_reads_an_iterator_once(self):
+        # it iterated twice: an iterator gave 3 pieces and no program
+        programs = [Program(((1.0, (0.5,)),)), Program(((2.0, (0.1,)), (0.3, (0.2,))))]
+        table = PieceTable.from_programs(p for p in programs)
+        assert table_programs(table) == [program_bits(p) for p in programs]
+
+    def test_concatenate_with_a_table_without_pieces_of_any_width(self):
+        # a table without pieces may have any width, wider ones included
+        one = PieceTable([0.5], [[1.0, -0.0]], [1])
+        for empty in (PieceTable(np.empty(0), np.empty((0, w)), [0]) for w in (0, 2, 5)):
+            for joined in (one.concatenate(empty), empty.concatenate(one)):
+                assert table_programs(joined) == [program_bits(one.program(0))]
+                assert joined.inputs.shape == (1, 2)
+
     @settings(max_examples=150, deadline=None)
     @given(
         program_batches(),

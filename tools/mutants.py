@@ -269,6 +269,88 @@ MUTANTS = (
         "    elif s == 2 and not far.any():\n", "    elif s == 2 and not far.all():\n",
         KERNEL_TESTS,
     ),
+    # pulse programs built as arrays: the scan's orderings, the scaled
+    # pulse, the seeded pulses and the reads of their counts and seeds
+    Mutant(
+        "scan-qp-rows-built-as-pq", EXPERIMENTS,
+        "np.stack((np.concatenate((a, b)), np.concatenate((b, a))), axis=1)",
+        "np.stack((np.concatenate((a, a)), np.concatenate((b, b))), axis=1)",
+        EXPERIMENT_TESTS,
+    ),
+    Mutant(
+        "pulse-duration-scaling-on-amplitude", EXPERIMENTS,
+        '(eps, unit) if scaling == "amplitude" else (unit, eps)',
+        '(eps, unit) if scaling == "amplitude" else (eps, unit)',
+        EXPERIMENT_TESTS,
+    ),
+    Mutant(
+        "random-pulses-lengths-first", EXPERIMENTS,
+        "    controls = np.zeros((count, channels))\n"
+        "    if channels:\n"
+        "        picked = rng.integers(0, channels, count)\n"
+        "        controls[np.arange(count), picked] = rng.uniform(0.05, 0.5, count)\n"
+        "    lengths = rng.uniform(0.1, 1.0, count)\n",
+        "    lengths = rng.uniform(0.1, 1.0, count)\n"
+        "    controls = np.zeros((count, channels))\n"
+        "    if channels:\n"
+        "        picked = rng.integers(0, channels, count)\n"
+        "        controls[np.arange(count), picked] = rng.uniform(0.05, 0.5, count)\n",
+        EXPERIMENT_TESTS,
+    ),
+    Mutant(
+        "random-pulses-count-unread", EXPERIMENTS,
+        'count, seed = _read_count(count, "count"), _read_count(seed, "seed")',
+        'count, seed = count, _read_count(seed, "seed")',
+        EXPERIMENT_TESTS,
+    ),
+    Mutant(
+        "random-pulses-seed-unread", EXPERIMENTS,
+        'count, seed = _read_count(count, "count"), _read_count(seed, "seed")',
+        'count, seed = _read_count(count, "count"), seed',
+        EXPERIMENT_TESTS,
+    ),
+    Mutant(
+        "initial-state-seed-unread", EXPERIMENTS,
+        'rng = np.random.default_rng(_read_count(seed, "seed"))',
+        "rng = np.random.default_rng(seed)",
+        EXPERIMENT_TESTS,
+    ),
+    Mutant(
+        "negative-seed-or-count-accepted", EXPERIMENTS,
+        "    value = read_integer(raw, field)\n    if value < 0:\n",
+        "    value = read_integer(raw, field)\n    if False:\n",
+        EXPERIMENT_TESTS,
+    ),
+    Mutant(
+        "species-without-channels-accepted", EXPERIMENTS,
+        '(("n_sites", n_sites), ("channels", channels), ("features", features))',
+        '(("n_sites", n_sites), ("features", features))',
+        EXPERIMENT_TESTS,
+    ),
+    Mutant(
+        "naturality-witness-first-program", "src/mycocat/laws.py",
+        '"state": states[i].tolist(),\n            "program": table.program(pi).to_json(),',
+        '"state": states[i].tolist(),\n            "program": table.program(0).to_json(),',
+        ("tests/test_laws.py",),
+    ),
+    Mutant(
+        "stacked-width-from-pieceless-tables", PROGRAMS,
+        "width = max((t.channels for t in tables if len(t.lengths)), default=0)",
+        "width = max(t.channels for t in tables)",
+        PROGRAM_TESTS,
+    ),
+    Mutant(
+        "from-programs-iterates-twice", PROGRAMS,
+        "        programs = list(programs)\n        pieces = [piece for p in programs",
+        "        pieces = [piece for p in programs",
+        PROGRAM_TESTS,
+    ),
+    # every flow batch of the shipped workloads is one run
+    Mutant(
+        "flow-runs-of-one-program", KERNELS,
+        "hi = max(lo + 1, bisect.bisect_right(edges, edges[lo] + limit) - 1)", "hi = lo + 1",
+        EXPERIMENT_TESTS,
+    ),
     # records compare within one class only, and refuse assignment
     Mutant(
         "record-equality-across-classes", "src/mycocat/errors.py",
