@@ -61,6 +61,7 @@ from .readers import (
     _require_finite,
     _require_nonnegative,
     _require_positive,
+    read_count,
     read_integer,
     read_key,
     read_like,
@@ -81,10 +82,13 @@ DELTA_FLOOR = 1e-12
 
 
 def electrode_array(n_sites: int) -> AttributedGraph:
-    """Linear observation array: sites in a row, joined by links."""
-    nodes = tuple(f"site{i}" for i in range(n_sites))
+    """Linear observation array: sites in a row, joined by links.
+    ``n_sites`` is read by :func:`read_count`: a value that is not an
+    integer (a fraction, a string, a bool) raises :class:`ShapeError`, a
+    negative one :class:`ParameterError`."""
+    nodes = tuple(f"site{i}" for i in range(read_count(n_sites, "n_sites")))
     edges = tuple(
-        (f"link{i}", (nodes[i], nodes[i + 1])) for i in range(n_sites - 1)
+        (f"link{i}", (nodes[i], nodes[i + 1])) for i in range(len(nodes) - 1)
     )
     return AttributedGraph(nodes, edges)
 
@@ -178,22 +182,12 @@ def _defaults(call) -> dict:
 _SPECIES_DEFAULTS = _defaults(reference_species)
 
 
-def _read_count(raw, field: str) -> int:
-    """``raw`` read as an integer (:class:`ShapeError` naming ``field`` when
-    it is not one: None, a bool, a fraction); a negative one raises
-    :class:`ParameterError` naming it."""
-    value = read_integer(raw, field)
-    if value < 0:
-        raise ParameterError(f"{field}: must be nonnegative, got {value}")
-    return value
-
-
 def initial_state(layout: StateLayout, seed: int) -> InternalState:
     """Unit-level state with a small seeded perturbation per slot (0.01
     times a standard normal), so the extracted features are nondegenerate.
-    ``seed`` is read as a nonnegative integer (see :func:`_read_count`), so
+    ``seed`` is read as a nonnegative integer (see :func:`read_count`), so
     None does not draw fresh entropy."""
-    rng = np.random.default_rng(_read_count(seed, "seed"))
+    rng = np.random.default_rng(read_count(seed, "seed"))
     return InternalState(1.0 + 0.01 * rng.standard_normal(layout.dim), layout)
 
 
@@ -345,8 +339,8 @@ def random_pulses(species: SpeciesFunctor, count: int, seed: int) -> PieceTable:
     [0.1, 1.0). Each quantity is drawn in one call over all pulses, in this
     order: the channels, the amplitudes, then the lengths; with no channel
     only the lengths are drawn. ``count`` and ``seed`` are read as
-    nonnegative integers (see :func:`_read_count`)."""
-    count, seed = _read_count(count, "count"), _read_count(seed, "seed")
+    nonnegative integers (see :func:`read_count`)."""
+    count, seed = read_count(count, "count"), read_count(seed, "seed")
     rng = np.random.default_rng(seed)
     channels = species.dynamics.channels
     controls = np.zeros((count, channels))

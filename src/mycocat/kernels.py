@@ -59,12 +59,16 @@ Algorithms:
   of the program's k states (the law checks and the scans' rows): one
   take from the zero-padded states gathers them, with the index
   ``Blocks`` carries, and one take puts them back, so each program's flow
-  is computed once however many states it moves. ``piecewise_flow`` runs
-  it on one program and scatters the flow to n x n
-  (``programs.flow_matrix``, which ``liealg.estimate_generator`` logs).
-  The order-asymmetry scan's commutator diagnostic takes no flow: it
-  reads its two pulse generators from ``_generators``, the routine that
-  builds every piece's generator for ``_block_flows``.
+  is computed once however many states it moves. The matvec on a block of
+  size s is s elementwise column updates, summed in column order with each
+  product rounded on its own. It calls no BLAS, so its bits do not depend
+  on the kernel BLAS dispatches; the product loop, ``expm`` and ``logm``
+  still use BLAS. ``piecewise_flow`` runs it on one program and scatters
+  the flow to n x n (``programs.flow_matrix``, which
+  ``liealg.estimate_generator`` logs). The order-asymmetry scan's
+  commutator diagnostic takes no flow: it reads its two pulse generators
+  from ``_generators``, the routine that builds every piece's generator
+  for ``_block_flows``.
 
 Domain validation (finiteness, principal-branch eigenvalue checks) lives
 in :mod:`mycocat.liealg`; beyond ``expm``'s refusal of a non-finite
@@ -520,14 +524,17 @@ def apply_flows(system, parts, lengths, inputs, counts, vectors):
     states as they are.
 
     Each program's class flows are computed once, whatever its k, and act
-    on each of its states' block sub-vectors through one broadcast matvec;
-    nothing is scattered to n x n. Runs of consecutive programs share one
-    :func:`_block_flows` call, which exponentiates each class once; a run
-    holds as many programs as keep its piece stack (pieces x classes x
-    size^2 x 8 bytes) within :data:`FLOW_BYTES`, and at least one, and
-    when every piece fits, the whole table is one run. Each row depends on
-    its own program and vector only, one matvec per (program, state,
-    block), so a batch of one gives the same bits as any batch holding it.
+    on each of its states' block sub-vectors; nothing is scattered to
+    n x n. The matvec calls no BLAS: for a block of size s it is s
+    elementwise column updates, y = F[:, 0] x_0, then y += F[:, j] x_j for
+    j = 1 ... s - 1, each product rounded on its own and summed in column
+    order, so its bits do not depend on which BLAS kernel the CPU picks.
+    Runs of consecutive programs share one :func:`_block_flows` call, which
+    exponentiates each class once; a run holds as many programs as keep
+    its piece stack (pieces x classes x size^2 x 8 bytes) within
+    :data:`FLOW_BYTES`, and at least one, and when every piece fits, the
+    whole table is one run. Each row depends on its own program and vector
+    only, so a batch of one gives the same bits as any batch holding it.
     """
     out = np.array(vectors, dtype=np.float64)
     states = out if out.ndim == 3 else out[:, None]  # a view: writes land in out
@@ -538,13 +545,15 @@ def apply_flows(system, parts, lengths, inputs, counts, vectors):
     while lo < len(rows):
         hi = max(lo + 1, bisect.bisect_right(edges, edges[lo] + limit) - 1)
         run, own = rows[lo:hi], slice(edges[lo], edges[hi])
-        flows = _block_flows(system, lengths[own], inputs[own], counts[run])
+        flows = _block_flows(system, lengths[own], inputs[own], counts[run]).take(parts.kind, 1)
         picked = states[run]
         padded = np.concatenate((picked, np.zeros(picked.shape[:-1] + (1,))), axis=-1)
         # take, unlike fancy indexing, leaves the operands and the product
         # contiguous, so the reshape below copies nothing
-        blocked = padded.take(parts.take, axis=-1)[..., None]
-        moved = flows.take(parts.kind, axis=1)[:, None] @ blocked
+        blocked = padded.take(parts.take, axis=-1)
+        moved = flows[:, None, ..., 0] * blocked[..., 0, None]
+        for j in range(1, blocked.shape[-1]):
+            moved += flows[:, None, ..., j] * blocked[..., j, None]
         states[run] = moved.reshape(picked.shape[:-1] + (-1,)).take(parts.place, axis=-1)
         lo = hi
     return out

@@ -55,6 +55,7 @@ from .programs import (
     extract,
     state_distances,
 )
+from .readers import read_count
 
 
 class LawReport(Record):
@@ -176,8 +177,11 @@ def similarity_variant(
 ) -> tuple[SpeciesFunctor, "NaturalTransformationData"]:
     """Species conjugated by a well-conditioned change of basis P (the
     identity plus 0.1 times a seeded normal matrix over sqrt(n)), together
-    with the translation S -> P @ S as a natural comparison map."""
-    rng = np.random.default_rng(seed)
+    with the translation S -> P @ S as a natural comparison map. ``seed``
+    is read by :func:`read_count`: None, a fraction or a string raises
+    :class:`ShapeError` and a negative seed :class:`ParameterError`, so no
+    run draws fresh entropy."""
+    rng = np.random.default_rng(read_count(seed, "seed"))
     n = f.dynamics.dim
     p = np.eye(n) + 0.1 * rng.normal(size=(n, n)) / math.sqrt(n)
     p_inv = np.linalg.inv(p)
@@ -282,11 +286,12 @@ def check_functor_laws(
     (0.5 times a standard normal), then q's. The joint leg, the first
     sequential leg and the null program share one batched
     ``transform_many`` call; the second sequential leg takes another.
-    Raises :class:`ParameterError` when ``sample_count`` is not positive.
+    Raises :class:`ParameterError` when ``sample_count`` is not positive;
+    ``seed`` is read as :func:`similarity_variant` reads it.
     """
     if sample_count < 1:
         raise ParameterError(f"functor laws need at least one sample, got {sample_count}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed := read_count(seed, "seed"))
     dim, channels = f.dynamics.dim, f.dynamics.channels
     states = rng.normal(size=(sample_count, dim))
     counts = rng.integers(1, 3, size=(2, sample_count))
@@ -374,12 +379,13 @@ def check_naturality(
     i, and each species runs all pairs in one ``transform_many`` call on
     the (P, k, n) view, so each program's flow is computed once for its k
     states. The witness holds its program's ``to_json``. Raises
-    :class:`ParameterError` when there is no program.
+    :class:`ParameterError` when there is no program; ``seed`` is read as
+    :func:`similarity_variant` reads it.
     """
     table = _table(programs)
     if not len(table):
         raise ParameterError("naturality needs at least one program")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed := read_count(seed, "seed"))
     states = rng.normal(size=(len(table) * STATES_PER_PROGRAM, f1.dynamics.dim))
     layout = f2.extraction.layout
     per_program = (len(table), STATES_PER_PROGRAM, -1)
@@ -577,13 +583,17 @@ def check_adjunction(
 class DirectEmbedding(Record):
     """Environment-to-state map reading (rho, phi) into node feature slots:
     feature 0 carries the resource value, features 1..k the first k
-    chemical channels. Requires ``layout.feature_count == 1 + channels``.
+    chemical channels. Requires ``layout.feature_count == 1 + channels``;
+    ``channels`` is read by :func:`read_count`, so a value that is not an
+    integer (a string, a fraction, a bool) raises :class:`ShapeError` and a
+    negative one :class:`ParameterError`.
 
     Called on one :class:`EnvObject` it returns an :class:`InternalState`;
     ``many`` embeds an :class:`EnvBatch` as one (P, n) state array.
     """
 
     def __init__(self, layout: StateLayout, channels: int):
+        channels = read_count(channels, "channels")
         if layout.feature_count != channels + 1:
             raise InputError(
                 f"direct embedding needs {channels + 1} features, "
@@ -611,7 +621,7 @@ class DirectEmbedding(Record):
 
 def direct_embedding(layout: StateLayout, channels: int) -> DirectEmbedding:
     """The :class:`DirectEmbedding` of ``channels`` chemical channels into
-    ``layout``."""
+    ``layout``; ``channels`` is read as :class:`DirectEmbedding` reads it."""
     return DirectEmbedding(layout, channels)
 
 

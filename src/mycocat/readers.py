@@ -47,6 +47,17 @@ def read_integer(raw, field: str) -> int:
     return int(raw)
 
 
+def read_count(raw, field: str) -> int:
+    """``raw`` read as an integer (:class:`ShapeError` naming ``field`` when
+    it is not one: None, a bool, a fraction); a negative one raises
+    :class:`ParameterError` naming it. Reads the seeds and sizes that code
+    passes in, so a seed of None draws no fresh entropy."""
+    value = read_integer(raw, field)
+    if value < 0:
+        raise ParameterError(f"{field}: must be nonnegative, got {value}")
+    return value
+
+
 def _of_type(types, kind: str) -> Callable:
     """The reader of a value that is one of ``types``, returned as it is."""
     def read(raw, field: str):

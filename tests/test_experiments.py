@@ -213,6 +213,21 @@ def test_reference_species_reads_its_sizes():
     assert species.dynamics.dim == 6 and len(species.dynamics.controls) == 2
 
 
+def test_electrode_array_reads_its_size():
+    # -1 built an empty array; 2.5 and "3" were bare TypeErrors
+    for size, error, message in (
+        (-1, ParameterError, "n_sites: must be nonnegative, got -1"),
+        (2.5, ShapeError, "n_sites: must be an integer, got 2.5"),
+        ("3", ShapeError, "n_sites: must be an integer, got '3'"),
+        (True, ShapeError, "n_sites: must be an integer, got True"),
+    ):
+        with pytest.raises(error) as exc:
+            electrode_array(size)
+        assert str(exc.value) == message
+    assert electrode_array(3.0) == electrode_array(np.int64(3))
+    assert len(electrode_array(3).nodes) == 3 and len(electrode_array(0).nodes) == 0
+
+
 def experiment(coupling="noncommuting", scaling="amplitude", **kwargs):
     species = reference_species(n_sites=2, channels=2, features=3, coupling=coupling)
     return ExposureExperiment(

@@ -629,3 +629,68 @@ def test_block_classes_merge_only_byte_identical_blocks():
     assert got.tobytes() == ref.tobytes()
     got = kernels.piecewise_flow(classes, merged, lengths[:3], inputs[:3])
     assert got.tobytes() == kernels.piecewise_flow(system, parts, lengths[:3], inputs[:3]).tobytes()
+
+
+def oracle_rows(flow, parts, vector):
+    """``flow @ vector`` in Python floats, one block at a time: row i of
+    block b is sum_j F_ij x_j over the block's indices j in block order,
+    each product rounded on its own and added in that order."""
+    out = [0.0] * parts.n
+    for index in parts.index:
+        cols = [int(j) for j in index if j >= 0]
+        for i in cols:
+            acc = float(flow[i, cols[0]]) * float(vector[cols[0]])
+            for j in cols[1:]:
+                acc += float(flow[i, j]) * float(vector[j])
+            out[i] = acc
+    return out
+
+
+def two_by_two_classes(rng):
+    # four 2 x 2 blocks, scattered, in two byte-identical pairs: 2 classes
+    pair = 0.5 * rng.normal(size=(2, 3, 2, 2))
+    perm = rng.permutation(8)
+    pattern = np.kron(np.eye(4, dtype=bool), np.ones((2, 2), dtype=bool))[perm][:, perm]
+    parts = kernels.blocks(pattern)
+    system = np.stack([pair[0], pair[1], pair[1], pair[0]], axis=1)
+    classes, merged = kernels.block_classes(system, parts)
+    assert len(classes[0]) == 2 and merged.index.shape == (4, 2)
+    return classes, merged
+
+
+def single_entries(rng):
+    # the commuting species' shape: every block is 1 x 1
+    mats = np.stack([np.diag(0.5 * rng.normal(size=7)) for _ in range(3)])
+    parts = kernels.blocks(np.eye(7, dtype=bool))
+    assert parts.index.shape == (7, 1)
+    return kernels.gather(mats, parts), parts
+
+
+def one_dense_block(rng):
+    mats = block_structured(rng, [12], 3, "dense")
+    parts = kernels.blocks((mats != 0).any(axis=0))
+    assert parts.index.shape == (1, 12)
+    return kernels.gather(mats, parts), parts
+
+
+@pytest.mark.parametrize("build", [two_by_two_classes, single_entries, one_dense_block])
+@pytest.mark.parametrize("k", [None, 3], ids=["P-n", "P-k-n"])
+def test_apply_flows_rows_sum_their_columns_in_order(build, k):
+    # each row is F_i0 x_0 + F_i1 x_1 + ... in column order with every
+    # product rounded on its own, whichever kernel BLAS would dispatch: a
+    # fused multiply-add (as BLAS gemv may use) or another order moves bits
+    rng = np.random.default_rng(18)
+    system, parts = build(rng)
+    counts = rng.integers(0, 4, size=25)
+    lengths = rng.uniform(0.1, 1.0, size=counts.sum())
+    inputs = rng.uniform(-1.0, 1.0, size=(counts.sum(), 2))
+    vectors = rng.normal(size=(25, parts.n) if k is None else (25, k, parts.n))
+    got = kernels.apply_flows(system, parts, lengths, inputs, counts, vectors)
+    assert got.shape == vectors.shape
+    starts = np.cumsum(counts) - counts
+    for p, (start, count) in enumerate(zip(starts, counts)):
+        own = slice(start, start + count)
+        flow = kernels.piecewise_flow(system, parts, lengths[own], inputs[own])
+        for state, row in zip(vectors[p].reshape(-1, parts.n), got[p].reshape(-1, parts.n)):
+            want = oracle_rows(flow, parts, state) if count else state.tolist()
+            assert row.tobytes() == np.array(want).tobytes()

@@ -8,7 +8,7 @@ import pytest
 
 from mycocat import experiments, kernels
 from mycocat.envmyc import Constraints, EnvBatch, EnvObject
-from mycocat.errors import ConstraintError, InputError, ParameterError
+from mycocat.errors import ConstraintError, InputError, ParameterError, ShapeError
 from mycocat.experiments import WorkedExampleConfig, reference_species, run_worked_example
 from mycocat.graphs import AttributedGraph
 from mycocat.envmyc import env_distance, myc_distance
@@ -853,6 +853,60 @@ class TestEmptySampleSets:
                 check_compatibility(iota, psi, species, [env], empty)
         with pytest.raises(ParameterError):
             check_compatibility(iota, psi, species, [], [Program()])
+
+
+def seeded_calls(species, seed):
+    eta = identity_transformation()
+    return {
+        "similarity": lambda: similarity_variant(species, seed=seed),
+        "functor-laws": lambda: check_functor_laws(species, sample_count=4, seed=seed),
+        "naturality": lambda: check_naturality(
+            species, species, eta, [Program(((0.5, (1.0, 0.0)),))], seed=seed
+        ),
+    }
+
+
+@pytest.mark.parametrize("call", ["similarity", "functor-laws", "naturality"])
+@pytest.mark.parametrize(
+    "seed, error, message",
+    [
+        (None, ShapeError, "seed: must be an integer, got None"),
+        (-1, ParameterError, "seed: must be nonnegative, got -1"),
+        ("a", ShapeError, "seed: must be an integer, got 'a'"),
+        (1.5, ShapeError, "seed: must be an integer, got 1.5"),
+        (True, ShapeError, "seed: must be an integer, got True"),
+    ],
+    ids=["none", "negative", "string", "fraction", "bool"],
+)
+def test_seeded_checkers_read_their_seed(species, call, seed, error, message):
+    # None drew fresh entropy, -1 was numpy's bare ValueError and "a" a
+    # bare TypeError
+    with pytest.raises(error) as exc:
+        seeded_calls(species, seed)[call]()
+    assert str(exc.value) == message
+
+
+def test_seeded_checkers_take_integral_numbers(species):
+    for call in ("functor-laws", "naturality"):
+        got = seeded_calls(species, 3.0)[call]()
+        assert got.seed == 3 and type(got.seed) is int
+        assert got.to_json() == seeded_calls(species, np.int64(3))[call]().to_json()
+    got, want = (seeded_calls(species, seed)["similarity"]()[0].dynamics for seed in (3.0, 3))
+    assert np.array_equal(got.drift, want.drift) and np.array_equal(got.controls, want.controls)
+
+
+def test_direct_embedding_reads_its_channels(species):
+    layout = species.extraction.layout
+    for channels, error, message in (
+        ("x", ShapeError, "channels: must be an integer, got 'x'"),
+        (2.5, ShapeError, "channels: must be an integer, got 2.5"),
+        (None, ShapeError, "channels: must be an integer, got None"),
+        (-1, ParameterError, "channels: must be nonnegative, got -1"),
+    ):
+        with pytest.raises(error) as exc:
+            direct_embedding(layout, channels)
+        assert str(exc.value) == message
+    assert direct_embedding(layout, 2.0) == direct_embedding(layout, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -46,11 +46,14 @@ ENVMYC = "src/mycocat/envmyc.py"
 EXPERIMENTS = "src/mycocat/experiments.py"
 GRAPHS = "src/mycocat/graphs.py"
 KERNELS = "src/mycocat/kernels.py"
+LAWS = "src/mycocat/laws.py"
 PROGRAMS = "src/mycocat/programs.py"
+READERS = "src/mycocat/readers.py"
 ENV_TESTS = ("tests/test_envmyc.py",)
 EXPERIMENT_TESTS = ("tests/test_experiments.py",)
 GRAPH_TESTS = ("tests/test_graphs.py",)
 KERNEL_TESTS = ("tests/test_kernels.py",)
+LAW_TESTS = ("tests/test_laws.py",)
 PROGRAM_TESTS = ("tests/test_programs.py",)
 RECORD_TESTS = ("tests/test_records.py",)
 
@@ -260,9 +263,9 @@ MUTANTS = (
         PROGRAM_TESTS,
     ),
     Mutant(
-        "functor-legs-swapped", "src/mycocat/laws.py",
+        "functor-legs-swapped", LAWS,
         "joint, first, unmoved = np.split(", "first, joint, unmoved = np.split(",
-        ("tests/test_laws.py",),
+        LAW_TESTS,
     ),
     Mutant(
         "expm-near-2x2-shortcut-on-any", KERNELS,
@@ -299,26 +302,54 @@ MUTANTS = (
     ),
     Mutant(
         "random-pulses-count-unread", EXPERIMENTS,
-        'count, seed = _read_count(count, "count"), _read_count(seed, "seed")',
-        'count, seed = count, _read_count(seed, "seed")',
+        'count, seed = read_count(count, "count"), read_count(seed, "seed")',
+        'count, seed = count, read_count(seed, "seed")',
         EXPERIMENT_TESTS,
     ),
     Mutant(
         "random-pulses-seed-unread", EXPERIMENTS,
-        'count, seed = _read_count(count, "count"), _read_count(seed, "seed")',
-        'count, seed = _read_count(count, "count"), seed',
+        'count, seed = read_count(count, "count"), read_count(seed, "seed")',
+        'count, seed = read_count(count, "count"), seed',
         EXPERIMENT_TESTS,
     ),
     Mutant(
         "initial-state-seed-unread", EXPERIMENTS,
-        'rng = np.random.default_rng(_read_count(seed, "seed"))',
+        'rng = np.random.default_rng(read_count(seed, "seed"))',
         "rng = np.random.default_rng(seed)",
         EXPERIMENT_TESTS,
     ),
     Mutant(
-        "negative-seed-or-count-accepted", EXPERIMENTS,
+        "negative-seed-or-count-accepted", READERS,
         "    value = read_integer(raw, field)\n    if value < 0:\n",
         "    value = read_integer(raw, field)\n    if False:\n",
+        EXPERIMENT_TESTS + LAW_TESTS,
+    ),
+    # the seeds and sizes that code passes to the law checkers and builders
+    Mutant(
+        "similarity-seed-unread", LAWS,
+        'rng = np.random.default_rng(read_count(seed, "seed"))', "rng = np.random.default_rng(seed)",
+        LAW_TESTS,
+    ),
+    Mutant(
+        "functor-laws-seed-unread", LAWS,
+        'rng = np.random.default_rng(seed := read_count(seed, "seed"))\n    dim, channels',
+        "rng = np.random.default_rng(seed)\n    dim, channels",
+        LAW_TESTS,
+    ),
+    Mutant(
+        "naturality-seed-unread", LAWS,
+        'rng = np.random.default_rng(seed := read_count(seed, "seed"))\n    states',
+        "rng = np.random.default_rng(seed)\n    states",
+        LAW_TESTS,
+    ),
+    Mutant(
+        "embedding-channels-unread", LAWS,
+        '        channels = read_count(channels, "channels")\n', "",
+        LAW_TESTS,
+    ),
+    Mutant(
+        "electrode-array-size-unread", EXPERIMENTS,
+        'range(read_count(n_sites, "n_sites"))', "range(n_sites)",
         EXPERIMENT_TESTS,
     ),
     Mutant(
@@ -328,10 +359,10 @@ MUTANTS = (
         EXPERIMENT_TESTS,
     ),
     Mutant(
-        "naturality-witness-first-program", "src/mycocat/laws.py",
+        "naturality-witness-first-program", LAWS,
         '"state": states[i].tolist(),\n            "program": table.program(pi).to_json(),',
         '"state": states[i].tolist(),\n            "program": table.program(0).to_json(),',
-        ("tests/test_laws.py",),
+        LAW_TESTS,
     ),
     Mutant(
         "stacked-width-from-pieceless-tables", PROGRAMS,
@@ -350,6 +381,25 @@ MUTANTS = (
         "flow-runs-of-one-program", KERNELS,
         "hi = max(lo + 1, bisect.bisect_right(edges, edges[lo] + limit) - 1)", "hi = lo + 1",
         EXPERIMENT_TESTS,
+    ),
+    # the block matvec sums each row's products in column order
+    Mutant(
+        "matvec-transposed-flow", KERNELS,
+        "        moved = flows[:, None, ..., 0] * blocked[..., 0, None]\n"
+        "        for j in range(1, blocked.shape[-1]):\n"
+        "            moved += flows[:, None, ..., j] * blocked[..., j, None]\n",
+        "        moved = flows[:, None, ..., 0, :] * blocked[..., 0, None]\n"
+        "        for j in range(1, blocked.shape[-1]):\n"
+        "            moved += flows[:, None, ..., j, :] * blocked[..., j, None]\n",
+        KERNEL_TESTS,
+    ),
+    Mutant(
+        "matvec-columns-reversed", KERNELS,
+        "        moved = flows[:, None, ..., 0] * blocked[..., 0, None]\n"
+        "        for j in range(1, blocked.shape[-1]):\n",
+        "        moved = flows[:, None, ..., -1] * blocked[..., -1, None]\n"
+        "        for j in range(blocked.shape[-1] - 2, -1, -1):\n",
+        KERNEL_TESTS,
     ),
     # records compare within one class only, and refuse assignment
     Mutant(
