@@ -32,6 +32,7 @@ _EXPORTS = {
         "compose_env_morphisms",
         "compose_myc_morphisms",
         "env_distance",
+        "env_distances",
         "myc_distance",
         "transport_myc",
     ),

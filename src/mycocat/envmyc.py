@@ -313,8 +313,7 @@ def _first_violation(fields: np.ndarray, nodes: Sequence, chi: Constraints) -> s
     # a leading 0.0 column makes the running total ordered_sum's, bit for
     # bit; an overflow gives inf and inf - inf NaN, silently, as floats do
     with np.errstate(over="ignore", invalid="ignore"):
-        start = np.zeros((len(rho), 1))
-        totals = np.add.accumulate(np.concatenate((start, rho), axis=1), axis=1)[:, -1]
+        totals = _ordered_sums(rho)
     over = totals > chi.budget + _BOUND_SLACK
     lo = np.array([b[0] for b in chi.phi_bounds], dtype=np.float64)
     hi = np.array([b[1] for b in chi.phi_bounds], dtype=np.float64)
@@ -547,6 +546,26 @@ def env_distance(e1: EnvObject, e2: EnvObject) -> float:
         set(e1.graph.edge_keys) ^ set(e2.graph.edge_keys)
     )
     return d_rho + d_phi + struct
+
+
+def _ordered_sums(values: np.ndarray) -> np.ndarray:
+    """:func:`ordered_sum` along the last axis: from 0.0, left to right
+    (``cumsum`` adds one term at a time), 0.0 for an empty axis."""
+    return np.concatenate((np.zeros(values.shape[:-1] + (1,)), values), -1).cumsum(-1)[..., -1]
+
+
+def env_distances(firsts: EnvBatch, seconds: EnvBatch) -> np.ndarray:
+    """:func:`env_distance` of every pair (``firsts`` row i, ``seconds`` row
+    i), as one (P,) array, equal to it bit for bit: on one graph the
+    structural count is 0, each node's chemical gaps add left to right, and
+    the resource and chemical totals add over the nodes in declaration
+    order. Two batches on different graphs or with different channel
+    counts raise :class:`ParameterError`."""
+    if firsts.graph != seconds.graph or firsts.chi.channels != seconds.chi.channels:
+        raise ParameterError("environment distances need batches on one graph and channel count")
+    with np.errstate(over="ignore"):  # an overflow gives inf, as floats do
+        gaps = np.abs(firsts.fields - seconds.fields)
+        return _ordered_sums(gaps[..., 0]) + _ordered_sums(_ordered_sums(gaps[..., 1:]))
 
 
 # ---------------------------------------------------------------------------

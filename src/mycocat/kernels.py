@@ -60,15 +60,16 @@ Algorithms:
   take from the zero-padded states gathers them, with the index
   ``Blocks`` carries, and one take puts them back, so each program's flow
   is computed once however many states it moves. The matvec on a block of
-  size s is s elementwise column updates, summed in column order with each
-  product rounded on its own. It calls no BLAS, so its bits do not depend
-  on the kernel BLAS dispatches; the product loop, ``expm`` and ``logm``
-  still use BLAS. ``piecewise_flow`` runs it on one program and scatters
-  the flow to n x n (``programs.flow_matrix``, which
-  ``liealg.estimate_generator`` logs). The order-asymmetry scan's
-  commutator diagnostic takes no flow: it reads its two pulse generators
-  from ``_generators``, the routine that builds every piece's generator
-  for ``_block_flows``.
+  size s, ``column_matvec``, is s elementwise column updates, summed in
+  column order with each product rounded on its own; the similarity
+  variant's comparison map in :mod:`mycocat.laws` runs it too. It calls no
+  BLAS, so its bits do not depend on the kernel BLAS dispatches; the
+  product loop, ``expm`` and ``logm`` still use BLAS. ``piecewise_flow``
+  runs it on one program and scatters the flow to n x n
+  (``programs.flow_matrix``, which ``liealg.estimate_generator`` logs).
+  The order-asymmetry scan's commutator diagnostic takes no flow: it
+  reads its two pulse generators from ``_generators``, the routine that
+  builds every piece's generator for ``_block_flows``.
 
 Domain validation (finiteness, principal-branch eigenvalue checks) lives
 in :mod:`mycocat.liealg`; beyond ``expm``'s refusal of a non-finite
@@ -510,6 +511,18 @@ def piecewise_flow(system, parts, lengths, inputs):
     return scatter(flows[parts.kind], parts)
 
 
+def column_matvec(matrices, vectors):
+    """``matrices @ vectors[..., None]`` without BLAS, broadcast over the
+    leading axes: y = M[..., :, 0] x_0, then y += M[..., :, j] x_j for
+    j = 1 ... s - 1, each product rounded on its own and summed in column
+    order. Each row's bits are those of its own one-row call, whatever
+    shares the batch and whichever kernel BLAS would dispatch."""
+    out = matrices[..., 0] * vectors[..., 0, None]
+    for j in range(1, vectors.shape[-1]):
+        out += matrices[..., j] * vectors[..., j, None]
+    return out
+
+
 def apply_flows(system, parts, lengths, inputs, counts, vectors):
     """Evolve the states of each of P programs by its piecewise flow.
 
@@ -525,10 +538,10 @@ def apply_flows(system, parts, lengths, inputs, counts, vectors):
 
     Each program's class flows are computed once, whatever its k, and act
     on each of its states' block sub-vectors; nothing is scattered to
-    n x n. The matvec calls no BLAS: for a block of size s it is s
-    elementwise column updates, y = F[:, 0] x_0, then y += F[:, j] x_j for
-    j = 1 ... s - 1, each product rounded on its own and summed in column
-    order, so its bits do not depend on which BLAS kernel the CPU picks.
+    n x n. The matvec is :func:`column_matvec`: for a block of size s it is
+    s elementwise column updates, each product rounded on its own and
+    summed in column order, so its bits do not depend on which BLAS kernel
+    the CPU picks.
     Runs of consecutive programs share one :func:`_block_flows` call, which
     exponentiates each class once; a run holds as many programs as keep
     its piece stack (pieces x classes x size^2 x 8 bytes) within
@@ -551,9 +564,7 @@ def apply_flows(system, parts, lengths, inputs, counts, vectors):
         # take, unlike fancy indexing, leaves the operands and the product
         # contiguous, so the reshape below copies nothing
         blocked = padded.take(parts.take, axis=-1)
-        moved = flows[:, None, ..., 0] * blocked[..., 0, None]
-        for j in range(1, blocked.shape[-1]):
-            moved += flows[:, None, ..., j] * blocked[..., j, None]
+        moved = column_matvec(flows[:, None], blocked)
         states[run] = moved.reshape(picked.shape[:-1] + (-1,)).take(parts.place, axis=-1)
         lo = hi
     return out

@@ -39,10 +39,11 @@ from .envmyc import (
     EnvObject,
     MycMorphism,
     MycObject,
-    env_distance,
+    env_distances,
 )
 from .errors import InputError, ParameterError, Record, ResourceError, ShapeError
 from .graphs import identity_morphism
+from .kernels import column_matvec
 from .programs import (
     NULL_PROGRAM,
     Extraction,
@@ -55,7 +56,7 @@ from .programs import (
     extract,
     state_distances,
 )
-from .readers import read_count
+from .readers import read_count, read_number
 
 
 class LawReport(Record):
@@ -162,7 +163,14 @@ def non_causal_variant(f: SpeciesFunctor) -> NonCausalSpecies:
 
 def perturbed_variant(f: SpeciesFunctor, magnitude: float = 0.1) -> SpeciesFunctor:
     """Species with control matrix 0 plus a fixed random bump of Frobenius
-    norm ``magnitude``; used as a sensitivity probe."""
+    norm ``|magnitude|``; used as a sensitivity probe. A negative
+    ``magnitude`` flips the bump, and the config path accepts it too.
+    ``magnitude`` is read by :func:`read_number`: a value that is not a
+    number (None, a bool, a string, a list) raises :class:`ShapeError`
+    naming it, and NaN or infinity :class:`ParameterError`, before any
+    matrix is built."""
+    if not math.isfinite(magnitude := read_number(magnitude, "magnitude")):
+        raise ParameterError(f"magnitude: must be finite, got {magnitude}")
     rng = np.random.default_rng(7)
     controls = list(f.dynamics.controls)  # ReferenceDynamics copies them
     bump = rng.normal(size=controls[0].shape)
@@ -177,10 +185,12 @@ def similarity_variant(
 ) -> tuple[SpeciesFunctor, "NaturalTransformationData"]:
     """Species conjugated by a well-conditioned change of basis P (the
     identity plus 0.1 times a seeded normal matrix over sqrt(n)), together
-    with the translation S -> P @ S as a natural comparison map. ``seed``
-    is read by :func:`read_count`: None, a fraction or a string raises
-    :class:`ShapeError` and a negative seed :class:`ParameterError`, so no
-    run draws fresh entropy."""
+    with the translation S -> P S as a natural comparison map. The map takes
+    its (R, n) rows in one :func:`mycocat.kernels.column_matvec` call, which
+    calls no BLAS, so each row's image has the bits of its one-row call
+    whatever shares the batch. ``seed`` is read by :func:`read_count`:
+    None, a fraction or a string raises :class:`ShapeError` and a negative
+    seed :class:`ParameterError`, so no run draws fresh entropy."""
     rng = np.random.default_rng(read_count(seed, "seed"))
     n = f.dynamics.dim
     p = np.eye(n) + 0.1 * rng.normal(size=(n, n)) / math.sqrt(n)
@@ -190,7 +200,7 @@ def similarity_variant(
         tuple(p @ c @ p_inv for c in f.dynamics.controls),
     )
     species = SpeciesFunctor(f.label + "-conjugate", dyn, f.extraction)
-    eta = NaturalTransformationData(state_map=lambda v: p @ v)
+    eta = NaturalTransformationData(state_map=lambda v: column_matvec(p, v))
     return species, eta
 
 
@@ -202,16 +212,13 @@ def similarity_variant(
 def _translate(
     eta: "NaturalTransformationData", vectors: np.ndarray, layout: StateLayout
 ) -> np.ndarray:
-    """``eta``'s component at every row of ``vectors``, one call per row, as
-    states in ``layout``; a component of another shape is a
-    :class:`ShapeError`."""
-    moved = [eta.map_state(v) for v in vectors]
-    for v in moved:
-        if v.shape != (layout.dim,):
-            raise ShapeError(
-                f"translated state has shape {v.shape}, layout expects {layout.dim} entries"
-            )
-    return np.array(moved).reshape(len(vectors), layout.dim)
+    """``eta``'s components at the rows of ``vectors`` (R, n), in one
+    ``state_map`` call, as (R, ``layout.dim``) states; images of another
+    shape (another width or row count) are a :class:`ShapeError`."""
+    moved = eta.map_state(vectors)
+    if moved.shape != (want := (len(vectors), layout.dim)):
+        raise ShapeError(f"translated states have shape {moved.shape}, expected {want}")
+    return moved
 
 
 def _table(programs: PieceTable | Sequence[Program]) -> PieceTable:
@@ -341,16 +348,22 @@ def replay_functor_law_witness(f: SpeciesFunctor, witness: Mapping) -> float:
 
 class NaturalTransformationData(Record):
     """Per-object comparison components between two species, given as a
-    state-level map applied at every sampled object."""
+    state-level map on a batch: ``state_map`` takes an (R, n) array, one
+    state per row, and returns their R images as an (R, n') array in one
+    call. Each image should depend on its own row only, so that a checker's
+    residuals do not depend on how its states are batched."""
 
     def __init__(self, state_map: Callable[[np.ndarray], np.ndarray]):
         vars(self).update(state_map=state_map)
 
-    def map_state(self, vector: np.ndarray) -> np.ndarray:
-        return np.asarray(self.state_map(vector), dtype=np.float64)
+    def map_state(self, vectors: np.ndarray) -> np.ndarray:
+        """The images of the rows of ``vectors`` as a float64 array."""
+        return np.asarray(self.state_map(vectors), dtype=np.float64)
 
 
 def identity_transformation() -> NaturalTransformationData:
+    """The comparison map of a species with itself: it returns its input
+    unchanged."""
     return NaturalTransformationData(state_map=lambda v: v)
 
 
@@ -378,9 +391,11 @@ def check_naturality(
     one (P * k, n) array whose rows k * i to k * i + k - 1 belong to program
     i, and each species runs all pairs in one ``transform_many`` call on
     the (P, k, n) view, so each program's flow is computed once for its k
-    states. The witness holds its program's ``to_json``. Raises
-    :class:`ParameterError` when there is no program; ``seed`` is read as
-    :func:`similarity_variant` reads it.
+    states. ``eta`` maps all P * k start states in one ``state_map`` call
+    and all P * k moved states in another; images of another shape than
+    (P * k, n) raise :class:`ShapeError`. The witness holds its program's
+    ``to_json``. Raises :class:`ParameterError` when there is no program;
+    ``seed`` is read as :func:`similarity_variant` reads it.
     """
     table = _table(programs)
     if not len(table):
@@ -645,7 +660,9 @@ def check_lipschitz(
     image distance differs). A NaN ratio is the worst. ``iota`` defaults to the direct
     field embedding and embeds every environment as one batch; ``program``
     optionally runs a flow between embedding and extraction, for every
-    embedded environment in one ``transform_many`` call. Raises
+    embedded environment in one ``transform_many`` call. The environment
+    distances of all pairs come from one :func:`env_distances` call on
+    that batch, equal to :func:`env_distance` bit for bit. Raises
     :class:`ParameterError` when there is no pair, or when the environments
     do not share one graph and one constraint record.
     """
@@ -657,27 +674,29 @@ def check_lipschitz(
         iota = direct_embedding(layout, layout.feature_count - 1)
     _require_layout(iota, layout)
     program = program if program is not None else NULL_PROGRAM
-    starts = iota.many(EnvBatch.from_envs([env for pair in object_pairs for env in pair]))
+    batch = EnvBatch.from_envs([env for pair in object_pairs for env in pair])
+    starts = iota.many(batch)
     images = f.transform_many(starts, PieceTable.from_programs([program]).repeat(len(starts)))
-    d_mycs = state_distances(images[0::2], images[1::2], f.extraction).tolist()
-    used = []  # (pair_index, ratio, d_env, d_myc) of the pairs at nonzero distance
-    for idx, ((e1, e2), d_myc) in enumerate(zip(object_pairs, d_mycs)):
-        d_env = env_distance(e1, e2)
-        if d_env == 0.0:
-            if d_myc != 0.0:  # a NaN image distance differs too
-                return LawReport(
-                    law="lipschitz",
-                    samples=idx + 1,
-                    max_residual=math.inf,
-                    tolerance=bound,
-                    witness={"pair_index": idx, "kind": "zero-distance-expansion"},
-                )
-            continue
-        used.append((idx, d_myc / d_env, d_env, d_myc))
-    worst, w = _worst([ratio for _, ratio, _, _ in used])
-    witness = None
-    if w is not None:
-        witness = dict(zip(("pair_index", "ratio", "d_env", "d_myc"), used[w]))
+    d_mycs = state_distances(images[0::2], images[1::2], f.extraction)
+    d_envs = env_distances(batch.take(range(0, len(batch), 2)), batch.take(range(1, len(batch), 2)))
+    # a NaN image distance differs too
+    expanded = np.flatnonzero((d_envs == 0.0) & (d_mycs != 0.0))
+    if expanded.size:
+        return LawReport(
+            law="lipschitz",
+            samples=int(expanded[0]) + 1,
+            max_residual=math.inf,
+            tolerance=bound,
+            witness={"pair_index": int(expanded[0]), "kind": "zero-distance-expansion"},
+        )
+    used = np.flatnonzero(d_envs != 0.0)  # the pairs at nonzero distance
+    with np.errstate(invalid="ignore"):  # inf / inf is NaN, as for floats
+        ratios = d_mycs[used] / d_envs[used]
+    worst, w = _worst(ratios)
+    witness = None if w is None else {
+        "pair_index": int(used[w]), "ratio": float(ratios[w]),
+        "d_env": float(d_envs[used[w]]), "d_myc": float(d_mycs[used[w]]),
+    }
     return LawReport(
         law="lipschitz",
         samples=len(used),
@@ -756,7 +775,9 @@ def check_compatibility(
     batch of environments and a :class:`PieceTable` of as many programs,
     one per environment, to the batch of evolved environments. It and the
     operational leg's ``transform_many`` each run on all pairs in one call.
-    The witness holds its program's ``to_json``. Raises
+    Pair i is environment i // P with program i % P, for P programs: its
+    rows come from ``np.repeat`` and ``np.tile``, its witness's indices from
+    ``divmod``. The witness holds its program's ``to_json``. Raises
     :class:`ParameterError` when there is no environment or program, or
     when the environments do not share one graph and one constraint
     record.
@@ -774,15 +795,14 @@ def check_compatibility(
     except InputError as exc:
         # the batch shares one graph, so the first environment is undefined
         raise InputError("iota undefined on sampled environment 0") from exc
-    pairs = [(ei, pi) for ei in range(len(environments)) for pi in range(len(table))]
-    env_rows, program_rows = (list(rows) for rows in zip(*pairs))
-    paired = table.take(program_rows)
+    env_rows = np.repeat(np.arange(len(environments)), len(table))
+    paired = table.take(np.tile(np.arange(len(table)), len(environments)))
     operational = f.transform_many(starts[env_rows], paired)
     static = iota.many(psi(batch.take(env_rows), paired))
     residuals = state_distances(static, operational, f.extraction, weights)
 
     def witness_of(i: int) -> dict:
-        ei, pi = pairs[i]
+        ei, pi = divmod(i, len(table))
         return {
             "environment_index": ei,
             "program_index": pi,

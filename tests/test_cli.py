@@ -1321,7 +1321,8 @@ PACKAGE_EXPORTS = {
         "Constraints", "DistanceWeights", "EnvBatch", "EnvMorphism", "EnvObject",
         "FieldRule", "MycMorphism", "MycObject", "anastomosis",
         "anastomosis_with_injections", "apply_env_morphism", "compose_env_morphisms",
-        "compose_myc_morphisms", "env_distance", "myc_distance", "transport_myc",
+        "compose_myc_morphisms", "env_distance", "env_distances", "myc_distance",
+        "transport_myc",
     ],
     "errors": ["MycocatError"],
     "experiments": [

@@ -1144,6 +1144,44 @@ def test_env_distance_basics():
     assert env_distance(e1, bumped) == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_env_distances_equal_env_distance_bit_for_bit(k):
+    # values over six decades on 9 to 12 nodes, so another summation order
+    # moves bits; every fourth pair is one environment twice
+    rng = np.random.default_rng(40 + k)
+    graph = make_random_graph(random.Random(k), max_nodes=12, min_nodes=9)
+    chi = Constraints(phi_bounds=((-1e3, 1e3),) * k)
+    shape = (2, 20, len(graph.nodes), 1 + k)
+    fields = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 3, size=shape)
+    fields[..., 0] = np.abs(fields[..., 0])
+    fields[1, ::4] = fields[0, ::4]
+    firsts, seconds = (EnvBatch(graph, chi, rows) for rows in fields)
+    got = envmyc.env_distances(firsts, seconds)
+    want = [env_distance(firsts.env(i), seconds.env(i)) for i in range(20)]
+    assert got.tobytes() == np.array(want).tobytes()
+    assert got[::4].tolist() == [0.0] * 5 and (got[1::4] > 0.0).all()
+
+
+def test_env_distances_overflow_to_inf_as_floats_do():
+    # no numpy overflow warning: the tests turn it into an error
+    g = AttributedGraph(("a", "b"), ())
+    chi = Constraints(phi_bounds=((-1e308, 1e308),))
+    e1, e2 = (
+        EnvObject(g, {"a": 0.0, "b": 0.0}, {"a": (x,), "b": (x,)}, chi) for x in (1e308, -1e308)
+    )
+    got = envmyc.env_distances(EnvBatch.from_envs([e1]), EnvBatch.from_envs([e2]))
+    assert got.tolist() == [env_distance(e1, e2)] == [math.inf]
+
+
+def test_env_distances_need_one_graph_and_channel_count():
+    e = square_env()
+    other = EnvObject(AttributedGraph(("a",), ()), {"a": 0.0}, {"a": (0.0, 0.0)}, e.chi)
+    fewer = square_env(k=1)
+    for a, b in ((e, other), (e, fewer)):
+        with pytest.raises(ParameterError, match="^environment distances need batches"):
+            envmyc.env_distances(EnvBatch.from_envs([a]), EnvBatch.from_envs([b]))
+
+
 # ---------------------------------------------------------------------------
 # Identity and composition in Myc
 # ---------------------------------------------------------------------------

@@ -210,6 +210,65 @@ class TestNaturality:
         assert report.max_residual > 1e-4  # reported species sensitivity
 
 
+def column_order_image(p, state):
+    """``p @ state`` in Python floats: row i is sum_j p_ij s_j, each product
+    rounded on its own and added in column order."""
+    out = []
+    for row in p.tolist():
+        acc = row[0] * float(state[0])
+        for pij, sj in zip(row[1:], state[1:].tolist()):
+            acc += pij * sj
+        out.append(acc)
+    return out
+
+
+def test_similarity_map_rows_equal_their_one_row_calls():
+    # a BLAS gemv or gemm may fuse multiply-adds or sum in another order, so
+    # a row's bits could depend on what shares its call
+    f = reference_species()
+    n = f.dynamics.dim
+    other, eta = similarity_variant(f, seed=11)
+    rng = np.random.default_rng(11)
+    p = np.eye(n) + 0.1 * rng.normal(size=(n, n)) / math.sqrt(n)
+    assert np.array_equal(other.dynamics.drift, p @ f.dynamics.drift @ np.linalg.inv(p))
+    states = np.random.default_rng(12).normal(size=(50, n))
+    images = eta.map_state(states)
+    assert images.shape == (50, n)
+    for state, image in zip(states, images):
+        assert image.tobytes() == eta.map_state(state[None])[0].tobytes()
+        assert image.tobytes() == np.array(column_order_image(p, state)).tobytes()
+
+
+@pytest.mark.parametrize(
+    "state_map",
+    [lambda v: v[:, :-1], lambda v: v[:-1], lambda v: v.ravel(), lambda v: v[0]],
+    ids=["width", "rows", "flat", "first-row"],
+)
+def test_naturality_refuses_images_of_another_shape(species, state_map):
+    eta = NaturalTransformationData(state_map=state_map)
+    with pytest.raises(ShapeError, match=r"^translated states have shape \("):
+        check_naturality(species, species, eta, random_pulses(2, 3, seed=3), seed=5)
+
+
+def test_perturbed_variant_reads_its_magnitude(species):
+    for magnitude, error, message in (
+        ("x", ShapeError, "magnitude: must be a number, got 'x'"),
+        (None, ShapeError, "magnitude: must be a number, got None"),
+        (True, ShapeError, "magnitude: must be a number, got True"),
+        ([1], ShapeError, "magnitude: must be a number, got list"),
+        (math.nan, ParameterError, "magnitude: must be finite, got nan"),
+        (-math.inf, ParameterError, "magnitude: must be finite, got -inf"),
+    ):
+        with pytest.raises(error) as exc:
+            perturbed_variant(species, magnitude)
+        assert str(exc.value) == message
+    # a negative magnitude flips the bump; an integral one is a number
+    base = species.dynamics.controls[0]
+    up, down = (perturbed_variant(species, m).dynamics.controls[0] - base for m in (1, -1.0))
+    assert np.allclose(up, -down, rtol=0.0, atol=1e-15)
+    assert np.linalg.norm(up, "fro") == pytest.approx(1.0)
+
+
 def table_and_programs(seed, channels=2, count=12):
     """Programs of 1 to 3 pieces drawn as one table, and the same programs
     as a list of :class:`Program`."""
@@ -593,9 +652,10 @@ def oracle_naturality(f1, f2, eta, programs, run, tol, seed, states_per_program=
     for pi, program in enumerate(programs):
         for si in range(states_per_program):
             state = next(states)
-            translated = InternalState(eta.map_state(state.vector), layout)
+            # eta maps a batch of states; each is mapped here as a batch of one
+            translated = InternalState(eta.map_state(state.vector[None])[0], layout)
             moved = run(f1, state, program)
-            path1 = f2.on_object(InternalState(eta.map_state(moved.vector), layout))
+            path1 = f2.on_object(InternalState(eta.map_state(moved.vector[None])[0], layout))
             path2 = f2.on_object(run(f2, translated, program))
             residual = myc_distance(path1, path2)
             scored.append((residual, {
@@ -951,18 +1011,20 @@ class TestNaNResidualsFail:
 
     @pytest.mark.parametrize("nan_from, witness", [(16, (0, 0)), (23, (1, 2))])
     def test_naturality(self, species, nan_from, witness):
-        # eta maps the 15 start states first, then the 15 moved states; from
-        # call nan_from on it returns NaN
+        # eta maps the 15 start states in one call, then the 15 moved states
+        # in another; counted across both calls, it returns NaN from row
+        # nan_from - 1 on
         calls = []
 
         def state_map(v):
-            calls.append(1)
-            return v if len(calls) < nan_from else np.full_like(v, math.nan)
+            rows = sum(calls) + np.arange(len(v))
+            calls.append(len(v))
+            return np.where((rows >= nan_from - 1)[:, None], math.nan, v)
 
         eta = NaturalTransformationData(state_map=state_map)
         programs = random_pulses(2, 3, seed=3)
         report = check_naturality(species, species, eta, programs, tol=1e-9, seed=5)
-        assert len(calls) == 30
+        assert calls == [15, 15]
         assert not report.passed
         assert math.isnan(report.max_residual)
         assert (report.witness["program_index"], report.witness["state_index"]) == witness
@@ -999,6 +1061,19 @@ class TestNaNResidualsFail:
         report = check_lipschitz(mutant, [(env, env)], bound=10.0)
         assert not report.passed
         assert report.witness == {"pair_index": 0, "kind": "zero-distance-expansion"}
+
+    def test_lipschitz_overflowing_distances(self, species):
+        # both distances overflow to inf, and inf / inf is NaN, without a
+        # numpy warning (the tests turn it into an error)
+        graph = species.extraction.layout.graph
+        chi = Constraints(phi_bounds=((-1e308, 1e308),) * 2)
+        e1, e2 = (
+            EnvObject(graph, {v: 0.0 for v in graph.nodes}, {v: (x, 0.0) for v in graph.nodes}, chi)
+            for x in (1e308, -1e308)
+        )
+        report = check_lipschitz(species, [(e1, e2)], bound=10.0)
+        assert math.isnan(report.max_residual) and not report.passed
+        assert report.witness["d_env"] == report.witness["d_myc"] == math.inf
 
     def test_compatibility(self, species):
         # the operational leg of pulse 3 comes out NaN; psi runs the species

@@ -385,21 +385,51 @@ MUTANTS = (
     # the block matvec sums each row's products in column order
     Mutant(
         "matvec-transposed-flow", KERNELS,
-        "        moved = flows[:, None, ..., 0] * blocked[..., 0, None]\n"
-        "        for j in range(1, blocked.shape[-1]):\n"
-        "            moved += flows[:, None, ..., j] * blocked[..., j, None]\n",
-        "        moved = flows[:, None, ..., 0, :] * blocked[..., 0, None]\n"
-        "        for j in range(1, blocked.shape[-1]):\n"
-        "            moved += flows[:, None, ..., j, :] * blocked[..., j, None]\n",
+        "    out = matrices[..., 0] * vectors[..., 0, None]\n"
+        "    for j in range(1, vectors.shape[-1]):\n"
+        "        out += matrices[..., j] * vectors[..., j, None]\n",
+        "    out = matrices[..., 0, :] * vectors[..., 0, None]\n"
+        "    for j in range(1, vectors.shape[-1]):\n"
+        "        out += matrices[..., j, :] * vectors[..., j, None]\n",
         KERNEL_TESTS,
     ),
     Mutant(
         "matvec-columns-reversed", KERNELS,
-        "        moved = flows[:, None, ..., 0] * blocked[..., 0, None]\n"
-        "        for j in range(1, blocked.shape[-1]):\n",
-        "        moved = flows[:, None, ..., -1] * blocked[..., -1, None]\n"
-        "        for j in range(blocked.shape[-1] - 2, -1, -1):\n",
+        "    out = matrices[..., 0] * vectors[..., 0, None]\n"
+        "    for j in range(1, vectors.shape[-1]):\n",
+        "    out = matrices[..., -1] * vectors[..., -1, None]\n"
+        "    for j in range(vectors.shape[-1] - 2, -1, -1):\n",
         KERNEL_TESTS,
+    ),
+    # the batch law checkers: the similarity map, the environment distances
+    # and the compatibility witness
+    Mutant(
+        "similarity-map-reads-rows", LAWS,
+        "state_map=lambda v: column_matvec(p, v)", "state_map=lambda v: column_matvec(p.T, v)",
+        LAW_TESTS,
+    ),
+    Mutant(
+        "similarity-map-columns-reversed", LAWS,
+        "state_map=lambda v: column_matvec(p, v)",
+        "state_map=lambda v: column_matvec(p[:, ::-1], v[..., ::-1])",
+        LAW_TESTS,
+    ),
+    Mutant(
+        "env-distances-without-phi", ENVMYC,
+        "return _ordered_sums(gaps[..., 0]) + _ordered_sums(_ordered_sums(gaps[..., 1:]))",
+        "return _ordered_sums(gaps[..., 0])",
+        ENV_TESTS,
+    ),
+    Mutant(
+        "compatibility-witness-indices-swapped", LAWS,
+        "ei, pi = divmod(i, len(table))", "pi, ei = divmod(i, len(table))",
+        LAW_TESTS,
+    ),
+    Mutant(
+        "perturbed-magnitude-unread", LAWS,
+        'if not math.isfinite(magnitude := read_number(magnitude, "magnitude")):',
+        "if not math.isfinite(magnitude):",
+        LAW_TESTS,
     ),
     # records compare within one class only, and refuse assignment
     Mutant(
