@@ -24,7 +24,6 @@ JSON wire formats extend the graph schema of :mod:`mycocat.graphs` with
 from __future__ import annotations
 
 import math
-import operator
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -310,8 +309,8 @@ def _first_violation(fields: np.ndarray, nodes: Sequence, chi: Constraints) -> s
     ``_BOUND_SLACK``."""
     rho, phi = fields[:, :, 0], fields[:, :, 1:]
     bad_rho = ~((rho >= -_BOUND_SLACK) & (rho < math.inf))  # NaN included
-    # a leading 0.0 column makes the running total ordered_sum's, bit for
-    # bit; an overflow gives inf and inf - inf NaN, silently, as floats do
+    # the running total is ordered_sum's, bit for bit; an overflow gives
+    # inf and inf - inf NaN, silently, as floats do
     with np.errstate(over="ignore", invalid="ignore"):
         totals = _ordered_sums(rho)
     over = totals > chi.budget + _BOUND_SLACK
@@ -511,23 +510,41 @@ def ordered_sum(values) -> float:
     return total
 
 
-def _abs_sum(values) -> float:
-    return ordered_sum(map(abs, values))
+def _ordered_sums(values: np.ndarray) -> np.ndarray:
+    """:func:`ordered_sum` along the last axis, bit for bit: ``cumsum`` adds
+    one term at a time, left to right, and the closing ``0.0 +`` makes a
+    sum of -0.0 terms 0.0, as a total that starts from 0.0 does; 0.0 for an
+    empty axis."""
+    if not values.shape[-1]:
+        return np.zeros(values.shape[:-1])
+    return 0.0 + values.cumsum(-1)[..., -1]
 
 
-def _ordered_l1(first: Mapping, second: Mapping) -> float:
-    """L1 distance between two maps of vectors; a missing vector counts as
-    zeros. Sums over the ids of ``first`` in insertion order, then the ids
-    only ``second`` has, so the float sum never follows hash order; each
-    vector's entries add left to right before joining the total."""
-    total = 0.0
-    for key, x in first.items():
-        y = second.get(key)
-        total += _abs_sum(x if y is None else map(operator.sub, x, y))
-    for key, y in second.items():
-        if key not in first:
-            total += _abs_sum(y)
-    return total
+def _l1_distances(firsts: np.ndarray, seconds: np.ndarray) -> np.ndarray:
+    """The L1 distance of every pair of (K, w) blocks of two (..., K, w)
+    arrays, as one (...) array: each row's |gaps| added left to right from
+    column 0, then the K row totals by :func:`_ordered_sums`, so the bits
+    of :func:`ordered_sum` over the same terms. An overflow gives inf,
+    silently, as Python floats do, under the caller's ``np.errstate``."""
+    gaps = np.abs(firsts - seconds)
+    rows = gaps[..., 0] if gaps.shape[-1] else np.zeros(gaps.shape[:-1])
+    for column in range(1, gaps.shape[-1]):
+        rows = rows + gaps[..., column]
+    return _ordered_sums(rows)
+
+
+def _map_l1(first: Mapping, second: Mapping) -> float:
+    """The L1 distance of two maps of vectors, by :func:`_l1_distances` on
+    one key list: the keys of ``first`` in order, then the keys only
+    ``second`` has. A missing vector, and the missing tail of a shorter
+    one, are zeros, so an unmatched node, edge, channel or feature counts
+    its full norm."""
+    keys = [*first, *(key for key in second if key not in first)]
+    width = max(map(len, [*first.values(), *second.values()]), default=0)
+    pad = (0.0,) * width
+    rows = [[(*vectors.get(key, ()), *pad)[:width] for key in keys] for vectors in (first, second)]
+    with np.errstate(over="ignore"):  # an overflow gives inf, as floats do
+        return float(_l1_distances(*np.array(rows).reshape(2, len(keys), width)))
 
 
 def env_distance(e1: EnvObject, e2: EnvObject) -> float:
@@ -535,37 +552,28 @@ def env_distance(e1: EnvObject, e2: EnvObject) -> float:
 
     The sum of three components, each of weight 1: resource field, chemical
     field (summed over channels), and the node/edge symmetric-difference
-    count. Unmatched nodes contribute their full field norms. Constraint
-    records are not compared.
+    count. Unmatched nodes count their full field norms, and a channel
+    only one environment has counts its full norm. Constraint records are
+    not compared.
     """
-    d_rho = _ordered_l1(
-        {v: (x,) for v, x in e1.rho.items()}, {v: (x,) for v, x in e2.rho.items()}
-    )
-    d_phi = _ordered_l1(e1.phi, e2.phi)
+    d_rho = _map_l1(*({v: (x,) for v, x in e.rho.items()} for e in (e1, e2)))
     struct = len(e1.graph.node_set ^ e2.graph.node_set) + len(
         set(e1.graph.edge_keys) ^ set(e2.graph.edge_keys)
     )
-    return d_rho + d_phi + struct
-
-
-def _ordered_sums(values: np.ndarray) -> np.ndarray:
-    """:func:`ordered_sum` along the last axis: from 0.0, left to right
-    (``cumsum`` adds one term at a time), 0.0 for an empty axis."""
-    return np.concatenate((np.zeros(values.shape[:-1] + (1,)), values), -1).cumsum(-1)[..., -1]
+    return d_rho + _map_l1(e1.phi, e2.phi) + struct
 
 
 def env_distances(firsts: EnvBatch, seconds: EnvBatch) -> np.ndarray:
     """:func:`env_distance` of every pair (``firsts`` row i, ``seconds`` row
-    i), as one (P,) array, equal to it bit for bit: on one graph the
-    structural count is 0, each node's chemical gaps add left to right, and
-    the resource and chemical totals add over the nodes in declaration
-    order. Two batches on different graphs or with different channel
-    counts raise :class:`ParameterError`."""
+    i), as one (P,) array, by the same kernel: on one graph the structural
+    count is 0, and the resource distance adds to the chemical one. Two
+    batches on different graphs or with different channel counts raise
+    :class:`ParameterError`."""
     if firsts.graph != seconds.graph or firsts.chi.channels != seconds.chi.channels:
         raise ParameterError("environment distances need batches on one graph and channel count")
+    one, two = firsts.fields, seconds.fields
     with np.errstate(over="ignore"):  # an overflow gives inf, as floats do
-        gaps = np.abs(firsts.fields - seconds.fields)
-        return _ordered_sums(gaps[..., 0]) + _ordered_sums(_ordered_sums(gaps[..., 1:]))
+        return _l1_distances(one[..., :1], two[..., :1]) + _l1_distances(one[..., 1:], two[..., 1:])
 
 
 # ---------------------------------------------------------------------------
@@ -685,8 +693,8 @@ def myc_distance(
     """
     sigma1 = {k: (m1.sigma[k[0]],) for k in m1.graph.edge_keys}
     sigma2 = {k: (m2.sigma[k[0]],) for k in m2.graph.edge_keys}
-    d_omega = _ordered_l1(m1.omega, m2.omega)
-    d_sigma = _ordered_l1(sigma1, sigma2)
+    d_omega = _map_l1(m1.omega, m2.omega)
+    d_sigma = _map_l1(sigma1, sigma2)
     struct = len(m1.graph.node_set ^ m2.graph.node_set) + len(
         sigma1.keys() ^ sigma2.keys()
     )

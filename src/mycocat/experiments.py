@@ -68,6 +68,7 @@ from .readers import (
     read_number,
     read_numbers,
     read_object,
+    read_string,
     read_wire,
 )
 
@@ -156,7 +157,10 @@ def reference_species(
     ``n_sites``, ``channels`` and ``features`` are read as integers (3.0
     reads as 3; :class:`ShapeError` naming the one that is not); any of
     them below 1 raises :class:`ParameterError` naming it, as the config
-    path refuses it: a species without controls has no pulse to run."""
+    path refuses it: a species without controls has no pulse to run.
+    ``coupling`` is read as a string (:class:`ShapeError` naming it when it
+    is not one); an unknown kind raises :class:`ConfigError`."""
+    coupling = read_string(coupling, "coupling")
     n_sites = read_integer(n_sites, "n_sites")
     channels = read_integer(channels, "channels")
     features = read_integer(features, "features")
@@ -195,7 +199,12 @@ class PulseTemplate(Record):
     """Single-channel pulse: which channel, at what base amplitude/duration.
     The channel is read as an integer and the amplitude and duration as
     numbers; a value that is not one (a string, a bool) raises
-    :class:`ShapeError` naming its field.
+    :class:`ShapeError` naming its field, and a NaN or infinite amplitude
+    or duration :class:`ParameterError` naming it. Accepted here and
+    refused later: a channel outside the species' channels, by
+    :class:`ExposureExperiment` or :class:`WorkedExampleConfig`, and a
+    duration that is not positive, by the piece table of the pulse. A
+    negative amplitude is accepted: it is a reversed pulse.
 
     :meth:`pieces` gives the scaled pulse at a vector of eps as arrays, the
     form the scan builds its piece table from; :meth:`program` is the same
@@ -204,6 +213,9 @@ class PulseTemplate(Record):
     def __init__(self, channel: int, amplitude: float = 1.0, duration: float = 1.0):
         channel = read_integer(channel, "channel")
         amplitude, duration = read_number(amplitude, "amplitude"), read_number(duration, "duration")
+        for name, value in (("amplitude", amplitude), ("duration", duration)):
+            if not math.isfinite(value):
+                raise ParameterError(f"{name}: must be finite, got {value}")
         vars(self).update(channel=channel, amplitude=amplitude, duration=duration)
 
     # a product that overflows is refused by the piece table built from it

@@ -624,8 +624,7 @@ class DirectEmbedding(Record):
         fields in node order, keeping the first ``channels`` chemical
         channels. A batch on another graph raises :class:`InputError`, one
         with fewer channels :class:`ShapeError`."""
-        if batch.graph != self.layout.graph:
-            raise InputError("environment graph differs from the observation graph")
+        _require_observed(batch.graph, self.layout)
         if batch.chi.channels < self.channels:
             raise ShapeError(
                 f"environments have {batch.chi.channels} chemical channels, "
@@ -638,6 +637,11 @@ def direct_embedding(layout: StateLayout, channels: int) -> DirectEmbedding:
     """The :class:`DirectEmbedding` of ``channels`` chemical channels into
     ``layout``; ``channels`` is read as :class:`DirectEmbedding` reads it."""
     return DirectEmbedding(layout, channels)
+
+
+def _require_observed(graph, layout: StateLayout) -> None:
+    if graph != layout.graph:
+        raise InputError("environment graph differs from the observation graph")
 
 
 def _require_layout(iota: DirectEmbedding, layout: StateLayout) -> None:
@@ -715,13 +719,16 @@ def field_writeback(template: EnvObject, state: InternalState) -> EnvObject:
     """Write a state's features back into an environment's fields.
 
     Inverse of :func:`direct_embedding` on its image: feature 0 becomes
-    the resource value, the remaining features the chemical channels.
+    the resource value, the remaining features the chemical channels, read
+    as a one-row :class:`EnvBatch` under the template's constraints. A
+    state whose layout graph is not the template's graph raises
+    :class:`InputError`, as :meth:`DirectEmbedding.many` refuses it; one
+    with other than ``1 + channels`` features :class:`ShapeError`.
     """
-    nodes = state.layout.graph.nodes
-    rows = state.layout.node_rows(state.vector)
-    rho = {v: row[0] for v, row in zip(nodes, rows)}
-    phi = {v: row[1:] for v, row in zip(nodes, rows)}
-    return EnvObject(template.graph, rho, phi, template.chi)
+    layout = state.layout
+    _require_observed(template.graph, layout)
+    fields = state.vector.reshape(1, len(layout.graph.nodes), layout.feature_count)
+    return EnvBatch(template.graph, template.chi, fields).env(0)
 
 
 EnvironmentEvolution = Callable[[EnvBatch, PieceTable], EnvBatch]

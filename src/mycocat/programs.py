@@ -33,7 +33,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import kernels
-from .envmyc import DistanceWeights, MycObject, ordered_sum
+from .envmyc import DistanceWeights, MycObject, _l1_distances, ordered_sum
 from .errors import NumericError, ParameterError, Record, ShapeError
 from .graphs import AttributedGraph
 from .readers import (
@@ -98,12 +98,9 @@ class Program(Record):
         return self.pieces[-1][1]
 
     def scale_amplitude(self, factor: float) -> "Program":
-        return Program(
-            tuple(
-                (length, tuple(factor * u for u in control))
-                for length, control in self.pieces
-            )
-        )
+        """Every control times ``factor``: :meth:`PieceTable.scale_amplitude`
+        of a one-program table."""
+        return PieceTable.from_programs([self]).scale_amplitude(factor).program(0)
 
     def to_json(self) -> dict:
         return {"pieces": [[length, list(control)] for length, control in self.pieces]}
@@ -301,7 +298,12 @@ class PieceTable(Record):
         )
 
     def scale_amplitude(self, factor: float) -> "PieceTable":
-        """Every control times ``factor``, as :meth:`Program.scale_amplitude`."""
+        """Every control times ``factor``, one float64 product each.
+        ``factor`` is read by :func:`read_number`: a value that is not a
+        number (None, a bool, a string) raises :class:`ShapeError` naming it.
+        A product that is not finite raises :class:`ParameterError`, as the
+        table refuses it."""
+        factor = read_number(factor, "factor")
         with np.errstate(over="ignore", invalid="ignore"):
             inputs = factor * self.inputs
         return PieceTable(self.lengths, inputs, self.counts)
@@ -572,12 +574,12 @@ def state_distances(
     layout of ``extraction``, bit for bit, without building networks.
 
     Both read-outs share the graph and conductivities of ``extraction``, so
-    only ``weights.omega`` times the feature L1 distance is left. It sums in
-    ``myc_distance``'s order: each node's features left to right, then the
-    nodes by a running total (``np.cumsum``; ``np.sum`` is pairwise). Rows
-    are independent, so the batch does not change a result. Returns the
-    (P,) distances. Raises :class:`ShapeError` on unequal row counts or a
-    row width other than the layout's dimension.
+    only ``weights.omega`` times the feature L1 distance is left, summed by
+    ``myc_distance``'s kernel on the (P, N, m) node rows: each node's
+    features left to right, then the nodes in order. Rows are independent,
+    so the batch does not change a result. Returns the (P,) distances.
+    Raises :class:`ShapeError` on unequal row counts or a row width other
+    than the layout's dimension.
     """
     firsts = np.asarray(firsts, dtype=np.float64)
     seconds = np.asarray(seconds, dtype=np.float64)
@@ -590,16 +592,8 @@ def state_distances(
                 f"states of shape {vectors.shape} do not match the extraction "
                 f"layout of dimension {layout.dim}"
             )
-    w = weights
+    shape = (len(firsts), len(layout.graph.nodes), layout.feature_count)
     # an overflow gives inf, and inf times 0 NaN, silently, as Python floats do
     with np.errstate(over="ignore", invalid="ignore"):
-        gaps = np.abs(firsts - seconds).reshape(
-            len(firsts), len(layout.graph.nodes), layout.feature_count
-        )
-        per_node = gaps[:, :, 0]
-        for feature in range(1, layout.feature_count):
-            per_node = per_node + gaps[:, :, feature]
-        totals = np.zeros(len(firsts))
-        if per_node.shape[1]:
-            totals = np.cumsum(per_node, axis=1)[:, -1]
-        return w.omega * totals + w.sigma * 0.0 + w.structure * 0
+        totals = _l1_distances(firsts.reshape(shape), seconds.reshape(shape))
+        return weights.omega * totals + weights.sigma * 0.0 + weights.structure * 0

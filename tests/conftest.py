@@ -26,6 +26,46 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 )
 
 
+def l1_oracle(first, second) -> float:
+    """The L1 distance of two maps of vectors, summed with Python floats:
+    over the keys of ``first`` in order, then the keys only ``second`` has;
+    each pair of vectors zero-filled to the longer one, |x - y| added entry
+    by entry left to right, and each key's total then joining the running
+    total. The independent oracle of every mycocat distance."""
+    total = 0.0
+    for key in [*first, *(key for key in second if key not in first)]:
+        x, y = first.get(key, ()), second.get(key, ())
+        width = max(len(x), len(y))
+        x, y = ((*v, *[0.0] * (width - len(v))) for v in (x, y))
+        row = 0.0
+        for a, b in zip(x, y):
+            row += abs(a - b)
+        total += row
+    return total
+
+
+def env_oracle(e1, e2) -> float:
+    """``env_distance`` by :func:`l1_oracle`: resource, then chemical
+    distance, then the node and edge symmetric-difference count."""
+    rho1, rho2 = ({v: (x,) for v, x in e.rho.items()} for e in (e1, e2))
+    struct = len(e1.graph.node_set ^ e2.graph.node_set) + len(
+        set(e1.graph.edge_keys) ^ set(e2.graph.edge_keys)
+    )
+    return l1_oracle(rho1, rho2) + l1_oracle(e1.phi, e2.phi) + struct
+
+
+def myc_oracle(m1, m2, weights) -> float:
+    """``myc_distance`` by :func:`l1_oracle`; edges match by id and
+    endpoints."""
+    sigma1, sigma2 = ({k: (m.sigma[k[0]],) for k in m.graph.edge_keys} for m in (m1, m2))
+    struct = len(m1.graph.node_set ^ m2.graph.node_set) + len(sigma1.keys() ^ sigma2.keys())
+    return (
+        weights.omega * l1_oracle(m1.omega, m2.omega)
+        + weights.sigma * l1_oracle(sigma1, sigma2)
+        + weights.structure * struct
+    )
+
+
 def make_random_graph(rng: random.Random, max_nodes=4, min_nodes=1, edge_prob=0.6):
     n = rng.randint(min_nodes, max_nodes)
     nodes = tuple(f"n{i}" for i in range(n))

@@ -48,7 +48,13 @@ from mycocat.graphs import (
     are_isomorphic,
     pushout_along_monos,
 )
-from conftest import make_random_graph, make_random_mono_cospan, make_random_morphism
+from conftest import (
+    env_oracle,
+    make_random_graph,
+    make_random_mono_cospan,
+    make_random_morphism,
+    myc_oracle,
+)
 
 
 def reference_violation(rho, phi, chi):
@@ -1157,8 +1163,10 @@ def test_env_distances_equal_env_distance_bit_for_bit(k):
     fields[1, ::4] = fields[0, ::4]
     firsts, seconds = (EnvBatch(graph, chi, rows) for rows in fields)
     got = envmyc.env_distances(firsts, seconds)
-    want = [env_distance(firsts.env(i), seconds.env(i)) for i in range(20)]
-    assert got.tobytes() == np.array(want).tobytes()
+    pairs = [(firsts.env(i), seconds.env(i)) for i in range(20)]
+    want = np.array([env_oracle(*pair) for pair in pairs])
+    assert got.tobytes() == want.tobytes()
+    assert np.array([env_distance(*pair) for pair in pairs]).tobytes() == want.tobytes()
     assert got[::4].tolist() == [0.0] * 5 and (got[1::4] > 0.0).all()
 
 
@@ -1180,6 +1188,90 @@ def test_env_distances_need_one_graph_and_channel_count():
     for a, b in ((e, other), (e, fewer)):
         with pytest.raises(ParameterError, match="^environment distances need batches"):
             envmyc.env_distances(EnvBatch.from_envs([a]), EnvBatch.from_envs([b]))
+
+
+def spread(rng, n):
+    """``n`` signed floats over 25 decades, so another summation order
+    moves the last bits."""
+    return tuple(rng.gauss(0.0, 1.0) * 10.0 ** rng.randint(-8, 16) for _ in range(n))
+
+
+def connected_graph(rng):
+    while True:
+        graph = make_random_graph(rng, max_nodes=6)
+        if graph.is_connected():
+            return graph
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 3), st.integers(0, 3))
+def test_env_distance_is_the_oracle_on_any_two_environments(seed, k1, k2):
+    # two graphs on one id universe and channel counts apart: unmatched
+    # nodes, edges and channels count their full norms
+    rng = random.Random(seed)
+
+    def env(k):
+        graph = make_random_graph(rng, max_nodes=6)
+        chi = Constraints(phi_bounds=((-1e17, 1e17),) * k, budget=math.inf)
+        rho = {v: abs(spread(rng, 1)[0]) for v in graph.nodes}
+        return EnvObject(graph, rho, {v: spread(rng, k) for v in graph.nodes}, chi)
+
+    e1, e2 = env(k1), env(k2)
+    for a, b in ((e1, e2), (e2, e1), (e1, e1)):
+        assert env_distance(a, b).hex() == env_oracle(a, b).hex()
+    assert env_distance(e1, e1) == 0.0
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.builds(DistanceWeights, *[st.sampled_from([0.0, 0.5, 1.0, 3.0])] * 3),
+)
+def test_myc_distance_is_the_oracle_on_any_two_networks(seed, f1, f2, weights):
+    # unmatched nodes and edges (an edge matches by id and endpoints) and
+    # feature lengths apart count their full norms
+    rng = random.Random(seed)
+
+    def network(features):
+        graph = connected_graph(rng)
+        sigma = {e: abs(spread(rng, 1)[0]) for e in graph.edge_ids}
+        return MycObject(graph, sigma, {v: spread(rng, features) for v in graph.nodes})
+
+    m1, m2 = network(f1), network(f2)
+    for a, b in ((m1, m2), (m2, m1), (m1, m1)):
+        assert myc_distance(a, b, weights).hex() == myc_oracle(a, b, weights).hex()
+
+
+def test_a_channel_only_one_environment_has_counts_its_full_norm():
+    g = AttributedGraph(("a",), ())
+    two = EnvObject(g, {"a": 0.0}, {"a": (0.5, 0.9)}, Constraints(phi_bounds=((0.0, 1.0),) * 2))
+    one = EnvObject(g, {"a": 0.0}, {"a": (0.5,)}, Constraints(phi_bounds=((0.0, 1.0),)))
+    assert env_distance(two, one) == env_distance(one, two) == 0.9
+    assert env_distance(two, one) == env_oracle(two, one)
+
+
+def test_a_feature_only_one_network_has_counts_its_full_norm():
+    longer, shorter = single_node_myc((1.0, 2.0, 3.0)), single_node_myc((1.0, 2.0))
+    assert myc_distance(longer, shorter) == myc_distance(shorter, longer) == 3.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan, 1e308])
+        | st.floats(allow_nan=True),
+        max_size=6,
+    )
+)
+def test_ordered_sums_is_ordered_sum_bit_for_bit(values):
+    # signed zeros included: a sum of -0.0 terms is 0.0 from a 0.0 start
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = envmyc._ordered_sums(np.array([values, values[::-1]], dtype=np.float64))
+    assert [x.hex() for x in got.tolist()] == [
+        envmyc.ordered_sum(v).hex() for v in (values, values[::-1])
+    ]
 
 
 # ---------------------------------------------------------------------------

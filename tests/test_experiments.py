@@ -213,6 +213,33 @@ def test_reference_species_reads_its_sizes():
     assert species.dynamics.dim == 6 and len(species.dynamics.controls) == 2
 
 
+def test_reference_species_reads_its_coupling():
+    # numpy's bare ValueError for an array; the config reads a string first
+    for coupling, shown in ((np.array(["noncommuting", "commuting"]), "array("), (None, "None")):
+        with pytest.raises(ShapeError) as exc:
+            reference_species(coupling=coupling)
+        assert str(exc.value).startswith(f"coupling: must be a string, got {shown}")
+    with pytest.raises(ConfigError, match="^coupling: unknown coupling kind 'other'$"):
+        reference_species(coupling="other")
+
+
+def test_pulse_template_refuses_non_finite_values():
+    for kwargs, message in (
+        ({"amplitude": math.nan}, "amplitude: must be finite, got nan"),
+        ({"amplitude": -math.inf}, "amplitude: must be finite, got -inf"),
+        ({"duration": math.inf}, "duration: must be finite, got inf"),
+        ({"duration": math.nan}, "duration: must be finite, got nan"),
+    ):
+        with pytest.raises(ParameterError) as exc:
+            PulseTemplate(0, **kwargs)
+        assert str(exc.value) == message
+    # a reversed pulse and a negative channel or duration are built, and
+    # refused where the species or the pieces are known
+    assert PulseTemplate(-1, amplitude=-0.5, duration=-1.0).amplitude == -0.5
+    with pytest.raises(ParameterError, match="^piece lengths must be strictly positive$"):
+        PulseTemplate(0, duration=-1.0).program(0.1, "amplitude", 2)
+
+
 def test_electrode_array_reads_its_size():
     # -1 built an empty array; 2.5 and "3" were bare TypeErrors
     for size, error, message in (
@@ -705,20 +732,19 @@ def test_scan_orderings_equal_the_program_built_table(scaling, pulses, grid):
 @pytest.mark.parametrize(
     "pulse, message",
     [
-        (PulseTemplate(0, amplitude=math.inf), "piece lengths and controls must be finite"),
-        (PulseTemplate(0, amplitude=math.nan), "piece lengths and controls must be finite"),
-        (PulseTemplate(0, duration=0.0), "piece lengths must be strictly positive"),
+        ({"amplitude": math.inf}, "amplitude: must be finite, got inf"),
+        ({"amplitude": math.nan}, "amplitude: must be finite, got nan"),
+        ({"duration": 0.0}, "piece lengths must be strictly positive"),
     ],
     ids=["infinite-amplitude", "nan-amplitude", "zero-duration"],
 )
 def test_scan_refuses_a_bad_pulse_as_programs_do(scaling, pulse, message):
-    exp = experiment(scaling=scaling).replace(pulse_q=pulse)
-    with pytest.raises(ParameterError) as exc:
-        run_order_asymmetry_scan(exp)
-    assert str(exc.value) == message
-    with pytest.raises(ParameterError) as exc:
-        orderings_oracle(exp)
-    assert str(exc.value) == message
+    # a NaN or infinite template value is refused by the template itself,
+    # before the scan or a program sees it; a zero duration by the pieces
+    for run in (run_order_asymmetry_scan, orderings_oracle):
+        with pytest.raises(ParameterError) as exc:
+            run(experiment(scaling=scaling).replace(pulse_q=PulseTemplate(0, **pulse)))
+        assert str(exc.value) == message
 
 
 def test_scan_refuses_an_overflowing_scaled_control():

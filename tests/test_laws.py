@@ -566,6 +566,19 @@ class TestEnvironmentBatches:
         with pytest.raises(InputError, match="^iota undefined on sampled environment 0$"):
             check_compatibility(iota, psi, species, [other], [Program()])
 
+    def test_field_writeback_refuses_a_state_on_another_graph(self, species):
+        # the inverse of iota on iota's image refuses what iota refuses; the
+        # same nodes in another order are another graph
+        iota = direct_embedding(species.extraction.layout, 2)
+        template = wide_env(species, seed=3)
+        assert field_writeback(template, iota(template)) == template
+        graph = template.graph
+        for other in (AttributedGraph(("a",), ()), AttributedGraph(graph.nodes[::-1], graph.edges)):
+            layout = StateLayout(other, 3)
+            with pytest.raises(InputError) as exc:
+                field_writeback(template, InternalState(np.ones(layout.dim), layout))
+            assert str(exc.value) == "environment graph differs from the observation graph"
+
     def test_checkers_refuse_mixed_constraints(self, species):
         iota = direct_embedding(species.extraction.layout, 2)
         psi = matched_environment_evolution(species, iota)

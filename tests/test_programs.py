@@ -38,6 +38,8 @@ from mycocat.programs import (
     state_distances,
 )
 
+from conftest import myc_oracle
+
 
 def path_graph(n):
     nodes = tuple(f"v{i}" for i in range(n))
@@ -499,6 +501,7 @@ WEIGHT = st.sampled_from([0.0, 1.0, 0.5, 3.0, 1e300]) | st.floats(0.0, 1e6)
 def test_state_distances_equal_myc_distance_bit_for_bit(
     nodes, features, batch, weights, sigma, seed
 ):
+    # Both equal the Python-float oracle, which shares no code with them.
     # Entries span 25 decades, so a different summation order shows in the
     # last bits; a quarter of the pairs share some entries exactly.
     rng = np.random.default_rng(seed)
@@ -509,15 +512,14 @@ def test_state_distances_equal_myc_distance_bit_for_bit(
     b = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 17, size=shape)
     b = np.where(rng.random(shape) < 0.25, a, b)
     got = state_distances(a, b, extraction, weights).tolist()
-    want = [
-        myc_distance(
-            extract(InternalState(x, layout), extraction),
-            extract(InternalState(y, layout), extraction),
-            weights,
-        )
-        for x, y in zip(a, b)
+    networks = [
+        [extract(InternalState(x, layout), extraction) for x in states] for states in (a, b)
     ]
+    want = [myc_oracle(m1, m2, weights) for m1, m2 in zip(*networks)]
     assert [bits(d) for d in got] == [bits(d) for d in want]
+    assert [bits(myc_distance(m1, m2, weights)) for m1, m2 in zip(*networks)] == [
+        bits(d) for d in want
+    ]
     for x, y, d in zip(a, b, got):
         assert bits(float(state_distances(x[None], y[None], extraction, weights)[0])) == bits(d)
 
@@ -644,6 +646,22 @@ def table_programs(table: PieceTable) -> list:
     return [program_bits(table.program(i)) for i in range(len(table))]
 
 
+def scaled_bits(p: Program, factor: float) -> list:
+    """The oracle of ``scale_amplitude``: every control times ``factor``,
+    one product of Python floats each, as bytes. A product that is not
+    finite raises the ParameterError a program gives."""
+    pieces = [(length, [factor * u for u in control]) for length, control in p.pieces]
+    if not all(math.isfinite(u) for _, control in pieces for u in control):
+        raise ParameterError("piece lengths and controls must be finite")
+    return [(bits(length), [bits(u) for u in control]) for length, control in pieces]
+
+
+SCALE_FACTOR = (
+    st.sampled_from([1.1, -1.0, 0.0, -0.0, 0.5, 1e-300, 1e300, math.nan, 2, -3])
+    | st.floats(-1e3, 1e3)
+)
+
+
 class TestPieceTable:
     @settings(max_examples=150, deadline=None)
     @given(program_batches())
@@ -691,21 +709,39 @@ class TestPieceTable:
                 assert joined.inputs.shape == (1, 2)
 
     @settings(max_examples=150, deadline=None)
-    @given(
-        program_batches(),
-        st.sampled_from([1.1, -1.0, 0.0, -0.0, 0.5, 1e-300, 1e300, math.nan])
-        | st.floats(-1e3, 1e3),
-    )
+    @given(program_batches(), SCALE_FACTOR)
     def test_scale_amplitude(self, batch, factor):
         _, programs = batch
         table = PieceTable.from_programs(programs)
         try:
-            want = [program_bits(p.scale_amplitude(factor)) for p in programs]
+            want = [scaled_bits(p, factor) for p in programs]
         except ParameterError as exc:
-            with pytest.raises(ParameterError, match=str(exc)):
+            with pytest.raises(ParameterError, match=f"^{exc}$"):
                 table.scale_amplitude(factor)
         else:
             assert table_programs(table.scale_amplitude(factor)) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(program_batches(), SCALE_FACTOR)
+    def test_program_scale_amplitude_is_the_per_control_product(self, batch, factor):
+        _, programs = batch
+        for p in programs:
+            try:
+                want = scaled_bits(p, factor)
+            except ParameterError as exc:
+                with pytest.raises(ParameterError, match=f"^{exc}$"):
+                    p.scale_amplitude(factor)
+            else:
+                assert program_bits(p.scale_amplitude(factor)) == want
+
+    @pytest.mark.parametrize("factor", ["2", None, True, [2.0], {"factor": 2.0}])
+    def test_scale_amplitude_reads_factor(self, factor):
+        # a bool is not a number: True does not scale by 1
+        program = Program(((1.0, (0.5, -0.25)),))
+        table = PieceTable.from_programs([program, NULL_PROGRAM])
+        for scale in (table.scale_amplitude, program.scale_amplitude, NULL_PROGRAM.scale_amplitude):
+            with pytest.raises(ShapeError, match="^factor: must be a number, got "):
+                scale(factor)
 
     @settings(max_examples=60, deadline=None)
     @given(program_batches(), st.integers(0, 3), st.data())

@@ -416,9 +416,56 @@ MUTANTS = (
     ),
     Mutant(
         "env-distances-without-phi", ENVMYC,
-        "return _ordered_sums(gaps[..., 0]) + _ordered_sums(_ordered_sums(gaps[..., 1:]))",
-        "return _ordered_sums(gaps[..., 0])",
+        "return _l1_distances(one[..., :1], two[..., :1]) + _l1_distances(one[..., 1:], two[..., 1:])",
+        "return _l1_distances(one[..., :1], two[..., :1])",
         ENV_TESTS,
+    ),
+    # the one ordered-L1 kernel and the alignment of two maps
+    Mutant(
+        "aligned-drops-keys-only-second-has", ENVMYC,
+        "keys = [*first, *(key for key in second if key not in first)]",
+        "keys = [*first]",
+        ENV_TESTS,
+    ),
+    Mutant(
+        "aligned-truncates-to-shorter-vector", ENVMYC,
+        "width = max(map(len, [*first.values(), *second.values()]), default=0)",
+        "width = min(map(len, [*first.values(), *second.values()]), default=0)",
+        ENV_TESTS,
+    ),
+    Mutant(
+        "l1-adds-nodes-before-features", ENVMYC,
+        "    gaps = np.abs(firsts - seconds)\n",
+        "    gaps = np.abs(firsts - seconds).swapaxes(-1, -2)\n",
+        ENV_TESTS + PROGRAM_TESTS,
+    ),
+    Mutant(
+        "ordered-sums-keeps-negative-zero", ENVMYC,
+        "return 0.0 + values.cumsum(-1)[..., -1]", "return values.cumsum(-1)[..., -1]",
+        ENV_TESTS,
+    ),
+    Mutant(
+        "writeback-graph-unchecked", LAWS,
+        "    _require_observed(template.graph, layout)\n", "",
+        LAW_TESTS,
+    ),
+    Mutant(
+        "scale-amplitude-factor-unread", PROGRAMS,
+        '        factor = read_number(factor, "factor")\n', "",
+        PROGRAM_TESTS,
+    ),
+    Mutant(
+        "reference-species-coupling-unread", EXPERIMENTS,
+        '    coupling = read_string(coupling, "coupling")\n', "",
+        EXPERIMENT_TESTS,
+    ),
+    Mutant(
+        "pulse-template-finite-unchecked", EXPERIMENTS,
+        "            if not math.isfinite(value):\n"
+        '                raise ParameterError(f"{name}: must be finite',
+        "            if False:\n"
+        '                raise ParameterError(f"{name}: must be finite',
+        EXPERIMENT_TESTS,
     ),
     Mutant(
         "compatibility-witness-indices-swapped", LAWS,
