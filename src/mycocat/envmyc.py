@@ -289,15 +289,22 @@ class EnvBatch(Record):
 
     def env(self, i: int) -> EnvObject:
         """Environment ``i`` as an :class:`EnvObject`, for a witness or the
-        wire."""
-        rows = self.fields[i].tolist()
+        wire. It is built from the batch's row, which was checked with the
+        batch, so no value is read or checked again: rho and phi are that
+        row's floats, and ``_row`` is a read-only copy of it."""
+        row = self.fields[i].copy()
+        row.setflags(write=False)
+        rows = row.tolist()
         nodes = self.graph.nodes
-        return EnvObject(
-            self.graph,
-            {v: row[0] for v, row in zip(nodes, rows)},
-            {v: tuple(row[1:]) for v, row in zip(nodes, rows)},
-            self.chi,
+        env = object.__new__(EnvObject)
+        vars(env).update(
+            graph=self.graph,
+            rho={v: values[0] for v, values in zip(nodes, rows)},
+            phi={v: tuple(values[1:]) for v, values in zip(nodes, rows)},
+            chi=self.chi,
+            _row=row,
         )
+        return env
 
 
 def _first_violation(fields: np.ndarray, nodes: Sequence, chi: Constraints) -> str | None:

@@ -599,7 +599,7 @@ def run_order_asymmetry_scan(exp: ExposureExperiment) -> AsymmetryReport:
     with np.errstate(over="ignore", invalid="ignore"):
         x_p, x_q = kernels._generators(dyn._system, *map(np.concatenate, zip(*units)))
         comm = x_p @ x_q - x_q @ x_p
-        scale = np.frexp(np.abs(comm).max())[1]
+        scale = np.frexp(np.abs(comm).max(initial=0.0))[1]  # no block: no entry
         squares = np.square(np.ldexp(comm, -scale)).sum(axis=(1, 2))
         comm_norm = float(np.ldexp(np.sqrt(np.bincount(dyn._blocks.kind) @ squares), scale))
     if not math.isfinite(comm_norm):

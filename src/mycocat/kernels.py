@@ -10,14 +10,20 @@ members one at a time.
 Block structure: the generators of a bilinear species are usually block
 diagonal after a permutation (the reference species couples the features
 of one site and nothing else). ``blocks`` finds those blocks as the
-connected components of a sparsity pattern. A matrix function of a block
+connected components of a sparsity pattern. A slot with no entry in its
+row or its column, the diagonal included, is static: every generator
+leaves it fixed, so it is in no block and every flow is the identity
+there (the reference species couples only the first two features of each
+site, so each site's third slot is static). A matrix function of a block
 diagonal matrix is block diagonal on the same blocks, so ``gather`` cuts
 the blocks out into one zero-padded stack, the kernel runs once on the
 stack, and ``scatter`` writes the result back. The split is exact; a dense
-matrix is a single block. Blocks often repeat (the reference species
-couples every site alike: 16 blocks, 2 distinct), so ``block_classes``
-keeps one slice per distinct block and maps each block to it; the flow
-kernels exponentiate and multiply each class once.
+matrix is a single block, and the logarithm, which must see a zero row,
+takes its blocks on the pattern with its diagonal, so it has no static
+slot. Blocks often repeat (the reference species couples every site
+alike: 8 blocks, 1 class), so ``block_classes`` keeps one slice per
+distinct block and maps each block to it; the flow kernels exponentiate
+and multiply each class once.
 
 Algorithms:
 
@@ -25,7 +31,9 @@ Algorithms:
   2 x 2 member A with Frobenius norm up to theta_13 takes the closed form
   e^m (c I + s (A - m I)), m being its half trace and c and s the cosh and
   sinh terms of the square root of the discriminant (Bernstein and So
-  1993, "Some explicit formulas for the matrix exponential"). A triangular
+  1993, "Some explicit formulas for the matrix exponential"); a 2 x 2
+  stack is split once into four contiguous entry planes, on which the
+  norm test and the closed form run. A triangular
   2 x 2 member above theta_13 takes the closed form of its divided
   difference at any norm, so a stiff flow such as [[-s, s], [0, 0]] loses
   nothing to squaring (Al-Mohy and Higham 2009, section 2). Every other
@@ -51,22 +59,24 @@ Algorithms:
   programs whose pieces are listed back to back: every piece of every
   block class goes through a single ``expm`` call, then each program's
   pieces are multiplied in time order (a batch of one-piece programs
-  takes no product). It has two callers. ``apply_flows`` runs it once on
-  the whole batch when its piece stack fits in ``FLOW_BYTES`` (every flow
-  batch of the shipped workloads does), and otherwise on runs of
-  consecutive programs that fit. It applies each block's class flow,
-  indexed by ``Blocks.kind``, directly to the block sub-vectors of each
-  of the program's k states (the law checks and the scans' rows): one
-  take from the zero-padded states gathers them, with the index
-  ``Blocks`` carries, and one take puts them back, so each program's flow
-  is computed once however many states it moves. The matvec on a block of
-  size s, ``column_matvec``, is s elementwise column updates, summed in
-  column order with each product rounded on its own; the similarity
-  variant's comparison map in :mod:`mycocat.laws` runs it too. It calls no
-  BLAS, so its bits do not depend on the kernel BLAS dispatches; the
-  product loop, ``expm`` and ``logm`` still use BLAS. ``piecewise_flow``
-  runs it on one program and scatters the flow to n x n
-  (``programs.flow_matrix``, which ``liealg.estimate_generator`` logs).
+  takes no product: its piece stack is its flows). It has two callers.
+  ``apply_flows`` runs it once on the whole batch when its piece stack
+  fits in ``FLOW_BYTES`` (every flow batch of the shipped workloads does),
+  and otherwise on runs of consecutive programs that fit. It applies each
+  block's class flow, indexed by ``Blocks.kind``, directly to the block
+  sub-vectors of each of the program's k states (the law checks and the
+  scans' rows): one take from the states gathers them, with the index
+  ``Blocks`` carries and a zero column only when a block is padded, and
+  one take puts the active slots back, so each program's flow is computed
+  once however many states it moves and a static slot keeps its bits.
+  The matvec on a block of size s, ``column_matvec``, is s elementwise
+  column updates, summed in column order with each product rounded on its
+  own; the similarity variant's comparison map in :mod:`mycocat.laws`
+  runs it too. It calls no BLAS, so its bits do not depend on the kernel
+  BLAS dispatches; the product loop, ``expm`` and ``logm`` still use
+  BLAS. ``piecewise_flow`` runs it on one program and scatters the flow to
+  n x n, with 1.0 on each static slot's diagonal (``programs.flow_matrix``,
+  which ``liealg.estimate_generator`` logs).
   The order-asymmetry scan's commutator diagnostic takes no flow: it
   reads its two pulse generators from ``_generators``, the routine that
   builds every piece's generator for ``_block_flows``.
@@ -158,30 +168,39 @@ def _far_squarings(a):
     return np.maximum(np.maximum(s, ell), 0).astype(int)
 
 
-def _expm_2x2(a):
-    """exp of each member of a (k, 2, 2) stack in closed form.
+def _expm_2x2(x, b, c, d):
+    """exp of each member of a stack of 2 x 2 matrices given as its four
+    entry planes, each a contiguous (k,) array; returns the (k, 2, 2) stack.
 
-    For A = [[a, b], [c, d]] with half trace m, N = A - m I is
-    [[h, b], [c, -h]] with h = (a - d) / 2, and N @ N = D I for the
+    For A = [[x, b], [c, d]] with half trace m, N = A - m I is
+    [[h, b], [c, -h]] with h = (x - d) / 2, and N @ N = D I for the
     discriminant D = h^2 + b c, so exp(A) is
     e^m (cosh sqrt(D) I + sinh sqrt(D) / sqrt(D) N) for D >= 0, with cos
     and sin of sqrt(-D) for D < 0, and the second factor exactly 1 at
-    D = 0. N is built from h so that its trace is exactly 0.
+    D = 0. N is built from h so that its trace is exactly 0. When every
+    discriminant has one sign, only that trig family is computed.
     """
-    m = 0.5 * (a[:, 0, 0] + a[:, 1, 1])
-    h = 0.5 * (a[:, 0, 0] - a[:, 1, 1])
-    n = a.copy()
-    n[:, 0, 0] = h
-    n[:, 1, 1] = -h
-    disc = h * h + a[:, 0, 1] * a[:, 1, 0]
+    m = 0.5 * (x + d)
+    h = 0.5 * (x - d)
+    disc = h * h + b * c
     root = np.sqrt(np.abs(disc))
     grows = disc >= 0
-    cos = np.where(grows, np.cosh(root), np.cos(root))
-    sin = np.where(grows, np.sinh(root), np.sin(root))
-    r = np.divide(sin, root, out=np.ones_like(root), where=root > 0)[:, None, None] * n
-    r[:, 0, 0] += cos
-    r[:, 1, 1] += cos
-    return np.exp(m)[:, None, None] * r
+    if grows.all():
+        cos, sin = np.cosh(root), np.sinh(root)
+    elif not grows.any():
+        cos, sin = np.cos(root), np.sin(root)
+    else:
+        cos = np.where(grows, np.cosh(root), np.cos(root))
+        sin = np.where(grows, np.sinh(root), np.sin(root))
+    q = np.divide(sin, root, out=np.ones_like(root), where=root > 0)
+    e = np.exp(m)
+    qh = q * h
+    out = np.empty((len(x), 2, 2))
+    np.multiply(e, qh + cos, out=out[:, 0, 0])
+    np.multiply(e, q * b, out=out[:, 0, 1])
+    np.multiply(e, q * c, out=out[:, 1, 0])
+    np.multiply(e, cos - qh, out=out[:, 1, 1])
+    return out
 
 
 def _expm_triangular_2x2(a):
@@ -257,7 +276,9 @@ def expm(a):
     for bit whatever else shares the stack. A 1 x 1 member takes ``np.exp``,
     which is correctly rounded, at any norm. A 2 x 2 member whose Frobenius
     norm is at most theta_13 takes the closed form of :func:`_expm_2x2`, a
-    dozen elementwise operations on the stack's entries. A triangular 2 x 2
+    dozen elementwise operations on the four contiguous entry planes that a
+    2 x 2 stack is split into once; the norm test runs on the planes too,
+    its squares summed in :func:`_fro`'s order. A triangular 2 x 2
     member above theta_13 takes the closed form of
     :func:`_expm_triangular_2x2`, which needs no squaring. Every other
     member takes the degree-13 Pade approximant and its own squaring count:
@@ -275,16 +296,22 @@ def expm(a):
     shape = a.shape
     s = shape[-1]
     a = a.reshape(-1, s, s)
-    far = ~(_fro(a) <= _THETA_13)  # overflow and NaN included
+    if s == 2:
+        planes = np.ascontiguousarray(a.reshape(-1, 4).T)
+        squares = planes * planes
+        # _fro's sum, entry by entry in row-major order
+        far = ~(np.sqrt(((squares[0] + squares[1]) + squares[2]) + squares[3]) <= _THETA_13)
+    else:
+        far = ~(_fro(a) <= _THETA_13)  # overflow and NaN included
     if far.any() and not np.isfinite(a[far]).all():
         raise DomainError("matrix exponential needs finite entries")
     if s == 1:
         r = np.exp(a)
     elif s == 2 and not far.any():
-        r = _expm_2x2(a)
+        r = _expm_2x2(*planes)
     elif s == 2:
         r = np.empty(a.shape)
-        r[~far] = _expm_2x2(a[~far])
+        r[~far] = _expm_2x2(*planes[:, ~far])
         triangular = far & ((a[:, 0, 1] == 0) | (a[:, 1, 0] == 0))
         r[triangular] = _expm_triangular_2x2(a[triangular])
         far &= ~triangular
@@ -363,18 +390,23 @@ def logm(m):
 
 
 class Blocks(NamedTuple):
-    """Diagonal blocks of an n x n matrix after a permutation.
+    """Diagonal blocks of an n x n matrix after a permutation, on its active
+    slots.
 
-    ``index`` has one row per block listing its indices in increasing
-    order, padded with -1 up to the largest block size. ``flat`` holds the
-    position row * n + col of every entry of the padded blocks and ``mask``
-    marks the entries that are not padding; both have shape
+    A slot is static when its row and its column hold no entry, the
+    diagonal included; it is in no block, and every other slot is active,
+    listed in increasing order by ``active``. ``index`` has one row per
+    block listing its indices in increasing order, padded with -1 up to
+    the largest block size; with no active slot it is (0, 0). ``flat``
+    holds the position row * n + col of every entry of the padded blocks
+    and ``mask`` marks the entries that are not padding; both have shape
     (blocks, size, size) and are computed once, so gathering and
     scattering cost a few numpy calls. The vector forms are computed once
     too: ``take`` is ``index`` with each padding entry pointing at n, so
     one take from a vector with a zero appended gives its zero-padded
-    block sub-vectors, and ``place`` (n,) gives each index its position in
-    the flattened (blocks, size) stack, so one take puts them back.
+    block sub-vectors, and ``place`` gives each active slot, in the order
+    of ``active``, its position in the flattened (blocks, size) stack, so
+    one take puts them back.
 
     ``kind`` gives each block its class: blocks of one class have the same
     flows, so the flow kernels compute one flow per class and index it back
@@ -389,24 +421,31 @@ class Blocks(NamedTuple):
     place: np.ndarray
     n: int
     kind: np.ndarray
+    active: np.ndarray
 
 
 def blocks(pattern):
     """Connected components of the symmetric closure of a square boolean
-    pattern, as :class:`Blocks`.
+    pattern, on its active slots, as :class:`Blocks`.
 
-    Components are ordered by their smallest index and need not be
-    contiguous. When padding every component to the largest one would cost
-    more cubic work than one dense block, the single component
-    ``[0, ..., n-1]`` is returned.
+    A slot whose row and column of the closure are empty, the diagonal
+    included, is static and in no component: a generator with that pattern
+    leaves it fixed, so its flow there is the identity. A pattern with no
+    active slot gives no block. Components are ordered by their smallest
+    index and need not be contiguous. When padding every component to the
+    largest one would cost more cubic work than one dense block of the
+    active slots, that single component is returned.
     """
     sym = pattern | pattern.T
     n = sym.shape[0]
+    active = np.flatnonzero(sym.any(axis=1))
+    sym = sym[np.ix_(active, active)]
+    m = len(active)
     # min-label propagation with pointer jumping; at the fixed point every
-    # node carries the smallest index of its component
-    labels = np.arange(n)
+    # active slot carries the smallest position of its component
+    labels = np.arange(m)
     while True:
-        new = np.minimum(labels, np.where(sym, labels, n).min(axis=1, initial=n))
+        new = np.minimum(labels, np.where(sym, labels, m).min(axis=1, initial=m))
         new = new[new]
         if np.array_equal(new, labels):
             break
@@ -414,12 +453,12 @@ def blocks(pattern):
     order = np.argsort(labels, kind="stable")
     roots, first, sizes = np.unique(labels[order], return_index=True, return_counts=True)
     size = int(sizes.max(initial=0))
-    if len(roots) * size**3 > n**3:
-        index = np.arange(n)[None, :]
+    if len(roots) * size**3 > m**3:
+        index = active[None, :]
     else:
         comp = np.repeat(np.arange(len(roots)), sizes)
         index = np.full((len(roots), size), -1)
-        index[comp, np.arange(n) - first[comp]] = order
+        index[comp, np.arange(m) - first[comp]] = active[order]
     valid = index >= 0
     place = np.empty(n, dtype=int)
     place[index[valid]] = np.flatnonzero(valid)
@@ -428,9 +467,10 @@ def blocks(pattern):
         index[:, :, None] * n + index[:, None, :],
         valid[:, :, None] & valid[:, None, :],
         np.where(valid, index, n),
-        place,
+        place[active],
         n,
         np.arange(len(index)),
+        active,
     )
 
 
@@ -467,7 +507,7 @@ def gather(m, parts, fill=0.0):
 def scatter(stack, parts):
     """n x n matrix holding each block of a (blocks, size, size) stack at
     its indices; padding is dropped and every entry outside the blocks is
-    zero."""
+    zero, the static slots' diagonal included."""
     out = np.zeros(parts.n * parts.n)
     out[parts.flat[parts.mask]] = stack[parts.mask]
     return out.reshape(parts.n, parts.n)
@@ -477,20 +517,24 @@ def _generators(system, lengths, inputs):
     """(k, classes, size, size) piece generators
     length_j * (drift + sum_i u_ji * controls_i) from the (1 + c, classes,
     size, size) stack of drift and controls. The sum runs elementwise in
-    channel order, so each piece's bits do not depend on the other pieces."""
-    scale = lengths[:, None, None, None]
-    gens = scale * system[0]
-    for i, control in enumerate(system[1:]):
-        gens = gens + (scale * inputs[:, i, None, None, None]) * control
-    return gens
+    channel order on the flat (1 + c, classes * size^2) layout, so each
+    piece's bits do not depend on the other pieces."""
+    flat = system.reshape(len(system), -1)
+    gens = lengths[:, None] * flat[0]
+    for i, control in enumerate(flat[1:]):
+        gens += (lengths * inputs[:, i])[:, None] * control
+    return gens.reshape((len(lengths),) + system.shape[1:])
 
 
 def _block_flows(system, lengths, inputs, counts):
     """(P, classes, size, size) flows of P programs of at least one piece,
     listed back to back as in :func:`apply_flows`: one ``expm`` call over
     every piece of every block class, then each program's pieces multiplied
-    in time order."""
+    in time order. When every program has one piece, the piece stack is
+    the flows, as it is."""
     pieces = expm(_generators(system, lengths, inputs))
+    if len(pieces) == len(counts):
+        return pieces
     offset = np.cumsum(counts) - counts
     flows = pieces[offset]
     for t in range(1, counts.max()):
@@ -502,13 +546,17 @@ def _block_flows(system, lengths, inputs, counts):
 def piecewise_flow(system, parts, lengths, inputs):
     """n x n flow of one program, the time-ordered product of
     exp(length_j * (drift + sum_i u_ji * controls_i)): :func:`apply_flows`'s
-    arguments for a single program, scattered to n x n. A program without
-    pieces has the identity flow.
+    arguments for a single program, scattered to n x n, with 1.0 on the
+    diagonal of each static slot. A program without pieces, or a dynamics
+    without an active slot, has the identity flow.
     """
-    if not len(lengths):
+    if not len(lengths) or not len(parts.index):
         return np.eye(parts.n)
     flows = _block_flows(system, lengths, inputs, np.array([len(lengths)]))[0]
-    return scatter(flows[parts.kind], parts)
+    out = scatter(flows[parts.kind], parts)
+    static = np.setdiff1d(np.arange(parts.n), parts.active)
+    out[static, static] = 1.0
+    return out
 
 
 def column_matvec(matrices, vectors):
@@ -534,14 +582,18 @@ def apply_flows(system, parts, lengths, inputs, counts, vectors):
     belong to each program. ``vectors`` is (P, n), one state per program, or
     (P, k, n), k states per program; (P, n) runs as (P, 1, n). Returns the
     evolved vectors in the shape given; a program without pieces leaves its
-    states as they are.
+    states as they are, and every program leaves the entries of the static
+    slots of ``parts`` as they are, bit for bit.
 
-    Each program's class flows are computed once, whatever its k, and act
-    on each of its states' block sub-vectors; nothing is scattered to
-    n x n. The matvec is :func:`column_matvec`: for a block of size s it is
-    s elementwise column updates, each product rounded on its own and
-    summed in column order, so its bits do not depend on which BLAS kernel
-    the CPU picks.
+    Each program's class flows are computed once, whatever its k, indexed
+    by ``Blocks.kind`` and applied to each of its states' block
+    sub-vectors; nothing is scattered to n x n. The sub-vectors are one
+    take from the states, with a zero column appended only when a block is
+    padded; only the active slots are written back, and a run of every
+    program reads and writes the states through views. The matvec is
+    :func:`column_matvec`: for a block of size s it is s elementwise
+    column updates, each product rounded on its own and summed in column
+    order, so its bits do not depend on which BLAS kernel the CPU picks.
     Runs of consecutive programs share one :func:`_block_flows` call, which
     exponentiates each class once; a run holds as many programs as keep
     its piece stack (pieces x classes x size^2 x 8 bytes) within
@@ -550,21 +602,36 @@ def apply_flows(system, parts, lengths, inputs, counts, vectors):
     only, so a batch of one gives the same bits as any batch holding it.
     """
     out = np.array(vectors, dtype=np.float64)
+    if not len(parts.index):  # no active slot: every flow is the identity
+        return out
     states = out if out.ndim == 3 else out[:, None]  # a view: writes land in out
     rows = np.flatnonzero(counts)  # a program without pieces leaves its states
     edges = [0, *counts[rows].cumsum().tolist()]  # rows[j] owns pieces edges[j]:edges[j + 1]
     limit = FLOW_BYTES // (8 * system[0].size)  # pieces per call
+    padded = parts.index.size > len(parts.active)
+    static = len(parts.active) < parts.n
+    whole = slice(None)
     lo = 0
     while lo < len(rows):
         hi = max(lo + 1, bisect.bisect_right(edges, edges[lo] + limit) - 1)
-        run, own = rows[lo:hi], slice(edges[lo], edges[hi])
+        # a run of every program reads and writes the states through views
+        run = rows[lo:hi] if hi - lo < len(states) else whole
+        own = slice(edges[lo], edges[hi])
         flows = _block_flows(system, lengths[own], inputs[own], counts[run]).take(parts.kind, 1)
         picked = states[run]
-        padded = np.concatenate((picked, np.zeros(picked.shape[:-1] + (1,))), axis=-1)
+        if padded:
+            picked = np.concatenate((picked, np.zeros(picked.shape[:-1] + (1,))), axis=-1)
         # take, unlike fancy indexing, leaves the operands and the product
         # contiguous, so the reshape below copies nothing
-        blocked = padded.take(parts.take, axis=-1)
+        blocked = picked.take(parts.take, axis=-1)
         moved = column_matvec(flows[:, None], blocked)
-        states[run] = moved.reshape(picked.shape[:-1] + (-1,)).take(parts.place, axis=-1)
+        moved = moved.reshape(blocked.shape[:-2] + (-1,)).take(parts.place, axis=-1)
+        if not static:
+            states[run] = moved
+        else:  # the static slots keep their bits
+            picked = picked[..., :parts.n]
+            picked[..., parts.active] = moved
+            if padded or run is not whole:  # picked is a copy, not a view of states
+                states[run] = picked
         lo = hi
     return out

@@ -64,13 +64,15 @@ def matrix_log(m: np.ndarray) -> np.ndarray:
     eigenvalue modulus (or of 1).
 
     The log is taken blockwise on the connected components of the sparsity
-    pattern of ``m`` (exact, since the log of a block diagonal matrix is
-    block diagonal on the same blocks). The blocks are padded with the
+    pattern of ``m`` with its diagonal (exact, since the log of a block
+    diagonal matrix is block diagonal on the same blocks); the diagonal
+    makes every slot active, so a zero row and column is a 1 x 1 block
+    whose eigenvalue 0 is refused. The blocks are padded with the
     identity, whose log is zero and whose eigenvalue 1 never changes the
     domain check; the union of the block spectra is the spectrum of ``m``.
     """
     m = _check_square(m)
-    parts = kernels.blocks(m != 0)
+    parts = kernels.blocks((m != 0) | np.eye(len(m), dtype=bool))
     stack = kernels.gather(m, parts, fill=1.0)
     eigs = np.linalg.eigvals(stack)
     scale = np.maximum(np.abs(eigs).max(axis=(-2, -1), keepdims=True), 1.0)

@@ -394,7 +394,11 @@ class ReferenceDynamics(Record):
     controls, so flows are computed blockwise on that pattern's connected
     components (see :func:`mycocat.kernels.blocks`), and once for each
     class of components with equal drift and control entries (see
-    :func:`mycocat.kernels.block_classes`)."""
+    :func:`mycocat.kernels.block_classes`). A slot that no matrix touches,
+    in its row, its column or on the diagonal, is static: it is in no
+    block, every evolution leaves its entry as it is, bit for bit, and its
+    flow is 1.0 on its diagonal. The default reference species has one such
+    slot per site, and its 8 blocks are 1 class."""
 
     __eq__ = object.__eq__  # one dynamics equals only itself
     __hash__ = object.__hash__

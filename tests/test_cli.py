@@ -309,6 +309,18 @@ class TestShippedSampleInputs:
              "--out-dir", str(tmp_path)]
         ) == 0
 
+    def test_simulate_keeps_a_static_slot(self, tmp_path):
+        # the third slot is in no block, so its entry comes out as it went in
+        assert run_cli(
+            ["simulate",
+             str(self.samples / "dynamics_static_slot.json"),
+             str(self.samples / "program_two_piece.json"),
+             str(self.samples / "state_static_slot.json"),
+             "--out-dir", str(tmp_path)]
+        ) == 0
+        final = json.loads((tmp_path / "final_state.json").read_text())
+        assert final["vector"][2] == 0.1 and final["vector"][:2] != [1.0, 0.5]
+
 
 class TestEnvironmentOverrides:
     def test_out_dir_env_var(self, tmp_path, star_cospan_file):
@@ -402,6 +414,10 @@ CONFIG = "<config>"
 DYNAMICS = str(SAMPLES / "dynamics_shear.json")
 PROGRAM = str(SAMPLES / "program_pulse.json")
 STATE = str(SAMPLES / "state_pair.json")
+# one site of three features whose third slot no matrix touches
+STATIC_DYNAMICS = str(SAMPLES / "dynamics_static_slot.json")
+TWO_PIECES = str(SAMPLES / "program_two_piece.json")
+STATIC_STATE = str(SAMPLES / "state_static_slot.json")
 STATE_PAIR = json.loads((SAMPLES / "state_pair.json").read_text(encoding="utf-8"))
 STAR_COSPAN = json.loads((SAMPLES / "cospan_star.json").read_text(encoding="utf-8"))
 # A two-site explicit species block: one channel that decays each site.
@@ -1386,6 +1402,9 @@ FUZZ_COMMANDS = {
     "dynamics_shear.json": ["simulate", INPUT, PROGRAM, STATE],
     "program_pulse.json": ["simulate", DYNAMICS, INPUT, STATE],
     "state_pair.json": ["simulate", DYNAMICS, PROGRAM, INPUT],
+    "dynamics_static_slot.json": ["simulate", INPUT, TWO_PIECES, STATIC_STATE],
+    "program_two_piece.json": ["simulate", STATIC_DYNAMICS, INPUT, STATIC_STATE],
+    "state_static_slot.json": ["simulate", STATIC_DYNAMICS, TWO_PIECES, INPUT],
     "order_scan.json": ["order-scan", INPUT],
     "laws_suite.json": ["check-laws", INPUT],
 }

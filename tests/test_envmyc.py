@@ -1445,8 +1445,14 @@ class TestEnvBatch:
         batch = EnvBatch.from_envs(envs)
         batch.take([1, 0, 1])
         assert violation_checks == []
-        assert batch.env(0) == envs[0]  # the wire form is checked again, once
-        assert len(violation_checks) == 1
+        env = batch.env(1)  # built from the checked row, not checked again
+        assert violation_checks == []
+        assert env == envs[1] and bits(env) == bits(envs[1])
+        assert repr(env.to_json()) == repr(envs[1].to_json())  # plain floats and lists
+        assert env._row.tobytes() == envs[1]._row.tobytes()
+        with pytest.raises(ValueError):
+            env._row[0, 0] = 1.0  # a read-only copy of the batch's row
+        assert not np.shares_memory(env._row, batch.fields)
 
     def test_from_envs_refuses_a_mixed_batch(self):
         e = square_env()

@@ -438,6 +438,16 @@ class TestScanCommutator:
         dense = dense_commutator_norm(exp)
         assert abs(ours - dense) <= 1e-13 * dense
 
+    def test_zero_dynamics_has_a_zero_commutator(self):
+        # no slot is active, so there is no block class and no entry: the
+        # commutator norm is 0.0 and every row sits at the floor
+        layout = StateLayout(electrode_array(2), 3)
+        zeros = np.zeros((layout.dim, layout.dim))
+        species = SpeciesFunctor("still", ReferenceDynamics(zeros, (zeros, zeros)), Extraction(layout))
+        report = run_order_asymmetry_scan(experiment().replace(species=species))
+        assert report.commutator_norm == 0.0
+        assert all(delta == 0.0 for _, delta in report.rows)
+
     @pytest.mark.parametrize("k", [40.0, 10 * math.pi])
     def test_rotation_past_a_half_turn(self, k):
         # a log of the pulse flow exp(0.1 k J) leaves the principal branch

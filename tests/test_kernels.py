@@ -245,6 +245,60 @@ def test_expm_2x2_closed_form_against_40_digits(kind, log_norm, seed):
     assert mp_error(kernels.expm(a), a) <= 1e-14
 
 
+def closed_form_2x2(a):
+    """exp of a 2 x 2 member by the closed form, in Python floats: m and h
+    from the diagonal, the discriminant h^2 + bc, cosh and sinh of its root
+    when it is not negative and cos and sin otherwise, sin / root (1 at
+    root 0), then e^m times each entry. The transcendental functions are
+    numpy's, one float at a time; every other step is Python arithmetic."""
+    x, b, c, d = (float(v) for v in a.ravel())
+    m, h = 0.5 * (x + d), 0.5 * (x - d)
+    disc = h * h + b * c
+    root = math.sqrt(abs(disc))
+    trig = (np.cosh, np.sinh) if disc >= 0 else (np.cos, np.sin)
+    cos, sin = (float(f(root)) for f in trig)
+    q = sin / root if root > 0 else 1.0
+    e = float(np.exp(m))
+    return [[e * (q * h + cos), e * (q * b)], [e * (q * c), e * (q * -h + cos)]]
+
+
+def two_by_twos(rng, sign, count):
+    """``count`` 2 x 2 members of norm at most theta_13 whose discriminants
+    are all positive, all negative, or exactly zero."""
+    a = rng.normal(size=(count, 2, 2))
+    if sign > 0:  # symmetric: h^2 + b^2 > 0
+        a[:, 1, 0] = a[:, 0, 1]
+    elif sign < 0:  # b c < -h^2
+        a[:, 1, 1] = a[:, 0, 0]
+        a[:, 1, 0] = -np.abs(a[:, 0, 1]) - 0.5
+        a[:, 0, 1] = np.abs(a[:, 0, 1]) + 0.5
+    else:  # h = 1 and b c = -1, h = 0 and b c = 0, or 0; all exact
+        x = rng.integers(-8, 9, size=count) / 16
+        a[:, 0, 0], a[:, 0, 1], a[:, 1, 0], a[:, 1, 1] = x + 1, 2.0, -0.5, x - 1
+        a[::3] = [[0.5, 0.0], [3.0, 0.5]]
+        a[1::6] = 0.0
+        return a
+    return a * np.minimum(1.0, 5.0 / np.linalg.norm(a, axis=(1, 2)))[:, None, None]
+
+
+@pytest.mark.parametrize("signs", [(1,), (-1,), (0,), (1, -1, 0)], ids=["positive", "negative", "zero", "mixed"])
+def test_expm_2x2_planes_match_a_python_float_closed_form(signs):
+    # the plane form of the closed form, with only one trig family when
+    # every discriminant has one sign, has the bits of the closed form
+    # taken member by member
+    rng = np.random.default_rng(19)
+    a = np.concatenate([two_by_twos(rng, sign, 24) for sign in signs])
+    h = 0.5 * (a[:, 0, 0] - a[:, 1, 1])
+    disc = h * h + a[:, 0, 1] * a[:, 1, 0]
+    assert {int(np.sign(v)) for v in disc} == set(signs)
+    assert (np.linalg.norm(a, axis=(1, 2)) <= kernels._THETA_13).all()
+    want = np.array([closed_form_2x2(member) for member in a])
+    assert kernels.expm(a).tobytes() == want.tobytes()
+    # a stack with a member above theta_13 takes the mixed path
+    far = np.concatenate((a, [[[0.0, 9.0], [-9.0, 0.0]]]))
+    assert kernels.expm(far)[:-1].tobytes() == want.tobytes()
+
+
 def test_expm_keeps_the_pade_path_off_the_closed_form():
     # a member of size 3 or more, or a full 2 x 2 member above theta_13, has
     # the bits of the Pade approximant with its own squaring count
@@ -421,11 +475,19 @@ def test_blocks_are_the_connected_components(n, density, seed):
     pattern = rng.random((n, n)) < density
     parts = kernels.blocks(pattern)
     count, labels = scipy.sparse.csgraph.connected_components(pattern, directed=False)
-    expected = sorted(tuple(np.flatnonzero(labels == k)) for k in range(count))
-    if len(parts.index) == 1 and count > 1:
+    # an isolated slot with a zero diagonal is static: in no block
+    static = ~(pattern.any(axis=0) | pattern.any(axis=1))
+    expected = sorted(
+        tuple(comp)
+        for k in range(count)
+        if not (len(comp := np.flatnonzero(labels == k)) == 1 and static[comp[0]])
+    )
+    active = tuple(np.flatnonzero(~static))
+    assert tuple(parts.active) == active
+    if len(parts.index) == 1 and len(expected) > 1:
         # merged into one dense block: padding would cost more
-        assert count * max(map(len, expected)) ** 3 > n**3
-        assert components(parts) == [tuple(range(n))]
+        assert len(expected) * max(map(len, expected)) ** 3 > len(active) ** 3
+        assert components(parts) == [active]
     else:
         assert components(parts) == expected
     firsts = [row[0] for row in parts.index]
@@ -440,7 +502,9 @@ def test_blocks_are_the_connected_components(n, density, seed):
 
 def test_blocks_merge_when_padding_costs_more_than_dense():
     pattern = np.zeros((24, 24), dtype=bool)
-    pattern[:12, :12] = True  # one 12-block and twelve singletons
+    pattern[:12, :12] = True  # one 12-block and twelve static slots
+    assert components(kernels.blocks(pattern)) == [tuple(range(12))]
+    pattern |= np.eye(24, dtype=bool)  # the singletons now active
     assert components(kernels.blocks(pattern)) == [tuple(range(24))]
     pattern = np.eye(24, dtype=bool)
     pattern[0, 1] = True  # one pair and 22 singletons: padding to 2 is cheap
@@ -694,3 +758,84 @@ def test_apply_flows_rows_sum_their_columns_in_order(build, k):
         for state, row in zip(vectors[p].reshape(-1, parts.n), got[p].reshape(-1, parts.n)):
             want = oracle_rows(flow, parts, state) if count else state.tolist()
             assert row.tobytes() == np.array(want).tobytes()
+
+
+def static_slot_species(rng, sizes):
+    """(system, parts) of blocks of the given sizes, scattered, with two
+    static slots that no matrix touches."""
+    mats = block_structured(rng, sizes + [1, 1], 3, "blocks")
+    n = len(mats[0])
+    static = rng.choice(n, size=2, replace=False)
+    mats[:, static] = 0.0
+    mats[:, :, static] = 0.0
+    parts = kernels.blocks((mats != 0).any(axis=0))
+    assert sorted(set(range(n)) - set(parts.active.tolist())) == sorted(static.tolist())
+    return (*kernels.block_classes(kernels.gather(mats, parts), parts), static)
+
+
+@pytest.mark.parametrize("sizes", [[2, 1, 3], [2, 2]], ids=["padded", "unpadded"])
+@pytest.mark.parametrize("k", [None, 3], ids=["P-n", "P-k-n"])
+@pytest.mark.parametrize("flow_bytes", [kernels.FLOW_BYTES, 2**11], ids=["one-call", "split"])
+def test_static_slots_keep_their_input_bits(monkeypatch, sizes, k, flow_bytes):
+    # a static slot is in no block: every program, with pieces or without,
+    # leaves its entries as they are, -0.0 included, and its flow is 1.0 on
+    # that slot's diagonal and 0.0 elsewhere on its row and column
+    rng = np.random.default_rng(20)
+    system, parts, static = static_slot_species(rng, sizes)
+    monkeypatch.setattr(kernels, "FLOW_BYTES", flow_bytes)
+    counts = rng.integers(0, 4, size=30)
+    counts[:2] = (0, 2)
+    lengths = rng.uniform(0.1, 1.0, size=counts.sum())
+    inputs = rng.uniform(-1.0, 1.0, size=(counts.sum(), 2))
+    vectors = rng.normal(size=(30, parts.n) if k is None else (30, k, parts.n))
+    vectors[..., static[0]] = -0.0
+    got = kernels.apply_flows(system, parts, lengths, inputs, counts, vectors)
+    assert got[..., static].tobytes() == vectors[..., static].tobytes()
+    starts = np.cumsum(counts) - counts
+    for p, (start, count) in enumerate(zip(starts, counts)):
+        own = slice(start, start + count)
+        flow = kernels.piecewise_flow(system, parts, lengths[own], inputs[own])
+        assert np.array_equal(flow[static], np.eye(parts.n)[static])
+        assert np.array_equal(flow[:, static], np.eye(parts.n)[:, static])
+        for state, row in zip(vectors[p].reshape(-1, parts.n), got[p].reshape(-1, parts.n)):
+            want = np.array(oracle_rows(flow, parts, state) if count else state.tolist())
+            assert row[parts.active].tobytes() == want[parts.active].tobytes()
+
+
+@pytest.mark.parametrize("k", [None, 3], ids=["P-n", "P-k-n"])
+def test_zero_dynamics_moves_no_state(k):
+    # no slot is active: no block, no expm call, and every state keeps its
+    # bytes; the flow of any program is the identity
+    rng = np.random.default_rng(21)
+    mats = np.zeros((3, 5, 5))
+    mats[1, 2, 2] = -0.0
+    parts = kernels.blocks((mats != 0).any(axis=0))
+    assert parts.index.shape == (0, 0) and len(parts.active) == 0 and len(parts.place) == 0
+    system, parts = kernels.block_classes(kernels.gather(mats, parts), parts)
+    counts = np.array([0, 2, 1, 3])
+    lengths = rng.uniform(0.1, 1.0, size=6)
+    inputs = rng.uniform(-1.0, 1.0, size=(6, 2))
+    vectors = rng.normal(size=(4, 5) if k is None else (4, k, 5))
+    vectors[..., 1] = -0.0
+    got = kernels.apply_flows(system, parts, lengths, inputs, counts, vectors)
+    assert got.tobytes() == vectors.tobytes()
+    flow = kernels.piecewise_flow(system, parts, lengths, inputs)
+    assert flow.tobytes() == np.eye(5).tobytes()
+
+
+def test_one_piece_programs_have_the_bits_of_a_mixed_run():
+    # the piece stack of a run of one-piece programs is its flows, with the
+    # bits those programs have inside a run that takes the product loop
+    rng = np.random.default_rng(22)
+    for build in (two_by_two_classes, single_entries, one_dense_block):
+        system, _ = build(rng)
+        ones = np.ones(12, dtype=int)
+        mixed = np.concatenate(([3, 2], ones, [2, 1]))
+        lengths = rng.uniform(0.1, 1.0, size=mixed.sum())
+        inputs = rng.uniform(-1.0, 1.0, size=(mixed.sum(), system.shape[0] - 1))
+        inside = kernels._block_flows(system, lengths, inputs, mixed)
+        alone = kernels._block_flows(system, lengths[5:17], inputs[5:17], ones)
+        assert alone.shape == (12,) + system.shape[1:]
+        assert alone.tobytes() == inside[2:14].tobytes()
+        last = kernels._block_flows(system, lengths[-1:], inputs[-1:], ones[:1])
+        assert last.tobytes() == inside[-1:].tobytes()

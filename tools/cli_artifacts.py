@@ -27,6 +27,11 @@ COMMANDS = {
         "simulate", "sample_inputs/dynamics_shear.json",
         "sample_inputs/program_pulse.json", "sample_inputs/state_pair.json",
     ],
+    # one site of three features whose third slot no matrix touches
+    "simulate-static-slot": [
+        "simulate", "sample_inputs/dynamics_static_slot.json",
+        "sample_inputs/program_two_piece.json", "sample_inputs/state_static_slot.json",
+    ],
     "order-scan": ["order-scan", "sample_inputs/order_scan.json"],
     "order-scan-seed-5": ["order-scan", "sample_inputs/order_scan.json", "--seed", "5"],
     "worked-example": ["worked-example"],

@@ -46,6 +46,7 @@ ENVMYC = "src/mycocat/envmyc.py"
 EXPERIMENTS = "src/mycocat/experiments.py"
 GRAPHS = "src/mycocat/graphs.py"
 KERNELS = "src/mycocat/kernels.py"
+LIEALG = "src/mycocat/liealg.py"
 LAWS = "src/mycocat/laws.py"
 PROGRAMS = "src/mycocat/programs.py"
 READERS = "src/mycocat/readers.py"
@@ -400,6 +401,52 @@ MUTANTS = (
         "    out = matrices[..., -1] * vectors[..., -1, None]\n"
         "    for j in range(vectors.shape[-1] - 2, -1, -1):\n",
         KERNEL_TESTS,
+    ),
+    # static slots are in no block and keep their bits; the 2 x 2 plane
+    # form takes one trig family only when every discriminant has one sign;
+    # a run of one-piece programs skips the product loop, and a run of
+    # every program moves the states through views
+    Mutant(
+        "blocks-keep-static-slots", KERNELS,
+        "    active = np.flatnonzero(sym.any(axis=1))\n", "    active = np.arange(n)\n",
+        KERNEL_TESTS,
+    ),
+    Mutant(
+        "static-slot-written-as-zero", KERNELS,
+        "            picked = picked[..., :parts.n]\n",
+        "            picked = np.zeros_like(picked[..., :parts.n])\n            run = rows[lo:hi]\n",
+        KERNEL_TESTS,
+    ),
+    Mutant(
+        "piecewise-flow-static-diagonal-zero", KERNELS,
+        "    out[static, static] = 1.0\n", "",
+        KERNEL_TESTS,
+    ),
+    Mutant(
+        "matrix-log-drops-static-slots", LIEALG,
+        "kernels.blocks((m != 0) | np.eye(len(m), dtype=bool))", "kernels.blocks(m != 0)",
+        ("tests/test_liealg.py",),
+    ),
+    Mutant(
+        "one-piece-shortcut-on-multi-piece-runs", KERNELS,
+        "    if len(pieces) == len(counts):\n", "    if counts[-1] == 1:\n",
+        KERNEL_TESTS,
+    ),
+    Mutant(
+        "expm-2x2-one-trig-family-on-mixed-signs", KERNELS,
+        "    if grows.all():\n", "    if grows.any():\n",
+        KERNEL_TESTS,
+    ),
+    Mutant(
+        "flow-views-move-empty-programs", KERNELS,
+        "run = rows[lo:hi] if hi - lo < len(states) else whole",
+        "run = rows[lo:hi] if hi - lo < len(rows) else whole",
+        KERNEL_TESTS,
+    ),
+    Mutant(
+        "env-from-batch-shares-its-row", ENVMYC,
+        "        row = self.fields[i].copy()\n", "        row = self.fields[i]\n",
+        ENV_TESTS,
     ),
     # the batch law checkers: the similarity map, the environment distances
     # and the compatibility witness
